@@ -7,16 +7,14 @@
 //	bwexp -exp fig4                 # one experiment at default scale
 //	bwexp -exp all -trees 2000      # the whole evaluation, larger population
 //	bwexp -exp fig4 -paper          # the paper's full 25,000×10,000 scale
-//	bwexp -exp paperscale -json paperscale.json   # full-scale streamed sweep + artifact
-//	bwexp -bench-json               # write the BENCH_<date>.json perf baseline
+//	bwexp -exp paperscale -json paperscale.json   # full-scale sweep + artifact
 //	bwexp -exp fig4 -cpuprofile cpu.pb.gz   # profile a sweep (also -memprofile, -trace)
 //
-// Experiments: fig3 fig4 fig5 fig6 fig7 table1 table2 paperscale
-// ablation-policy ablation-interrupt ablation-decay churn detector
-// fairness overlay overlay-improve all. Figure 6 and Table 1 reuse
-// Figure 4's populations, so "-exp all" runs those simulations once;
-// paperscale streams Figure 4 + Table 1 at the paper's full scale and is
-// not part of "all".
+// The experiment ids are the rows of the experiments table below
+// ("bwexp -h" lists them). Figure 6 and Table 1 reuse Figure 4's
+// populations, so "-exp all" runs those simulations once; paperscale
+// runs Figure 4 + Table 1 at the paper's full scale and is not part of
+// "all".
 package main
 
 import (
@@ -29,6 +27,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"slices"
 	"strings"
 	"time"
 
@@ -121,6 +120,136 @@ func sanitize(s string) string {
 	return strings.ToLower(string(out))
 }
 
+// renderer is the one thing every experiment result can do.
+type renderer interface{ Render(io.Writer) error }
+
+// env is what an experiment's run function reads: the scaled options,
+// the raw flags a few experiments consult for their own defaults, and
+// the Figure 4 run that Table 1 and Figure 6 share.
+type env struct {
+	o      experiments.Options
+	trees  int   // -trees as given (0 = unset)
+	tasks  int64 // -tasks as given (0 = unset)
+	paper  bool
+	graphs int
+	churn  int
+	f4     *experiments.Fig4Result // set by the first fig4 call
+}
+
+// fig4 runs Figure 4 once; its populations also back Table 1 and
+// Figure 6.
+func (e *env) fig4() (*experiments.Fig4Result, error) {
+	if e.f4 != nil {
+		return e.f4, nil
+	}
+	var err error
+	e.f4, err = experiments.Fig4(e.o)
+	return e.f4, err
+}
+
+type experiment struct {
+	id    string
+	inAll bool // part of "-exp all"
+	run   func(e *env) (renderer, error)
+}
+
+// experimentTable is the single list of experiment ids: the -exp help
+// text, "all", dispatch and TestEachExperimentRenders all range over it.
+// "all" runs the inAll rows in this order.
+var experimentTable = []experiment{
+	{"fig3", true, func(e *env) (renderer, error) { return experiments.Fig3(e.o) }},
+	{"fig4", true, func(e *env) (renderer, error) { return e.fig4() }},
+	{"table1", true, func(e *env) (renderer, error) {
+		r4, err := e.fig4()
+		if err != nil {
+			return nil, err
+		}
+		return experiments.Table1(r4)
+	}},
+	{"fig6", true, func(e *env) (renderer, error) {
+		r4, err := e.fig4()
+		if err != nil {
+			return nil, err
+		}
+		return experiments.Fig6(r4)
+	}},
+	{"fig5", true, func(e *env) (renderer, error) { return experiments.Fig5(e.o) }},
+	{"table2", true, func(e *env) (renderer, error) {
+		o := e.o
+		if e.tasks == 0 && o.Tasks < 4000 {
+			o.Tasks = 4000 // the paper's Table 2 horizon
+		}
+		return experiments.Table2(o)
+	}},
+	{"paperscale", false, func(e *env) (renderer, error) {
+		// Full paper scale by default — 25,000 trees × 10,000 tasks —
+		// unless the caller sized the sweep explicitly.
+		o := e.o
+		if !e.paper {
+			pp := experiments.Paper()
+			if e.trees == 0 {
+				o.Trees = pp.Trees
+			}
+			if e.tasks == 0 {
+				o.Tasks = pp.Tasks
+			}
+		}
+		return experiments.PaperScale(o)
+	}},
+	{"fig7", true, func(e *env) (renderer, error) { return experiments.Fig7(0, 0) }},
+	{"reconverge", true, func(e *env) (renderer, error) { return experiments.Reconverge(e.tasks, 0) }},
+	{"ablation-policy", true, func(e *env) (renderer, error) { return experiments.AblationPolicy(e.o) }},
+	{"ablation-interrupt", true, func(e *env) (renderer, error) { return experiments.AblationInterrupt(e.o) }},
+	{"ablation-decay", true, func(e *env) (renderer, error) { return experiments.AblationDecay(e.o) }},
+	{"churn", true, func(e *env) (renderer, error) { return experiments.Churn(e.o, e.churn) }},
+	{"detector", true, func(e *env) (renderer, error) { return experiments.Detector(e.o) }},
+	{"fairness", true, func(e *env) (renderer, error) {
+		o := e.o
+		if e.trees == 0 && o.Trees > 150 {
+			o.Trees = 150 // 7 tenant counts × population; keep the sweep interactive
+		}
+		return experiments.Fairness(o)
+	}},
+	{"overlay", true, func(e *env) (renderer, error) { return experiments.Overlay(e.o, e.graphs) }},
+	{"overlay-improve", true, func(e *env) (renderer, error) { return experiments.OverlayImprove(e.o, e.graphs/3+1, 0) }},
+}
+
+// experimentIDs returns the table's ids in order, every one or only the
+// rows "all" runs.
+func experimentIDs(onlyAll bool) []string {
+	var ids []string
+	for _, x := range experimentTable {
+		if x.inAll || !onlyAll {
+			ids = append(ids, x.id)
+		}
+	}
+	return ids
+}
+
+// writeArtifacts writes the machine-readable forms the -csv and -json
+// flags ask for, for the results that have one.
+func writeArtifacts(r renderer, csvDir, jsonOut string) error {
+	switch r := r.(type) {
+	case *experiments.Fig4Result:
+		if csvDir != "" {
+			return exportFig4(csvDir, r)
+		}
+	case *experiments.Fig5Result:
+		if csvDir != "" {
+			return exportFig5(csvDir, r)
+		}
+	case *experiments.PaperScaleResult:
+		if jsonOut != "" {
+			return writeJSONPath(jsonOut, r.JSON())
+		}
+	case *experiments.ReconvergeResult:
+		if jsonOut != "" {
+			return writeJSONPath(jsonOut, r.JSON())
+		}
+	}
+	return nil
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bwexp:", err)
@@ -131,7 +260,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bwexp", flag.ContinueOnError)
 	var (
-		exp       = fs.String("exp", "all", "experiment id: fig3 fig4 fig5 fig6 fig7 reconverge table1 table2 paperscale ablation-policy ablation-interrupt ablation-decay churn detector fairness overlay overlay-improve all")
+		exp       = fs.String("exp", "all", "experiment id, or several separated by commas: "+strings.Join(experimentIDs(false), " ")+" all")
 		trees     = fs.Int("trees", 0, "population size (0 = experiment default)")
 		tasks     = fs.Int64("tasks", 0, "application size (0 = experiment default)")
 		seed      = fs.Uint64("seed", 0, "generator seed (0 = default)")
@@ -142,13 +271,11 @@ func run(args []string, out io.Writer) error {
 		paper     = fs.Bool("paper", false, "use the paper's full scale (25000 trees, 10000 tasks)")
 		quiet     = fs.Bool("q", false, "suppress progress timing")
 		csvDir    = fs.String("csv", "", "also write machine-readable results (CSV/JSON) into this directory")
-		jsonOut   = fs.String("json", "", "write the experiment's JSON artifact to this path (paperscale)")
+		jsonOut   = fs.String("json", "", "write the experiment's JSON artifact to this path (paperscale, reconverge)")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		traceFile  = fs.String("trace", "", "write a runtime execution trace to this file")
-		benchJSON  = fs.Bool("bench-json", false, "run the scaled-down figure benchmarks and write BENCH_<date>.json")
-		benchOut   = fs.String("bench-out", ".", "directory for the -bench-json baseline file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -191,11 +318,6 @@ func run(args []string, out io.Writer) error {
 		}()
 	}
 
-	if *benchJSON {
-		_, err := runBenchJSON(out, *benchOut, *trees, *tasks)
-		return err
-	}
-
 	o := experiments.Default()
 	if *paper {
 		o = experiments.Paper()
@@ -218,157 +340,31 @@ func run(args []string, out io.Writer) error {
 
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
-		ids = []string{"fig3", "fig4", "table1", "fig6", "fig5", "table2", "fig7", "reconverge", "ablation-policy", "ablation-interrupt", "ablation-decay", "churn", "detector", "fairness", "overlay", "overlay-improve"}
+		ids = experimentIDs(true)
 	}
 
-	// Figure 4's populations back Table 1 and Figure 6.
-	var f4 *experiments.Fig4Result
-	needFig4 := func() (*experiments.Fig4Result, error) {
-		if f4 != nil {
-			return f4, nil
-		}
-		var err error
-		f4, err = experiments.Fig4(o)
-		return f4, err
-	}
-
+	e := &env{trees: *trees, tasks: *tasks, paper: *paper, graphs: *graphs, churn: *churn}
 	for i, id := range ids {
 		if i > 0 {
 			fmt.Fprintln(out, "\n"+strings.Repeat("=", 78)+"\n")
+		}
+		x := slices.IndexFunc(experimentTable, func(x experiment) bool { return x.id == id })
+		if x < 0 {
+			return fmt.Errorf("unknown experiment %q", id)
 		}
 		if *quiet {
 			o.Progress = nil
 		} else {
 			o.Progress = progressFunc(id)
 		}
+		e.o = o
 		start := time.Now()
-		var err error
-		switch id {
-		case "fig3":
-			var r *experiments.Fig3Result
-			if r, err = experiments.Fig3(o); err == nil {
-				err = r.Render(out)
-			}
-		case "fig4":
-			var r *experiments.Fig4Result
-			if r, err = needFig4(); err == nil {
-				err = r.Render(out)
-			}
-			if err == nil && *csvDir != "" {
-				err = exportFig4(*csvDir, r)
-			}
-		case "table1":
-			var r4 *experiments.Fig4Result
-			if r4, err = needFig4(); err == nil {
-				var r *experiments.Table1Result
-				if r, err = experiments.Table1(r4); err == nil {
-					err = r.Render(out)
-				}
-			}
-		case "fig6":
-			var r4 *experiments.Fig4Result
-			if r4, err = needFig4(); err == nil {
-				var r *experiments.Fig6Result
-				if r, err = experiments.Fig6(r4); err == nil {
-					err = r.Render(out)
-				}
-			}
-		case "fig5":
-			var r *experiments.Fig5Result
-			if r, err = experiments.Fig5(o); err == nil {
-				err = r.Render(out)
-			}
-			if err == nil && *csvDir != "" {
-				err = exportFig5(*csvDir, r)
-			}
-		case "table2":
-			to := o
-			if *tasks == 0 && to.Tasks < 4000 {
-				to.Tasks = 4000 // the paper's Table 2 horizon
-			}
-			var r *experiments.Table2Result
-			if r, err = experiments.Table2(to); err == nil {
-				err = r.Render(out)
-			}
-		case "paperscale":
-			// Full paper scale by default — 25,000 trees × 10,000 tasks,
-			// streamed — unless the caller sized the sweep explicitly.
-			po := o
-			if !*paper {
-				pp := experiments.Paper()
-				if *trees == 0 {
-					po.Trees = pp.Trees
-				}
-				if *tasks == 0 {
-					po.Tasks = pp.Tasks
-				}
-			}
-			var r *experiments.PaperScaleResult
-			if r, err = experiments.PaperScale(po); err == nil {
-				err = r.Render(out)
-			}
-			if err == nil && *jsonOut != "" {
-				err = writeJSONPath(*jsonOut, r.JSON())
-			}
-		case "fig7":
-			var r *experiments.Fig7Result
-			if r, err = experiments.Fig7(0, 0); err == nil {
-				err = r.Render(out)
-			}
-		case "reconverge":
-			var r *experiments.ReconvergeResult
-			if r, err = experiments.Reconverge(*tasks, 0); err == nil {
-				err = r.Render(out)
-			}
-			if err == nil && *jsonOut != "" {
-				err = writeJSONPath(*jsonOut, r.JSON())
-			}
-		case "ablation-policy":
-			var r *experiments.AblationPolicyResult
-			if r, err = experiments.AblationPolicy(o); err == nil {
-				err = r.Render(out)
-			}
-		case "ablation-interrupt":
-			var r *experiments.AblationInterruptResult
-			if r, err = experiments.AblationInterrupt(o); err == nil {
-				err = r.Render(out)
-			}
-		case "ablation-decay":
-			var r *experiments.AblationDecayResult
-			if r, err = experiments.AblationDecay(o); err == nil {
-				err = r.Render(out)
-			}
-		case "churn":
-			var r *experiments.ChurnResult
-			if r, err = experiments.Churn(o, *churn); err == nil {
-				err = r.Render(out)
-			}
-		case "fairness":
-			fo := o
-			if *trees == 0 && fo.Trees > 150 {
-				fo.Trees = 150 // 7 tenant counts × population; keep the sweep interactive
-			}
-			var r *experiments.FairnessResult
-			if r, err = experiments.Fairness(fo); err == nil {
-				err = r.Render(out)
-			}
-		case "detector":
-			var r *experiments.DetectorResult
-			if r, err = experiments.Detector(o); err == nil {
-				err = r.Render(out)
-			}
-		case "overlay-improve":
-			var r *experiments.OverlayImproveResult
-			if r, err = experiments.OverlayImprove(o, *graphs/3+1, 0); err == nil {
-				err = r.Render(out)
-			}
-		case "overlay":
-			var r *experiments.OverlayResult
-			if r, err = experiments.Overlay(o, *graphs); err == nil {
-				err = r.Render(out)
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", id)
+		r, err := experimentTable[x].run(e)
+		if err == nil {
+			err = r.Render(out)
+		}
+		if err == nil {
+			err = writeArtifacts(r, *csvDir, *jsonOut)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)

@@ -1,9 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,38 +14,54 @@ func tiny(exp string, extra ...string) []string {
 	return append(args, extra...)
 }
 
+// TestEachExperimentRenders runs every row of experimentTable at tiny
+// scale; a row without a marker here fails, so a new experiment cannot
+// land untested.
 func TestEachExperimentRenders(t *testing.T) {
-	cases := map[string][]string{
-		"fig3":               tiny("fig3"),
-		"fig4":               tiny("fig4"),
-		"table1":             tiny("table1"),
-		"fig6":               tiny("fig6"),
-		"fig5":               tiny("fig5", "-trees", "3"),
-		"table2":             tiny("table2", "-trees", "3", "-tasks", "400"),
-		"fig7":               tiny("fig7"),
-		"ablation-policy":    tiny("ablation-policy", "-trees", "3"),
-		"ablation-interrupt": tiny("ablation-interrupt", "-trees", "3"),
-		"ablation-decay":     tiny("ablation-decay", "-trees", "3"),
-		"churn":              tiny("churn", "-trees", "3", "-churn", "2"),
-		"overlay":            tiny("overlay", "-graphs", "4"),
+	extra := map[string][]string{
+		"fig5":               {"-trees", "3"},
+		"table2":             {"-trees", "3"},
+		"ablation-policy":    {"-trees", "3"},
+		"ablation-interrupt": {"-trees", "3"},
+		"ablation-decay":     {"-trees", "3"},
+		"churn":              {"-trees", "3", "-churn", "2"},
+		"detector":           {"-trees", "3"},
+		"fairness":           {"-trees", "2"},
+		"overlay":            {"-graphs", "4"},
+		"overlay-improve":    {"-graphs", "4"},
 	}
 	markers := map[string]string{
 		"fig3": "Figure 3(a)", "fig4": "Figure 4", "table1": "Table 1",
 		"fig6": "Figure 6(a)", "fig5": "Figure 5", "table2": "Table 2",
-		"fig7": "Figure 7", "ablation-policy": "Ablation",
-		"ablation-interrupt": "Ablation", "ablation-decay": "decay",
-		"churn": "Churn study", "overlay": "Overlay construction",
+		"paperscale": "paper-scale sweep: 24 simulations",
+		"fig7":       "Figure 7", "reconverge": "Re-convergence",
+		"ablation-policy": "Ablation", "ablation-interrupt": "Ablation",
+		"ablation-decay": "decay", "churn": "Churn study",
+		"detector": "Detector", "fairness": "Fairness",
+		"overlay": "Overlay construction", "overlay-improve": "Overlay local search",
 	}
-	for exp, args := range cases {
-		t.Run(exp, func(t *testing.T) {
+	for _, x := range experimentTable {
+		t.Run(x.id, func(t *testing.T) {
+			marker, ok := markers[x.id]
+			if !ok {
+				t.Fatalf("experiment %q has no marker in this test", x.id)
+			}
 			var b strings.Builder
-			if err := run(args, &b); err != nil {
+			if err := run(tiny(x.id, extra[x.id]...), &b); err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			if !strings.Contains(b.String(), markers[exp]) {
-				t.Fatalf("output missing %q:\n%s", markers[exp], b.String())
+			if !strings.Contains(b.String(), marker) {
+				t.Fatalf("output missing %q:\n%s", marker, b.String())
 			}
 		})
+	}
+}
+
+// TestAllIsTheTableMinusPaperscale pins what "-exp all" means.
+func TestAllIsTheTableMinusPaperscale(t *testing.T) {
+	want := slices.DeleteFunc(experimentIDs(false), func(id string) bool { return id == "paperscale" })
+	if got := experimentIDs(true); len(want) != len(experimentTable)-1 || !slices.Equal(got, want) {
+		t.Fatalf("all = %v, want %v", got, want)
 	}
 }
 
@@ -90,49 +106,6 @@ func TestUnknownExperiment(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-exp", "fig99"}, &b); err == nil {
 		t.Fatalf("unknown experiment accepted")
-	}
-}
-
-func TestBenchJSONWritesBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench mode runs ~1s per benchmark")
-	}
-	dir := t.TempDir()
-	var b strings.Builder
-	if err := run([]string{"-bench-json", "-bench-out", dir, "-trees", "2", "-tasks", "300"}, &b); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("baseline files = %v (err %v), want exactly one", matches, err)
-	}
-	raw, err := os.ReadFile(matches[0])
-	if err != nil {
-		t.Fatalf("read baseline: %v", err)
-	}
-	var report benchReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("baseline is not valid JSON: %v\n%s", err, raw)
-	}
-	if report.Schema != benchSchema {
-		t.Fatalf("schema = %q, want %q", report.Schema, benchSchema)
-	}
-	if report.GoVersion == "" || report.Date == "" || report.Trees != 2 || report.Tasks != 300 {
-		t.Fatalf("metadata incomplete: %+v", report)
-	}
-	if len(report.Benchmarks) < 6 {
-		t.Fatalf("only %d benchmarks measured", len(report.Benchmarks))
-	}
-	for _, e := range report.Benchmarks {
-		if e.NsPerOp <= 0 || e.Iterations <= 0 {
-			t.Fatalf("benchmark %s has empty measurements: %+v", e.Name, e)
-		}
-		if e.TreesPerSec <= 0 {
-			t.Fatalf("benchmark %s reports no throughput: %+v", e.Name, e)
-		}
-	}
-	if !strings.Contains(b.String(), "baseline written to") {
-		t.Fatalf("no confirmation printed:\n%s", b.String())
 	}
 }
 

@@ -42,7 +42,7 @@ func (r *AblationPolicyResult) Render(w io.Writer) error {
 	for i := range r.Populations {
 		p := &r.Populations[i]
 		labels[i] = p.Protocol.Order.String()
-		reached[i] = 100 * p.ReachedFraction()
+		reached[i] = 100 * p.Agg.ReachedFraction()
 	}
 	if err := textplot.Bars(w, "trees reaching optimal steady state (%)", labels, reached, 40); err != nil {
 		return err
@@ -82,8 +82,8 @@ func AblationInterrupt(o Options) (*AblationInterruptResult, error) {
 			return nil, err
 		}
 		out.Buffers = append(out.Buffers, fb)
-		out.IC = append(out.IC, pops[0].ReachedFraction())
-		out.NonIC = append(out.NonIC, pops[1].ReachedFraction())
+		out.IC = append(out.IC, pops[0].Agg.ReachedFraction())
+		out.NonIC = append(out.NonIC, pops[1].Agg.ReachedFraction())
 	}
 	return out, nil
 }

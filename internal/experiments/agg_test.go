@@ -7,65 +7,72 @@ import (
 	"testing"
 
 	"bwcs/internal/protocol"
+	"bwcs/internal/stats"
 )
 
-// TestStreamingMatchesMaterialized: every aggregate the streaming mode
-// offers is bit-identical to the materialized path on the same seed —
-// same reached fractions, same CDF points, same medians, same maxima.
-func TestStreamingMatchesMaterialized(t *testing.T) {
+// TestAggMatchesOutcomes: every aggregate PopulationAgg answers equals
+// the value recomputed from the per-tree Outcomes rows by the plain
+// slice-scanning loops the aggregate replaced — reached fractions, CDF
+// points, medians, Table 1 buckets and maxima, for every Figure 4
+// protocol.
+func TestAggMatchesOutcomes(t *testing.T) {
 	o := tinyOptions()
-	protos := Fig4Protocols()
-	mat, err := RunPopulation(o, protos)
+	pops, err := RunPopulation(o, Fig4Protocols())
 	if err != nil {
-		t.Fatalf("materialized: %v", err)
-	}
-	o.Stream = true
-	str, err := RunPopulation(o, protos)
-	if err != nil {
-		t.Fatalf("streaming: %v", err)
+		t.Fatal(err)
 	}
 	xs := gridInt64(int(o.Tasks)/2, 60)
-	for i := range protos {
-		m, s := &mat[i], &str[i]
-		if m.Outcomes == nil {
-			t.Fatalf("%v: materialized run lacks outcomes", protos[i])
+	for i := range pops {
+		p, rows, agg := pops[i].Protocol, pops[i].Outcomes, pops[i].Agg
+		if len(rows) != o.Trees || agg == nil || agg.Trees != o.Trees {
+			t.Fatalf("%v: %d rows, aggregate %+v, want %d trees in both", p, len(rows), agg, o.Trees)
 		}
-		if s.Outcomes != nil {
-			t.Fatalf("%v: streaming run materialized %d outcomes", protos[i], len(s.Outcomes))
+		frac := func(keep func(TreeOutcome) bool) float64 {
+			n := 0
+			for _, oc := range rows {
+				if keep(oc) {
+					n++
+				}
+			}
+			return float64(n) / float64(len(rows))
 		}
-		if s.Agg == nil || s.Agg.Trees != o.Trees {
-			t.Fatalf("%v: streaming aggregate missing or short: %+v", protos[i], s.Agg)
+		var onsets []int64
+		var wantMaxBuf, wantMaxUsed, wantTotBuf int64
+		for _, oc := range rows {
+			if oc.Reached {
+				onsets = append(onsets, int64(oc.Onset))
+			}
+			wantMaxBuf = max(wantMaxBuf, oc.MaxNodeBuffers)
+			wantMaxUsed = max(wantMaxUsed, oc.MaxNodeUsed)
+			wantTotBuf = max(wantTotBuf, oc.TotalBuffers)
 		}
-		if got, want := s.ReachedFraction(), m.ReachedFraction(); got != want {
-			t.Fatalf("%v: streaming reached fraction %v != materialized %v", protos[i], got, want)
+		if got, want := agg.ReachedFraction(), frac(func(oc TreeOutcome) bool { return oc.Reached }); got != want {
+			t.Fatalf("%v: reached fraction %v, rows say %v", p, got, want)
 		}
-		if got, want := s.MedianOnset(), m.MedianOnset(); got != want {
-			t.Fatalf("%v: streaming median onset %d != materialized %d", protos[i], got, want)
+		var wantMedian int64
+		if len(onsets) > 0 {
+			wantMedian = stats.Median(onsets)
 		}
-		if got, want := s.OnsetCDF(xs), m.OnsetCDF(xs); !slices.Equal(got, want) {
-			t.Fatalf("%v: streaming onset CDF differs\nstream: %v\nmater:  %v", protos[i], got, want)
+		if got := agg.MedianOnset(); got != wantMedian {
+			t.Fatalf("%v: median onset %d, rows say %d", p, got, wantMedian)
+		}
+		wantCDF := make([]float64, len(xs))
+		for j, x := range xs {
+			wantCDF[j] = frac(func(oc TreeOutcome) bool { return oc.Reached && int64(oc.Onset) <= x })
+		}
+		if got := agg.OnsetCDF(xs); !slices.Equal(got, wantCDF) {
+			t.Fatalf("%v: onset CDF differs\nagg:  %v\nrows: %v", p, got, wantCDF)
 		}
 		for _, n := range Table1Buckets {
-			if got, want := s.ReachedWithAtMostBuffers(n), m.ReachedWithAtMostBuffers(n); got != want {
-				t.Fatalf("%v: streaming reached@<=%d = %v != materialized %v", protos[i], n, got, want)
+			want := frac(func(oc TreeOutcome) bool { return oc.Reached && oc.MaxNodeUsed <= n })
+			if got := agg.ReachedWithAtMostBuffers(n); got != want {
+				t.Fatalf("%v: reached@<=%d = %v, rows say %v", p, n, got, want)
 			}
 		}
-		var wantMaxBuf, wantMaxUsed, wantTotBuf int64
-		for j := range m.Outcomes {
-			wantMaxBuf = max(wantMaxBuf, m.Outcomes[j].MaxNodeBuffers)
-			wantMaxUsed = max(wantMaxUsed, m.Outcomes[j].MaxNodeUsed)
-			wantTotBuf = max(wantTotBuf, m.Outcomes[j].TotalBuffers)
-		}
-		if s.Agg.MaxNodeBuffersMax != wantMaxBuf || s.Agg.MaxNodeUsedMax != wantMaxUsed || s.Agg.TotalBuffersMax != wantTotBuf {
-			t.Fatalf("%v: streaming maxima (%d, %d, %d) != materialized (%d, %d, %d)", protos[i],
-				s.Agg.MaxNodeBuffersMax, s.Agg.MaxNodeUsedMax, s.Agg.TotalBuffersMax,
+		if agg.MaxNodeBuffersMax != wantMaxBuf || agg.MaxNodeUsedMax != wantMaxUsed || agg.TotalBuffersMax != wantTotBuf {
+			t.Fatalf("%v: maxima (%d, %d, %d), rows say (%d, %d, %d)", p,
+				agg.MaxNodeBuffersMax, agg.MaxNodeUsedMax, agg.TotalBuffersMax,
 				wantMaxBuf, wantMaxUsed, wantTotBuf)
-		}
-		// The materialized run builds the same aggregate alongside.
-		if m.Agg == nil || m.Agg.Trees != o.Trees ||
-			m.Agg.ReachedFraction() != s.Agg.ReachedFraction() ||
-			m.Agg.MedianOnset() != s.Agg.MedianOnset() {
-			t.Fatalf("%v: materialized run's aggregate disagrees with streaming run's", protos[i])
 		}
 	}
 }
@@ -74,7 +81,6 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 // regenerable indices.
 func TestStreamingObserver(t *testing.T) {
 	o := tinyOptions()
-	o.Stream = true
 	var mu sync.Mutex
 	seen := map[int]int{}
 	o.Observer = func(oc TreeOutcome) {

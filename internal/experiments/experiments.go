@@ -55,20 +55,10 @@ type Options struct {
 	// all outcomes are independent of it.
 	Progress func(done, total int)
 
-	// Stream, when true, makes RunPopulation aggregate each tree's
-	// outcome incrementally instead of materializing the Outcomes slice:
-	// the returned Populations carry a nil Outcomes and a PopulationAgg
-	// holding the same aggregates (reached fraction, onset CDF, median
-	// onset, buffer maxima) bit-identical to the materialized path, in
-	// O(Tasks) memory regardless of tree count. Experiments that need
-	// per-tree records (Figure 6's shape histograms, ablations) must run
-	// materialized.
-	Stream bool
-
 	// Observer, when non-nil, receives every TreeOutcome as it
-	// completes, from worker goroutines, unordered. It lets streaming
-	// callers keep custom per-tree statistics without materializing the
-	// population. The callback must be safe for concurrent use.
+	// completes, from worker goroutines, unordered, so callers can keep
+	// custom per-tree statistics. The callback must be safe for
+	// concurrent use.
 	Observer func(TreeOutcome)
 }
 
@@ -162,13 +152,11 @@ type SweepMetrics struct {
 	Engine      engine.Metrics
 }
 
-// PopulationAgg is the streaming aggregate of one protocol's population
-// sweep. It holds counting histograms over the per-tree outcome fields
-// the figures and tables consume, so every aggregate the materialized
-// Population offers is available — bit-identical — without retaining a
-// TreeOutcome per tree. Onset windows are bounded by Tasks/2 and buffer
-// counts by Tasks, so the histograms take O(Tasks) memory regardless of
-// how many trees the sweep visits.
+// PopulationAgg is the aggregate of one protocol's population sweep,
+// folded one TreeOutcome at a time. It holds counting histograms over the
+// per-tree outcome fields the figures and tables consume. Onset windows
+// are bounded by Tasks/2 and buffer counts by Tasks, so the histograms
+// take O(Tasks) memory regardless of how many trees the sweep visits.
 type PopulationAgg struct {
 	Trees   int // trees observed
 	Reached int // trees that reached the optimal steady state
@@ -182,7 +170,7 @@ type PopulationAgg struct {
 	TotalBuffersMax   int64
 }
 
-// NewPopulationAgg returns an empty streaming aggregate.
+// NewPopulationAgg returns an empty aggregate.
 func NewPopulationAgg() *PopulationAgg {
 	return &PopulationAgg{onsets: stats.NewCounter(), reachedUsed: stats.NewCounter()}
 }
@@ -227,8 +215,9 @@ func (a *PopulationAgg) OnsetCDF(xs []int64) []float64 {
 	return out
 }
 
-// MedianOnset returns the median onset window among reached trees, or 0
-// when none reached.
+// MedianOnset returns the median onset window among reached trees,
+// quantifying startup length (the paper observes much longer startups
+// under non-IC), or 0 when none reached.
 func (a *PopulationAgg) MedianOnset() int64 {
 	if a.onsets.Total() == 0 {
 		return 0
@@ -238,7 +227,7 @@ func (a *PopulationAgg) MedianOnset() int64 {
 
 // ReachedWithAtMostBuffers returns the fraction of all trees that both
 // reached the optimal rate and never needed more than n buffered tasks
-// at any single node.
+// at any single node (Table 1's non-IC row).
 func (a *PopulationAgg) ReachedWithAtMostBuffers(n int64) float64 {
 	if a.Trees == 0 {
 		return 0
@@ -247,87 +236,14 @@ func (a *PopulationAgg) ReachedWithAtMostBuffers(n int64) float64 {
 }
 
 // Population is the outcome of one protocol over the whole tree
-// population. Outcomes is nil when the sweep ran with Options.Stream;
-// the aggregate methods below answer from Agg in that case and remain
-// bit-identical to the materialized computation.
+// population: the per-tree rows (Figure 6, the ablations and the CSV
+// export read them) and the aggregate that answers every population-wide
+// question.
 type Population struct {
 	Protocol protocol.Protocol
 	Outcomes []TreeOutcome
 	Agg      *PopulationAgg
 	Sweep    SweepMetrics
-}
-
-// ReachedFraction returns the fraction of trees that reached the optimal
-// steady-state rate.
-func (p *Population) ReachedFraction() float64 {
-	if p.Outcomes == nil && p.Agg != nil {
-		return p.Agg.ReachedFraction()
-	}
-	n := 0
-	for i := range p.Outcomes {
-		if p.Outcomes[i].Reached {
-			n++
-		}
-	}
-	if len(p.Outcomes) == 0 {
-		return 0
-	}
-	return float64(n) / float64(len(p.Outcomes))
-}
-
-// OnsetCDF returns the paper's Figure 4 curve: the fraction of all trees
-// whose onset window is <= x, for each x in xs (ascending).
-func (p *Population) OnsetCDF(xs []int64) []float64 {
-	if p.Outcomes == nil && p.Agg != nil {
-		return p.Agg.OnsetCDF(xs)
-	}
-	c := stats.NewCDF()
-	for i := range p.Outcomes {
-		if p.Outcomes[i].Reached {
-			c.AddReached(int64(p.Outcomes[i].Onset))
-		} else {
-			c.AddNotReached()
-		}
-	}
-	return c.Series(xs)
-}
-
-// MedianOnset returns the median onset window among trees that reached the
-// optimal steady state, quantifying startup length (the paper observes
-// much longer startups under non-IC). It returns 0 when no tree reached.
-func (p *Population) MedianOnset() int64 {
-	if p.Outcomes == nil && p.Agg != nil {
-		return p.Agg.MedianOnset()
-	}
-	var onsets []int64
-	for i := range p.Outcomes {
-		if p.Outcomes[i].Reached {
-			onsets = append(onsets, int64(p.Outcomes[i].Onset))
-		}
-	}
-	if len(onsets) == 0 {
-		return 0
-	}
-	return stats.Median(onsets)
-}
-
-// ReachedWithAtMostBuffers returns the fraction of all trees that both
-// reached the optimal rate and never needed more than n buffered tasks at
-// any single node (Table 1's non-IC row).
-func (p *Population) ReachedWithAtMostBuffers(n int64) float64 {
-	if p.Outcomes == nil && p.Agg != nil {
-		return p.Agg.ReachedWithAtMostBuffers(n)
-	}
-	count := 0
-	for i := range p.Outcomes {
-		if p.Outcomes[i].Reached && p.Outcomes[i].MaxNodeUsed <= n {
-			count++
-		}
-	}
-	if len(p.Outcomes) == 0 {
-		return 0
-	}
-	return float64(count) / float64(len(p.Outcomes))
 }
 
 // Evaluator runs trees through a persistent engine.Runner, so the event
@@ -395,9 +311,7 @@ func EvaluateTree(o Options, p protocol.Protocol, index int, checkpoints []int64
 
 // RunPopulation evaluates each protocol over the same tree population in
 // parallel and returns one Population per protocol, in order. Each
-// worker reuses one Evaluator for the whole sweep, and every Population
-// carries the streaming aggregate; with o.Stream the per-tree Outcomes
-// slice is not materialized at all.
+// worker reuses one Evaluator for the whole sweep.
 func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -415,10 +329,7 @@ func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) 
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		var outcomes []TreeOutcome
-		if !o.Stream {
-			outcomes = make([]TreeOutcome, o.Trees)
-		}
+		outcomes := make([]TreeOutcome, o.Trees)
 		popAgg := NewPopulationAgg()
 		var (
 			mu         sync.Mutex // guards agg, popAgg, done
@@ -465,9 +376,7 @@ func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) 
 			if err != nil {
 				return err
 			}
-			if outcomes != nil {
-				outcomes[i] = oc
-			}
+			outcomes[i] = oc
 			if o.Observer != nil {
 				o.Observer(oc)
 			}

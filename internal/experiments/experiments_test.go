@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,25 +128,38 @@ func TestRunPopulationRejectsBadInput(t *testing.T) {
 }
 
 func TestPopulationHelpers(t *testing.T) {
-	p := Population{Outcomes: []TreeOutcome{
+	empty := NewPopulationAgg()
+	if empty.ReachedFraction() != 0 || empty.MedianOnset() != 0 || empty.ReachedWithAtMostBuffers(1) != 0 ||
+		!slices.Equal(empty.OnsetCDF([]int64{1, 2}), []float64{0, 0}) {
+		t.Fatalf("empty aggregate not zero")
+	}
+	a := NewPopulationAgg()
+	for _, oc := range []TreeOutcome{
 		{Reached: true, Onset: 100, MaxNodeUsed: 2},
 		{Reached: true, Onset: 300, MaxNodeUsed: 9},
 		{Reached: false, MaxNodeUsed: 50},
 		{Reached: true, Onset: 150, MaxNodeUsed: 1},
-	}}
-	if got := p.ReachedFraction(); got != 0.75 {
+	} {
+		a.Observe(oc)
+	}
+	if got := a.ReachedFraction(); got != 0.75 {
 		t.Fatalf("ReachedFraction = %v", got)
 	}
-	if got := p.ReachedWithAtMostBuffers(2); got != 0.5 {
+	if got := a.ReachedWithAtMostBuffers(2); got != 0.5 {
 		t.Fatalf("ReachedWithAtMostBuffers(2) = %v", got)
 	}
-	cdf := p.OnsetCDF([]int64{100, 200, 400})
-	want := []float64{0.25, 0.5, 0.75}
-	for i := range want {
-		if cdf[i] != want[i] {
-			t.Fatalf("OnsetCDF = %v, want %v", cdf, want)
-		}
+	if got := a.MedianOnset(); got != 150 {
+		t.Fatalf("MedianOnset = %d", got)
 	}
+	if cdf, want := a.OnsetCDF([]int64{100, 200, 400}), []float64{0.25, 0.5, 0.75}; !slices.Equal(cdf, want) {
+		t.Fatalf("OnsetCDF = %v, want %v", cdf, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("descending CDF points accepted")
+		}
+	}()
+	a.OnsetCDF([]int64{5, 1})
 }
 
 func TestFig4AndDerivedTables(t *testing.T) {
@@ -164,7 +178,7 @@ func TestFig4AndDerivedTables(t *testing.T) {
 	frac := map[string]float64{}
 	for i := range f4.Populations {
 		p := &f4.Populations[i]
-		frac[p.Protocol.Label] = p.ReachedFraction()
+		frac[p.Protocol.Label] = p.Agg.ReachedFraction()
 	}
 	if frac["IC FB=3"] < frac["non-IC IB=1"] {
 		t.Fatalf("IC3 %.2f < non-IC %.2f", frac["IC FB=3"], frac["non-IC IB=1"])

@@ -43,7 +43,7 @@ func (r *Fig4Result) Render(w io.Writer) error {
 		Labels("onset window (tasks completed)", "fraction of trees")
 	for i := range r.Populations {
 		p := &r.Populations[i]
-		chart.Line(p.Protocol.Label, toFloats(xs), p.OnsetCDF(xs))
+		chart.Line(p.Protocol.Label, toFloats(xs), p.Agg.OnsetCDF(xs))
 	}
 	if err := chart.Render(w); err != nil {
 		return err
@@ -52,7 +52,7 @@ func (r *Fig4Result) Render(w io.Writer) error {
 		"protocol", "reached", "median onset")
 	for i := range r.Populations {
 		p := &r.Populations[i]
-		fmt.Fprintf(w, "%-16s %9.2f%% %14d\n", p.Protocol.Label, 100*p.ReachedFraction(), p.MedianOnset())
+		fmt.Fprintf(w, "%-16s %9.2f%% %14d\n", p.Protocol.Label, 100*p.Agg.ReachedFraction(), p.Agg.MedianOnset())
 	}
 	fmt.Fprintf(w, "\n%d trees, %d tasks, onset threshold window %d\n", r.Options.Trees, r.Options.Tasks, r.Options.Threshold)
 	return nil

@@ -56,7 +56,7 @@ func (r *Fig5Result) Render(w io.Writer) error {
 	for _, cls := range r.Classes {
 		for i := range cls.Populations {
 			p := &cls.Populations[i]
-			chart.Line(fmt.Sprintf("%s x=%d", p.Protocol.Label, cls.X), toFloats(xs), p.OnsetCDF(xs))
+			chart.Line(fmt.Sprintf("%s x=%d", p.Protocol.Label, cls.X), toFloats(xs), p.Agg.OnsetCDF(xs))
 		}
 	}
 	if err := chart.Render(w); err != nil {
@@ -70,7 +70,7 @@ func (r *Fig5Result) Render(w io.Writer) error {
 	for _, cls := range r.Classes {
 		fmt.Fprintf(w, "%-8d", cls.X)
 		for i := range cls.Populations {
-			fmt.Fprintf(w, " %15.2f%%", 100*cls.Populations[i].ReachedFraction())
+			fmt.Fprintf(w, " %15.2f%%", 100*cls.Populations[i].Agg.ReachedFraction())
 		}
 		fmt.Fprintln(w)
 	}

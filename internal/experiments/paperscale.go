@@ -6,21 +6,19 @@ import (
 	"time"
 )
 
-// PaperScale runs the paper's full evaluation scale as one routine
+// PaperScaleResult is the paper's full evaluation scale as one routine
 // artifact: the four Figure 4 protocol variants swept over the whole
-// tree population in streaming mode (no per-tree outcomes are
-// materialized, so the 25,000 × 10,000 sweep runs in O(Tasks) memory per
-// protocol), with Table 1 derived from the same runs. Options defaults
-// come from Paper(); smaller values make smoke runs.
+// tree population, with Table 1 derived from the same runs.
 type PaperScaleResult struct {
 	Fig4    *Fig4Result
 	Table1  *Table1Result
 	Elapsed time.Duration
 }
 
-// PaperScale runs the streaming full-scale sweep.
+// PaperScale runs Figure 4 and Table 1 over one sweep and times it.
+// Callers size the sweep: Paper() gives the 25,000 × 10,000 study, smaller
+// values make smoke runs.
 func PaperScale(o Options) (*PaperScaleResult, error) {
-	o.Stream = true
 	start := time.Now()
 	f4, err := Fig4(o)
 	if err != nil {
@@ -54,7 +52,7 @@ func (r *PaperScaleResult) Render(w io.Writer) error {
 }
 
 // PaperScaleJSON is the machine-readable paper-scale artifact the CI job
-// uploads; the schema is versioned independently of the bench baseline.
+// uploads.
 type PaperScaleJSON struct {
 	Schema     string            `json:"schema"`
 	Trees      int               `json:"trees"`
@@ -105,12 +103,12 @@ func (r *PaperScaleResult) JSON() PaperScaleJSON {
 		p := &r.Fig4.Populations[i]
 		out.Protocols = append(out.Protocols, PaperScaleProto{
 			Label:           p.Protocol.Label,
-			ReachedFraction: p.ReachedFraction(),
-			MedianOnset:     p.MedianOnset(),
+			ReachedFraction: p.Agg.ReachedFraction(),
+			MedianOnset:     p.Agg.MedianOnset(),
 			MaxNodeUsed:     p.Agg.MaxNodeUsedMax,
 			TreesPerSec:     p.Sweep.TreesPerSec,
 			CDFX:            xs,
-			CDFY:            p.OnsetCDF(xs),
+			CDFY:            p.Agg.OnsetCDF(xs),
 		})
 	}
 	return out

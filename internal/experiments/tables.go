@@ -47,14 +47,14 @@ func Table1(f4 *Fig4Result) (*Table1Result, error) {
 		return nil, fmt.Errorf("table1: figure 4 result lacks the non-IC population")
 	}
 	for _, n := range Table1Buckets {
-		out.NonIC = append(out.NonIC, nonIC.ReachedWithAtMostBuffers(n))
+		out.NonIC = append(out.NonIC, nonIC.Agg.ReachedWithAtMostBuffers(n))
 	}
 	for fb := 1; fb <= 3; fb++ {
 		p, ok := icByFB[fb]
 		if !ok {
 			return nil, fmt.Errorf("table1: figure 4 result lacks IC FB=%d", fb)
 		}
-		out.IC = append(out.IC, p.ReachedFraction())
+		out.IC = append(out.IC, p.Agg.ReachedFraction())
 	}
 	return out, nil
 }
@@ -73,8 +73,7 @@ func (r *Table1Result) Render(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-10s", "IC")
-	for i, v := range r.IC {
-		_ = i
+	for _, v := range r.IC {
 		fmt.Fprintf(w, " %7.2f%%", 100*v)
 	}
 	fmt.Fprintf(w, "      (FB=1..3; unchanged beyond 3)\n")

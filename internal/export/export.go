@@ -114,7 +114,7 @@ func PopulationsJSON(w io.Writer, pops []experiments.Population) error {
 	for i := range pops {
 		out[i] = populationJSON{
 			Protocol: pops[i].Protocol.Label,
-			Reached:  pops[i].ReachedFraction(),
+			Reached:  pops[i].Agg.ReachedFraction(),
 			Outcomes: pops[i].Outcomes,
 		}
 	}

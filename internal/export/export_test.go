@@ -12,13 +12,18 @@ import (
 )
 
 func samplePopulation() experiments.Population {
-	return experiments.Population{
+	p := experiments.Population{
 		Protocol: protocol.Interruptible(3),
 		Outcomes: []experiments.TreeOutcome{
 			{Index: 0, Nodes: 40, Depth: 6, Reached: true, Onset: 310, MaxNodeBuffers: 3, MaxNodeUsed: 3, TotalBuffers: 120, UsedNodes: 12, UsedDepth: 4, Makespan: 9001},
 			{Index: 1, Nodes: 11, Depth: 2, Reached: false, MaxNodeBuffers: 3, MaxNodeUsed: 2, TotalBuffers: 33, UsedNodes: 3, UsedDepth: 1, Makespan: 777},
 		},
+		Agg: experiments.NewPopulationAgg(),
 	}
+	for _, oc := range p.Outcomes {
+		p.Agg.Observe(oc)
+	}
+	return p
 }
 
 func TestPopulationCSV(t *testing.T) {

@@ -89,7 +89,7 @@ func TestMatchScopes(t *testing.T) {
 		},
 		{
 			"goroleak", lint.GoroLeak.Match,
-			[]string{"bwcs/live", "bwcs/cmd/bwnode", "bwcs/cmd/bwload"},
+			[]string{"bwcs/live", "bwcs/cmd/bwnode"},
 			[]string{"bwcs", "bwcs/internal/engine"},
 		},
 		{

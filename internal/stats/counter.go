@@ -7,7 +7,7 @@ import "fmt"
 // statistics — median, percentile, rank counts — exactly, matching the
 // sorted-slice functions above bit for bit, while storing one counter
 // per distinct value instead of one element per observation. That is
-// what lets a streaming sweep over millions of trees keep exact
+// what lets a sweep over millions of trees keep exact
 // aggregates in O(value range) memory.
 type Counter struct {
 	counts []int64

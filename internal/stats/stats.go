@@ -1,7 +1,8 @@
 // Package stats provides the small set of descriptive statistics the
 // paper's evaluation uses: medians and extrema over tree populations
 // (Table 2), probability distribution functions over binned counts
-// (Figure 6), and cumulative distribution series (Figures 4 and 5).
+// (Figure 6), and the counting histogram behind the cumulative
+// distribution series (Figures 4 and 5).
 package stats
 
 import (
@@ -141,75 +142,4 @@ func (h *Histogram) PDF() []float64 {
 // BinCenter returns the midpoint of bucket i, for plotting.
 func (h *Histogram) BinCenter(i int) float64 {
 	return (float64(i) + 0.5) * float64(h.BinWidth)
-}
-
-// CDF builds the cumulative distribution the paper's Figures 4 and 5 plot:
-// given per-item onset values (and a flag for items that never reached
-// onset), it reports the fraction of ALL items whose onset is <= x for
-// each requested x. Items that never reached contribute to the
-// denominator but never to the numerator, exactly as trees that never
-// reach steady state hold the curves below 100%.
-type CDF struct {
-	onsets []int64
-	total  int
-}
-
-// NewCDF returns an empty CDF accumulator.
-func NewCDF() *CDF { return &CDF{} }
-
-// AddReached records an item that reached onset at the given value.
-func (c *CDF) AddReached(onset int64) {
-	c.onsets = append(c.onsets, onset)
-	c.total++
-}
-
-// AddNotReached records an item that never reached onset.
-func (c *CDF) AddNotReached() { c.total++ }
-
-// Total returns the number of items recorded.
-func (c *CDF) Total() int { return c.total }
-
-// ReachedFraction returns the fraction of items that reached onset at all.
-func (c *CDF) ReachedFraction() float64 {
-	if c.total == 0 {
-		return 0
-	}
-	return float64(len(c.onsets)) / float64(c.total)
-}
-
-// At returns the fraction of all items with onset <= x.
-func (c *CDF) At(x int64) float64 {
-	if c.total == 0 {
-		return 0
-	}
-	n := 0
-	for _, o := range c.onsets {
-		if o <= x {
-			n++
-		}
-	}
-	return float64(n) / float64(c.total)
-}
-
-// Series evaluates the CDF at each x in xs, which must be ascending.
-func (c *CDF) Series(xs []int64) []float64 {
-	if !slices.IsSorted(xs) {
-		panic("stats: CDF series points must be ascending")
-	}
-	if len(c.onsets) > 1 {
-		slices.Sort(c.onsets)
-	}
-	out := make([]float64, len(xs))
-	i := 0
-	for j, x := range xs {
-		for i < len(c.onsets) && c.onsets[i] <= x {
-			i++
-		}
-		if c.total == 0 {
-			out[j] = 0
-		} else {
-			out[j] = float64(i) / float64(c.total)
-		}
-	}
-	return out
 }

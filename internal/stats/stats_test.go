@@ -142,79 +142,3 @@ func TestHistogramEmptyAndErrors(t *testing.T) {
 		NewHistogram(5).Add(-1)
 	}()
 }
-
-func TestCDF(t *testing.T) {
-	c := NewCDF()
-	c.AddReached(100)
-	c.AddReached(300)
-	c.AddReached(300)
-	c.AddNotReached()
-	if c.Total() != 4 {
-		t.Fatalf("Total = %d", c.Total())
-	}
-	if got := c.ReachedFraction(); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("ReachedFraction = %v", got)
-	}
-	for _, tc := range []struct {
-		x    int64
-		want float64
-	}{
-		{50, 0}, {100, 0.25}, {299, 0.25}, {300, 0.75}, {1000, 0.75},
-	} {
-		if got := c.At(tc.x); math.Abs(got-tc.want) > 1e-12 {
-			t.Fatalf("At(%d) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-}
-
-func TestCDFSeriesMatchesAt(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	c := NewCDF()
-	for i := 0; i < 200; i++ {
-		if rng.IntN(5) == 0 {
-			c.AddNotReached()
-		} else {
-			c.AddReached(rng.Int64N(5000))
-		}
-	}
-	xs := make([]int64, 50)
-	for i := range xs {
-		xs[i] = int64(i * 100)
-	}
-	series := c.Series(xs)
-	for i, x := range xs {
-		if math.Abs(series[i]-c.At(x)) > 1e-12 {
-			t.Fatalf("Series[%d]=%v != At(%d)=%v", i, series[i], x, c.At(x))
-		}
-	}
-	// Monotone non-decreasing, capped by reached fraction.
-	for i := 1; i < len(series); i++ {
-		if series[i] < series[i-1] {
-			t.Fatalf("CDF not monotone at %d", i)
-		}
-	}
-	if series[len(series)-1] > c.ReachedFraction()+1e-12 {
-		t.Fatalf("CDF exceeds reached fraction")
-	}
-}
-
-func TestCDFSeriesRejectsUnsorted(t *testing.T) {
-	c := NewCDF()
-	c.AddReached(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("unsorted xs accepted")
-		}
-	}()
-	c.Series([]int64{5, 1})
-}
-
-func TestCDFEmpty(t *testing.T) {
-	c := NewCDF()
-	if c.At(10) != 0 || c.ReachedFraction() != 0 {
-		t.Fatalf("empty CDF not zero")
-	}
-	if got := c.Series([]int64{1, 2}); got[0] != 0 || got[1] != 0 {
-		t.Fatalf("empty Series not zero: %v", got)
-	}
-}

@@ -42,9 +42,9 @@ func (r WireBenchResult) BytesPerSec() float64 {
 // side decodes every frame; the run ends when every link has delivered
 // its full count.
 //
-// This is the measurement bwload's -wire-only mode reports: an overlay
-// under real task load adds scheduling, compute, and round-trip costs
-// on top, so WireBench is the data plane's ceiling, useful for
+// The benchmark's live.wire.* ledger rows report this measurement. An
+// overlay under real task load adds scheduling, compute, and round-trip
+// costs on top, so WireBench is the data plane's ceiling, useful for
 // comparing codecs against each other rather than predicting overlay
 // task throughput.
 func WireBench(codec Codec, links, frames, size, batch int) (WireBenchResult, error) {
