@@ -72,6 +72,11 @@ var hotPathProbes = map[string]map[string]string{
 		"frameReader.intField":  "runtime:TestHotPathAllocsPinned",
 		"frameReader.raw":       "runtime:TestHotPathAllocsPinned",
 		"frameReader.boolField": "runtime:TestHotPathAllocsPinned",
+		"taskPool.push":         "runtime:TestHotPathAllocsPinnedPool",
+		"taskPool.pop":          "runtime:TestHotPathAllocsPinnedPool",
+		"taskPool.pick":         "runtime:TestHotPathAllocsPinnedPool",
+		"taskPool.queue":        "runtime:TestHotPathAllocsPinnedPool",
+		"appQueue.at":           "runtime:TestHotPathAllocsPinnedPool",
 	},
 }
 

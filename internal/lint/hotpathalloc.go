@@ -27,11 +27,11 @@ import (
 //
 // The seed list below names the functions PR 8's allocation hunt fought
 // for (sim event loop, window onset scan, optimal.Weight, the binary
-// codec); a seeded function missing its annotation is itself a finding,
-// so the protection cannot be dropped by deleting a comment. The
-// TestHotPathAllocsPinned probes cross-check the same functions against
-// testing.AllocsPerRun, so the static rule and runtime truth cannot
-// drift apart.
+// codec) and the live node's task pool; a seeded function missing its
+// annotation is itself a finding, so the protection cannot be dropped by
+// deleting a comment. The TestHotPathAllocsPinned probes cross-check the
+// same functions against testing.AllocsPerRun, so the static rule and
+// runtime truth cannot drift apart.
 var HotPathAlloc = &analysis.Analyzer{
 	Name: "hotpathalloc",
 	Doc: "functions annotated //bwvet:hotpath must not contain " +
@@ -67,6 +67,8 @@ var HotPathSeeds = map[string][]string{
 		"appendBool", "appendU64Field", "readFrame", "interner.intern",
 		"frameReader.uvarint", "frameReader.intField", "frameReader.raw",
 		"frameReader.boolField",
+		"taskPool.push", "taskPool.pop", "taskPool.pick", "taskPool.queue",
+		"appQueue.at",
 	},
 }
 

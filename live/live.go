@@ -266,13 +266,8 @@ type Node struct {
 
 	mu         sync.Mutex
 	parentName string // parent's node name, learned from its hello-ack
-	// appCredit is the node's weighted-round-robin ledger over application
-	// tags: each dispatch decision among a mixed buffer credits every
-	// application present by its weight and debits the chosen one by the
-	// round total (smooth WRR).
-	appCredit  map[string]int64
-	parent     *conn // current uplink; nil while disconnected (or root)
-	reqDeficit int   // requests owed to the parent, accrued while disconnected
+	parent     *conn  // current uplink; nil while disconnected (or root)
+	reqDeficit int    // requests owed to the parent, accrued while disconnected
 	// unacked is the result ledger: every result this node owes its
 	// parent, in arrival order, retired only by a matching result ack.
 	// The flusher goroutine is its sole sender, so wire order follows
@@ -280,7 +275,7 @@ type Node struct {
 	unacked   []*resultEntry
 	computing map[uint64]bool // tasks on the compute port right now
 	children  []*childSession
-	buffer    []Task
+	buffer    taskPool    // tasks awaiting dispatch; at the root, the application
 	results   chan Result // root only: collected results
 	inflight  map[uint64]*inTransfer
 	stats     Stats
@@ -463,6 +458,7 @@ func StartConfig(cfg Config) (*Node, error) {
 		cfg:       cfg,
 		root:      cfg.Parent == "",
 		started:   time.Now(),
+		buffer:    taskPool{weights: cfg.AppWeights},
 		inflight:  make(map[uint64]*inTransfer),
 		computing: make(map[uint64]bool),
 		kick:      make(chan struct{}, 1),
@@ -580,6 +576,7 @@ func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	s := n.stats
+	s.MaxQueued = n.buffer.peak
 	s.ByChild = make(map[string]int64, len(n.stats.ByChild))
 	for k, v := range n.stats.ByChild {
 		s.ByChild[k] = v
@@ -692,10 +689,7 @@ func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 	}
 
 	n.mu.Lock()
-	n.buffer = append(n.buffer, tasks...) // the root's pool
-	if q := len(n.buffer); q > n.stats.MaxQueued {
-		n.stats.MaxQueued = q
-	}
+	n.buffer.pushAll(tasks) // the root's pool
 	n.mu.Unlock()
 	n.wake(n.kick)
 	n.wake(n.comp)
@@ -750,63 +744,6 @@ func (n *Node) bumpApp(app string, f func(*AppStats)) {
 	s := n.stats.PerApp[app]
 	f(&s)
 	n.stats.PerApp[app] = s
-}
-
-// appWeight is the application's sharing weight (missing or non-positive
-// configures as 1).
-func (n *Node) appWeight(app string) int64 {
-	if w := n.cfg.AppWeights[app]; w > 0 {
-		return w
-	}
-	return 1
-}
-
-// popTaskLocked removes the next task to dispatch from the buffer. With
-// one application present this is plain FIFO (the engine's order). With a
-// mixed buffer the application is chosen first by smooth weighted
-// round-robin — each application present earns its weight in credit, the
-// richest (earliest in buffer order on ties) is served and pays back the
-// round total — and the chosen application's oldest buffered task moves.
-// Callers hold n.mu and guarantee the buffer is non-empty.
-func (n *Node) popTaskLocked() Task {
-	mixed := false
-	for _, t := range n.buffer[1:] {
-		if t.App != n.buffer[0].App {
-			mixed = true
-			break
-		}
-	}
-	if !mixed {
-		t := n.buffer[0]
-		n.buffer = n.buffer[1:]
-		return t
-	}
-	if n.appCredit == nil {
-		n.appCredit = make(map[string]int64)
-	}
-	first := make(map[string]int) // app -> oldest buffered index
-	order := make([]string, 0, 4) // apps in buffer order, for deterministic ties
-	for i, t := range n.buffer {
-		if _, ok := first[t.App]; !ok {
-			first[t.App] = i
-			order = append(order, t.App)
-		}
-	}
-	var total int64
-	best := ""
-	for _, app := range order {
-		w := n.appWeight(app)
-		n.appCredit[app] += w
-		total += w
-		if best == "" || n.appCredit[app] > n.appCredit[best] {
-			best = app
-		}
-	}
-	n.appCredit[best] -= total
-	i := first[best]
-	t := n.buffer[i]
-	n.buffer = append(n.buffer[:i], n.buffer[i+1:]...)
-	return t
 }
 
 // wake delivers a non-blocking signal.
@@ -1014,16 +951,13 @@ func (n *Node) admitChild(c *conn, hello *message) {
 			sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
 			for _, id := range lost {
 				t := sess.outstanding[id]
-				n.buffer = append(n.buffer, t)
+				n.buffer.push(t)
 				delete(sess.outstanding, id)
 				n.bumpApp(t.App, func(s *AppStats) { s.Requeued++ })
 				n.record(Event{Kind: EvRequeue, Task: id, Peer: hello.Name})
 			}
 			n.stats.Requeued += int64(len(lost))
 			n.stats.RequeuedOnRevive += int64(len(lost))
-			if q := len(n.buffer); q > n.stats.MaxQueued {
-				n.stats.MaxQueued = q
-			}
 			n.wakeLocked()
 		}
 	} else {
@@ -1244,7 +1178,7 @@ func (n *Node) connectParent() error {
 		// Fresh session: one request per free buffer slot, exactly the
 		// paper's startup rule. Slots filled by buffered tasks or by
 		// transfers the parent agreed to resume are spoken for.
-		reqN = n.cfg.Buffers - len(n.buffer) - len(ack.Accepted)
+		reqN = n.cfg.Buffers - n.buffer.len() - len(ack.Accepted)
 	}
 	if reqN < 0 {
 		reqN = 0
@@ -1284,10 +1218,8 @@ func (n *Node) connectParent() error {
 // (revive-time reconciliation). Partially received transfers are
 // conveyed separately as Resume points. Callers hold n.mu.
 func (n *Node) holdingLocked() []uint64 {
-	set := make(map[uint64]bool, len(n.buffer)+len(n.unacked)+len(n.computing))
-	for _, t := range n.buffer {
-		set[t.ID] = true
-	}
+	set := make(map[uint64]bool, n.buffer.len()+len(n.unacked)+len(n.computing))
+	n.buffer.each(func(t Task) { set[t.ID] = true })
 	for id := range n.computing {
 		set[id] = true
 	}
@@ -1408,12 +1340,9 @@ func (n *Node) readParent(c *conn) (shutdown bool) {
 			if complete {
 				n.mu.Lock()
 				delete(n.inflight, m.Task)
-				n.buffer = append(n.buffer, Task{ID: m.Task, Payload: t.payload, App: t.app})
+				n.buffer.push(Task{ID: m.Task, Payload: t.payload, App: t.app})
 				n.stats.Received++
 				n.bumpApp(t.app, func(s *AppStats) { s.Received++ })
-				if q := len(n.buffer); q > n.stats.MaxQueued {
-					n.stats.MaxQueued = q
-				}
 				n.mu.Unlock()
 				n.wake(n.comp)
 				n.wake(n.kick)
@@ -1492,6 +1421,7 @@ func (n *Node) enqueueResultLocked(r Result) {
 	for _, e := range n.unacked {
 		if e.res.ID == r.ID && e.res.Origin == r.Origin {
 			n.stats.ResultsDeduped++
+			n.bumpApp(r.App, func(s *AppStats) { s.Deduped++ })
 			return
 		}
 	}
@@ -1682,11 +1612,11 @@ func (n *Node) requestMore(k int, app string) {
 // takeTask pops one buffered task, firing the request-on-free rule.
 func (n *Node) takeTask() (Task, bool) {
 	n.mu.Lock()
-	if len(n.buffer) == 0 {
+	if n.buffer.len() == 0 {
 		n.mu.Unlock()
 		return Task{}, false
 	}
-	t := n.popTaskLocked()
+	t := n.buffer.pop()
 	n.computing[t.ID] = true // accounted until the result enters the ledger
 	if !n.root {
 		n.stats.Requests++

@@ -178,22 +178,22 @@ func TestTwoAppsSeverReviveExactlyOnce(t *testing.T) {
 	t.Logf("requeued %d (tagged %d), per-app %v", st.Requeued, requeuedTagged, perApp)
 }
 
-// TestWeightedDispatchOrder pins the WRR pop deterministically: with a
-// mixed buffer and weights 3:1, popTaskLocked serves the heavy app three
-// times as often, in the smooth-WRR order, while a uniform buffer stays
-// strict FIFO.
+// TestWeightedDispatchOrder pins the WRR pop deterministically: with
+// two applications buffered and weights 3:1, the pool serves the heavy
+// app three times as often, in the smooth-WRR order, while a uniform
+// buffer stays strict FIFO.
 func TestWeightedDispatchOrder(t *testing.T) {
-	n := &Node{cfg: Config{AppWeights: map[string]int64{"heavy": 3, "light": 1}}}
+	n := &Node{buffer: taskPool{weights: map[string]int64{"heavy": 3, "light": 1}}}
 	for i := 0; i < 8; i++ {
 		app := "heavy"
 		if i >= 6 {
 			app = "light"
 		}
-		n.buffer = append(n.buffer, Task{ID: uint64(i + 1), App: app})
+		n.buffer.push(Task{ID: uint64(i + 1), App: app})
 	}
 	var order []string
-	for len(n.buffer) > 0 {
-		order = append(order, n.popTaskLocked().App)
+	for n.buffer.len() > 0 {
+		order = append(order, n.buffer.pop().App)
 	}
 	// Smooth WRR with weights 3:1 over 4 slots: heavy, heavy, light, heavy.
 	want := []string{"heavy", "heavy", "light", "heavy", "heavy", "heavy", "light", "heavy"}
@@ -206,15 +206,33 @@ func TestWeightedDispatchOrder(t *testing.T) {
 	// Uniform buffer: FIFO, no credit ledger involvement.
 	n2 := &Node{}
 	for i := 0; i < 4; i++ {
-		n2.buffer = append(n2.buffer, Task{ID: uint64(i + 1), App: "only"})
+		n2.buffer.push(Task{ID: uint64(i + 1), App: "only"})
 	}
 	for i := 0; i < 4; i++ {
-		if got := n2.popTaskLocked().ID; got != uint64(i+1) {
+		if got := n2.buffer.pop().ID; got != uint64(i+1) {
 			t.Fatalf("uniform buffer popped %d at %d", got, i)
 		}
 	}
-	if n2.appCredit != nil {
+	if n2.buffer.credit != nil {
 		t.Fatalf("uniform buffer built a credit ledger")
+	}
+}
+
+// TestLedgerDedupeCountsPerApp pins the per-application side of a
+// ledger-level duplicate: a result already pending in the unacked ledger
+// is suppressed and counted under its application as well as in total,
+// exactly as childLoop counts an unexpected result.
+func TestLedgerDedupeCountsPerApp(t *testing.T) {
+	n := &Node{}
+	r := Result{ID: 7, Origin: "w1", App: "alpha"}
+	n.enqueueResultLocked(r)
+	n.enqueueResultLocked(r)
+	n.enqueueResultLocked(Result{ID: 7, Origin: "w2", App: "alpha"}) // another origin: not a duplicate
+	if len(n.unacked) != 2 {
+		t.Fatalf("ledger holds %d entries, want 2", len(n.unacked))
+	}
+	if got, app := n.stats.ResultsDeduped, n.stats.PerApp["alpha"].Deduped; got != 1 || app != 1 {
+		t.Fatalf("deduped: total %d, app alpha %d; want 1 and 1", got, app)
 	}
 }
 

@@ -256,3 +256,81 @@ func TestOptionsDefaults(t *testing.T) {
 			d.cfg.HeartbeatInterval, d.cfg.WriteTimeout, d.cfg.ReconnectAttempts, d.cfg.ReconnectGrace)
 	}
 }
+
+// TestMaxQueuedCountsRequeues pins the high-water mark across a
+// departure: an interior node whose buffers are full when its child
+// leaves ends up holding the child's reclaimed tasks on top of its own,
+// and Stats.MaxQueued must report that peak, not the FB it held before.
+func TestMaxQueuedCountsRequeues(t *testing.T) {
+	// Every compute below the root blocks on the gate, so the overlay
+	// settles with mid and leaf each holding all they can.
+	gate := make(chan struct{})
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate) }) }
+	defer open()
+	gated := func(t Task) ([]byte, error) {
+		<-gate
+		return t.Payload, nil
+	}
+
+	root := startNode(t, Config{
+		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
+		Compute: echoCompute(2 * time.Millisecond),
+	})
+	mid := startNode(t, Config{
+		Name: "mid", Parent: root.Addr(), Listen: "127.0.0.1:0", Buffers: 3, Compute: gated,
+	})
+	leaf := startNode(t, Config{
+		Name: "leaf", Parent: mid.Addr(), Buffers: 3, Compute: gated,
+	})
+
+	type runOut struct {
+		results []Result
+		err     error
+	}
+	done := make(chan runOut, 1)
+	go func() {
+		results, err := root.RunTimeout(makeTasks(24, 64), 60*time.Second)
+		done <- runOut{results, err}
+	}()
+
+	// Settled: mid's buffers are full and it awaits results for everything
+	// the leaf holds (one task computing, FB buffered).
+	var before, held int
+	waitFor(t, "mid and leaf to fill up", func() bool {
+		mid.mu.Lock()
+		defer mid.mu.Unlock()
+		before = mid.buffer.len()
+		held = 0
+		for _, s := range mid.children {
+			held += len(s.outstanding)
+		}
+		return before == 3 && held == 4
+	})
+
+	go leaf.Close() // announces the departure, then waits on its gated compute
+	waitFor(t, "mid to reclaim the leaf's tasks", func() bool {
+		return mid.Stats().Requeued == int64(held)
+	})
+	if got, want := mid.Stats().MaxQueued, before+held; got != want {
+		t.Errorf("mid MaxQueued = %d after requeueing %d tasks onto %d buffered, want %d", got, held, before, want)
+	}
+
+	open()
+	out := <-done
+	if out.err != nil || len(out.results) != 24 {
+		t.Fatalf("Run: %d results, err %v", len(out.results), out.err)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}

@@ -151,9 +151,11 @@ func TestResultRetryRecoversPureDrop(t *testing.T) {
 	if plan.Pending() != 0 {
 		t.Fatalf("the scripted drop never fired")
 	}
-	if got := w.Stats().ResultsReplayed; got == 0 {
-		t.Fatalf("the dropped result was never retransmitted")
-	}
+	// The retransmission is usually the Run's last result, and the flusher
+	// counts a replay only after writing it: Run can return first.
+	waitFor(t, "the dropped result's retransmission to be counted", func() bool {
+		return w.Stats().ResultsReplayed > 0
+	})
 	if got := w.Stats().Reconnects; got != 0 {
 		t.Fatalf("retry path must not need a reconnect, saw %d", got)
 	}

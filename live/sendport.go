@@ -53,7 +53,7 @@ func (n *Node) nextChunk() *childSession {
 			continue
 		}
 		if s.active != nil {
-			n.buffer = append(n.buffer, s.active.task)
+			n.buffer.push(s.active.task)
 			n.record(Event{Kind: EvRequeue, Task: s.active.task.ID, Peer: s.name})
 			n.bumpApp(s.active.task.App, func(a *AppStats) { a.Requeued++ })
 			s.active = nil
@@ -68,7 +68,7 @@ func (n *Node) nextChunk() *childSession {
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			for _, id := range ids {
 				t := s.outstanding[id]
-				n.buffer = append(n.buffer, t)
+				n.buffer.push(t)
 				n.bumpApp(t.App, func(a *AppStats) { a.Requeued++ })
 				n.record(Event{Kind: EvRequeue, Task: id, Peer: s.name})
 			}
@@ -91,7 +91,7 @@ func (n *Node) nextChunk() *childSession {
 		}
 		return a.name < b.name
 	}
-	haveTask := len(n.buffer) > 0
+	haveTask := n.buffer.len() > 0
 	for _, s := range n.children {
 		if s.gone {
 			continue
@@ -139,7 +139,7 @@ func (n *Node) nextChunk() *childSession {
 		}
 		// WRR over application tags decides whose task moves; the
 		// bandwidth-centric choice of *which child* was made above.
-		t := n.popTaskLocked()
+		t := n.buffer.pop()
 		best.pending--
 		best.active = &outTransfer{task: t}
 		// The dispatch decision, recorded in the same critical section that

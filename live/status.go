@@ -115,7 +115,7 @@ func (s *statusServer) handle(w http.ResponseWriter, r *http.Request) {
 	snap := StatusSnapshot{
 		Name:      n.cfg.Name,
 		Root:      n.root,
-		Buffered:  len(n.buffer),
+		Buffered:  n.buffer.len(),
 		Links:     map[string]float64{},
 		Codecs:    map[string]string{},
 		Uptime:    time.Since(s.started).Round(time.Millisecond).String(),
@@ -147,7 +147,7 @@ func (s *statusServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	n := s.node
 	st := n.Stats()
 	n.mu.Lock()
-	buffered := int64(len(n.buffer))
+	buffered := int64(n.buffer.len())
 	connected := int64(0)
 	if n.root || n.parent != nil {
 		connected = 1

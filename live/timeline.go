@@ -73,7 +73,7 @@ func (n *Node) sampleLoop() {
 		}
 		st := n.Stats()
 		n.mu.Lock()
-		buffered := len(n.buffer)
+		buffered := n.buffer.len()
 		n.mu.Unlock()
 
 		tms := now.Sub(n.started).Milliseconds()
