@@ -1,7 +1,6 @@
 // Command bwvet runs the repo-invariant analyzer suite (internal/lint)
-// over this module: simulation determinism, wire-protocol exhaustiveness,
-// lock discipline, atomic/plain access mixing, context plumbing, hot-path
-// allocation discipline, goroutine lifecycle, and error discipline.
+// over this module: simulation determinism, lock discipline, context
+// plumbing, goroutine lifecycle, and error discipline.
 //
 // Usage:
 //

@@ -1,7 +1,5 @@
 package engine
 
-import "bwcs/internal/metrics"
-
 // Metrics aggregates engine-wide counters over one run. Every field is
 // maintained by a plain integer increment inline in the event handlers —
 // no map lookups, no allocation, no virtual calls — so keeping them
@@ -72,29 +70,4 @@ func (m *Metrics) Add(o Metrics) {
 	if o.PeakOccupied > m.PeakOccupied {
 		m.PeakOccupied = o.PeakOccupied
 	}
-}
-
-// Register publishes the metrics into a registry under the given name
-// prefix (e.g. "engine"), so any layer holding a registry — the live
-// status server, the sweep harness — can expose engine runs uniformly.
-func (m *Metrics) Register(r *metrics.Registry, prefix string) {
-	set := func(name, help string, v int64) {
-		r.Gauge(prefix+"_"+name, help).Set(v)
-	}
-	set("events_total", "simulator events dispatched", int64(m.Events))
-	set("event_heap_peak", "event-heap high-water mark", int64(m.PeakPending))
-	set("event_freelist_hits_total", "event allocations served by recycling", int64(m.FreeListHits))
-	set("event_allocs_total", "event allocations that hit the heap", int64(m.EventAllocs))
-	set("event_cancels_total", "events removed by cancellation", int64(m.EventsCancels))
-	set("sends_started_total", "fresh transfers begun", m.SendsStarted)
-	set("sends_resumed_total", "shelved transfers resumed", m.SendsResumed)
-	set("sends_interrupted_total", "in-flight transfers preempted", m.SendsInterrupted)
-	set("sends_completed_total", "transfers delivered", m.SendsCompleted)
-	set("computes_started_total", "computations begun", m.ComputesStarted)
-	set("computes_done_total", "computations completed", m.ComputesDone)
-	set("requests_total", "task requests sent upward after startup", m.Requests)
-	set("grows_total", "buffer-growth events", m.Grows)
-	set("decays_total", "buffers retired by decay", m.Decays)
-	set("shelved_peak", "most simultaneously shelved transfers at any node", int64(m.PeakShelved))
-	set("node_queue_peak", "most tasks queued at any single node", m.PeakOccupied)
 }

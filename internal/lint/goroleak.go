@@ -80,7 +80,11 @@ func methodFacts(pass *analysis.Pass) map[string]*goroFact {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			facts[HotPathKey(fd)] = &goroFact{
+			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			facts[funcKey(fn)] = &goroFact{
 				doneFields:    wgDoneFields(pass, fd.Body),
 				lifecycleWait: hasLifecycleWait(pass, fd.Body),
 			}
@@ -140,12 +144,18 @@ func checkSpawnByKey(pass *analysis.Pass, enclosing *ast.FuncDecl, g *ast.GoStmt
 // type, falling back to the printed selector.
 func methodKeyOf(pass *analysis.Pass, sel *ast.SelectorExpr) string {
 	if fn, ok := pass.TypesInfo.ObjectOf(sel.Sel).(*types.Func); ok {
-		if recv := recvTypeName(fn); recv != "" {
-			return recv + "." + fn.Name()
-		}
-		return fn.Name()
+		return funcKey(fn)
 	}
 	return types.ExprString(sel)
+}
+
+// funcKey is fn's key in the fact store: "Func" for a plain function,
+// "Recv.Method" for a method (pointer receivers included).
+func funcKey(fn *types.Func) string {
+	if recv := recvTypeName(fn); recv != "" {
+		return recv + "." + fn.Name()
+	}
+	return fn.Name()
 }
 
 // wgDoneFields returns the WaitGroup receiver-field names body calls

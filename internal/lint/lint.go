@@ -1,8 +1,8 @@
 // Package lint is bwvet's analyzer suite: custom static checks for the
-// repo invariants the compiler cannot see — simulation determinism, wire
-// protocol exhaustiveness, lock discipline, atomic/plain access mixing,
-// context plumbing, hot-path allocation discipline, goroutine lifecycle,
-// and error discipline. cmd/bwvet drives the suite over the module; each
+// repo invariants that neither the compiler nor a runtime test can see —
+// simulation determinism, lock discipline, context plumbing, goroutine
+// lifecycle, and error discipline. cmd/bwvet drives the suite over the
+// module and TestRepoInvariants runs it under `go test ./...`; each
 // analyzer has golden-fixture coverage under testdata/src.
 //
 // False positives are suppressed with a documented escape hatch:
@@ -25,11 +25,8 @@ import (
 // Analyzers is the full bwvet suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	SimDeterminism,
-	WireExhaustive,
 	LockDiscipline,
-	AtomicMix,
 	CtxFlow,
-	HotPathAlloc,
 	GoroLeak,
 	ErrDiscipline,
 }

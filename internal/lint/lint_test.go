@@ -11,24 +11,12 @@ func TestSimDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.SimDeterminism, "simdet")
 }
 
-func TestWireExhaustive(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.WireExhaustive, "wire")
-}
-
 func TestLockDiscipline(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.LockDiscipline, "lock")
 }
 
-func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.AtomicMix, "atomicmix")
-}
-
 func TestCtxFlow(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.CtxFlow, "ctxflow")
-}
-
-func TestHotPathAlloc(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.HotPathAlloc, "hotpathalloc")
 }
 
 func TestGoroLeak(t *testing.T) {
@@ -78,11 +66,6 @@ func TestMatchScopes(t *testing.T) {
 			[]string{"bwcs", "bwcs/live", "bwcs/internal/metrics"},
 		},
 		{
-			"wireexhaustive", lint.WireExhaustive.Match,
-			[]string{"bwcs/live"},
-			[]string{"bwcs", "bwcs/internal/sim"},
-		},
-		{
 			"ctxflow", lint.CtxFlow.Match,
 			[]string{"bwcs", "bwcs/live"},
 			[]string{"bwcs/internal/engine"},
@@ -110,10 +93,7 @@ func TestMatchScopes(t *testing.T) {
 			}
 		}
 	}
-	if lint.LockDiscipline.Match != nil || lint.AtomicMix.Match != nil {
-		t.Error("lockdiscipline and atomicmix are repo-wide: Match must be nil")
-	}
-	if lint.HotPathAlloc.Match != nil {
-		t.Error("hotpathalloc is repo-wide (annotation-driven): Match must be nil")
+	if lint.LockDiscipline.Match != nil {
+		t.Error("lockdiscipline is repo-wide: Match must be nil")
 	}
 }

@@ -1,304 +1,45 @@
-// Package metrics is a small, dependency-free instrumentation layer: a
-// registry of named counters, gauges and histograms with atomic,
-// allocation-free update paths, plus snapshot rendering in Prometheus
-// text exposition format and JSON.
+// Package metrics holds the two telemetry value types the runtimes
+// share: Snapshot, a hand-assembled set of counter and gauge families
+// rendered in the Prometheus text exposition format (the live node's
+// /metrics endpoint builds one from live.Stats on every scrape), and
+// TimeSeries/Sampler, the bounded time-series ring behind the engine and
+// live timelines (timeseries.go).
 //
-// The package deliberately implements the minimal subset of the
-// Prometheus data model this repository needs — three instrument kinds,
-// static help strings, and labels only at render time — so the hot paths
-// (engine event loops, the live overlay's data plane) pay one atomic add
-// per update and zero allocations.
-//
-// Instruments are obtained from a Registry and cached by the caller;
-// looking one up on every update would reintroduce a map access to the
-// hot path. Snapshots are consistent per-instrument (each value is read
-// atomically) but not across instruments, which is the usual contract
-// for scrape-style collection.
+// There are no instruments and no registry: the engine and the live node
+// keep their counters as plain struct fields (engine.Metrics,
+// live.Stats), and a Snapshot is a view rendered from those on demand.
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing value. The zero value is ready
-// to use.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add increases the counter by d, which must be non-negative.
-func (c *Counter) Add(d int64) {
-	if d < 0 {
-		panic(fmt.Sprintf("metrics: counter add of negative %d", d))
-	}
-	c.v.Add(d)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down. The zero value is ready to
-// use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add shifts the gauge by d (which may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// SetMax raises the gauge to v if v is larger — a high-water mark.
-func (g *Gauge) SetMax(v int64) {
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Histogram counts observations into cumulative buckets with fixed
-// upper bounds, mirroring the Prometheus histogram model. Observations
-// are integer-valued (this repository measures timesteps, events and
-// bytes, never fractions).
-type Histogram struct {
-	bounds  []int64 // ascending upper bounds; an implicit +Inf bucket follows
-	buckets []atomic.Int64
-	sum     atomic.Int64
-	count   atomic.Int64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	if i < len(h.bounds) {
-		h.buckets[i].Add(1)
-	}
-	h.sum.Add(v)
-	h.count.Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// kind discriminates instrument types in the registry.
-type kind int
-
-const (
-	kindCounter kind = iota
-	kindGauge
-	kindHistogram
-)
-
-var kindNames = [...]string{kindCounter: "counter", kindGauge: "gauge", kindHistogram: "histogram"}
-
-// instrument is one registered metric.
-type instrument struct {
-	name string
-	help string
-	kind kind
-	c    *Counter
-	g    *Gauge
-	h    *Histogram
-}
-
-// Registry holds named instruments. Registration is idempotent: asking
-// for an existing name of the same kind returns the existing instrument;
-// re-registering a name as a different kind panics (a programming
-// error). The zero value is not usable; call NewRegistry.
-type Registry struct {
-	mu    sync.Mutex
-	order []*instrument
-	byKey map[string]*instrument
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byKey: make(map[string]*instrument)}
-}
-
-// validName enforces the Prometheus metric-name charset.
-func validName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		letter := r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
-		if !letter && (i == 0 || r < '0' || r > '9') {
-			return false
-		}
-	}
-	return true
-}
-
-// lookup finds or registers the instrument for name. The instrument is
-// fully constructed (its c/g/h pointer set) before it becomes visible in
-// byKey/order, and only while holding r.mu, so concurrent registration
-// and Snapshot never observe a half-built entry.
-func (r *Registry) lookup(name, help string, k kind, bounds []int64) *instrument {
-	if !validName(name) {
-		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if in, ok := r.byKey[name]; ok {
-		if in.kind != k {
-			panic(fmt.Sprintf("metrics: %q registered as %s, requested as %s", name, kindNames[in.kind], kindNames[k]))
-		}
-		if k == kindHistogram && !boundsEqual(in.h.bounds, bounds) {
-			panic(fmt.Sprintf("metrics: histogram %q re-registered with different bounds", name))
-		}
-		return in
-	}
-	in := &instrument{name: name, help: help, kind: k}
-	switch k {
-	case kindCounter:
-		in.c = &Counter{}
-	case kindGauge:
-		in.g = &Gauge{}
-	case kindHistogram:
-		in.h = &Histogram{bounds: append([]int64(nil), bounds...), buckets: make([]atomic.Int64, len(bounds))}
-	}
-	r.byKey[name] = in
-	r.order = append(r.order, in)
-	return in
-}
-
-func boundsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Counter returns the counter with the given name, registering it on
-// first use.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.lookup(name, help, kindCounter, nil).c
-}
-
-// Gauge returns the gauge with the given name, registering it on first
-// use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.lookup(name, help, kindGauge, nil).g
-}
-
-// Histogram returns the histogram with the given name, registering it
-// with the given ascending bucket bounds on first use. Later calls must
-// pass the same bounds; a mismatch panics.
-func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: histogram %q bounds not ascending", name))
-		}
-	}
-	return r.lookup(name, help, kindHistogram, bounds).h
-}
-
-// Label is one key="value" pair attached to a sample at render time.
+// Label is one key="value" pair attached to a sample.
 type Label struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
+	Key   string
+	Value string
 }
 
-// Sample is one rendered metric point.
+// Sample is one metric point.
 type Sample struct {
-	Labels []Label `json:"labels,omitempty"`
-	Value  int64   `json:"value"`
+	Labels []Label
+	Value  int64
 }
 
-// Family is all samples of one named metric, with its metadata.
+// Family is all samples of one named metric, with its metadata. Type is
+// the Prometheus type name, "counter" or "gauge".
 type Family struct {
-	Name    string   `json:"name"`
-	Help    string   `json:"help,omitempty"`
-	Type    string   `json:"type"`
-	Samples []Sample `json:"samples"`
-	// Histogram families carry the raw distribution instead of Samples.
-	Bounds  []int64 `json:"bounds,omitempty"`
-	Buckets []int64 `json:"buckets,omitempty"` // cumulative counts per bound
-	Sum     int64   `json:"sum,omitempty"`
-	Count   int64   `json:"count,omitempty"`
-}
-
-// Quantile estimates the q'th quantile (0..1) of a histogram family
-// from its cumulative buckets: the smallest bound whose cumulative count
-// covers q of the observations (the Prometheus upper-bound convention,
-// without interpolation — this repository's histograms measure small
-// integer counts, so a bucket bound is the honest answer). Observations
-// beyond the last bound live only in the implicit +Inf bucket, which has
-// no finite bound to report; when the quantile lands there, the family
-// mean Sum/Count is returned as a best effort. An empty family reports 0.
-func (f Family) Quantile(q float64) float64 {
-	if f.Count == 0 {
-		return 0
-	}
-	// The tiny slack keeps q values like 0.10 — not exactly representable
-	// in binary — from ceiling one observation past the exact rank.
-	need := int64(math.Ceil(q*float64(f.Count) - 1e-9))
-	if need < 1 {
-		need = 1
-	}
-	for i, cum := range f.Buckets {
-		if cum >= need {
-			return float64(f.Bounds[i])
-		}
-	}
-	return float64(f.Sum) / float64(f.Count)
+	Name    string
+	Help    string
+	Type    string
+	Samples []Sample
 }
 
 // Snapshot is a point-in-time view of a metric set, renderable as
-// Prometheus text or JSON. Snapshots can also be assembled by hand (see
-// the live package, which renders labeled per-child samples from its own
-// counters).
+// Prometheus text.
 type Snapshot []Family
-
-// Snapshot captures every registered instrument in registration order.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	order := append([]*instrument(nil), r.order...)
-	r.mu.Unlock()
-	snap := make(Snapshot, 0, len(order))
-	for _, in := range order {
-		f := Family{Name: in.name, Help: in.help, Type: kindNames[in.kind]}
-		switch in.kind {
-		case kindCounter:
-			f.Samples = []Sample{{Value: in.c.Value()}}
-		case kindGauge:
-			f.Samples = []Sample{{Value: in.g.Value()}}
-		case kindHistogram:
-			f.Bounds = append([]int64(nil), in.h.bounds...)
-			f.Buckets = make([]int64, len(in.h.buckets))
-			cum := int64(0)
-			for i := range in.h.buckets {
-				cum += in.h.buckets[i].Load()
-				f.Buckets[i] = cum
-			}
-			f.Sum = in.h.Sum()
-			f.Count = in.h.Count()
-		}
-		snap = append(snap, f)
-	}
-	return snap
-}
 
 // labelEscaper rewrites exactly the characters the Prometheus text
 // format defines escapes for — backslash, double-quote and newline.
@@ -318,18 +59,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Type); err != nil {
 			return err
-		}
-		if f.Type == "histogram" {
-			for i, b := range f.Bounds {
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", f.Name, b, f.Buckets[i]); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-				f.Name, f.Count, f.Name, f.Sum, f.Name, f.Count); err != nil {
-				return err
-			}
-			continue
 		}
 		for _, sm := range f.Samples {
 			if len(sm.Labels) == 0 {
@@ -356,11 +85,4 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the snapshot as an indented JSON array of families.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -1,30 +1,21 @@
 package metrics
 
 import (
-	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
 
-// TestPrometheusGolden pins the exact text exposition: one counter, one
-// gauge, one histogram, registered in order, rendered byte-for-byte.
+// TestPrometheusGolden pins the exact text exposition of unlabeled
+// families — HELP and TYPE lines, a family without help, a negative gauge
+// — byte for byte, in snapshot order.
 func TestPrometheusGolden(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_events_total", "events dispatched")
-	g := r.Gauge("test_queue_depth", "current queue depth")
-	h := r.Histogram("test_latency_steps", "event latency in timesteps", []int64{1, 10})
-
-	c.Inc()
-	c.Add(2)
-	g.Set(5)
-	g.Add(-7)
-	for _, v := range []int64{1, 5, 10, 102} {
-		h.Observe(v)
+	snap := Snapshot{
+		{Name: "test_events_total", Help: "events dispatched", Type: "counter", Samples: []Sample{{Value: 3}}},
+		{Name: "test_queue_depth", Help: "current queue depth", Type: "gauge", Samples: []Sample{{Value: -2}}},
+		{Name: "test_bare", Type: "gauge", Samples: []Sample{{Value: 0}}},
 	}
-
 	var buf strings.Builder
-	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
+	if err := snap.WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	want := `# HELP test_events_total events dispatched
@@ -33,13 +24,8 @@ test_events_total 3
 # HELP test_queue_depth current queue depth
 # TYPE test_queue_depth gauge
 test_queue_depth -2
-# HELP test_latency_steps event latency in timesteps
-# TYPE test_latency_steps histogram
-test_latency_steps_bucket{le="1"} 1
-test_latency_steps_bucket{le="10"} 3
-test_latency_steps_bucket{le="+Inf"} 4
-test_latency_steps_sum 118
-test_latency_steps_count 4
+# TYPE test_bare gauge
+test_bare 0
 `
 	if buf.String() != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
@@ -73,137 +59,5 @@ live_forwarded_by_child_total{child="tab	here\nand` + "\xff" + `byte"} 2
 `
 	if buf.String() != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
-	}
-}
-
-// TestJSONRoundTrips checks the JSON rendering parses back and carries
-// the same families.
-func TestJSONRoundTrips(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "a").Add(41)
-	r.Gauge("b", "b").Set(-3)
-	var buf strings.Builder
-	if err := r.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var back Snapshot
-	if err := json.Unmarshal([]byte(buf.String()), &back); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if len(back) != 2 || back[0].Name != "a_total" || back[0].Samples[0].Value != 41 || back[1].Samples[0].Value != -3 {
-		t.Fatalf("round trip = %+v", back)
-	}
-}
-
-// TestRegistryIdempotent: same name+kind returns the same instrument;
-// same name, different kind panics.
-func TestRegistryIdempotent(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("x_total", "x")
-	b := r.Counter("x_total", "x")
-	if a != b {
-		t.Fatalf("re-registration returned a different counter")
-	}
-	a.Inc()
-	if b.Value() != 1 {
-		t.Fatalf("aliased counter out of sync")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("kind conflict did not panic")
-		}
-	}()
-	r.Gauge("x_total", "x")
-}
-
-// TestHistogramBoundsMismatchPanics: re-registering a histogram must
-// either reuse it (same bounds) or fail loudly (different bounds) —
-// never silently hand back an instrument with bounds the caller did not
-// ask for.
-func TestHistogramBoundsMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	a := r.Histogram("h_steps", "", []int64{1, 10})
-	if b := r.Histogram("h_steps", "", []int64{1, 10}); a != b {
-		t.Fatalf("same-bounds re-registration returned a different histogram")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("bounds mismatch did not panic")
-		}
-	}()
-	r.Histogram("h_steps", "", []int64{1, 10, 100})
-}
-
-// TestInvalidNamePanics rejects names outside the Prometheus charset.
-func TestInvalidNamePanics(t *testing.T) {
-	for _, name := range []string{"", "0abc", "has space", "has-dash"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("name %q accepted", name)
-				}
-			}()
-			NewRegistry().Counter(name, "")
-		}()
-	}
-}
-
-// TestNegativeCounterAddPanics keeps counters monotone.
-func TestNegativeCounterAddPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("negative counter add accepted")
-		}
-	}()
-	NewRegistry().Counter("c_total", "").Add(-1)
-}
-
-// TestGaugeSetMax is a CAS loop; check the high-water semantics.
-func TestGaugeSetMax(t *testing.T) {
-	var g Gauge
-	g.SetMax(5)
-	g.SetMax(3)
-	g.SetMax(9)
-	if got := g.Value(); got != 9 {
-		t.Fatalf("SetMax high water = %d, want 9", got)
-	}
-}
-
-// TestConcurrentUpdates hammers one registry from many goroutines; run
-// under -race this validates the lock-free update paths, and the final
-// sums validate no increment was lost.
-func TestConcurrentUpdates(t *testing.T) {
-	r := NewRegistry()
-	const goroutines = 8
-	const perG = 10_000
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for i := 0; i < goroutines; i++ {
-		go func(id int) {
-			defer wg.Done()
-			// Interleave registration and updates: every goroutine asks the
-			// registry for the instruments rather than sharing pointers.
-			c := r.Counter("conc_total", "")
-			g := r.Gauge("conc_peak", "")
-			h := r.Histogram("conc_hist", "", []int64{10, 100})
-			for j := 0; j < perG; j++ {
-				c.Inc()
-				g.SetMax(int64(id*perG + j))
-				h.Observe(int64(j % 150))
-				if j%1000 == 0 {
-					_ = r.Snapshot() // scrapes race against updates
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := r.Counter("conc_total", "").Value(); got != goroutines*perG {
-		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
-	}
-	if got := r.Gauge("conc_peak", "").Value(); got != goroutines*perG-1 {
-		t.Fatalf("peak = %d, want %d", got, goroutines*perG-1)
-	}
-	if got := r.Histogram("conc_hist", "", []int64{10, 100}).Count(); got != goroutines*perG {
-		t.Fatalf("histogram count = %d, want %d", got, goroutines*perG)
 	}
 }

@@ -32,7 +32,6 @@ type TimeSeries struct {
 	name  string
 	pts   []Point
 	res   int64 // current minimum spacing between stored points
-	res0  int64 // construction-time resolution, restored by Reset
 	lastN int64 // raw samples merged into the newest point
 }
 
@@ -47,25 +46,16 @@ func NewTimeSeries(name string, capacity int, res int64) *TimeSeries {
 	if res < 1 {
 		panic(fmt.Sprintf("metrics: time series %q resolution %d must be >= 1", name, res))
 	}
-	return &TimeSeries{name: name, pts: make([]Point, 0, capacity), res: res, res0: res}
+	return &TimeSeries{name: name, pts: make([]Point, 0, capacity), res: res}
 }
 
 // Name returns the series name.
 func (ts *TimeSeries) Name() string { return ts.name }
 
-// Len returns the number of stored points.
-func (ts *TimeSeries) Len() int { return len(ts.pts) }
-
-// Cap returns the fixed point capacity.
-func (ts *TimeSeries) Cap() int { return cap(ts.pts) }
-
 // Resolution returns the current minimum spacing between stored points.
 // It starts at the construction-time resolution and doubles on every
 // downsampling pass.
 func (ts *TimeSeries) Resolution() int64 { return ts.res }
-
-// At returns the i'th stored point (0 <= i < Len), oldest first.
-func (ts *TimeSeries) At(i int) Point { return ts.pts[i] }
 
 // Last returns the newest stored point, or ok=false on an empty series.
 func (ts *TimeSeries) Last() (Point, bool) {
@@ -80,21 +70,10 @@ func (ts *TimeSeries) Points() []Point {
 	return append([]Point(nil), ts.pts...)
 }
 
-// Reset empties the series and restores the initial resolution, keeping
-// the buffer so a reused series (engine.Runner sweeps) stays
-// allocation-free across runs.
-func (ts *TimeSeries) Reset() {
-	ts.pts = ts.pts[:0]
-	ts.res = ts.res0
-	ts.lastN = 0
-}
-
 // Append records value v observed at time t. Times must be
 // non-decreasing; a point closer than the current resolution to the
 // newest stored point merges into it (running mean over the merged raw
 // samples, timestamp advanced to t). Append never allocates.
-//
-//bwvet:hotpath
 func (ts *TimeSeries) Append(t int64, v float64) {
 	if n := len(ts.pts); n > 0 {
 		last := &ts.pts[n-1]
@@ -119,8 +98,6 @@ func (ts *TimeSeries) Append(t int64, v float64) {
 // their mean at the later timestamp, an odd trailing point is kept
 // verbatim, and the resolution doubles so future points land at the new
 // spacing.
-//
-//bwvet:hotpath
 func (ts *TimeSeries) downsample() {
 	n := len(ts.pts)
 	j := 0
@@ -191,13 +168,6 @@ func (s *Sampler) Tick() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ticks++
-	return s.ticks
-}
-
-// Ticks returns the number of completed sampling passes.
-func (s *Sampler) Ticks() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.ticks
 }
 

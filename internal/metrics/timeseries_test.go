@@ -9,8 +9,8 @@ func TestTimeSeriesAppendAndSnapshot(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		ts.Append(i*10, float64(i))
 	}
-	if ts.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", ts.Len())
+	if len(ts.pts) != 5 {
+		t.Fatalf("Len = %d, want 5", len(ts.pts))
 	}
 	if ts.Resolution() != 10 {
 		t.Fatalf("Resolution = %d, want 10", ts.Resolution())
@@ -26,8 +26,8 @@ func TestTimeSeriesAppendAndSnapshot(t *testing.T) {
 	}
 	// The snapshot owns its points: mutating it must not touch the series.
 	snap.Points[0].V = 99
-	if got := ts.At(0).V; got != 0 {
-		t.Fatalf("snapshot aliases the series buffer: At(0).V = %v", got)
+	if got := ts.pts[0].V; got != 0 {
+		t.Fatalf("snapshot aliases the series buffer: pts[0].V = %v", got)
 	}
 }
 
@@ -39,8 +39,8 @@ func TestTimeSeriesSubResolutionMerge(t *testing.T) {
 	ts.Append(3, 4)
 	ts.Append(6, 6)
 	ts.Append(9, 8)
-	if ts.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (merged)", ts.Len())
+	if len(ts.pts) != 1 {
+		t.Fatalf("Len = %d, want 1 (merged)", len(ts.pts))
 	}
 	p, _ := ts.Last()
 	if p.T != 9 || p.V != 5 {
@@ -51,8 +51,8 @@ func TestTimeSeriesSubResolutionMerge(t *testing.T) {
 	ts.Append(19, 100)
 	ts.Append(20, 200)
 	p, _ = ts.Last()
-	if ts.Len() != 2 || p.T != 20 || p.V != 150 {
-		t.Fatalf("after new bucket: len=%d last=%+v", ts.Len(), p)
+	if len(ts.pts) != 2 || p.T != 20 || p.V != 150 {
+		t.Fatalf("after new bucket: len=%d last=%+v", len(ts.pts), p)
 	}
 }
 
@@ -61,22 +61,22 @@ func TestTimeSeriesDownsampleOnOverflow(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		ts.Append(i, float64(i))
 	}
-	if ts.Len() != 4 || ts.Resolution() != 1 {
-		t.Fatalf("before overflow: len=%d res=%d", ts.Len(), ts.Resolution())
+	if len(ts.pts) != 4 || ts.Resolution() != 1 {
+		t.Fatalf("before overflow: len=%d res=%d", len(ts.pts), ts.Resolution())
 	}
 	// The 5th point overflows: pairs (0,1) and (2,3) average to 2 points
 	// at the later timestamps, resolution doubles, then the new point
 	// lands.
 	ts.Append(4, 4)
-	if ts.Len() != 3 {
-		t.Fatalf("after overflow: len = %d, want 3", ts.Len())
+	if len(ts.pts) != 3 {
+		t.Fatalf("after overflow: len = %d, want 3", len(ts.pts))
 	}
 	if ts.Resolution() != 2 {
 		t.Fatalf("after overflow: res = %d, want 2", ts.Resolution())
 	}
 	want := []Point{{T: 1, V: 0.5}, {T: 3, V: 2.5}, {T: 4, V: 4}}
 	for i, w := range want {
-		if got := ts.At(i); got != w {
+		if got := ts.pts[i]; got != w {
 			t.Fatalf("point %d = %+v, want %+v", i, got, w)
 		}
 	}
@@ -91,11 +91,11 @@ func TestTimeSeriesDownsampleOddCount(t *testing.T) {
 	ts.Append(5, 50)
 	// Pairs (0,10)@1, (20,30)@3, odd 40@4 kept, then 50@5 appended.
 	want := []Point{{T: 1, V: 5}, {T: 3, V: 25}, {T: 4, V: 40}, {T: 5, V: 50}}
-	if ts.Len() != len(want) {
-		t.Fatalf("len = %d, want %d", ts.Len(), len(want))
+	if len(ts.pts) != len(want) {
+		t.Fatalf("len = %d, want %d", len(ts.pts), len(want))
 	}
 	for i, w := range want {
-		if got := ts.At(i); got != w {
+		if got := ts.pts[i]; got != w {
 			t.Fatalf("point %d = %+v, want %+v", i, got, w)
 		}
 	}
@@ -108,41 +108,22 @@ func TestTimeSeriesBoundedOverLongRun(t *testing.T) {
 	for i := int64(0); i < 1_000_000; i++ {
 		ts.Append(i, 1.0)
 	}
-	if ts.Len() > 64 {
-		t.Fatalf("series exceeded capacity: %d", ts.Len())
+	if len(ts.pts) > 64 {
+		t.Fatalf("series exceeded capacity: %d", len(ts.pts))
 	}
-	for i := 1; i < ts.Len(); i++ {
-		if ts.At(i).T <= ts.At(i-1).T {
-			t.Fatalf("timestamps not strictly ascending at %d: %v then %v", i, ts.At(i-1), ts.At(i))
+	for i := 1; i < len(ts.pts); i++ {
+		if ts.pts[i].T <= ts.pts[i-1].T {
+			t.Fatalf("timestamps not strictly ascending at %d: %v then %v", i, ts.pts[i-1], ts.pts[i])
 		}
 	}
 	if ts.Resolution() <= 1 {
 		t.Fatalf("resolution never coarsened: %d", ts.Resolution())
 	}
 	// Constant input must survive mean-of-means exactly.
-	for i := 0; i < ts.Len(); i++ {
-		if ts.At(i).V != 1.0 {
-			t.Fatalf("constant series distorted at %d: %v", i, ts.At(i))
+	for i := 0; i < len(ts.pts); i++ {
+		if ts.pts[i].V != 1.0 {
+			t.Fatalf("constant series distorted at %d: %v", i, ts.pts[i])
 		}
-	}
-}
-
-func TestTimeSeriesReset(t *testing.T) {
-	ts := NewTimeSeries("x", 4, 1)
-	for i := int64(0); i < 10; i++ {
-		ts.Append(i, float64(i))
-	}
-	if ts.Resolution() == 1 {
-		t.Fatalf("fixture never downsampled")
-	}
-	ts.Reset()
-	if ts.Len() != 0 || ts.Resolution() != 1 {
-		t.Fatalf("after Reset: len=%d res=%d", ts.Len(), ts.Resolution())
-	}
-	ts.Append(5, 7)
-	p, ok := ts.Last()
-	if !ok || p.T != 5 || p.V != 7 {
-		t.Fatalf("append after Reset: %+v %v", p, ok)
 	}
 }
 
@@ -173,11 +154,9 @@ func TestNewTimeSeriesValidates(t *testing.T) {
 	}
 }
 
-// TestTimeSeriesAppendZeroAllocs is the runtime probe backing the
-// //bwvet:hotpath annotations on TimeSeries.Append and
-// TimeSeries.downsample (see internal/lint's probe manifest): the engine
-// calls Append from its event loop, so it must not allocate even across
-// downsampling passes.
+// TestTimeSeriesAppendZeroAllocs pins TimeSeries.Append and downsample
+// to zero allocations: the engine calls Append from its event loop, so
+// it must not allocate even across downsampling passes.
 func TestTimeSeriesAppendZeroAllocs(t *testing.T) {
 	ts := NewTimeSeries("x", 64, 1)
 	var i int64
@@ -201,9 +180,6 @@ func TestSamplerObserveSnapshotLatest(t *testing.T) {
 	s.Observe("b", 2, 21)
 	if n := s.Tick(); n != 2 {
 		t.Fatalf("Tick = %d, want 2", n)
-	}
-	if s.Ticks() != 2 {
-		t.Fatalf("Ticks = %d", s.Ticks())
 	}
 
 	snap := s.Snapshot()

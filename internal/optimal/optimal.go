@@ -139,8 +139,6 @@ func Compute(t *tree.Tree) *Allocation {
 // rate), so it avoids the top-down distribution pass and runs the fork
 // formula with in-place big.Rat arithmetic instead of immutable
 // rational.Rat churn: same exact values, a fraction of the allocations.
-//
-//bwvet:hotpath
 func Weight(t *tree.Tree) rational.Rat {
 	wc := computeWeights(t)
 	return rational.FromBig(&wc.sub[t.Root()])
@@ -169,8 +167,6 @@ func computeWeights(t *tree.Tree) *weightCalc {
 // the subtree weight W(id) — the internal weight capped below by the
 // node's own inbound communication time (except at the root, which has
 // no inbound link).
-//
-//bwvet:hotpath
 func (wc *weightCalc) fork(t *tree.Tree, id tree.NodeID) {
 	// rate accumulates 1/w0 + Σ 1/W(i) + ε/c_{p+1}; budget is the
 	// remaining send-port fraction.
@@ -204,8 +200,6 @@ func (wc *weightCalc) fork(t *tree.Tree, id tree.NodeID) {
 
 // sortedKids returns id's children ordered by increasing communication
 // time (ties by node ID), in a buffer reused across nodes.
-//
-//bwvet:hotpath
 func (wc *weightCalc) sortedKids(t *tree.Tree, id tree.NodeID) []tree.NodeID {
 	wc.kids = append(wc.kids[:0], t.Children(id)...)
 	sortByComm(t, wc.kids)

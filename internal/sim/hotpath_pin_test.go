@@ -2,14 +2,10 @@ package sim
 
 import "testing"
 
-// TestHotPathAllocsPinned is the runtime half of the bwvet hotpathalloc
-// contract for this package: every //bwvet:hotpath function on the
+// TestHotPathAllocsPinned is the allocation gate for this package: the
 // schedule/step cycle (Schedule, Step, Run, RunUntil, Cancel, and the
 // heap plumbing under them) runs allocation-free once the free list is
-// warm. The static analyzer proves no allocating construct appears in
-// the source; this probe proves the toolchain agrees at run time, so the
-// two cannot drift apart (see internal/lint/hotpath_audit_test.go for
-// the annotation-to-probe cross-check).
+// warm.
 func TestHotPathAllocsPinned(t *testing.T) {
 	s := New(nopHandler{})
 	cycle := func() {
@@ -28,7 +24,7 @@ func TestHotPathAllocsPinned(t *testing.T) {
 	}
 	cycle() // warm the free list
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Fatalf("warm schedule/step cycle allocates %.0f times, want 0 (hotpathalloc contract)", allocs)
+		t.Fatalf("warm schedule/step cycle allocates %.0f times, want 0", allocs)
 	}
 	if s.Allocs() > 4 {
 		t.Fatalf("free list allocated %d events for a 4-deep ladder", s.Allocs())

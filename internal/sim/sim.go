@@ -120,8 +120,6 @@ func (s *Simulator) Reset() {
 // Schedule queues an event delay timesteps from now and returns it. The
 // returned pointer is valid until the event fires or is cancelled. Delay
 // must be non-negative.
-//
-//bwvet:hotpath
 func (s *Simulator) Schedule(delay Time, kind Kind, node, child int32) *Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
@@ -149,8 +147,6 @@ func (s *Simulator) Schedule(delay Time, kind Kind, node, child int32) *Event {
 // it would have fired. Cancelling an event that already fired or was
 // already cancelled panics: the caller's bookkeeping is broken and
 // continuing would corrupt the recycled event.
-//
-//bwvet:hotpath
 func (s *Simulator) Cancel(e *Event) Time {
 	if e.index < 0 {
 		panic("sim: cancel of event not in queue")
@@ -163,8 +159,6 @@ func (s *Simulator) Cancel(e *Event) Time {
 }
 
 // Step fires the next event, if any, and reports whether one fired.
-//
-//bwvet:hotpath
 func (s *Simulator) Step() bool {
 	if len(s.heap) == 0 {
 		return false
@@ -183,8 +177,6 @@ func (s *Simulator) Step() bool {
 
 // Run fires events until the queue is empty or maxSteps events have fired
 // (0 means no limit). It returns the number of events fired.
-//
-//bwvet:hotpath
 func (s *Simulator) Run(maxSteps uint64) uint64 {
 	fired := uint64(0)
 	for maxSteps == 0 || fired < maxSteps {
@@ -197,8 +189,6 @@ func (s *Simulator) Run(maxSteps uint64) uint64 {
 }
 
 // RunUntil fires events with time <= t, then sets the clock to t.
-//
-//bwvet:hotpath
 func (s *Simulator) RunUntil(t Time) {
 	for len(s.heap) > 0 && s.heap[0].at <= t {
 		s.Step()
@@ -208,7 +198,6 @@ func (s *Simulator) RunUntil(t Time) {
 	}
 }
 
-//bwvet:hotpath
 func (s *Simulator) recycle(e *Event) {
 	e.index = -1
 	if len(s.free) < 1024 {
@@ -224,7 +213,6 @@ func less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-//bwvet:hotpath
 func (s *Simulator) push(e *Event) {
 	e.index = int32(len(s.heap))
 	s.heap = append(s.heap, e)
@@ -234,7 +222,6 @@ func (s *Simulator) push(e *Event) {
 	s.up(int(e.index))
 }
 
-//bwvet:hotpath
 func (s *Simulator) remove(e *Event) {
 	i := int(e.index)
 	last := len(s.heap) - 1
@@ -253,8 +240,6 @@ func (s *Simulator) remove(e *Event) {
 
 // up restores the heap property upward from i and reports whether the
 // element moved.
-//
-//bwvet:hotpath
 func (s *Simulator) up(i int) bool {
 	moved := false
 	for i > 0 {
@@ -269,7 +254,6 @@ func (s *Simulator) up(i int) bool {
 	return moved
 }
 
-//bwvet:hotpath
 func (s *Simulator) down(i int) {
 	n := len(s.heap)
 	for {
@@ -289,7 +273,6 @@ func (s *Simulator) down(i int) {
 	}
 }
 
-//bwvet:hotpath
 func (s *Simulator) swap(i, j int) {
 	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
 	s.heap[i].index = int32(i)

@@ -7,15 +7,10 @@ import (
 	"bwcs/internal/sim"
 )
 
-// TestHotPathAllocsPinned is the runtime half of the bwvet hotpathalloc
-// contract for this package: every //bwvet:hotpath function on the
+// TestHotPathAllocsPinned is the allocation gate for this package: the
 // windowed onset scan (Onset, OnsetInclusive, AboveOptimal,
 // AtOrAboveOptimal, Reached, Windows and the comparison helpers under
-// them) runs allocation-free on the int64 fast path. The static analyzer
-// proves no allocating construct appears in the source; this probe
-// proves the toolchain agrees at run time (see
-// internal/lint/hotpath_audit_test.go for the annotation-to-probe
-// cross-check).
+// them) runs allocation-free on the int64 fast path.
 func TestHotPathAllocsPinned(t *testing.T) {
 	completions := uniformCompletions(1500, 6)
 	// Dent the tail so both branches of every comparison run.
@@ -39,6 +34,6 @@ func TestHotPathAllocsPinned(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("onset hot path allocates %.0f times, want 0 (hotpathalloc contract)", allocs)
+		t.Fatalf("onset hot path allocates %.0f times, want 0", allocs)
 	}
 }

@@ -87,8 +87,6 @@ func New(completions []sim.Time, optWeight rational.Rat) (*Series, error) {
 // cmpOptimal compares the windowed rate x/dt against the optimal rate
 // 1/W exactly: it returns the sign of x·Wnum − dt·Wden. Both x and dt
 // are positive by construction.
-//
-//bwvet:hotpath
 func (s *Series) cmpOptimal(x int, dt sim.Time) int {
 	if s.fits64 {
 		lhsHi, lhsLo := bits.Mul64(uint64(x), s.num64)
@@ -114,13 +112,9 @@ func (s *Series) cmpOptimal(x int, dt sim.Time) int {
 
 // Windows returns the number of valid window indices: window x needs task
 // 2x to have completed, so indices run 1..len/2.
-//
-//bwvet:hotpath
 func (s *Series) Windows() int { return len(s.completions) / 2 }
 
 // span returns t_{2x} − t_x for window x (1-based).
-//
-//bwvet:hotpath
 func (s *Series) span(x int) sim.Time {
 	return s.completions[2*x-1] - s.completions[x-1]
 }
@@ -149,8 +143,6 @@ func (s *Series) Normalized(x int) float64 {
 
 // AboveOptimal reports whether the windowed rate at x strictly exceeds the
 // optimal rate, compared exactly: x/(t_{2x}−t_x) > 1/W  ⇔  x·W > Δt.
-//
-//bwvet:hotpath
 func (s *Series) AboveOptimal(x int) bool {
 	if x < 1 || x > s.Windows() {
 		panic(fmt.Sprintf("window: index %d out of range 1..%d", x, s.Windows()))
@@ -164,8 +156,6 @@ func (s *Series) AboveOptimal(x int) bool {
 
 // AtOrAboveOptimal reports whether the windowed rate at x is at least the
 // optimal rate.
-//
-//bwvet:hotpath
 func (s *Series) AtOrAboveOptimal(x int) bool {
 	if x < 1 || x > s.Windows() {
 		panic(fmt.Sprintf("window: index %d out of range 1..%d", x, s.Windows()))
@@ -181,8 +171,6 @@ func (s *Series) AtOrAboveOptimal(x int) bool {
 // threshold index, it returns the index of the second window whose rate
 // exceeds the optimal rate, and ok=true. If fewer than two such windows
 // exist the tree did not reach the optimal steady state and ok is false.
-//
-//bwvet:hotpath
 func (s *Series) Onset(threshold int) (window int, ok bool) {
 	return s.onset(threshold, (*Series).AboveOptimal)
 }
@@ -193,13 +181,10 @@ func (s *Series) Onset(threshold int) (window int, ok bool) {
 // never goes strictly above it and would be misclassified. Library users
 // analysing individual (often small, regular) platforms should prefer this
 // variant; the experiment harness keeps the strict one for fidelity.
-//
-//bwvet:hotpath
 func (s *Series) OnsetInclusive(threshold int) (window int, ok bool) {
 	return s.onset(threshold, (*Series).AtOrAboveOptimal)
 }
 
-//bwvet:hotpath
 func (s *Series) onset(threshold int, above func(*Series, int) bool) (int, bool) {
 	if threshold < 0 {
 		threshold = DefaultThreshold
@@ -218,8 +203,6 @@ func (s *Series) onset(threshold int, above func(*Series, int) bool) (int, bool)
 
 // Reached reports whether the run reached the optimal steady state under
 // the paper's criterion with the given threshold window.
-//
-//bwvet:hotpath
 func (s *Series) Reached(threshold int) bool {
 	_, ok := s.Onset(threshold)
 	return ok

@@ -117,11 +117,10 @@ var framePad [prefixMax]byte
 //	body := kind(1 byte) | Seq uvarint | TraceSeq uvarint | TraceNode string | fields…
 //
 // where strings and byte fields are uvarint-length-prefixed and the
-// per-kind fields are fixed by the switch below — which deliberately has
-// no default, so bwvet's wireexhaustive analyzer fails the build when a
-// new wire kind lands without a binary marshal case.
-//
-//bwvet:hotpath
+// per-kind fields are fixed by the switch below. A kind without a
+// marshal case is an error, as in decodeFrame, so a new wire kind cannot
+// leave as a header-only frame; TestSampleFramesCoverEveryKind and
+// TestCodecConformanceMatrix walk every msgKind constant through here.
 func appendFrame(buf []byte, m *message) ([]byte, error) {
 	if m.N < 0 || m.Size < 0 || m.Offset < 0 {
 		return buf, fmt.Errorf("live: negative field on %d frame", m.Kind)
@@ -177,6 +176,8 @@ func appendFrame(buf []byte, m *message) ([]byte, error) {
 		buf = appendStringField(buf, m.Origin)
 	case kindShutdown, kindHeartbeat, kindGoodbye:
 		// Header only.
+	default:
+		return buf[:start], fmt.Errorf("live: no binary encoding for frame kind %d", m.Kind)
 	}
 
 	n := len(buf) - body
@@ -195,19 +196,16 @@ func appendFrame(buf []byte, m *message) ([]byte, error) {
 	return buf, nil
 }
 
-//bwvet:hotpath
 func appendStringField(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-//bwvet:hotpath
 func appendBytesField(buf []byte, b []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b)))
 	return append(buf, b...)
 }
 
-//bwvet:hotpath
 func appendBool(buf []byte, v bool) []byte {
 	if v {
 		return append(buf, 1)
@@ -215,7 +213,6 @@ func appendBool(buf []byte, v bool) []byte {
 	return append(buf, 0)
 }
 
-//bwvet:hotpath
 func appendU64Field(buf []byte, vs []uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(vs)))
 	for _, v := range vs {
@@ -229,8 +226,6 @@ func appendU64Field(buf []byte, vs []uint64) []byte {
 // slices so memory grows only with bytes actually received — a hostile
 // length prefix cannot make the reader allocate the declared size up
 // front.
-//
-//bwvet:hotpath
 func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -283,7 +278,6 @@ type interner struct {
 
 const maxInternEntries = 4096
 
-//bwvet:hotpath
 func (in *interner) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -307,7 +301,6 @@ type frameReader struct {
 	off int
 }
 
-//bwvet:hotpath
 func (r *frameReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
@@ -318,8 +311,6 @@ func (r *frameReader) uvarint() (uint64, error) {
 }
 
 // intField decodes a non-negative integer bounded by maxFieldValue.
-//
-//bwvet:hotpath
 func (r *frameReader) intField() (int, error) {
 	v, err := r.uvarint()
 	if err != nil {
@@ -333,8 +324,6 @@ func (r *frameReader) intField() (int, error) {
 
 // raw returns the next length-prefixed byte field as a subslice of the
 // frame body (valid only until the read buffer is reused).
-//
-//bwvet:hotpath
 func (r *frameReader) raw() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -348,7 +337,6 @@ func (r *frameReader) raw() ([]byte, error) {
 	return b, nil
 }
 
-//bwvet:hotpath
 func (r *frameReader) boolField() (bool, error) {
 	if r.off >= len(r.b) {
 		return false, errFrameTruncated
@@ -395,8 +383,6 @@ func (r *frameReader) u64s() ([]uint64, error) {
 // and result channels. Strings pass through the conn's interner. Decode
 // is strict: unknown kinds, malformed fields, and trailing bytes are all
 // errors, never panics.
-//
-//bwvet:hotpath
 func decodeFrame(data []byte, m *message, in *interner) error {
 	*m = message{}
 	r := frameReader{b: data}
@@ -435,7 +421,6 @@ func decodeFrame(data []byte, m *message, in *interner) error {
 			return errFrameTruncated
 		}
 		if count > 0 {
-			//lint:bwvet-ignore hello frames arrive once per connection, not in steady state; the resume list is per-reconnect
 			m.Resume = make([]ResumePoint, count)
 			for i := range m.Resume {
 				if m.Resume[i].Task, err = r.uvarint(); err != nil {

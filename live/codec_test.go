@@ -44,7 +44,10 @@ func sampleFrames() []*message {
 
 // TestSampleFramesCoverEveryKind pins the conformance matrix to the wire
 // protocol: adding a wire kind without a sample frame fails here, so the
-// cross-codec matrix below can never silently skip a kind.
+// cross-codec matrix below can never silently skip a kind. The kind set
+// is parsed from wire.go (kindSelectors gives each name its value, and
+// TestFaultSelectorExhaustive keeps that map complete), so a kind
+// appended anywhere in the block is seen.
 func TestSampleFramesCoverEveryKind(t *testing.T) {
 	seen := map[msgKind]bool{}
 	for _, m := range sampleFrames() {
@@ -53,13 +56,17 @@ func TestSampleFramesCoverEveryKind(t *testing.T) {
 		}
 		seen[m.Kind] = true
 	}
-	for k := kindHello; k <= kindResultAck; k++ {
-		if !seen[k] {
-			t.Fatalf("no sample frame for wire kind %d", k)
+	kinds := constNames(t, "wire.go", "msgKind")
+	for name := range kinds {
+		pin, ok := kindSelectors[name]
+		if !ok {
+			t.Errorf("wire.go declares %s but kindSelectors does not pin its value", name)
+		} else if !seen[pin.kind] {
+			t.Errorf("no sample frame for wire kind %s", name)
 		}
 	}
-	if len(seen) != int(kindResultAck) {
-		t.Fatalf("%d samples for %d kinds", len(seen), kindResultAck)
+	if len(seen) != len(kinds) {
+		t.Errorf("%d samples for %d kinds", len(seen), len(kinds))
 	}
 }
 
@@ -118,6 +125,12 @@ func TestCodecConformanceMatrix(t *testing.T) {
 		if !reflect.DeepEqual(bin, g) {
 			t.Errorf("kind %d: binary and gob decodes disagree\nbinary %+v\n   gob %+v", m.Kind, bin, g)
 		}
+	}
+	// A kind with no marshal case is refused, not sent header-only, and
+	// the frames already batched in the buffer are left as they were.
+	batched := []byte("batched")
+	if buf, err := appendFrame(batched, &message{Kind: 250}); err == nil || !bytes.Equal(buf, batched) {
+		t.Errorf("appendFrame(kind 250) = %q, %v; want the buffer unchanged and an error", buf, err)
 	}
 }
 

@@ -6,17 +6,12 @@ import (
 	"testing"
 )
 
-// TestHotPathAllocsPinned is the runtime half of the bwvet hotpathalloc
-// contract for this package: the steady-state codec path — appendFrame,
-// readFrame and decodeFrame over the data-plane frames (kindChunk and
-// kindChunkAck), plus the field helpers and interner under them — runs
-// allocation-free once the buffers and the interner are warm. The static
-// analyzer proves no allocating construct appears in the source; this
-// probe proves the toolchain agrees at run time (see
-// internal/lint/hotpath_audit_test.go for the annotation-to-probe
-// cross-check). kindResult is deliberately absent: its decode copies the
-// output payload by design (rawCopy), which is a reasoned ignore in
-// codec.go, not a zero-alloc path.
+// TestHotPathAllocsPinned is the allocation gate for the steady-state
+// codec path: appendFrame, readFrame and decodeFrame over the data-plane
+// frames (kindChunk and kindChunkAck), plus the field helpers and
+// interner under them, run allocation-free once the buffers and the
+// interner are warm. kindResult is deliberately absent: its decode copies
+// the output payload by design (rawCopy), so it is not a zero-alloc path.
 func TestHotPathAllocsPinned(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 512)
 	chunk := message{Kind: kindChunk, Seq: 9, Task: 41, Size: 2048, Offset: 512,
@@ -57,6 +52,6 @@ func TestHotPathAllocsPinned(t *testing.T) {
 	}
 	cycle() // warm: grows wbuf/body once, interns "appA"/"parent"/"child"
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Fatalf("warm codec round trip allocates %.0f times, want 0 (hotpathalloc contract)", allocs)
+		t.Fatalf("warm codec round trip allocates %.0f times, want 0", allocs)
 	}
 }

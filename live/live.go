@@ -158,12 +158,6 @@ type Config struct {
 	// it and negotiation falls back to it — so mixed-version overlays
 	// interoperate in both directions.
 	WireCodecs []Codec
-	// ChunkBatch is the most chunks of one transfer the send port writes
-	// per port turn on a binary conn (one buffer, one syscall); preemption
-	// still happens between turns, so a large batch trades preemption
-	// granularity for throughput. 0 means the default 8; negative (or a
-	// LinkDelay, which is emulated per chunk) forces single-chunk turns.
-	ChunkBatch int
 	// HandshakeTimeout bounds the hello / hello-ack exchange on each
 	// side; 0 means the 5s default.
 	HandshakeTimeout time.Duration
@@ -338,9 +332,12 @@ type resultEntry struct {
 // Config.HandshakeTimeout is unset.
 const defaultHandshakeTimeout = 5 * time.Second
 
-// defaultChunkBatch is how many chunks of one transfer the send port
-// writes per turn on a binary conn when Config.ChunkBatch is unset.
-const defaultChunkBatch = 8
+// chunkBatch is the most chunks of one transfer the send port writes per
+// port turn (one buffer, one syscall on a binary conn). Preemption
+// happens between turns, so the batch trades preemption granularity for
+// throughput; a LinkDelay, which is emulated per chunk, takes
+// single-chunk turns instead.
+const chunkBatch = 8
 
 // ErrTimeout reports a Run whose context deadline expired with results
 // still missing; match with errors.Is. The concrete *TimeoutError
@@ -426,17 +423,6 @@ func StartConfig(cfg Config) (*Node, error) {
 		cfg.TimelineInterval = defaultTimelineInterval
 	case cfg.TimelineInterval < 0:
 		cfg.TimelineInterval = 0 // disabled
-	}
-	switch {
-	case cfg.ChunkBatch == 0:
-		cfg.ChunkBatch = defaultChunkBatch
-	case cfg.ChunkBatch < 0:
-		cfg.ChunkBatch = 1
-	}
-	if cfg.LinkDelay != nil {
-		// The emulated delay is charged per chunk; batching would fold a
-		// whole batch under one delay and skew the measured priorities.
-		cfg.ChunkBatch = 1
 	}
 	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = defaultHandshakeTimeout

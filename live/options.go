@@ -122,16 +122,6 @@ func WithWireCodecs(codecs ...Codec) Option {
 	return func(c *Config) { c.WireCodecs = codecs }
 }
 
-// WithChunkBatch sets how many chunks of one transfer the send port
-// writes per port turn on a binary-codec link (one buffer, one syscall);
-// default 8, negative forces single-chunk turns. Preemption happens
-// between turns, so a larger batch trades preemption granularity for
-// throughput. A LinkDelay forces single-chunk turns regardless, keeping
-// the emulated per-chunk delay faithful.
-func WithChunkBatch(chunks int) Option {
-	return func(c *Config) { c.ChunkBatch = chunks }
-}
-
 // WithHandshakeTimeout bounds the hello / hello-ack exchange on each
 // side of a connection; default 5s.
 func WithHandshakeTimeout(d time.Duration) Option {

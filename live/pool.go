@@ -41,8 +41,6 @@ type appQueue struct {
 }
 
 // at addresses the i-th oldest slot of the ring.
-//
-//bwvet:hotpath
 func (q *appQueue) at(i int) *poolSlot {
 	if i += q.head; i >= len(q.ring) {
 		i -= len(q.ring)
@@ -68,8 +66,6 @@ func (p *taskPool) len() int { return p.size }
 
 // push buffers t behind every task already present: a fresh arrival and
 // a requeued task alike join the back.
-//
-//bwvet:hotpath
 func (p *taskPool) push(t Task) {
 	q := p.queue(t.App)
 	q.reserve(1)
@@ -100,8 +96,6 @@ func (p *taskPool) pushAll(tasks []Task) {
 
 // queue finds app's queue, opening one on a spare ring when app has
 // nothing buffered.
-//
-//bwvet:hotpath
 func (p *taskPool) queue(app string) *appQueue {
 	for i := range p.apps {
 		if p.apps[i].app == app {
@@ -118,8 +112,6 @@ func (p *taskPool) queue(app string) *appQueue {
 
 // pop removes the next task to dispatch: the oldest buffered task of the
 // application pick chooses. Callers guarantee the pool is non-empty.
-//
-//bwvet:hotpath
 func (p *taskPool) pop() Task {
 	i := p.pick()
 	q := &p.apps[i]
@@ -147,8 +139,6 @@ func (p *taskPool) pop() Task {
 // weighted round-robin: each application present earns its weight in
 // credit, the richest is served — on a tie, the one whose oldest buffered
 // task arrived first — and pays back the round total.
-//
-//bwvet:hotpath
 func (p *taskPool) pick() int {
 	if len(p.apps) == 1 {
 		return 0

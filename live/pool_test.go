@@ -204,9 +204,9 @@ func filledPool(size, k int) *taskPool {
 	return p
 }
 
-// TestHotPathAllocsPinnedPool is the runtime half of the bwvet
-// hotpathalloc contract for the task pool (see hotpath_pin_test.go for
-// the codec's): a warm pop and the push that refills it allocate nothing
+// TestHotPathAllocsPinnedPool is the allocation gate for the task pool
+// (see hotpath_pin_test.go for the codec's): a warm pop and the push
+// that refills it allocate nothing
 // — with one tag, with three, and with three tags of one task each, where
 // every pop drains a tag and every push reopens it on a spare ring.
 func TestHotPathAllocsPinnedPool(t *testing.T) {
@@ -217,7 +217,7 @@ func TestHotPathAllocsPinnedPool(t *testing.T) {
 			cycle() // warm: the credit ledger learns every tag
 		}
 		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
-			t.Errorf("warm pop+push on %d tasks of %d tags allocates %.0f times, want 0 (hotpathalloc contract)",
+			t.Errorf("warm pop+push on %d tasks of %d tags allocates %.0f times, want 0",
 				c.size, c.tags, allocs)
 		}
 	}

@@ -180,7 +180,7 @@ func (n *Node) wakeLocked() {
 	}
 }
 
-// sendChunk streams up to ChunkBatch chunks of s's active transfer in
+// sendChunk streams up to chunkBatch chunks of s's active transfer in
 // one batched write, measures the time it took (including any emulated
 // link delay), and updates the child's measured link speed — the only
 // information the priority uses. Preemption still happens between port
@@ -209,7 +209,12 @@ func (n *Node) sendChunk(s *childSession) {
 
 	// Build the turn's chunk frames into the port's reusable scratch. An
 	// empty payload still takes exactly one (empty, Last) chunk.
-	batch := n.cfg.ChunkBatch
+	batch := chunkBatch
+	if n.cfg.LinkDelay != nil {
+		// The emulated delay is charged per chunk; batching would fold a
+		// whole batch under one delay and skew the measured priorities.
+		batch = 1
+	}
 	if cap(n.portMsgs) < batch {
 		n.portMsgs = make([]message, batch)
 		n.portFrames = make([]*message, 0, batch)
@@ -242,7 +247,7 @@ func (n *Node) sendChunk(s *childSession) {
 		frames = append(frames, &msgs[i])
 	}
 
-	if n.cfg.LinkDelay != nil { // ChunkBatch is forced to 1 with a LinkDelay
+	if n.cfg.LinkDelay != nil { // this turn is a single chunk
 		if d := n.cfg.LinkDelay(s.name); d > 0 {
 			time.Sleep(d)
 		}
