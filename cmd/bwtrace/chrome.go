@@ -141,8 +141,8 @@ func writeChrome(w io.Writer, merged []MergedEvent) error {
 // category groups event kinds into trace-viewer categories.
 func category(k live.EventKind) string {
 	switch k {
-	case live.EvChunkSend, live.EvChunkResume, live.EvChunkInterrupt, live.EvChunkRecv,
-		live.EvChunkAck, live.EvTaskReceived:
+	case live.EvChunkSend, live.EvChunkResume, live.EvChunkInterrupt, live.EvHandoff,
+		live.EvChunkRecv, live.EvChunkAck, live.EvTaskReceived:
 		return "transfer"
 	case live.EvResultSend, live.EvResultReplay, live.EvResultRecv, live.EvResultDedupe,
 		live.EvResultAck, live.EvResultCollect:

@@ -92,14 +92,21 @@ func topology(merged []MergedEvent, dumps map[string]live.TraceDump) (*tree.Tree
 	return tr, ids, nil
 }
 
-// convert maps a merged live timeline onto internal/trace events. Requests
-// and dispatch decisions come from the parent side (recorded in the same
-// critical section as the state change, so serviceability order is
-// exact); deliveries come from the child side when the child's dump is
-// loaded (its task-received precedes everything the child does with the
-// task), and from the parent's final chunk ack otherwise.
-func convert(merged []MergedEvent, ids map[string]tree.NodeID, dumps map[string]live.TraceDump) []trace.Event {
+// convert maps a merged live timeline onto internal/trace events. Every
+// scheduling event comes from the parent side, recorded in the same
+// critical section as the state change, so serviceability order is exact.
+// A delivery is the parent's hand-off — the port turn that frees the
+// child's in-flight slot — not the child's receipt: the port is pipelined,
+// and the next dispatch to the same child may precede the receipt. The
+// hand-off is the wire-carried cause of the child's task-received, so it
+// also precedes everything the child does with the task.
+func convert(merged []MergedEvent, ids map[string]tree.NodeID) []trace.Event {
 	out := make([]trace.Event, 0, len(merged))
+	// open is the task of the transfer each link's in-flight slot holds. A
+	// handed-off transfer that a revive puts back on the port to resume has
+	// been counted as delivered; its later segments are not the slot's.
+	type link struct{ parent, child tree.NodeID }
+	open := map[link]uint64{}
 	for _, m := range merged {
 		e := m.Ev
 		node, ok := ids[m.Node]
@@ -108,6 +115,7 @@ func convert(merged []MergedEvent, ids map[string]tree.NodeID, dumps map[string]
 		}
 		peer, peerOK := ids[e.Peer]
 		at := sim.Time(m.At)
+		l := link{node, peer}
 		switch e.Kind {
 		case live.EvRequestServed:
 			if peerOK {
@@ -115,30 +123,27 @@ func convert(merged []MergedEvent, ids map[string]tree.NodeID, dumps map[string]
 			}
 		case live.EvChunkSend:
 			if peerOK {
+				open[l] = e.Task
 				out = append(out, trace.Event{At: at, Kind: trace.SendStart, Node: node, Peer: peer, Value: e.Value})
 			}
 		case live.EvChunkResume:
-			if peerOK {
+			if peerOK && open[l] == e.Task {
 				out = append(out, trace.Event{At: at, Kind: trace.SendResume, Node: node, Peer: peer, Value: int64(e.Off)})
 			}
 		case live.EvChunkInterrupt:
-			if peerOK {
+			if peerOK && open[l] == e.Task {
 				out = append(out, trace.Event{At: at, Kind: trace.SendInterrupt, Node: node, Peer: peer, Value: int64(e.Off)})
 			}
-		case live.EvTaskReceived:
-			// Child-side delivery: this node received; the sender is Peer.
-			if peerOK {
-				out = append(out, trace.Event{At: at, Kind: trace.SendDone, Node: peer, Peer: node})
-			}
-		case live.EvChunkAck:
-			// Parent-side delivery confirmation: used only when the child's
-			// own dump is absent, else the child-side event already emitted
-			// the SendDone.
-			if _, childLoaded := dumps[e.Peer]; !childLoaded && peerOK && e.Value == 1 {
+		case live.EvHandoff:
+			if peerOK && open[l] == e.Task {
+				delete(open, l)
 				out = append(out, trace.Event{At: at, Kind: trace.SendDone, Node: node, Peer: peer})
 			}
 		case live.EvRequeue:
 			if peerOK {
+				if open[l] == e.Task {
+					delete(open, l)
+				}
 				out = append(out, trace.Event{At: at, Kind: trace.Requeue, Node: node, Peer: peer})
 			}
 		case live.EvComputeStart:
@@ -164,7 +169,7 @@ func verifyMerged(merged []MergedEvent, dumps map[string]live.TraceDump) error {
 		}
 	}
 	rp := &trace.Replay{Tree: tr, Tasks: int64(len(tasks))}
-	if err := rp.Run(convert(merged, ids, dumps)); err != nil {
+	if err := rp.Run(convert(merged, ids)); err != nil {
 		return err
 	}
 	if rp.Fresh == 0 && len(merged) > 0 {

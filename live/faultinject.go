@@ -10,7 +10,7 @@ import (
 // it, or sever the connection — attached to one node with WithFaultPlan.
 // Faults fire at exact points in the node's frame sequence (the After'th
 // matching frame on a named link), so recovery paths — requeue, reconnect
-// with backoff, resume from the last acked chunk — are testable
+// with backoff, resume from the offered offset — are testable
 // in-process with no real network misbehavior required.
 
 // FrameKind selects wire frames in a FaultRule. The values mirror the

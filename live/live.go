@@ -36,7 +36,7 @@
 //     results are delivered exactly once.
 //   - A disconnected non-root node re-dials its parent with capped
 //     exponential backoff (WithReconnect), resuming an interrupted
-//     transfer from the last acknowledged chunk and replaying results it
+//     transfer from the offset its hello offers and replaying results it
 //     computed while partitioned.
 //   - Results are acknowledged frames, not fire-and-forget: each node
 //     keeps every result it owes its parent in an unacked ledger,
@@ -110,10 +110,11 @@ type Config struct {
 	ChunkSize int
 	// Compute executes tasks; required.
 	Compute ComputeFunc
-	// LinkDelay, when non-nil, adds an artificial delay before each chunk
-	// sent to the named child — a deterministic stand-in for heterogeneous
-	// link bandwidth in tests and demos (the measured priorities then
-	// reflect it, exactly as they would reflect real bandwidth).
+	// LinkDelay, when non-nil, paces chunks to the named child at one per
+	// delay — a deterministic stand-in for heterogeneous link bandwidth in
+	// tests and demos (the measured priorities then reflect it, exactly as
+	// they would reflect real bandwidth). The send port is serial, so all
+	// children share one schedule.
 	LinkDelay func(childName string) time.Duration
 	// AppWeights are per-application sharing weights: when tasks of
 	// several applications sit buffered at once, the node dispatches them
@@ -254,9 +255,11 @@ type Node struct {
 	sampler *metrics.Sampler
 
 	// portMsgs and portFrames are the send port's reusable chunk-batch
-	// scratch; touched only by the sendPort goroutine.
+	// scratch; touched only by the sendPort goroutine. portDue is the
+	// emulated link's schedule (see paceChunk), likewise the port's own.
 	portMsgs   []message
 	portFrames []*message
+	portDue    time.Time
 
 	mu         sync.Mutex
 	parentName string // parent's node name, learned from its hello-ack
@@ -292,28 +295,39 @@ type childSession struct {
 	c       *conn
 	pending int  // outstanding requests
 	link    ewma // measured per-chunk communication time
-	active  *outTransfer
-	gone    bool
-	left    bool      // announced a deliberate departure: reclaim without grace
-	goneAt  time.Time // when the link died, for the reconnect grace window
-	// outstanding holds every task fully delivered into this child's
-	// subtree whose result has not yet come back through this node. If
-	// the child dies, these are requeued and re-executed (at-least-once
-	// semantics; the root deduplicates results by task ID).
-	outstanding map[uint64]Task
+	// active is the transfer the send port is still writing; the port turn
+	// that builds its final chunk hands it off to outstanding.
+	active *outTransfer
+	gone   bool
+	left   bool      // announced a deliberate departure: reclaim without grace
+	goneAt time.Time // when the link died, for the reconnect grace window
+	// outstanding holds every task handed off into this child's subtree
+	// whose result has not yet come back through this node. A task has
+	// exactly one owner at every instant — active xor outstanding — and
+	// enters outstanding before its final chunk is written, so not even
+	// the fastest child's result can arrive unexpected. If the child dies,
+	// these are requeued and re-executed (at-least-once semantics; the
+	// root deduplicates results by task ID).
+	outstanding map[uint64]*outTransfer
 }
 
-// outTransfer is an in-progress (possibly preempted-and-resumed) send.
+// outTransfer is one task's send to one child: in progress (possibly
+// preempted and resumed) while it is the session's active transfer,
+// handed off once it sits in outstanding.
 type outTransfer struct {
-	task    Task
-	offset  int  // next byte to send
-	acked   int  // bytes the child confirmed receiving
-	sentAll bool // every byte written; awaiting the final ack
+	task   Task
+	offset int // next byte to send
+	// confirmed is set by the child's final chunk ack: the payload
+	// arrived. A handed-off transfer that is neither confirmed nor covered
+	// by a reconnect hello was lost on the wire, so the request it
+	// consumed is still waiting at the child and returns with it.
+	confirmed bool
 	// resumed marks the next chunk as the start of a new transfer segment
-	// (after a preemption, reconnect resume, or retransmit-from-top), so
-	// the flight recorder logs it as a resume. traceSeq is the recorder
-	// sequence of the segment's dispatch event, stamped on every chunk
-	// frame of the segment as its causal trace context.
+	// (after a preemption or a reconnect resume), so the flight recorder
+	// logs it as a resume. traceSeq is the recorder sequence of the event
+	// that opened the current segment (dispatch, resume, or hand-off),
+	// stamped on every chunk frame of the segment as its causal trace
+	// context.
 	resumed  bool
 	traceSeq uint64
 }
@@ -844,24 +858,22 @@ func (n *Node) acceptLoop() {
 
 // admitChild installs a connection as a fresh child session — or, when
 // the hello names a session whose link died within the reconnect grace
-// window, revives that session: its request ledger and outstanding tasks
-// survive, and an interrupted transfer resumes from the chunk offset the
-// child reports holding.
+// window, revives that session: its request ledger and the handed-off
+// tasks the hello covers survive, a transfer cut mid-payload resumes from
+// the offset the hello offers, and everything else the child never
+// received returns to the pool together with its request.
 func (n *Node) admitChild(c *conn, hello *message) {
 	offered := make(map[uint64]int, len(hello.Resume))
 	for _, rp := range hello.Resume {
 		offered[rp.Task] = rp.Offset
 	}
-	// covered is every task the child's hello still accounts for: held
-	// somewhere in its subtree (Holding) or partially received and
-	// offered for resumption (Resume). An outstanding task outside this
-	// set was lost with the old connection.
-	covered := make(map[uint64]bool, len(hello.Holding)+len(hello.Resume))
+	// held is every task the child's hello still accounts for complete:
+	// somewhere in its subtree, or computed with the result awaiting an
+	// ack. A handed-off task outside this set (and not offered for
+	// resumption) was lost with the old connection.
+	held := make(map[uint64]bool, len(hello.Holding))
 	for _, id := range hello.Holding {
-		covered[id] = true
-	}
-	for _, rp := range hello.Resume {
-		covered[rp.Task] = true
+		held[id] = true
 	}
 	// Codec negotiation: highest version both sides offer, gob floor.
 	// The conn's codec is set before it is published to the child loop
@@ -889,65 +901,57 @@ func (n *Node) admitChild(c *conn, hello *message) {
 		sess.goneAt = time.Time{}
 		ack.Revived = true
 		n.record(Event{Kind: EvRevive, Peer: hello.Name})
+		requeuedBefore := n.stats.Requeued
+		// The link is in order and the port writes one transfer per child
+		// at a time, so the child offers at most one partial transfer, and
+		// holds everything handed off before it and nothing written after.
+		// An offered transfer that was already handed off goes back to the
+		// port; whatever else was on the port never reached the child.
+		for _, rp := range hello.Resume {
+			if tr := sess.outstanding[rp.Task]; tr != nil {
+				delete(sess.outstanding, rp.Task)
+				if sess.active != nil {
+					n.requeueLocked(sess, sess.active, true)
+				}
+				sess.active = tr
+			}
+		}
 		if tr := sess.active; tr != nil {
-			off, ok := offered[tr.task.ID]
-			switch {
-			case ok && off >= 0 && off <= len(tr.task.Payload):
-				// Resume mid-payload from what the child confirmed.
+			if off, ok := offered[tr.task.ID]; ok && off >= 0 && off <= len(tr.task.Payload) {
+				// Resume mid-payload from the offset the hello offers.
 				tr.offset = off
-				tr.acked = off
-				tr.sentAll = false
 				tr.resumed = true
 				ack.Accepted = append(ack.Accepted, tr.task.ID)
 				n.stats.Resumed++
-			case covered[tr.task.ID]:
-				// The child holds the complete payload — only the final
-				// chunk ack was lost in the disconnect. Delivery stands:
-				// the task becomes the child's responsibility and its
-				// result is awaited, with no duplicate retransmission.
-				sess.outstanding[tr.task.ID] = tr.task
+			} else {
+				// A transfer still on the port never had its final chunk
+				// written, so with nothing offered the child holds none of
+				// it: back to the pool, and the child's slot keeps waiting.
+				n.requeueLocked(sess, tr, true)
 				sess.active = nil
-				// The handshake is an implied final chunk ack.
-				n.record(Event{Kind: EvChunkAck, Task: tr.task.ID, Peer: hello.Name,
-					Off: len(tr.task.Payload), Value: 1})
-			default:
-				// No partial state offered and the subtree does not hold
-				// the task: retransmit from the top. A fully written
-				// transfer whose final chunk was lost in the disconnect
-				// offers nothing, so re-delivery is the only safe choice.
-				// At-least-once, never zero.
-				tr.offset = 0
-				tr.acked = 0
-				tr.sentAll = false
-				tr.resumed = true
 			}
 		}
-		// Revive-time reconciliation: requeue every outstanding task the
+		// Revive-time reconciliation: requeue every handed-off task the
 		// hello no longer covers — not held in the subtree, not resuming,
 		// no unacked result to replay. It was lost with the old
 		// connection, and waiting for a grace expiry that perpetual
-		// revival keeps pushing out would stall the run forever.
+		// revival keeps pushing out would stall the run forever. One the
+		// hello does cover stands, final ack or not.
 		var lost []uint64
 		for id := range sess.outstanding {
-			if !covered[id] {
+			if !held[id] {
 				lost = append(lost, id)
 			}
 		}
-		if len(lost) > 0 {
-			sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-			for _, id := range lost {
-				t := sess.outstanding[id]
-				n.buffer.push(t)
-				delete(sess.outstanding, id)
-				n.bumpApp(t.App, func(s *AppStats) { s.Requeued++ })
-				n.record(Event{Kind: EvRequeue, Task: id, Peer: hello.Name})
-			}
-			n.stats.Requeued += int64(len(lost))
-			n.stats.RequeuedOnRevive += int64(len(lost))
-			n.wakeLocked()
+		sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
+		for _, id := range lost {
+			tr := sess.outstanding[id]
+			delete(sess.outstanding, id)
+			n.requeueLocked(sess, tr, !tr.confirmed)
 		}
+		n.stats.RequeuedOnRevive += n.stats.Requeued - requeuedBefore
 	} else {
-		sess = &childSession{name: hello.Name, c: c, outstanding: make(map[uint64]Task)}
+		sess = &childSession{name: hello.Name, c: c, outstanding: make(map[uint64]*outTransfer)}
 		n.children = append(n.children, sess)
 	}
 	n.mu.Unlock()
@@ -1026,18 +1030,21 @@ func (n *Node) childLoop(s *childSession, c *conn) {
 				n.countSendError()
 			}
 		case kindChunkAck:
+			// Only a transfer's final ack carries information (a child that
+			// predates one-ack-per-task also acks every chunk). It gates
+			// nothing — the task was handed off before its last write — but
+			// it is proof of receipt for a later revive, and the recorder's
+			// end of the transfer.
+			if !m.Last {
+				continue
+			}
 			n.mu.Lock()
-			if s.c == c && s.active != nil && s.active.task.ID == m.Task {
-				s.active.acked = m.Offset
-				if m.Last {
-					// Delivery confirmed end to end: the task is the
-					// child's responsibility until its result returns.
-					n.record(Event{Kind: EvChunkAck, Task: m.Task, Peer: s.name, Off: m.Offset,
-						Value: 1, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-					s.outstanding[m.Task] = s.active.task
-					s.active = nil
-					n.wakeLocked()
+			if s.c == c {
+				if tr := s.outstanding[m.Task]; tr != nil {
+					tr.confirmed = true
 				}
+				n.record(Event{Kind: EvChunkAck, Task: m.Task, Peer: s.name, Off: m.Offset,
+					Value: 1, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
 			}
 			n.mu.Unlock()
 		case kindGoodbye:
@@ -1309,21 +1316,20 @@ func (n *Node) readParent(c *conn) (shutdown bool) {
 				n.fail(err)
 				return false
 			}
-			var recvSeq uint64
 			if complete {
-				recvSeq = n.record(Event{Kind: EvTaskReceived, Task: m.Task, Peer: c.label(),
+				recvSeq := n.record(Event{Kind: EvTaskReceived, Task: m.Task, Peer: c.label(),
 					Off: t.got, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-			}
-			// Ack every chunk: after a disconnect the parent resumes
-			// from this offset, and on the final ack responsibility for
-			// the task transfers to this subtree.
-			if err := c.send(&message{Kind: kindChunkAck, Task: m.Task, Offset: t.got, Last: complete,
-				TraceNode: n.cfg.Name, TraceSeq: recvSeq}); err != nil {
-				// A lost chunk ack makes the parent resume from the last
-				// acked offset after the reconnect; just count it.
-				n.countSendError()
-			}
-			if complete {
+				// One ack per task, sent before the task can be computed so
+				// it always precedes the result. The parent handed the task
+				// off when it wrote this chunk and waits on nothing; a
+				// resume after a disconnect starts from the offset the hello
+				// offers, not from an ack.
+				if err := c.send(&message{Kind: kindChunkAck, Task: m.Task, Offset: t.got, Last: true,
+					TraceNode: n.cfg.Name, TraceSeq: recvSeq}); err != nil {
+					// The parent's revive learns of receipt from the hello's
+					// Holding set instead; just count it.
+					n.countSendError()
+				}
 				n.mu.Lock()
 				delete(n.inflight, m.Task)
 				n.buffer.push(Task{ID: m.Task, Payload: t.payload, App: t.app})

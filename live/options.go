@@ -43,9 +43,10 @@ func NonInterruptible() Option {
 	return func(c *Config) { c.NonInterruptible = true }
 }
 
-// WithLinkDelay adds an artificial delay before each chunk sent to the
-// named child — a deterministic stand-in for heterogeneous link bandwidth
-// in tests and demos; default none.
+// WithLinkDelay paces chunks to the named child at one per delay — a
+// deterministic stand-in for heterogeneous link bandwidth in tests and
+// demos; default none. The send port is serial, so all children share
+// one schedule.
 func WithLinkDelay(fn func(childName string) time.Duration) Option {
 	return func(c *Config) { c.LinkDelay = fn }
 }
@@ -86,8 +87,8 @@ func WithReconnect(base, cap time.Duration, attempts int) Option {
 // (its in-flight transfer and un-returned tasks) revivable before
 // reclaiming and requeueing everything for re-dispatch; default 5s.
 // Negative reclaims immediately. A child that reconnects within the
-// grace window resumes its interrupted transfer from the last
-// acknowledged chunk; one that announced a deliberate departure is
+// grace window resumes its interrupted transfer from the offset its
+// hello offers; one that announced a deliberate departure is
 // reclaimed immediately regardless.
 func WithReconnectGrace(d time.Duration) Option {
 	return func(c *Config) { c.ReconnectGrace = d }

@@ -45,7 +45,9 @@ const (
 	// number of tasks requested.
 	EvRequestSent
 	// EvRequestServed is a child's task request registered by its parent;
-	// Value is the number of tasks requested.
+	// Value is the number of tasks requested. One with no wire context is a
+	// request re-registered at revive time, when the transfer that had
+	// consumed it returned to the pool undelivered.
 	EvRequestServed
 	// EvChunkSend is the dispatch of a fresh transfer to a child — the
 	// bandwidth-centric scheduling decision. Value is the chosen child's
@@ -58,11 +60,13 @@ const (
 	// for a higher-priority child; Off is the interrupted offset.
 	EvChunkInterrupt
 	// EvChunkRecv is the first chunk of a transfer segment arriving at
-	// the receiver; Off is the segment's starting offset.
+	// the receiver; Off is the segment's starting offset. The sender's
+	// final port turn is always a segment of its own, caused by the
+	// hand-off.
 	EvChunkRecv
-	// EvChunkAck is the parent learning a transfer is fully delivered:
-	// the final chunk ack arrived (or a reconnect handshake proved
-	// receipt, Value 1 either way).
+	// EvChunkAck is the child's final chunk ack arriving at the parent:
+	// the transfer is confirmed delivered (Value is always 1). Nothing
+	// waits on it — see EvHandoff.
 	EvChunkAck
 	// EvTaskReceived is a complete task payload assembled at the receiver.
 	EvTaskReceived
@@ -97,6 +101,13 @@ const (
 	// EvRequeue is a task reclaimed from a dead or reconciled subtree and
 	// put back in the buffer for re-dispatch.
 	EvRequeue
+	// EvHandoff is the send port handing a task off to a child: recorded
+	// in the port turn that builds the transfer's final chunk, in the same
+	// critical section that frees the port and before the chunk is
+	// written, so it precedes everything the child does with the task. Off
+	// is the offset the final turn starts from. (Appended after EvRequeue
+	// so existing kinds keep their values.)
+	EvHandoff
 )
 
 var eventKindNames = [...]string{
@@ -125,6 +136,7 @@ var eventKindNames = [...]string{
 	EvSever:          "sever",
 	EvReconnect:      "reconnect",
 	EvRequeue:        "requeue",
+	EvHandoff:        "handoff",
 }
 
 // String returns the event kind's stable name (the names are the JSON
@@ -162,7 +174,7 @@ func (k *EventKind) UnmarshalText(b []byte) error {
 var wireTraced = map[msgKind][]EventKind{
 	kindHello:     {EvHello},
 	kindRequest:   {EvRequestSent, EvRequestServed},
-	kindChunk:     {EvChunkSend, EvChunkResume, EvChunkRecv},
+	kindChunk:     {EvChunkSend, EvChunkResume, EvHandoff, EvChunkRecv},
 	kindResult:    {EvResultSend, EvResultReplay, EvResultRecv},
 	kindShutdown:  {EvShutdown},
 	kindHeartbeat: {EvHeartbeatMiss},

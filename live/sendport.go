@@ -18,6 +18,7 @@ func (n *Node) sendPort() {
 	for {
 		s := n.nextChunk()
 		if s == nil {
+			n.portDue = time.Time{} // idle: the emulated link's schedule restarts
 			select {
 			case <-n.kick:
 				continue
@@ -53,29 +54,18 @@ func (n *Node) nextChunk() *childSession {
 			continue
 		}
 		if s.active != nil {
-			n.buffer.push(s.active.task)
-			n.record(Event{Kind: EvRequeue, Task: s.active.task.ID, Peer: s.name})
-			n.bumpApp(s.active.task.App, func(a *AppStats) { a.Requeued++ })
+			n.requeueLocked(s, s.active, false)
 			s.active = nil
-			n.stats.Requeued++
-			n.wakeLocked()
 		}
-		if len(s.outstanding) > 0 {
-			ids := make([]uint64, 0, len(s.outstanding))
-			for id := range s.outstanding {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				t := s.outstanding[id]
-				n.buffer.push(t)
-				n.bumpApp(t.App, func(a *AppStats) { a.Requeued++ })
-				n.record(Event{Kind: EvRequeue, Task: id, Peer: s.name})
-			}
-			n.stats.Requeued += int64(len(ids))
-			s.outstanding = make(map[uint64]Task)
-			n.wakeLocked()
+		ids := make([]uint64, 0, len(s.outstanding))
+		for id := range s.outstanding {
+			ids = append(ids, id)
 		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		for _, id := range ids {
+			n.requeueLocked(s, s.outstanding[id], false)
+		}
+		clear(s.outstanding)
 	}
 	n.children = kept
 
@@ -97,9 +87,7 @@ func (n *Node) nextChunk() *childSession {
 			continue
 		}
 		switch {
-		// A transfer with every byte written is awaiting its final ack:
-		// the port is free, but the child is not ready for a fresh task.
-		case s.active != nil && !s.active.sentAll:
+		case s.active != nil:
 			if n.cfg.NonInterruptible {
 				// Run-to-completion: an unfinished transfer owns the port.
 				n.mu.Unlock()
@@ -108,7 +96,9 @@ func (n *Node) nextChunk() *childSession {
 			if better(s, best) {
 				best, bestFresh = s, false
 			}
-		case s.active == nil && s.pending > 0 && haveTask:
+		// A child whose last transfer was handed off is served again on
+		// its next pending request: the port never waits on a round trip.
+		case s.pending > 0 && haveTask:
 			if better(s, best) {
 				best, bestFresh = s, true
 			}
@@ -126,7 +116,7 @@ func (n *Node) nextChunk() *childSession {
 		// child's transfer is unfinished is an interruption.
 		interrupted := false
 		for _, s := range n.children {
-			if s != best && s.active != nil && !s.active.sentAll {
+			if s != best && s.active != nil {
 				if !interrupted {
 					n.stats.Interrupts++
 					interrupted = true
@@ -180,41 +170,75 @@ func (n *Node) wakeLocked() {
 	}
 }
 
+// requeueLocked returns a transfer's task to the pool for re-dispatch,
+// behind everything already buffered. withRequest also re-registers the
+// request the dispatch consumed: the child never received the task, so
+// the buffer slot it asked for is still waiting. The caller takes the
+// transfer off the session and holds n.mu.
+func (n *Node) requeueLocked(s *childSession, tr *outTransfer, withRequest bool) {
+	n.buffer.push(tr.task)
+	n.record(Event{Kind: EvRequeue, Task: tr.task.ID, Peer: s.name})
+	n.bumpApp(tr.task.App, func(a *AppStats) { a.Requeued++ })
+	n.stats.Requeued++
+	if withRequest {
+		s.pending++
+		n.record(Event{Kind: EvRequestServed, Peer: s.name, Value: 1})
+	}
+	n.wakeLocked()
+}
+
 // sendChunk streams up to chunkBatch chunks of s's active transfer in
 // one batched write, measures the time it took (including any emulated
 // link delay), and updates the child's measured link speed — the only
 // information the priority uses. Preemption still happens between port
 // turns: a turn commits to at most one batch on one child.
+//
+// The turn that builds a transfer's final chunk hands the task off before
+// writing it: the transfer moves from active to outstanding and the port
+// is free, so a child with further pending requests is served back to
+// back instead of one ack round trip apart. Registering the task first is
+// what keeps even the fastest child's result from arriving unexpected; a
+// failed final write needs no path of its own, because the revive
+// reconciliation and the grace-expiry reclaim already cover outstanding.
 func (n *Node) sendChunk(s *childSession) {
-	n.mu.Lock()
-	tr := s.active
-	c := s.c
-	if tr == nil || tr.sentAll || s.gone {
-		n.mu.Unlock()
-		return
-	}
-	payload := tr.task.Payload
-	offset := tr.offset
-	if tr.resumed {
-		// First chunk after a preemption, reconnect resume, or
-		// retransmit-from-top: a new transfer segment begins here, and its
-		// trace context replaces the original dispatch's on the wire.
-		tr.traceSeq = n.record(Event{Kind: EvChunkResume, Task: tr.task.ID,
-			Peer: s.name, Off: offset})
-		tr.resumed = false
-	}
-	traceSeq := tr.traceSeq
-	task := tr.task
-	n.mu.Unlock()
-
-	// Build the turn's chunk frames into the port's reusable scratch. An
-	// empty payload still takes exactly one (empty, Last) chunk.
 	batch := chunkBatch
 	if n.cfg.LinkDelay != nil {
 		// The emulated delay is charged per chunk; batching would fold a
 		// whole batch under one delay and skew the measured priorities.
 		batch = 1
 	}
+
+	n.mu.Lock()
+	tr := s.active
+	c := s.c
+	if tr == nil || s.gone {
+		n.mu.Unlock()
+		return
+	}
+	task := tr.task
+	payload := task.Payload
+	offset := tr.offset
+	if tr.resumed {
+		// First chunk after a preemption or a reconnect resume: a new
+		// transfer segment begins here, and its trace context replaces the
+		// original dispatch's on the wire.
+		tr.traceSeq = n.record(Event{Kind: EvChunkResume, Task: task.ID,
+			Peer: s.name, Off: offset})
+		tr.resumed = false
+	}
+	if len(payload)-offset <= batch*n.cfg.ChunkSize {
+		// The hand-off opens the transfer's last segment, so the child's
+		// task-received names it as its cause and no merged timeline can
+		// order anything the child does with the task before it.
+		tr.traceSeq = n.record(Event{Kind: EvHandoff, Task: task.ID, Peer: s.name, Off: offset})
+		s.outstanding[task.ID] = tr
+		s.active = nil
+	}
+	traceSeq := tr.traceSeq
+	n.mu.Unlock()
+
+	// Build the turn's chunk frames into the port's reusable scratch. An
+	// empty payload still takes exactly one (empty, Last) chunk.
 	if cap(n.portMsgs) < batch {
 		n.portMsgs = make([]message, batch)
 		n.portFrames = make([]*message, 0, batch)
@@ -247,10 +271,10 @@ func (n *Node) sendChunk(s *childSession) {
 		frames = append(frames, &msgs[i])
 	}
 
+	var delay time.Duration
 	if n.cfg.LinkDelay != nil { // this turn is a single chunk
-		if d := n.cfg.LinkDelay(s.name); d > 0 {
-			time.Sleep(d)
-		}
+		delay = n.cfg.LinkDelay(s.name)
+		n.paceChunk(delay)
 	}
 	start := time.Now()
 	accepted, err := c.sendBatch(frames)
@@ -258,39 +282,44 @@ func (n *Node) sendChunk(s *childSession) {
 	if accepted > 1 {
 		perChunk /= time.Duration(accepted)
 	}
-	s.link.observe(perChunk + delayOf(n.cfg.LinkDelay, s.name))
+	// The configured delay, not the time slept, is folded into the
+	// measured chunk time, so priorities reflect the link and not the
+	// pacing clock's catching up.
+	s.link.observe(perChunk + delay)
 
 	// The accepted prefix of the batch is on the wire (or scripted as
 	// dropped, which sequential sends also count as progress); advance the
-	// transfer that far even when the tail failed — the chunk-ack /
-	// resume machinery recovers the rest. The session may have been
-	// revived on a newer connection mid-send; only the owning connection
-	// may advance the transfer.
+	// transfer that far even when the tail failed — the reconnect hello's
+	// resume offer recovers the rest. The session may have been revived on
+	// a newer connection mid-send; only the owning connection may advance
+	// the transfer, and a handed-off one is no longer the port's.
 	n.mu.Lock()
 	if accepted > 0 && s.c == c && s.active == tr {
 		lastFrame := frames[accepted-1]
 		tr.offset = lastFrame.Offset + len(lastFrame.Data)
-		if lastFrame.Last {
-			// Every byte is written, but the task becomes the child's
-			// responsibility only when the final chunk is acked (or a
-			// reconnect handshake proves receipt).
-			tr.sentAll = true
-		}
 	}
 	n.mu.Unlock()
 
 	if err != nil {
-		// The child is unreachable; the grace window starts now and the
-		// task is reclaimed when it expires.
+		// The child is unreachable; the grace window starts now and its
+		// tasks are reclaimed when it expires.
 		n.markChildGone(s, c)
 	}
 }
 
-// delayOf folds the emulated link delay into the measured chunk time so
-// priorities reflect it.
-func delayOf(fn func(string) time.Duration, name string) time.Duration {
-	if fn == nil {
-		return 0
+// paceChunk charges one chunk of the emulated link to the port's
+// schedule and sleeps until it is due. The schedule runs for as long as
+// the port stays busy (sendPort restarts it whenever the port idles), so
+// a late wake-up or a slow write shortens the next sleep instead of adding
+// to every chunk: k back-to-back chunks take k·d plus one overshoot, never
+// less than k·d, and idle time is never credit.
+func (n *Node) paceChunk(d time.Duration) {
+	if d <= 0 {
+		return
 	}
-	return fn(name)
+	if n.portDue.IsZero() {
+		n.portDue = time.Now()
+	}
+	n.portDue = n.portDue.Add(d)
+	time.Sleep(time.Until(n.portDue))
 }

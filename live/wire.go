@@ -33,10 +33,13 @@ const (
 	// kindHeartbeat is a liveness probe sent on an otherwise idle link in
 	// both directions; any inbound frame counts as proof of life.
 	kindHeartbeat
-	// kindChunkAck confirms receipt of a chunk (child → parent). The
-	// parent treats a task as the child's responsibility only once the
-	// final chunk is acked, and resumes interrupted transfers from the
-	// last acknowledged offset after a reconnect.
+	// kindChunkAck confirms receipt of a task's final chunk (child →
+	// parent), one per task. Nothing waits on it: the parent hands the
+	// task off when it writes that chunk, and an interrupted transfer
+	// resumes from the offset the reconnect hello offers. It is proof of
+	// receipt for a later revive and the recorder's end of the transfer.
+	// (A child that predates this acks every chunk; the extra acks are
+	// ignored.)
 	kindChunkAck
 	// kindHelloAck answers a hello (parent → child): whether the parent
 	// revived the child's previous session and which partial transfers it
@@ -87,7 +90,8 @@ type message struct {
 	N int
 
 	// Chunk and ChunkAck. A ChunkAck's Offset is the contiguous byte
-	// count the child holds; Last marks the final ack of a transfer.
+	// count the child holds; Last marks the final ack of a transfer, the
+	// only one a child sends.
 	Task   uint64
 	Size   int // total payload size, set on every chunk
 	Offset int
