@@ -38,6 +38,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -356,11 +357,11 @@ func (r *Result) TotalBuffers() int64 {
 	return sum
 }
 
-// shelf is a preempted transfer: remaining send time to a child, plus the
-// request-arrival time that FCFS ordering uses and the application tag of
-// the task in flight.
+// shelf is a preempted transfer toward a node, kept in that node's own
+// state (a child has at most one transfer in flight or shelved):
+// remaining send time, plus the request-arrival time that FCFS ordering
+// uses and the application tag of the task in flight.
 type shelf struct {
-	child     int32
 	remaining sim.Time
 	since     sim.Time
 	app       int32
@@ -368,6 +369,16 @@ type shelf struct {
 
 // nodeState is the runtime state of one platform node.
 type nodeState struct {
+	// w, c and parent mirror the tree (Mutations update both), so the
+	// event path never calls into package tree.
+	w, c   int64
+	parent int32
+
+	// children lists the live children: in tree order under FCFS,
+	// RoundRobin and Random, and in priority order — ascending c
+	// (BandwidthCentric) or w (ComputeCentric), ties by ID — under the
+	// two orders whose key is static. sortChildren restores that order
+	// wherever a key or the list changes: initNodes and Mutations.
 	children []int32
 
 	capacity    int64 // current buffer count
@@ -388,7 +399,12 @@ type nodeState struct {
 	sending   int32 // child currently being sent to, or noChild
 	sendEv    *sim.Event
 	sendSince sim.Time // request time backing the current send (FCFS)
-	shelves   []shelf
+	shelves   int      // children with a shelved transfer
+
+	// shelved is true while a preempted transfer toward this node waits
+	// at its parent, described by shelf.
+	shelved bool
+	shelf   shelf
 
 	// childReqCount counts children with reqPending > 0, so growth checks
 	// are O(1).
@@ -423,6 +439,7 @@ type engine struct {
 	s     *sim.Simulator
 	nodes []nodeState
 	rng   *rand.Rand
+	src   *rand.PCG // rng's source, so a test can rewind it
 
 	trace Tracer
 	met   Metrics
@@ -501,7 +518,7 @@ func Run(cfg Config) (*Result, error) {
 
 // reset rebuilds e for a new run, recycling the buffers that matter:
 // the simulator's event free list, the nodes table (initNodes reuses the
-// per-element child and shelf arrays), completions, checkpoints and the
+// per-element child arrays), completions, checkpoints and the
 // node-statistics buffer. Every other field restarts at its zero value.
 func (e *engine) reset(cfg Config) {
 	// The engine only writes to the tree when the config carries mid-run
@@ -532,7 +549,8 @@ func (e *engine) run(cfg Config) (*Result, error) {
 	}
 	e.reset(cfg)
 	if cfg.Protocol.Order == protocol.Random {
-		e.rng = rand.New(rand.NewPCG(cfg.Seed, 0xda3e39cb94b95bdb))
+		e.src = rand.NewPCG(cfg.Seed, 0xda3e39cb94b95bdb)
+		e.rng = rand.New(e.src)
 	}
 	if len(cfg.Workloads) > 0 {
 		e.multi = true
@@ -691,11 +709,13 @@ func (e *engine) initNodes(from int) {
 	for id := from; id < n; id++ {
 		kids := e.t.Children(tree.NodeID(id))
 		ns := &e.nodes[id]
-		// Recycle the element's child and shelf backing arrays across runs
-		// (a Runner keeps the nodes table; fresh elements start nil).
+		// Recycle the element's child backing array across runs (a Runner
+		// keeps the nodes table; fresh elements start nil).
 		children := ns.children[:0]
-		shelves := ns.shelves[:0]
 		*ns = nodeState{
+			w:           e.t.W(tree.NodeID(id)),
+			c:           e.t.C(tree.NodeID(id)),
+			parent:      int32(e.t.Parent(tree.NodeID(id))),
 			capacity:    int64(e.cfg.Protocol.InitialBuffers),
 			maxCapacity: int64(e.cfg.Protocol.InitialBuffers),
 			sending:     noChild,
@@ -704,7 +724,6 @@ func (e *engine) initNodes(from int) {
 			children = append(children, int32(k))
 		}
 		ns.children = children
-		ns.shelves = shelves
 		if e.multi {
 			ns.occApp = make([]int64, len(e.cfg.Workloads))
 			ns.appCredit = make([]int64, len(e.cfg.Workloads))
@@ -722,7 +741,23 @@ func (e *engine) initNodes(from int) {
 				children[i] = int32(k)
 			}
 			e.nodes[id].children = children
+			e.sortChildren(int32(id))
 		}
+	}
+	// Once every new node's key is in the table.
+	for id := from; id < n; id++ {
+		e.sortChildren(int32(id))
+	}
+}
+
+// sortChildren puts node n's child list in priority order when the
+// protocol's order has a static key; the other orders keep tree order.
+func (e *engine) sortChildren(n int32) {
+	switch e.cfg.Protocol.Order {
+	case protocol.BandwidthCentric, protocol.ComputeCentric:
+		slices.SortFunc(e.nodes[n].children, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(e.priorityKey(a, 0), e.priorityKey(b, 0)), cmp.Compare(a, b))
+		})
 	}
 }
 
@@ -811,12 +846,10 @@ func (e *engine) request(n int32) {
 	if e.trace != nil {
 		e.trace.Requested(e.s.Now(), tree.NodeID(n))
 	}
-	parent := int32(e.t.Parent(tree.NodeID(n)))
-	ps := &e.nodes[parent]
 	if ns.reqPending == 1 {
-		ps.childReqCount++
+		e.nodes[ns.parent].childReqCount++
 	}
-	e.trySchedule(parent)
+	e.trySchedule(ns.parent)
 }
 
 // requestInitial issues node n's startup requests, one per empty buffer,
@@ -827,8 +860,7 @@ func (e *engine) requestInitial(n int32) {
 	ns.reqPending = ns.capacity
 	ns.reqSince = 0
 	ns.stat.Requests += ns.capacity
-	parent := int32(e.t.Parent(tree.NodeID(n)))
-	e.nodes[parent].childReqCount++
+	e.nodes[ns.parent].childReqCount++
 }
 
 // growBuffer adds one buffer to node n under the growth protocol and
@@ -972,11 +1004,17 @@ func (e *engine) atCompletion() {
 		if e.nodes[m.Node].departed {
 			e.skippedMut++
 		} else {
+			ns := &e.nodes[m.Node]
 			if m.W > 0 {
 				e.t.SetW(m.Node, m.W)
+				ns.w = m.W
 			}
 			if m.C > 0 {
 				e.t.SetC(m.Node, m.C)
+				ns.c = m.C
+			}
+			if m.Node != e.t.Root() {
+				e.sortChildren(ns.parent)
 			}
 		}
 		e.mutIdx++
@@ -1028,7 +1066,7 @@ func (e *engine) trySchedule(n int32) {
 		}
 		ns.computing = true
 		e.met.ComputesStarted++
-		ns.computeEv = e.s.Schedule(sim.Time(e.t.W(tree.NodeID(n))), evComputeComplete, n, 0)
+		ns.computeEv = e.s.Schedule(sim.Time(ns.w), evComputeComplete, n, 0)
 		if e.trace != nil {
 			e.trace.ComputeStart(e.s.Now(), tree.NodeID(n), ns.computeEv.At())
 		}
@@ -1043,7 +1081,7 @@ func (e *engine) trySchedule(n int32) {
 		if best < 0 {
 			return
 		}
-		if !e.higherPriority(n, best, isShelf, ns.sending, ns.sendSince) {
+		if !e.higherPriority(best, isShelf, ns.sending, ns.sendSince) {
 			return
 		}
 		// Preempt: shelve the in-flight transfer with its remaining time.
@@ -1051,9 +1089,11 @@ func (e *engine) trySchedule(n int32) {
 			e.tlSendStop(n)
 		}
 		remaining := e.s.Cancel(ns.sendEv)
-		ns.shelves = append(ns.shelves, shelf{child: ns.sending, remaining: remaining, since: ns.sendSince, app: ns.sendingApp})
-		if len(ns.shelves) > ns.stat.MaxShelved {
-			ns.stat.MaxShelved = len(ns.shelves)
+		cur := &e.nodes[ns.sending]
+		cur.shelved, cur.shelf = true, shelf{remaining: remaining, since: ns.sendSince, app: ns.sendingApp}
+		ns.shelves++
+		if ns.shelves > ns.stat.MaxShelved {
+			ns.stat.MaxShelved = ns.shelves
 		}
 		ns.stat.Interrupted++
 		e.met.SendsInterrupted++
@@ -1075,28 +1115,26 @@ func (e *engine) trySchedule(n int32) {
 // startSend begins (or resumes) a transfer from n to child c.
 func (e *engine) startSend(n, c int32, fromShelf bool) {
 	ns := &e.nodes[n]
-	if fromShelf {
-		for i := range ns.shelves {
-			if ns.shelves[i].child == c {
-				sh := ns.shelves[i]
-				ns.shelves = append(ns.shelves[:i], ns.shelves[i+1:]...)
-				ns.sending = c
-				ns.sendSince = sh.since
-				ns.sendingApp = sh.app
-				e.met.SendsResumed++
-				if e.tl != nil {
-					e.tlSendStart(n)
-				}
-				ns.sendEv = e.s.Schedule(sh.remaining, evSendComplete, n, c)
-				if e.trace != nil {
-					e.trace.SendStart(e.s.Now(), tree.NodeID(n), tree.NodeID(c), ns.sendEv.At(), true)
-				}
-				return
-			}
-		}
-		panic("engine: resume of missing shelf")
-	}
 	cs := &e.nodes[c]
+	if fromShelf {
+		if !cs.shelved {
+			panic("engine: resume of missing shelf")
+		}
+		cs.shelved = false
+		ns.shelves--
+		ns.sending = c
+		ns.sendSince = cs.shelf.since
+		ns.sendingApp = cs.shelf.app
+		e.met.SendsResumed++
+		if e.tl != nil {
+			e.tlSendStart(n)
+		}
+		ns.sendEv = e.s.Schedule(cs.shelf.remaining, evSendComplete, n, c)
+		if e.trace != nil {
+			e.trace.SendStart(e.s.Now(), tree.NodeID(n), tree.NodeID(c), ns.sendEv.At(), true)
+		}
+		return
+	}
 	since := cs.reqSince
 	cs.reqPending--
 	if cs.reqPending == 0 {
@@ -1119,7 +1157,7 @@ func (e *engine) startSend(n, c int32, fromShelf bool) {
 	if e.tl != nil {
 		e.tlSendStart(n)
 	}
-	ns.sendEv = e.s.Schedule(sim.Time(e.t.C(tree.NodeID(c))), evSendComplete, n, c)
+	ns.sendEv = e.s.Schedule(sim.Time(cs.c), evSendComplete, n, c)
 	if e.trace != nil {
 		e.trace.SendStart(e.s.Now(), tree.NodeID(n), tree.NodeID(c), ns.sendEv.At(), false)
 	}
@@ -1132,46 +1170,54 @@ func (e *engine) startSend(n, c int32, fromShelf bool) {
 // false) when there is nothing to do.
 func (e *engine) bestCandidate(n int32) (child int32, isShelf bool) {
 	ns := &e.nodes[n]
-	child = -1
-	var bestKey int64
-	canFresh := e.hasTask(n)
-
-	consider := func(c int32, shelfCand bool, since sim.Time) {
-		key := e.priorityKey(n, c, since)
-		if child < 0 || key < bestKey || (key == bestKey && c < child) {
-			child, isShelf, bestKey = c, shelfCand, key
-		}
+	canFresh := ns.childReqCount > 0 && e.hasTask(n)
+	if !canFresh && ns.shelves == 0 {
+		return -1, false
 	}
-
 	switch e.cfg.Protocol.Order {
 	case protocol.RoundRobin:
 		return e.roundRobinCandidate(n, canFresh)
 	case protocol.Random:
 		return e.randomCandidate(n, canFresh)
 	}
-
-	for i := range ns.shelves {
-		consider(ns.shelves[i].child, true, ns.shelves[i].since)
-	}
-	if canFresh {
-		for _, c := range ns.children {
-			cs := &e.nodes[c]
-			if cs.reqPending > 0 && !cs.incoming {
-				consider(c, false, cs.reqSince)
-			}
+	fcfs := e.cfg.Protocol.Order == protocol.FCFS
+	child = -1
+	var oldest sim.Time
+	for _, c := range ns.children {
+		cs := &e.nodes[c]
+		if !cs.actionable(canFresh) {
+			continue
+		}
+		if !fcfs {
+			return c, cs.shelved // children are in priority order
+		}
+		since := cs.reqSince
+		if cs.shelved {
+			since = cs.shelf.since
+		}
+		if child < 0 || since < oldest || (since == oldest && c < child) {
+			child, isShelf, oldest = c, cs.shelved, since
 		}
 	}
 	return child, isShelf
 }
 
+// actionable reports whether the node's parent has something to send it:
+// its shelved transfer, or, when the parent can start a fresh one, a task
+// for a pending request with no transfer already on the way.
+func (cs *nodeState) actionable(canFresh bool) bool {
+	return cs.shelved || (canFresh && cs.reqPending > 0 && !cs.incoming)
+}
+
 // priorityKey returns the sort key (lower is higher priority) of serving
-// child c from node n under the protocol's order.
-func (e *engine) priorityKey(n, c int32, since sim.Time) int64 {
+// child c under the protocol's order; since is the arrival time of the
+// request behind the transfer, which only FCFS reads.
+func (e *engine) priorityKey(c int32, since sim.Time) int64 {
 	switch e.cfg.Protocol.Order {
 	case protocol.BandwidthCentric:
-		return e.t.C(tree.NodeID(c))
+		return e.nodes[c].c
 	case protocol.ComputeCentric:
-		return e.t.W(tree.NodeID(c))
+		return e.nodes[c].w
 	case protocol.FCFS:
 		return int64(since)
 	default:
@@ -1182,18 +1228,12 @@ func (e *engine) priorityKey(n, c int32, since sim.Time) int64 {
 // higherPriority reports whether serving cand (a shelf if candShelf) beats
 // continuing the current send to cur, whose backing request arrived at
 // curSince.
-func (e *engine) higherPriority(n, cand int32, candShelf bool, cur int32, curSince sim.Time) bool {
-	var candSince sim.Time
+func (e *engine) higherPriority(cand int32, candShelf bool, cur int32, curSince sim.Time) bool {
+	candSince := e.nodes[cand].reqSince
 	if candShelf {
-		for i := range e.nodes[n].shelves {
-			if e.nodes[n].shelves[i].child == cand {
-				candSince = e.nodes[n].shelves[i].since
-			}
-		}
-	} else {
-		candSince = e.nodes[cand].reqSince
+		candSince = e.nodes[cand].shelf.since
 	}
-	return e.priorityKey(n, cand, candSince) < e.priorityKey(n, cur, curSince)
+	return e.priorityKey(cand, candSince) < e.priorityKey(cur, curSince)
 }
 
 // roundRobinCandidate scans children cyclically from the cursor; shelved
@@ -1203,14 +1243,10 @@ func (e *engine) roundRobinCandidate(n int32, canFresh bool) (int32, bool) {
 	k := len(ns.children)
 	for i := 0; i < k; i++ {
 		c := ns.children[(ns.rrNext+i)%k]
-		if sh := e.hasShelf(n, c); sh {
-			ns.rrNext = (ns.rrNext + i + 1) % k
-			return c, true
-		}
 		cs := &e.nodes[c]
-		if canFresh && cs.reqPending > 0 && !cs.incoming {
+		if cs.actionable(canFresh) {
 			ns.rrNext = (ns.rrNext + i + 1) % k
-			return c, false
+			return c, cs.shelved
 		}
 	}
 	return -1, false
@@ -1223,27 +1259,16 @@ func (e *engine) randomCandidate(n int32, canFresh bool) (int32, bool) {
 	pickShelf := false
 	count := 0
 	for _, c := range ns.children {
-		shelf := e.hasShelf(n, c)
 		cs := &e.nodes[c]
-		fresh := canFresh && cs.reqPending > 0 && !cs.incoming
-		if !shelf && !fresh {
+		if !cs.actionable(canFresh) {
 			continue
 		}
 		count++
 		if e.rng.IntN(count) == 0 {
-			pick, pickShelf = c, shelf
+			pick, pickShelf = c, cs.shelved
 		}
 	}
 	return pick, pickShelf
-}
-
-func (e *engine) hasShelf(n, c int32) bool {
-	for i := range e.nodes[n].shelves {
-		if e.nodes[n].shelves[i].child == c {
-			return true
-		}
-	}
-	return false
 }
 
 // depart removes the subtree rooted at node from the running platform.
@@ -1268,7 +1293,7 @@ func (e *engine) depart(node tree.NodeID) {
 		lostApp = make([]int64, len(e.cfg.Workloads))
 	}
 
-	// Parent side first: cancel or unshelve the transfer toward the
+	// Parent side first: cancel the transfer in flight toward the
 	// departing root and drop its outstanding requests.
 	n32 := int32(node)
 	if ps.sending == n32 {
@@ -1282,16 +1307,6 @@ func (e *engine) depart(node tree.NodeID) {
 		ps.sending = noChild
 		ps.sendEv = nil
 		lost++
-	}
-	for i := 0; i < len(ps.shelves); i++ {
-		if ps.shelves[i].child == n32 {
-			if e.multi {
-				lostApp[ps.shelves[i].app]++
-			}
-			ps.shelves = append(ps.shelves[:i], ps.shelves[i+1:]...)
-			lost++
-			break
-		}
 	}
 	if e.nodes[node].reqPending > 0 {
 		ps.childReqCount--
@@ -1337,13 +1352,16 @@ func (e *engine) depart(node tree.NodeID) {
 			ns.sendEv = nil
 			lost++
 		}
-		lost += int64(len(ns.shelves))
-		if e.multi {
-			for i := range ns.shelves {
-				lostApp[ns.shelves[i].app]++
+		if ns.shelved {
+			// The transfer toward sid shelved at its parent goes with it —
+			// for node itself that parent survives, and must not resume it.
+			ns.shelved = false
+			e.nodes[ns.parent].shelves--
+			if e.multi {
+				lostApp[ns.shelf.app]++
 			}
+			lost++
 		}
-		ns.shelves = nil
 		ns.reqPending = 0
 		ns.childReqCount = 0
 	}

@@ -14,7 +14,7 @@ package engine
 type Metrics struct {
 	// Kernel counters, snapshotted from the sim.Simulator.
 	Events        uint64 // simulator events dispatched
-	PeakPending   int    // event-heap high-water mark
+	PeakPending   int    // event-queue high-water mark
 	FreeListHits  uint64 // event allocations served by recycling
 	EventAllocs   uint64 // event allocations that hit the heap
 	EventsCancels uint64 // events removed by cancellation (shelving, departures)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -168,5 +169,26 @@ func TestRunnerAfterMultiWorkloadRun(t *testing.T) {
 	}
 	if reused.Apps != nil {
 		t.Fatalf("single-app run reports per-app results: %+v", reused.Apps)
+	}
+}
+
+// TestColdRunStaysSmall: the package-level Run builds its Runner, and with
+// it the kernel's time ring, from nothing on every call, and internal/brute
+// and internal/steady make thousands of such calls on trees of a few
+// nodes. The ring therefore starts at one word's worth of slots and grows
+// with the delays a run schedules; a ring sized for the paper's w <= 10,000
+// up front would put 128 KiB on each of these runs. The parent commit
+// (PR 19, heap kernel) allocated 6,032 bytes for this Run.
+func TestColdRunStaysSmall(t *testing.T) {
+	const parentBytes, runs = 6032, 50
+	cfg := Config{Tree: fig1Tree(), Protocol: protocol.Interruptible(3), Tasks: 100}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		mustRun(t, cfg)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 2*parentBytes {
+		t.Fatalf("a cold Run on the Figure 1 tree allocates %d bytes, want <= %d", got, 2*parentBytes)
 	}
 }

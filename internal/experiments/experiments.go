@@ -22,6 +22,7 @@ import (
 	"bwcs/internal/optimal"
 	"bwcs/internal/protocol"
 	"bwcs/internal/randtree"
+	"bwcs/internal/rational"
 	"bwcs/internal/sim"
 	"bwcs/internal/stats"
 	"bwcs/internal/window"
@@ -266,6 +267,15 @@ func NewEvaluator() *Evaluator { return &Evaluator{r: engine.NewRunner()} }
 // experiments that need more than the outcome summary, and is valid only
 // until this Evaluator's next run.
 func (ev *Evaluator) EvaluateTree(o Options, p protocol.Protocol, index int, checkpoints []int64) (TreeOutcome, *engine.Result, error) {
+	var w rational.Rat
+	return ev.evaluate(o, p, index, checkpoints, &w)
+}
+
+// evaluate is EvaluateTree with the tree's optimal weight held by the
+// caller: computed into *weight when that is still zero (a weight never
+// is), reused otherwise. The weight depends on the tree alone, so a sweep
+// computes it during its first protocol's pass and not again.
+func (ev *Evaluator) evaluate(o Options, p protocol.Protocol, index int, checkpoints []int64, weight *rational.Rat) (TreeOutcome, *engine.Result, error) {
 	tr := randtree.TreeAt(o.Params, o.Seed, index)
 	res, err := ev.r.Run(engine.Config{
 		Tree:        tr,
@@ -277,7 +287,10 @@ func (ev *Evaluator) EvaluateTree(o Options, p protocol.Protocol, index int, che
 	if err != nil {
 		return TreeOutcome{}, nil, fmt.Errorf("tree %d under %v: %w", index, p, err)
 	}
-	series, err := window.New(res.Completions, optimal.Weight(tr))
+	if weight.IsZero() {
+		*weight = optimal.Weight(tr)
+	}
+	series, err := window.New(res.Completions, *weight)
 	if err != nil {
 		return TreeOutcome{}, nil, fmt.Errorf("tree %d under %v: %w", index, p, err)
 	}
@@ -311,7 +324,8 @@ func EvaluateTree(o Options, p protocol.Protocol, index int, checkpoints []int64
 
 // RunPopulation evaluates each protocol over the same tree population in
 // parallel and returns one Population per protocol, in order. Each
-// worker reuses one Evaluator for the whole sweep.
+// worker reuses one Evaluator for the whole sweep, and each tree's optimal
+// weight is computed once, by whichever worker meets it first.
 func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -324,6 +338,9 @@ func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) 
 	for i := range evals {
 		evals[i] = NewEvaluator()
 	}
+	// weights[i] is written during the first protocol's pass by the one
+	// worker that holds index i, and only read by later passes.
+	weights := make([]rational.Rat, o.Trees)
 	out := make([]Population, len(protos))
 	for pi, p := range protos {
 		if err := p.Validate(); err != nil {
@@ -372,7 +389,7 @@ func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) 
 			}
 		}
 		if err := parallelFor(o.Trees, workers, func(worker, i int) error {
-			oc, res, err := evals[worker].EvaluateTree(o, p, i, nil)
+			oc, res, err := evals[worker].evaluate(o, p, i, nil, &weights[i])
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -164,5 +165,50 @@ func TestSweepAggregateDeterministic(t *testing.T) {
 	b.FreeListHits, b.EventAllocs = 0, 0
 	if a != b {
 		t.Fatalf("aggregate metrics differ by worker count:\nserial:   %+v\nparallel: %+v", a, b)
+	}
+}
+
+// TestWeightReuseIndependentOfWorkers: a tree's optimal weight is computed
+// during the first protocol's pass, by whichever worker holds the tree, and
+// read by the later passes. Rows, aggregates and the summed engine metrics
+// (Schedule count folded, as above) must not depend on how many workers
+// share the passes, and every row must equal a standalone EvaluateTree,
+// which computes the weight itself.
+func TestWeightReuseIndependentOfWorkers(t *testing.T) {
+	o := tinyOptions()
+	o.Trees = 30
+	protos := Fig4Protocols()
+	var ref []Population
+	for _, workers := range []int{1, 2, 3} {
+		o.Workers = workers
+		pops, err := RunPopulation(o, protos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range pops {
+			m := pops[i].Sweep.Engine
+			m.FreeListHits, m.EventAllocs = m.FreeListHits+m.EventAllocs, 0
+			pops[i].Sweep = SweepMetrics{Engine: m} // drop the wall-clock fields
+		}
+		if ref == nil {
+			ref = pops
+			for pi, p := range protos {
+				for i, got := range pops[pi].Outcomes {
+					want, _, err := EvaluateTree(o, p, i, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%v tree %d: sweep row %+v, standalone evaluation %+v", p, i, got, want)
+					}
+				}
+			}
+			continue
+		}
+		for i := range pops {
+			if !reflect.DeepEqual(ref[i], pops[i]) {
+				t.Fatalf("%v: population differs between 1 and %d workers:\n%+v\n%+v", protos[i], workers, ref[i], pops[i])
+			}
+		}
 	}
 }

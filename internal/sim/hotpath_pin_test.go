@@ -1,16 +1,19 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // TestHotPathAllocsPinned is the allocation gate for this package: the
 // schedule/step cycle (Schedule, Step, Run, RunUntil, Cancel, and the
-// heap plumbing under them) runs allocation-free once the free list is
+// queue plumbing under them) runs allocation-free once the free list is
 // warm.
 func TestHotPathAllocsPinned(t *testing.T) {
 	s := New(nopHandler{})
 	cycle := func() {
-		// Mixed schedule ladder so push/up and remove/down/swap all
-		// move entries, plus a cancellation mid-queue.
+		// Mixed schedule ladder across several slots, plus a cancellation
+		// mid-queue.
 		e1 := s.Schedule(5, 1, 0, 0)
 		s.Schedule(3, 2, 1, 0)
 		s.Schedule(9, 3, 2, 1)
@@ -28,5 +31,18 @@ func TestHotPathAllocsPinned(t *testing.T) {
 	}
 	if s.Allocs() > 4 {
 		t.Fatalf("free list allocated %d events for a 4-deep ladder", s.Allocs())
+	}
+}
+
+// TestSimulatorFillsCacheLines: Simulators of neighbouring sweep workers
+// must not share a cache line (see the padding at the end of the struct),
+// which holds when the size is a multiple of the line that is also a size
+// class of the allocator.
+func TestSimulatorFillsCacheLines(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sized for 64-bit words")
+	}
+	if size := unsafe.Sizeof(Simulator{}); size != 256 {
+		t.Fatalf("Simulator is %d bytes, want 256: adjust its padding", size)
 	}
 }

@@ -3,19 +3,35 @@
 //
 // The paper evaluated its protocols on the Simgrid toolkit; this package
 // is the from-scratch equivalent sized to the paper's model: an integer
-// clock, a priority queue of events, and O(log n) cancellation — the
+// clock, delays that are a communication time c <= 100 or a computation
+// time w <= 10,000, and a pending set of O(nodes) events. The queue is
+// therefore a bucket queue on the clock, not a comparison heap: a ring of
+// time slots (at modulo a power-of-two span), one FIFO list per slot, and
+// an occupancy bitmap with a summary level that finds the next non-empty
+// slot in a few TrailingZeros64. Schedule, Step and Cancel are O(1) — the
 // interruptible-communication protocol shelves in-flight transfers, which
-// requires removing their completion events from the queue.
+// requires removing their completion events from the queue. The ring
+// starts at 64 slots and doubles to fit the delays a run schedules, up to
+// 16,384; a delay at or beyond that goes to a small sorted far store that
+// Step merges with the ring by (time, sequence).
 //
 // Determinism: events fire in (time, sequence) order, where sequence is
-// the order of scheduling. Two runs over the same inputs produce identical
-// event orders, which the test suite and reproducible experiments rely on.
+// the order of scheduling. Pending ring events lie within one span of the
+// clock, so a slot holds a single time value and its list, appended to
+// in scheduling order, is already in sequence order. Two runs over the
+// same inputs produce identical event orders, which the test suite and
+// reproducible experiments rely on.
 //
 // Events are allocated from an internal free list and recycled after they
 // fire or are cancelled; callers must not retain an *Event after either.
 package sim
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Time is the simulated clock in integer timesteps. All durations in the
 // paper's model (task communication and computation times) are integers,
@@ -30,13 +46,25 @@ type Kind int32
 // Event is a scheduled occurrence. Node and Child carry handler-defined
 // payload (for this repository: tree node IDs).
 type Event struct {
-	at    Time
-	seq   uint64
-	index int32 // position in the heap, -1 when not queued
-	Kind  Kind
-	Node  int32
-	Child int32
+	at         Time
+	seq        uint64
+	next, prev *Event // neighbours in the slot's circular list (ring events only)
+	index      int32  // inRing or inFar while queued, -1 when not
+	Kind       Kind
+	Node       int32
+	Child      int32
 }
+
+// Event.index values while queued.
+const (
+	inRing int32 = iota
+	inFar
+)
+
+const (
+	minSpan = 64      // the ring a Simulator starts with: one bitmap word
+	maxSpan = 1 << 14 // the ring never outgrows this; the paper's w <= 10,000 fits
+)
 
 // At returns the simulated time at which the event will fire.
 func (e *Event) At() Time { return e.at }
@@ -49,19 +77,41 @@ type Handler interface {
 // Simulator owns the clock and the pending-event queue. It is not safe
 // for concurrent use; run one Simulator per goroutine.
 type Simulator struct {
-	now     Time
-	seq     uint64
-	heap    []*Event
+	now Time
+	seq uint64
+
+	// The ring: slots[at&(len(slots)-1)] heads the circular list of the
+	// events due at at, in scheduling order. Every ring event satisfies
+	// now <= at < now+len(slots), so no two times share a slot. occ has a
+	// bit per non-empty slot and sum a bit per non-zero occ word.
+	slots []*Event
+	occ   []uint64
+	sum   [maxSpan >> 12]uint64
+	near  int // events in the ring
+
+	// far holds the events scheduled maxSpan or more ahead, sorted by
+	// (at, seq). They stay here even once the clock comes within a span
+	// of them: moving one into a slot could put it behind a later-
+	// scheduled event of the same time.
+	far []*Event
+
 	free    []*Event
 	handler Handler
 	steps   uint64
 
 	// Instrumentation counters, all maintained inline on the hot paths
 	// (an integer increment each, no allocation).
-	peakHeap  int    // most events ever queued simultaneously
-	freeHits  uint64 // Schedule calls served from the free list
-	allocs    uint64 // Schedule calls that allocated a new Event
-	cancelled uint64 // events removed by Cancel
+	peakPending int    // most events ever queued simultaneously
+	freeHits    uint64 // Schedule calls served from the free list
+	allocs      uint64 // Schedule calls that allocated a new Event
+	cancelled   uint64 // events removed by Cancel
+
+	// Pads the struct to four cache lines, a size the allocator aligns:
+	// a sweep's workers allocate their Simulators back to back, and at
+	// 208 bytes one's counters shared a line with the next one's clock,
+	// both written on every event — two workers then ran slower than one.
+	// TestSimulatorFillsCacheLines pins the size.
+	_ [48]byte
 }
 
 // New returns a simulator at time 0 that dispatches to h.
@@ -69,21 +119,23 @@ func New(h Handler) *Simulator {
 	if h == nil {
 		panic("sim: nil handler")
 	}
-	return &Simulator{handler: h}
+	s := &Simulator{handler: h}
+	s.grow(minSpan)
+	return s
 }
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
 // Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.heap) }
+func (s *Simulator) Pending() int { return s.near + len(s.far) }
 
 // Steps returns the number of events dispatched so far.
 func (s *Simulator) Steps() uint64 { return s.steps }
 
 // PeakPending returns the most events that were ever queued at once —
-// the high-water mark of the event heap.
-func (s *Simulator) PeakPending() int { return s.peakHeap }
+// the high-water mark of the event queue.
+func (s *Simulator) PeakPending() int { return s.peakPending }
 
 // FreeListHits returns how many Schedule calls reused a recycled Event.
 func (s *Simulator) FreeListHits() uint64 { return s.freeHits }
@@ -97,21 +149,22 @@ func (s *Simulator) Cancelled() uint64 { return s.cancelled }
 
 // Reset returns the simulator to time 0 with an empty queue so it can
 // run another simulation. Events still queued are recycled, and the free
-// list is kept: a sweep that reuses one Simulator per worker serves the
-// next run's Schedule calls from already-allocated events instead of
-// starting cold (see engine.Runner). The per-run instrumentation
-// counters (Steps, PeakPending, FreeListHits, Allocs, Cancelled) restart
-// at zero; FreeListHits of a warm reused simulator therefore counts
-// cross-run recycling as hits, which is the point.
+// list and the ring (at the size earlier runs grew it to) are kept: a
+// sweep that reuses one Simulator per worker serves the next run's
+// Schedule calls from already-allocated events instead of starting cold
+// (see engine.Runner). The per-run instrumentation counters (Steps,
+// PeakPending, FreeListHits, Allocs, Cancelled) restart at zero;
+// FreeListHits of a warm reused simulator therefore counts cross-run
+// recycling as hits, which is the point.
 func (s *Simulator) Reset() {
-	for _, e := range s.heap {
+	for e := s.peek(); e != nil; e = s.peek() {
+		s.dequeue(e)
 		s.recycle(e)
 	}
-	s.heap = s.heap[:0]
 	s.now = 0
 	s.seq = 0
 	s.steps = 0
-	s.peakHeap = 0
+	s.peakPending = 0
 	s.freeHits = 0
 	s.allocs = 0
 	s.cancelled = 0
@@ -139,7 +192,20 @@ func (s *Simulator) Schedule(delay Time, kind Kind, node, child int32) *Event {
 	e.Kind = kind
 	e.Node = node
 	e.Child = child
-	s.push(e)
+	if delay >= Time(len(s.slots)) && delay < maxSpan {
+		s.grow(1 << bits.Len64(uint64(delay)))
+	}
+	if delay < Time(len(s.slots)) {
+		s.link(e)
+	} else {
+		// Later-scheduled, so after every far event of the same time.
+		e.index = inFar
+		i, _ := slices.BinarySearchFunc(s.far, e, cmpEvents)
+		s.far = slices.Insert(s.far, i, e)
+	}
+	if n := s.Pending(); n > s.peakPending {
+		s.peakPending = n
+	}
 	return e
 }
 
@@ -152,7 +218,7 @@ func (s *Simulator) Cancel(e *Event) Time {
 		panic("sim: cancel of event not in queue")
 	}
 	remaining := e.at - s.now
-	s.remove(e)
+	s.dequeue(e)
 	s.recycle(e)
 	s.cancelled++
 	return remaining
@@ -160,11 +226,17 @@ func (s *Simulator) Cancel(e *Event) Time {
 
 // Step fires the next event, if any, and reports whether one fired.
 func (s *Simulator) Step() bool {
-	if len(s.heap) == 0 {
+	e := s.peek()
+	if e == nil {
 		return false
 	}
-	e := s.heap[0]
-	s.remove(e)
+	s.fire(e)
+	return true
+}
+
+// fire dispatches e, which must be what peek returned.
+func (s *Simulator) fire(e *Event) {
+	s.dequeue(e)
 	if e.at < s.now {
 		panic(fmt.Sprintf("sim: time went backwards: %d -> %d", s.now, e.at))
 	}
@@ -172,7 +244,6 @@ func (s *Simulator) Step() bool {
 	s.steps++
 	s.handler.Handle(e)
 	s.recycle(e)
-	return true
 }
 
 // Run fires events until the queue is empty or maxSteps events have fired
@@ -190,8 +261,8 @@ func (s *Simulator) Run(maxSteps uint64) uint64 {
 
 // RunUntil fires events with time <= t, then sets the clock to t.
 func (s *Simulator) RunUntil(t Time) {
-	for len(s.heap) > 0 && s.heap[0].at <= t {
-		s.Step()
+	for e := s.peek(); e != nil && e.at <= t; e = s.peek() {
+		s.fire(e)
 	}
 	if s.now < t {
 		s.now = t
@@ -199,82 +270,125 @@ func (s *Simulator) RunUntil(t Time) {
 }
 
 func (s *Simulator) recycle(e *Event) {
-	e.index = -1
 	if len(s.free) < 1024 {
 		s.free = append(s.free, e)
 	}
 }
 
-// less orders the heap by (time, scheduling sequence).
-func less(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// cmpEvents orders events by (time, scheduling sequence).
+func cmpEvents(a, b *Event) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
 
-func (s *Simulator) push(e *Event) {
-	e.index = int32(len(s.heap))
-	s.heap = append(s.heap, e)
-	if len(s.heap) > s.peakHeap {
-		s.peakHeap = len(s.heap)
+// peek returns the event that fires next — the head of the first occupied
+// slot in ring order from the clock's own, or the far store's first if
+// that one is earlier — and nil when nothing is queued.
+func (s *Simulator) peek() *Event {
+	var e *Event
+	if s.near > 0 {
+		e = s.slots[s.nextSlot()]
 	}
-	s.up(int(e.index))
+	if len(s.far) > 0 && (e == nil || cmpEvents(s.far[0], e) < 0) {
+		e = s.far[0]
+	}
+	return e
 }
 
-func (s *Simulator) remove(e *Event) {
-	i := int(e.index)
-	last := len(s.heap) - 1
-	if i != last {
-		s.heap[i] = s.heap[last]
-		s.heap[i].index = int32(i)
+// nextSlot returns the first occupied slot in ring order from the clock's
+// own, which is time order. The ring must not be empty.
+func (s *Simulator) nextSlot() int {
+	from := int(s.now) & (len(s.slots) - 1)
+	w := from >> 6
+	if m := s.occ[w] >> (from & 63); m != 0 {
+		return from + bits.TrailingZeros64(m)
 	}
-	s.heap = s.heap[:last]
-	if i != last {
-		if !s.up(i) {
-			s.down(i)
+	// The first non-empty word after w, else the first from the start of
+	// the ring — which is w itself when only bits below from remain.
+	w = nextBit(s.sum[:], w+1)
+	if w < 0 {
+		w = nextBit(s.sum[:], 0)
+	}
+	return w<<6 + bits.TrailingZeros64(s.occ[w])
+}
+
+// nextBit returns the index of the first set bit of b at or after i, or -1.
+func nextBit(b []uint64, i int) int {
+	for w := i >> 6; w < len(b); w++ {
+		m := b[w]
+		if w == i>>6 {
+			m &= ^uint64(0) << (i & 63)
+		}
+		if m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
 		}
 	}
+	return -1
+}
+
+// link appends e to the list of its time's slot.
+func (s *Simulator) link(e *Event) {
+	e.index = inRing
+	s.near++
+	i := int(e.at) & (len(s.slots) - 1)
+	h := s.slots[i]
+	if h == nil {
+		e.next, e.prev = e, e
+		s.occupy(i, e)
+		return
+	}
+	e.next, e.prev = h, h.prev
+	h.prev.next = e
+	h.prev = e
+}
+
+// occupy makes h the head of empty slot i.
+func (s *Simulator) occupy(i int, h *Event) {
+	s.slots[i] = h
+	s.occ[i>>6] |= 1 << (i & 63)
+	s.sum[i>>12] |= 1 << (i >> 6 & 63)
+}
+
+// dequeue removes a queued event from the ring or the far store.
+func (s *Simulator) dequeue(e *Event) {
+	far := e.index == inFar
 	e.index = -1
-}
-
-// up restores the heap property upward from i and reports whether the
-// element moved.
-func (s *Simulator) up(i int) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(s.heap[i], s.heap[parent]) {
-			break
-		}
-		s.swap(i, parent)
-		i = parent
-		moved = true
+	if far {
+		i, _ := slices.BinarySearchFunc(s.far, e, cmpEvents)
+		s.far = slices.Delete(s.far, i, i+1)
+		return
 	}
-	return moved
-}
-
-func (s *Simulator) down(i int) {
-	n := len(s.heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+	s.near--
+	i := int(e.at) & (len(s.slots) - 1)
+	if e.next == e {
+		s.slots[i] = nil
+		s.occ[i>>6] &^= 1 << (i & 63)
+		if s.occ[i>>6] == 0 {
+			s.sum[i>>12] &^= 1 << (i >> 6 & 63)
 		}
-		smallest := left
-		if right := left + 1; right < n && less(s.heap[right], s.heap[left]) {
-			smallest = right
+	} else {
+		e.prev.next = e.next
+		e.next.prev = e.prev
+		if s.slots[i] == e {
+			s.slots[i] = e.next
 		}
-		if !less(s.heap[smallest], s.heap[i]) {
-			return
-		}
-		s.swap(i, smallest)
-		i = smallest
 	}
+	e.next, e.prev = nil, nil
 }
 
-func (s *Simulator) swap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.heap[i].index = int32(i)
-	s.heap[j].index = int32(j)
+// grow replaces the ring with one of span slots (a power of two, larger
+// than the current ring). Each slot's list moves whole: its events share
+// one time, hence one new slot.
+func (s *Simulator) grow(span int) {
+	old := s.slots
+	s.slots = make([]*Event, span)
+	s.occ = make([]uint64, span/64)
+	s.sum = [len(s.sum)]uint64{}
+	for _, h := range old {
+		if h != nil {
+			s.occupy(int(h.at)&(span-1), h)
+		}
+	}
 }

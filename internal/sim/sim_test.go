@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand/v2"
-	"sort"
 	"testing"
 )
 
@@ -194,58 +193,29 @@ func TestEventRecyclingKeepsPayloadCorrect(t *testing.T) {
 	}
 }
 
-// TestRandomizedAgainstReferenceModel drives the heap with random
-// schedule/cancel/step operations and checks the fired sequence against a
-// sorted reference.
+// TestRandomizedAgainstReferenceModel drives the kernel with random
+// operation strings — schedules with delays below, at and beyond each ring
+// size, cancels, single steps, bounded runs, RunUntil and Reset — against
+// the reference model, and requires the trials together to have reached
+// every corner the two-store queue has.
 func TestRandomizedAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
-	for trial := 0; trial < 30; trial++ {
-		s, r := newSim()
-		type refEvent struct {
-			at   Time
-			seq  uint64
-			kind Kind
+	var cov [7]int
+	for trial := 0; trial < 60; trial++ {
+		ops := make([]byte, 1500)
+		for i := range ops {
+			ops[i] = byte(rng.UintN(256))
 		}
-		var live []*Event
-		var ref []refEvent
-		seq := uint64(0)
-		// Random interleaving of schedules and cancels.
-		for op := 0; op < 300; op++ {
-			if len(live) > 0 && rng.IntN(4) == 0 {
-				i := rng.IntN(len(live))
-				victim := live[i]
-				// Find and drop the matching reference entry.
-				for j := range ref {
-					if ref[j].seq == victim.seq {
-						ref = append(ref[:j], ref[j+1:]...)
-						break
-					}
-				}
-				s.Cancel(victim)
-				live = append(live[:i], live[i+1:]...)
-				continue
-			}
-			at := Time(rng.IntN(1000))
-			e := s.Schedule(at, Kind(op), 0, 0)
-			live = append(live, e)
-			ref = append(ref, refEvent{at, e.seq, Kind(op)})
-			seq++
+		d := newDiffer(t)
+		d.run(ops)
+		for i, n := range []int{d.cov.grows, d.cov.nearCancels, d.cov.farCancels, d.cov.farFires, d.cov.splitTies, d.cov.wraps, d.cov.fullResets} {
+			cov[i] += n
 		}
-		sort.Slice(ref, func(i, j int) bool {
-			if ref[i].at != ref[j].at {
-				return ref[i].at < ref[j].at
-			}
-			return ref[i].seq < ref[j].seq
-		})
-		s.Run(0)
-		if len(r.fired) != len(ref) {
-			t.Fatalf("trial %d: fired %d, want %d", trial, len(r.fired), len(ref))
-		}
-		for i := range ref {
-			if r.fired[i].at != ref[i].at || r.fired[i].kind != ref[i].kind {
-				t.Fatalf("trial %d: event %d = (%d,%d), want (%d,%d)",
-					trial, i, r.fired[i].at, r.fired[i].kind, ref[i].at, ref[i].kind)
-			}
+	}
+	for i, what := range []string{"ring growth", "cancel in the ring", "cancel in the far store", "fire from the far store",
+		"same-time events split across the stores", "RunUntil across a wrap of the ring", "Reset with events in both stores"} {
+		if cov[i] == 0 {
+			t.Errorf("no trial exercised: %s", what)
 		}
 	}
 }
