@@ -174,6 +174,12 @@ func TestEvaluateContextDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want wrapped context.DeadlineExceeded", err)
 	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = EvaluateContext(canceled, ExampleTree(), IC(3), 5000)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want wrapped context.Canceled", err)
+	}
 }
 
 func TestEvaluateContextUncanceled(t *testing.T) {

@@ -75,7 +75,7 @@ func exportFig5(dir string, r *experiments.Fig5Result) error {
 }
 
 func writeFile(dir, name string, fn func(io.Writer) error) error {
-	f, err := os.Create(dir + string(os.PathSeparator) + name)
+	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		return err
 	}
@@ -226,6 +226,46 @@ func experimentIDs(onlyAll bool) []string {
 	return ids
 }
 
+// artifactFlag names, for each experiment that has a machine-readable
+// form, the flag that writes it ("csv" or "json"); writeArtifacts holds
+// the writers.
+var artifactFlag = map[string]string{
+	"fig4": "csv", "fig5": "csv",
+	"paperscale": "json", "reconverge": "json",
+}
+
+// withArtifact returns those of ids whose artifact the given flag writes.
+func withArtifact(flag string, ids []string) []string {
+	var out []string
+	for _, id := range ids {
+		if artifactFlag[id] == flag {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// checkArtifactFlags rejects, before anything runs, a -csv or -json that
+// no selected experiment can honour (the sweep would run and write
+// nothing) and a -json path that two would write one over the other.
+// Two experiments may share a -csv directory: their file names differ.
+func checkArtifactFlags(ids []string, csvDir, jsonOut string) error {
+	for _, f := range []struct{ flag, value string }{{"csv", csvDir}, {"json", jsonOut}} {
+		if f.value == "" {
+			continue
+		}
+		got := withArtifact(f.flag, ids)
+		if len(got) == 0 {
+			return fmt.Errorf("-%s: none of %s has a %s artifact (only %s do)", f.flag,
+				strings.Join(ids, ","), strings.ToUpper(f.flag), strings.Join(withArtifact(f.flag, experimentIDs(false)), ", "))
+		}
+		if f.flag == "json" && len(got) > 1 {
+			return fmt.Errorf("-json %s: %s would each overwrite it; run them one at a time", f.value, strings.Join(got, " and "))
+		}
+	}
+	return nil
+}
+
 // writeArtifacts writes the machine-readable forms the -csv and -json
 // flags ask for, for the results that have one.
 func writeArtifacts(r renderer, csvDir, jsonOut string) error {
@@ -270,14 +310,30 @@ func run(args []string, out io.Writer) error {
 		churn     = fs.Int("churn", 6, "churn events per run for the churn study")
 		paper     = fs.Bool("paper", false, "use the paper's full scale (25000 trees, 10000 tasks)")
 		quiet     = fs.Bool("q", false, "suppress progress timing")
-		csvDir    = fs.String("csv", "", "also write machine-readable results (CSV/JSON) into this directory")
-		jsonOut   = fs.String("json", "", "write the experiment's JSON artifact to this path (paperscale, reconverge)")
+		csvDir    = fs.String("csv", "", "also write machine-readable results (CSV/JSON) into this directory: "+strings.Join(withArtifact("csv", experimentIDs(false)), ", "))
+		jsonOut   = fs.String("json", "", "write the experiment's JSON artifact to this path: "+strings.Join(withArtifact("json", experimentIDs(false)), ", "))
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		traceFile  = fs.String("trace", "", "write a runtime execution trace to this file")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	ids := strings.Split(*exp, ",")
+	if *exp == "all" {
+		ids = experimentIDs(true)
+	}
+	selected := make([]experiment, len(ids))
+	for i, id := range ids {
+		x := slices.IndexFunc(experimentTable, func(x experiment) bool { return x.id == id })
+		if x < 0 {
+			return fmt.Errorf("unknown experiment %q", id)
+		}
+		selected[i] = experimentTable[x]
+	}
+	if err := checkArtifactFlags(ids, *csvDir, *jsonOut); err != nil {
 		return err
 	}
 
@@ -338,28 +394,19 @@ func run(args []string, out io.Writer) error {
 		o.Workers = *workers
 	}
 
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" {
-		ids = experimentIDs(true)
-	}
-
 	e := &env{trees: *trees, tasks: *tasks, paper: *paper, graphs: *graphs, churn: *churn}
-	for i, id := range ids {
+	for i, x := range selected {
 		if i > 0 {
 			fmt.Fprintln(out, "\n"+strings.Repeat("=", 78)+"\n")
-		}
-		x := slices.IndexFunc(experimentTable, func(x experiment) bool { return x.id == id })
-		if x < 0 {
-			return fmt.Errorf("unknown experiment %q", id)
 		}
 		if *quiet {
 			o.Progress = nil
 		} else {
-			o.Progress = progressFunc(id)
+			o.Progress = progressFunc(x.id)
 		}
 		e.o = o
 		start := time.Now()
-		r, err := experimentTable[x].run(e)
+		r, err := x.run(e)
 		if err == nil {
 			err = r.Render(out)
 		}
@@ -367,10 +414,10 @@ func run(args []string, out io.Writer) error {
 			err = writeArtifacts(r, *csvDir, *jsonOut)
 		}
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return fmt.Errorf("%s: %w", x.id, err)
 		}
 		if !*quiet {
-			fmt.Fprintf(out, "\n[%s completed in %v]\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(out, "\n[%s completed in %v]\n", x.id, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	return nil

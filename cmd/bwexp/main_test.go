@@ -102,6 +102,54 @@ func TestCSVExport(t *testing.T) {
 	}
 }
 
+// TestArtifactFlagsRejectedUpFront pins that a -csv or -json nothing
+// selected can honour, or a -json two selected experiments would share,
+// fails before any experiment runs instead of running the sweep, writing
+// nothing (or one file over the other) and exiting 0.
+func TestArtifactFlagsRejectedUpFront(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out")
+	for _, c := range []struct{ exp, flag, want string }{
+		{"fig3", "-json", "none of fig3 has a JSON artifact"},
+		{"paperscale", "-csv", "none of paperscale has a CSV artifact"},
+		{"fig4,table1", "-json", "none of fig4,table1 has a JSON artifact"},
+		{"paperscale,reconverge", "-json", "paperscale and reconverge would each overwrite it"},
+	} {
+		var b strings.Builder
+		err := run(tiny(c.exp, c.flag, out), &b)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-exp %s %s: err = %v, want %q", c.exp, c.flag, err, c.want)
+		}
+		if b.Len() != 0 {
+			t.Errorf("-exp %s %s: ran before rejecting:\n%s", c.exp, c.flag, b.String())
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("-exp %s %s: wrote %s", c.exp, c.flag, out)
+		}
+	}
+	all := experimentIDs(true)
+	if err := checkArtifactFlags(all, out, out); err != nil {
+		t.Errorf("-exp all -csv -json: %v", err)
+	}
+	if err := checkArtifactFlags([]string{"fig4", "fig5"}, out, ""); err != nil {
+		t.Errorf("fig4 and fig5 write differently named files into one -csv directory: %v", err)
+	}
+}
+
+// TestDeclaredArtifactsAreWritten holds artifactFlag to writeArtifacts:
+// every experiment the table says honours a flag writes something.
+func TestDeclaredArtifactsAreWritten(t *testing.T) {
+	for id, flag := range artifactFlag {
+		out := filepath.Join(t.TempDir(), "out")
+		var b strings.Builder
+		if err := run(tiny(id, "-trees", "3", "-"+flag, out), &b); err != nil {
+			t.Fatalf("%s -%s: %v", id, flag, err)
+		}
+		if _, err := os.Stat(out); err != nil {
+			t.Errorf("%s -%s wrote nothing: %v", id, flag, err)
+		}
+	}
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-exp", "fig99"}, &b); err == nil {

@@ -240,17 +240,3 @@ func (s *searcher) search(st *state, now, makespan sim.Time) {
 		st.held[node]--
 	}
 }
-
-// Verify reports whether makespan is consistent with Search's optimum for
-// the same instance: an error means the claimed makespan beats the
-// provable optimum, i.e. the claimant's model is broken.
-func Verify(t *tree.Tree, tasks int, makespan sim.Time, o Options) error {
-	r, err := Search(t, tasks, o)
-	if err != nil {
-		return err
-	}
-	if makespan < r.Makespan {
-		return fmt.Errorf("brute: claimed makespan %d beats the provable optimum %d", makespan, r.Makespan)
-	}
-	return nil
-}

@@ -7,12 +7,10 @@ package export
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 
 	"bwcs/internal/experiments"
-	"bwcs/internal/sim"
 )
 
 // PopulationCSV writes one row per tree of a population sweep:
@@ -44,55 +42,6 @@ func PopulationCSV(w io.Writer, p *experiments.Population) error {
 			strconv.FormatInt(int64(o.Makespan), 10),
 		}
 		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// SeriesCSV writes aligned series under an x column:
-//
-//	x,<label1>,<label2>,...
-//
-// Every series must have len(xs) points.
-func SeriesCSV(w io.Writer, xName string, xs []int64, labels []string, series [][]float64) error {
-	if len(labels) != len(series) {
-		return fmt.Errorf("export: %d labels but %d series", len(labels), len(series))
-	}
-	for i, s := range series {
-		if len(s) != len(xs) {
-			return fmt.Errorf("export: series %q has %d points, want %d", labels[i], len(s), len(xs))
-		}
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{xName}, labels...)); err != nil {
-		return err
-	}
-	row := make([]string, 1+len(series))
-	for i, x := range xs {
-		row[0] = strconv.FormatInt(x, 10)
-		for j := range series {
-			row[1+j] = strconv.FormatFloat(series[j][i], 'g', -1, 64)
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// CompletionsCSV writes a run's completion times, one row per task:
-//
-//	task,time
-func CompletionsCSV(w io.Writer, completions []sim.Time) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"task", "time"}); err != nil {
-		return err
-	}
-	for i, t := range completions {
-		if err := cw.Write([]string{strconv.Itoa(i + 1), strconv.FormatInt(int64(t), 10)}); err != nil {
 			return err
 		}
 	}

@@ -8,7 +8,6 @@ import (
 
 	"bwcs/internal/experiments"
 	"bwcs/internal/protocol"
-	"bwcs/internal/sim"
 )
 
 func samplePopulation() experiments.Population {
@@ -47,43 +46,6 @@ func TestPopulationCSV(t *testing.T) {
 	}
 	if rows[1][10] != "9001" {
 		t.Fatalf("makespan = %v", rows[1][10])
-	}
-}
-
-func TestSeriesCSV(t *testing.T) {
-	var b strings.Builder
-	err := SeriesCSV(&b, "tasks", []int64{100, 200}, []string{"ic3", "nonic"},
-		[][]float64{{0.5, 0.75}, {0.1, 0.2}})
-	if err != nil {
-		t.Fatalf("SeriesCSV: %v", err)
-	}
-	rows, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if len(rows) != 3 || rows[0][1] != "ic3" || rows[2][2] != "0.2" {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
-func TestSeriesCSVErrors(t *testing.T) {
-	var b strings.Builder
-	if err := SeriesCSV(&b, "x", []int64{1}, []string{"a", "b"}, [][]float64{{1}}); err == nil {
-		t.Fatalf("label/series mismatch accepted")
-	}
-	if err := SeriesCSV(&b, "x", []int64{1, 2}, []string{"a"}, [][]float64{{1}}); err == nil {
-		t.Fatalf("length mismatch accepted")
-	}
-}
-
-func TestCompletionsCSV(t *testing.T) {
-	var b strings.Builder
-	if err := CompletionsCSV(&b, []sim.Time{5, 9, 14}); err != nil {
-		t.Fatalf("CompletionsCSV: %v", err)
-	}
-	rows, _ := csv.NewReader(strings.NewReader(b.String())).ReadAll()
-	if len(rows) != 4 || rows[3][0] != "3" || rows[3][1] != "14" {
-		t.Fatalf("rows = %v", rows)
 	}
 }
 
@@ -139,12 +101,6 @@ func TestWriterFailuresSurface(t *testing.T) {
 	p := samplePopulation()
 	if err := PopulationCSV(&failAfter{n: 10}, &p); err == nil {
 		t.Fatalf("PopulationCSV swallowed writer error")
-	}
-	if err := SeriesCSV(&failAfter{n: 3}, "x", []int64{1, 2}, []string{"a"}, [][]float64{{1, 2}}); err == nil {
-		t.Fatalf("SeriesCSV swallowed writer error")
-	}
-	if err := CompletionsCSV(&failAfter{n: 3}, []sim.Time{1, 2, 3}); err == nil {
-		t.Fatalf("CompletionsCSV swallowed writer error")
 	}
 	if err := PopulationsJSON(&failAfter{n: 3}, []experiments.Population{p}); err == nil {
 		t.Fatalf("PopulationsJSON swallowed writer error")

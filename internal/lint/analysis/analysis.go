@@ -15,7 +15,7 @@ import (
 
 // Analyzer describes one repo-invariant check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and ignore audits.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description: the invariant guarded and why.
 	Doc string
@@ -35,13 +35,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the package-level fact store, shared by every analyzer
-	// that runs over the package (and cached on the loader's Package, so
-	// facts survive across analyzers). goroleak, for example, records
-	// which methods retire a WaitGroup stored in a struct field, so a
-	// spawn site in one method can trust a Done in another.
-	Facts *FactStore
-
 	// Report collects one diagnostic; installed by the driver.
 	Report func(Diagnostic)
 }
@@ -51,50 +44,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Diagnostic is one finding. SuggestedFixes, when non-empty, carry
-// mechanical textual edits that resolve the finding; `bwvet -fix`
-// applies them and `bwvet -fix -diff` previews them.
+// Diagnostic is one finding.
 type Diagnostic struct {
-	Pos            token.Pos
-	Message        string
-	Analyzer       string // filled in by the driver
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one self-contained resolution of a diagnostic: a set
-// of non-overlapping text edits plus a one-line description.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText. End may
-// equal Pos for a pure insertion; NewText may be empty for a deletion.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
-}
-
-// FactStore is a package-scoped blackboard: an analyzer derives a fact
-// set once per package (keyed by an analyzer-chosen string), and later
-// queries — from the same analyzer or another — reuse it instead of
-// re-walking the AST. Stores are per-package and single-goroutine, like
-// the passes that use them.
-type FactStore struct {
-	m map[string]any
-}
-
-// Get returns the fact stored under key, or (nil, false).
-func (s *FactStore) Get(key string) (any, bool) {
-	v, ok := s.m[key]
-	return v, ok
-}
-
-// Set stores a fact under key, replacing any previous value.
-func (s *FactStore) Set(key string, v any) {
-	if s.m == nil {
-		s.m = make(map[string]any)
-	}
-	s.m[key] = v
+	Pos      token.Pos
+	Message  string
+	Analyzer string // filled in by the driver
 }

@@ -3,11 +3,11 @@
 // live under testdata/src/<path>, and every line expecting a diagnostic
 // carries a // want "regexp" comment (several per line allowed). The
 // harness runs the analyzer through the same ignore-filtering pipeline as
-// cmd/bwvet, so //lint:bwvet-ignore behavior is testable in fixtures too.
+// TestRepoInvariants, so //lint:bwvet-ignore behavior is testable in
+// fixtures too.
 package analysistest
 
 import (
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -49,50 +49,6 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, fixtures ...string
 			t.Fatalf("%s: run: %v", fix, err)
 		}
 		compare(t, fix, pkg, diags)
-	}
-}
-
-// RunFixes loads each fixture, runs the analyzer through the same
-// pipeline as Run, applies every suggested fix, and compares the result
-// for each edited file against a sibling <file>.golden. The golden file
-// is the round-trip contract for `bwvet -fix`: what the fixed source
-// must look like, byte for byte.
-func RunFixes(t *testing.T, testdata string, a *analysis.Analyzer, fixtures ...string) {
-	t.Helper()
-	for _, fix := range fixtures {
-		dir := filepath.Join(testdata, "src", filepath.FromSlash(fix))
-		l, err := loader.New(dir)
-		if err != nil {
-			t.Fatalf("%s: loader: %v", fix, err)
-		}
-		pkg, err := l.LoadDir(fix, dir)
-		if err != nil {
-			t.Fatalf("%s: load: %v", fix, err)
-		}
-		unscoped := *a
-		unscoped.Match = nil
-		diags, err := lint.Check(pkg, []*analysis.Analyzer{&unscoped})
-		if err != nil {
-			t.Fatalf("%s: run: %v", fix, err)
-		}
-		fixed, err := lint.ApplyFixes(pkg.Fset, diags)
-		if err != nil {
-			t.Fatalf("%s: apply fixes: %v", fix, err)
-		}
-		if len(fixed) == 0 {
-			t.Errorf("%s: analyzer produced no suggested fixes to round-trip", fix)
-		}
-		for name, got := range fixed {
-			want, err := os.ReadFile(name + ".golden")
-			if err != nil {
-				t.Errorf("%s: %v (suggested fixes need a golden file)", fix, err)
-				continue
-			}
-			if string(got) != string(want) {
-				t.Errorf("%s: fixed %s does not match %s.golden:\n--- got ---\n%s\n--- want ---\n%s",
-					fix, filepath.Base(name), filepath.Base(name), got, want)
-			}
-		}
 	}
 }
 

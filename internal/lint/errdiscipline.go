@@ -17,7 +17,7 @@ import (
 // where the error is uninformative or the connection is already being
 // torn down). It also requires fmt.Errorf wrapping to use %w when an
 // error is among the arguments, so errors.Is/As keep working through
-// the wrap; that finding carries a suggested fix rewriting the verb.
+// the wrap.
 var ErrDiscipline = &analysis.Analyzer{
 	Name: "errdiscipline",
 	Doc: "no silently discarded error returns in live/ and cmd/ outside " +
@@ -152,8 +152,7 @@ func calleeName(pass *analysis.Pass, call *ast.CallExpr) string {
 }
 
 // checkErrorfWrap flags fmt.Errorf calls that take an error argument
-// but use no %w verb: the wrap breaks errors.Is/As. The finding carries
-// a suggested fix rewriting the error argument's %v/%s verb to %w.
+// but use no %w verb: the wrap breaks errors.Is/As.
 func checkErrorfWrap(pass *analysis.Pass, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -167,69 +166,33 @@ func checkErrorfWrap(pass *analysis.Pass, call *ast.CallExpr) {
 		return
 	}
 	lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
+	if !ok || lit.Kind != token.STRING || hasWrapVerb(lit.Value) {
 		return
 	}
-	verbs := formatVerbs(lit.Value)
-	for _, v := range verbs {
-		if v.verb == 'w' {
+	for _, arg := range call.Args[1:] {
+		if t := pass.TypesInfo.TypeOf(arg); t != nil && isErrorType(t) {
+			pass.Reportf(call.Pos(), "fmt.Errorf wraps an error without %%w: errors.Is/As cannot see through this wrap; use %%w for the error argument")
 			return
 		}
 	}
-	errArg := -1
-	for i, arg := range call.Args[1:] {
-		if t := pass.TypesInfo.TypeOf(arg); t != nil && isErrorType(t) {
-			errArg = i
-			break
-		}
-	}
-	if errArg < 0 {
-		return
-	}
-	d := analysis.Diagnostic{
-		Pos:     call.Pos(),
-		Message: "fmt.Errorf wraps an error without %w: errors.Is/As cannot see through this wrap; use %w for the error argument",
-	}
-	if errArg < len(verbs) && (verbs[errArg].verb == 'v' || verbs[errArg].verb == 's') {
-		pos := lit.Pos() + token.Pos(verbs[errArg].offset)
-		d.SuggestedFixes = []analysis.SuggestedFix{{
-			Message:   "wrap the error with %w",
-			TextEdits: []analysis.TextEdit{{Pos: pos, End: pos + 1, NewText: []byte("w")}},
-		}}
-	}
-	pass.Report(d)
 }
 
-// formatVerb is one verb in a format string: its letter and the byte
-// offset of that letter within the raw (quoted) literal source.
-type formatVerb struct {
-	verb   byte
-	offset int
-}
-
-// formatVerbs scans the raw quoted literal for printf verbs. Escape
-// sequences are skipped wholesale so offsets stay source-accurate; %%
-// consumes no argument and is dropped.
-func formatVerbs(raw string) []formatVerb {
-	var verbs []formatVerb
+// hasWrapVerb scans the raw quoted literal for a %w verb. Escape
+// sequences and %% are skipped, so "100%%wrong" holds none.
+func hasWrapVerb(raw string) bool {
 	for i := 0; i < len(raw); i++ {
 		switch raw[i] {
 		case '\\':
 			i++ // escape sequence: the next byte is literal
 		case '%':
-			j := i + 1
-			for j < len(raw) && strings.IndexByte("#0- +.*123456789[]", raw[j]) >= 0 {
-				j++
+			i++
+			for i < len(raw) && strings.IndexByte("#0- +.*123456789[]", raw[i]) >= 0 {
+				i++
 			}
-			if j < len(raw) {
-				if raw[j] == '%' {
-					i = j
-					continue
-				}
-				verbs = append(verbs, formatVerb{verb: raw[j], offset: j})
-				i = j
+			if i < len(raw) && raw[i] == 'w' {
+				return true
 			}
 		}
 	}
-	return verbs
+	return false
 }

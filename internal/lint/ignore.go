@@ -14,22 +14,19 @@ import (
 // ignore hides an invariant violation from the next reader.
 var ignoreRE = regexp.MustCompile(`^//\s*lint:bwvet-ignore(?:[ \t]+(.*))?$`)
 
-// IgnoreDirective is one //lint:bwvet-ignore comment, with the audit
-// state the driver fills in while filtering diagnostics. `bwvet
-// -ignores` lists these.
-type IgnoreDirective struct {
-	Pos        token.Pos
-	End        token.Pos // end of the comment text
-	Line       int
-	File       string
-	Reason     string
-	Standalone bool // comment is alone on its line: it covers the next line
-	Used       bool // suppressed at least one diagnostic this run
+// ignoreDirective is one //lint:bwvet-ignore comment.
+type ignoreDirective struct {
+	pos        token.Pos
+	line       int
+	file       string
+	reason     string
+	standalone bool // comment is alone on its line: it covers the next line
+	used       bool // suppressed at least one diagnostic this run
 }
 
 // collectIgnores gathers every bwvet-ignore directive in the package.
-func collectIgnores(pkg *loader.Package) []*IgnoreDirective {
-	var directives []*IgnoreDirective
+func collectIgnores(pkg *loader.Package) []*ignoreDirective {
+	var directives []*ignoreDirective
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -38,13 +35,12 @@ func collectIgnores(pkg *loader.Package) []*IgnoreDirective {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				directives = append(directives, &IgnoreDirective{
-					Pos:        c.Pos(),
-					End:        c.End(),
-					Line:       pos.Line,
-					File:       pos.Filename,
-					Reason:     strings.TrimSpace(m[1]),
-					Standalone: onlyCommentOnLine(pos),
+				directives = append(directives, &ignoreDirective{
+					pos:        c.Pos(),
+					line:       pos.Line,
+					file:       pos.Filename,
+					reason:     strings.TrimSpace(m[1]),
+					standalone: onlyCommentOnLine(pos),
 				})
 			}
 		}
@@ -54,13 +50,12 @@ func collectIgnores(pkg *loader.Package) []*IgnoreDirective {
 
 // applyIgnores drops diagnostics covered by a well-formed ignore
 // directive (same line as the finding, or the line directly above when
-// the comment stands alone), marking every directive that earned its
-// keep. It appends a finding for each malformed directive — a
-// bwvet-ignore with no reason — and for each reasoned directive that
-// suppressed nothing: a stale ignore is a silenced alarm nobody is
-// ringing anymore, so it becomes an alarm itself, with a suggested fix
-// deleting the comment.
-func applyIgnores(pkg *loader.Package, diags []analysis.Diagnostic, directives []*IgnoreDirective) []analysis.Diagnostic {
+// the comment stands alone). It appends a finding for each malformed
+// directive — a bwvet-ignore with no reason — and for each reasoned
+// directive that suppressed nothing: a stale ignore is a silenced alarm
+// nobody is ringing anymore, so it becomes an alarm itself.
+func applyIgnores(pkg *loader.Package, diags []analysis.Diagnostic) []analysis.Diagnostic {
+	directives := collectIgnores(pkg)
 	if len(directives) == 0 {
 		return diags
 	}
@@ -69,11 +64,11 @@ func applyIgnores(pkg *loader.Package, diags []analysis.Diagnostic, directives [
 		p := pkg.Fset.Position(d.Pos)
 		hit := false
 		for _, dir := range directives {
-			if dir.Reason == "" || dir.File != p.Filename {
+			if dir.reason == "" || dir.file != p.Filename {
 				continue
 			}
-			if dir.Line == p.Line || (dir.Standalone && dir.Line+1 == p.Line) {
-				dir.Used = true
+			if dir.line == p.Line || (dir.standalone && dir.line+1 == p.Line) {
+				dir.used = true
 				hit = true
 			}
 		}
@@ -87,51 +82,21 @@ func applyIgnores(pkg *loader.Package, diags []analysis.Diagnostic, directives [
 	}
 	for _, dir := range directives {
 		switch {
-		case dir.Reason == "":
+		case dir.reason == "":
 			kept = append(kept, analysis.Diagnostic{
-				Pos:      dir.Pos,
+				Pos:      dir.pos,
 				Message:  "malformed bwvet-ignore: a suppression must state its reason (//lint:bwvet-ignore <reason>)",
 				Analyzer: "bwvet-ignore",
 			})
-		case !dir.Used:
+		case !dir.used:
 			kept = append(kept, analysis.Diagnostic{
-				Pos:      dir.Pos,
-				Message:  "stale bwvet-ignore: this suppresses no finding anymore; delete it (reason was: " + dir.Reason + ")",
+				Pos:      dir.pos,
+				Message:  "stale bwvet-ignore: this suppresses no finding anymore; delete it (reason was: " + dir.reason + ")",
 				Analyzer: "bwvet-ignore",
-				SuggestedFixes: []analysis.SuggestedFix{{
-					Message:   "delete the stale ignore comment",
-					TextEdits: []analysis.TextEdit{deleteCommentEdit(pkg.Fset, dir)},
-				}},
 			})
 		}
 	}
 	return kept
-}
-
-// deleteCommentEdit removes the directive's comment: a standalone
-// comment goes away with its whole line (newline included), an inline
-// one with the run of whitespace separating it from the code before it.
-func deleteCommentEdit(fset *token.FileSet, dir *IgnoreDirective) analysis.TextEdit {
-	start, end := dir.Pos, dir.End
-	file := fset.File(dir.Pos)
-	if file == nil {
-		return analysis.TextEdit{Pos: start, End: end}
-	}
-	if dir.Standalone {
-		start = file.LineStart(dir.Line)
-		if dir.Line < file.LineCount() {
-			end = file.LineStart(dir.Line + 1)
-		}
-		return analysis.TextEdit{Pos: start, End: end}
-	}
-	if data, err := os.ReadFile(dir.File); err == nil {
-		off := file.Offset(start)
-		for off > 0 && (data[off-1] == ' ' || data[off-1] == '\t') {
-			off--
-		}
-		start = file.Pos(off)
-	}
-	return analysis.TextEdit{Pos: start, End: end}
 }
 
 // onlyCommentOnLine reports whether nothing but whitespace precedes the

@@ -1,9 +1,8 @@
 // Package lint is bwvet's analyzer suite: custom static checks for the
 // repo invariants that neither the compiler nor a runtime test can see —
-// simulation determinism, lock discipline, context plumbing, goroutine
-// lifecycle, and error discipline. cmd/bwvet drives the suite over the
-// module and TestRepoInvariants runs it under `go test ./...`; each
-// analyzer has golden-fixture coverage under testdata/src.
+// simulation determinism, lock discipline and error discipline.
+// TestRepoInvariants runs the suite over the module under `go test
+// ./...`; each analyzer has golden-fixture coverage under testdata/src.
 //
 // False positives are suppressed with a documented escape hatch:
 //
@@ -12,7 +11,7 @@
 // on (or immediately above) the flagged line. An ignore comment without a
 // reason is itself a finding — suppressions must say why — and so is an
 // ignore that no longer suppresses anything (stale ignores accrete into
-// blind spots; `bwvet -ignores` audits them).
+// blind spots).
 package lint
 
 import (
@@ -26,8 +25,6 @@ import (
 var Analyzers = []*analysis.Analyzer{
 	SimDeterminism,
 	LockDiscipline,
-	CtxFlow,
-	GoroLeak,
 	ErrDiscipline,
 }
 
@@ -36,19 +33,6 @@ var Analyzers = []*analysis.Analyzer{
 // //lint:bwvet-ignore filtering (plus findings about malformed or stale
 // ignore comments), sorted by position.
 func Check(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	diags, _, err := check(pkg, analyzers)
-	return diags, err
-}
-
-// Ignores runs the given analyzers over one package and returns every
-// //lint:bwvet-ignore directive it holds, each marked with whether it
-// actually suppressed a finding. `bwvet -ignores` renders this audit.
-func Ignores(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]*IgnoreDirective, error) {
-	_, directives, err := check(pkg, analyzers)
-	return directives, err
-}
-
-func check(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, []*IgnoreDirective, error) {
 	var diags []analysis.Diagnostic
 	for _, a := range analyzers {
 		if a.Match != nil && !a.Match(pkg.Path) {
@@ -60,7 +44,6 @@ func check(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]analysis.Diag
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			Facts:     &pkg.Facts,
 		}
 		name := a.Name
 		pass.Report = func(d analysis.Diagnostic) {
@@ -68,11 +51,10 @@ func check(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]analysis.Diag
 			diags = append(diags, d)
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	directives := collectIgnores(pkg)
-	diags = applyIgnores(pkg, diags, directives)
+	diags = applyIgnores(pkg, diags)
 	fset := pkg.Fset
 	sort.SliceStable(diags, func(i, j int) bool {
 		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
@@ -84,5 +66,5 @@ func check(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]analysis.Diag
 		}
 		return pi.Column < pj.Column
 	})
-	return diags, directives, nil
+	return diags, nil
 }

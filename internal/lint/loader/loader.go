@@ -18,8 +18,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"bwcs/internal/lint/analysis"
 )
 
 // Package is one parsed, type-checked package.
@@ -30,12 +28,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// Facts is the package-level fact store shared by every analyzer pass
-	// over this package; it lives on the Package (not the Pass) so facts
-	// one analyzer derives — say, which methods retire a struct-field
-	// WaitGroup — survive for the analyzers that run after it.
-	Facts analysis.FactStore
 }
 
 // Loader loads packages of a single module.
@@ -75,7 +67,7 @@ func New(dir string) (*Loader, error) {
 func (l *Loader) ModulePath() string { return l.modPath }
 
 // ModuleRoot returns the module's root directory (the one holding
-// go.mod); SARIF output makes file URIs relative to it.
+// go.mod).
 func (l *Loader) ModuleRoot() string { return l.modRoot }
 
 // findModule walks up from dir to the enclosing go.mod.

@@ -65,7 +65,7 @@ func TestExpandSkipsTestdataAndHiddenDirs(t *testing.T) {
 			t.Errorf("testdata leaked into expansion: %s", p)
 		}
 	}
-	for _, want := range []string{"bwcs", "bwcs/live", "bwcs/internal/lint", "bwcs/cmd/bwvet"} {
+	for _, want := range []string{"bwcs", "bwcs/live", "bwcs/internal/lint", "bwcs/cmd/bwnode"} {
 		if !seen[want] {
 			t.Errorf("expansion missing %s (got %d packages)", want, len(paths))
 		}

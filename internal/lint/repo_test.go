@@ -14,9 +14,9 @@ import (
 	"bwcs/internal/lint/loader"
 )
 
-// TestRepoInvariants is `bwvet ./...` under tier-1: the whole suite over
-// every package of the module, so `go test ./...` alone catches a broken
-// invariant (a finding with a pending -fix is still a finding here).
+// TestRepoInvariants is bwvet's only driver: the whole suite over every
+// package of the module, so `go test ./...` alone catches a broken
+// invariant.
 func TestRepoInvariants(t *testing.T) {
 	l, err := loader.New(".")
 	if err != nil {

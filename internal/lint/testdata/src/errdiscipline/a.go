@@ -1,6 +1,6 @@
 // Fixture for the errdiscipline analyzer: silently discarded errors are
 // findings outside the teardown allowlist, and fmt.Errorf wrapping must
-// use %w (with a suggested fix rewriting the verb — see a.go.golden).
+// use %w.
 package errdiscipline
 
 import (
@@ -38,6 +38,10 @@ func reasoned() {
 
 func wrap(err error) error {
 	return fmt.Errorf("decode %q failed: %v", "frame", err) // want "fmt.Errorf wraps an error without %w"
+}
+
+func wrapEscaped(err error) error {
+	return fmt.Errorf("100%%wrong: %v", err) // want "fmt.Errorf wraps an error without %w"
 }
 
 func wrapOK(err error) error {

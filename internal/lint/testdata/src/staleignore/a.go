@@ -1,7 +1,6 @@
 // Fixture for stale-ignore detection, exercised through lockdiscipline:
 // a reasoned ignore that suppresses a live finding is kept quiet, but
-// one whose finding has since been fixed becomes a finding itself, with
-// a suggested fix deleting the comment (see a.go.golden).
+// one whose finding has since been fixed becomes a finding itself.
 package staleignore
 
 import "sync"

@@ -137,15 +137,6 @@ func Min(x, y Rat) Rat {
 	return y
 }
 
-// Sum returns the sum of all values. Sum of no values is 0.
-func Sum(vs ...Rat) Rat {
-	acc := new(big.Rat)
-	for _, v := range vs {
-		acc.Add(acc, v.big())
-	}
-	return Rat{acc}
-}
-
 // Float64 returns the nearest float64 to x. Intended for reporting and
 // plotting only; scheduling decisions must use exact comparisons.
 func (x Rat) Float64() float64 {

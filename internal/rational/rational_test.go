@@ -65,8 +65,6 @@ func TestArithmeticBasics(t *testing.T) {
 		{"neg", New(3, 7).Neg(), New(-3, 7)},
 		{"normalize", New(4, 8), New(1, 2)},
 		{"negden", New(1, -2), New(-1, 2)},
-		{"sum", Sum(New(1, 2), New(1, 3), New(1, 6)), One()},
-		{"sum-empty", Sum(), Zero()},
 		{"max", Max(New(1, 2), New(2, 3)), New(2, 3)},
 		{"min", Min(New(1, 2), New(2, 3)), New(1, 2)},
 	}

@@ -42,18 +42,6 @@ func Min(vs []int64) int64 {
 	return slices.Min(vs)
 }
 
-// Mean returns the arithmetic mean of vs. It panics on an empty slice.
-func Mean(vs []int64) float64 {
-	if len(vs) == 0 {
-		panic("stats: mean of empty slice")
-	}
-	var sum int64
-	for _, v := range vs {
-		sum += v
-	}
-	return float64(sum) / float64(len(vs))
-}
-
 // Jain returns Jain's fairness index over the allocations xs:
 // (Σx)² ⁄ (n·Σx²). The index is 1 when every allocation is equal and
 // approaches 1/n as one allocation dominates; it is 0 when all

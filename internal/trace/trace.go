@@ -166,16 +166,6 @@ func OfKind(k Kind) func(Event) bool {
 	return func(e Event) bool { return e.Kind == k }
 }
 
-// ByNode returns a predicate matching the acting node.
-func ByNode(n tree.NodeID) func(Event) bool {
-	return func(e Event) bool { return e.Node == n }
-}
-
-// Between returns a predicate matching events in [from, to].
-func Between(from, to sim.Time) func(Event) bool {
-	return func(e Event) bool { return e.At >= from && e.At <= to }
-}
-
 // Counts returns how many events of each kind were recorded.
 func (r *Recorder) Counts() map[Kind]int {
 	out := make(map[Kind]int)
@@ -183,16 +173,6 @@ func (r *Recorder) Counts() map[Kind]int {
 		out[e.Kind]++
 	}
 	return out
-}
-
-// WriteLog writes every event, one per line.
-func (r *Recorder) WriteLog(w io.Writer) error {
-	for _, e := range r.events {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Timeline renders a per-node text Gantt chart of the interval [from, to],

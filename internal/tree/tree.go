@@ -244,44 +244,6 @@ func (t *Tree) Attach(parent NodeID, sub *Tree, c int64) NodeID {
 	return newRoot
 }
 
-// Detach removes the subtree rooted at id (which must not be the root) and
-// returns it as an independent tree plus a remainder tree; t itself is not
-// modified. Both results are freshly indexed; detachedIDs and remainderIDs
-// map old IDs to new ones (entries for nodes absent from that result are
-// None). This models resources leaving a running overlay.
-func (t *Tree) Detach(id NodeID) (detached, remainder *Tree, detachedIDs, remainderIDs []NodeID) {
-	t.mustHave(id)
-	if id == t.Root() {
-		panic("tree: cannot detach the root")
-	}
-	inSub := make([]bool, len(t.nodes))
-	for _, n := range t.Subtree(id) {
-		inSub[n] = true
-	}
-	detachedIDs = make([]NodeID, len(t.nodes))
-	remainderIDs = make([]NodeID, len(t.nodes))
-	for i := range detachedIDs {
-		detachedIDs[i] = None
-		remainderIDs[i] = None
-	}
-	detached = New(t.W(id))
-	detachedIDs[id] = detached.Root()
-	remainder = New(t.W(t.Root()))
-	remainderIDs[t.Root()] = remainder.Root()
-	t.Walk(func(n NodeID) bool {
-		switch {
-		case n == t.Root() || n == id:
-			// Already created as the respective roots.
-		case inSub[n]:
-			detachedIDs[n] = detached.AddChild(detachedIDs[t.Parent(n)], t.W(n), t.C(n))
-		default:
-			remainderIDs[n] = remainder.AddChild(remainderIDs[t.Parent(n)], t.W(n), t.C(n))
-		}
-		return true
-	})
-	return detached, remainder, detachedIDs, remainderIDs
-}
-
 // Validate checks structural invariants: dense IDs, a single root at ID 0,
 // consistent parent/child links, correct depths, and positive weights. A
 // tree built only through this package's API always validates; Validate

@@ -73,7 +73,6 @@ func TestConstructionPanics(t *testing.T) {
 		{"setW zero", func() { buildSample().SetW(1, 0) }},
 		{"setC root", func() { buildSample().SetC(0, 1) }},
 		{"setC zero", func() { buildSample().SetC(1, 0) }},
-		{"detach root", func() { buildSample().Detach(0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -201,41 +200,6 @@ func TestAttach(t *testing.T) {
 	}
 }
 
-func TestDetach(t *testing.T) {
-	tr := buildSample()
-	det, rem, detIDs, remIDs := tr.Detach(1)
-	if tr.Len() != 5 {
-		t.Fatalf("Detach mutated the original tree")
-	}
-	if det.Len() != 3 {
-		t.Fatalf("detached Len = %d, want 3", det.Len())
-	}
-	if rem.Len() != 2 {
-		t.Fatalf("remainder Len = %d, want 2", rem.Len())
-	}
-	if err := det.Validate(); err != nil {
-		t.Fatalf("detached invalid: %v", err)
-	}
-	if err := rem.Validate(); err != nil {
-		t.Fatalf("remainder invalid: %v", err)
-	}
-	if det.W(detIDs[1]) != 3 || det.W(detIDs[3]) != 2 || det.W(detIDs[4]) != 4 {
-		t.Fatalf("detached weights wrong")
-	}
-	if det.C(detIDs[4]) != 6 {
-		t.Fatalf("detached edge weight wrong")
-	}
-	if rem.W(remIDs[0]) != 5 || rem.W(remIDs[2]) != 6 {
-		t.Fatalf("remainder weights wrong")
-	}
-	if detIDs[0] != None || detIDs[2] != None {
-		t.Fatalf("detachedIDs should be None for nodes outside the subtree")
-	}
-	if remIDs[1] != None || remIDs[3] != None || remIDs[4] != None {
-		t.Fatalf("remainderIDs should be None for nodes inside the subtree")
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	tr := buildSample()
 	if err := tr.Validate(); err != nil {
@@ -291,34 +255,6 @@ func TestPropertyRandomTreesValidate(t *testing.T) {
 		})
 		if visited != tr.Len() {
 			t.Fatalf("walk visited %d of %d", visited, tr.Len())
-		}
-	}
-}
-
-func TestPropertyDetachAttachRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 13))
-	for i := 0; i < 50; i++ {
-		tr := randomTree(rng, rng.IntN(50)+2)
-		victim := NodeID(rng.IntN(tr.Len()-1) + 1)
-		c := tr.C(victim)
-		parent := tr.Parent(victim)
-		det, rem, _, remIDs := tr.Detach(victim)
-		// Re-attach the detached subtree where it was: same node count and
-		// weight multiset as the original.
-		rem.Attach(remIDs[parent], det, c)
-		if rem.Len() != tr.Len() {
-			t.Fatalf("round trip size %d, want %d", rem.Len(), tr.Len())
-		}
-		sumW := func(tt *Tree) int64 {
-			var s int64
-			tt.Walk(func(id NodeID) bool { s += tt.W(id); return true })
-			return s
-		}
-		if sumW(rem) != sumW(tr) {
-			t.Fatalf("round trip weight sum %d, want %d", sumW(rem), sumW(tr))
-		}
-		if err := rem.Validate(); err != nil {
-			t.Fatalf("round trip invalid: %v", err)
 		}
 	}
 }

@@ -484,8 +484,7 @@ func StartConfig(cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("live: listen: %w", err)
 		}
 		n.listener = l
-		n.wg.Add(1)
-		go n.acceptLoop()
+		n.goTracked(n.acceptLoop)
 	}
 	if n.root {
 		n.results = make(chan Result, 1024)
@@ -494,20 +493,14 @@ func StartConfig(cfg Config) (*Node, error) {
 			n.Close()
 			return nil, err
 		}
-		n.wg.Add(2)
-		go n.parentSupervisor()
-		go n.resultFlusher()
+		n.goTracked(n.parentSupervisor)
+		n.goTracked(n.resultFlusher)
 	}
 
-	n.wg.Add(2)
-	go n.computeLoop()
-	go n.sendPort()
+	n.goTracked(n.computeLoop)
+	n.goTracked(n.sendPort)
 	if n.sampler != nil {
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.sampleLoop()
-		}()
+		n.goTracked(n.sampleLoop)
 	}
 	return n, nil
 }
@@ -779,14 +772,17 @@ func (n *Node) isClosed() bool {
 	}
 }
 
-// goTracked runs fn on a goroutine counted by the node's WaitGroup,
-// unless shutdown has already begun (Close flips closed under the same
-// lock before waiting, so the Add cannot race the Wait).
-func (n *Node) goTracked(fn func()) {
+// goTracked runs fn on a goroutine counted by the node's WaitGroup and
+// reports true, unless shutdown has already begun (Close flips closed
+// under the same lock before waiting, so the Add cannot race the Wait).
+// It is the only place a node goroutine starts and the only place the
+// WaitGroup is counted up or down, so none can be spawned that Close
+// does not wait for (TestGoroutinesStartTracked).
+func (n *Node) goTracked(fn func()) bool {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return
+		return false
 	}
 	n.wg.Add(1)
 	n.mu.Unlock()
@@ -794,6 +790,7 @@ func (n *Node) goTracked(fn func()) {
 		defer n.wg.Done()
 		fn()
 	}()
+	return true
 }
 
 // superviseConn watches one link: it sends a heartbeat every interval
@@ -838,7 +835,6 @@ func (n *Node) superviseConn(c *conn) {
 
 // acceptLoop admits children.
 func (n *Node) acceptLoop() {
-	defer n.wg.Done()
 	for {
 		raw, err := n.listener.Accept()
 		if err != nil {
@@ -1239,7 +1235,6 @@ func (n *Node) holdingLocked() []uint64 {
 // link dies without a shutdown, re-dials with capped exponential backoff.
 // Only exhausting every attempt makes the loss fatal.
 func (n *Node) parentSupervisor() {
-	defer n.wg.Done()
 	for {
 		n.mu.Lock()
 		c := n.parent
@@ -1251,8 +1246,7 @@ func (n *Node) parentSupervisor() {
 		_ = c.close()
 		if shutdown {
 			// Close waits on this goroutine's WaitGroup entry, so it
-			// must run detached.
-			//lint:bwvet-ignore deliberately detached: Close blocks on this goroutine's own WaitGroup entry and is idempotent
+			// must run detached; it is idempotent.
 			go n.Close()
 			return
 		}
@@ -1434,7 +1428,6 @@ func (n *Node) enqueueResultLocked(r Result) {
 // redundantly and deduplicated upstream — exactly-once is preserved by
 // the parent's dedupe, not by the flusher's timing.
 func (n *Node) resultFlusher() {
-	defer n.wg.Done()
 	var frames []*message
 	var msgs []message
 	for {
@@ -1622,7 +1615,6 @@ func (n *Node) takeTask() (Task, bool) {
 
 // computeLoop is the node's compute port: one task at a time.
 func (n *Node) computeLoop() {
-	defer n.wg.Done()
 	for {
 		t, ok := n.takeTask()
 		if !ok {

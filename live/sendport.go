@@ -14,7 +14,6 @@ import (
 // non-interruptible protocol the port sticks with a transfer until its
 // last chunk.
 func (n *Node) sendPort() {
-	defer n.wg.Done()
 	for {
 		s := n.nextChunk()
 		if s == nil {

@@ -89,11 +89,13 @@ func (n *Node) ServeStatus(addr string) (string, error) {
 	n.status = ss
 	n.mu.Unlock()
 
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
+	started := n.goTracked(func() {
 		_ = ss.srv.Serve(ln) // returns on Close
-	}()
+	})
+	if !started {
+		ln.Close() // no Serve will: the node closed first
+		return "", fmt.Errorf("live: status endpoint on a closed node")
+	}
 	return ln.Addr().String(), nil
 }
 

@@ -7,6 +7,7 @@ package bwcs_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -77,6 +78,12 @@ func TestEvaluateWorkloadsErrors(t *testing.T) {
 	dup := []bwcs.Workload{{App: "a", Tasks: 5}, {App: "a", Tasks: 5}}
 	if _, err := bwcs.EvaluateWorkloads(ctx, tr, bwcs.IC(3), dup); err == nil {
 		t.Fatalf("duplicate app accepted")
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel() // pre-canceled: the run must abort, not drain
+	two := []bwcs.Workload{{App: "a", Tasks: 2500}, {App: "b", Tasks: 2500}}
+	if _, err := bwcs.EvaluateWorkloads(canceled, bwcs.ExampleTree(), bwcs.IC(3), two); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled context: err = %v, want wrapped context.Canceled", err)
 	}
 }
 
