@@ -264,12 +264,18 @@ type Node struct {
 	mu         sync.Mutex
 	parentName string // parent's node name, learned from its hello-ack
 	parent     *conn  // current uplink; nil while disconnected (or root)
-	reqDeficit int    // requests owed to the parent, accrued while disconnected
+	// reqDeficit counts the requests owed to the parent and reqApp tags
+	// the latest; upAcks are the final-chunk acks owed on the current
+	// uplink. The uplink writer sends both with its next write.
+	reqDeficit int
+	reqApp     string
+	upAcks     []chunkAck
 	// unacked is the result ledger: every result this node owes its
 	// parent, in arrival order, retired only by a matching result ack.
-	// The flusher goroutine is its sole sender, so wire order follows
+	// The uplink writer is its sole sender, so wire order follows
 	// ledger order even across reconnects and retransmits.
 	unacked   []*resultEntry
+	due       []*resultEntry  // dueResultBatch's scratch
 	computing map[uint64]bool // tasks on the compute port right now
 	children  []*childSession
 	buffer    taskPool    // tasks awaiting dispatch; at the root, the application
@@ -282,7 +288,7 @@ type Node struct {
 
 	kick     chan struct{} // wakes the send port
 	comp     chan struct{} // wakes the compute loop
-	resKick  chan struct{} // wakes the result flusher
+	resKick  chan struct{} // wakes the uplink writer
 	done     chan struct{} // closed by Close
 	failed   chan struct{} // closed on the first fatal error
 	failOnce sync.Once
@@ -301,6 +307,9 @@ type childSession struct {
 	gone   bool
 	left   bool      // announced a deliberate departure: reclaim without grace
 	goneAt time.Time // when the link died, for the reconnect grace window
+	// admitting marks a revived session whose hello-ack is not written yet:
+	// the send port must not put a chunk on the new conn ahead of it.
+	admitting bool
 	// outstanding holds every task handed off into this child's subtree
 	// whose result has not yet come back through this node. A task has
 	// exactly one owner at every instant — active xor outstanding — and
@@ -340,6 +349,14 @@ type resultEntry struct {
 	res    Result
 	sentOn *conn     // uplink the entry was last written to; nil = never sent
 	sentAt time.Time // when it was last written, for the retransmit timer
+}
+
+// chunkAck is a final-chunk ack awaiting the uplink writer: the task, the
+// bytes received, and the recorder sequence of its task-received event.
+type chunkAck struct {
+	task     uint64
+	got      int
+	traceSeq uint64
 }
 
 // defaultHandshakeTimeout bounds the hello / hello-ack exchange when
@@ -494,7 +511,7 @@ func StartConfig(cfg Config) (*Node, error) {
 			return nil, err
 		}
 		n.goTracked(n.parentSupervisor)
-		n.goTracked(n.resultFlusher)
+		n.goTracked(n.uplinkWriter)
 	}
 
 	n.goTracked(n.computeLoop)
@@ -893,7 +910,7 @@ func (n *Node) admitChild(c *conn, hello *message) {
 	if sess != nil {
 		oldConn = sess.c
 		sess.c = c
-		sess.gone = false
+		sess.gone, sess.admitting = false, true
 		sess.goneAt = time.Time{}
 		ack.Revived = true
 		n.record(Event{Kind: EvRevive, Peer: hello.Name})
@@ -955,7 +972,11 @@ func (n *Node) admitChild(c *conn, hello *message) {
 		_ = oldConn.close()
 	}
 
-	if err := c.sendHandshake(ack); err != nil {
+	err := c.sendHandshake(ack)
+	n.mu.Lock()
+	sess.admitting = false
+	n.mu.Unlock()
+	if err != nil {
 		_ = c.close()
 		n.markChildGone(sess, c)
 		return
@@ -970,6 +991,14 @@ func (n *Node) admitChild(c *conn, hello *message) {
 // revived on a newer connection, a stale loop may no longer mutate it.
 func (n *Node) childLoop(s *childSession, c *conn) {
 	for {
+		if c.br.Buffered() == 0 {
+			// The next recv may block: the acks queued for the results one
+			// read delivered leave now, in one write (unless a chunk write
+			// to this child took them along first).
+			if err := c.flush(); err != nil {
+				n.countSendError() // recv fails on the same dead link below
+			}
+		}
 		m, err := c.recv()
 		if err != nil {
 			n.markChildGone(s, c)
@@ -1019,7 +1048,7 @@ func (n *Node) childLoop(s *childSession, c *conn) {
 					n.wake(n.resKick)
 				}
 			}
-			if err := c.send(&message{Kind: kindResultAck, Task: m.Task, Origin: m.Origin,
+			if err := c.queue(&message{Kind: kindResultAck, Task: m.Task, Origin: m.Origin,
 				TraceNode: n.cfg.Name, TraceSeq: recvSeq}); err != nil {
 				// The read loop owning c fails on the same dead link and
 				// recovers; the child replays the unacked result then.
@@ -1158,42 +1187,20 @@ func (n *Node) connectParent() error {
 			delete(n.inflight, id)
 		}
 	}
-	var reqN int
-	if ack.Revived {
-		// The parent kept the session's request ledger; only requests
-		// that failed to send while disconnected are owed.
-		reqN = n.reqDeficit
-	} else {
+	if !ack.Revived {
 		// Fresh session: one request per free buffer slot, exactly the
 		// paper's startup rule. Slots filled by buffered tasks or by
-		// transfers the parent agreed to resume are spoken for.
-		reqN = n.cfg.Buffers - n.buffer.len() - len(ack.Accepted)
-	}
-	if reqN < 0 {
-		reqN = 0
-	}
-	n.reqDeficit = 0
-	if reqN > 0 {
-		n.stats.Requests += int64(reqN)
+		// transfers the parent agreed to resume are spoken for. (A revived
+		// session kept its request ledger at the parent: only the requests
+		// not sent while disconnected stay owed.)
+		n.reqDeficit = max(0, n.cfg.Buffers-n.buffer.len()-len(ack.Accepted))
 	}
 	n.parent = c
 	n.mu.Unlock()
 
-	if reqN > 0 {
-		reqSeq := n.record(Event{Kind: EvRequestSent, Peer: c.label(), Value: int64(reqN)})
-		if err := c.send(&message{Kind: kindRequest, N: reqN,
-			TraceNode: n.cfg.Name, TraceSeq: reqSeq}); err != nil {
-			// The link died instantly; the supervisor will notice and
-			// retry, and the requests are owed again.
-			n.mu.Lock()
-			n.reqDeficit += reqN
-			n.stats.Requests -= int64(reqN)
-			n.mu.Unlock()
-		}
-	}
-	// Wake the flusher: every ledger entry — results computed while
-	// partitioned and ones written to the old conn but never acked —
-	// replays on the new link, in arrival order.
+	// Wake the uplink writer: the owed requests, then every ledger entry
+	// — results computed while partitioned and ones written to the old
+	// conn but never acked — go out on the new link, in arrival order.
 	n.wake(n.resKick)
 	n.superviseConn(c)
 	return nil
@@ -1254,7 +1261,8 @@ func (n *Node) parentSupervisor() {
 			return
 		}
 		n.mu.Lock()
-		n.parent = nil // queue outbound work until the link is back
+		n.parent = nil          // outbound work is owed until the link is back,
+		n.upAcks = n.upAcks[:0] // except acks: the reconnect hello's Holding set covers them
 		n.record(Event{Kind: EvSever, Peer: c.label()})
 		n.mu.Unlock()
 		if !n.reconnect() {
@@ -1313,18 +1321,13 @@ func (n *Node) readParent(c *conn) (shutdown bool) {
 			if complete {
 				recvSeq := n.record(Event{Kind: EvTaskReceived, Task: m.Task, Peer: c.label(),
 					Off: t.got, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-				// One ack per task, sent before the task can be computed so
-				// it always precedes the result. The parent handed the task
-				// off when it wrote this chunk and waits on nothing; a
-				// resume after a disconnect starts from the offset the hello
-				// offers, not from an ack.
-				if err := c.send(&message{Kind: kindChunkAck, Task: m.Task, Offset: t.got, Last: true,
-					TraceNode: n.cfg.Name, TraceSeq: recvSeq}); err != nil {
-					// The parent's revive learns of receipt from the hello's
-					// Holding set instead; just count it.
-					n.countSendError()
-				}
 				n.mu.Lock()
+				// One ack per task, owed before the task can be computed so
+				// the uplink writer always puts it ahead of the result. The
+				// parent handed the task off when it wrote this chunk and
+				// waits on nothing; a resume after a disconnect starts from
+				// the offset the hello offers, not from an ack.
+				n.upAcks = append(n.upAcks, chunkAck{m.Task, t.got, recvSeq})
 				delete(n.inflight, m.Task)
 				n.buffer.push(Task{ID: m.Task, Payload: t.payload, App: t.app})
 				n.stats.Received++
@@ -1332,14 +1335,17 @@ func (n *Node) readParent(c *conn) (shutdown bool) {
 				n.mu.Unlock()
 				n.wake(n.comp)
 				n.wake(n.kick)
+				n.wake(n.resKick)
 			}
 		case kindResultAck:
 			n.mu.Lock()
-			n.retireResultLocked(m.Task, m.Origin)
+			reaim := n.retireResultLocked(m.Task, m.Origin) && n.cfg.ResultRetry > 0
 			n.record(Event{Kind: EvResultAck, Task: m.Task, Origin: m.Origin, Peer: c.label(),
 				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
 			n.mu.Unlock()
-			n.wake(n.resKick) // the retry timer may now rest or re-aim
+			if reaim {
+				n.wake(n.resKick) // the retry timer may now rest or re-aim
+			}
 		case kindShutdown:
 			n.record(Event{Kind: EvShutdown, Peer: c.label(), WireSeq: m.Seq})
 			return true
@@ -1371,7 +1377,7 @@ func (n *Node) inflightFor(id uint64) (*inTransfer, bool) {
 }
 
 // deliverResult hands a result to the local collector (root) or commits
-// it to the unacked-result ledger for the flusher to send. Every uplink
+// it to the unacked-result ledger for the uplink writer. Every uplink
 // result routes through the ledger — there is no direct send path — so a
 // frame lost to a just-severed conn (the old read-parent-then-send
 // TOCTOU window), a scripted drop, or a disconnect is always replayed:
@@ -1414,51 +1420,75 @@ func (n *Node) enqueueResultLocked(r Result) {
 	n.unacked = append(n.unacked, &resultEntry{res: r})
 }
 
-// resultFlusher is the sole sender of result frames on the uplink. It
-// walks the ledger in arrival order, (re)sending every entry not yet
+// uplinkWriter is the only steady-state sender toward the parent. Each
+// wake-up snapshots, under one n.mu hold, everything owed on the link —
+// the final-chunk acks, the owed requests as one frame, then the due
+// ledger entries, in that order, so a task's ack still precedes its result
+// on the in-order link — then unlocks and writes it all with one
+// sendBatch: one write per wake-up, never reached with n.mu held.
+//
+// The ledger is walked in arrival order, (re)sending every entry not yet
 // written to the current parent conn — which after a reconnect replays
 // all outstanding results — and, on a live link, retransmitting entries
 // unacked past the ResultRetry deadline. Single-sender FIFO means replay
-// order always matches arrival order, with no re-append races.
+// order always matches arrival order, with no re-append races. Sends are
+// pipelined: acks stream back asynchronously and retire entries as they
+// arrive; one acked between the snapshot and the write is sent redundantly
+// and deduplicated upstream — exactly-once is preserved by the parent's
+// dedupe, not by the writer's timing.
 //
-// Sends are pipelined: every due entry goes out in one batched write
-// (one syscall on a binary conn) instead of one frame in flight at a
-// time; acks stream back asynchronously and retire entries as they
-// arrive. An entry acked between the snapshot and the write is sent
-// redundantly and deduplicated upstream — exactly-once is preserved by
-// the parent's dedupe, not by the flusher's timing.
-func (n *Node) resultFlusher() {
+// A cut batch loses nothing the writer knows unsent: unaccepted requests
+// are owed again, unaccepted results stay in the ledger untouched, and a
+// lost ack is covered by the reconnect hello's Holding set.
+func (n *Node) uplinkWriter() {
 	var frames []*message
 	var msgs []message
+	var acks []chunkAck
+	timer := time.NewTimer(time.Hour) // re-aimed before every use
 	for {
+		n.mu.Lock()
 		batch, c, replays := n.dueResultBatch()
-		if len(batch) == 0 {
+		acks, n.upAcks = n.upAcks, acks[:0]
+		reqN, reqApp := 0, n.reqApp
+		if c != nil {
+			reqN, n.reqDeficit = n.reqDeficit, 0
+		}
+		idle := c == nil || len(acks)+reqN+len(batch) == 0
+		var retryWait time.Duration
+		if idle {
+			retryWait = n.resultRetryWait()
+		}
+		n.mu.Unlock()
+		if idle {
 			var timerC <-chan time.Time
-			var timer *time.Timer
-			if d := n.resultRetryWait(); d > 0 {
-				timer = time.NewTimer(d)
+			if retryWait > 0 {
+				timer.Reset(retryWait)
 				timerC = timer.C
 			}
 			select {
 			case <-n.resKick:
 			case <-timerC:
 			case <-n.done:
-				if timer != nil {
-					timer.Stop()
-				}
 				return
-			}
-			if timer != nil {
-				timer.Stop()
 			}
 			continue
 		}
-		if cap(msgs) < len(batch) {
-			msgs = make([]message, len(batch))
+		if total := len(acks) + 1 + len(batch); cap(msgs) < total {
+			msgs = make([]message, 0, total) // sized up front: frames points into it
 		}
-		msgs = msgs[:len(batch)]
-		frames = frames[:0]
-		for i, e := range batch {
+		msgs, frames = msgs[:0], frames[:0]
+		for _, a := range acks {
+			msgs = append(msgs, message{Kind: kindChunkAck, Task: a.task, Offset: a.got, Last: true,
+				Seq: c.nextSeq(), TraceNode: n.cfg.Name, TraceSeq: a.traceSeq})
+		}
+		if reqN > 0 {
+			wire := c.nextSeq()
+			reqSeq := n.record(Event{Kind: EvRequestSent, Peer: c.label(), Value: int64(reqN), WireSeq: wire})
+			msgs = append(msgs, message{Kind: kindRequest, N: reqN, App: reqApp,
+				Seq: wire, TraceNode: n.cfg.Name, TraceSeq: reqSeq})
+		}
+		firstResult := len(msgs)
+		for _, e := range batch {
 			kind := EvResultSend
 			if e.sentOn != nil {
 				kind = EvResultReplay
@@ -1466,22 +1496,28 @@ func (n *Node) resultFlusher() {
 			wire := c.nextSeq()
 			sendSeq := n.record(Event{Kind: kind, Task: e.res.ID, Origin: e.res.Origin,
 				Peer: c.label(), WireSeq: wire})
-			msgs[i] = message{Kind: kindResult, Task: e.res.ID, Output: e.res.Output, Origin: e.res.Origin,
-				App: e.res.App, Seq: wire, TraceNode: n.cfg.Name, TraceSeq: sendSeq}
+			msgs = append(msgs, message{Kind: kindResult, Task: e.res.ID, Output: e.res.Output, Origin: e.res.Origin,
+				App: e.res.App, Seq: wire, TraceNode: n.cfg.Name, TraceSeq: sendSeq})
+		}
+		for i := range msgs {
 			frames = append(frames, &msgs[i])
 		}
 		accepted, err := c.sendBatch(frames)
 		now := time.Now()
 		n.mu.Lock()
-		for _, e := range batch[:accepted] {
+		if accepted >= firstResult {
+			n.stats.Requests += int64(reqN)
+		} else {
+			n.reqDeficit += reqN // cut before the request: owed again
+		}
+		for _, e := range batch[:max(accepted-firstResult, 0)] {
 			e.sentOn = c
 			e.sentAt = now
 		}
 		n.stats.ResultsReplayed += int64(replays)
 		n.mu.Unlock()
 		if err != nil && !n.isClosed() {
-			// Dead uplink: the supervisor will reconnect and wake us; the
-			// unwritten entries stay in the ledger untouched.
+			// Dead uplink: the supervisor will reconnect and wake us.
 			select {
 			case <-n.resKick:
 			case <-n.done:
@@ -1494,22 +1530,22 @@ func (n *Node) resultFlusher() {
 	}
 }
 
-// maxResultBatch caps how many ledger entries one flusher round writes;
-// a longer backlog simply takes several rounds back to back.
+// maxResultBatch caps how many ledger entries one writer round sends; a
+// longer backlog simply takes several rounds back to back.
 const maxResultBatch = 128
 
 // dueResultBatch snapshots, in ledger (arrival) order, every entry due
 // on the wire: entries never written to the current uplink (first send,
 // or replay after a reconnect) and — when retransmission is enabled —
 // entries unacked past the retry deadline. replays counts the entries
-// being retransmitted rather than first-sent.
+// being retransmitted rather than first-sent. The batch is the uplink
+// writer's reusable scratch. Callers hold n.mu.
 func (n *Node) dueResultBatch() (batch []*resultEntry, c *conn, replays int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	c = n.parent
-	if c == nil || len(n.unacked) == 0 {
+	if c == nil {
 		return nil, nil, 0
 	}
+	batch = n.due[:0]
 	retry := n.cfg.ResultRetry
 	for _, e := range n.unacked {
 		due := e.sentOn != c
@@ -1527,15 +1563,15 @@ func (n *Node) dueResultBatch() (batch []*resultEntry, c *conn, replays int) {
 			break
 		}
 	}
+	n.due = batch
 	return batch, c, replays
 }
 
-// resultRetryWait reports how long the flusher may sleep before the
+// resultRetryWait reports how long the writer may sleep before the
 // earliest-sent unacked entry hits its retransmit deadline; 0 means no
-// timer is needed (retry disabled, link down, or ledger empty).
+// timer is needed (retry disabled, link down, or ledger empty). Callers
+// hold n.mu.
 func (n *Node) resultRetryWait() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	retry := n.cfg.ResultRetry
 	if retry <= 0 || n.parent == nil || len(n.unacked) == 0 {
 		return 0
@@ -1558,40 +1594,34 @@ func (n *Node) resultRetryWait() time.Duration {
 	return earliest
 }
 
-// retireResultLocked removes the ledger entry matching an ack; callers
-// hold n.mu.
-func (n *Node) retireResultLocked(task uint64, origin string) {
+// retireResultLocked removes the ledger entry matching an ack and reports
+// whether it was the first sent entry in ledger order — the one the retry
+// timer is aimed at unless a retransmit re-stamped it. Callers hold n.mu.
+func (n *Node) retireResultLocked(task uint64, origin string) (oldestSent bool) {
+	oldestSent = true
 	for i, e := range n.unacked {
 		if e.res.ID == task && e.res.Origin == origin {
 			n.unacked = append(n.unacked[:i], n.unacked[i+1:]...)
 			n.stats.ResultAcks++
-			return
+			return oldestSent && !e.sentAt.IsZero()
+		}
+		if !e.sentAt.IsZero() {
+			oldestSent = false
 		}
 	}
+	return false
 }
 
-// requestMore sends task requests upstream; while the parent link is down
-// they are owed and re-sent after the reconnect handshake. Callers
-// account Stats.Requests themselves. app tags the request with the
+// oweRequestLocked fires the request-on-free rule: one more request is
+// owed to the parent, and the uplink writer sends what is owed, as one
+// frame, whenever there is a parent. app tags the request with the
 // application whose freed buffer fired it — informational, exactly like
 // the engine: requests grant anonymous capacity, the parent's own
-// weighted round-robin decides whose task fills it.
-func (n *Node) requestMore(k int, app string) {
-	n.mu.Lock()
-	c := n.parent
-	if c == nil {
-		n.reqDeficit += k
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Unlock()
-	reqSeq := n.record(Event{Kind: EvRequestSent, Peer: c.label(), Value: int64(k)})
-	if err := c.send(&message{Kind: kindRequest, N: k, App: app,
-		TraceNode: n.cfg.Name, TraceSeq: reqSeq}); err != nil && !n.isClosed() {
-		n.mu.Lock()
-		n.reqDeficit += k
-		n.mu.Unlock()
-	}
+// weighted round-robin decides whose task fills it. Callers hold n.mu.
+func (n *Node) oweRequestLocked(app string) {
+	n.reqDeficit++
+	n.reqApp = app
+	n.wake(n.resKick)
 }
 
 // takeTask pops one buffered task, firing the request-on-free rule.
@@ -1604,12 +1634,9 @@ func (n *Node) takeTask() (Task, bool) {
 	t := n.buffer.pop()
 	n.computing[t.ID] = true // accounted until the result enters the ledger
 	if !n.root {
-		n.stats.Requests++
+		n.oweRequestLocked(t.App)
 	}
 	n.mu.Unlock()
-	if !n.root {
-		n.requestMore(1, t.App)
-	}
 	return t, true
 }
 

@@ -210,8 +210,18 @@ func TestSeverLosesWrittenTransfers(t *testing.T) {
 		FaultRule{Link: "parent", Dir: FaultRecv, Kind: FrameChunk, Op: FaultDelay, Delay: 50 * time.Millisecond},
 		FaultRule{Link: "parent", Dir: FaultRecv, Kind: FrameChunk, Op: FaultSever},
 	)
+	// The worker holds the one task that did arrive on its compute port
+	// until the sever has fired: were its result written first, the ack
+	// would die with the link and the replay be deduplicated — correct, but
+	// not the case this test pins.
+	afterSever := func(tk Task) ([]byte, error) {
+		for plan.Pending() > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		return g.worker(tk)
+	}
 	w := startNode(t, Config{
-		Name: "w", Parent: root.Addr(), Buffers: 3, Compute: g.worker, Faults: plan,
+		Name: "w", Parent: root.Addr(), Buffers: 3, Compute: afterSever, Faults: plan,
 		ReconnectBase: 10 * time.Millisecond, ReconnectCap: 50 * time.Millisecond, ReconnectAttempts: 10,
 	})
 

@@ -98,6 +98,10 @@ func TestRoadmapStallRepro(t *testing.T) {
 		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
 		Compute:           echoCompute(15 * time.Millisecond),
 		HeartbeatInterval: 100 * time.Millisecond, // the ROADMAP repro's aggressive root
+		// The first result's ack is lost, so the ledger holds a written,
+		// unacked result when the first sever lands and the reconnect has
+		// something to replay whatever the timing of the other acks.
+		Faults: NewFaultPlan(FaultRule{Link: "w", Dir: FaultSend, Kind: FrameResultAck, Op: FaultDrop}),
 	})
 	w := startNode(t, Config{
 		Name: "w", Parent: root.Addr(), Buffers: 3,

@@ -82,7 +82,7 @@ func (n *Node) nextChunk() *childSession {
 	}
 	haveTask := n.buffer.len() > 0
 	for _, s := range n.children {
-		if s.gone {
+		if s.gone || s.admitting {
 			continue
 		}
 		switch {
@@ -108,8 +108,6 @@ func (n *Node) nextChunk() *childSession {
 		return nil
 	}
 
-	needReq := false
-	reqApp := ""
 	if bestFresh {
 		// Preemption accounting: starting a fresh transfer while another
 		// child's transfer is unfinished is an interruption.
@@ -141,18 +139,11 @@ func (n *Node) nextChunk() *childSession {
 		n.stats.Forwarded++
 		n.stats.ByChild[best.name]++
 		n.bumpApp(t.App, func(a *AppStats) { a.Forwarded++ })
-		reqApp = t.App
 		if !n.root {
-			n.stats.Requests++
-			needReq = true
+			n.oweRequestLocked(t.App) // the freed buffer requests a refill (the paper's rule)
 		}
 	}
 	n.mu.Unlock()
-
-	if needReq {
-		// The freed buffer requests a refill (the paper's rule).
-		n.requestMore(1, reqApp)
-	}
 	return best
 }
 

@@ -156,11 +156,13 @@ type conn struct {
 	// afresh on a new conn).
 	codec Codec
 	wmu   sync.Mutex
-	// Write-side scratch, guarded by wmu: the reusable gob envelope (so
+	// Write-side state, guarded by wmu: the reusable gob envelope (so
 	// callers' messages do not escape to the heap) and the binary encode
-	// buffer.
+	// buffer, which between writes holds the frames queue left pending
+	// (queued counts them).
 	scratch message
 	wbuf    []byte
+	queued  int
 	// Read-side scratch, owned by the conn's single reader goroutine.
 	rbuf   []byte
 	rmsg   message
@@ -193,18 +195,20 @@ type wireCounters struct {
 	framesRecv atomic.Int64
 	bytesSent  atomic.Int64
 	bytesRecv  atomic.Int64
+	writes     atomic.Int64 // Write calls, i.e. syscalls; read by tests only
 }
 
 // countingWriter and countingReader meter raw link bytes (gob and binary
 // alike) into the owning node's wire counters.
 type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
+	w   io.Writer
+	ctr *wireCounters
 }
 
 func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
-	cw.n.Add(int64(n))
+	cw.ctr.bytesSent.Add(int64(n))
+	cw.ctr.writes.Add(1)
 	return n, err
 }
 
@@ -223,7 +227,7 @@ func newConn(raw net.Conn, peer string, faults *FaultPlan, writeTO time.Duration
 	if ctr == nil {
 		ctr = &wireCounters{}
 	}
-	w := &countingWriter{w: raw, n: &ctr.bytesSent}
+	w := &countingWriter{w: raw, ctr: ctr}
 	br := bufio.NewReaderSize(&countingReader{r: raw, n: &ctr.bytesRecv}, 32<<10)
 	c := &conn{
 		raw:     raw,
@@ -261,20 +265,37 @@ func (c *conn) nextSeq() uint64 {
 // exactly as it would be by a real network partition.
 var errFaultSevered = fmt.Errorf("live: connection severed by fault plan")
 
-// send writes one message, serialized with the connection's write lock and
-// bounded by the per-message write deadline.
+// send writes one message — and, in the same write, whatever queue left
+// pending — serialized with the connection's write lock and bounded by the
+// per-message write deadline.
 func (c *conn) send(m *message) error {
-	return c.sendAs(m, c.codec)
+	return c.sendAs(m, c.codec, true)
+}
+
+// queue encodes a frame behind the conn's pending bytes without writing
+// it: it leaves with the next send, sendBatch or flush, and the fault plan
+// is consulted for it here, exactly as send would. It does no I/O and
+// holds only wmu. A gob conn keeps one frame per write: there queue sends.
+func (c *conn) queue(m *message) error {
+	return c.sendAs(m, c.codec, c.codec != CodecBinary)
+}
+
+// flush writes the frames queue left pending, if any. Like send and
+// sendBatch it is never reached with a node's mu held.
+func (c *conn) flush() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.writePendingLocked()
 }
 
 // sendHandshake writes a hello or hello-ack. Handshake frames are always
 // gob — the codec a connection will speak is decided by this exchange,
 // so the exchange itself stays in the floor format every peer speaks.
 func (c *conn) sendHandshake(m *message) error {
-	return c.sendAs(m, CodecGob)
+	return c.sendAs(m, CodecGob, true)
 }
 
-func (c *conn) sendAs(m *message, codec Codec) error {
+func (c *conn) sendAs(m *message, codec Codec, write bool) error {
 	if m.Seq == 0 {
 		m.Seq = c.wireSeq.Add(1)
 	}
@@ -291,27 +312,28 @@ func (c *conn) sendAs(m *message, codec Codec) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.writeLocked(m, codec)
+	return c.writeLocked(m, codec, write)
 }
 
-// writeLocked encodes and writes one frame; callers hold wmu. wmu exists
-// solely to serialize writes: it guards no other state, and the stall
-// lockdiscipline fears is capped by the write deadline.
-func (c *conn) writeLocked(m *message, codec Codec) error {
-	if c.writeTO > 0 {
-		_ = c.raw.SetWriteDeadline(time.Now().Add(c.writeTO))
-	}
+// writeLocked encodes one frame and, when write is set, writes it with
+// everything pending; callers hold wmu. wmu exists solely to serialize
+// writes: it guards no other state, and the stall lockdiscipline fears is
+// capped by the write deadline.
+func (c *conn) writeLocked(m *message, codec Codec, write bool) error {
 	if codec == CodecBinary {
-		buf, err := appendFrame(c.wbuf[:0], m)
+		buf, err := appendFrame(c.wbuf, m)
 		if err != nil {
-			return err
+			return err // buf is c.wbuf, pending frames intact
 		}
 		c.wbuf = buf
-		if _, err := c.w.Write(buf); err != nil {
-			return err
+		c.queued++
+		if !write {
+			return nil
 		}
-		c.ctr.framesSent.Add(1)
-		return nil
+		return c.writePendingLocked()
+	}
+	if c.writeTO > 0 {
+		_ = c.raw.SetWriteDeadline(time.Now().Add(c.writeTO))
 	}
 	// Copy into the per-conn scratch envelope so the caller's message —
 	// typically a stack-allocated literal — does not escape through the
@@ -324,13 +346,32 @@ func (c *conn) writeLocked(m *message, codec Codec) error {
 	return nil
 }
 
+// writePendingLocked writes the encode buffer — every frame queued or
+// batched since the last write — in one write, and counts the frames as
+// sent; callers hold wmu. After an error the link is dead and the bytes
+// are dropped with it.
+func (c *conn) writePendingLocked() error {
+	if len(c.wbuf) == 0 {
+		return nil
+	}
+	if c.writeTO > 0 {
+		_ = c.raw.SetWriteDeadline(time.Now().Add(c.writeTO))
+	}
+	_, err := c.w.Write(c.wbuf)
+	if err == nil {
+		c.ctr.framesSent.Add(int64(c.queued))
+	}
+	c.wbuf, c.queued = c.wbuf[:0], 0
+	return err
+}
+
 // sendBatch writes the frames back to back — on a binary conn in one
-// buffer, one syscall — and reports how many leading frames the
-// "network" accepted (written or scripted as drops) before any error.
-// On a write error the count is 0: none of the batch may be assumed
-// delivered, and the link-failure path takes over. A scripted sever
-// cuts the batch at the severed frame, exactly where sequential sends
-// would have stopped.
+// buffer with whatever queue left pending, one syscall — and reports how
+// many leading frames the "network" accepted (written or scripted as
+// drops) before any error. On a write error the count is 0: none of the
+// batch may be assumed delivered, and the link-failure path takes over. A
+// scripted sever cuts the batch at the severed frame, exactly where
+// sequential sends would have stopped.
 func (c *conn) sendBatch(ms []*message) (int, error) {
 	if c.codec != CodecBinary || len(ms) == 1 {
 		for i, m := range ms {
@@ -368,20 +409,15 @@ func (c *conn) sendBatch(ms []*message) (int, error) {
 	var werr error
 	if len(keep) > 0 {
 		c.wmu.Lock()
-		if c.writeTO > 0 {
-			_ = c.raw.SetWriteDeadline(time.Now().Add(c.writeTO))
-		}
-		buf := c.wbuf[:0]
+		pending, queued := len(c.wbuf), c.queued
 		for _, m := range keep {
-			if buf, werr = appendFrame(buf, m); werr != nil {
+			if werr = c.writeLocked(m, CodecBinary, false); werr != nil {
+				c.wbuf, c.queued = c.wbuf[:pending], queued // unencodable batch: none of it leaves
 				break
 			}
 		}
-		c.wbuf = buf
 		if werr == nil {
-			if _, werr = c.w.Write(buf); werr == nil {
-				c.ctr.framesSent.Add(int64(len(keep)))
-			}
+			werr = c.writePendingLocked()
 		}
 		c.wmu.Unlock()
 	}
