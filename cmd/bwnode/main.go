@@ -53,7 +53,6 @@ func run(args []string) error {
 		buffers   = fs.Int("buffers", 3, "task buffers per node (the paper's FB)")
 		nonIC     = fs.Bool("non-interruptible", false, "disable send preemption (non-IC variant)")
 		chunk     = fs.Int("chunk", 4096, "bytes per transfer chunk")
-		codec     = fs.String("codec", "auto", "wire codec pin: auto (negotiate), binary, or gob")
 		computeMS = fs.Int("compute-ms", 10, "synthetic compute time per task, milliseconds")
 		tasks     = fs.Int("tasks", 0, "root only: number of tasks to dispatch")
 		size      = fs.Int("size", 4096, "root only: task payload bytes")
@@ -92,15 +91,6 @@ func run(args []string) error {
 	}
 	if *nonIC {
 		opts = append(opts, live.NonInterruptible())
-	}
-	switch *codec {
-	case "auto":
-	case "binary":
-		opts = append(opts, live.WithWireCodecs(live.CodecBinary))
-	case "gob":
-		opts = append(opts, live.WithWireCodecs(live.CodecGob))
-	default:
-		return fmt.Errorf("-codec must be auto, binary, or gob (got %q)", *codec)
 	}
 	if *recorder != 0 {
 		opts = append(opts, live.WithRecorderCapacity(*recorder))

@@ -11,7 +11,7 @@ import (
 // or sync.RWMutex acquired in the same function is still held: channel
 // sends and receives outside a select with a default clause, selects with
 // no default, sync.WaitGroup.Wait, time.Sleep, and writes/reads on
-// net.Conn or gob codecs. Holding a node lock across a network write is
+// net.Conn. Holding a node lock across a network write is
 // the exact stall shape the live runtime's ROADMAP incident came from —
 // the send blocks, the lock pins every other goroutine, the tree wedges.
 //
@@ -218,8 +218,8 @@ func checkBlocking(pass *analysis.Pass, e ast.Expr, held map[string]bool) {
 }
 
 // blockingCall recognizes calls that can block indefinitely: WaitGroup
-// waits, time.Sleep, and reads/writes on net.Conn or gob codecs (the
-// live runtime's network I/O paths).
+// waits, time.Sleep, and reads/writes on net.Conn (the live runtime's
+// network I/O paths).
 func blockingCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -237,10 +237,6 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	case "time":
 		if fn.Name() == "Sleep" {
 			return "time.Sleep"
-		}
-	case "encoding/gob":
-		if fn.Name() == "Encode" || fn.Name() == "Decode" {
-			return "gob." + recvTypeName(fn) + "." + fn.Name()
 		}
 	}
 	// Interface or concrete net.Conn I/O: a Read/Write method on a type

@@ -69,3 +69,28 @@ func TestNoFunctionStyleAtomics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGobOnlyInWireBench fences the retired gob stream: live/wirebench.go
+// keeps one encode/decode loop so the benchmark's live.wire.frames_per_s.gob
+// row still measures gob, and no other Go file — test and fixture included —
+// may import the package. Delete this test with that arm.
+func TestGobOnlyInWireBench(t *testing.T) {
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || path == filepath.FromSlash("../../live/wirebench.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				t.Errorf("%s imports encoding/gob: nodes speak one wire format, and gob is the benchmark's residue in live/wirebench.go alone", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

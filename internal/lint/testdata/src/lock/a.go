@@ -4,7 +4,6 @@
 package lock
 
 import (
-	"encoding/gob"
 	"sync"
 	"time"
 )
@@ -63,12 +62,6 @@ func sleepHeld(n *node) {
 	n.mu.Lock()
 	time.Sleep(time.Millisecond) // want "time.Sleep while holding n.mu"
 	n.mu.Unlock()
-}
-
-func encodeHeld(n *node, enc *gob.Encoder) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return enc.Encode(1) // want "gob.Encoder.Encode while holding n.mu"
 }
 
 // fakeConn carries net.Conn's method-set fingerprint; the analyzer

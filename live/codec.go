@@ -2,84 +2,23 @@ package live
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 )
 
-// Codec identifies a wire codec version. The hello handshake negotiates
-// one per connection: the child advertises every version it speaks, the
-// parent answers with the highest version both sides share, and all
-// frames after the hello-ack use the winner. The handshake frames
-// themselves are always gob — the one format every build speaks — so a
-// peer that predates versioning simply advertises nothing and keeps its
-// gob stream, in both directions.
-type Codec uint8
-
-const (
-	// CodecGob is the original stream: one gob-encoded message envelope
-	// per frame. It is never advertised explicitly — every peer speaks
-	// it, and it is the floor the negotiation falls back to.
-	CodecGob Codec = 0
-	// CodecBinary is the length-prefixed binary framing: a uvarint body
-	// length followed by an explicitly encoded body (see appendFrame for
-	// the layout). Per-conn buffers are reused across frames, so
-	// steady-state encode and decode allocate nothing.
-	CodecBinary Codec = 1
-)
-
-// supportedWireCodecs is every codec this build offers beyond the
-// implied gob floor, in no particular order (negotiation picks the
-// highest common version).
-var supportedWireCodecs = []Codec{CodecBinary}
-
-func codecSupported(c Codec) bool {
-	for _, s := range supportedWireCodecs {
-		if s == c {
-			return true
-		}
-	}
-	return false
-}
-
-func (c Codec) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecBinary:
-		return "binary"
-	default:
-		return fmt.Sprintf("codec(%d)", uint8(c))
-	}
-}
-
-// codecBytes renders an offer list as the wire form carried in a hello's
-// Codecs field. Gob is the implied floor, so it is never listed.
-func codecBytes(cs []Codec) []uint8 {
-	var out []uint8
-	for _, c := range cs {
-		if c != CodecGob {
-			out = append(out, uint8(c))
-		}
-	}
-	return out
-}
-
-// negotiateCodec picks the highest codec version present in both offer
-// lists; gob is always common, so an empty intersection downgrades
-// rather than fails.
-func negotiateCodec(ours []Codec, theirs []uint8) Codec {
-	best := CodecGob
-	for _, o := range ours {
-		for _, t := range theirs {
-			if uint8(o) == t && o > best {
-				best = o
-			}
-		}
-	}
-	return best
-}
+// wireVersion is the one wire format this build speaks: length-prefixed
+// binary frames, a uvarint body length followed by an explicitly encoded
+// body (see appendFrame for the layout), from the first byte of a
+// connection. A hello offers it in its Codecs list and the hello-ack echoes
+// it as the parent's pick; a peer whose list lacks it — another version,
+// or a build that spoke gob, whose stream does not parse as a frame — is
+// refused within the handshake timeout, never downgraded. Per-conn buffers
+// are reused across frames, so steady-state encode and decode allocate
+// nothing.
+const wireVersion = 1
 
 const (
 	// maxFrameBytes bounds a binary frame's declared body length. A
@@ -100,6 +39,7 @@ const (
 var (
 	errFrameTooBig    = errors.New("live: binary frame exceeds size limit")
 	errFrameTruncated = errors.New("live: truncated binary frame")
+	errWireVersion    = errors.New("live: no common wire version")
 )
 
 // prefixMax is the widest length prefix a frame can need:
@@ -117,7 +57,9 @@ var framePad [prefixMax]byte
 //	body := kind(1 byte) | Seq uvarint | TraceSeq uvarint | TraceNode string | fields…
 //
 // where strings and byte fields are uvarint-length-prefixed and the
-// per-kind fields are fixed by the switch below. A kind without a
+// per-kind fields are fixed by the switch below. The handshake kinds put
+// their version list first, ahead of every field a later layout might
+// change. A kind without a
 // marshal case is an error, as in decodeFrame, so a new wire kind cannot
 // leave as a header-only frame; TestSampleFramesCoverEveryKind and
 // TestCodecConformanceMatrix walk every msgKind constant through here.
@@ -139,19 +81,20 @@ func appendFrame(buf []byte, m *message) ([]byte, error) {
 	buf = appendStringField(buf, m.TraceNode)
 	switch m.Kind {
 	case kindHello:
+		buf = appendBytesField(buf, m.Codecs)
 		buf = appendStringField(buf, m.Name)
+		buf = binary.AppendUvarint(buf, uint64(m.N))
 		buf = appendU64Field(buf, m.Holding)
 		buf = binary.AppendUvarint(buf, uint64(len(m.Resume)))
 		for _, rp := range m.Resume {
 			buf = binary.AppendUvarint(buf, rp.Task)
 			buf = binary.AppendUvarint(buf, uint64(rp.Offset))
 		}
-		buf = appendBytesField(buf, m.Codecs)
 	case kindHelloAck:
+		buf = appendBytesField(buf, m.Codecs)
 		buf = appendStringField(buf, m.Name)
 		buf = appendBool(buf, m.Revived)
 		buf = appendU64Field(buf, m.Accepted)
-		buf = appendBytesField(buf, m.Codecs)
 	case kindRequest:
 		buf = binary.AppendUvarint(buf, uint64(m.N))
 		buf = appendStringField(buf, m.App)
@@ -404,12 +347,25 @@ func decodeFrame(data []byte, m *message, in *interner) error {
 	}
 	m.TraceNode = in.intern(b)
 
+	if m.Kind == kindHello || m.Kind == kindHelloAck {
+		// The version list is checked before anything behind it is parsed:
+		// a peer on another layout is refused by version, not misread.
+		if m.Codecs, err = r.rawCopy(); err != nil {
+			return err
+		}
+		if bytes.IndexByte(m.Codecs, wireVersion) < 0 {
+			return fmt.Errorf("%w: this build speaks %d, the peer %v", errWireVersion, wireVersion, m.Codecs)
+		}
+	}
 	switch m.Kind {
 	case kindHello:
 		if b, err = r.raw(); err != nil {
 			return err
 		}
 		m.Name = in.intern(b)
+		if m.N, err = r.intField(); err != nil {
+			return err
+		}
 		if m.Holding, err = r.u64s(); err != nil {
 			return err
 		}
@@ -431,9 +387,6 @@ func decodeFrame(data []byte, m *message, in *interner) error {
 				}
 			}
 		}
-		if m.Codecs, err = r.rawCopy(); err != nil {
-			return err
-		}
 	case kindHelloAck:
 		if b, err = r.raw(); err != nil {
 			return err
@@ -443,9 +396,6 @@ func decodeFrame(data []byte, m *message, in *interner) error {
 			return err
 		}
 		if m.Accepted, err = r.u64s(); err != nil {
-			return err
-		}
-		if m.Codecs, err = r.rawCopy(); err != nil {
 			return err
 		}
 	case kindRequest:

@@ -3,8 +3,6 @@ package live
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
-	"io"
 	"testing"
 )
 
@@ -24,109 +22,55 @@ func benchFrames() []message {
 	}
 }
 
-// BenchmarkEncodeFrame pits the two wire codecs against each other on
-// the steady-state frame mix, the way each is actually driven: binary
-// re-uses the conn's append buffer, gob keeps one persistent encoder
-// per conn (its type dictionary is sent once, like on a long-lived
-// link) writing through the conn's scratch copy.
+// BenchmarkEncodeFrame encodes the steady-state frame mix the way a conn
+// does, re-using its append buffer.
 func BenchmarkEncodeFrame(b *testing.B) {
 	mix := benchFrames()
-
-	b.Run("binary", func(b *testing.B) {
-		var buf []byte
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m := &mix[i%len(mix)]
-			var err error
-			buf, err = appendFrame(buf[:0], m)
-			if err != nil {
-				b.Fatal(err)
-			}
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = appendFrame(buf[:0], &mix[i%len(mix)]); err != nil {
+			b.Fatal(err)
 		}
-	})
-
-	b.Run("gob", func(b *testing.B) {
-		enc := gob.NewEncoder(io.Discard)
-		var scratch message
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			scratch = mix[i%len(mix)]
-			if err := enc.Encode(&scratch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkDecodeFrame measures the read side over a pre-encoded
-// stream: binary through readFrame + decodeFrame with the conn's
-// reusable buffers and interner, gob through a persistent decoder whose
-// re-creation on stream wrap is amortized over streamFrames messages
-// (a reconnect every streamFrames frames, far more often than reality).
+// BenchmarkDecodeFrame measures the read side over a pre-encoded stream:
+// readFrame + decodeFrame with the conn's reusable buffers and interner.
 func BenchmarkDecodeFrame(b *testing.B) {
 	const streamFrames = 4096
 	mix := benchFrames()
-
-	b.Run("binary", func(b *testing.B) {
-		var stream []byte
-		for i := 0; i < streamFrames; i++ {
-			var err error
-			stream, err = appendFrame(stream, &mix[i%len(mix)])
-			if err != nil {
-				b.Fatal(err)
-			}
+	var stream []byte
+	for i := 0; i < streamFrames; i++ {
+		var err error
+		if stream, err = appendFrame(stream, &mix[i%len(mix)]); err != nil {
+			b.Fatal(err)
 		}
-		r := bytes.NewReader(stream)
-		br := bufio.NewReaderSize(r, 32<<10)
-		var (
-			rbuf []byte
-			m    message
-			in   interner
-		)
-		b.SetBytes(int64(len(stream) / streamFrames))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%streamFrames == 0 {
-				r.Reset(stream)
-				br.Reset(r)
-			}
-			body, err := readFrame(br, rbuf)
-			rbuf = body[:cap(body)]
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := decodeFrame(body, &m, &in); err != nil {
-				b.Fatal(err)
-			}
+	}
+	r := bytes.NewReader(stream)
+	br := bufio.NewReaderSize(r, 32<<10)
+	var (
+		rbuf []byte
+		m    message
+		in   interner
+	)
+	b.SetBytes(int64(len(stream) / streamFrames))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%streamFrames == 0 {
+			r.Reset(stream)
+			br.Reset(r)
 		}
-	})
-
-	b.Run("gob", func(b *testing.B) {
-		var stream bytes.Buffer
-		enc := gob.NewEncoder(&stream)
-		for i := 0; i < streamFrames; i++ {
-			if err := enc.Encode(&mix[i%len(mix)]); err != nil {
-				b.Fatal(err)
-			}
+		body, err := readFrame(br, rbuf)
+		rbuf = body[:cap(body)]
+		if err != nil {
+			b.Fatal(err)
 		}
-		raw := stream.Bytes()
-		r := bytes.NewReader(raw)
-		dec := gob.NewDecoder(r)
-		b.SetBytes(int64(len(raw) / streamFrames))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%streamFrames == 0 {
-				r.Reset(raw)
-				dec = gob.NewDecoder(r)
-			}
-			var m message
-			if err := dec.Decode(&m); err != nil {
-				b.Fatal(err)
-			}
+		if err := decodeFrame(body, &m, &in); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }

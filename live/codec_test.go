@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"net"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -14,15 +16,15 @@ import (
 // sampleFrames returns one fully populated message per wire kind: every
 // field the kind carries on the wire is set to a distinctive value, and
 // no field it does not carry is set — so a decoded frame must DeepEqual
-// its sample under BOTH codecs, pinning the two field projections to
-// each other byte for byte.
+// its sample, and a field the codec forgets to carry breaks the equality.
 func sampleFrames() []*message {
 	return []*message{
 		{Kind: kindHello, Seq: 101, TraceSeq: 11, TraceNode: "w1",
+			Codecs:  []uint8{1, 7},
 			Name:    "w1",
+			N:       2,
 			Resume:  []ResumePoint{{Task: 7, Offset: 4096}, {Task: 9, Offset: 0}},
-			Holding: []uint64{3, 7, 9, 1 << 40},
-			Codecs:  []uint8{1, 7}},
+			Holding: []uint64{3, 7, 9, 1 << 40}},
 		{Kind: kindRequest, Seq: 102, TraceSeq: 12, TraceNode: "w1",
 			N: 3, App: "tenant-a"},
 		{Kind: kindChunk, Seq: 103, TraceSeq: 13, TraceNode: "root",
@@ -44,7 +46,7 @@ func sampleFrames() []*message {
 
 // TestSampleFramesCoverEveryKind pins the conformance matrix to the wire
 // protocol: adding a wire kind without a sample frame fails here, so the
-// cross-codec matrix below can never silently skip a kind. The kind set
+// round trip below can never silently skip a kind. The kind set
 // is parsed from wire.go (kindSelectors gives each name its value, and
 // TestFaultSelectorExhaustive keeps that map complete), so a kind
 // appended anywhere in the block is seen.
@@ -93,37 +95,15 @@ func binaryRoundTrip(t *testing.T, m *message, in *interner) *message {
 	return &out
 }
 
-func gobRoundTrip(t *testing.T, m *message) *message {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		t.Fatalf("gob encode(kind %d): %v", m.Kind, err)
-	}
-	var out message
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("gob decode(kind %d): %v", m.Kind, err)
-	}
-	return &out
-}
-
-// TestCodecConformanceMatrix round-trips every wire kind binary↔binary
-// and gob↔gob, and pins the two decodes equal to each other field by
-// field — trace context, App tags, and negotiation fields included. A
-// field the binary codec forgets to carry (or carries differently)
-// breaks the cross-codec equality immediately.
+// TestCodecConformanceMatrix round-trips every wire kind through the
+// production encode and read path and pins the decode equal to the sample
+// field by field — trace context, App tags, and the handshake's version
+// list and counts included.
 func TestCodecConformanceMatrix(t *testing.T) {
 	var in interner
 	for _, m := range sampleFrames() {
-		bin := binaryRoundTrip(t, m, &in)
-		if !reflect.DeepEqual(bin, m) {
-			t.Errorf("kind %d: binary round-trip mismatch\n got %+v\nwant %+v", m.Kind, bin, m)
-		}
-		g := gobRoundTrip(t, m)
-		if !reflect.DeepEqual(g, m) {
-			t.Errorf("kind %d: gob round-trip mismatch\n got %+v\nwant %+v", m.Kind, g, m)
-		}
-		if !reflect.DeepEqual(bin, g) {
-			t.Errorf("kind %d: binary and gob decodes disagree\nbinary %+v\n   gob %+v", m.Kind, bin, g)
+		if got := binaryRoundTrip(t, m, &in); !reflect.DeepEqual(got, m) {
+			t.Errorf("kind %d: round-trip mismatch\n got %+v\nwant %+v", m.Kind, got, m)
 		}
 	}
 	// A kind with no marshal case is refused, not sent header-only, and
@@ -166,128 +146,177 @@ func TestBinaryFramesAreContiguous(t *testing.T) {
 	}
 }
 
-// negotiatedCodecs reports the codec each side of a single-child overlay
-// actually speaks, read from the live conns.
-func negotiatedCodecs(t *testing.T, root, w *Node) (parentSide, childSide Codec) {
-	t.Helper()
-	root.mu.Lock()
-	if len(root.children) != 1 {
-		root.mu.Unlock()
-		t.Fatalf("root has %d children, want 1", len(root.children))
-	}
-	parentSide = root.children[0].c.codec
-	root.mu.Unlock()
-	w.mu.Lock()
-	if w.parent == nil {
-		w.mu.Unlock()
-		t.Fatalf("worker has no uplink")
-	}
-	childSide = w.parent.codec
-	w.mu.Unlock()
-	return parentSide, childSide
-}
+// gobStreamOpening is how a connection from a build that still spoke gob
+// begins: the first bytes of the type description its encoder writes ahead
+// of a hello or a hello-ack (captured from the last such build). Read as a
+// frame, it is a length prefix of some two megabytes that never arrive.
+const gobStreamOpening = "\xff\xda\x7f\x03\x01\x01\amessage\x01\xff\x80\x00\x01\x13\x01\x04Kind\x01\x06\x00\x01\x04Name\x01\f\x00"
 
-// TestCodecNegotiationMatrix runs a real two-node overlay through every
-// mix of codec pins — binary parent / gob child, gob parent / binary
-// child, both, neither — and checks that the two sides agree on the
-// negotiated codec, that it is the highest common version, and that a
-// full run completes over it.
+// TestCodecNegotiationMatrix is what is left of negotiation with one wire
+// format: a peer that speaks it is admitted with the pick echoed, and one
+// that does not — a build that spoke gob, a build offering only a version
+// this one has never heard of — is refused within the handshake timeout,
+// on either side of the link, never downgraded. Refusing costs the parent
+// nothing it holds: its listener keeps admitting, and a session that died
+// before the refusals is still there to be revived.
 func TestCodecNegotiationMatrix(t *testing.T) {
-	cases := []struct {
-		name        string
-		rootCodecs  []Codec
-		childCodecs []Codec
-		want        Codec
-	}{
-		{"both-binary", nil, nil, CodecBinary},
-		{"gob-child", nil, []Codec{CodecGob}, CodecGob},
-		{"gob-parent", []Codec{CodecGob}, nil, CodecGob},
-		{"both-gob", []Codec{CodecGob}, []Codec{CodecGob}, CodecGob},
+	const handshake = 200 * time.Millisecond
+	root := startNode(t, Config{
+		Name: "root", Listen: "127.0.0.1:0", Buffers: 3, Compute: echoCompute(0),
+		HeartbeatInterval: -1, // the scripted children send no heartbeats
+		HandshakeTimeout:  handshake, ReconnectGrace: 30 * time.Second,
+	})
+	first, err := dialScripted(root.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
 	}
-	for _, tc := range cases {
+	if ack, err := first.hello(message{Name: "w"}); err != nil || ack.Revived {
+		t.Fatalf("first hello: ack %+v, err %v; want a fresh session", ack, err)
+	}
+	first.close()
+	waitFor(t, "the root to mark the first child gone", func() bool { return childGone(root, "w") })
+
+	futureHello, err := appendFrame(nil, &message{Kind: kindHello, Name: "w", Codecs: []uint8{99}})
+	if err != nil {
+		t.Fatalf("encode a version-99 hello: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		opening []byte
+	}{
+		{"gob-child", []byte(gobStreamOpening)},
+		{"future-child", futureHello},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			root := startNode(t, Config{
-				Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-				Compute: echoCompute(time.Millisecond), WireCodecs: tc.rootCodecs,
-			})
-			w := startNode(t, Config{
-				Name: "w1", Parent: root.Addr(), Buffers: 3,
-				Compute: echoCompute(0), WireCodecs: tc.childCodecs,
-			})
-			tasks := makeTasks(24, 2048)
-			results, err := root.RunTimeout(tasks, 30*time.Second)
-			if err != nil {
-				t.Fatalf("run over %s: %v", tc.name, err)
+			raw := dialParent(t, root.Addr())
+			start := time.Now()
+			if _, err := raw.Write(tc.opening); err != nil {
+				t.Fatalf("write: %v", err)
 			}
-			assertExactlyOnce(t, results, len(tasks))
-			ps, cs := negotiatedCodecs(t, root, w)
-			if ps != tc.want || cs != tc.want {
-				t.Fatalf("negotiated parent=%v child=%v, want %v both sides", ps, cs, tc.want)
+			// Refused: the parent answers nothing and closes its end.
+			_ = raw.SetReadDeadline(start.Add(10 * handshake))
+			if n, err := raw.Read(make([]byte, 64)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("read %d bytes, err %v after %v; want the conn closed unanswered within the %v handshake timeout",
+					n, err, time.Since(start), handshake)
 			}
-			if st := w.Stats(); st.FramesSent == 0 || st.FramesReceived == 0 ||
-				st.BytesSent == 0 || st.BytesReceived == 0 {
-				t.Fatalf("wire counters not metered: %+v", st)
+			refused := false
+			for _, e := range eventsOf(root, EvSever) {
+				refused = refused || e.Peer == raw.LocalAddr().String()
+			}
+			if !refused {
+				t.Errorf("the root recorded no sever for the refused peer %v", raw.LocalAddr())
 			}
 		})
 	}
-}
 
-// TestVersionSkewHello pins the negotiation floor against future
-// versions: a hello advertising only codec versions this build does not
-// speak negotiates down to gob and the run still completes — a newer
-// peer is never rejected, just downgraded.
-func TestVersionSkewHello(t *testing.T) {
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		// Slow root compute so the scripted child is actually served a
-		// task; no heartbeats, the script sends none.
-		Compute:           echoCompute(50 * time.Millisecond),
-		HeartbeatInterval: -1,
+	t.Run("gob-parent", func(t *testing.T) {
+		// A parent that answers a hello with the opening of a gob stream.
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		defer l.Close()
+		done := make(chan struct{})
+		defer close(done)
+		go func() {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			if _, err := newScriptedPeer(c).read(); err == nil {
+				_, _ = c.Write([]byte(gobStreamOpening))
+				<-done // hold the conn open: the child must give up by itself
+			}
+		}()
+		start := time.Now()
+		n, err := StartConfig(Config{Name: "w", Parent: l.Addr().String(), Buffers: 3, Compute: echoCompute(0),
+			HandshakeTimeout: handshake})
+		if err == nil {
+			n.Close()
+			t.Fatalf("a child came up under a parent that speaks gob")
+		}
+		if took := time.Since(start); !strings.Contains(err.Error(), "hello ack") || took > 5*handshake {
+			t.Fatalf("refused after %v with %q; want a hello-ack error within the %v handshake timeout", took, err, handshake)
+		}
 	})
 
-	// A scripted child whose hello advertises only the (unknown) codec
-	// version 99 — the shape of a build several protocol versions ahead.
-	raw := dialParent(t, root.Addr())
-	enc, dec := gob.NewEncoder(raw), gob.NewDecoder(raw)
-	if err := enc.Encode(&message{Kind: kindHello, Name: "future", Codecs: []uint8{99}}); err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	var ack message
-	if err := dec.Decode(&ack); err != nil || ack.Kind != kindHelloAck {
-		t.Fatalf("hello ack: %v (kind %d)", err, ack.Kind)
-	}
-	if len(ack.Codecs) != 0 {
-		t.Fatalf("parent answered codecs %v to a version-skew hello, want gob floor (none)", ack.Codecs)
-	}
-
-	// The link speaks gob: request a task, "compute" it, return the
-	// result — all plain gob frames — and the run completes exactly-once.
-	tasks := makeTasks(4, 512)
-	resc := make(chan []Result, 1)
-	errc := make(chan error, 1)
-	go func() {
-		rs, err := root.RunTimeout(tasks, 30*time.Second)
-		resc <- rs
-		errc <- err
-	}()
-	if err := enc.Encode(&message{Kind: kindRequest, N: 1}); err != nil {
-		t.Fatalf("request: %v", err)
-	}
-	id, payload := recvTaskGob(t, dec, enc)
-	if err := enc.Encode(&message{Kind: kindResult, Task: id,
-		Output: payload, Origin: "future"}); err != nil {
-		t.Fatalf("result: %v", err)
-	}
-	go func() { // drain acks/heartbeats so the root's writes never block
-		var m message
-		for dec.Decode(&m) == nil {
+	t.Run("both-binary", func(t *testing.T) {
+		p, err := dialScripted(root.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
 		}
-	}()
-	results := <-resc
-	if err := <-errc; err != nil {
-		t.Fatalf("run: %v", err)
+		defer p.close()
+		ack, err := p.hello(message{Name: "w"})
+		if err != nil {
+			t.Fatalf("hello after the refusals: %v", err)
+		}
+		if len(ack.Codecs) != 1 || ack.Codecs[0] != wireVersion {
+			t.Errorf("hello-ack picked wire versions %v, want [%d]", ack.Codecs, wireVersion)
+		}
+		if !ack.Revived {
+			t.Errorf("the session that died before the refusals was not revived")
+		}
+	})
+}
+
+// TestVersionSkewHello pins where a hello from another wire version is
+// turned away: at its version list, the first field, before anything of a
+// layout this build may not know is parsed — so the refusal names the
+// versions, and whatever follows the list cannot turn it into a parse
+// error. The same holds for a hello-ack whose pick is not ours.
+func TestVersionSkewHello(t *testing.T) {
+	for _, kind := range []msgKind{kindHello, kindHelloAck} {
+		frame, err := appendFrame(nil, &message{Kind: kind, Codecs: []uint8{99}, Name: "future"})
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		frame = append(frame, "fields of a layout from the future"...)
+		body := frame[1:] // one-byte length prefix: the frame is short
+		var m message
+		if err := decodeFrame(body, &m, &interner{}); !errors.Is(err, errWireVersion) || !strings.Contains(err.Error(), "[99]") {
+			t.Errorf("kind %d offering version 99: %v; want errWireVersion naming the offer", kind, err)
+		}
 	}
-	assertExactlyOnce(t, results, len(tasks))
+}
+
+// TestHandshakeCountsBoundedByFrame: hello and hello-ack are read from a
+// peer nothing has vouched for, so a declared Holding, Resume or Accepted
+// count larger than the bytes left in the frame is errFrameTruncated before
+// the list is allocated — the lie costs the reader nothing.
+func TestHandshakeCountsBoundedByFrame(t *testing.T) {
+	for name, body := range lyingHandshakeFrames() {
+		var in interner
+		var m message
+		if err := decodeFrame(body, &m, &in); !errors.Is(err, errFrameTruncated) {
+			t.Errorf("%s: %v, want errFrameTruncated", name, err)
+		}
+		// The version list and the name ahead of the count are real and
+		// small; the count's list must never be made.
+		if allocs := testing.AllocsPerRun(50, func() { _ = decodeFrame(body, &m, &in) }); allocs > 1 {
+			t.Errorf("%s: decoding the lie allocates %.0f times, want at most the version list's copy", name, allocs)
+		}
+	}
+}
+
+// lyingHandshakeFrames builds handshake frame bodies whose list counts
+// promise far more elements than the frame holds.
+func lyingHandshakeFrames() map[string][]byte {
+	header := func(kind msgKind, name string) []byte {
+		b := []byte{byte(kind)}
+		b = binary.AppendUvarint(b, 1)               // Seq
+		b = binary.AppendUvarint(b, 0)               // TraceSeq
+		b = appendStringField(b, "")                 // TraceNode
+		b = appendBytesField(b, []byte{wireVersion}) // Codecs
+		return appendStringField(b, name)
+	}
+	const lie = 1 << 39
+	holding := binary.AppendUvarint(binary.AppendUvarint(header(kindHello, "w"), 0), lie) // N, then Holding's count
+	resume := binary.AppendUvarint(header(kindHello, "w"), 0)                             // N
+	resume = binary.AppendUvarint(resume, 0)                                              // Holding: none
+	resume = binary.AppendUvarint(resume, lie)                                            // Resume's count
+	accepted := binary.AppendUvarint(append(header(kindHelloAck, "root"), 1), lie)        // Revived, then Accepted's count
+	return map[string][]byte{"hello-holding": holding, "hello-resume": resume, "ack-accepted": accepted}
 }
 
 // dialParent opens a raw TCP connection to a node's listener for
@@ -300,34 +329,6 @@ func dialParent(t *testing.T, addr string) net.Conn {
 	}
 	t.Cleanup(func() { raw.Close() })
 	return raw
-}
-
-// recvTaskGob consumes one complete task over a scripted gob link —
-// acking every chunk, skipping heartbeats — and returns its ID and
-// assembled payload.
-func recvTaskGob(t *testing.T, dec *gob.Decoder, enc *gob.Encoder) (uint64, []byte) {
-	t.Helper()
-	var payload []byte
-	for {
-		var m message
-		if err := dec.Decode(&m); err != nil {
-			t.Fatalf("scripted child decode: %v", err)
-		}
-		if m.Kind != kindChunk {
-			continue
-		}
-		if payload == nil {
-			payload = make([]byte, m.Size)
-		}
-		copy(payload[m.Offset:], m.Data)
-		if err := enc.Encode(&message{Kind: kindChunkAck, Task: m.Task,
-			Offset: m.Offset + len(m.Data), Last: m.Last}); err != nil {
-			t.Fatalf("scripted child ack: %v", err)
-		}
-		if m.Last {
-			return m.Task, payload
-		}
-	}
 }
 
 // FuzzDecodeFrame drives the binary read path with arbitrary bytes:
@@ -343,6 +344,11 @@ func FuzzDecodeFrame(f *testing.F) {
 			f.Fatalf("seed encode: %v", err)
 		}
 		f.Add(buf)
+	}
+	// The handshake is the first thing read from a peer nothing has vouched
+	// for: seed it with counts that lie about the frame.
+	for _, body := range lyingHandshakeFrames() {
+		f.Add(append(binary.AppendUvarint(nil, uint64(len(body))), body...))
 	}
 	// Hand-built hostile seeds: empty input, a lying oversized length
 	// prefix, a truncated body, an unknown kind.

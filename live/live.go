@@ -152,13 +152,6 @@ type Config struct {
 	// negative disables retransmission (unacked results then replay only
 	// after a reconnect).
 	ResultRetry time.Duration
-	// WireCodecs lists the wire codec versions this node offers in its
-	// hello (as a child) and accepts (as a parent). nil offers every
-	// codec this build speaks; a list of only CodecGob pins the legacy
-	// gob envelope. Gob itself is always implied — the handshake runs in
-	// it and negotiation falls back to it — so mixed-version overlays
-	// interoperate in both directions.
-	WireCodecs []Codec
 	// HandshakeTimeout bounds the hello / hello-ack exchange on each
 	// side; 0 means the 5s default.
 	HandshakeTimeout time.Duration
@@ -266,8 +259,14 @@ type Node struct {
 	parent     *conn  // current uplink; nil while disconnected (or root)
 	// reqDeficit counts the requests owed to the parent and reqApp tags
 	// the latest; upAcks are the final-chunk acks owed on the current
-	// uplink. The uplink writer sends both with its next write.
+	// uplink. The uplink writer sends both with its next write. Every
+	// buffer is at all times exactly one of: holding a task, receiving one
+	// (inflight), owed a request, or waiting on a request already sent —
+	// so the last count needs no ledger of its own (unansweredLocked).
+	// helloEpoch counts the hellos that have reported it, so a writer whose
+	// request frame never left knows whether the parent was told it had.
 	reqDeficit int
+	helloEpoch int
 	reqApp     string
 	upAcks     []chunkAck
 	// unacked is the result ledger: every result this node owes its
@@ -326,11 +325,6 @@ type childSession struct {
 type outTransfer struct {
 	task   Task
 	offset int // next byte to send
-	// confirmed is set by the child's final chunk ack: the payload
-	// arrived. A handed-off transfer that is neither confirmed nor covered
-	// by a reconnect hello was lost on the wire, so the request it
-	// consumed is still waiting at the child and returns with it.
-	confirmed bool
 	// resumed marks the next chunk as the start of a new transfer segment
 	// (after a preemption or a reconnect resume), so the flight recorder
 	// logs it as a resume. traceSeq is the recorder sequence of the event
@@ -364,10 +358,9 @@ type chunkAck struct {
 const defaultHandshakeTimeout = 5 * time.Second
 
 // chunkBatch is the most chunks of one transfer the send port writes per
-// port turn (one buffer, one syscall on a binary conn). Preemption
-// happens between turns, so the batch trades preemption granularity for
-// throughput; a LinkDelay, which is emulated per chunk, takes
-// single-chunk turns instead.
+// port turn (one buffer, one syscall). Preemption happens between turns,
+// so the batch trades preemption granularity for throughput; a LinkDelay,
+// which is emulated per chunk, takes single-chunk turns instead.
 const chunkBatch = 8
 
 // ErrTimeout reports a Run whose context deadline expired with results
@@ -458,11 +451,6 @@ func StartConfig(cfg Config) (*Node, error) {
 	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = defaultHandshakeTimeout
 	}
-	for _, wc := range cfg.WireCodecs {
-		if wc != CodecGob && !codecSupported(wc) {
-			return nil, fmt.Errorf("live: unsupported wire codec %v", wc)
-		}
-	}
 	if cfg.sleep == nil {
 		cfg.sleep = realSleep
 	}
@@ -506,6 +494,9 @@ func StartConfig(cfg Config) (*Node, error) {
 	if n.root {
 		n.results = make(chan Result, 1024)
 	} else {
+		// The paper's startup rule: one request per buffer, all owed and
+		// none sent, so the first hello reports no request unanswered.
+		n.reqDeficit = cfg.Buffers
 		if err := n.connectParent(); err != nil {
 			n.Close()
 			return nil, err
@@ -614,15 +605,6 @@ func (n *Node) countSendError() {
 	n.mu.Lock()
 	n.stats.SendErrors++
 	n.mu.Unlock()
-}
-
-// offeredWireCodecs is the negotiation offer list: the configured pin,
-// or everything this build speaks.
-func (n *Node) offeredWireCodecs() []Codec {
-	if n.cfg.WireCodecs != nil {
-		return n.cfg.WireCodecs
-	}
-	return supportedWireCodecs
 }
 
 // parentLabel is the uplink's display name for flight-recorder events:
@@ -850,7 +832,11 @@ func (n *Node) superviseConn(c *conn) {
 	})
 }
 
-// acceptLoop admits children.
+// acceptLoop admits children. The hello is the first frame on a connection
+// and the first bytes read from an unauthenticated peer: anything else — a
+// stream that is not frames (a build that spoke gob), a hello offering no
+// wire version this build speaks, silence past the handshake timeout — is
+// refused, recorded as a sever of the remote address, and the conn closed.
 func (n *Node) acceptLoop() {
 	for {
 		raw, err := n.listener.Accept()
@@ -860,6 +846,7 @@ func (n *Node) acceptLoop() {
 		c := newConn(raw, "", n.cfg.Faults, n.cfg.WriteTimeout, &n.wireSeq, &n.wireCtr)
 		hello, err := c.recvTimeout(n.cfg.HandshakeTimeout)
 		if err != nil || hello.Kind != kindHello {
+			n.record(Event{Kind: EvSever, Peer: raw.RemoteAddr().String()})
 			_ = c.close()
 			continue
 		}
@@ -871,10 +858,12 @@ func (n *Node) acceptLoop() {
 
 // admitChild installs a connection as a fresh child session — or, when
 // the hello names a session whose link died within the reconnect grace
-// window, revives that session: its request ledger and the handed-off
-// tasks the hello covers survive, a transfer cut mid-payload resumes from
-// the offset the hello offers, and everything else the child never
-// received returns to the pool together with its request.
+// window, revives that session: the handed-off tasks the hello covers
+// survive, a transfer cut mid-payload resumes from the offset the hello
+// offers, and everything else the child never received returns to the
+// pool. Fresh or revived, the session's request count is the hello's: the
+// child knows how many of its requests no task has answered; the parent
+// cannot tell a request it never read from one it served into a dead link.
 func (n *Node) admitChild(c *conn, hello *message) {
 	offered := make(map[uint64]int, len(hello.Resume))
 	for _, rp := range hello.Resume {
@@ -888,12 +877,7 @@ func (n *Node) admitChild(c *conn, hello *message) {
 	for _, id := range hello.Holding {
 		held[id] = true
 	}
-	// Codec negotiation: highest version both sides offer, gob floor.
-	// The conn's codec is set before it is published to the child loop
-	// and send port; the ack itself still travels as gob (the child
-	// switches after reading it).
-	c.codec = negotiateCodec(n.offeredWireCodecs(), hello.Codecs)
-	ack := &message{Kind: kindHelloAck, Name: n.cfg.Name, Codecs: codecBytes([]Codec{c.codec})}
+	ack := &message{Kind: kindHelloAck, Name: n.cfg.Name, Codecs: []uint8{wireVersion}}
 
 	n.mu.Lock()
 	helloSeq := n.record(Event{Kind: EvHello, Peer: hello.Name, WireSeq: hello.Seq,
@@ -924,7 +908,7 @@ func (n *Node) admitChild(c *conn, hello *message) {
 			if tr := sess.outstanding[rp.Task]; tr != nil {
 				delete(sess.outstanding, rp.Task)
 				if sess.active != nil {
-					n.requeueLocked(sess, sess.active, true)
+					n.requeueLocked(sess, sess.active)
 				}
 				sess.active = tr
 			}
@@ -939,8 +923,8 @@ func (n *Node) admitChild(c *conn, hello *message) {
 			} else {
 				// A transfer still on the port never had its final chunk
 				// written, so with nothing offered the child holds none of
-				// it: back to the pool, and the child's slot keeps waiting.
-				n.requeueLocked(sess, tr, true)
+				// it: back to the pool.
+				n.requeueLocked(sess, tr)
 				sess.active = nil
 			}
 		}
@@ -949,7 +933,7 @@ func (n *Node) admitChild(c *conn, hello *message) {
 		// no unacked result to replay. It was lost with the old
 		// connection, and waiting for a grace expiry that perpetual
 		// revival keeps pushing out would stall the run forever. One the
-		// hello does cover stands, final ack or not.
+		// hello does cover stands.
 		var lost []uint64
 		for id := range sess.outstanding {
 			if !held[id] {
@@ -960,19 +944,25 @@ func (n *Node) admitChild(c *conn, hello *message) {
 		for _, id := range lost {
 			tr := sess.outstanding[id]
 			delete(sess.outstanding, id)
-			n.requeueLocked(sess, tr, !tr.confirmed)
+			n.requeueLocked(sess, tr)
 		}
 		n.stats.RequeuedOnRevive += n.stats.Requeued - requeuedBefore
 	} else {
 		sess = &childSession{name: hello.Name, c: c, outstanding: make(map[uint64]*outTransfer)}
 		n.children = append(n.children, sess)
 	}
+	if d := hello.N - sess.pending; d > 0 {
+		// Requests the old connection swallowed, or that transfers requeued
+		// above had consumed: registered now, with no request frame.
+		n.record(Event{Kind: EvRequestServed, Peer: sess.name, Value: int64(d)})
+	}
+	sess.pending = hello.N
 	n.mu.Unlock()
 	if oldConn != nil {
 		_ = oldConn.close()
 	}
 
-	err := c.sendHandshake(ack)
+	err := c.send(ack)
 	n.mu.Lock()
 	sess.admitting = false
 	n.mu.Unlock()
@@ -1055,19 +1045,14 @@ func (n *Node) childLoop(s *childSession, c *conn) {
 				n.countSendError()
 			}
 		case kindChunkAck:
-			// Only a transfer's final ack carries information (a child that
-			// predates one-ack-per-task also acks every chunk). It gates
-			// nothing — the task was handed off before its last write — but
-			// it is proof of receipt for a later revive, and the recorder's
-			// end of the transfer.
+			// It gates nothing — the task was handed off before its last
+			// write — and decides nothing at a revive, where the hello
+			// speaks for the child: it is the recorder's end of the transfer.
 			if !m.Last {
 				continue
 			}
 			n.mu.Lock()
 			if s.c == c {
-				if tr := s.outstanding[m.Task]; tr != nil {
-					tr.confirmed = true
-				}
 				n.record(Event{Kind: EvChunkAck, Task: m.Task, Peer: s.name, Off: m.Offset,
 					Value: 1, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
 			}
@@ -1115,9 +1100,11 @@ func (n *Node) markChildGone(s *childSession, c *conn) {
 	n.wake(n.kick)
 }
 
-// connectParent dials the parent, offers to resume partially received
-// transfers, re-syncs the request ledger from the hello-ack, replays
-// results computed while disconnected, and installs the new link.
+// connectParent dials the parent and says hello: the wire version, the
+// partially received transfers it offers to resume, the tasks its subtree
+// still holds and the requests it has sent that no task answered. The
+// hello-ack settles which partial transfers continue; the new link is then
+// installed and the uplink writer sends everything owed on it.
 func (n *Node) connectParent() error {
 	raw, err := net.Dial("tcp", n.cfg.Parent)
 	if err != nil {
@@ -1131,36 +1118,28 @@ func (n *Node) connectParent() error {
 		resume = append(resume, ResumePoint{Task: id, Offset: t.got})
 	}
 	holding := n.holdingLocked()
+	unanswered := n.unansweredLocked()
+	n.helloEpoch++
 	n.mu.Unlock()
 	sort.Slice(resume, func(i, j int) bool { return resume[i].Task < resume[j].Task })
 
-	offered := n.offeredWireCodecs()
 	helloWire := c.nextSeq()
 	helloSeq := n.record(Event{Kind: EvHello, Peer: "parent", WireSeq: helloWire})
-	if err := c.sendHandshake(&message{Kind: kindHello, Name: n.cfg.Name, Resume: resume, Holding: holding,
-		Codecs: codecBytes(offered), Seq: helloWire, TraceNode: n.cfg.Name, TraceSeq: helloSeq}); err != nil {
+	if err := c.send(&message{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: n.cfg.Name, N: unanswered,
+		Resume: resume, Holding: holding, Seq: helloWire, TraceNode: n.cfg.Name, TraceSeq: helloSeq}); err != nil {
 		_ = c.close()
 		return fmt.Errorf("live: hello: %w", err)
 	}
+	// A parent that speaks another wire version, or none (its answer does
+	// not parse as a frame), fails here, bounded by the handshake timeout.
 	ack, err := c.recvTimeout(n.cfg.HandshakeTimeout)
 	if err != nil {
 		_ = c.close()
-		return fmt.Errorf("live: hello ack: %w", err)
+		return fmt.Errorf("live: hello ack (wire version %d): %w", wireVersion, err)
 	}
 	if ack.Kind != kindHelloAck {
 		_ = c.close()
 		return fmt.Errorf("live: expected hello ack, got frame kind %d", ack.Kind)
-	}
-	if len(ack.Codecs) > 0 {
-		// The parent answered with its pick; a pick we never offered means
-		// the peers disagree on the protocol and the link must not come up
-		// half-speaking it.
-		chosen := negotiateCodec(offered, ack.Codecs)
-		if chosen == CodecGob {
-			_ = c.close()
-			return fmt.Errorf("live: parent chose unsupported wire codec %v", ack.Codecs)
-		}
-		c.codec = chosen
 	}
 	if ack.Name != "" {
 		// Written before the conn is published; recorder events on this
@@ -1181,19 +1160,14 @@ func (n *Node) connectParent() error {
 	n.mu.Lock()
 	n.parentName = ack.Name
 	// Partial transfers the parent will not resume were reclaimed on its
-	// side; drop their assembly state so a fresh stream starts clean.
+	// side; drop their assembly state so a fresh stream starts clean. The
+	// hello counted each as a buffer being filled, so each now owes the
+	// request that asks for a refill.
 	for id := range n.inflight {
 		if !accepted[id] {
 			delete(n.inflight, id)
+			n.reqDeficit++
 		}
-	}
-	if !ack.Revived {
-		// Fresh session: one request per free buffer slot, exactly the
-		// paper's startup rule. Slots filled by buffered tasks or by
-		// transfers the parent agreed to resume are spoken for. (A revived
-		// session kept its request ledger at the parent: only the requests
-		// not sent while disconnected stay owed.)
-		n.reqDeficit = max(0, n.cfg.Buffers-n.buffer.len()-len(ack.Accepted))
 	}
 	n.parent = c
 	n.mu.Unlock()
@@ -1204,6 +1178,15 @@ func (n *Node) connectParent() error {
 	n.wake(n.resKick)
 	n.superviseConn(c)
 	return nil
+}
+
+// unansweredLocked is the node's count of requests sent to its parent that
+// no task has answered: every buffer that is not holding a task, receiving
+// one, or still owed its request. (Tasks requeued from a dead child can
+// push the pool past Buffers; the count bottoms out at none.) Callers hold
+// n.mu.
+func (n *Node) unansweredLocked() int {
+	return max(0, n.cfg.Buffers-n.buffer.len()-len(n.inflight)-n.reqDeficit)
 }
 
 // holdingLocked enumerates every task ID this node's subtree still
@@ -1449,8 +1432,10 @@ func (n *Node) uplinkWriter() {
 		n.mu.Lock()
 		batch, c, replays := n.dueResultBatch()
 		acks, n.upAcks = n.upAcks, acks[:0]
-		reqN, reqApp := 0, n.reqApp
+		reqN, reqApp, epoch := 0, n.reqApp, n.helloEpoch
 		if c != nil {
+			// Sent from here on: the parent may answer the moment the bytes
+			// leave, before this goroutine is back under the lock.
 			reqN, n.reqDeficit = n.reqDeficit, 0
 		}
 		idle := c == nil || len(acks)+reqN+len(batch) == 0
@@ -1507,9 +1492,11 @@ func (n *Node) uplinkWriter() {
 		n.mu.Lock()
 		if accepted >= firstResult {
 			n.stats.Requests += int64(reqN)
-		} else {
+		} else if epoch == n.helloEpoch {
 			n.reqDeficit += reqN // cut before the request: owed again
 		}
+		// (A hello built meanwhile told the parent they were sent, and the
+		// parent registered them on its word: they are not owed twice.)
 		for _, e := range batch[:max(accepted-firstResult, 0)] {
 			e.sentOn = c
 			e.sentAt = now

@@ -6,8 +6,6 @@ package live
 // per-app counters that add up.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 	"time"
 )
@@ -271,77 +269,5 @@ func TestPerAppMetricsExposition(t *testing.T) {
 	}
 	if st.PerApp["alpha"].Computed+st.PerApp["beta"].Computed != 20 {
 		t.Fatalf("per-app computed %v does not cover the run", st.PerApp)
-	}
-}
-
-// preAppMessage is the wire envelope as it existed before the App tag was
-// appended (PR 5's trace-context layout). Gob ignores fields either side
-// does not declare, so old frames must decode with an empty App and
-// tagged frames must decode on old peers.
-type preAppMessage struct {
-	Kind      msgKind
-	Name      string
-	Resume    []ResumePoint
-	Holding   []uint64
-	Revived   bool
-	Accepted  []uint64
-	N         int
-	Task      uint64
-	Size      int
-	Offset    int
-	Data      []byte
-	Last      bool
-	Output    []byte
-	Origin    string
-	Seq       uint64
-	TraceNode string
-	TraceSeq  uint64
-}
-
-// TestWireAppTagBackCompat pins both directions of the gob evolution
-// contract for the appended App field.
-func TestWireAppTagBackCompat(t *testing.T) {
-	// Old peer → new node: a pre-app chunk decodes with an empty App.
-	var buf bytes.Buffer
-	old := preAppMessage{Kind: kindChunk, Task: 7, Size: 4, Offset: 0,
-		Data: []byte{1, 2, 3, 4}, Last: true, Seq: 3, TraceNode: "p", TraceSeq: 2}
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatalf("encode pre-app: %v", err)
-	}
-	var got message
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("decode pre-app into current message: %v", err)
-	}
-	if got.Kind != kindChunk || got.Task != 7 || !got.Last || got.TraceNode != "p" {
-		t.Errorf("pre-app frame mangled: %+v", got)
-	}
-	if got.App != "" {
-		t.Errorf("pre-app frame grew an app tag from nowhere: %q", got.App)
-	}
-
-	// New node → old peer: a tagged result decodes on a peer that does not
-	// declare App.
-	buf.Reset()
-	tagged := message{Kind: kindResult, Task: 9, Output: []byte{5}, Origin: "w1",
-		Seq: 42, TraceNode: "w1", TraceSeq: 17, App: "alpha"}
-	if err := gob.NewEncoder(&buf).Encode(&tagged); err != nil {
-		t.Fatalf("encode tagged: %v", err)
-	}
-	var back preAppMessage
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("decode tagged into pre-app message: %v", err)
-	}
-	if back.Kind != kindResult || back.Task != 9 || back.Origin != "w1" || back.TraceSeq != 17 {
-		t.Errorf("tagged frame mangled on a pre-app peer: %+v", back)
-	}
-
-	// An untagged transfer (single-application run) must not fabricate an
-	// app on assembly.
-	tr := &inTransfer{id: 7}
-	if _, err := tr.feed(&got); err != nil {
-		t.Fatalf("feed: %v", err)
-	}
-	if tr.app != "" {
-		t.Errorf("untagged transfer acquired app %q", tr.app)
 	}
 }

@@ -22,9 +22,6 @@ func TestSteadyStateWritesPerTask(t *testing.T) {
 	g := &rootGate{}
 	root := startGatedRoot(t, g, Config{Buffers: 3, RecorderCap: 1 << 16})
 	w := startNode(t, Config{Name: "w", Parent: root.Addr(), Buffers: 3, Compute: g.worker, RecorderCap: 1 << 16})
-	if w.parent.codec != CodecBinary {
-		t.Fatalf("the link negotiated %v, want the binary codec", w.parent.codec)
-	}
 
 	up0, down0 := w.wireCtr.writes.Load(), root.wireCtr.writes.Load()
 	g.arm(tasks)
@@ -81,15 +78,13 @@ func TestSteadyStateWritesPerTask(t *testing.T) {
 // request or result (one uplink batch) or on the root's result ack (queued
 // behind the downlink's next write), at each of the first few occurrences.
 // Whatever the cut, the Run completes exactly once, a task never has two
-// owners, and once idle the root holds one request per worker buffer less
-// the requests the worker wrote that the root never read: none minted
-// twice, and none lost that the writer could have known about — the
-// request in a severed batch at or behind the cut is owed again, once.
-// What the root never reads is the protocol's own gap, older than the
-// coalescing and not widened by it: requests are not acked, so a request
-// frame dropped on a link that stays up, or written just before the link
-// dies and discarded unread when the parent closes its end, is gone. A
-// dropped ack or result costs no request at all.
+// owners, and no request is minted twice. Across a sever none is lost
+// either: the reconnect hello carries the worker's own count of requests
+// unanswered, so once idle the root holds one per worker buffer, whatever
+// it had read off the link that died. What is left is the protocol's own
+// gap on a link that stays up: requests are not acked, so a request frame
+// dropped there is gone until the next reconnect, and the root holds that
+// many fewer. A dropped ack or result costs no request at all.
 func TestMixedBatchCutExhaustive(t *testing.T) {
 	const (
 		tasks   = 60
@@ -154,21 +149,30 @@ func TestMixedBatchCutExhaustive(t *testing.T) {
 					lost := func() int {
 						onWire := int64(0)
 						for _, e := range eventsOf(root, EvRequestServed) {
-							if e.WireSeq != 0 { // a requeue re-registers one with no frame
+							if e.WireSeq != 0 { // a revive registers the hello's count with no request frame
 								onWire += e.Value
 							}
 						}
 						return int(w.Stats().Requests - onWire)
 					}
+					// Idle, the root holds a request per buffer: after a sever
+					// the hello restored whatever the dead link swallowed, and
+					// only a drop on a link that stayed up stays lost.
+					want := func() int {
+						if op.op == FaultSever {
+							return buffers
+						}
+						return buffers - lost()
+					}
 					waitFor(t, "the worker's requests to be registered again", func() bool {
-						return sessionPending(root, "w") == buffers-lost()
+						return sessionPending(root, "w") == want()
 					})
 					// Nothing is in flight now: had a request been minted
 					// twice, the count would pass through this value on its
 					// way up rather than settle on it.
 					time.Sleep(20 * time.Millisecond)
-					if got := sessionPending(root, "w"); got != buffers-lost() {
-						t.Fatalf("idle, the root holds %d requests for a worker of %d buffers, %d dropped", got, buffers, lost())
+					if got := sessionPending(root, "w"); got != want() {
+						t.Fatalf("idle, the root holds %d requests for a worker of %d buffers, %d never read off a frame", got, buffers, lost())
 					}
 					if n := lost(); n < 0 {
 						t.Fatalf("the root read %d requests more than the worker counts as sent", -n)
@@ -196,5 +200,52 @@ func TestMixedBatchCutExhaustive(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRequestInDoubtAcrossReconnect stalls the uplink writer inside a
+// batch, on its request frame, for long enough that the link dies and is
+// replaced under it. The reconnect hello, built while that write is in
+// doubt, reports the batch's requests as sent — the parent may have
+// answered them for all the node knows — and the parent registers them on
+// its word. When the write then fails on the dead link they must not be
+// owed again: once idle the root holds one request per buffer, not one more.
+func TestRequestInDoubtAcrossReconnect(t *testing.T) {
+	const (
+		tasks   = 40
+		buffers = 3
+		stall   = 300 * time.Millisecond
+	)
+	// The root severs the link at its first heartbeat, 30 ms in.
+	root := startNode(t, Config{
+		Name: "root", Listen: "127.0.0.1:0", Buffers: buffers,
+		Compute: echoCompute(2 * time.Millisecond), ReconnectGrace: 10 * time.Second,
+		HeartbeatInterval: 30 * time.Millisecond, HeartbeatMisses: 1000, // the stalled worker is silent, not dead
+		Faults: NewFaultPlan(FaultRule{Link: "w", Dir: FaultSend, Kind: FrameHeartbeat, Op: FaultSever}),
+	})
+	plan := NewFaultPlan(FaultRule{Link: "parent", Dir: FaultSend, Kind: FrameRequest, After: 2, Op: FaultDelay, Delay: stall})
+	start := time.Now()
+	w := startNode(t, Config{
+		Name: "w", Parent: root.Addr(), Buffers: buffers, Compute: echoCompute(0), Faults: plan,
+		ReconnectBase: 5 * time.Millisecond, ReconnectCap: 20 * time.Millisecond, ReconnectAttempts: 20,
+	})
+	results, err := root.RunTimeout(makeTasks(tasks, 256), 30*time.Second)
+	if err != nil {
+		t.Fatalf("Run across the stalled write: %v", err)
+	}
+	assertExactlyOnce(t, results, tasks)
+	if plan.Pending() != 0 {
+		t.Fatal("the scripted stall never fired")
+	}
+	time.Sleep(time.Until(start.Add(stall + 100*time.Millisecond))) // the stalled write has failed by now
+	if got := w.Stats().Reconnects; got != 1 {
+		t.Fatalf("%d reconnects, want the one the root's sever forced", got)
+	}
+	waitFor(t, "the worker's requests to be registered again", func() bool {
+		return sessionPending(root, "w") == buffers
+	})
+	time.Sleep(20 * time.Millisecond)
+	if got := sessionPending(root, "w"); got != buffers {
+		t.Fatalf("idle, the root holds %d requests for a worker of %d buffers", got, buffers)
 	}
 }

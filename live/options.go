@@ -113,18 +113,9 @@ func WithAppWeights(weights map[string]int64) Option {
 	return func(c *Config) { c.AppWeights = weights }
 }
 
-// WithWireCodecs pins the wire codec versions this node offers in its
-// hello (as a child) and accepts (as a parent); default all codecs this
-// build speaks, currently gob and the length-prefixed binary framing.
-// The handshake picks the highest version both peers offer and falls
-// back to gob, so pinning only CodecGob forces the legacy stream on
-// every link of this node in both directions.
-func WithWireCodecs(codecs ...Codec) Option {
-	return func(c *Config) { c.WireCodecs = codecs }
-}
-
 // WithHandshakeTimeout bounds the hello / hello-ack exchange on each
-// side of a connection; default 5s.
+// side of a connection — and so how long a peer that speaks another wire
+// version, or none, holds a connection before it is refused; default 5s.
 func WithHandshakeTimeout(d time.Duration) Option {
 	return func(c *Config) { c.HandshakeTimeout = d }
 }

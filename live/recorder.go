@@ -15,8 +15,8 @@ package live
 // state — cmd/bwtrace relies on this to re-verify scheduling decisions
 // from merged dumps. Cross-node causality is carried on the wire: chunk
 // and result frames are stamped with the sender's name and the sequence
-// number of the recorder event that caused them (appended gob fields, see
-// wire.go), so a receive event on one node names the send event on its
+// number of the recorder event that caused them (the frame header, see
+// codec.go), so a receive event on one node names the send event on its
 // peer.
 
 import (
@@ -45,9 +45,10 @@ const (
 	// number of tasks requested.
 	EvRequestSent
 	// EvRequestServed is a child's task request registered by its parent;
-	// Value is the number of tasks requested. One with no wire context is a
-	// request re-registered at revive time, when the transfer that had
-	// consumed it returned to the pool undelivered.
+	// Value is the number of tasks requested. One with no wire context is
+	// what a hello's count of unanswered requests added to the session's:
+	// requests the dead link swallowed, or consumed by transfers that
+	// returned to the pool undelivered.
 	EvRequestServed
 	// EvChunkSend is the dispatch of a fresh transfer to a child — the
 	// bandwidth-centric scheduling decision. Value is the chosen child's
@@ -65,8 +66,8 @@ const (
 	// hand-off.
 	EvChunkRecv
 	// EvChunkAck is the child's final chunk ack arriving at the parent:
-	// the transfer is confirmed delivered (Value is always 1). Nothing
-	// waits on it — see EvHandoff.
+	// the transfer was delivered (Value is always 1). Nothing waits on it —
+	// see EvHandoff.
 	EvChunkAck
 	// EvTaskReceived is a complete task payload assembled at the receiver.
 	EvTaskReceived
@@ -93,7 +94,8 @@ const (
 	// EvHeartbeatMiss is a supervision interval that passed with a silent
 	// link; Value is the consecutive miss count.
 	EvHeartbeatMiss
-	// EvSever is a link declared dead.
+	// EvSever is a link declared dead — or one refused at the handshake,
+	// with the remote address for its Peer.
 	EvSever
 	// EvReconnect is a successful re-dial of a lost parent link; Value is
 	// the attempt number that succeeded.

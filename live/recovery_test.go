@@ -6,7 +6,6 @@ package live
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"strings"
@@ -53,10 +52,9 @@ func fakeParent(t *testing.T) string {
 		if err != nil {
 			return
 		}
-		dec, enc := gob.NewDecoder(c), gob.NewEncoder(c)
-		var hello message
-		if err := dec.Decode(&hello); err == nil && hello.Kind == kindHello {
-			_ = enc.Encode(&message{Kind: kindHelloAck})
+		p := newScriptedPeer(c)
+		if hello, err := p.read(); err == nil && hello.Kind == kindHello {
+			_ = p.write(&message{Kind: kindHelloAck, Codecs: []uint8{wireVersion}})
 		}
 		time.Sleep(50 * time.Millisecond) // let the child finish its handshake
 		_ = c.Close()

@@ -8,10 +8,6 @@ package live
 // requeue.
 
 import (
-	"bufio"
-	"encoding/gob"
-	"fmt"
-	"net"
 	"testing"
 	"time"
 )
@@ -207,13 +203,25 @@ func TestResultAcksRetireLedger(t *testing.T) {
 	}
 }
 
-// TestReviveReconciliationRequeues drives a scripted child over raw gob:
-// it takes one task end to end (final chunk acked, so the root holds it
-// outstanding), dies without computing it, and revives within the grace
-// window holding nothing. The root must requeue the task at revive time
-// — the hello covers nothing — and account it in both Requeued and
-// RequeuedOnRevive exactly once, with no later grace-expiry double
-// count.
+// childGone reports whether a node holds a dead, still revivable session
+// for the named child.
+func childGone(n *Node, name string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, s := range n.children {
+		if s.name == name && s.gone {
+			return true
+		}
+	}
+	return false
+}
+
+// TestReviveReconciliationRequeues drives a scripted child: it takes one
+// task end to end (final chunk acked, so the root holds it outstanding),
+// dies without computing it, and revives within the grace window holding
+// nothing. The root must requeue the task at revive time — the hello
+// covers nothing — and account it in both Requeued and RequeuedOnRevive
+// exactly once, with no later grace-expiry double count.
 func TestReviveReconciliationRequeues(t *testing.T) {
 	const tasks = 8
 	root := startNode(t, Config{
@@ -228,44 +236,18 @@ func TestReviveReconciliationRequeues(t *testing.T) {
 	}
 	tookc := make(chan taken, 1)
 	go func() {
-		raw, err := net.Dial("tcp", root.Addr())
+		p, err := dialScripted(root.Addr())
 		if err != nil {
 			tookc <- taken{err: err}
 			return
 		}
-		defer raw.Close()
-		enc, dec := gob.NewEncoder(raw), gob.NewDecoder(raw)
-		if err := enc.Encode(&message{Kind: kindHello, Name: "fake"}); err != nil {
+		defer p.close() // severs the link with the task swallowed
+		if _, err := p.hello(message{Name: "fake"}); err != nil {
 			tookc <- taken{err: err}
 			return
 		}
-		var ack message
-		if err := dec.Decode(&ack); err != nil {
-			tookc <- taken{err: err}
-			return
-		}
-		if err := enc.Encode(&message{Kind: kindRequest, N: 1}); err != nil {
-			tookc <- taken{err: err}
-			return
-		}
-		for {
-			var m message
-			if err := dec.Decode(&m); err != nil {
-				tookc <- taken{err: err}
-				return
-			}
-			if m.Kind != kindChunk {
-				continue
-			}
-			if err := enc.Encode(&message{Kind: kindChunkAck, Task: m.Task, Offset: m.Offset + len(m.Data), Last: m.Last}); err != nil {
-				tookc <- taken{err: err}
-				return
-			}
-			if m.Last {
-				tookc <- taken{id: m.Task}
-				return // the deferred close severs the link with the task swallowed
-			}
-		}
+		id, _, err := p.takeTask()
+		tookc <- taken{id: id, err: err}
 	}()
 
 	resc := make(chan []Result, 1)
@@ -283,51 +265,24 @@ func TestReviveReconciliationRequeues(t *testing.T) {
 
 	// Wait for the root to notice the dead link, so the reconnect below
 	// revives the session instead of opening a second one.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		root.mu.Lock()
-		gone := false
-		for _, s := range root.children {
-			if s.name == "fake" && s.gone {
-				gone = true
-			}
-		}
-		root.mu.Unlock()
-		if gone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("root never marked the scripted child gone")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitFor(t, "the root to mark the scripted child gone", func() bool { return childGone(root, "fake") })
 
-	// Revive with an empty hello: no Resume, no Holding — the swallowed
-	// task is accounted nowhere and must be requeued right now.
-	raw2, err := net.Dial("tcp", root.Addr())
+	// Revive with an empty hello: no Resume, no Holding, no request
+	// unanswered — the swallowed task is accounted nowhere and must be
+	// requeued right now.
+	p2, err := dialScripted(root.Addr())
 	if err != nil {
 		t.Fatalf("re-dial: %v", err)
 	}
-	defer raw2.Close()
-	enc2, dec2 := gob.NewEncoder(raw2), gob.NewDecoder(raw2)
-	if err := enc2.Encode(&message{Kind: kindHello, Name: "fake"}); err != nil {
-		t.Fatalf("revive hello: %v", err)
-	}
-	var ack2 message
-	if err := dec2.Decode(&ack2); err != nil {
-		t.Fatalf("revive hello ack: %v", err)
+	defer p2.close()
+	ack2, err := p2.hello(message{Name: "fake"})
+	if err != nil {
+		t.Fatalf("revive: %v", err)
 	}
 	if !ack2.Revived {
 		t.Fatalf("session was not revived")
 	}
-	go func() { // drain so the root's writes never block
-		for {
-			var m message
-			if dec2.Decode(&m) != nil {
-				return
-			}
-		}
-	}()
+	go p2.drain()
 
 	results := <-resc
 	if err := <-errc; err != nil {
@@ -341,6 +296,11 @@ func TestReviveReconciliationRequeues(t *testing.T) {
 	}
 	if s.Requeued != 1 {
 		t.Fatalf("Requeued = %d, want 1 — revive-time reconciliation must not double-count with grace expiry", s.Requeued)
+	}
+	// The hello said no request was unanswered, so the session holds none:
+	// the requeued task goes to whoever asks, not back down this link.
+	if got := sessionPending(root, "fake"); got != 0 {
+		t.Fatalf("revived session holds %d requests, want the hello's 0", got)
 	}
 }
 
@@ -403,16 +363,13 @@ func TestResultLedgerOrderAndRetire(t *testing.T) {
 	}
 }
 
-// TestMidStreamReconnectSwitchesCodec covers a codec downgrade across a
-// reconnect: a scripted child handshakes binary, takes one task and
-// returns its result entirely over binary frames, then dies before the
-// result ack arrives. It revives inside the grace window with a
-// gob-only hello (no Codecs field — an old build after a rollback) that
-// still claims the task, and replays the unacked result over gob. The
-// root must serve each connection in its own negotiated codec, dedupe
-// the replay, and still ack it so the child's ledger can retire —
-// exactly-once end to end.
-func TestMidStreamReconnectSwitchesCodec(t *testing.T) {
+// TestReviveReplayDedupedAndAcked covers a result in flight across a
+// reconnect: a scripted child takes one task and returns its result, then
+// dies before the result ack arrives. It revives inside the grace window
+// with a hello that still claims the task and replays the unacked result.
+// The root must dedupe the replay — it relayed the first copy — and still
+// ack it so the child's ledger can retire: exactly-once end to end.
+func TestReviveReplayDedupedAndAcked(t *testing.T) {
 	const tasks = 6
 	root := startNode(t, Config{
 		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
@@ -427,92 +384,26 @@ func TestMidStreamReconnectSwitchesCodec(t *testing.T) {
 	}
 	leg1c := make(chan legOne, 1)
 	go func() {
-		fail := func(format string, args ...any) {
-			leg1c <- legOne{err: fmt.Errorf(format, args...)}
-		}
-		raw, err := net.Dial("tcp", root.Addr())
+		p, err := dialScripted(root.Addr())
 		if err != nil {
-			fail("dial: %v", err)
+			leg1c <- legOne{err: err}
 			return
 		}
-		defer raw.Close()
-		// One bufio.Reader shared between the gob handshake and the
-		// binary frame reader, exactly as conn does it: gob reads one
-		// message at a time off it, so the codec switch happens at a
-		// clean frame boundary.
-		br := bufio.NewReader(raw)
-		enc, dec := gob.NewEncoder(raw), gob.NewDecoder(br)
-		if err := enc.Encode(&message{Kind: kindHello, Name: "fake",
-			Codecs: codecBytes([]Codec{CodecBinary})}); err != nil {
-			fail("hello: %v", err)
+		defer p.close()
+		if _, err := p.hello(message{Name: "fake"}); err != nil {
+			leg1c <- legOne{err: err}
 			return
 		}
-		var ack message
-		if err := dec.Decode(&ack); err != nil {
-			fail("hello ack: %v", err)
+		id, payload, err := p.takeTask()
+		if err != nil {
+			leg1c <- legOne{err: err}
 			return
 		}
-		if len(ack.Codecs) != 1 || Codec(ack.Codecs[0]) != CodecBinary {
-			fail("first hello-ack pinned codecs %v, want [binary]", ack.Codecs)
-			return
-		}
-
-		// Binary from here on, both directions.
-		var in interner
-		writeBin := func(m *message) error {
-			buf, err := appendFrame(nil, m)
-			if err != nil {
-				return err
-			}
-			_, err = raw.Write(buf)
-			return err
-		}
-		readBin := func() (*message, error) {
-			body, err := readFrame(br, nil)
-			if err != nil {
-				return nil, err
-			}
-			m := new(message)
-			if err := decodeFrame(body, m, &in); err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
-		if err := writeBin(&message{Kind: kindRequest, N: 1}); err != nil {
-			fail("request: %v", err)
-			return
-		}
-		var id uint64
-		var payload []byte
-		for {
-			m, err := readBin()
-			if err != nil {
-				fail("read chunk: %v", err)
-				return
-			}
-			if m.Kind != kindChunk {
-				continue
-			}
-			payload = append(payload, m.Data...)
-			if err := writeBin(&message{Kind: kindChunkAck, Task: m.Task,
-				Offset: m.Offset + len(m.Data), Last: m.Last}); err != nil {
-				fail("chunk ack: %v", err)
-				return
-			}
-			if m.Last {
-				id = m.Task
-				break
-			}
-		}
-		// Return the result over the binary stream and die without
-		// waiting for the ack: the result stays unacked on the (fake)
-		// ledger and must be replayed after the revive.
-		if err := writeBin(&message{Kind: kindResult, Task: id, Origin: "fake",
-			Output: payload}); err != nil {
-			fail("result: %v", err)
-			return
-		}
-		leg1c <- legOne{id: id, payload: payload}
+		// Return the result and die without waiting for the ack: the result
+		// stays unacked on the (fake) ledger and must be replayed after the
+		// revive.
+		err = p.write(&message{Kind: kindResult, Task: id, Origin: "fake", Output: payload})
+		leg1c <- legOne{id: id, payload: payload, err: err}
 	}()
 
 	resc := make(chan []Result, 1)
@@ -525,79 +416,48 @@ func TestMidStreamReconnectSwitchesCodec(t *testing.T) {
 
 	leg1 := <-leg1c
 	if leg1.err != nil {
-		t.Fatalf("scripted child, binary leg: %v", leg1.err)
+		t.Fatalf("scripted child, first leg: %v", leg1.err)
 	}
 
 	// Wait for the root to notice the dead link so the second dial
 	// revives the session rather than opening a parallel one.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		root.mu.Lock()
-		gone := false
-		for _, s := range root.children {
-			if s.name == "fake" && s.gone {
-				gone = true
-			}
-		}
-		root.mu.Unlock()
-		if gone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("root never marked the scripted child gone")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitFor(t, "the root to mark the scripted child gone", func() bool { return childGone(root, "fake") })
 
-	// Revive speaking plain gob: the hello carries no Codecs, so the
-	// parent must drop this link to the gob floor even though the same
-	// session ran binary a moment ago.
-	raw2, err := net.Dial("tcp", root.Addr())
+	p2, err := dialScripted(root.Addr())
 	if err != nil {
 		t.Fatalf("re-dial: %v", err)
 	}
-	defer raw2.Close()
-	enc2, dec2 := gob.NewEncoder(raw2), gob.NewDecoder(raw2)
-	if err := enc2.Encode(&message{Kind: kindHello, Name: "fake",
-		Holding: []uint64{leg1.id}}); err != nil {
-		t.Fatalf("revive hello: %v", err)
-	}
-	var ack2 message
-	if err := dec2.Decode(&ack2); err != nil {
-		t.Fatalf("revive hello ack: %v", err)
+	defer p2.close()
+	ack2, err := p2.hello(message{Name: "fake", Holding: []uint64{leg1.id}})
+	if err != nil {
+		t.Fatalf("revive: %v", err)
 	}
 	if !ack2.Revived {
 		t.Fatalf("session was not revived")
 	}
-	if len(ack2.Codecs) != 0 {
-		t.Fatalf("gob-only revive got codec pick %v, want none (gob floor)", ack2.Codecs)
-	}
-	// Replay the unacked result over gob; the root already relayed it
-	// from the binary leg, so this must dedupe — and still be acked.
-	if err := enc2.Encode(&message{Kind: kindResult, Task: leg1.id, Origin: "fake",
-		Output: leg1.payload}); err != nil {
+	// Replay the unacked result; the root already relayed it from the first
+	// leg, so this must dedupe — and still be acked.
+	if err := p2.write(&message{Kind: kindResult, Task: leg1.id, Origin: "fake", Output: leg1.payload}); err != nil {
 		t.Fatalf("replay result: %v", err)
 	}
-	ackDeadline := time.After(10 * time.Second)
-	got := make(chan message, 1)
+	got := make(chan struct{})
 	go func() {
 		for {
-			var m message
-			if dec2.Decode(&m) != nil {
+			m, err := p2.read()
+			if err != nil {
 				return
 			}
 			if m.Kind == kindResultAck && m.Task == leg1.id {
-				select {
-				case got <- m:
-				default:
-				}
+				close(got)
+				p2.drain()
+				return
 			}
 		}
 	}()
 	select {
 	case <-got:
-	case <-ackDeadline:
-		t.Fatalf("replayed result never acked over the gob leg")
+	case <-time.After(10 * time.Second):
+		t.Fatalf("replayed result never acked")
 	}
 
 	results := <-resc
@@ -606,7 +466,7 @@ func TestMidStreamReconnectSwitchesCodec(t *testing.T) {
 	}
 	assertExactlyOnce(t, results, tasks)
 	if s := root.Stats(); s.ResultsDeduped < 1 {
-		t.Fatalf("ResultsDeduped = %d, want >= 1 (the gob replay of task %d)", s.ResultsDeduped, leg1.id)
+		t.Fatalf("ResultsDeduped = %d, want >= 1 (the replay of task %d)", s.ResultsDeduped, leg1.id)
 	}
 }
 

@@ -53,7 +53,7 @@ func (n *Node) nextChunk() *childSession {
 			continue
 		}
 		if s.active != nil {
-			n.requeueLocked(s, s.active, false)
+			n.requeueLocked(s, s.active)
 			s.active = nil
 		}
 		ids := make([]uint64, 0, len(s.outstanding))
@@ -62,7 +62,7 @@ func (n *Node) nextChunk() *childSession {
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
-			n.requeueLocked(s, s.outstanding[id], false)
+			n.requeueLocked(s, s.outstanding[id])
 		}
 		clear(s.outstanding)
 	}
@@ -161,19 +161,15 @@ func (n *Node) wakeLocked() {
 }
 
 // requeueLocked returns a transfer's task to the pool for re-dispatch,
-// behind everything already buffered. withRequest also re-registers the
-// request the dispatch consumed: the child never received the task, so
-// the buffer slot it asked for is still waiting. The caller takes the
-// transfer off the session and holds n.mu.
-func (n *Node) requeueLocked(s *childSession, tr *outTransfer, withRequest bool) {
+// behind everything already buffered. The request the dispatch consumed is
+// not its business: a child that comes back says in its hello how many
+// requests are still unanswered. The caller takes the transfer off the
+// session and holds n.mu.
+func (n *Node) requeueLocked(s *childSession, tr *outTransfer) {
 	n.buffer.push(tr.task)
 	n.record(Event{Kind: EvRequeue, Task: tr.task.ID, Peer: s.name})
 	n.bumpApp(tr.task.App, func(a *AppStats) { a.Requeued++ })
 	n.stats.Requeued++
-	if withRequest {
-		s.pending++
-		n.record(Event{Kind: EvRequestServed, Peer: s.name, Value: 1})
-	}
 	n.wakeLocked()
 }
 

@@ -20,10 +20,7 @@ type StatusSnapshot struct {
 	Children []string           `json:"children"`
 	Stats    Stats              `json:"stats"`
 	Links    map[string]float64 `json:"measuredLinkSeconds"` // EWMA per-chunk time by child
-	// Codecs is the negotiated wire codec per link: one entry per
-	// connected child plus "parent" for the uplink.
-	Codecs map[string]string `json:"codecs,omitempty"`
-	Uptime string            `json:"uptime"`
+	Uptime   string             `json:"uptime"`
 	// Connected reports whether the uplink is currently established; a
 	// non-root node mid-reconnect shows false (always true at the root).
 	Connected bool `json:"connected"`
@@ -119,18 +116,13 @@ func (s *statusServer) handle(w http.ResponseWriter, r *http.Request) {
 		Root:      n.root,
 		Buffered:  n.buffer.len(),
 		Links:     map[string]float64{},
-		Codecs:    map[string]string{},
 		Uptime:    time.Since(s.started).Round(time.Millisecond).String(),
 		Connected: n.root || n.parent != nil,
-	}
-	if n.parent != nil {
-		snap.Codecs["parent"] = n.parent.codec.String()
 	}
 	for _, c := range n.children {
 		if !c.gone {
 			snap.Children = append(snap.Children, c.name)
 			snap.Links[c.name] = c.link.estimate()
-			snap.Codecs[c.name] = c.c.codec.String()
 		}
 	}
 	n.mu.Unlock()

@@ -2,7 +2,6 @@ package live
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -15,8 +14,11 @@ import (
 type msgKind uint8
 
 const (
-	// kindHello introduces a child to its parent (child → parent). On a
-	// reconnect it carries Resume points for partially received transfers.
+	// kindHello introduces a child to its parent (child → parent) and is
+	// the first frame on every connection. It lists the wire versions the
+	// child speaks and carries the child's own account of the link: the
+	// requests it has sent that no task has answered and, on a reconnect,
+	// Resume points for partially received transfers.
 	kindHello msgKind = iota + 1
 	// kindRequest asks the parent for N more tasks (child → parent).
 	kindRequest
@@ -36,14 +38,12 @@ const (
 	// kindChunkAck confirms receipt of a task's final chunk (child →
 	// parent), one per task. Nothing waits on it: the parent hands the
 	// task off when it writes that chunk, and an interrupted transfer
-	// resumes from the offset the reconnect hello offers. It is proof of
-	// receipt for a later revive and the recorder's end of the transfer.
-	// (A child that predates this acks every chunk; the extra acks are
-	// ignored.)
+	// resumes from the offset the reconnect hello offers. It is the
+	// recorder's end of the transfer.
 	kindChunkAck
-	// kindHelloAck answers a hello (parent → child): whether the parent
-	// revived the child's previous session and which partial transfers it
-	// agreed to resume.
+	// kindHelloAck answers a hello (parent → child): the wire version the
+	// parent picked, whether it revived the child's previous session and
+	// which partial transfers it agreed to resume.
 	kindHelloAck
 	// kindGoodbye announces a deliberate departure (child → parent), so
 	// the parent reclaims the subtree's tasks immediately instead of
@@ -66,10 +66,17 @@ type ResumePoint struct {
 	Offset int
 }
 
-// message is the single wire envelope. One gob stream per direction per
-// connection.
+// message is the single wire envelope; codec.go gives each kind's
+// encoding.
 type message struct {
 	Kind msgKind
+
+	// Hello and HelloAck. Codecs is the wire-version list: a hello offers
+	// every version the child speaks, the hello-ack echoes the parent's
+	// pick. It is encoded ahead of every other field and checked first, so
+	// a peer on a different layout is refused by version (errWireVersion),
+	// never misparsed.
+	Codecs []uint8
 
 	// Hello.
 	Name   string
@@ -86,7 +93,10 @@ type message struct {
 	Revived  bool
 	Accepted []uint64
 
-	// Request.
+	// Request: the tasks asked for. Hello: the child's count of requests
+	// sent and not yet answered by a task; the parent registers exactly
+	// that many, whatever it had read or dispatched on the connection that
+	// died.
 	N int
 
 	// Chunk and ChunkAck. A ChunkAck's Offset is the contiguous byte
@@ -103,66 +113,37 @@ type message struct {
 	Output []byte
 	Origin string // name of the node that computed the task
 
-	// Trace context (appended fields — kind values are unchanged, and gob
-	// ignores fields one side does not declare, so old-format frames
-	// decode with zero trace context and old peers skip these).
-	//
-	// Seq is a node-unique wire sequence number stamped on every frame
-	// the node sends. TraceNode and TraceSeq name the flight-recorder
-	// event on the sending node that caused this frame, so a receive
-	// event on one node links to the causal send event on its peer
-	// (CausePeer/CauseSeq in the recorder's Event).
+	// Trace context. Seq is a node-unique wire sequence number stamped on
+	// every frame the node sends. TraceNode and TraceSeq name the
+	// flight-recorder event on the sending node that caused this frame, so
+	// a receive event on one node links to the causal send event on its
+	// peer (CausePeer/CauseSeq in the recorder's Event).
 	Seq       uint64
 	TraceNode string
 	TraceSeq  uint64
 
-	// Application tag (appended field, back-compatible both directions
-	// exactly like the trace context above: old-format frames decode with
-	// an empty App, old peers skip the field). Chunks carry the task's
-	// application so the receiving subtree preserves tenant attribution;
-	// results echo it back so every hop keeps per-tenant counters; a
-	// request carries the application whose freed buffer fired it
-	// (informational — requests remain anonymous capacity, exactly as in
-	// the engine).
+	// Application tag. Chunks carry the task's application so the
+	// receiving subtree preserves tenant attribution; results echo it back
+	// so every hop keeps per-tenant counters; a request carries the
+	// application whose freed buffer fired it (informational — requests
+	// remain anonymous capacity, exactly as in the engine).
 	App string
-
-	// Codecs (appended field, back-compatible both directions like App
-	// and the trace context) carries codec-version negotiation: a hello
-	// lists every version beyond gob the child speaks, the hello-ack
-	// echoes the parent's pick. Peers that predate versioning skip the
-	// field and keep their gob streams. See Codec.
-	Codecs []uint8
 }
 
-// conn wraps a network connection with gob codecs and a write lock so
-// multiple goroutines (request sender, result relay, send port) can share
+// conn wraps a network connection with the frame codec and a write lock
+// so multiple goroutines (uplink writer, heartbeat, send port) can share
 // the outbound stream safely. It also carries the link's supervision
 // state: the receive timestamp heartbeat monitors watch, the per-message
 // write deadline, and the fault-injection plan consulted on every frame.
 type conn struct {
 	raw net.Conn
-	w   io.Writer // raw wrapped with the byte counter; all writes go through it
-	enc *gob.Encoder
-	dec *gob.Decoder
-	// br is the shared inbound buffer: the gob decoder reads through it
-	// (bufio.Reader is an io.ByteReader, so gob never double-buffers and
-	// never reads past a message boundary), which is what makes switching
-	// to binary framing at a frame boundary safe — the binary reader
-	// picks up exactly where the handshake's gob stream stopped.
-	br *bufio.Reader
-	// codec is the negotiated wire codec. It is written once during the
-	// handshake, before the conn is published to other goroutines, and
-	// stays fixed for the connection's lifetime (a reconnect negotiates
-	// afresh on a new conn).
-	codec Codec
-	wmu   sync.Mutex
-	// Write-side state, guarded by wmu: the reusable gob envelope (so
-	// callers' messages do not escape to the heap) and the binary encode
-	// buffer, which between writes holds the frames queue left pending
-	// (queued counts them).
-	scratch message
-	wbuf    []byte
-	queued  int
+	w   io.Writer     // raw wrapped with the byte counter; all writes go through it
+	br  *bufio.Reader // inbound buffer, owned by the conn's single reader goroutine
+	wmu sync.Mutex
+	// Write-side state, guarded by wmu: the encode buffer, which between
+	// writes holds the frames queue left pending (queued counts them).
+	wbuf   []byte
+	queued int
 	// Read-side scratch, owned by the conn's single reader goroutine.
 	rbuf   []byte
 	rmsg   message
@@ -198,8 +179,8 @@ type wireCounters struct {
 	writes     atomic.Int64 // Write calls, i.e. syscalls; read by tests only
 }
 
-// countingWriter and countingReader meter raw link bytes (gob and binary
-// alike) into the owning node's wire counters.
+// countingWriter and countingReader meter raw link bytes into the owning
+// node's wire counters.
 type countingWriter struct {
 	w   io.Writer
 	ctr *wireCounters
@@ -232,8 +213,6 @@ func newConn(raw net.Conn, peer string, faults *FaultPlan, writeTO time.Duration
 	c := &conn{
 		raw:     raw,
 		w:       w,
-		enc:     gob.NewEncoder(w),
-		dec:     gob.NewDecoder(br),
 		br:      br,
 		peer:    peer,
 		faults:  faults,
@@ -267,17 +246,28 @@ var errFaultSevered = fmt.Errorf("live: connection severed by fault plan")
 
 // send writes one message — and, in the same write, whatever queue left
 // pending — serialized with the connection's write lock and bounded by the
-// per-message write deadline.
+// per-message write deadline: a batch of one.
 func (c *conn) send(m *message) error {
-	return c.sendAs(m, c.codec, true)
+	_, err := c.sendBatch([]*message{m})
+	return err
 }
 
 // queue encodes a frame behind the conn's pending bytes without writing
 // it: it leaves with the next send, sendBatch or flush, and the fault plan
-// is consulted for it here, exactly as send would. It does no I/O and
-// holds only wmu. A gob conn keeps one frame per write: there queue sends.
+// is consulted for it here, exactly as a send would. It does no I/O and
+// holds only wmu.
 func (c *conn) queue(m *message) error {
-	return c.sendAs(m, c.codec, c.codec != CodecBinary)
+	keep, err := c.stage(m)
+	if err != nil {
+		_ = c.close()
+		return err
+	}
+	if !keep {
+		return nil
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.encodeLocked(m)
 }
 
 // flush writes the frames queue left pending, if any. Like send and
@@ -288,61 +278,39 @@ func (c *conn) flush() error {
 	return c.writePendingLocked()
 }
 
-// sendHandshake writes a hello or hello-ack. Handshake frames are always
-// gob — the codec a connection will speak is decided by this exchange,
-// so the exchange itself stays in the floor format every peer speaks.
-func (c *conn) sendHandshake(m *message) error {
-	return c.sendAs(m, CodecGob, true)
-}
-
-func (c *conn) sendAs(m *message, codec Codec, write bool) error {
+// stage stamps an outbound frame with its wire sequence number and
+// consults the fault plan for it — the one place a send-side fault is
+// decided. keep is false for a frame scripted as dropped (silently lost in
+// the "network"); errFaultSevered means the plan cuts the link at this
+// frame, and the caller closes the conn.
+func (c *conn) stage(m *message) (keep bool, err error) {
 	if m.Seq == 0 {
 		m.Seq = c.wireSeq.Add(1)
 	}
-	if c.faults != nil {
-		switch op, d := c.faults.decide(FaultSend, c.peer, FrameKind(m.Kind)); op {
-		case FaultDrop:
-			return nil // silently lost in the "network"
-		case FaultDelay:
-			time.Sleep(d)
-		case FaultSever:
-			_ = c.close()
-			return errFaultSevered
-		}
+	if c.faults == nil {
+		return true, nil
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.writeLocked(m, codec, write)
+	switch op, d := c.faults.decide(FaultSend, c.peer, FrameKind(m.Kind)); op {
+	case FaultDrop:
+		return false, nil
+	case FaultDelay:
+		time.Sleep(d)
+	case FaultSever:
+		return false, errFaultSevered
+	}
+	return true, nil
 }
 
-// writeLocked encodes one frame and, when write is set, writes it with
-// everything pending; callers hold wmu. wmu exists solely to serialize
-// writes: it guards no other state, and the stall lockdiscipline fears is
-// capped by the write deadline.
-func (c *conn) writeLocked(m *message, codec Codec, write bool) error {
-	if codec == CodecBinary {
-		buf, err := appendFrame(c.wbuf, m)
-		if err != nil {
-			return err // buf is c.wbuf, pending frames intact
-		}
-		c.wbuf = buf
-		c.queued++
-		if !write {
-			return nil
-		}
-		return c.writePendingLocked()
+// encodeLocked appends one frame to the encode buffer; callers hold wmu.
+// wmu exists solely to serialize writes: it guards no other state, and the
+// stall lockdiscipline fears is capped by the write deadline.
+func (c *conn) encodeLocked(m *message) error {
+	buf, err := appendFrame(c.wbuf, m)
+	if err != nil {
+		return err // buf is c.wbuf, pending frames intact
 	}
-	if c.writeTO > 0 {
-		_ = c.raw.SetWriteDeadline(time.Now().Add(c.writeTO))
-	}
-	// Copy into the per-conn scratch envelope so the caller's message —
-	// typically a stack-allocated literal — does not escape through the
-	// encoder's interface argument.
-	c.scratch = *m
-	if err := c.enc.Encode(&c.scratch); err != nil {
-		return err
-	}
-	c.ctr.framesSent.Add(1)
+	c.wbuf = buf
+	c.queued++
 	return nil
 }
 
@@ -365,53 +333,33 @@ func (c *conn) writePendingLocked() error {
 	return err
 }
 
-// sendBatch writes the frames back to back — on a binary conn in one
-// buffer with whatever queue left pending, one syscall — and reports how
-// many leading frames the "network" accepted (written or scripted as
-// drops) before any error. On a write error the count is 0: none of the
-// batch may be assumed delivered, and the link-failure path takes over. A
-// scripted sever cuts the batch at the severed frame, exactly where
-// sequential sends would have stopped.
+// sendBatch writes the frames back to back — in one buffer with whatever
+// queue left pending, one syscall — and reports how many leading frames
+// the "network" accepted (written or scripted as drops) before any error.
+// On a write error the count is 0: none of the batch may be assumed
+// delivered, and the link-failure path takes over. A scripted sever cuts
+// the batch at the severed frame, exactly where sequential sends would
+// have stopped.
 func (c *conn) sendBatch(ms []*message) (int, error) {
-	if c.codec != CodecBinary || len(ms) == 1 {
-		for i, m := range ms {
-			if err := c.send(m); err != nil {
-				return i, err
-			}
-		}
-		return len(ms), nil
-	}
-	accepted := 0
-	severed := false
+	accepted := len(ms)
+	var severed error
 	keep := ms[:0] // compacted in place; only writes behind the read index
-	for i := 0; i < len(ms); i++ {
-		m := ms[i]
-		if m.Seq == 0 {
-			m.Seq = c.wireSeq.Add(1)
+	for i, m := range ms {
+		ok, err := c.stage(m)
+		if err != nil {
+			accepted, severed = i, err
+			break
 		}
-		if c.faults != nil {
-			op, d := c.faults.decide(FaultSend, c.peer, FrameKind(m.Kind))
-			if op == FaultDrop {
-				accepted = i + 1
-				continue
-			}
-			if op == FaultDelay {
-				time.Sleep(d)
-			}
-			if op == FaultSever {
-				severed = true
-				break
-			}
+		if ok {
+			keep = append(keep, m)
 		}
-		keep = append(keep, m)
-		accepted = i + 1
 	}
 	var werr error
 	if len(keep) > 0 {
 		c.wmu.Lock()
 		pending, queued := len(c.wbuf), c.queued
 		for _, m := range keep {
-			if werr = c.writeLocked(m, CodecBinary, false); werr != nil {
+			if werr = c.encodeLocked(m); werr != nil {
 				c.wbuf, c.queued = c.wbuf[:pending], queued // unencodable batch: none of it leaves
 				break
 			}
@@ -421,10 +369,10 @@ func (c *conn) sendBatch(ms []*message) (int, error) {
 		}
 		c.wmu.Unlock()
 	}
-	if severed {
+	if severed != nil {
 		_ = c.close()
 		if werr == nil {
-			werr = errFaultSevered
+			werr = severed
 		}
 		return accepted, werr
 	}
@@ -435,34 +383,24 @@ func (c *conn) sendBatch(ms []*message) (int, error) {
 }
 
 // recv reads the next message, stamping the link's proof-of-life clock.
-// On a binary conn the returned message is the conn's reusable decode
-// slot: it is valid until the next recv, and its Data field aliases the
-// reusable read buffer (consumers copy before the next read; Output is
-// already copied by the decoder because results outlive the buffer).
+// The returned message is the conn's reusable decode slot: it is valid
+// until the next recv, and its Data field aliases the reusable read buffer
+// (consumers copy before the next read; Output is already copied by the
+// decoder because results outlive the buffer).
 func (c *conn) recv() (*message, error) {
 	for {
-		var m *message
-		if c.codec == CodecBinary {
-			body, err := readFrame(c.br, c.rbuf)
-			c.rbuf = body[:cap(body)]
-			if err != nil {
-				return nil, err
-			}
-			if err := decodeFrame(body, &c.rmsg, &c.intern); err != nil {
-				return nil, err
-			}
-			c.ctr.framesRecv.Add(1)
-			m = &c.rmsg
-		} else {
-			m = new(message)
-			if err := c.dec.Decode(m); err != nil {
-				return nil, err
-			}
-			c.ctr.framesRecv.Add(1)
+		body, err := readFrame(c.br, c.rbuf)
+		c.rbuf = body[:cap(body)]
+		if err != nil {
+			return nil, err
 		}
+		if err := decodeFrame(body, &c.rmsg, &c.intern); err != nil {
+			return nil, err
+		}
+		c.ctr.framesRecv.Add(1)
 		c.lastRecv.Store(time.Now().UnixNano())
 		if c.faults != nil {
-			switch op, d := c.faults.decide(FaultRecv, c.peer, FrameKind(m.Kind)); op {
+			switch op, d := c.faults.decide(FaultRecv, c.peer, FrameKind(c.rmsg.Kind)); op {
 			case FaultDrop:
 				continue // lost before delivery
 			case FaultDelay:
@@ -472,7 +410,7 @@ func (c *conn) recv() (*message, error) {
 				return nil, errFaultSevered
 			}
 		}
-		return m, nil
+		return &c.rmsg, nil
 	}
 }
 
@@ -503,7 +441,7 @@ type inTransfer struct {
 	payload []byte
 	got     int
 	// app is the task's application tag, carried on every chunk (empty
-	// when the sender predates tagging or the task is untagged).
+	// when the task is untagged).
 	app string
 	// segment/segmentFrom track the trace context of the last chunk, so
 	// the flight recorder logs one receive event per transfer segment

@@ -1,8 +1,6 @@
 package live
 
 import (
-	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 	"time"
@@ -35,89 +33,20 @@ func TestWireKindValuesStable(t *testing.T) {
 }
 
 // TestResultAckRoundTrip runs the result-ack frame and a Holding-carrying
-// hello through the real gob codec: the ack must preserve its ledger key
-// (task ID + origin), the hello its reconciliation set.
+// hello through the codec: the ack must preserve its ledger key (task ID +
+// origin), the hello its reconciliation set and its request count.
 func TestResultAckRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc, dec := gob.NewEncoder(&buf), gob.NewDecoder(&buf)
-	sent := []*message{
+	var in interner
+	for i, want := range []*message{
 		{Kind: kindResultAck, Task: 42, Origin: "leaf-7"},
-		{Kind: kindHello, Name: "mid", Holding: []uint64{3, 9, 12},
+		{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: "mid", N: 2, Holding: []uint64{3, 9, 12},
 			Resume: []ResumePoint{{Task: 5, Offset: 1024}}},
 		{Kind: kindResult, Task: 42, Output: []byte{1, 2, 3}, Origin: "leaf-7"},
-	}
-	for i, m := range sent {
-		if err := enc.Encode(m); err != nil {
-			t.Fatalf("encode %d: %v", i, err)
-		}
-	}
-	for i, want := range sent {
-		var got message
-		if err := dec.Decode(&got); err != nil {
-			t.Fatalf("decode %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(&got, want) {
+	} {
+		want.Seq = uint64(i + 1) // appendFrame encodes it; a conn would have stamped it
+		if got := binaryRoundTrip(t, want, &in); !reflect.DeepEqual(got, want) {
 			t.Errorf("frame %d round-tripped to %+v, want %+v", i, got, *want)
 		}
-	}
-}
-
-// legacyMessage is the wire envelope as it existed before the trace
-// context was appended — no Seq, TraceNode, or TraceSeq. Gob matches
-// struct fields by name and ignores ones either side does not declare, so
-// old-format frames must keep decoding into the current message (with
-// zero trace context) and new frames must keep decoding on old peers.
-type legacyMessage struct {
-	Kind     msgKind
-	Name     string
-	Resume   []ResumePoint
-	Holding  []uint64
-	Revived  bool
-	Accepted []uint64
-	N        int
-	Task     uint64
-	Size     int
-	Offset   int
-	Data     []byte
-	Last     bool
-	Output   []byte
-	Origin   string
-}
-
-// TestWireTraceContextBackCompat pins both directions of the gob
-// evolution contract for the appended trace-context fields.
-func TestWireTraceContextBackCompat(t *testing.T) {
-	// Old peer → new node: a pre-trace frame decodes with zero context.
-	var buf bytes.Buffer
-	old := legacyMessage{Kind: kindChunk, Task: 7, Size: 4, Offset: 0, Data: []byte{1, 2, 3, 4}, Last: true}
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatalf("encode legacy: %v", err)
-	}
-	var got message
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("decode legacy into current message: %v", err)
-	}
-	if got.Kind != kindChunk || got.Task != 7 || !got.Last || len(got.Data) != 4 {
-		t.Errorf("legacy frame mangled: %+v", got)
-	}
-	if got.Seq != 0 || got.TraceNode != "" || got.TraceSeq != 0 {
-		t.Errorf("legacy frame grew trace context from nowhere: %+v", got)
-	}
-
-	// New node → old peer: a trace-stamped frame decodes on a peer that
-	// does not declare the fields.
-	buf.Reset()
-	stamped := message{Kind: kindResult, Task: 9, Output: []byte{5}, Origin: "w1",
-		Seq: 42, TraceNode: "w1", TraceSeq: 17}
-	if err := gob.NewEncoder(&buf).Encode(&stamped); err != nil {
-		t.Fatalf("encode stamped: %v", err)
-	}
-	var back legacyMessage
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("decode stamped into legacy message: %v", err)
-	}
-	if back.Kind != kindResult || back.Task != 9 || back.Origin != "w1" {
-		t.Errorf("stamped frame mangled on a legacy peer: %+v", back)
 	}
 }
 
@@ -142,6 +71,11 @@ func TestInTransferAssembly(t *testing.T) {
 		if int(b) != i {
 			t.Fatalf("payload[%d] = %d", i, b)
 		}
+	}
+	// An untagged transfer (single-application run) must not fabricate an
+	// app on assembly.
+	if tr.app != "" {
+		t.Errorf("untagged transfer acquired app %q", tr.app)
 	}
 }
 
