@@ -424,9 +424,10 @@ func run(args []string, out io.Writer) error {
 }
 
 // progressFunc returns an experiments progress callback that rewrites a
-// single stderr line per population, throttled so tight sweeps don't
-// spend their time printing. Progress goes to stderr so redirected
-// stdout stays clean experiment output.
+// single stderr line per sweep (a tree counts once every protocol of the
+// sweep has run it), throttled so tight sweeps don't spend their time
+// printing. Progress goes to stderr so redirected stdout stays clean
+// experiment output.
 func progressFunc(label string) func(done, total int) {
 	var last time.Time
 	start := time.Now()
@@ -440,7 +441,7 @@ func progressFunc(label string) func(done, total int) {
 		fmt.Fprintf(os.Stderr, "\r%s: %d/%d trees (%.0f trees/sec)   ", label, done, total, rate)
 		if done == total {
 			fmt.Fprintln(os.Stderr)
-			start = time.Now() // next population (same experiment) restarts the rate
+			start = time.Now() // next sweep (same experiment) restarts the rate
 		}
 	}
 }

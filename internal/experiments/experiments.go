@@ -25,6 +25,7 @@ import (
 	"bwcs/internal/rational"
 	"bwcs/internal/sim"
 	"bwcs/internal/stats"
+	"bwcs/internal/tree"
 	"bwcs/internal/window"
 )
 
@@ -46,10 +47,11 @@ type Options struct {
 	Workers int
 
 	// Progress, when non-nil, observes sweep advancement: it is called
-	// after each simulated tree with the number of trees finished so far
-	// in the current population and the population size. Calls are
-	// serialized and done increases by exactly one per call, but they
-	// arrive from worker goroutines. The callback runs outside the
+	// once per tree, after every protocol of the RunPopulation call has
+	// simulated it, with the number of trees finished so far in that call
+	// and the population size. Calls are serialized and done runs
+	// 1..Trees, increasing by exactly one per call, but they arrive from
+	// worker goroutines. The callback runs outside the
 	// sweep's aggregation lock, so a slow callback delays reporting but
 	// never serializes the workers; it must not call back into the
 	// sweep. Reporting does not perturb results: the tree population and
@@ -139,14 +141,19 @@ type TreeOutcome struct {
 	Makespan sim.Time
 }
 
-// SweepMetrics instruments one population sweep: wall-clock throughput
-// plus the engine counters summed over every tree in the population. The
-// Engine aggregate is deterministic (integer sums over deterministic
-// runs) with one caveat: FreeListHits and EventAllocs depend on how warm
-// each worker's reused run state is, so their split varies with the
-// worker count and work partition (their sum, the total Schedule count,
-// stays deterministic). Elapsed and TreesPerSec are wall-clock
-// measurements.
+// SweepMetrics instruments one protocol's share of a population sweep:
+// throughput plus the engine counters summed over every tree in the
+// population. The Engine aggregate is deterministic (integer sums over
+// deterministic runs) with one caveat: FreeListHits and EventAllocs
+// depend on how warm each worker's reused run state is, so their split
+// varies with the worker count and work partition (their sum, the total
+// Schedule count, stays deterministic). A sweep is tree-major — each tree
+// is generated once and run under every protocol before the next — so no
+// wall-clock interval belongs to one protocol: Elapsed is the time the
+// workers spent in this protocol's simulations and onset scans, summed
+// and divided by the worker count, and TreesPerSec is Trees over that.
+// Tree generation and the optimal weight, shared by the protocols, are in
+// neither.
 type SweepMetrics struct {
 	Elapsed     time.Duration
 	TreesPerSec float64
@@ -247,36 +254,51 @@ type Population struct {
 	Sweep    SweepMetrics
 }
 
-// Evaluator runs trees through a persistent engine.Runner, so the event
-// free list, node table and completions buffer recycle across trees
-// instead of being reallocated per run. It is not safe for concurrent
-// use: sweeps hold one Evaluator per worker. The *engine.Result an
-// evaluation returns aliases the Evaluator's buffers and is valid only
-// until the next EvaluateTree call.
+// Evaluator takes trees from generation to outcome on state it keeps: a
+// randtree.Generator arena for the tree, an optimal.Calculator for its
+// weight and an engine.Runner whose event free list, node table and
+// completions buffer recycle across runs. It is not safe for concurrent
+// use: sweeps hold one Evaluator per worker. The tree, the window series
+// and the *engine.Result of an evaluation (whose Tree field is that tree)
+// live in the Evaluator's buffers and are valid only until its next call.
 type Evaluator struct {
 	r      *engine.Runner
+	gen    *randtree.Generator
+	calc   optimal.Calculator
 	series *window.Series
+
+	// The loaded tree, its population index and its optimal weight.
+	tree   *tree.Tree
+	index  int
+	weight rational.Rat
 }
 
 // NewEvaluator returns an Evaluator with cold run state.
 func NewEvaluator() *Evaluator { return &Evaluator{r: engine.NewRunner()} }
 
+// load generates tree index of o's population into the arena and computes
+// its optimal weight: once per tree, however many protocols then run it.
+func (ev *Evaluator) load(o Options, index int) {
+	if ev.gen == nil || ev.gen.Params() != o.Params {
+		ev.gen = randtree.New(o.Params, o.Seed)
+	}
+	ev.tree, ev.index = ev.gen.TreeAt(o.Seed, index), index
+	ev.weight = ev.calc.Weight(ev.tree)
+}
+
 // EvaluateTree runs one protocol on one tree and reduces the run to a
 // TreeOutcome. Checkpoints, when non-nil, are passed through to the engine
 // (Table 2 snapshots buffer usage mid-run); the raw result is returned for
-// experiments that need more than the outcome summary, and is valid only
-// until this Evaluator's next run.
+// experiments that need more than the outcome summary. It and the tree it
+// points to are valid only until this Evaluator's next call.
 func (ev *Evaluator) EvaluateTree(o Options, p protocol.Protocol, index int, checkpoints []int64) (TreeOutcome, *engine.Result, error) {
-	var w rational.Rat
-	return ev.evaluate(o, p, index, checkpoints, &w)
+	ev.load(o, index)
+	return ev.run(o, p, checkpoints)
 }
 
-// evaluate is EvaluateTree with the tree's optimal weight held by the
-// caller: computed into *weight when that is still zero (a weight never
-// is), reused otherwise. The weight depends on the tree alone, so a sweep
-// computes it during its first protocol's pass and not again.
-func (ev *Evaluator) evaluate(o Options, p protocol.Protocol, index int, checkpoints []int64, weight *rational.Rat) (TreeOutcome, *engine.Result, error) {
-	tr := randtree.TreeAt(o.Params, o.Seed, index)
+// run simulates the loaded tree under p and scans the run for its onset.
+func (ev *Evaluator) run(o Options, p protocol.Protocol, checkpoints []int64) (TreeOutcome, *engine.Result, error) {
+	tr, index := ev.tree, ev.index
 	res, err := ev.r.Run(engine.Config{
 		Tree:        tr,
 		Protocol:    p,
@@ -287,10 +309,7 @@ func (ev *Evaluator) evaluate(o Options, p protocol.Protocol, index int, checkpo
 	if err != nil {
 		return TreeOutcome{}, nil, fmt.Errorf("tree %d under %v: %w", index, p, err)
 	}
-	if weight.IsZero() {
-		*weight = optimal.Weight(tr)
-	}
-	series, err := window.New(res.Completions, *weight)
+	series, err := window.New(res.Completions, ev.weight)
 	if err != nil {
 		return TreeOutcome{}, nil, fmt.Errorf("tree %d under %v: %w", index, p, err)
 	}
@@ -322,10 +341,11 @@ func EvaluateTree(o Options, p protocol.Protocol, index int, checkpoints []int64
 	return NewEvaluator().EvaluateTree(o, p, index, checkpoints)
 }
 
-// RunPopulation evaluates each protocol over the same tree population in
-// parallel and returns one Population per protocol, in order. Each
-// worker reuses one Evaluator for the whole sweep, and each tree's optimal
-// weight is computed once, by whichever worker meets it first.
+// RunPopulation evaluates each protocol over the same tree population and
+// returns one Population per protocol, in order. The sweep is tree-major:
+// one parallel pass over the trees, in which a worker generates tree i
+// into its Evaluator's arena, weighs it, runs every protocol on it and
+// folds the outcomes into the protocols' aggregates under one lock hold.
 func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -333,88 +353,101 @@ func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) 
 	if len(protos) == 0 {
 		return nil, fmt.Errorf("experiments: no protocols")
 	}
-	workers := o.workers()
-	evals := make([]*Evaluator, workers)
-	for i := range evals {
-		evals[i] = NewEvaluator()
-	}
-	// weights[i] is written during the first protocol's pass by the one
-	// worker that holds index i, and only read by later passes.
-	weights := make([]rational.Rat, o.Trees)
 	out := make([]Population, len(protos))
 	for pi, p := range protos {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		outcomes := make([]TreeOutcome, o.Trees)
-		popAgg := NewPopulationAgg()
-		var (
-			mu         sync.Mutex // guards agg, popAgg, done
-			agg        engine.Metrics
-			done       int
-			progressMu sync.Mutex // serializes Progress callbacks
-			reported   int        // guarded by mu; last done value reported
-			start      = time.Now()
-		)
-		// report drains pending progress values outside mu: whoever wins
-		// progressMu reports each done value 1..Trees exactly once, in
-		// order, while losers return immediately — a slow callback
-		// therefore delays reporting, never the workers. The post-unlock
-		// recheck closes the window where a worker increments done and
-		// finds progressMu still held by a drainer that just decided to
-		// stop.
-		report := func() {
+		out[pi] = Population{Protocol: p, Outcomes: make([]TreeOutcome, o.Trees), Agg: NewPopulationAgg()}
+	}
+	workers := min(o.workers(), o.Trees)
+	// A worker's Evaluator, and per protocol the engine metrics and time
+	// of the runs it made, summed over workers once the sweep is done.
+	type workerState struct {
+		ev    *Evaluator
+		sweep []SweepMetrics
+	}
+	states := make([]workerState, workers)
+	for i := range states {
+		states[i] = workerState{NewEvaluator(), make([]SweepMetrics, len(protos))}
+	}
+	var (
+		mu         sync.Mutex // guards out's Agg, done, reported
+		done       int
+		progressMu sync.Mutex // serializes Progress callbacks
+		reported   int        // last done value reported
+	)
+	// report drains pending progress values outside mu: whoever wins
+	// progressMu reports each done value 1..Trees exactly once, in
+	// order, while losers return immediately — a slow callback
+	// therefore delays reporting, never the workers. The post-unlock
+	// recheck closes the window where a worker increments done and
+	// finds progressMu still held by a drainer that just decided to
+	// stop.
+	report := func() {
+		for {
+			if !progressMu.TryLock() {
+				return
+			}
 			for {
-				if !progressMu.TryLock() {
-					return
-				}
-				for {
-					mu.Lock()
-					if reported >= done {
-						mu.Unlock()
-						break
-					}
-					reported++
-					next := reported
-					mu.Unlock()
-					o.Progress(next, o.Trees)
-				}
-				progressMu.Unlock()
 				mu.Lock()
-				again := reported < done
-				mu.Unlock()
-				if !again {
-					return
+				if reported >= done {
+					mu.Unlock()
+					break
 				}
+				reported++
+				next := reported
+				mu.Unlock()
+				o.Progress(next, o.Trees)
+			}
+			progressMu.Unlock()
+			mu.Lock()
+			again := reported < done
+			mu.Unlock()
+			if !again {
+				return
 			}
 		}
-		if err := parallelFor(o.Trees, workers, func(worker, i int) error {
-			oc, res, err := evals[worker].evaluate(o, p, i, nil, &weights[i])
+	}
+	if err := parallelFor(o.Trees, workers, func(worker, i int) error {
+		st := &states[worker]
+		st.ev.load(o, i)
+		for pi, p := range protos {
+			start := time.Now()
+			oc, res, err := st.ev.run(o, p, nil)
 			if err != nil {
 				return err
 			}
-			outcomes[i] = oc
+			st.sweep[pi].Engine.Add(res.Metrics)
+			st.sweep[pi].Elapsed += time.Since(start)
+			out[pi].Outcomes[i] = oc
 			if o.Observer != nil {
 				o.Observer(oc)
 			}
-			mu.Lock()
-			agg.Add(res.Metrics)
-			popAgg.Observe(oc)
-			done++
-			mu.Unlock()
-			if o.Progress != nil {
-				report()
-			}
-			return nil
-		}); err != nil {
-			return nil, err
 		}
-		elapsed := time.Since(start)
-		sweep := SweepMetrics{Elapsed: elapsed, Engine: agg}
-		if s := elapsed.Seconds(); s > 0 {
+		mu.Lock()
+		for pi := range out {
+			out[pi].Agg.Observe(out[pi].Outcomes[i])
+		}
+		done++
+		mu.Unlock()
+		if o.Progress != nil {
+			report()
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for pi := range out {
+		sweep := &out[pi].Sweep
+		for _, st := range states {
+			sweep.Engine.Add(st.sweep[pi].Engine)
+			sweep.Elapsed += st.sweep[pi].Elapsed
+		}
+		sweep.Elapsed /= time.Duration(workers)
+		if s := sweep.Elapsed.Seconds(); s > 0 {
 			sweep.TreesPerSec = float64(o.Trees) / s
 		}
-		out[pi] = Population{Protocol: p, Outcomes: outcomes, Agg: popAgg, Sweep: sweep}
 	}
 	return out, nil
 }

@@ -45,9 +45,10 @@ func Fig3(o Options) (*Fig3Result, error) {
 	if earlyCut < 10 {
 		earlyCut = 10
 	}
-	// The scan is serial, so one Evaluator recycles run state across
-	// every tree; the series built from res.Completions is consumed
-	// before the next evaluation invalidates it.
+	// The scan is serial, so one Evaluator recycles its tree arena and
+	// run state across every tree; the series built from res.Completions
+	// is consumed (NormalizedSeries copies) before the next evaluation
+	// invalidates it, and an exemplar keeps the tree's index, not the tree.
 	eval := NewEvaluator()
 	for i := 0; i < o.Trees && (spiky == nil || below == nil || reached == nil); i++ {
 		oc, _, err := eval.EvaluateTree(o, proto, i, nil)

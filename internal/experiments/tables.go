@@ -139,6 +139,8 @@ func Table2(o Options) (*Table2Result, error) {
 			evals[i] = NewEvaluator()
 		}
 		if err := parallelFor(co.Trees, co.workers(), func(worker, i int) error {
+			// res and its tree are the worker's until its next call;
+			// only integers leave this function.
 			_, res, err := evals[worker].EvaluateTree(co, proto, i, checkpoints)
 			if err != nil {
 				return err

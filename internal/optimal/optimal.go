@@ -116,9 +116,10 @@ func Compute(t *tree.Tree) *Allocation {
 	}
 
 	// Bottom-up: subtree weights via the fork formula.
-	wc := computeWeights(t)
+	var wc Calculator
+	wc.run(t)
 	for i := range a.SubWeight {
-		a.SubWeight[i] = rational.FromBig(&wc.sub[i])
+		a.SubWeight[i] = wc.weight(tree.NodeID(i))
 	}
 	a.TreeWeight = a.SubWeight[t.Root()]
 	a.Rate = a.TreeWeight.Inv()
@@ -134,73 +135,120 @@ func Compute(t *tree.Tree) *Allocation {
 }
 
 // Weight computes only wtree — the bottom-up pass of the theorem —
-// without materializing the optimal schedule. The population sweeps call
-// this once per tree (the onset detector needs nothing but the optimal
-// rate), so it avoids the top-down distribution pass and runs the fork
-// formula with in-place big.Rat arithmetic instead of immutable
-// rational.Rat churn: same exact values, a fraction of the allocations.
-func Weight(t *tree.Tree) rational.Rat {
-	wc := computeWeights(t)
-	return rational.FromBig(&wc.sub[t.Root()])
-}
+// without materializing the optimal schedule: a Calculator used once.
+func Weight(t *tree.Tree) rational.Rat { return new(Calculator).Weight(t) }
 
-// weightCalc holds the bottom-up pass's state: exact subtree weights
-// plus reusable scratch, so the per-node fork formula allocates only
-// when a rational outgrows its backing storage.
-type weightCalc struct {
-	sub  []big.Rat // W(i), exact
+// Calculator runs the bottom-up pass of the theorem. Its subtree weights
+// and scratch integers keep their storage from one tree to the next, so a
+// population sweep holds one per worker (the onset detector needs nothing
+// but the optimal rate) and allocates little beyond what math/big's GCD
+// does inside. The zero value is ready; a Calculator is not safe for
+// concurrent use.
+type Calculator struct {
+	sub  []frac // W(i) in lowest terms
 	kids []tree.NodeID
 
-	rate, budget, c, need, tmp big.Rat
+	// The fork at one node, over the common denominator d = Π num(W(i))
+	// of the children fed so far: rate = rn/(w·d), port budget = bn/d.
+	d, rn, bn          big.Int
+	w, c               big.Int // the node's w; a child's c, then the node's own
+	t, u, v, x, y, gcd big.Int // products, and the one GCD
+	out                big.Rat
 }
 
-// computeWeights runs the fork formula bottom-up over the whole tree.
-func computeWeights(t *tree.Tree) *weightCalc {
-	wc := &weightCalc{sub: make([]big.Rat, t.Len())}
-	t.WalkPost(func(id tree.NodeID) {
+// frac is a positive rational num/den in lowest terms.
+type frac struct{ num, den big.Int }
+
+func (f *frac) setInt(n int64) {
+	f.num.SetInt64(n)
+	f.den.SetInt64(1)
+}
+
+// Weight returns wtree of t.
+func (wc *Calculator) Weight(t *tree.Tree) rational.Rat {
+	wc.run(t)
+	return wc.weight(t.Root())
+}
+
+// weight returns W(id) of the last run.
+func (wc *Calculator) weight(id tree.NodeID) rational.Rat {
+	f := &wc.sub[id]
+	return rational.FromBig(wc.out.SetFrac(&f.num, &f.den))
+}
+
+// run applies the fork formula at every node of t, children first: a
+// child's ID is always larger than its parent's.
+func (wc *Calculator) run(t *tree.Tree) {
+	n := t.Len()
+	wc.sub = wc.sub[:cap(wc.sub)]
+	wc.sub = slices.Grow(wc.sub, max(0, n-len(wc.sub)))[:n]
+	for id := tree.NodeID(n - 1); id >= 0; id-- {
 		wc.fork(t, id)
-	})
-	return wc
+	}
 }
 
 // fork applies the single-level formula at node id: it sets sub[id] to
 // the subtree weight W(id) — the internal weight capped below by the
 // node's own inbound communication time (except at the root, which has
-// no inbound link).
-func (wc *weightCalc) fork(t *tree.Tree, id tree.NodeID) {
-	// rate accumulates 1/w0 + Σ 1/W(i) + ε/c_{p+1}; budget is the
+// no inbound link). The arithmetic is exact and unnormalised: the sums
+// run over one growing common denominator, comparisons cross-multiply,
+// and the only GCD is the one that stores W(id) in lowest terms. A leaf
+// and a bandwidth-capped subtree are integers and skip that too.
+func (wc *Calculator) fork(t *tree.Tree, id tree.NodeID) {
+	res := &wc.sub[id]
+	kids := wc.sortedKids(t, id)
+	if len(kids) == 0 {
+		res.setInt(max(t.W(id), t.C(id)))
+		return
+	}
+	// rate accumulates 1/w + Σ 1/W(i) + ε/c_{p+1}; budget is the
 	// remaining send-port fraction.
-	rate, budget := &wc.rate, &wc.budget
-	rate.SetFrac64(1, t.W(id))
-	budget.SetInt64(1)
-	for _, child := range wc.sortedKids(t, id) {
-		sub := &wc.sub[child]
-		wc.c.SetInt64(t.C(child))
-		wc.need.Quo(&wc.c, sub) // port fraction to keep this subtree saturated
-		if wc.need.Cmp(budget) <= 0 {
-			rate.Add(rate, wc.tmp.Inv(sub))
-			budget.Sub(budget, &wc.need)
+	d, rn, bn := &wc.d, &wc.rn, &wc.bn
+	w, c := wc.w.SetInt64(t.W(id)), &wc.c
+	d.SetInt64(1)
+	rn.SetInt64(1)
+	bn.SetInt64(1)
+	for _, child := range kids {
+		s := &wc.sub[child]
+		c.SetInt64(t.C(child))
+		// The port fraction that keeps this subtree saturated is
+		// c/W(i) = c·sd/sn; it fits the budget iff c·sd·d ≤ bn·sn.
+		wc.t.Mul(&s.den, d)
+		wc.u.Mul(bn, &s.num)
+		wc.v.Mul(c, &wc.t)
+		if wc.v.Cmp(&wc.u) <= 0 {
+			rn.Add(wc.x.Mul(rn, &s.num), wc.y.Mul(w, &wc.t))
+			bn.Sub(&wc.u, &wc.v)
+			wc.x.Mul(d, &s.num)
+			wc.x, wc.d = wc.d, wc.x
 			continue
 		}
 		// Partially fed child: leftover port fraction ε buys ε/c tasks
 		// per time; everyone after starves.
-		if budget.Sign() > 0 {
-			rate.Add(rate, wc.tmp.Quo(budget, &wc.c))
+		if bn.Sign() > 0 {
+			rn.Add(wc.x.Mul(rn, c), wc.y.Mul(bn, w))
+			wc.x.Mul(d, c)
+			wc.x, wc.d = wc.d, wc.x
 		}
 		break
 	}
-	res := &wc.sub[id]
-	res.Inv(rate)
+	// W(id) = max(c(id), 1/rate), and 1/rate = w·d/rn.
+	wd := wc.y.Mul(w, d)
 	if id != t.Root() {
-		if wc.c.SetInt64(t.C(id)); res.Cmp(&wc.c) < 0 {
-			res.Set(&wc.c)
+		c.SetInt64(t.C(id))
+		if wd.Cmp(wc.x.Mul(c, rn)) < 0 {
+			res.setInt(t.C(id))
+			return
 		}
 	}
+	g := wc.gcd.GCD(nil, nil, wd, rn)
+	res.num.Quo(wd, g)
+	res.den.Quo(rn, g)
 }
 
 // sortedKids returns id's children ordered by increasing communication
 // time (ties by node ID), in a buffer reused across nodes.
-func (wc *weightCalc) sortedKids(t *tree.Tree, id tree.NodeID) []tree.NodeID {
+func (wc *Calculator) sortedKids(t *tree.Tree, id tree.NodeID) []tree.NodeID {
 	wc.kids = append(wc.kids[:0], t.Children(id)...)
 	sortByComm(t, wc.kids)
 	return wc.kids

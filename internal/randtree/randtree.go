@@ -78,11 +78,25 @@ func (p Params) minComp() int64 {
 	return lo
 }
 
-// Generator produces random trees. It is not safe for concurrent use; give
-// each goroutine its own Generator (New is cheap).
+// Generator produces random trees into one arena: the tree it returns,
+// the union-find, the adjacency lists and the BFS tables are its own and
+// are reused by the next Tree or TreeAt call, which therefore invalidates
+// the previous tree (Clone one to keep it). Once it has built its largest
+// tree it allocates nothing. It is not safe for concurrent use; give each
+// goroutine its own Generator.
 type Generator struct {
 	params Params
+	pcg    *rand.PCG
 	rng    *rand.Rand
+	t      *tree.Tree
+
+	parent []int32 // union-find
+	rank   []int8
+	edges  []int32       // accepted edges (u, v), in acceptance order
+	off    []int32       // adj[u] is nbr[off[u]:off[u+1]] ...
+	nbr    []int32       // ... in the order u's edges were accepted
+	ids    []tree.NodeID // generation index -> tree ID, None until reached
+	queue  []int32       // BFS order
 }
 
 // New returns a deterministic generator for the given parameters and seed.
@@ -92,7 +106,8 @@ func New(p Params, seed uint64) *Generator {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Generator{params: p, rng: rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))}
+	pcg := rand.NewPCG(seed, 0x9e3779b97f4a7c15)
+	return &Generator{params: p, pcg: pcg, rng: rand.New(pcg), t: tree.New(1)}
 }
 
 // Params returns the generator's parameters.
@@ -103,7 +118,7 @@ func (g *Generator) uniform(lo, hi int64) int64 {
 	return lo + g.rng.Int64N(hi-lo+1)
 }
 
-// Tree generates the next random tree.
+// Tree generates the next random tree of the generator's stream.
 //
 // The construction follows the paper: nodes are created first, then random
 // edges are accepted whenever they join two distinct components (union-
@@ -111,89 +126,112 @@ func (g *Generator) uniform(lo, hi int64) int64 {
 // data repository) and the tree is oriented away from it.
 func (g *Generator) Tree() *tree.Tree {
 	n := int(g.uniform(int64(g.params.MinNodes), int64(g.params.MaxNodes)))
-	adj := g.spanningEdges(n)
+	g.spanningEdges(n)
 
 	// Orient the undirected spanning tree away from node 0 by BFS, mapping
-	// original node indices to dense tree IDs.
+	// generation indices to dense tree IDs.
 	w := func() int64 { return g.uniform(g.params.minComp(), g.params.Comp) }
 	c := func() int64 { return g.uniform(g.params.MinComm, g.params.MaxComm) }
 
-	t := tree.New(w())
-	ids := make([]tree.NodeID, n)
-	for i := range ids {
-		ids[i] = tree.None
+	t := g.t
+	t.Reset(w())
+	g.ids = resize(g.ids, n)
+	for i := range g.ids {
+		g.ids[i] = tree.None
 	}
-	ids[0] = t.Root()
-	queue := []int{0}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if ids[v] != tree.None {
+	g.ids[0] = t.Root()
+	g.queue = append(g.queue[:0], 0)
+	for head := 0; head < len(g.queue); head++ {
+		u := g.queue[head]
+		for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
+			if g.ids[v] != tree.None {
 				continue
 			}
-			ids[v] = t.AddChild(ids[u], w(), c())
-			queue = append(queue, v)
+			g.ids[v] = t.AddChild(g.ids[u], w(), c())
+			g.queue = append(g.queue, v)
 		}
 	}
 	return t
 }
 
-// spanningEdges returns an adjacency list of a uniform-ish random spanning
-// structure built by the paper's accept/reject process: repeatedly pick two
-// random nodes and connect them if they are in different components.
-func (g *Generator) spanningEdges(n int) [][]int {
-	parent := make([]int, n)
-	rank := make([]int8, n)
-	for i := range parent {
-		parent[i] = i
+// resize returns s with length n, reallocating only to grow.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	var find func(int) int
-	find = func(a int) int {
+	return s[:n]
+}
+
+// spanningEdges fills off/nbr with the adjacency lists of a uniform-ish
+// random spanning structure built by the paper's accept/reject process:
+// repeatedly pick two random nodes and connect them if they are in
+// different components.
+func (g *Generator) spanningEdges(n int) {
+	g.parent, g.rank = resize(g.parent, n), resize(g.rank, n)
+	parent, rank := g.parent, g.rank
+	for i := range parent {
+		parent[i], rank[i] = int32(i), 0
+	}
+	find := func(a int32) int32 {
 		for parent[a] != a {
 			parent[a] = parent[parent[a]] // path halving
 			a = parent[a]
 		}
 		return a
 	}
-	union := func(a, b int) bool {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return false
-		}
-		if rank[ra] < rank[rb] {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-		if rank[ra] == rank[rb] {
-			rank[ra]++
-		}
-		return true
-	}
 
-	adj := make([][]int, n)
-	edges := 0
-	for edges < n-1 {
-		u := g.rng.IntN(n)
-		v := g.rng.IntN(n)
-		if u == v || !union(u, v) {
+	// off[u+1] counts u's edges while they are drawn, then is summed.
+	g.off = resize(g.off, n+1)
+	clear(g.off)
+	deg := g.off[1:]
+	g.edges = g.edges[:0]
+	for len(g.edges) < 2*(n-1) {
+		u := int32(g.rng.IntN(n))
+		v := int32(g.rng.IntN(n))
+		if u == v {
 			continue
 		}
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
-		edges++
+		ru, rv := find(u), find(v)
+		if ru == rv {
+			continue
+		}
+		if rank[ru] < rank[rv] {
+			ru, rv = rv, ru
+		}
+		parent[rv] = ru
+		if rank[ru] == rank[rv] {
+			rank[ru]++
+		}
+		g.edges = append(g.edges, u, v)
+		deg[u]++
+		deg[v]++
 	}
-	return adj
+	for u := 0; u < n; u++ {
+		g.off[u+1] += g.off[u]
+	}
+	// Fill each list in acceptance order; parent is free to be the cursor.
+	g.nbr = resize(g.nbr, len(g.edges))
+	next := parent
+	copy(next, g.off[:n])
+	for i := 0; i < len(g.edges); i += 2 {
+		u, v := g.edges[i], g.edges[i+1]
+		g.nbr[next[u]], g.nbr[next[v]] = v, u
+		next[u]++
+		next[v]++
+	}
 }
 
-// TreeAt regenerates the i'th tree of the stream that a fresh generator
-// with the given seed would produce. Experiment sweeps use TreeAt(seed, i)
-// to parallelize over workers while keeping tree i identical regardless of
-// worker count: each tree gets its own PCG stream keyed by (seed, i).
-func TreeAt(p Params, seed uint64, i int) *tree.Tree {
-	g := &Generator{params: p, rng: rand.New(rand.NewPCG(seed, uint64(i)*0xbf58476d1ce4e5b9+1))}
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
+// TreeAt regenerates the i'th tree of the population keyed by seed: each
+// tree has its own PCG stream keyed by (seed, i), so tree i is the same
+// whatever was generated before it and however many workers share a
+// sweep. The generator's own stream (New's seed) is lost.
+func (g *Generator) TreeAt(seed uint64, i int) *tree.Tree {
+	g.pcg.Seed(seed, uint64(i)*0xbf58476d1ce4e5b9+1)
 	return g.Tree()
+}
+
+// TreeAt is Generator.TreeAt on a throwaway generator: the tree it
+// returns is the caller's to keep.
+func TreeAt(p Params, seed uint64, i int) *tree.Tree {
+	return New(p, seed).TreeAt(seed, i)
 }

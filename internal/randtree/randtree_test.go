@@ -1,6 +1,8 @@
 package randtree
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"bwcs/internal/tree"
@@ -180,5 +182,52 @@ func BenchmarkGenerateDefault(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = g.Tree()
+	}
+}
+
+// TestReusedGeneratorMatchesFreshTreeAt: one generator asked for
+// population indexes in an order that goes large → small → large returns,
+// each time, a valid tree whose codec bytes equal a fresh TreeAt's — no
+// node, child list or union-find state of an earlier tree shows through
+// the arena — and once warm it generates without allocating.
+func TestReusedGeneratorMatchesFreshTreeAt(t *testing.T) {
+	encode := func(tr *tree.Tree) string {
+		var sb strings.Builder
+		if err := tr.Encode(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	const seed, n = 99, 60
+	p := Defaults()
+	bySize := make([]int, n)
+	for i := range bySize {
+		bySize[i] = i
+	}
+	size := func(i int) int { return TreeAt(p, seed, i).Len() }
+	slices.SortFunc(bySize, func(a, b int) int { return size(b) - size(a) })
+	var order []int // largest, smallest, second largest, second smallest, ...
+	for k := 0; k < n/2; k++ {
+		order = append(order, bySize[k], bySize[n-1-k])
+	}
+	if a, b, c := size(order[0]), size(order[1]), size(order[2]); a <= b || c <= b {
+		t.Fatalf("order does not go large → small → large: %d, %d, %d nodes", a, b, c)
+	}
+	g := New(p, 1)
+	for _, i := range order {
+		got := g.TreeAt(seed, i)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("tree %d from the reused generator: %v", i, err)
+		}
+		if encode(got) != encode(TreeAt(p, seed, i)) {
+			t.Fatalf("tree %d from the reused generator differs from a fresh TreeAt", i)
+		}
+	}
+	at := 0
+	if allocs := testing.AllocsPerRun(n, func() {
+		g.TreeAt(seed, order[at%n])
+		at++
+	}); allocs != 0 {
+		t.Fatalf("warm generator: %v allocs per tree, want 0", allocs)
 	}
 }

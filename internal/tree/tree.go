@@ -19,6 +19,7 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // NodeID identifies a node within a Tree. IDs are dense indices: a tree
@@ -46,10 +47,9 @@ type Tree struct {
 // New returns a tree containing only a root with compute weight rootW.
 // It panics if rootW is not positive.
 func New(rootW int64) *Tree {
-	if rootW <= 0 {
-		panic(fmt.Sprintf("tree: root compute weight %d must be positive", rootW))
-	}
-	return &Tree{nodes: []node{{parent: None, w: rootW}}}
+	t := &Tree{nodes: make([]node, 1)}
+	t.Reset(rootW)
+	return t
 }
 
 // AddChild adds a new leaf under parent with compute weight w and
@@ -64,15 +64,33 @@ func (t *Tree) AddChild(parent NodeID, w, c int64) NodeID {
 	if c <= 0 {
 		panic(fmt.Sprintf("tree: communication weight %d must be positive", c))
 	}
+	// The slot beyond len is zero, or a node from before a Reset whose
+	// children storage is taken over empty (Grow moves those along).
 	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, node{
-		parent: parent,
-		w:      w,
-		c:      c,
-		depth:  t.nodes[parent].depth + 1,
-	})
+	t.nodes = slices.Grow(t.nodes, 1)[:id+1]
+	n := &t.nodes[id]
+	*n = node{
+		parent:   parent,
+		children: n.children[:0],
+		w:        w,
+		c:        c,
+		depth:    t.nodes[parent].depth + 1,
+	}
 	t.nodes[parent].children = append(t.nodes[parent].children, id)
 	return id
+}
+
+// Reset empties t to a lone root with compute weight rootW, keeping the
+// node table and every node's children storage for the AddChild calls
+// that follow: a generator that builds one tree after another into the
+// same Tree stops allocating once it has seen its largest. Everything
+// read from t before the Reset is invalid after it.
+func (t *Tree) Reset(rootW int64) {
+	if rootW <= 0 {
+		panic(fmt.Sprintf("tree: root compute weight %d must be positive", rootW))
+	}
+	t.nodes = t.nodes[:1]
+	t.nodes[0] = node{parent: None, children: t.nodes[0].children[:0], w: rootW}
 }
 
 func (t *Tree) mustHave(id NodeID) {
@@ -217,9 +235,9 @@ func (t *Tree) Clone() *Tree {
 	nodes := make([]node, len(t.nodes))
 	copy(nodes, t.nodes)
 	for i := range nodes {
-		if len(nodes[i].children) > 0 {
-			nodes[i].children = append([]NodeID(nil), nodes[i].children...)
-		}
+		// Also drops an empty slice's capacity: after a Reset it is
+		// storage the original will append into.
+		nodes[i].children = append([]NodeID(nil), nodes[i].children...)
 	}
 	return &Tree{nodes: nodes}
 }

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 )
 
@@ -256,5 +257,58 @@ func TestPropertyRandomTreesValidate(t *testing.T) {
 		if visited != tr.Len() {
 			t.Fatalf("walk visited %d of %d", visited, tr.Len())
 		}
+	}
+}
+
+// TestResetReusesStorageWithoutLeakingChildren: a tree rebuilt after a
+// Reset equals the same tree built fresh (no child of the earlier, larger
+// tree survives), rebuilding the same shape allocates nothing, and a
+// Clone shares no children storage with the arena it was cloned from.
+func TestResetReusesStorageWithoutLeakingChildren(t *testing.T) {
+	encode := func(tr *Tree) string {
+		var sb strings.Builder
+		if err := tr.Encode(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	big := func(tr *Tree) {
+		for i := 0; i < 40; i++ {
+			tr.AddChild(NodeID(i/3), int64(i+1), int64(i+2))
+		}
+	}
+	small := func(tr *Tree) {
+		a := tr.AddChild(0, 3, 1)
+		tr.AddChild(a, 2, 2)
+	}
+	arena := New(9)
+	big(arena)
+	arena.Reset(5)
+	small(arena)
+	fresh := New(5)
+	small(fresh)
+	if err := arena.Validate(); err != nil {
+		t.Fatalf("reset tree invalid: %v", err)
+	}
+	if got, want := encode(arena), encode(fresh); got != want {
+		t.Fatalf("tree after Reset:\n%s\nbuilt fresh:\n%s", got, want)
+	}
+	if kids := arena.Children(2); len(kids) != 0 {
+		t.Fatalf("leaf 2 kept children %v from before the Reset", kids)
+	}
+
+	clone := arena.Clone()
+	id := clone.AddChild(2, 7, 7) // node 2 is a leaf whose slot had children before
+	arena.AddChild(0, 1, 1)
+	arena.AddChild(2, 8, 8)
+	if kids := clone.Children(2); len(kids) != 1 || kids[0] != id {
+		t.Fatalf("clone's node 2 has children %v, want [%d]: Clone shares children storage with the arena", kids, id)
+	}
+
+	if allocs := testing.AllocsPerRun(20, func() {
+		arena.Reset(9)
+		big(arena)
+	}); allocs != 0 {
+		t.Fatalf("rebuilding a shape the arena has held: %v allocs, want 0", allocs)
 	}
 }
