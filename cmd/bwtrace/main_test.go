@@ -240,6 +240,11 @@ func TestSeverDuringReplayTimeline(t *testing.T) {
 		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
 		Compute:           func(tk live.Task) ([]byte, error) { time.Sleep(15 * time.Millisecond); return tk.Payload, nil },
 		HeartbeatInterval: 100 * time.Millisecond,
+		// The first result's ack is lost, so a written, unacked result is
+		// in the ledger when the first sever lands and the reconnect has
+		// one to replay whatever the timing of the other acks (as in
+		// live's TestRoadmapStallRepro).
+		Faults: live.NewFaultPlan(live.FaultRule{Link: "w", Dir: live.FaultSend, Kind: live.FrameResultAck, Op: live.FaultDrop}),
 	})
 	if err != nil {
 		t.Fatalf("start root: %v", err)

@@ -141,6 +141,22 @@ func allowedDiscard(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return false
 }
 
+// recvTypeName names a method's receiver type ("" for a plain function).
+func recvTypeName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
+}
+
 func calleeName(pass *analysis.Pass, call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:

@@ -1,6 +1,6 @@
 // Package lint is bwvet's analyzer suite: custom static checks for the
 // repo invariants that neither the compiler nor a runtime test can see —
-// simulation determinism, lock discipline and error discipline.
+// simulation determinism and error discipline.
 // TestRepoInvariants runs the suite over the module under `go test
 // ./...`; each analyzer has golden-fixture coverage under testdata/src.
 //
@@ -24,7 +24,6 @@ import (
 // Analyzers is the full bwvet suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	SimDeterminism,
-	LockDiscipline,
 	ErrDiscipline,
 }
 

@@ -11,10 +11,6 @@ func TestSimDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.SimDeterminism, "simdet")
 }
 
-func TestLockDiscipline(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.LockDiscipline, "lock")
-}
-
 func TestErrDiscipline(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.ErrDiscipline, "errdiscipline")
 }
@@ -23,13 +19,13 @@ func TestErrDiscipline(t *testing.T) {
 // ignore on the flagged line or the line above suppresses, a reasonless
 // one is reported and suppresses nothing.
 func TestIgnoreDirectives(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.LockDiscipline, "ignore")
+	analysistest.Run(t, "testdata", lint.ErrDiscipline, "ignore")
 }
 
 // TestStaleIgnores pins stale-ignore detection: a reasoned ignore that
 // suppresses nothing becomes a finding.
 func TestStaleIgnores(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.LockDiscipline, "staleignore")
+	analysistest.Run(t, "testdata", lint.ErrDiscipline, "staleignore")
 }
 
 // TestMatchScopes pins which packages each scoped analyzer patrols, so a
@@ -63,8 +59,5 @@ func TestMatchScopes(t *testing.T) {
 				t.Errorf("%s: expected not to cover %s", c.name, p)
 			}
 		}
-	}
-	if lint.LockDiscipline.Match != nil {
-		t.Error("lockdiscipline is repo-wide: Match must be nil")
 	}
 }

@@ -1,38 +1,27 @@
 // Fixture for //lint:bwvet-ignore handling, exercised through the
-// lockdiscipline analyzer: a reasoned ignore on the flagged line or the
+// errdiscipline analyzer: a reasoned ignore on the flagged line or the
 // line above suppresses the finding; an ignore with no reason is itself
 // reported (and suppresses nothing).
 package ignore
 
-import "sync"
+import "errors"
 
-type t struct {
-	mu sync.Mutex
-	ch chan int
+func mayFail() error { return errors.New("boom") }
+
+func sameLine() {
+	_ = mayFail() //lint:bwvet-ignore fixture: reasoned same-line suppression
 }
 
-func sameLine(x *t) {
-	x.mu.Lock()
-	x.ch <- 1 //lint:bwvet-ignore fixture: reasoned same-line suppression
-	x.mu.Unlock()
-}
-
-func lineAbove(x *t) {
-	x.mu.Lock()
+func lineAbove() {
 	//lint:bwvet-ignore fixture: reasoned suppression covering the next line
-	x.ch <- 2
-	x.mu.Unlock()
+	_ = mayFail()
 }
 
-func missingReason(x *t) {
-	x.mu.Lock()
-	x.ch <- 3 //lint:bwvet-ignore
-	// want-above "channel send while holding x.mu" "malformed bwvet-ignore: a suppression must state its reason"
-	x.mu.Unlock()
+func missingReason() {
+	_ = mayFail() //lint:bwvet-ignore
+	// want-above "error discarded: mayFail returns an error that is dropped" "malformed bwvet-ignore: a suppression must state its reason"
 }
 
-func unsuppressed(x *t) {
-	x.mu.Lock()
-	x.ch <- 4 // want "channel send while holding x.mu"
-	x.mu.Unlock()
+func unsuppressed() {
+	_ = mayFail() // want "error discarded: mayFail returns an error that is dropped"
 }

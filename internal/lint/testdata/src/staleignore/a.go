@@ -1,29 +1,22 @@
-// Fixture for stale-ignore detection, exercised through lockdiscipline:
+// Fixture for stale-ignore detection, exercised through errdiscipline:
 // a reasoned ignore that suppresses a live finding is kept quiet, but
 // one whose finding has since been fixed becomes a finding itself.
 package staleignore
 
-import "sync"
+import "errors"
 
-type t struct {
-	mu sync.Mutex
-	ch chan int
+func mayFail() error { return errors.New("boom") }
+
+func stillNeeded() {
+	_ = mayFail() //lint:bwvet-ignore fixture: finding still live, suppression earns its keep
 }
 
-func stillNeeded(x *t) {
-	x.mu.Lock()
-	x.ch <- 1 //lint:bwvet-ignore fixture: finding still live, suppression earns its keep
-	x.mu.Unlock()
-}
-
-func fixedLongAgo(x *t) {
-	x.mu.Lock()
-	x.mu.Unlock()
-	//lint:bwvet-ignore fixture: the send this excused was removed
+func fixedLongAgo() error {
+	//lint:bwvet-ignore fixture: the discard this excused was removed
 	// want-above "stale bwvet-ignore: this suppresses no finding anymore"
-	x.ch <- 2
+	return mayFail()
 }
 
-func inlineStale(x *t) {
-	x.ch <- 3 //lint:bwvet-ignore fixture: nothing locked here anymore // want "stale bwvet-ignore"
+func inlineStale() error {
+	return mayFail() //lint:bwvet-ignore fixture: the error is returned now // want "stale bwvet-ignore"
 }

@@ -125,8 +125,9 @@ func (p *FaultPlan) Pending() int {
 }
 
 // decide matches one frame against the script and returns the fault to
-// inject, if any.
-func (p *FaultPlan) decide(dir FaultDir, link string, kind FrameKind) (FaultOp, time.Duration) {
+// inject, if any. A conn passes its close as cut, run before the lock is
+// released: Pending never counts a sever whose link is still open.
+func (p *FaultPlan) decide(dir FaultDir, link string, kind FrameKind, cut ...func()) (FaultOp, time.Duration) {
 	if p == nil {
 		return faultNone, 0
 	}
@@ -150,7 +151,9 @@ func (p *FaultPlan) decide(dir FaultDir, link string, kind FrameKind) (FaultOp, 
 		if r.seen < r.After {
 			continue
 		}
-		r.fired = true
+		if r.fired = true; r.Op == FaultSever && len(cut) > 0 {
+			cut[0]()
+		}
 		return r.Op, r.Delay
 	}
 	return faultNone, 0

@@ -72,3 +72,91 @@ func TestGoroutinesStartTracked(t *testing.T) {
 		}
 	}
 }
+
+// mutexAllowlist names every sync.Mutex or RWMutex in non-test code of
+// this package, as "Type.field", each with the reason it exists. Node
+// state has none: one goroutine owns it (ownerLoop).
+var mutexAllowlist = map[string]string{
+	"conn.wmu":          "serializes one socket's writes among the goroutines that share it (port or uplink writer, heartbeat, hello-ack, farewell); it guards no other state",
+	"flightRecorder.mu": "the recorder ring is appended by the owner and read by Events, TraceDump and /debug/events from any goroutine",
+	"FaultPlan.mu":      "one plan is consulted by every reader and writer of the node's conns, and by the test that scripted it",
+}
+
+// TestMutexAllowlist keeps the package's mutexes to the allowlist: a
+// sync.Mutex or RWMutex in non-test code must be a struct field listed in
+// mutexAllowlist with its reason, and an entry that names no such field
+// fails too. A mutex on Node is the lock-sharing design the owner loop
+// replaced; it fails here.
+func TestMutexAllowlist(t *testing.T) {
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	used := make(map[string]bool)
+	// mutexType is the sync.Mutex or RWMutex selector e names or points
+	// to, nil when e is no mutex.
+	mutexType := func(e ast.Expr) ast.Expr {
+		if star, ok := e.(*ast.StarExpr); ok {
+			e = star.X
+		}
+		if s := types.ExprString(e); s == "sync.Mutex" || s == "sync.RWMutex" {
+			return e
+		}
+		return nil
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fields := make(map[ast.Expr]bool) // the mutex types of struct fields
+		ast.Inspect(f, func(node ast.Node) bool {
+			ts, ok := node.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, fd := range st.Fields.List {
+				mt := mutexType(fd.Type)
+				if mt == nil {
+					continue
+				}
+				fields[mt] = true
+				names := []string{types.ExprString(mt)[len("sync."):]} // embedded
+				if len(fd.Names) > 0 {
+					names = names[:0]
+					for _, id := range fd.Names {
+						names = append(names, id.Name)
+					}
+				}
+				for _, field := range names {
+					key := ts.Name.Name + "." + field
+					if _, ok := mutexAllowlist[key]; !ok {
+						t.Errorf("%s: mutex %s is not on the allowlist: give its state to the owner, or list it in mutexAllowlist with the reason", fset.Position(fd.Pos()), key)
+					}
+					used[key] = true
+				}
+			}
+			return true
+		})
+		ast.Inspect(f, func(node ast.Node) bool {
+			if e, ok := node.(*ast.SelectorExpr); ok && mutexType(e) != nil && !fields[e] {
+				t.Errorf("%s: %s outside a struct field: mutexes are allowlisted by Type.field", fset.Position(e.Pos()), types.ExprString(e))
+			}
+			return true
+		})
+	}
+	for key := range mutexAllowlist {
+		if !used[key] {
+			t.Errorf("mutexAllowlist lists %q but no such field exists: delete the entry", key)
+		}
+	}
+}

@@ -57,7 +57,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -230,6 +232,12 @@ type AppStats struct {
 }
 
 // Node is a running overlay node.
+//
+// One goroutine, the owner (ownerLoop), holds the protocol state — the
+// fields from parent on — and changes it only in response to inputs on
+// inbox; it never does I/O. The conn readers, the send port, the uplink
+// writer, the compute port, the dialler and the heartbeats move frames and
+// run tasks: they take work the owner decided and report back.
 type Node struct {
 	cfg      Config
 	root     bool
@@ -247,28 +255,35 @@ type Node struct {
 	started time.Time
 	sampler *metrics.Sampler
 
-	// portMsgs and portFrames are the send port's reusable chunk-batch
-	// scratch; touched only by the sendPort goroutine. portDue is the
-	// emulated link's schedule (see paceChunk), likewise the port's own.
-	portMsgs   []message
-	portFrames []*message
-	portDue    time.Time
+	portDue time.Time // the emulated link's schedule (see paceChunk), the send port's own
 
-	mu         sync.Mutex
-	parentName string // parent's node name, learned from its hello-ack
-	parent     *conn  // current uplink; nil while disconnected (or root)
+	// inbox carries every input to the owner; its buffer lets readers hand
+	// over a burst without a wake-up each (any size is correct: the owner
+	// never blocks). The other channels carry decided work, one at a time.
+	inbox    chan input
+	portJobs chan []portWrite
+	upKick   chan struct{} // wakes the parked uplink writer
+	upJobs   chan *upJob   // its pulled batches; nil parks it
+	tasks    chan Task
+	results  chan Result // root only: collected results for Run
+
+	done      chan struct{}         // closed by Close
+	ownerGone chan struct{}         // closed once the owner has stopped; its state is then read-only
+	failed    chan struct{}         // closed on the first fatal error
+	err       atomic.Pointer[error] // the first fatal error
+	closing   atomic.Bool           // Close has begun
+	wg        sync.WaitGroup
+
+	parent *conn // current uplink; nil while disconnected (or root)
 	// reqDeficit counts the requests owed to the parent and reqApp tags
 	// the latest; upAcks are the final-chunk acks owed on the current
-	// uplink. The uplink writer sends both with its next write. Every
+	// uplink. The uplink writer sends both with its next batch. Every
 	// buffer is at all times exactly one of: holding a task, receiving one
-	// (inflight), owed a request, or waiting on a request already sent —
-	// so the last count needs no ledger of its own (unansweredLocked).
-	// helloEpoch counts the hellos that have reported it, so a writer whose
-	// request frame never left knows whether the parent was told it had.
+	// (a partial transfer), owed a request, or waiting on a request already
+	// sent — so the last count needs no ledger of its own (unanswered).
 	reqDeficit int
-	helloEpoch int
 	reqApp     string
-	upAcks     []chunkAck
+	upAcks     []message
 	// unacked is the result ledger: every result this node owes its
 	// parent, in arrival order, retired only by a matching result ack.
 	// The uplink writer is its sole sender, so wire order follows
@@ -277,21 +292,18 @@ type Node struct {
 	due       []*resultEntry  // dueResultBatch's scratch
 	computing map[uint64]bool // tasks on the compute port right now
 	children  []*childSession
-	buffer    taskPool    // tasks awaiting dispatch; at the root, the application
-	results   chan Result // root only: collected results
-	inflight  map[uint64]*inTransfer
+	buffer    taskPool // tasks awaiting dispatch; at the root, the application
+	backlog   []Result // root only: collected results the results channel had no room for
 	stats     Stats
 	status    *statusServer
-	closed    bool
-	err       error
+	stopped   bool // Close has taken the last of the owner's state
 
-	kick     chan struct{} // wakes the send port
-	comp     chan struct{} // wakes the compute loop
-	resKick  chan struct{} // wakes the uplink writer
-	done     chan struct{} // closed by Close
-	failed   chan struct{} // closed on the first fatal error
-	failOnce sync.Once
-	wg       sync.WaitGroup
+	// Whether each port holds work, and what the send port and the uplink
+	// writer hold meanwhile. portPaced marks a send port whose last turn
+	// wrote a chunk: its emulated link's schedule runs on.
+	computeBusy, portBusy, upBusy, portPaced bool
+	turn                                     []portWrite
+	up                                       upJob
 }
 
 // childSession is the parent-side state for one connected child.
@@ -306,8 +318,9 @@ type childSession struct {
 	gone   bool
 	left   bool      // announced a deliberate departure: reclaim without grace
 	goneAt time.Time // when the link died, for the reconnect grace window
-	// admitting marks a revived session whose hello-ack is not written yet:
-	// the send port must not put a chunk on the new conn ahead of it.
+	// admitting marks a session whose hello-ack is not written yet: the
+	// accept loop writes it after the owner admits the conn, so without the
+	// mark the port could be handed a chunk for the conn ahead of it.
 	admitting bool
 	// outstanding holds every task handed off into this child's subtree
 	// whose result has not yet come back through this node. A task has
@@ -317,6 +330,7 @@ type childSession struct {
 	// these are requeued and re-executed (at-least-once semantics; the
 	// root deduplicates results by task ID).
 	outstanding map[uint64]*outTransfer
+	acks        []message // result acks owed on c, for the send port's next turn
 }
 
 // outTransfer is one task's send to one child: in progress (possibly
@@ -345,12 +359,18 @@ type resultEntry struct {
 	sentAt time.Time // when it was last written, for the retransmit timer
 }
 
-// chunkAck is a final-chunk ack awaiting the uplink writer: the task, the
-// bytes received, and the recorder sequence of its task-received event.
-type chunkAck struct {
-	task     uint64
-	got      int
-	traceSeq uint64
+// upJob is one uplink batch as the owner decided it: the final-chunk acks,
+// the owed requests as one frame, then the due ledger entries. The owner
+// reuses the one job; the writer holds it from one pull to the next, and c
+// is nil once it is folded back in.
+type upJob struct {
+	c                          *conn
+	msgs                       []message
+	entries                    []*resultEntry // the ledger entries msgs carries, from firstResult on
+	firstResult, reqN, replays int
+	told                       bool // a hello built while the write was in doubt reported reqN as sent
+	accepted                   int  // filled in by the writer, with err
+	err                        error
 }
 
 // defaultHandshakeTimeout bounds the hello / hello-ack exchange when
@@ -464,15 +484,18 @@ func StartConfig(cfg Config) (*Node, error) {
 		root:      cfg.Parent == "",
 		started:   time.Now(),
 		buffer:    taskPool{weights: cfg.AppWeights},
-		inflight:  make(map[uint64]*inTransfer),
 		computing: make(map[uint64]bool),
-		kick:      make(chan struct{}, 1),
-		comp:      make(chan struct{}, 1),
-		resKick:   make(chan struct{}, 1),
+		inbox:     make(chan input, 64),
+		portJobs:  make(chan []portWrite, 1),
+		upKick:    make(chan struct{}, 1),
+		upJobs:    make(chan *upJob, 1),
+		tasks:     make(chan Task, 1),
 		done:      make(chan struct{}),
+		ownerGone: make(chan struct{}),
 		failed:    make(chan struct{}),
 	}
 	n.stats.ByChild = make(map[string]int64)
+	n.stats.PerApp = make(map[string]AppStats)
 	if recCap > 0 {
 		n.rec = newFlightRecorder(recCap)
 	}
@@ -482,6 +505,13 @@ func StartConfig(cfg Config) (*Node, error) {
 		// downsampling.
 		n.sampler = metrics.NewSampler(timelineSeriesCap, 1)
 	}
+	if n.root {
+		n.results = make(chan Result, 1024)
+	} else {
+		// The paper's startup rule: one request per buffer, all owed and
+		// none sent, so the first hello reports no request unanswered.
+		n.reqDeficit = cfg.Buffers
+	}
 
 	if cfg.Listen != "" {
 		l, err := net.Listen("tcp", cfg.Listen)
@@ -489,19 +519,21 @@ func StartConfig(cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("live: listen: %w", err)
 		}
 		n.listener = l
+	}
+	n.goTracked(n.ownerLoop)
+	if n.listener != nil {
 		n.goTracked(n.acceptLoop)
 	}
-	if n.root {
-		n.results = make(chan Result, 1024)
-	} else {
-		// The paper's startup rule: one request per buffer, all owed and
-		// none sent, so the first hello reports no request unanswered.
-		n.reqDeficit = cfg.Buffers
-		if err := n.connectParent(); err != nil {
+	if !n.root {
+		// The partial transfers are the uplink's own: its reader fills
+		// them and its dialler offers them, one goroutine in turn.
+		inflight := make(map[uint64]*inTransfer)
+		c, err := n.connectParent(inflight, 0)
+		if err != nil {
 			n.Close()
 			return nil, err
 		}
-		n.goTracked(n.parentSupervisor)
+		n.goTracked(func() { n.parentSupervisor(c, inflight) })
 		n.goTracked(n.uplinkWriter)
 	}
 
@@ -553,9 +585,10 @@ func (n *Node) Addr() string {
 
 // Err returns the first fatal error the node hit, if any.
 func (n *Node) Err() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.err
+	if err := n.err.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // Failed returns a channel closed when the node hits a fatal error — a
@@ -574,48 +607,37 @@ func (n *Node) Done() <-chan struct{} {
 
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s := n.stats
-	s.MaxQueued = n.buffer.peak
-	s.ByChild = make(map[string]int64, len(n.stats.ByChild))
-	for k, v := range n.stats.ByChild {
-		s.ByChild[k] = v
+	return n.snapshot().Stats
+}
+
+// snapshot is the one source of Stats, /status, /metrics and the sampler:
+// built by the owner, or from the state it left once it has stopped.
+func (n *Node) snapshot() StatusSnapshot {
+	var v StatusSnapshot
+	build := func() {
+		v = StatusSnapshot{Name: n.cfg.Name, Root: n.root, Buffered: n.buffer.len(), Stats: n.stats,
+			Links: map[string]float64{}, Connected: n.root || n.parent != nil}
+		v.Stats.ByChild, v.Stats.PerApp = maps.Clone(n.stats.ByChild), maps.Clone(n.stats.PerApp)
+		v.Stats.MaxQueued = n.buffer.peak
+		for _, s := range n.children {
+			if !s.gone {
+				v.Children = append(v.Children, s.name)
+				v.Links[s.name] = s.link.estimate()
+			}
+		}
 	}
-	s.PerApp = make(map[string]AppStats, len(n.stats.PerApp))
-	for k, v := range n.stats.PerApp {
-		s.PerApp[k] = v
+	if !n.query(build) {
+		build()
 	}
 	if n.rec != nil {
-		s.RecorderDropped = n.rec.dropped()
+		v.Stats.RecorderDropped = n.rec.dropped()
 	}
-	s.FramesSent = n.wireCtr.framesSent.Load()
-	s.FramesReceived = n.wireCtr.framesRecv.Load()
-	s.BytesSent = n.wireCtr.bytesSent.Load()
-	s.BytesReceived = n.wireCtr.bytesRecv.Load()
-	s.UptimeSeconds = int64(time.Since(n.started).Seconds())
-	return s
-}
-
-// countSendError tallies a failed ack send. The connection's read loop
-// observes the same dead link and drives recovery, so nothing else needs
-// doing here; the counter lets operators correlate replay churn with
-// write-path failures.
-func (n *Node) countSendError() {
-	n.mu.Lock()
-	n.stats.SendErrors++
-	n.mu.Unlock()
-}
-
-// parentLabel is the uplink's display name for flight-recorder events:
-// the parent's node name once its hello-ack revealed it, "parent" before.
-func (n *Node) parentLabel() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.parentName != "" {
-		return n.parentName
-	}
-	return "parent"
+	v.Stats.FramesSent = n.wireCtr.framesSent.Load()
+	v.Stats.FramesReceived = n.wireCtr.framesRecv.Load()
+	v.Stats.BytesSent = n.wireCtr.bytesSent.Load()
+	v.Stats.BytesReceived = n.wireCtr.bytesRecv.Load()
+	v.Stats.UptimeSeconds = int64(time.Since(n.started).Seconds())
+	return v
 }
 
 // Close shuts the node down: children are told to wind down, the parent
@@ -623,35 +645,34 @@ func (n *Node) parentLabel() string {
 // immediately instead of waiting out the reconnect grace), and all
 // connections close. Closing the root before Run returns aborts the run.
 func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	if !n.closing.CompareAndSwap(false, true) { // the owner takes no admission, endpoint or port work from here on
 		return nil
 	}
-	n.closed = true
-	children := append([]*childSession(nil), n.children...)
-	parent := n.parent
-	status := n.status
-	n.status = nil
-	n.mu.Unlock()
-
+	var (
+		children []*conn
+		parent   *conn
+		status   *statusServer
+	)
+	n.query(func() {
+		for _, s := range n.children {
+			children = append(children, s.c)
+		}
+		parent, status, n.status = n.parent, n.status, nil
+		n.stopped = true
+	})
 	if status != nil {
 		_ = status.srv.Close()
 	}
 	close(n.done)
-	for _, ch := range children {
-		_ = ch.c.send(&message{Kind: kindShutdown}) //lint:bwvet-ignore best-effort farewell on teardown; an unreachable child recovers via supervision
-		_ = ch.c.close()
+	for _, c := range children {
+		c.farewell(&message{Kind: kindShutdown})
 	}
 	if parent != nil {
-		_ = parent.send(&message{Kind: kindGoodbye}) //lint:bwvet-ignore best-effort farewell on teardown; a dead parent severs us anyway
-		_ = parent.close()
+		parent.farewell(&message{Kind: kindGoodbye})
 	}
 	if n.listener != nil {
 		_ = n.listener.Close()
 	}
-	n.wake(n.kick)
-	n.wake(n.comp)
 	n.wg.Wait()
 	return nil
 }
@@ -680,11 +701,7 @@ func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 		seen[t.ID] = true
 	}
 
-	n.mu.Lock()
-	n.buffer.pushAll(tasks) // the root's pool
-	n.mu.Unlock()
-	n.wake(n.kick)
-	n.wake(n.comp)
+	n.do(func() { n.buffer.pushAll(tasks) }) // the root's pool
 
 	out := make([]Result, 0, len(tasks))
 	for len(out) < len(tasks) {
@@ -724,8 +741,142 @@ func (n *Node) RunTimeout(tasks []Task, timeout time.Duration) ([]Result, error)
 	return n.Run(ctx, tasks)
 }
 
+// input is one entry of the owner's inbox: fn to run, or — so a busy
+// reader allocates nothing per frame — a frame m it decoded on c (copied
+// out, Data dropped), from child session s or, s nil, down the uplink,
+// where a chunk carries its segment mark and its completed transfer t.
+type input struct {
+	fn      func()
+	s       *childSession
+	c       *conn
+	m       message
+	segment bool
+	t       *inTransfer
+}
+
+// do hands fn to the owner, reporting false when the owner has stopped.
+func (n *Node) do(fn func()) bool {
+	return n.put(input{fn: fn})
+}
+
+// put hands the owner an input, reporting false when it has stopped.
+func (n *Node) put(in input) bool {
+	select {
+	case n.inbox <- in: // the common case, without a select's cost
+		return true
+	default:
+	}
+	select {
+	case n.inbox <- in:
+		return true
+	case <-n.ownerGone:
+		return false
+	}
+}
+
+// query runs fn on the owner and waits for it; false means the owner had
+// stopped (the node closed), whether or not fn ran first.
+func (n *Node) query(fn func()) bool {
+	ran := make(chan struct{})
+	if !n.do(func() { fn(); close(ran) }) {
+		return false
+	}
+	select {
+	case <-ran:
+		return true
+	case <-n.ownerGone:
+		return false
+	}
+}
+
+// ownerLoop is the node's one decision maker, until Close stops it. A
+// wake-up runs every pending input before it decides anything, so a burst
+// of frames costs one decision and at most one write per link; a deadline
+// wakes it with an input of its own. Stopping, it closes the channels it
+// alone sends on, so the ports wind down.
+func (n *Node) ownerLoop() {
+	wake := func() {}
+	timer := time.AfterFunc(time.Hour, func() { n.do(wake) })
+	defer func() {
+		timer.Stop()
+		close(n.ownerGone)
+		close(n.tasks)
+		close(n.portJobs)
+		close(n.upKick)
+		close(n.upJobs)
+	}()
+	for !n.stopped {
+		var in input
+		if len(n.backlog) == 0 {
+			in = <-n.inbox
+		} else {
+			select {
+			case in = <-n.inbox:
+			case n.results <- n.backlog[0]:
+				n.backlog[0] = Result{}
+				n.backlog = n.backlog[1:]
+				continue
+			}
+		}
+		for more := true; more; {
+			switch {
+			case in.fn != nil:
+				in.fn()
+			case in.s != nil:
+				n.childFrame(in.s, in.c, &in.m)
+			default:
+				n.parentFrame(&in)
+			}
+			select {
+			case in = <-n.inbox:
+			default:
+				more = false
+			}
+		}
+		if wait := n.decide(); wait > 0 {
+			timer.Reset(wait)
+		}
+	}
+}
+
+// decide hands every idle port its next work — the compute port first (the
+// node is its own highest-priority consumer), then the send port, then the
+// uplink writer, which so carries the requests both just owed — and says
+// how long until a grace expiry or retransmission is due (0: none).
+func (n *Node) decide() time.Duration {
+	if n.closing.Load() {
+		return 0
+	}
+	wait := n.reclaim()
+	if !n.computeBusy && n.buffer.len() > 0 {
+		t := n.buffer.pop()
+		n.computing[t.ID] = true // accounted until the result enters the ledger
+		if !n.root {
+			n.oweRequest(t.App)
+		}
+		n.record(Event{Kind: EvComputeStart, Task: t.ID})
+		n.computeBusy = true
+		n.tasks <- t
+	}
+	if !n.portBusy {
+		n.portTurn()
+	}
+	if !n.upBusy && n.parent != nil { // the writer pulls its batch (pullUplink) once it runs
+		if batch, _, _ := n.dueResultBatch(); len(n.upAcks)+n.reqDeficit+len(batch) > 0 {
+			n.upBusy = true
+			n.upKick <- struct{}{}
+		}
+	}
+	if !n.upBusy {
+		if d := n.resultRetryWait(); d > 0 && (wait == 0 || d < wait) {
+			wait = d
+		}
+	}
+	return wait
+}
+
 // bumpApp updates one application's counter slice; untagged tasks (empty
-// app) keep no per-app entry. Callers hold n.mu.
+// app) keep no per-app entry.
 func (n *Node) bumpApp(app string, f func(*AppStats)) {
 	if app == "" {
 		return
@@ -738,58 +889,29 @@ func (n *Node) bumpApp(app string, f func(*AppStats)) {
 	n.stats.PerApp[app] = s
 }
 
-// wake delivers a non-blocking signal.
-func (n *Node) wake(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
+// fail records the first fatal error.
+func (n *Node) fail(err error) {
+	if n.err.CompareAndSwap(nil, &err) {
+		close(n.failed)
 	}
 }
 
-// fail records the first fatal error and shuts down wakeups.
-func (n *Node) fail(err error) {
-	if err == nil {
+// goTracked runs fn on a goroutine counted by the node's WaitGroup, unless
+// shutdown has already begun. Its callers are node goroutines — the owner
+// among them — or StartConfig before it returns, so the count is never zero
+// when it adds and the Add cannot race Close's Wait. It is the only place a
+// node goroutine starts and the only place the WaitGroup is counted up or
+// down, so none can be spawned that Close does not wait for
+// (TestGoroutinesStartTracked).
+func (n *Node) goTracked(fn func()) {
+	if n.closing.Load() {
 		return
 	}
-	n.mu.Lock()
-	if n.err == nil {
-		n.err = err
-	}
-	n.mu.Unlock()
-	n.failOnce.Do(func() { close(n.failed) })
-	n.wake(n.kick)
-	n.wake(n.comp)
-}
-
-// isClosed reports whether Close has begun.
-func (n *Node) isClosed() bool {
-	select {
-	case <-n.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// goTracked runs fn on a goroutine counted by the node's WaitGroup and
-// reports true, unless shutdown has already begun (Close flips closed
-// under the same lock before waiting, so the Add cannot race the Wait).
-// It is the only place a node goroutine starts and the only place the
-// WaitGroup is counted up or down, so none can be spawned that Close
-// does not wait for (TestGoroutinesStartTracked).
-func (n *Node) goTracked(fn func()) bool {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return false
-	}
 	n.wg.Add(1)
-	n.mu.Unlock()
 	go func() {
 		defer n.wg.Done()
 		fn()
 	}()
-	return true
 }
 
 // superviseConn watches one link: it sends a heartbeat every interval
@@ -809,19 +931,22 @@ func (n *Node) superviseConn(c *conn) {
 			select {
 			case <-t.C:
 				_ = c.send(&message{Kind: kindHeartbeat}) //lint:bwvet-ignore a failed probe shows up as recv silence below and supervision severs the link
-				if c.sinceRecv() > interval {
-					misses++
-					n.mu.Lock()
-					n.stats.HeartbeatMisses++
-					n.mu.Unlock()
-					n.record(Event{Kind: EvHeartbeatMiss, Peer: c.label(), Value: int64(misses)})
-					if misses >= n.cfg.HeartbeatMisses {
-						n.record(Event{Kind: EvSever, Peer: c.label()})
-						_ = c.close()
-						return
-					}
-				} else {
+				if c.sinceRecv() <= interval {
 					misses = 0
+					continue
+				}
+				misses++
+				miss, sever := misses, misses >= n.cfg.HeartbeatMisses
+				n.do(func() {
+					n.stats.HeartbeatMisses++
+					n.record(Event{Kind: EvHeartbeatMiss, Peer: c.label(), Value: int64(miss)})
+					if sever {
+						n.record(Event{Kind: EvSever, Peer: c.label()})
+					}
+				})
+				if sever {
+					_ = c.close()
+					return
 				}
 			case <-c.stop:
 				return
@@ -850,9 +975,24 @@ func (n *Node) acceptLoop() {
 			_ = c.close()
 			continue
 		}
-		c.peer = hello.Name
-		c.peerName = hello.Name
-		n.admitChild(c, hello)
+		c.peer, c.peerName = hello.Name, hello.Name
+		var sess *childSession
+		var ack *message
+		if !n.query(func() { sess, ack = n.admitChild(c, hello) }) || sess == nil {
+			_ = c.close() // the node is closing
+			continue
+		}
+		if err = c.send(ack); err == nil {
+			n.goTracked(func() { n.childLoop(sess, c) })
+			n.superviseConn(c)
+		} else {
+			_ = c.close()
+		}
+		n.do(func() {
+			if sess.admitting = false; err != nil {
+				n.markChildGone(sess, c)
+			}
+		})
 	}
 }
 
@@ -864,7 +1004,12 @@ func (n *Node) acceptLoop() {
 // pool. Fresh or revived, the session's request count is the hello's: the
 // child knows how many of its requests no task has answered; the parent
 // cannot tell a request it never read from one it served into a dead link.
-func (n *Node) admitChild(c *conn, hello *message) {
+// It returns the session, admitting until the accept loop has written the
+// hello-ack it also returns; nil while the node is closing.
+func (n *Node) admitChild(c *conn, hello *message) (*childSession, *message) {
+	if n.closing.Load() {
+		return nil, nil
+	}
 	offered := make(map[uint64]int, len(hello.Resume))
 	for _, rp := range hello.Resume {
 		offered[rp.Task] = rp.Offset
@@ -879,12 +1024,10 @@ func (n *Node) admitChild(c *conn, hello *message) {
 	}
 	ack := &message{Kind: kindHelloAck, Name: n.cfg.Name, Codecs: []uint8{wireVersion}}
 
-	n.mu.Lock()
 	helloSeq := n.record(Event{Kind: EvHello, Peer: hello.Name, WireSeq: hello.Seq,
 		CausePeer: hello.TraceNode, CauseSeq: hello.TraceSeq})
 	ack.TraceNode, ack.TraceSeq = n.cfg.Name, helloSeq
 	var sess *childSession
-	var oldConn *conn
 	for _, s := range n.children {
 		if s.name == hello.Name && s.gone && !s.left {
 			sess = s
@@ -892,9 +1035,8 @@ func (n *Node) admitChild(c *conn, hello *message) {
 		}
 	}
 	if sess != nil {
-		oldConn = sess.c
 		sess.c = c
-		sess.gone, sess.admitting = false, true
+		sess.gone = false
 		sess.goneAt = time.Time{}
 		ack.Revived = true
 		n.record(Event{Kind: EvRevive, Peer: hello.Name})
@@ -908,7 +1050,7 @@ func (n *Node) admitChild(c *conn, hello *message) {
 			if tr := sess.outstanding[rp.Task]; tr != nil {
 				delete(sess.outstanding, rp.Task)
 				if sess.active != nil {
-					n.requeueLocked(sess, sess.active)
+					n.requeue(sess, sess.active)
 				}
 				sess.active = tr
 			}
@@ -924,7 +1066,7 @@ func (n *Node) admitChild(c *conn, hello *message) {
 				// A transfer still on the port never had its final chunk
 				// written, so with nothing offered the child holds none of
 				// it: back to the pool.
-				n.requeueLocked(sess, tr)
+				n.requeue(sess, tr)
 				sess.active = nil
 			}
 		}
@@ -944,7 +1086,7 @@ func (n *Node) admitChild(c *conn, hello *message) {
 		for _, id := range lost {
 			tr := sess.outstanding[id]
 			delete(sess.outstanding, id)
-			n.requeueLocked(sess, tr)
+			n.requeue(sess, tr)
 		}
 		n.stats.RequeuedOnRevive += n.stats.Requeued - requeuedBefore
 	} else {
@@ -957,246 +1099,204 @@ func (n *Node) admitChild(c *conn, hello *message) {
 		n.record(Event{Kind: EvRequestServed, Peer: sess.name, Value: int64(d)})
 	}
 	sess.pending = hello.N
-	n.mu.Unlock()
-	if oldConn != nil {
-		_ = oldConn.close()
-	}
-
-	err := c.send(ack)
-	n.mu.Lock()
-	sess.admitting = false
-	n.mu.Unlock()
-	if err != nil {
-		_ = c.close()
-		n.markChildGone(sess, c)
-		return
-	}
-	n.goTracked(func() { n.childLoop(sess, c) })
-	n.superviseConn(c)
-	n.wake(n.kick)
+	sess.admitting = true
+	return sess, ack
 }
 
-// childLoop reads one child's requests, acks, and relayed results. It is
-// bound to the connection it was started with: once the session is
-// revived on a newer connection, a stale loop may no longer mutate it.
+// childLoop reads one child's requests, acks, and relayed results and
+// hands each frame to the owner.
 func (n *Node) childLoop(s *childSession, c *conn) {
 	for {
-		if c.br.Buffered() == 0 {
-			// The next recv may block: the acks queued for the results one
-			// read delivered leave now, in one write (unless a chunk write
-			// to this child took them along first).
-			if err := c.flush(); err != nil {
-				n.countSendError() // recv fails on the same dead link below
-			}
-		}
 		m, err := c.recv()
 		if err != nil {
-			n.markChildGone(s, c)
+			_ = c.close()
+			n.do(func() { n.markChildGone(s, c) })
 			return
 		}
-		switch m.Kind {
-		case kindRequest:
-			n.mu.Lock()
-			if s.c == c {
-				s.pending += m.N
-				// Recorded in the same critical section as the pending
-				// bump, so per-node event order matches the order the
-				// send port observes serviceability.
-				n.record(Event{Kind: EvRequestServed, Peer: s.name, Value: int64(m.N),
-					WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-			}
-			n.mu.Unlock()
-			n.wake(n.kick)
-		case kindResult:
-			// A result is expected exactly while its task is outstanding;
-			// anything else is a replay of one already relayed (or of a
-			// task reclaimed and re-dispatched elsewhere) — ack it so the
-			// child retires its ledger entry, but do not relay it again.
-			r := Result{ID: m.Task, Output: m.Output, Origin: m.Origin, App: m.App}
-			n.mu.Lock()
-			recvSeq := n.record(Event{Kind: EvResultRecv, Task: m.Task, Origin: m.Origin,
-				Peer: s.name, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-			_, expected := s.outstanding[m.Task]
-			if expected {
-				delete(s.outstanding, m.Task)
-				if !n.root {
-					// Commit to this node's own ledger atomically with the
-					// outstanding delete, so a concurrent reconnect hello
-					// never catches the task accounted nowhere.
-					n.enqueueResultLocked(r)
-				}
-			} else {
-				n.stats.ResultsDeduped++
-				n.bumpApp(m.App, func(s *AppStats) { s.Deduped++ })
-				n.record(Event{Kind: EvResultDedupe, Task: m.Task, Origin: m.Origin, Peer: s.name})
-			}
-			n.mu.Unlock()
-			if expected {
-				if n.root {
-					n.collectRoot(r)
-				} else {
-					n.wake(n.resKick)
-				}
-			}
-			if err := c.queue(&message{Kind: kindResultAck, Task: m.Task, Origin: m.Origin,
-				TraceNode: n.cfg.Name, TraceSeq: recvSeq}); err != nil {
-				// The read loop owning c fails on the same dead link and
-				// recovers; the child replays the unacked result then.
-				n.countSendError()
-			}
-		case kindChunkAck:
-			// It gates nothing — the task was handed off before its last
-			// write — and decides nothing at a revive, where the hello
-			// speaks for the child: it is the recorder's end of the transfer.
-			if !m.Last {
-				continue
-			}
-			n.mu.Lock()
-			if s.c == c {
-				n.record(Event{Kind: EvChunkAck, Task: m.Task, Peer: s.name, Off: m.Offset,
-					Value: 1, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-			}
-			n.mu.Unlock()
-		case kindGoodbye:
-			n.mu.Lock()
-			if s.c == c {
-				s.gone = true
-				s.left = true
-				n.record(Event{Kind: EvGoodbye, Peer: s.name, WireSeq: m.Seq,
-					CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-			}
-			n.mu.Unlock()
-			n.wake(n.kick)
-		case kindHeartbeat:
-			// Receipt alone refreshed the link's proof-of-life clock.
-		default:
-			// kindHello arrives only through the accept handshake, and
-			// kindChunk, kindHelloAck, kindShutdown, and kindResultAck flow
-			// parent→child, never up a child link. Anything here is a peer
-			// protocol bug; receipt already counted as proof of life, and
-			// dropping the frame is the safe response.
+		if m.Kind != kindHeartbeat { // receipt alone refreshed the link's proof-of-life clock
+			n.put(input{s: s, c: c, m: *m}) // no frame up a child link carries Data
 		}
+	}
+}
+
+// childFrame takes one frame a child sent on c. Once the session is revived
+// on a newer connection, a stale conn's frames may no longer change it.
+func (n *Node) childFrame(s *childSession, c *conn, m *message) {
+	switch m.Kind {
+	case kindRequest:
+		if s.c == c {
+			s.pending += m.N
+			// Recorded in the owner step that bumps pending, so per-node
+			// event order matches the order the send port observes
+			// serviceability.
+			n.record(Event{Kind: EvRequestServed, Peer: s.name, Value: int64(m.N),
+				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+		}
+	case kindResult:
+		// A result is expected exactly while its task is outstanding;
+		// anything else is a replay of one already relayed (or of a task
+		// reclaimed and re-dispatched elsewhere) — ack it so the child
+		// retires its ledger entry, but do not relay it again. The ack rides
+		// the send port's next turn.
+		r := Result{ID: m.Task, Output: m.Output, Origin: m.Origin, App: m.App}
+		recvSeq := n.record(Event{Kind: EvResultRecv, Task: m.Task, Origin: m.Origin,
+			Peer: s.name, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+		if _, expected := s.outstanding[m.Task]; expected {
+			delete(s.outstanding, m.Task)
+			if n.root {
+				n.collectRoot(r)
+			} else {
+				n.enqueueResult(r)
+			}
+		} else {
+			n.stats.ResultsDeduped++
+			n.bumpApp(m.App, func(s *AppStats) { s.Deduped++ })
+			n.record(Event{Kind: EvResultDedupe, Task: m.Task, Origin: m.Origin, Peer: s.name})
+		}
+		if s.c == c && !s.gone {
+			s.acks = append(s.acks, message{Kind: kindResultAck, Task: m.Task, Origin: m.Origin,
+				TraceNode: n.cfg.Name, TraceSeq: recvSeq})
+		}
+	case kindChunkAck:
+		// It gates nothing — the task was handed off before its last
+		// write — and decides nothing at a revive, where the hello
+		// speaks for the child: it is the recorder's end of the transfer.
+		if m.Last && s.c == c {
+			n.record(Event{Kind: EvChunkAck, Task: m.Task, Peer: s.name, Off: m.Offset,
+				Value: 1, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+		}
+	case kindGoodbye:
+		if s.c == c {
+			s.gone = true
+			s.left = true
+			n.record(Event{Kind: EvGoodbye, Peer: s.name, WireSeq: m.Seq,
+				CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+		}
+	default:
+		// kindHello arrives only through the accept handshake, and
+		// kindChunk, kindHelloAck, kindShutdown, and kindResultAck flow
+		// parent→child, never up a child link. Anything here is a peer
+		// protocol bug; receipt already counted as proof of life, and
+		// dropping the frame is the safe response.
 	}
 }
 
 // markChildGone flags a child's link dead — unless the session has
-// already been revived on a newer connection — and schedules the reclaim
-// wakeup for when the reconnect grace window expires.
+// already been revived on a newer connection — and starts the reconnect
+// grace window, at whose end decide reclaims its tasks. Whoever saw the
+// link fail has closed the conn.
 func (n *Node) markChildGone(s *childSession, c *conn) {
-	n.mu.Lock()
 	if s.c != c || s.gone {
-		n.mu.Unlock()
 		return
 	}
 	s.gone = true
 	s.goneAt = time.Now()
-	grace := n.cfg.ReconnectGrace
+	s.acks = s.acks[:0]
 	n.record(Event{Kind: EvSever, Peer: s.name})
-	n.mu.Unlock()
-	_ = c.close()
-	if grace > 0 {
-		time.AfterFunc(grace+10*time.Millisecond, func() { n.wake(n.kick) })
-	}
-	n.wake(n.kick)
 }
 
 // connectParent dials the parent and says hello: the wire version, the
 // partially received transfers it offers to resume, the tasks its subtree
 // still holds and the requests it has sent that no task answered. The
 // hello-ack settles which partial transfers continue; the new link is then
-// installed and the uplink writer sends everything owed on it.
-func (n *Node) connectParent() error {
+// installed and the uplink writer sends everything owed on it — the
+// requests, then every ledger entry, results computed while partitioned and
+// ones written to the old conn but never acked, in arrival order. attempt
+// numbers a reconnect (0: the first dial).
+func (n *Node) connectParent(inflight map[uint64]*inTransfer, attempt int) (*conn, error) {
 	raw, err := net.Dial("tcp", n.cfg.Parent)
 	if err != nil {
-		return fmt.Errorf("live: dial parent: %w", err)
+		return nil, fmt.Errorf("live: dial parent: %w", err)
 	}
 	c := newConn(raw, "parent", n.cfg.Faults, n.cfg.WriteTimeout, &n.wireSeq, &n.wireCtr)
 
-	n.mu.Lock()
-	resume := make([]ResumePoint, 0, len(n.inflight))
-	for id, t := range n.inflight {
-		resume = append(resume, ResumePoint{Task: id, Offset: t.got})
+	hello := &message{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: n.cfg.Name,
+		Resume: make([]ResumePoint, 0, len(inflight)), Seq: c.nextSeq(), TraceNode: n.cfg.Name}
+	for id, t := range inflight {
+		hello.Resume = append(hello.Resume, ResumePoint{Task: id, Offset: t.got})
 	}
-	holding := n.holdingLocked()
-	unanswered := n.unansweredLocked()
-	n.helloEpoch++
-	n.mu.Unlock()
-	sort.Slice(resume, func(i, j int) bool { return resume[i].Task < resume[j].Task })
-
-	helloWire := c.nextSeq()
-	helloSeq := n.record(Event{Kind: EvHello, Peer: "parent", WireSeq: helloWire})
-	if err := c.send(&message{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: n.cfg.Name, N: unanswered,
-		Resume: resume, Holding: holding, Seq: helloWire, TraceNode: n.cfg.Name, TraceSeq: helloSeq}); err != nil {
+	sort.Slice(hello.Resume, func(i, j int) bool { return hello.Resume[i].Task < hello.Resume[j].Task })
+	partial := len(inflight)
+	if !n.query(func() {
+		hello.Holding = n.holding()
+		hello.N = n.unanswered(partial)
+		n.up.told = true // a batch still on the writer is, from here on, reported as sent
+		hello.TraceSeq = n.record(Event{Kind: EvHello, Peer: "parent", WireSeq: hello.Seq})
+	}) {
 		_ = c.close()
-		return fmt.Errorf("live: hello: %w", err)
+		return nil, errors.New("live: node closed")
+	}
+	if err := c.send(hello); err != nil {
+		_ = c.close()
+		return nil, fmt.Errorf("live: hello: %w", err)
 	}
 	// A parent that speaks another wire version, or none (its answer does
 	// not parse as a frame), fails here, bounded by the handshake timeout.
 	ack, err := c.recvTimeout(n.cfg.HandshakeTimeout)
 	if err != nil {
 		_ = c.close()
-		return fmt.Errorf("live: hello ack (wire version %d): %w", wireVersion, err)
+		return nil, fmt.Errorf("live: hello ack (wire version %d): %w", wireVersion, err)
 	}
 	if ack.Kind != kindHelloAck {
 		_ = c.close()
-		return fmt.Errorf("live: expected hello ack, got frame kind %d", ack.Kind)
+		return nil, fmt.Errorf("live: expected hello ack, got frame kind %d", ack.Kind)
 	}
 	if ack.Name != "" {
 		// Written before the conn is published; recorder events on this
 		// link can now carry the parent's real name.
 		c.peerName = ack.Name
 	}
-	revived := int64(0)
+	ackEv := Event{Kind: EvHelloAck, Peer: c.label(), WireSeq: ack.Seq, CausePeer: ack.TraceNode, CauseSeq: ack.TraceSeq}
 	if ack.Revived {
-		revived = 1
+		ackEv.Value = 1
 	}
-	n.record(Event{Kind: EvHelloAck, Peer: c.label(), Value: revived, WireSeq: ack.Seq,
-		CausePeer: ack.TraceNode, CauseSeq: ack.TraceSeq})
 	accepted := make(map[uint64]bool, len(ack.Accepted))
 	for _, id := range ack.Accepted {
 		accepted[id] = true
 	}
-
-	n.mu.Lock()
-	n.parentName = ack.Name
 	// Partial transfers the parent will not resume were reclaimed on its
 	// side; drop their assembly state so a fresh stream starts clean. The
 	// hello counted each as a buffer being filled, so each now owes the
 	// request that asks for a refill.
-	for id := range n.inflight {
+	dropped := 0
+	for id := range inflight {
 		if !accepted[id] {
-			delete(n.inflight, id)
-			n.reqDeficit++
+			delete(inflight, id)
+			dropped++
 		}
 	}
-	n.parent = c
-	n.mu.Unlock()
-
-	// Wake the uplink writer: the owed requests, then every ledger entry
-	// — results computed while partitioned and ones written to the old
-	// conn but never acked — go out on the new link, in arrival order.
-	n.wake(n.resKick)
+	if !n.query(func() {
+		n.record(ackEv)
+		n.reqDeficit += dropped
+		n.parent = c
+		if attempt > 0 {
+			n.stats.Reconnects++
+			n.record(Event{Kind: EvReconnect, Peer: c.label(), Value: int64(attempt)})
+		}
+	}) {
+		_ = c.close()
+		return nil, errors.New("live: node closed")
+	}
 	n.superviseConn(c)
-	return nil
+	return c, nil
 }
 
-// unansweredLocked is the node's count of requests sent to its parent that
-// no task has answered: every buffer that is not holding a task, receiving
-// one, or still owed its request. (Tasks requeued from a dead child can
-// push the pool past Buffers; the count bottoms out at none.) Callers hold
-// n.mu.
-func (n *Node) unansweredLocked() int {
-	return max(0, n.cfg.Buffers-n.buffer.len()-len(n.inflight)-n.reqDeficit)
+// unanswered is the node's count of requests sent to its parent that no
+// task has answered: every buffer that is not holding a task, receiving
+// one (partial of them), or still owed its request. (Tasks requeued from a
+// dead child can push the pool past Buffers; the count bottoms out at
+// none.)
+func (n *Node) unanswered(partial int) int {
+	return max(0, n.cfg.Buffers-n.buffer.len()-partial-n.reqDeficit)
 }
 
-// holdingLocked enumerates every task ID this node's subtree still
-// accounts for: buffered, on the compute port, handed to the send port,
-// delivered into a child subtree without a returned result, or computed
-// with the result awaiting an ack. The reconnect hello carries the set
-// so the parent can requeue outstanding tasks the subtree lost
-// (revive-time reconciliation). Partially received transfers are
-// conveyed separately as Resume points. Callers hold n.mu.
-func (n *Node) holdingLocked() []uint64 {
+// holding enumerates every task ID this node's subtree still accounts for:
+// buffered, on the compute port, handed to the send port, delivered into a
+// child subtree without a returned result, or computed with the result
+// awaiting an ack. The reconnect hello carries the set so the parent can
+// requeue outstanding tasks the subtree lost (revive-time reconciliation).
+// Partially received transfers are conveyed separately as Resume points.
+func (n *Node) holding() []uint64 {
 	set := make(map[uint64]bool, n.buffer.len()+len(n.unacked)+len(n.computing))
 	n.buffer.each(func(t Task) { set[t.ID] = true })
 	for id := range n.computing {
@@ -1221,18 +1321,12 @@ func (n *Node) holdingLocked() []uint64 {
 	return ids
 }
 
-// parentSupervisor owns the uplink: it runs the read loop and, when the
-// link dies without a shutdown, re-dials with capped exponential backoff.
-// Only exhausting every attempt makes the loss fatal.
-func (n *Node) parentSupervisor() {
+// parentSupervisor owns the uplink's reading side: it runs the read loop
+// and, when the link dies without a shutdown, re-dials with capped
+// exponential backoff. Only exhausting every attempt makes the loss fatal.
+func (n *Node) parentSupervisor(c *conn, inflight map[uint64]*inTransfer) {
 	for {
-		n.mu.Lock()
-		c := n.parent
-		n.mu.Unlock()
-		if c == nil {
-			return
-		}
-		shutdown := n.readParent(c)
+		shutdown := n.readParent(c, inflight)
 		_ = c.close()
 		if shutdown {
 			// Close waits on this goroutine's WaitGroup entry, so it
@@ -1240,44 +1334,44 @@ func (n *Node) parentSupervisor() {
 			go n.Close()
 			return
 		}
-		if n.isClosed() {
+		if n.closing.Load() {
 			return
 		}
-		n.mu.Lock()
-		n.parent = nil          // outbound work is owed until the link is back,
-		n.upAcks = n.upAcks[:0] // except acks: the reconnect hello's Holding set covers them
-		n.record(Event{Kind: EvSever, Peer: c.label()})
-		n.mu.Unlock()
-		if !n.reconnect() {
-			if !n.isClosed() {
+		n.do(func() {
+			n.parent = nil          // outbound work is owed until the link is back,
+			n.upAcks = n.upAcks[:0] // except acks: the reconnect hello's Holding set covers them
+			n.record(Event{Kind: EvSever, Peer: c.label()})
+		})
+		next, ok := n.reconnect(inflight)
+		if !ok {
+			if !n.closing.Load() {
 				n.fail(fmt.Errorf("live: parent link lost; reconnect failed after %d attempts", n.cfg.ReconnectAttempts))
 			}
 			return
 		}
+		c = next
 	}
 }
 
-// reconnect re-dials the parent under the backoff schedule; it reports
-// whether a new link was established.
-func (n *Node) reconnect() bool {
+// reconnect re-dials the parent under the backoff schedule and returns the
+// new link, if one was established.
+func (n *Node) reconnect(inflight map[uint64]*inTransfer) (*conn, bool) {
 	for attempt := 1; attempt <= n.cfg.ReconnectAttempts; attempt++ {
 		if !n.cfg.sleep(backoffDelay(attempt, n.cfg.ReconnectBase, n.cfg.ReconnectCap), n.done) {
-			return false // node closed mid-wait
+			return nil, false // node closed mid-wait
 		}
-		if err := n.connectParent(); err == nil {
-			n.mu.Lock()
-			n.stats.Reconnects++
-			n.mu.Unlock()
-			n.record(Event{Kind: EvReconnect, Peer: n.parentLabel(), Value: int64(attempt)})
-			return true
+		if c, err := n.connectParent(inflight, attempt); err == nil {
+			return c, true
 		}
 	}
-	return false
+	return nil, false
 }
 
 // readParent consumes frames from the current uplink until it fails or
-// orders a shutdown; the supervisor decides what happens next.
-func (n *Node) readParent(c *conn) (shutdown bool) {
+// orders a shutdown; the supervisor decides what happens next. It
+// assembles chunks into inflight itself and hands the owner a segment's
+// first chunk and a finished task.
+func (n *Node) readParent(c *conn, inflight map[uint64]*inTransfer) (shutdown bool) {
 	for {
 		m, err := c.recv()
 		if err != nil {
@@ -1285,52 +1379,32 @@ func (n *Node) readParent(c *conn) (shutdown bool) {
 		}
 		switch m.Kind {
 		case kindChunk:
-			t, ok := n.inflightFor(m.Task)
-			if !ok {
-				continue
+			t := inflight[m.Task]
+			if t == nil {
+				t = &inTransfer{id: m.Task}
+				inflight[m.Task] = t
 			}
-			if m.TraceSeq != t.segment || m.TraceNode != t.segmentFrom {
-				// First chunk of a new transfer segment (fresh dispatch or
-				// a resume after preemption/reconnect on the parent side).
-				t.segment, t.segmentFrom = m.TraceSeq, m.TraceNode
-				n.record(Event{Kind: EvChunkRecv, Task: m.Task, Peer: c.label(), Off: m.Offset,
-					WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-			}
+			// The first chunk of a new transfer segment (fresh dispatch or a
+			// resume after preemption/reconnect on the parent side) is
+			// recorded; a complete task leaves inflight for the owner.
+			in := input{c: c, m: *m, segment: m.TraceSeq != t.segment || m.TraceNode != t.segmentFrom}
+			t.segment, t.segmentFrom = m.TraceSeq, m.TraceNode
 			complete, err := t.feed(m)
 			if err != nil {
 				n.fail(err)
 				return false
 			}
 			if complete {
-				recvSeq := n.record(Event{Kind: EvTaskReceived, Task: m.Task, Peer: c.label(),
-					Off: t.got, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-				n.mu.Lock()
-				// One ack per task, owed before the task can be computed so
-				// the uplink writer always puts it ahead of the result. The
-				// parent handed the task off when it wrote this chunk and
-				// waits on nothing; a resume after a disconnect starts from
-				// the offset the hello offers, not from an ack.
-				n.upAcks = append(n.upAcks, chunkAck{m.Task, t.got, recvSeq})
-				delete(n.inflight, m.Task)
-				n.buffer.push(Task{ID: m.Task, Payload: t.payload, App: t.app})
-				n.stats.Received++
-				n.bumpApp(t.app, func(s *AppStats) { s.Received++ })
-				n.mu.Unlock()
-				n.wake(n.comp)
-				n.wake(n.kick)
-				n.wake(n.resKick)
+				delete(inflight, m.Task)
+				in.t = t
+			}
+			if in.m.Data = nil; in.segment || complete {
+				n.put(in)
 			}
 		case kindResultAck:
-			n.mu.Lock()
-			reaim := n.retireResultLocked(m.Task, m.Origin) && n.cfg.ResultRetry > 0
-			n.record(Event{Kind: EvResultAck, Task: m.Task, Origin: m.Origin, Peer: c.label(),
-				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-			n.mu.Unlock()
-			if reaim {
-				n.wake(n.resKick) // the retry timer may now rest or re-aim
-			}
+			n.put(input{c: c, m: *m})
 		case kindShutdown:
-			n.record(Event{Kind: EvShutdown, Peer: c.label(), WireSeq: m.Seq})
+			n.put(input{c: c, m: *m})
 			return true
 		case kindHeartbeat, kindHelloAck:
 			// Heartbeats only refresh the proof-of-life clock; a stray
@@ -1345,54 +1419,57 @@ func (n *Node) readParent(c *conn) (shutdown bool) {
 	}
 }
 
-func (n *Node) inflightFor(id uint64) (*inTransfer, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return nil, false
+// parentFrame takes one frame that came down the uplink. A chunk opens a
+// segment or completes a task t: its one ack is owed before it can be
+// computed, so the uplink writer always puts it ahead of the result.
+func (n *Node) parentFrame(in *input) {
+	m, peer := &in.m, in.c.label()
+	switch m.Kind {
+	case kindChunk:
+		if in.segment {
+			n.record(Event{Kind: EvChunkRecv, Task: m.Task, Peer: peer, Off: m.Offset,
+				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+		}
+		if t := in.t; t != nil {
+			recvSeq := n.record(Event{Kind: EvTaskReceived, Task: t.id, Peer: peer,
+				Off: t.got, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+			n.upAcks = append(n.upAcks, message{Kind: kindChunkAck, Task: t.id, Offset: t.got, Last: true,
+				TraceNode: n.cfg.Name, TraceSeq: recvSeq})
+			n.buffer.push(Task{ID: t.id, Payload: t.payload, App: t.app})
+			n.stats.Received++
+			n.bumpApp(t.app, func(s *AppStats) { s.Received++ })
+		}
+	case kindResultAck:
+		n.retireResult(m.Task, m.Origin)
+		n.record(Event{Kind: EvResultAck, Task: m.Task, Origin: m.Origin, Peer: peer,
+			WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+	case kindShutdown:
+		n.record(Event{Kind: EvShutdown, Peer: peer, WireSeq: m.Seq})
 	}
-	t, ok := n.inflight[id]
-	if !ok {
-		t = &inTransfer{id: id}
-		n.inflight[id] = t
-	}
-	return t, true
 }
 
-// deliverResult hands a result to the local collector (root) or commits
-// it to the unacked-result ledger for the uplink writer. Every uplink
-// result routes through the ledger — there is no direct send path — so a
-// frame lost to a just-severed conn (the old read-parent-then-send
-// TOCTOU window), a scripted drop, or a disconnect is always replayed:
-// only the parent's ack retires an entry.
-func (n *Node) deliverResult(r Result) {
-	if n.root {
-		n.collectRoot(r)
-		return
-	}
-	n.mu.Lock()
-	n.enqueueResultLocked(r)
-	n.mu.Unlock()
-	n.wake(n.resKick)
-}
-
-// collectRoot hands a result to the root's Run loop.
+// collectRoot hands a result to the root's Run loop, through the owner's
+// backlog when the results channel is full.
 func (n *Node) collectRoot(r Result) {
-	n.mu.Lock()
 	n.bumpApp(r.App, func(s *AppStats) { s.Collected++ })
-	n.mu.Unlock()
 	n.record(Event{Kind: EvResultCollect, Task: r.ID, Origin: r.Origin})
-	select {
-	case n.results <- r:
-	case <-n.done:
+	if len(n.backlog) == 0 {
+		select {
+		case n.results <- r:
+			return
+		default:
+		}
 	}
+	n.backlog = append(n.backlog, r)
 }
 
-// enqueueResultLocked appends a result to the unacked ledger unless an
-// entry with the same task ID + origin is already pending (a duplicate
-// from a re-delivered task; it would be deduplicated upstream anyway).
-// Callers hold n.mu.
-func (n *Node) enqueueResultLocked(r Result) {
+// enqueueResult appends a result to the unacked ledger unless an entry
+// with the same task ID + origin is already pending (a duplicate from a
+// re-delivered task; it would be deduplicated upstream anyway). Every
+// uplink result routes through the ledger — there is no direct send path
+// — so a frame lost to a just-severed conn, a scripted drop, or a
+// disconnect is always replayed: only the parent's ack retires an entry.
+func (n *Node) enqueueResult(r Result) {
 	for _, e := range n.unacked {
 		if e.res.ID == r.ID && e.res.Origin == r.Origin {
 			n.stats.ResultsDeduped++
@@ -1403,116 +1480,114 @@ func (n *Node) enqueueResultLocked(r Result) {
 	n.unacked = append(n.unacked, &resultEntry{res: r})
 }
 
-// uplinkWriter is the only steady-state sender toward the parent. Each
-// wake-up snapshots, under one n.mu hold, everything owed on the link —
-// the final-chunk acks, the owed requests as one frame, then the due
-// ledger entries, in that order, so a task's ack still precedes its result
-// on the in-order link — then unlocks and writes it all with one
-// sendBatch: one write per wake-up, never reached with n.mu held.
+// pullUplink is the uplink writer's input: it folds in the batch the
+// writer last wrote, if any, and hands it the next, or nil — the writer
+// parks — once nothing is owed. A cut batch loses nothing the node knows
+// unsent: unaccepted requests are owed again (unless a hello built
+// meanwhile reported them sent, and the parent registered them on its
+// word), unaccepted results stay in the ledger untouched, and a lost ack
+// is covered by the reconnect hello's Holding set. A failed write retires
+// the uplink in the step that marks what it carried, so no later batch can
+// follow it onto the dead conn.
+func (n *Node) pullUplink() {
+	if j := &n.up; j.c != nil {
+		if j.accepted >= j.firstResult {
+			n.stats.Requests += int64(j.reqN)
+		} else if !j.told {
+			n.reqDeficit += j.reqN // cut before the request: owed again
+		}
+		now := time.Now()
+		for _, e := range j.entries[:max(j.accepted-j.firstResult, 0)] {
+			e.sentOn = j.c
+			e.sentAt = now
+		}
+		n.stats.ResultsReplayed += int64(j.replays)
+		if j.err != nil && n.parent == j.c {
+			n.parent = nil // the writer closed it; the supervisor redials
+		}
+		j.c = nil
+	}
+	j := n.nextUplink()
+	n.upBusy = j != nil
+	n.upJobs <- j
+}
+
+// nextUplink builds everything owed on the link as one batch, for one
+// write: the final-chunk acks, the owed requests as one frame, then the
+// due ledger entries, in that order, so a task's ack still precedes its
+// result on the in-order link; nil when nothing is owed or there is no
+// link.
 //
 // The ledger is walked in arrival order, (re)sending every entry not yet
 // written to the current parent conn — which after a reconnect replays
 // all outstanding results — and, on a live link, retransmitting entries
 // unacked past the ResultRetry deadline. Single-sender FIFO means replay
-// order always matches arrival order, with no re-append races. Sends are
-// pipelined: acks stream back asynchronously and retire entries as they
-// arrive; one acked between the snapshot and the write is sent redundantly
-// and deduplicated upstream — exactly-once is preserved by the parent's
-// dedupe, not by the writer's timing.
-//
-// A cut batch loses nothing the writer knows unsent: unaccepted requests
-// are owed again, unaccepted results stay in the ledger untouched, and a
-// lost ack is covered by the reconnect hello's Holding set.
+// order always matches arrival order. Sends are pipelined: acks stream
+// back asynchronously and retire entries as they arrive; one acked while
+// its batch is on the writer is sent redundantly and deduplicated upstream
+// — exactly-once is preserved by the parent's dedupe, not by the writer's
+// timing.
+func (n *Node) nextUplink() *upJob {
+	if n.parent == nil || n.closing.Load() {
+		return nil
+	}
+	batch, c, replays := n.dueResultBatch()
+	if len(n.upAcks)+n.reqDeficit+len(batch) == 0 {
+		return nil
+	}
+	j := &n.up
+	j.c, j.entries, j.replays, j.told = c, batch, replays, false
+	// Sent from here on: the parent may answer the moment the bytes leave.
+	j.reqN, n.reqDeficit = n.reqDeficit, 0
+	j.msgs = append(j.msgs[:0], n.upAcks...)
+	for i := range j.msgs {
+		j.msgs[i].Seq = c.nextSeq()
+	}
+	n.upAcks = n.upAcks[:0]
+	if j.reqN > 0 {
+		wire := c.nextSeq()
+		reqSeq := n.record(Event{Kind: EvRequestSent, Peer: c.label(), Value: int64(j.reqN), WireSeq: wire})
+		j.msgs = append(j.msgs, message{Kind: kindRequest, N: j.reqN, App: n.reqApp,
+			Seq: wire, TraceNode: n.cfg.Name, TraceSeq: reqSeq})
+	}
+	j.firstResult = len(j.msgs)
+	for _, e := range batch {
+		kind := EvResultSend
+		if e.sentOn != nil {
+			kind = EvResultReplay
+		}
+		wire := c.nextSeq()
+		sendSeq := n.record(Event{Kind: kind, Task: e.res.ID, Origin: e.res.Origin,
+			Peer: c.label(), WireSeq: wire})
+		j.msgs = append(j.msgs, message{Kind: kindResult, Task: e.res.ID, Output: e.res.Output, Origin: e.res.Origin,
+			App: e.res.App, Seq: wire, TraceNode: n.cfg.Name, TraceSeq: sendSeq})
+	}
+	return j
+}
+
+// uplinkWriter is the only steady-state sender toward the parent. Woken by
+// decide, it pulls batch after batch from the owner, each one sendBatch,
+// one write, until nothing is owed. It yields once before the first pull:
+// the kick typically comes with a task just handed to the compute port,
+// and a compute that finishes meanwhile puts its result in the same write
+// as the task's ack and request.
 func (n *Node) uplinkWriter() {
 	var frames []*message
-	var msgs []message
-	var acks []chunkAck
-	timer := time.NewTimer(time.Hour) // re-aimed before every use
-	for {
-		n.mu.Lock()
-		batch, c, replays := n.dueResultBatch()
-		acks, n.upAcks = n.upAcks, acks[:0]
-		reqN, reqApp, epoch := 0, n.reqApp, n.helloEpoch
-		if c != nil {
-			// Sent from here on: the parent may answer the moment the bytes
-			// leave, before this goroutine is back under the lock.
-			reqN, n.reqDeficit = n.reqDeficit, 0
-		}
-		idle := c == nil || len(acks)+reqN+len(batch) == 0
-		var retryWait time.Duration
-		if idle {
-			retryWait = n.resultRetryWait()
-		}
-		n.mu.Unlock()
-		if idle {
-			var timerC <-chan time.Time
-			if retryWait > 0 {
-				timer.Reset(retryWait)
-				timerC = timer.C
+	pull := func() { n.pullUplink() }
+	for range n.upKick {
+		runtime.Gosched()
+		for n.do(pull) {
+			j := <-n.upJobs
+			if j == nil {
+				break
 			}
-			select {
-			case <-n.resKick:
-			case <-timerC:
-			case <-n.done:
-				return
+			frames = frames[:0]
+			for i := range j.msgs {
+				frames = append(frames, &j.msgs[i])
 			}
-			continue
-		}
-		if total := len(acks) + 1 + len(batch); cap(msgs) < total {
-			msgs = make([]message, 0, total) // sized up front: frames points into it
-		}
-		msgs, frames = msgs[:0], frames[:0]
-		for _, a := range acks {
-			msgs = append(msgs, message{Kind: kindChunkAck, Task: a.task, Offset: a.got, Last: true,
-				Seq: c.nextSeq(), TraceNode: n.cfg.Name, TraceSeq: a.traceSeq})
-		}
-		if reqN > 0 {
-			wire := c.nextSeq()
-			reqSeq := n.record(Event{Kind: EvRequestSent, Peer: c.label(), Value: int64(reqN), WireSeq: wire})
-			msgs = append(msgs, message{Kind: kindRequest, N: reqN, App: reqApp,
-				Seq: wire, TraceNode: n.cfg.Name, TraceSeq: reqSeq})
-		}
-		firstResult := len(msgs)
-		for _, e := range batch {
-			kind := EvResultSend
-			if e.sentOn != nil {
-				kind = EvResultReplay
+			if j.accepted, j.err = j.c.sendBatch(frames); j.err != nil {
+				_ = j.c.close() // dead uplink: the reader fails with it and the supervisor redials
 			}
-			wire := c.nextSeq()
-			sendSeq := n.record(Event{Kind: kind, Task: e.res.ID, Origin: e.res.Origin,
-				Peer: c.label(), WireSeq: wire})
-			msgs = append(msgs, message{Kind: kindResult, Task: e.res.ID, Output: e.res.Output, Origin: e.res.Origin,
-				App: e.res.App, Seq: wire, TraceNode: n.cfg.Name, TraceSeq: sendSeq})
-		}
-		for i := range msgs {
-			frames = append(frames, &msgs[i])
-		}
-		accepted, err := c.sendBatch(frames)
-		now := time.Now()
-		n.mu.Lock()
-		if accepted >= firstResult {
-			n.stats.Requests += int64(reqN)
-		} else if epoch == n.helloEpoch {
-			n.reqDeficit += reqN // cut before the request: owed again
-		}
-		// (A hello built meanwhile told the parent they were sent, and the
-		// parent registered them on its word: they are not owed twice.)
-		for _, e := range batch[:max(accepted-firstResult, 0)] {
-			e.sentOn = c
-			e.sentAt = now
-		}
-		n.stats.ResultsReplayed += int64(replays)
-		n.mu.Unlock()
-		if err != nil && !n.isClosed() {
-			// Dead uplink: the supervisor will reconnect and wake us.
-			select {
-			case <-n.resKick:
-			case <-n.done:
-				return
-			}
-		}
-		if n.isClosed() {
-			return
 		}
 	}
 }
@@ -1526,7 +1601,7 @@ const maxResultBatch = 128
 // or replay after a reconnect) and — when retransmission is enabled —
 // entries unacked past the retry deadline. replays counts the entries
 // being retransmitted rather than first-sent. The batch is the uplink
-// writer's reusable scratch. Callers hold n.mu.
+// writer's reusable scratch.
 func (n *Node) dueResultBatch() (batch []*resultEntry, c *conn, replays int) {
 	c = n.parent
 	if c == nil {
@@ -1554,10 +1629,9 @@ func (n *Node) dueResultBatch() (batch []*resultEntry, c *conn, replays int) {
 	return batch, c, replays
 }
 
-// resultRetryWait reports how long the writer may sleep before the
-// earliest-sent unacked entry hits its retransmit deadline; 0 means no
-// timer is needed (retry disabled, link down, or ledger empty). Callers
-// hold n.mu.
+// resultRetryWait reports how long until the earliest-sent unacked entry
+// hits its retransmit deadline; 0 means no timer is needed (retry
+// disabled, link down, or ledger empty).
 func (n *Node) resultRetryWait() time.Duration {
 	retry := n.cfg.ResultRetry
 	if retry <= 0 || n.parent == nil || len(n.unacked) == 0 {
@@ -1581,85 +1655,56 @@ func (n *Node) resultRetryWait() time.Duration {
 	return earliest
 }
 
-// retireResultLocked removes the ledger entry matching an ack and reports
-// whether it was the first sent entry in ledger order — the one the retry
-// timer is aimed at unless a retransmit re-stamped it. Callers hold n.mu.
-func (n *Node) retireResultLocked(task uint64, origin string) (oldestSent bool) {
-	oldestSent = true
+// retireResult removes the ledger entry matching an ack.
+func (n *Node) retireResult(task uint64, origin string) {
 	for i, e := range n.unacked {
 		if e.res.ID == task && e.res.Origin == origin {
 			n.unacked = append(n.unacked[:i], n.unacked[i+1:]...)
 			n.stats.ResultAcks++
-			return oldestSent && !e.sentAt.IsZero()
-		}
-		if !e.sentAt.IsZero() {
-			oldestSent = false
+			return
 		}
 	}
-	return false
 }
 
-// oweRequestLocked fires the request-on-free rule: one more request is
-// owed to the parent, and the uplink writer sends what is owed, as one
-// frame, whenever there is a parent. app tags the request with the
-// application whose freed buffer fired it — informational, exactly like
-// the engine: requests grant anonymous capacity, the parent's own
-// weighted round-robin decides whose task fills it. Callers hold n.mu.
-func (n *Node) oweRequestLocked(app string) {
+// oweRequest fires the request-on-free rule: one more request is owed to
+// the parent, and the uplink writer sends what is owed, as one frame,
+// whenever there is a parent. app tags the request with the application
+// whose freed buffer fired it — informational, exactly like the engine:
+// requests grant anonymous capacity, the parent's own weighted round-robin
+// decides whose task fills it.
+func (n *Node) oweRequest(app string) {
 	n.reqDeficit++
 	n.reqApp = app
-	n.wake(n.resKick)
 }
 
-// takeTask pops one buffered task, firing the request-on-free rule.
-func (n *Node) takeTask() (Task, bool) {
-	n.mu.Lock()
-	if n.buffer.len() == 0 {
-		n.mu.Unlock()
-		return Task{}, false
-	}
-	t := n.buffer.pop()
-	n.computing[t.ID] = true // accounted until the result enters the ledger
-	if !n.root {
-		n.oweRequestLocked(t.App)
-	}
-	n.mu.Unlock()
-	return t, true
-}
-
-// computeLoop is the node's compute port: one task at a time.
+// computeLoop is the node's compute port: one task at a time, as the owner
+// hands them out (decide).
 func (n *Node) computeLoop() {
-	for {
-		t, ok := n.takeTask()
-		if !ok {
-			select {
-			case <-n.comp:
-				continue
-			case <-n.done:
-				return
-			}
-		}
-		n.record(Event{Kind: EvComputeStart, Task: t.ID})
+	for t := range n.tasks {
 		started := time.Now()
 		out, err := n.cfg.Compute(t)
 		if err != nil {
 			n.fail(fmt.Errorf("live: compute task %d: %w", t.ID, err))
 			return
 		}
-		n.record(Event{Kind: EvComputeDone, Task: t.ID, Origin: n.cfg.Name,
-			Value: time.Since(started).Nanoseconds()})
-		n.mu.Lock()
-		n.stats.Computed++
-		n.bumpApp(t.App, func(s *AppStats) { s.Computed++ })
-		n.mu.Unlock()
-		n.deliverResult(Result{ID: t.ID, Output: out, Origin: n.cfg.Name, App: t.App})
-		// Cleared only after deliverResult committed the result to the
-		// ledger, so a reconnect hello always accounts for the task.
-		n.mu.Lock()
-		delete(n.computing, t.ID)
-		n.mu.Unlock()
-		if n.isClosed() {
-			return
-		}
+		took := time.Since(started)
+		n.do(func() { n.computed(t, out, took) })
 	}
+}
+
+// computed takes a finished computation: the result goes to the local
+// collector (root) or the ledger, and only then does the task leave
+// computing, so a reconnect hello always accounts for it.
+func (n *Node) computed(t Task, out []byte, took time.Duration) {
+	n.record(Event{Kind: EvComputeDone, Task: t.ID, Origin: n.cfg.Name, Value: took.Nanoseconds()})
+	n.stats.Computed++
+	n.bumpApp(t.App, func(s *AppStats) { s.Computed++ })
+	r := Result{ID: t.ID, Output: out, Origin: n.cfg.Name, App: t.App}
+	if n.root {
+		n.collectRoot(r)
+	} else {
+		n.enqueueResult(r)
+	}
+	delete(n.computing, t.ID)
+	n.computeBusy = false
 }

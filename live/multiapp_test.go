@@ -223,9 +223,9 @@ func TestWeightedDispatchOrder(t *testing.T) {
 func TestLedgerDedupeCountsPerApp(t *testing.T) {
 	n := &Node{}
 	r := Result{ID: 7, Origin: "w1", App: "alpha"}
-	n.enqueueResultLocked(r)
-	n.enqueueResultLocked(r)
-	n.enqueueResultLocked(Result{ID: 7, Origin: "w2", App: "alpha"}) // another origin: not a duplicate
+	n.enqueueResult(r)
+	n.enqueueResult(r)
+	n.enqueueResult(Result{ID: 7, Origin: "w2", App: "alpha"}) // another origin: not a duplicate
 	if len(n.unacked) != 2 {
 		t.Fatalf("ledger holds %d entries, want 2", len(n.unacked))
 	}

@@ -135,6 +135,7 @@ func TestMixedBatchCutExhaustive(t *testing.T) {
 
 					stop := watchOneOwner(t, root)
 					results, err := root.RunTimeout(makeTasks(tasks, 256), 30*time.Second)
+					checkOneOwner(t, root, w)
 					stop()
 					if err != nil {
 						t.Fatalf("Run across the cut: %v", err)

@@ -5,6 +5,7 @@ package live
 // adds, and the emulated link's pacing schedule.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -63,37 +64,52 @@ func startGatedRoot(t *testing.T, g *rootGate, cfg Config) *Node {
 	return n
 }
 
-// checkOneOwner walks a node's dispatch state under its lock: a task has
-// exactly one owner — the pool, one session's active transfer, or one
-// session's outstanding set — and the reconnect hello lists each ID once.
-func checkOneOwner(t *testing.T, n *Node) {
+// checkOneOwner asks each node's owner, the way Stats does, to walk its
+// dispatch state: a task has exactly one owner — the pool, one session's
+// active transfer, or one session's outstanding set — and the reconnect
+// hello lists each ID once.
+func checkOneOwner(t *testing.T, nodes ...*Node) {
 	t.Helper()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	owner := map[uint64]string{}
-	own := func(id uint64, who string) {
-		if prev, dup := owner[id]; dup {
-			t.Errorf("%s: task %d owned twice: %s and %s", n.cfg.Name, id, prev, who)
-		}
-		owner[id] = who
+	for _, n := range nodes {
+		checkNodeOwner(t, n)
 	}
-	n.buffer.each(func(tk Task) { own(tk.ID, "pool") })
-	for _, s := range n.children {
-		if s.active != nil {
-			own(s.active.task.ID, s.name+".active")
-		}
-		for id, tr := range s.outstanding {
-			if tr.task.ID != id {
-				t.Errorf("%s: outstanding[%d] holds task %d", n.cfg.Name, id, tr.task.ID)
+}
+
+func checkNodeOwner(t *testing.T, n *Node) {
+	t.Helper()
+	var errs []string
+	ran := n.query(func() {
+		owner := map[uint64]string{}
+		own := func(id uint64, who string) {
+			if prev, dup := owner[id]; dup {
+				errs = append(errs, fmt.Sprintf("%s: task %d owned twice: %s and %s", n.cfg.Name, id, prev, who))
 			}
-			own(id, s.name+".outstanding")
+			owner[id] = who
 		}
+		n.buffer.each(func(tk Task) { own(tk.ID, "pool") })
+		for _, s := range n.children {
+			if s.active != nil {
+				own(s.active.task.ID, s.name+".active")
+			}
+			for id, tr := range s.outstanding {
+				if tr.task.ID != id {
+					errs = append(errs, fmt.Sprintf("%s: outstanding[%d] holds task %d", n.cfg.Name, id, tr.task.ID))
+				}
+				own(id, s.name+".outstanding")
+			}
+		}
+		ids := n.holding()
+		for i := 1; i < len(ids); i++ {
+			if ids[i] == ids[i-1] {
+				errs = append(errs, fmt.Sprintf("%s: hello would list task %d twice", n.cfg.Name, ids[i]))
+			}
+		}
+	})
+	if !ran {
+		t.Errorf("%s: closed before its owner could be asked", n.cfg.Name)
 	}
-	ids := n.holdingLocked()
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			t.Errorf("%s: hello would list task %d twice", n.cfg.Name, ids[i])
-		}
+	for _, e := range errs {
+		t.Error(e)
 	}
 }
 
@@ -118,14 +134,16 @@ func watchOneOwner(t *testing.T, n *Node) (stop func()) {
 
 // sessionPending reports the requests a parent holds registered for a child.
 func sessionPending(n *Node, child string) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, s := range n.children {
-		if s.name == child && !s.gone {
-			return s.pending
+	pending := -1
+	n.query(func() {
+		for _, s := range n.children {
+			if s.name == child && !s.gone {
+				pending = s.pending
+				break
+			}
 		}
-	}
-	return -1
+	})
+	return pending
 }
 
 // eventsOf filters a node's recorder by kind.
@@ -153,6 +171,7 @@ func TestDispatchDoesNotWaitForChunkAck(t *testing.T) {
 
 	g.arm(tasks)
 	results, err := root.RunTimeout(makeTasks(tasks, 256), 20*time.Second)
+	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run with every chunk ack dropped: %v", err)
 	}
@@ -185,6 +204,7 @@ func TestResultCannotOutrunHandoff(t *testing.T) {
 	}
 	g.arm(tasks)
 	results, err := root.RunTimeout(makeTasks(tasks, 256), 60*time.Second)
+	checkOneOwner(t, root)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -228,6 +248,7 @@ func TestSeverLosesWrittenTransfers(t *testing.T) {
 	stop := watchOneOwner(t, root)
 	g.arm(tasks)
 	results, err := root.RunTimeout(makeTasks(tasks, 256), 30*time.Second)
+	checkOneOwner(t, root, w)
 	stop()
 	if err != nil {
 		t.Fatalf("Run across the sever: %v", err)
@@ -315,6 +336,7 @@ func TestSeverResumesHandedOffTransfer(t *testing.T) {
 	stop := watchOneOwner(t, root)
 	g.arm(tasks)
 	results, err := root.RunTimeout(makeTasks(tasks, chunk*chunks), 30*time.Second)
+	checkOneOwner(t, root, w)
 	stop()
 	if err != nil {
 		t.Fatalf("Run across the sever: %v", err)
@@ -394,6 +416,7 @@ func pacedRun(t *testing.T, root *Node, g *rootGate, base uint64, n, size int) (
 	if _, err := root.RunTimeout(tasks, 30*time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	checkOneOwner(t, root)
 	var first, last int64
 	for _, e := range root.Events() {
 		if e.Task <= base {

@@ -11,7 +11,7 @@ package live
 // the same code.
 //
 // The zero value is an empty pool in which every application weighs 1.
-// A pool is not safe for concurrent use; a Node guards its own with n.mu.
+// A pool is not safe for concurrent use; a Node's owner goroutine holds its own.
 type taskPool struct {
 	weights map[string]int64 // Config.AppWeights; never written
 	// credit is the weighted-round-robin ledger over application tags:

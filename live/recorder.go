@@ -9,15 +9,14 @@ package live
 // misbehaves, counters say how many, the recorder says which task, on
 // which link, in what order.
 //
-// Events recorded at protocol decision points are appended inside the
-// same critical section as the state change they describe, so the
-// per-node event order is exactly the order the node observed its own
-// state — cmd/bwtrace relies on this to re-verify scheduling decisions
-// from merged dumps. Cross-node causality is carried on the wire: chunk
-// and result frames are stamped with the sender's name and the sequence
-// number of the recorder event that caused them (the frame header, see
-// codec.go), so a receive event on one node names the send event on its
-// peer.
+// Every event but a refused handshake is recorded by the node's owner
+// goroutine in the step that makes the state change it describes, so the
+// per-node event order is the owner's decision order — cmd/bwtrace relies
+// on this to re-verify scheduling decisions from merged dumps. Cross-node
+// causality is carried on the wire: chunk and result frames are stamped
+// with the sender's name and the sequence number of the recorder event
+// that caused them (the frame header, see codec.go), so a receive event on
+// one node names the send event on its peer.
 
 import (
 	"sync"
@@ -104,8 +103,8 @@ const (
 	// put back in the buffer for re-dispatch.
 	EvRequeue
 	// EvHandoff is the send port handing a task off to a child: recorded
-	// in the port turn that builds the transfer's final chunk, in the same
-	// critical section that frees the port and before the chunk is
+	// when the port turn that builds the transfer's final chunk is decided,
+	// in the owner step that frees the port and before the chunk is
 	// written, so it precedes everything the child does with the task. Off
 	// is the offset the final turn starts from. (Appended after EvRequeue
 	// so existing kinds keep their values.)
@@ -315,8 +314,7 @@ func (r *flightRecorder) since(after uint64) ([]Event, uint64) {
 
 // record appends one event to the node's flight recorder, returning its
 // sequence number for wire stamping; a node with the recorder disabled
-// records nothing. Safe to call while holding n.mu (the recorder has its
-// own lock and never takes the node's).
+// records nothing.
 func (n *Node) record(e Event) uint64 {
 	if n.rec == nil {
 		return 0

@@ -157,6 +157,7 @@ func TestDeliberateDepartureRequeuesImmediately(t *testing.T) {
 		doomed.Close()
 	}()
 	results, err := root.RunTimeout(makeTasks(40, 64), 60*time.Second)
+	checkOneOwner(t, root)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -175,6 +176,7 @@ func TestRunDeadlineReturnsTypedErrorAndPartials(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
 	defer cancel()
 	results, err := root.Run(ctx, makeTasks(50, 16))
+	checkOneOwner(t, root)
 	if err == nil {
 		t.Fatalf("50 x 50ms inside 120ms did not time out")
 	}
@@ -203,6 +205,7 @@ func TestRunCancellation(t *testing.T) {
 		cancel()
 	}()
 	_, err := root.Run(ctx, makeTasks(50, 16))
+	checkOneOwner(t, root)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
@@ -255,6 +258,84 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestOwnerNeverBlocksOnIO wedges the root's send port in a write to a
+// child that completed its hello, asked for a task and stopped reading —
+// the stall shape a lock held across a write would spread to the whole
+// node. The owner does no I/O, so while the port is stuck the node still
+// answers Stats at once, registers a second child's request, and closes
+// without waiting out the write timeout.
+func TestOwnerNeverBlocksOnIO(t *testing.T) {
+	const size = 8 << 20 // one turn of 1 MiB chunks, far past a socket's buffers
+	root := startNode(t, Config{
+		Name: "root", Listen: "127.0.0.1:0", Buffers: 3, Compute: echoCompute(0),
+		ChunkSize: 1 << 20, WriteTimeout: time.Minute, HeartbeatInterval: -1,
+	})
+	stuck, err := dialScripted(root.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stuck.close()
+	if err := stuck.raw.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stuck.hello(message{Name: "stuck"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := stuck.write(&message{Kind: kindRequest, N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the stuck child's request", func() bool { return sessionPending(root, "stuck") == 1 })
+
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := root.RunTimeout(makeTasks(3, size), time.Minute)
+		runErr <- err
+	}()
+	waitFor(t, "the port to take the stuck child's transfer", func() bool {
+		var onPort bool
+		root.query(func() {
+			for _, w := range root.turn {
+				onPort = onPort || root.portBusy && w.tr != nil && w.s.name == "stuck"
+			}
+		})
+		return onPort
+	})
+
+	other, err := dialScripted(root.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.close()
+	if _, err := other.hello(message{Name: "other"}); err != nil {
+		t.Fatalf("a second child's handshake behind a stuck port: %v", err)
+	}
+	if err := other.write(&message{Kind: kindRequest, N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the second child's request to be registered", func() bool {
+		for _, e := range eventsOf(root, EvRequestServed) {
+			if e.Peer == "other" { // its hello reported none unanswered
+				return true
+			}
+		}
+		return false
+	})
+
+	start := time.Now()
+	root.Stats()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("Stats took %v with the send port stuck in a write", took)
+	}
+	start = time.Now()
+	root.Close()
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("Close took %v with the send port stuck in a write", took)
+	}
+	if err := <-runErr; err == nil {
+		t.Error("Run completed with its transfer stuck on a child that reads nothing")
+	}
+}
+
 // TestMaxQueuedCountsRequeues pins the high-water mark across a
 // departure: an interior node whose buffers are full when its child
 // leaves ends up holding the child's reclaimed tasks on top of its own,
@@ -296,13 +377,13 @@ func TestMaxQueuedCountsRequeues(t *testing.T) {
 	// the leaf holds (one task computing, FB buffered).
 	var before, held int
 	waitFor(t, "mid and leaf to fill up", func() bool {
-		mid.mu.Lock()
-		defer mid.mu.Unlock()
-		before = mid.buffer.len()
-		held = 0
-		for _, s := range mid.children {
-			held += len(s.outstanding)
-		}
+		mid.query(func() {
+			before = mid.buffer.len()
+			held = 0
+			for _, s := range mid.children {
+				held += len(s.outstanding)
+			}
+		})
 		return before == 3 && held == 4
 	})
 
@@ -316,6 +397,7 @@ func TestMaxQueuedCountsRequeues(t *testing.T) {
 
 	open()
 	out := <-done
+	checkOneOwner(t, root, mid)
 	if out.err != nil || len(out.results) != 24 {
 		t.Fatalf("Run: %d results, err %v", len(out.results), out.err)
 	}

@@ -59,6 +59,7 @@ func TestResultDropInSeverWindowCompletes(t *testing.T) {
 	})
 
 	results, err := root.RunTimeout(makeTasks(tasks, 512), 60*time.Second)
+	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run across the dropped result: %v", err)
 	}
@@ -108,6 +109,7 @@ func TestRoadmapStallRepro(t *testing.T) {
 	})
 
 	results, err := root.RunTimeout(makeTasks(tasks, 256), 60*time.Second)
+	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run across the sever-while-replaying window: %v", err)
 	}
@@ -144,6 +146,7 @@ func TestResultRetryRecoversPureDrop(t *testing.T) {
 	})
 
 	results, err := root.RunTimeout(makeTasks(tasks, 256), 60*time.Second)
+	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run across the dropped result: %v", err)
 	}
@@ -175,6 +178,7 @@ func TestResultAcksRetireLedger(t *testing.T) {
 		Compute: echoCompute(time.Millisecond),
 	})
 	results, err := root.RunTimeout(makeTasks(tasks, 128), 30*time.Second)
+	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -183,9 +187,8 @@ func TestResultAcksRetireLedger(t *testing.T) {
 	// Acks race Run's completion; the ledger must drain shortly after.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		w.mu.Lock()
-		left := len(w.unacked)
-		w.mu.Unlock()
+		var left int
+		w.query(func() { left = len(w.unacked) })
 		if left == 0 {
 			break
 		}
@@ -206,14 +209,13 @@ func TestResultAcksRetireLedger(t *testing.T) {
 // childGone reports whether a node holds a dead, still revivable session
 // for the named child.
 func childGone(n *Node, name string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, s := range n.children {
-		if s.name == name && s.gone {
-			return true
+	gone := false
+	n.query(func() {
+		for _, s := range n.children {
+			gone = gone || s.name == name && s.gone
 		}
-	}
-	return false
+	})
+	return gone
 }
 
 // TestReviveReconciliationRequeues drives a scripted child: it takes one
@@ -285,6 +287,7 @@ func TestReviveReconciliationRequeues(t *testing.T) {
 	go p2.drain()
 
 	results := <-resc
+	checkOneOwner(t, root)
 	if err := <-errc; err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -348,11 +351,11 @@ func TestResultLedgerOrderAndRetire(t *testing.T) {
 		t.Fatalf("entry %d scheduled with everything sent and retry disabled", again[0].res.ID)
 	}
 
-	n.retireResultLocked(2, "x") // wrong origin: not our entry
+	n.retireResult(2, "x") // wrong origin: not our entry
 	if len(n.unacked) != 3 {
 		t.Fatalf("mismatched origin retired an entry")
 	}
-	n.retireResultLocked(2, "w")
+	n.retireResult(2, "w")
 	if len(n.unacked) != 2 || n.stats.ResultAcks != 1 {
 		t.Fatalf("ack did not retire the keyed entry: %d left, %d acks", len(n.unacked), n.stats.ResultAcks)
 	}
@@ -461,6 +464,7 @@ func TestReviveReplayDedupedAndAcked(t *testing.T) {
 	}
 
 	results := <-resc
+	checkOneOwner(t, root)
 	if err := <-errc; err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -501,6 +505,7 @@ func TestHelloAckDropRecovers(t *testing.T) {
 	})
 
 	results, err := root.RunTimeout(makeTasks(tasks, 2048), 60*time.Second)
+	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

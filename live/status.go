@@ -2,6 +2,7 @@ package live
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -77,31 +78,30 @@ func (n *Node) ServeStatus(addr string) (string, error) {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	n.mu.Lock()
-	if n.status != nil {
-		n.mu.Unlock()
-		ln.Close()
-		return "", fmt.Errorf("live: status endpoint already running")
-	}
-	n.status = ss
-	n.mu.Unlock()
-
-	started := n.goTracked(func() {
-		_ = ss.srv.Serve(ln) // returns on Close
+	err = errors.New("live: status endpoint on a closed node")
+	n.query(func() {
+		switch {
+		case n.closing.Load():
+		case n.status != nil:
+			err = errors.New("live: status endpoint already running")
+		default:
+			n.status, err = ss, nil
+			n.goTracked(func() {
+				_ = ss.srv.Serve(ln) // returns on Close
+			})
+		}
 	})
-	if !started {
-		ln.Close() // no Serve will: the node closed first
-		return "", fmt.Errorf("live: status endpoint on a closed node")
+	if err != nil {
+		ln.Close() // no Serve will
+		return "", err
 	}
 	return ln.Addr().String(), nil
 }
 
 // StopStatus shuts the status endpoint down; safe to call when none runs.
 func (n *Node) StopStatus() {
-	n.mu.Lock()
-	ss := n.status
-	n.status = nil
-	n.mu.Unlock()
+	var ss *statusServer
+	n.query(func() { ss, n.status = n.status, nil })
 	if ss != nil {
 		_ = ss.srv.Close()
 	}
@@ -109,24 +109,8 @@ func (n *Node) StopStatus() {
 
 // handle renders the snapshot.
 func (s *statusServer) handle(w http.ResponseWriter, r *http.Request) {
-	n := s.node
-	n.mu.Lock()
-	snap := StatusSnapshot{
-		Name:      n.cfg.Name,
-		Root:      n.root,
-		Buffered:  n.buffer.len(),
-		Links:     map[string]float64{},
-		Uptime:    time.Since(s.started).Round(time.Millisecond).String(),
-		Connected: n.root || n.parent != nil,
-	}
-	for _, c := range n.children {
-		if !c.gone {
-			snap.Children = append(snap.Children, c.name)
-			snap.Links[c.name] = c.link.estimate()
-		}
-	}
-	n.mu.Unlock()
-	snap.Stats = n.Stats()
+	snap := s.node.snapshot()
+	snap.Uptime = time.Since(s.started).Round(time.Millisecond).String()
 
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -135,27 +119,16 @@ func (s *statusServer) handle(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the node's counters in the Prometheus text
-// exposition format. Every sample is derived from the same Stats
+// exposition format. Every sample is derived from the same owner-built
 // snapshot /status serves, so the two endpoints always agree.
 func (s *statusServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	n := s.node
-	st := n.Stats()
-	n.mu.Lock()
-	buffered := int64(n.buffer.len())
+	snap := s.node.snapshot()
 	connected := int64(0)
-	if n.root || n.parent != nil {
+	if snap.Connected {
 		connected = 1
 	}
-	children := int64(0)
-	for _, c := range n.children {
-		if !c.gone {
-			children++
-		}
-	}
-	n.mu.Unlock()
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = metricsSnapshot(st, buffered, connected, children).WritePrometheus(w)
+	_ = metricsSnapshot(snap.Stats, int64(snap.Buffered), connected, int64(len(snap.Children))).WritePrometheus(w)
 }
 
 // processStart anchors process_start_time_seconds, the conventional

@@ -71,10 +71,8 @@ func (n *Node) sampleLoop() {
 		if dt <= 0 {
 			continue
 		}
-		st := n.Stats()
-		n.mu.Lock()
-		buffered := n.buffer.len()
-		n.mu.Unlock()
+		v := n.snapshot()
+		st := v.Stats
 
 		tms := now.Sub(n.started).Milliseconds()
 		rate := func(cur, old int64) float64 { return float64(cur-old) / dt }
@@ -83,7 +81,7 @@ func (n *Node) sampleLoop() {
 		n.sampler.Observe("received_rate", tms, rate(st.Received, prev.Received))
 		n.sampler.Observe("bytes_sent_rate", tms, rate(st.BytesSent, prev.BytesSent))
 		n.sampler.Observe("bytes_received_rate", tms, rate(st.BytesReceived, prev.BytesReceived))
-		n.sampler.Observe("buffered", tms, float64(buffered))
+		n.sampler.Observe("buffered", tms, float64(v.Buffered))
 		n.sampler.Tick()
 		prev, prevAt = st, now
 	}

@@ -131,19 +131,18 @@ type message struct {
 }
 
 // conn wraps a network connection with the frame codec and a write lock
-// so multiple goroutines (uplink writer, heartbeat, send port) can share
-// the outbound stream safely. It also carries the link's supervision
-// state: the receive timestamp heartbeat monitors watch, the per-message
-// write deadline, and the fault-injection plan consulted on every frame.
+// so several goroutines (the send port or uplink writer, the heartbeat,
+// the accept loop's hello-ack, Close's farewell) can share the outbound
+// stream safely. It also carries the link's supervision state: the receive
+// timestamp heartbeat monitors watch, the per-message write deadline, and
+// the fault-injection plan consulted on every frame.
 type conn struct {
 	raw net.Conn
 	w   io.Writer     // raw wrapped with the byte counter; all writes go through it
 	br  *bufio.Reader // inbound buffer, owned by the conn's single reader goroutine
 	wmu sync.Mutex
-	// Write-side state, guarded by wmu: the encode buffer, which between
-	// writes holds the frames queue left pending (queued counts them).
-	wbuf   []byte
-	queued int
+	// wbuf is the encode buffer, guarded by wmu.
+	wbuf []byte
 	// Read-side scratch, owned by the conn's single reader goroutine.
 	rbuf   []byte
 	rmsg   message
@@ -244,38 +243,25 @@ func (c *conn) nextSeq() uint64 {
 // exactly as it would be by a real network partition.
 var errFaultSevered = fmt.Errorf("live: connection severed by fault plan")
 
-// send writes one message — and, in the same write, whatever queue left
-// pending — serialized with the connection's write lock and bounded by the
-// per-message write deadline: a batch of one.
+// send writes one message, serialized with the connection's write lock and
+// bounded by the per-message write deadline: a batch of one.
 func (c *conn) send(m *message) error {
 	_, err := c.sendBatch([]*message{m})
 	return err
 }
 
-// queue encodes a frame behind the conn's pending bytes without writing
-// it: it leaves with the next send, sendBatch or flush, and the fault plan
-// is consulted for it here, exactly as a send would. It does no I/O and
-// holds only wmu.
-func (c *conn) queue(m *message) error {
-	keep, err := c.stage(m)
-	if err != nil {
-		_ = c.close()
-		return err
-	}
-	if !keep {
-		return nil
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.encodeLocked(m)
-}
+// farewellTimeout bounds Close's goodbye on each link.
+const farewellTimeout = 250 * time.Millisecond
 
-// flush writes the frames queue left pending, if any. Like send and
-// sendBatch it is never reached with a node's mu held.
-func (c *conn) flush() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.writePendingLocked()
+// farewell writes a best-effort goodbye frame and closes the conn, within
+// farewellTimeout even on a peer that stopped reading: the close then cuts
+// off whatever write is stuck on the link, the farewell's own or one that
+// holds wmu ahead of it.
+func (c *conn) farewell(m *message) {
+	cut := time.AfterFunc(farewellTimeout, func() { _ = c.close() })
+	defer cut.Stop()
+	_ = c.send(m) //lint:bwvet-ignore best-effort farewell on teardown; the conn closes next either way
+	_ = c.close()
 }
 
 // stage stamps an outbound frame with its wire sequence number and
@@ -301,41 +287,33 @@ func (c *conn) stage(m *message) (keep bool, err error) {
 	return true, nil
 }
 
-// encodeLocked appends one frame to the encode buffer; callers hold wmu.
-// wmu exists solely to serialize writes: it guards no other state, and the
-// stall lockdiscipline fears is capped by the write deadline.
-func (c *conn) encodeLocked(m *message) error {
-	buf, err := appendFrame(c.wbuf, m)
-	if err != nil {
-		return err // buf is c.wbuf, pending frames intact
+// writeLocked encodes the frames into the encode buffer and writes them in
+// one write under the per-message deadline, counting them as sent; callers
+// hold wmu, which exists solely to serialize writes and guards no other
+// state. An unencodable frame fails the batch before any of it leaves;
+// after a write error the link is dead and the bytes go with it.
+func (c *conn) writeLocked(ms []*message) error {
+	buf := c.wbuf[:0]
+	for _, m := range ms {
+		var err error
+		if buf, err = appendFrame(buf, m); err != nil {
+			return err
+		}
 	}
 	c.wbuf = buf
-	c.queued++
-	return nil
-}
-
-// writePendingLocked writes the encode buffer — every frame queued or
-// batched since the last write — in one write, and counts the frames as
-// sent; callers hold wmu. After an error the link is dead and the bytes
-// are dropped with it.
-func (c *conn) writePendingLocked() error {
-	if len(c.wbuf) == 0 {
-		return nil
-	}
 	if c.writeTO > 0 {
 		_ = c.raw.SetWriteDeadline(time.Now().Add(c.writeTO))
 	}
-	_, err := c.w.Write(c.wbuf)
-	if err == nil {
-		c.ctr.framesSent.Add(int64(c.queued))
+	if _, err := c.w.Write(buf); err != nil {
+		return err
 	}
-	c.wbuf, c.queued = c.wbuf[:0], 0
-	return err
+	c.ctr.framesSent.Add(int64(len(ms)))
+	return nil
 }
 
-// sendBatch writes the frames back to back — in one buffer with whatever
-// queue left pending, one syscall — and reports how many leading frames
-// the "network" accepted (written or scripted as drops) before any error.
+// sendBatch writes the frames back to back — in one buffer, one syscall —
+// and reports how many leading frames the "network" accepted (written or
+// scripted as drops) before any error.
 // On a write error the count is 0: none of the batch may be assumed
 // delivered, and the link-failure path takes over. A scripted sever cuts
 // the batch at the severed frame, exactly where sequential sends would
@@ -357,16 +335,7 @@ func (c *conn) sendBatch(ms []*message) (int, error) {
 	var werr error
 	if len(keep) > 0 {
 		c.wmu.Lock()
-		pending, queued := len(c.wbuf), c.queued
-		for _, m := range keep {
-			if werr = c.encodeLocked(m); werr != nil {
-				c.wbuf, c.queued = c.wbuf[:pending], queued // unencodable batch: none of it leaves
-				break
-			}
-		}
-		if werr == nil {
-			werr = c.writePendingLocked()
-		}
+		werr = c.writeLocked(keep)
 		c.wmu.Unlock()
 	}
 	if severed != nil {
@@ -400,13 +369,12 @@ func (c *conn) recv() (*message, error) {
 		c.ctr.framesRecv.Add(1)
 		c.lastRecv.Store(time.Now().UnixNano())
 		if c.faults != nil {
-			switch op, d := c.faults.decide(FaultRecv, c.peer, FrameKind(c.rmsg.Kind)); op {
+			switch op, d := c.faults.decide(FaultRecv, c.peer, FrameKind(c.rmsg.Kind), func() { _ = c.close() }); op {
 			case FaultDrop:
 				continue // lost before delivery
 			case FaultDelay:
 				time.Sleep(d)
 			case FaultSever:
-				_ = c.close()
 				return nil, errFaultSevered
 			}
 		}
@@ -475,9 +443,8 @@ func (t *inTransfer) feed(m *message) (bool, error) {
 // ewma tracks an exponentially weighted moving average of duration
 // samples; the send port uses it as the measured per-chunk communication
 // time of each child — the locally observable quantity bandwidth-centric
-// priorities are built on.
+// priorities are built on. The owner keeps it with the child's session.
 type ewma struct {
-	mu    sync.Mutex
 	value float64 // seconds
 	seen  bool
 }
@@ -485,8 +452,6 @@ type ewma struct {
 const ewmaAlpha = 0.25
 
 func (e *ewma) observe(d time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	s := d.Seconds()
 	if !e.seen {
 		e.value = s
@@ -499,7 +464,5 @@ func (e *ewma) observe(d time.Duration) {
 // estimate returns the current average in seconds; unmeasured links
 // report 0, so fresh children are probed at top priority.
 func (e *ewma) estimate() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.value
 }
