@@ -18,7 +18,7 @@ import (
 	"strings"
 	"testing"
 
-	"bwcs/internal/lint/loader"
+	"bwcs/internal/loader"
 )
 
 const apiGoldenPath = "testdata/api_golden.txt"

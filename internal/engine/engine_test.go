@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"bwcs/internal/protocol"
@@ -198,29 +199,34 @@ func TestGrowthCap(t *testing.T) {
 	}
 }
 
+// TestDeterministicReplay: a config replays bit for bit, eight times over.
+// Round-robin and random keep tree order, and the wide tree's root has
+// eight children, so a child order leaked from Go's randomized map
+// iteration shows as a divergence among the replays.
 func TestDeterministicReplay(t *testing.T) {
-	tr := tree.New(9)
-	a := tr.AddChild(tr.Root(), 4, 2)
-	tr.AddChild(tr.Root(), 6, 3)
-	tr.AddChild(a, 2, 1)
-	for _, p := range []protocol.Protocol{
-		protocol.Interruptible(2),
-		protocol.NonInterruptible(1),
-		protocol.NonInterruptible(1).WithOrder(protocol.Random),
-	} {
-		cfg := Config{Tree: tr, Protocol: p, Tasks: 100, Seed: 5}
-		r1 := mustRun(t, cfg)
-		r2 := mustRun(t, cfg)
-		if len(r1.Completions) != len(r2.Completions) {
-			t.Fatalf("%v: replay lengths differ", p)
-		}
-		for i := range r1.Completions {
-			if r1.Completions[i] != r2.Completions[i] {
-				t.Fatalf("%v: replay diverged at %d", p, i)
+	deep := tree.New(9)
+	a := deep.AddChild(deep.Root(), 4, 2)
+	deep.AddChild(deep.Root(), 6, 3)
+	deep.AddChild(a, 2, 1)
+	wide := tree.New(9)
+	for i := int64(1); i <= 8; i++ {
+		wide.AddChild(wide.Root(), 2+i, i)
+	}
+	for _, tr := range []*tree.Tree{deep, wide} {
+		for _, p := range []protocol.Protocol{
+			protocol.Interruptible(2),
+			protocol.NonInterruptible(1),
+			protocol.NonInterruptible(1).WithOrder(protocol.Random),
+			protocol.NonInterruptible(1).WithOrder(protocol.RoundRobin),
+		} {
+			cfg := Config{Tree: tr, Protocol: p, Tasks: 100, Seed: 5}
+			r1 := mustRun(t, cfg)
+			for range 8 {
+				r2 := mustRun(t, cfg)
+				if !slices.Equal(r1.Completions, r2.Completions) || r1.Steps != r2.Steps {
+					t.Fatalf("%v on %d nodes: replay diverged", p, tr.Len())
+				}
 			}
-		}
-		if r1.Steps != r2.Steps {
-			t.Fatalf("%v: step counts differ", p)
 		}
 	}
 }

@@ -65,9 +65,6 @@ func (x Rat) big() *big.Rat {
 	return x.r
 }
 
-// Big returns a copy of x as a *big.Rat.
-func (x Rat) Big() *big.Rat { return new(big.Rat).Set(x.big()) }
-
 // Num returns a copy of the numerator of x in lowest terms.
 func (x Rat) Num() *big.Int { return new(big.Int).Set(x.big().Num()) }
 
@@ -100,17 +97,11 @@ func (x Rat) Inv() Rat {
 	return Rat{new(big.Rat).Inv(x.big())}
 }
 
-// Neg returns -x.
-func (x Rat) Neg() Rat { return Rat{new(big.Rat).Neg(x.big())} }
-
 // Cmp compares x and y and returns -1, 0, or +1.
 func (x Rat) Cmp(y Rat) int { return x.big().Cmp(y.big()) }
 
 // Less reports whether x < y.
 func (x Rat) Less(y Rat) bool { return x.Cmp(y) < 0 }
-
-// LessEq reports whether x <= y.
-func (x Rat) LessEq(y Rat) bool { return x.Cmp(y) <= 0 }
 
 // Equal reports whether x == y exactly.
 func (x Rat) Equal(y Rat) bool { return x.Cmp(y) == 0 }
@@ -179,13 +170,4 @@ func (x *Rat) UnmarshalText(b []byte) error {
 	}
 	*x = v
 	return nil
-}
-
-// CmpIntProduct compares a*b with c*d exactly using integer arithmetic and
-// returns -1, 0 or +1. It is a convenience for overflow-free comparisons of
-// products of simulation times.
-func CmpIntProduct(a, b, c, d int64) int {
-	lhs := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
-	rhs := new(big.Int).Mul(big.NewInt(c), big.NewInt(d))
-	return lhs.Cmp(rhs)
 }

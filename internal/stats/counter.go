@@ -4,11 +4,11 @@ import "fmt"
 
 // Counter is a counting histogram over non-negative int64 values with a
 // small range (onset windows, buffer counts). It answers order
-// statistics — median, percentile, rank counts — exactly, matching the
-// sorted-slice functions above bit for bit, while storing one counter
-// per distinct value instead of one element per observation. That is
-// what lets a sweep over millions of trees keep exact
-// aggregates in O(value range) memory.
+// statistics — median, rank counts — exactly, matching Median over the
+// equivalent slice bit for bit, while storing one counter per distinct
+// value instead of one element per observation. That is what lets a
+// sweep over millions of trees keep exact aggregates in O(value range)
+// memory.
 type Counter struct {
 	counts []int64
 	total  int64
@@ -35,14 +35,6 @@ func (c *Counter) Add(v int64) {
 
 // Total returns the number of values added.
 func (c *Counter) Total() int64 { return c.total }
-
-// Max returns the largest value added; it panics when empty, like Max.
-func (c *Counter) Max() int64 {
-	if c.total == 0 {
-		panic("stats: max of empty counter")
-	}
-	return c.max
-}
 
 // CountAtMost returns how many added values are <= x.
 func (c *Counter) CountAtMost(x int64) int64 {
@@ -87,27 +79,4 @@ func (c *Counter) Median() int64 {
 		return c.Kth(mid)
 	}
 	return (c.Kth(mid-1) + c.Kth(mid)) / 2
-}
-
-// Percentile returns the p'th percentile (0..100) by nearest-rank, the
-// same result as Percentile over the equivalent slice. It panics when
-// empty or when p is out of range.
-func (c *Counter) Percentile(p float64) int64 {
-	if c.total == 0 {
-		panic("stats: percentile of empty counter")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of range", p))
-	}
-	if p == 0 {
-		return c.Kth(0)
-	}
-	rank := int64(p/100*float64(c.total)+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= c.total {
-		rank = c.total - 1
-	}
-	return c.Kth(rank)
 }

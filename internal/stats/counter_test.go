@@ -23,14 +23,6 @@ func TestCounterMatchesSliceStats(t *testing.T) {
 		if got, want := c.Median(), Median(vs); got != want {
 			t.Fatalf("trial %d: median %d, want %d", trial, got, want)
 		}
-		if got, want := c.Max(), Max(vs); got != want {
-			t.Fatalf("trial %d: max %d, want %d", trial, got, want)
-		}
-		for _, p := range []float64{0, 10, 25, 50, 75, 90, 95, 99, 100} {
-			if got, want := c.Percentile(p), Percentile(vs, p); got != want {
-				t.Fatalf("trial %d: p%v = %d, want %d", trial, p, got, want)
-			}
-		}
 		for _, x := range []int64{-1, 0, 1, 5, 30, 59, 60, 1000} {
 			var want int64
 			for _, v := range vs {
@@ -45,24 +37,16 @@ func TestCounterMatchesSliceStats(t *testing.T) {
 	}
 }
 
-// TestCounterEmptyPanics: the empty-counter contracts match the slice
-// functions' panics.
+// TestCounterEmptyPanics: an empty counter's median panics, like the
+// slice function's.
 func TestCounterEmptyPanics(t *testing.T) {
-	for name, fn := range map[string]func(*Counter){
-		"median":     func(c *Counter) { c.Median() },
-		"max":        func(c *Counter) { c.Max() },
-		"percentile": func(c *Counter) { c.Percentile(50) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s of empty counter did not panic", name)
-				}
-			}()
-			fn(NewCounter())
-		}()
-	}
 	if got := NewCounter().CountAtMost(5); got != 0 {
 		t.Fatalf("empty CountAtMost = %d, want 0", got)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("median of empty counter did not panic")
+		}
+	}()
+	NewCounter().Median()
 }

@@ -34,14 +34,6 @@ func Max(vs []int64) int64 {
 	return slices.Max(vs)
 }
 
-// Min returns the minimum of vs. It panics on an empty slice.
-func Min(vs []int64) int64 {
-	if len(vs) == 0 {
-		panic("stats: min of empty slice")
-	}
-	return slices.Min(vs)
-}
-
 // Jain returns Jain's fairness index over the allocations xs:
 // (Σx)² ⁄ (n·Σx²). The index is 1 when every allocation is equal and
 // approaches 1/n as one allocation dominates; it is 0 when all
@@ -56,30 +48,6 @@ func Jain(xs []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
-// Percentile returns the p'th percentile (0..100) of vs using
-// nearest-rank. It panics on an empty slice or out-of-range p.
-func Percentile(vs []int64, p float64) int64 {
-	if len(vs) == 0 {
-		panic("stats: percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of range", p))
-	}
-	s := slices.Clone(vs)
-	slices.Sort(s)
-	if p == 0 {
-		return s[0]
-	}
-	rank := int(p/100*float64(len(s))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
 }
 
 // Histogram bins values into fixed-width buckets for PDF plots.

@@ -34,17 +34,15 @@ func TestMedian(t *testing.T) {
 
 func TestMinMaxMean(t *testing.T) {
 	vs := []int64{4, -2, 9, 9, 0}
-	if Max(vs) != 9 || Min(vs) != -2 {
-		t.Fatalf("Max/Min wrong")
+	if Max(vs) != 9 {
+		t.Fatalf("Max wrong")
 	}
 }
 
 func TestEmptyPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"median":     func() { Median(nil) },
-		"max":        func() { Max(nil) },
-		"min":        func() { Min(nil) },
-		"percentile": func() { Percentile(nil, 50) },
+		"median": func() { Median(nil) },
+		"max":    func() { Max(nil) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -57,38 +55,20 @@ func TestEmptyPanics(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	vs := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(vs, 0); got != 1 {
-		t.Fatalf("P0 = %d", got)
-	}
-	if got := Percentile(vs, 100); got != 10 {
-		t.Fatalf("P100 = %d", got)
-	}
-	if got := Percentile(vs, 50); got != 5 {
-		t.Fatalf("P50 = %d", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("out-of-range percentile accepted")
-		}
-	}()
-	Percentile(vs, 101)
-}
-
+// TestPropertyMedianAndPercentileAgree checks Median against the
+// nearest-rank 50th percentile of a sorted copy, which it equals on odd
+// lengths.
 func TestPropertyMedianAndPercentileAgree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 9))
 	for i := 0; i < 100; i++ {
-		n := rng.IntN(99)*2 + 1 // odd lengths: median == P50 exactly
+		n := rng.IntN(99)*2 + 1
 		vs := make([]int64, n)
 		for j := range vs {
 			vs[j] = rng.Int64N(1000)
 		}
-		if Median(vs) != Percentile(vs, 50) {
-			t.Fatalf("median %d != P50 %d for %v", Median(vs), Percentile(vs, 50), vs)
-		}
-		if Min(vs) > Median(vs) || Median(vs) > Max(vs) {
-			t.Fatalf("ordering violated")
+		sorted := slices.Sorted(slices.Values(vs))
+		if p50 := sorted[(n+1)/2-1]; Median(vs) != p50 {
+			t.Fatalf("median %d != P50 %d for %v", Median(vs), p50, vs)
 		}
 	}
 }

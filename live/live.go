@@ -930,7 +930,7 @@ func (n *Node) superviseConn(c *conn) {
 		for {
 			select {
 			case <-t.C:
-				_ = c.send(&message{Kind: kindHeartbeat}) //lint:bwvet-ignore a failed probe shows up as recv silence below and supervision severs the link
+				_ = c.send(&message{Kind: kindHeartbeat})
 				if c.sinceRecv() <= interval {
 					misses = 0
 					continue

@@ -260,7 +260,7 @@ const farewellTimeout = 250 * time.Millisecond
 func (c *conn) farewell(m *message) {
 	cut := time.AfterFunc(farewellTimeout, func() { _ = c.close() })
 	defer cut.Stop()
-	_ = c.send(m) //lint:bwvet-ignore best-effort farewell on teardown; the conn closes next either way
+	_ = c.send(m)
 	_ = c.close()
 }
 

@@ -14,7 +14,7 @@ import (
 // CodecGob survives only so the live.wire.frames_per_s.gob ledger row keeps
 // measuring what its name says until the benchmark drops the row — the
 // Codec type, its constants and WireBench's two gob branches go with it
-// (TestGobOnlyInWireBench in internal/lint fences the import to this file).
+// (TestGobOnlyInWireBench in invariants_test.go fences the import to this file).
 type Codec uint8
 
 const (
