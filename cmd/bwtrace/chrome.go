@@ -142,7 +142,7 @@ func writeChrome(w io.Writer, merged []MergedEvent) error {
 func category(k live.EventKind) string {
 	switch k {
 	case live.EvChunkSend, live.EvChunkResume, live.EvChunkInterrupt, live.EvHandoff,
-		live.EvChunkRecv, live.EvChunkAck, live.EvTaskReceived:
+		live.EvChunkRecv, live.EvTaskReceived:
 		return "transfer"
 	case live.EvResultSend, live.EvResultReplay, live.EvResultRecv, live.EvResultDedupe,
 		live.EvResultAck, live.EvResultCollect:

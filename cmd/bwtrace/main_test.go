@@ -37,9 +37,8 @@ func synthDumps() map[string]live.TraceDump {
 				rt(2, 2600, live.Event{Kind: live.EvRequestServed, Peer: "w1", Value: 3, WireSeq: 2, CausePeer: "w1", CauseSeq: 3}),
 				rt(3, 3000, live.Event{Kind: live.EvChunkSend, Task: 1, Peer: "w1"}),
 				rt(4, 3100, live.Event{Kind: live.EvHandoff, Task: 1, Peer: "w1"}),
-				rt(5, 4200, live.Event{Kind: live.EvChunkAck, Task: 1, Peer: "w1", Off: 4096, Value: 1, WireSeq: 3, CausePeer: "w1", CauseSeq: 5}),
-				rt(6, 4900, live.Event{Kind: live.EvResultRecv, Task: 1, Origin: "w1", Peer: "w1", WireSeq: 5, CausePeer: "w1", CauseSeq: 8}),
-				rt(7, 5000, live.Event{Kind: live.EvResultCollect, Task: 1, Origin: "w1"}),
+				rt(5, 4900, live.Event{Kind: live.EvResultRecv, Task: 1, Origin: "w1", Peer: "w1", WireSeq: 5, CausePeer: "w1", CauseSeq: 8}),
+				rt(6, 5000, live.Event{Kind: live.EvResultCollect, Task: 1, Origin: "w1"}),
 			},
 		},
 		"w1": {
@@ -53,7 +52,7 @@ func synthDumps() map[string]live.TraceDump {
 				w1(6, 3800, live.Event{Kind: live.EvComputeStart, Task: 1}),
 				w1(7, 4300, live.Event{Kind: live.EvComputeDone, Task: 1, Origin: "w1", Value: 500}),
 				w1(8, 4400, live.Event{Kind: live.EvResultSend, Task: 1, Origin: "w1", Peer: "root", WireSeq: 5}),
-				w1(9, 5400, live.Event{Kind: live.EvResultAck, Task: 1, Origin: "w1", Peer: "root", CausePeer: "root", CauseSeq: 6}),
+				w1(9, 5400, live.Event{Kind: live.EvResultAck, Task: 1, Origin: "w1", Peer: "root", WireSeq: 3, CausePeer: "root", CauseSeq: 5}),
 			},
 		},
 	}
@@ -81,8 +80,8 @@ func TestMergeAlignsSkewedClocks(t *testing.T) {
 	}{
 		{"w1", 1, 1000}, {"root", 1, 1500}, {"w1", 2, 2000}, {"w1", 3, 2100},
 		{"root", 2, 2600}, {"root", 3, 3000}, {"root", 4, 3100}, {"w1", 4, 3600},
-		{"w1", 5, 3700}, {"w1", 6, 3800}, {"root", 5, 4200}, {"w1", 7, 4300},
-		{"w1", 8, 4400}, {"root", 6, 4900}, {"root", 7, 5000}, {"w1", 9, 5400},
+		{"w1", 5, 3700}, {"w1", 6, 3800}, {"w1", 7, 4300},
+		{"w1", 8, 4400}, {"root", 5, 4900}, {"root", 6, 5000}, {"w1", 9, 5400},
 	}
 	for i, w := range wantOrder {
 		m := merged[i]

@@ -3,13 +3,13 @@ package main
 // Merging per-node flight-recorder dumps into one causal timeline.
 //
 // Each node's events carry timestamps on its own monotonic clock. The
-// merger first aligns clocks per link: every event caused by a received
-// frame names the sending node's event (CausePeer/CauseSeq), so each
-// matched pair bounds the clock offset from one side, and the two
-// directions of a link bound it from both — the classic symmetric-delay
-// estimate offset = (d1 - d2)/2 over the minimum observed deltas. Offsets
-// compose along the tree from the root. Nodes that share no usable pairs
-// fall back to wall-clock epoch differences.
+// merger first aligns clocks per link: a chunk or result receipt names the
+// sending node's event (CausePeer/CauseSeq), so each matched pair bounds
+// the clock offset from one side, and the two directions of a link bound
+// it from both — the classic symmetric-delay estimate offset =
+// (d1 - d2)/2 over the minimum observed deltas. Offsets compose along the
+// tree from the root. Nodes that share no usable pairs fall back to
+// wall-clock epoch differences.
 //
 // The merge itself is causal, not just temporal: a per-node cursor k-way
 // merge that never emits an event before the peer event it names. Clock
@@ -54,12 +54,12 @@ func loadDump(path string) (live.TraceDump, error) {
 	return d, nil
 }
 
-// alignable reports whether an event is a usable clock-alignment sample: a
-// frame-caused event whose transit is one frame, not a whole transfer.
-// EvTaskReceived's cause is the segment dispatch, separated by the entire
-// payload stream, so it would poison the minimum.
+// alignable reports whether an event is a clock-alignment sample: the
+// receipt of a chunk segment (down) or of a result (up), which every task
+// makes cross its links, each one frame's transit behind its cause — a
+// task-received is a whole segment's.
 func alignable(e live.Event) bool {
-	return e.CauseSeq != 0 && e.CausePeer != "" && e.Kind != live.EvTaskReceived
+	return e.CauseSeq != 0 && e.CausePeer != "" && (e.Kind == live.EvChunkRecv || e.Kind == live.EvResultRecv)
 }
 
 // clockShifts computes, for every dump, the shift that maps its local

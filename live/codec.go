@@ -17,8 +17,9 @@ import (
 // or a build that spoke gob, whose stream does not parse as a frame — is
 // refused within the handshake timeout, never downgraded. Per-conn buffers
 // are reused across frames, so steady-state encode and decode allocate
-// nothing.
-const wireVersion = 1
+// nothing but a result ack's list. Version 2 retired v1's chunk ack and
+// made the result ack a list of ledger keys.
+const wireVersion = 2
 
 const (
 	// maxFrameBytes bounds a binary frame's declared body length. A
@@ -110,13 +111,12 @@ func appendFrame(buf []byte, m *message) ([]byte, error) {
 		buf = appendStringField(buf, m.Origin)
 		buf = appendStringField(buf, m.App)
 		buf = appendBytesField(buf, m.Output)
-	case kindChunkAck:
-		buf = binary.AppendUvarint(buf, m.Task)
-		buf = binary.AppendUvarint(buf, uint64(m.Offset))
-		buf = appendBool(buf, m.Last)
 	case kindResultAck:
-		buf = binary.AppendUvarint(buf, m.Task)
-		buf = appendStringField(buf, m.Origin)
+		buf = binary.AppendUvarint(buf, uint64(len(m.Acks)))
+		for _, k := range m.Acks {
+			buf = binary.AppendUvarint(buf, k.Task)
+			buf = appendStringField(buf, k.Origin)
+		}
 	case kindShutdown, kindHeartbeat, kindGoodbye:
 		// Header only.
 	default:
@@ -322,10 +322,10 @@ func (r *frameReader) u64s() ([]uint64, error) {
 // decodeFrame parses one binary frame body into m, resetting every field
 // first so a reused message never leaks state across frames. Data
 // aliases the frame body (its consumers copy before the next read);
-// Output is copied, because results outlive the read buffer in ledgers
-// and result channels. Strings pass through the conn's interner. Decode
-// is strict: unknown kinds, malformed fields, and trailing bytes are all
-// errors, never panics.
+// Output is copied and a result ack's list made, because they outlive the
+// read buffer in ledgers, channels and the owner's inbox. Strings pass
+// through the conn's interner. Decode is strict: unknown kinds, malformed
+// fields, and trailing bytes are all errors, never panics.
 func decodeFrame(data []byte, m *message, in *interner) error {
 	*m = message{}
 	r := frameReader{b: data}
@@ -444,24 +444,26 @@ func decodeFrame(data []byte, m *message, in *interner) error {
 		if m.Output, err = r.rawCopy(); err != nil {
 			return err
 		}
-	case kindChunkAck:
-		if m.Task, err = r.uvarint(); err != nil {
-			return err
-		}
-		if m.Offset, err = r.intField(); err != nil {
-			return err
-		}
-		if m.Last, err = r.boolField(); err != nil {
-			return err
-		}
 	case kindResultAck:
-		if m.Task, err = r.uvarint(); err != nil {
+		count, err := r.uvarint()
+		if err != nil {
 			return err
 		}
-		if b, err = r.raw(); err != nil {
-			return err
+		if count > uint64(len(r.b)-r.off)/2 { // each key is ≥ 2 bytes
+			return errFrameTruncated
 		}
-		m.Origin = in.intern(b)
+		if count > 0 {
+			m.Acks = make([]resultKey, count)
+			for i := range m.Acks {
+				if m.Acks[i].Task, err = r.uvarint(); err != nil {
+					return err
+				}
+				if b, err = r.raw(); err != nil {
+					return err
+				}
+				m.Acks[i].Origin = in.intern(b)
+			}
+		}
 	case kindShutdown, kindHeartbeat, kindGoodbye:
 		// Header only.
 	default:

@@ -7,18 +7,19 @@ import (
 )
 
 // benchFrames is the steady-state frame mix of a busy link: payload
-// chunks dominate, with their acks and the result round-trip riding
-// along. The chunk carries the default 4096-byte payload slice.
+// chunks dominate, with a request and the result round-trip riding along.
+// The chunk carries the default 4096-byte payload slice.
 func benchFrames() []message {
 	data := bytes.Repeat([]byte{0xA5}, 4096)
 	out := bytes.Repeat([]byte{0x5A}, 1024)
 	return []message{
 		{Kind: kindChunk, Seq: 101, Task: 7, Size: 65536, Offset: 40960,
 			Data: data, App: "alpha", TraceNode: "root", TraceSeq: 33},
-		{Kind: kindChunkAck, Seq: 102, Task: 7, Offset: 45056, TraceNode: "w1", TraceSeq: 12},
+		{Kind: kindRequest, Seq: 102, N: 2, App: "alpha", TraceNode: "w1", TraceSeq: 12},
 		{Kind: kindResult, Seq: 103, Task: 6, Origin: "w1", App: "alpha",
 			Output: out, TraceNode: "w1", TraceSeq: 11},
-		{Kind: kindResultAck, Seq: 104, Task: 6, Origin: "w1", TraceNode: "root", TraceSeq: 34},
+		{Kind: kindResultAck, Seq: 104, Acks: []resultKey{{Task: 5, Origin: "w1"}, {Task: 6, Origin: "w1"}},
+			TraceNode: "root", TraceSeq: 34},
 	}
 }
 

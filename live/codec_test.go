@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"reflect"
@@ -20,7 +21,7 @@ import (
 func sampleFrames() []*message {
 	return []*message{
 		{Kind: kindHello, Seq: 101, TraceSeq: 11, TraceNode: "w1",
-			Codecs:  []uint8{1, 7},
+			Codecs:  []uint8{wireVersion, 7},
 			Name:    "w1",
 			N:       2,
 			Resume:  []ResumePoint{{Task: 7, Offset: 4096}, {Task: 9, Offset: 0}},
@@ -34,13 +35,11 @@ func sampleFrames() []*message {
 			Task: 42, Output: []byte("result output"), Origin: "w1-leaf", App: "tenant-b"},
 		{Kind: kindShutdown, Seq: 105, TraceSeq: 15, TraceNode: "root"},
 		{Kind: kindHeartbeat, Seq: 106},
-		{Kind: kindChunkAck, Seq: 107, TraceSeq: 17, TraceNode: "w1",
-			Task: 42, Offset: 8192, Last: true},
 		{Kind: kindHelloAck, Seq: 108, TraceSeq: 18, TraceNode: "root",
-			Name: "root", Revived: true, Accepted: []uint64{7, 9}, Codecs: []uint8{1}},
+			Name: "root", Revived: true, Accepted: []uint64{7, 9}, Codecs: []uint8{wireVersion}},
 		{Kind: kindGoodbye, Seq: 109, TraceSeq: 19, TraceNode: "w1"},
 		{Kind: kindResultAck, Seq: 110, TraceSeq: 20, TraceNode: "root",
-			Task: 42, Origin: "w1-leaf"},
+			Acks: []resultKey{{Task: 42, Origin: "w1-leaf"}, {Task: 1 << 40, Origin: ""}, {Task: 43, Origin: "w2"}}},
 	}
 }
 
@@ -264,18 +263,21 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 // turned away: at its version list, the first field, before anything of a
 // layout this build may not know is parsed — so the refusal names the
 // versions, and whatever follows the list cannot turn it into a parse
-// error. The same holds for a hello-ack whose pick is not ours.
+// error. The same holds for a hello-ack whose pick is not ours. Both sides
+// of the v1 ↔ v2 boundary are covered: a v1 peer offers [1].
 func TestVersionSkewHello(t *testing.T) {
 	for _, kind := range []msgKind{kindHello, kindHelloAck} {
-		frame, err := appendFrame(nil, &message{Kind: kind, Codecs: []uint8{99}, Name: "future"})
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		frame = append(frame, "fields of a layout from the future"...)
-		body := frame[1:] // one-byte length prefix: the frame is short
-		var m message
-		if err := decodeFrame(body, &m, &interner{}); !errors.Is(err, errWireVersion) || !strings.Contains(err.Error(), "[99]") {
-			t.Errorf("kind %d offering version 99: %v; want errWireVersion naming the offer", kind, err)
+		for _, v := range []uint8{1, 99} {
+			frame, err := appendFrame(nil, &message{Kind: kind, Codecs: []uint8{v}, Name: "other"})
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			frame = append(frame, "fields of another layout"...)
+			body := frame[1:] // one-byte length prefix: the frame is short
+			var m message
+			if err := decodeFrame(body, &m, &interner{}); !errors.Is(err, errWireVersion) || !strings.Contains(err.Error(), fmt.Sprintf("[%d]", v)) {
+				t.Errorf("kind %d offering version %d: %v; want errWireVersion naming the offer", kind, v, err)
+			}
 		}
 	}
 }
@@ -350,6 +352,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, body := range lyingHandshakeFrames() {
 		f.Add(append(binary.AppendUvarint(nil, uint64(len(body))), body...))
 	}
+	// And a result ack whose key count lies the same way.
+	lyingAck := binary.AppendUvarint([]byte{byte(kindResultAck), 1, 0, 0}, 1<<39)
+	f.Add(append(binary.AppendUvarint(nil, uint64(len(lyingAck))), lyingAck...))
 	// Hand-built hostile seeds: empty input, a lying oversized length
 	// prefix, a truncated body, an unknown kind.
 	f.Add([]byte{})

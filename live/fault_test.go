@@ -51,9 +51,9 @@ func TestFaultPlanDecide(t *testing.T) {
 			link string
 			kind FrameKind
 		}{
-			{FaultSend, "b", FrameResult},   // wrong link
-			{FaultRecv, "a", FrameResult},   // wrong direction
-			{FaultSend, "a", FrameChunkAck}, // wrong kind
+			{FaultSend, "b", FrameResult},    // wrong link
+			{FaultRecv, "a", FrameResult},    // wrong direction
+			{FaultSend, "a", FrameResultAck}, // wrong kind
 		}
 		for _, m := range miss {
 			if op, _ := p.decide(m.dir, m.link, m.kind); op != faultNone {
@@ -190,10 +190,10 @@ func TestSeveredMidTreeNodeRecovers(t *testing.T) {
 
 // TestSeveredFinalChunkIsRedelivered pins the nastiest revival case: with
 // single-chunk tasks the sever swallows a *final* chunk in flight, so the
-// parent has written everything ("sentAll") while the child holds nothing
-// — and offers no resume state, exactly as if only the ack had been lost.
-// The parent must retransmit rather than assume delivery, or the task is
-// never computed and the run hangs.
+// parent has written everything — the task is handed off — while the
+// child holds nothing and offers no resume state. The parent must
+// retransmit rather than assume delivery, or the task is never computed
+// and the run hangs.
 func TestSeveredFinalChunkIsRedelivered(t *testing.T) {
 	sever := NewFaultPlan(FaultRule{
 		Link: "parent", Dir: FaultRecv, Kind: FrameChunk,
@@ -229,8 +229,8 @@ func TestSeveredFinalChunkIsRedelivered(t *testing.T) {
 
 // TestResumeFromLastAckedChunk drives the resume path specifically: the
 // child reconnects within the grace window, so the parent revives the
-// session and continues the interrupted transfer from the last
-// acknowledged chunk instead of requeueing.
+// session and continues the interrupted transfer from the offset the
+// child's hello offers instead of requeueing.
 func TestResumeFromLastAckedChunk(t *testing.T) {
 	sever := NewFaultPlan(FaultRule{
 		Link: "parent", Dir: FaultRecv, Kind: FrameChunk,

@@ -25,7 +25,6 @@ const (
 	FrameResult    FrameKind = FrameKind(kindResult)
 	FrameShutdown  FrameKind = FrameKind(kindShutdown)
 	FrameHeartbeat FrameKind = FrameKind(kindHeartbeat)
-	FrameChunkAck  FrameKind = FrameKind(kindChunkAck)
 	FrameHelloAck  FrameKind = FrameKind(kindHelloAck)
 	FrameGoodbye   FrameKind = FrameKind(kindGoodbye)
 	FrameResultAck FrameKind = FrameKind(kindResultAck)

@@ -23,7 +23,6 @@ var kindSelectors = map[string]struct {
 	"kindResult":    {kindResult, FrameResult},
 	"kindShutdown":  {kindShutdown, FrameShutdown},
 	"kindHeartbeat": {kindHeartbeat, FrameHeartbeat},
-	"kindChunkAck":  {kindChunkAck, FrameChunkAck},
 	"kindHelloAck":  {kindHelloAck, FrameHelloAck},
 	"kindGoodbye":   {kindGoodbye, FrameGoodbye},
 	"kindResultAck": {kindResultAck, FrameResultAck},

@@ -7,17 +7,17 @@ import (
 )
 
 // TestHotPathAllocsPinned is the allocation gate for the steady-state
-// codec path: appendFrame, readFrame and decodeFrame over the data-plane
-// frames (kindChunk and kindChunkAck), plus the field helpers and
-// interner under them, run allocation-free once the buffers and the
-// interner are warm. kindResult is deliberately absent: its decode copies
-// the output payload by design (rawCopy), so it is not a zero-alloc path.
+// codec path: appendFrame, readFrame and decodeFrame over the frames every
+// task costs one way or the other (kindChunk and kindRequest), plus the
+// field helpers and interner under them, run allocation-free once the
+// buffers and the interner are warm. kindResult and kindResultAck are
+// deliberately absent: their decodes copy the output payload (rawCopy) and
+// make the key list by design, so they are not zero-alloc paths.
 func TestHotPathAllocsPinned(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 512)
 	chunk := message{Kind: kindChunk, Seq: 9, Task: 41, Size: 2048, Offset: 512,
 		Last: false, App: "appA", Data: payload, TraceNode: "parent", TraceSeq: 3}
-	ack := message{Kind: kindChunkAck, Seq: 10, Task: 41, Offset: 1024, Last: true,
-		TraceNode: "child", TraceSeq: 4}
+	req := message{Kind: kindRequest, Seq: 10, N: 3, App: "appA", TraceNode: "child", TraceSeq: 4}
 
 	var (
 		wbuf []byte
@@ -33,8 +33,8 @@ func TestHotPathAllocsPinned(t *testing.T) {
 		if wbuf, err = appendFrame(wbuf, &chunk); err != nil {
 			t.Fatalf("appendFrame(chunk): %v", err)
 		}
-		if wbuf, err = appendFrame(wbuf, &ack); err != nil {
-			t.Fatalf("appendFrame(ack): %v", err)
+		if wbuf, err = appendFrame(wbuf, &req); err != nil {
+			t.Fatalf("appendFrame(request): %v", err)
 		}
 		src.Reset(wbuf)
 		br.Reset(&src)
@@ -46,8 +46,8 @@ func TestHotPathAllocsPinned(t *testing.T) {
 				t.Fatalf("decodeFrame: %v", err)
 			}
 		}
-		if out.Kind != kindChunkAck || out.Task != 41 || !out.Last {
-			t.Fatalf("round trip corrupted the ack: %+v", out)
+		if out.Kind != kindRequest || out.N != 3 || out.App != "appA" {
+			t.Fatalf("round trip corrupted the request: %+v", out)
 		}
 	}
 	cycle() // warm: grows wbuf/body once, interns "appA"/"parent"/"child"

@@ -276,14 +276,12 @@ type Node struct {
 
 	parent *conn // current uplink; nil while disconnected (or root)
 	// reqDeficit counts the requests owed to the parent and reqApp tags
-	// the latest; upAcks are the final-chunk acks owed on the current
-	// uplink. The uplink writer sends both with its next batch. Every
+	// the latest; the uplink writer sends them with its next batch. Every
 	// buffer is at all times exactly one of: holding a task, receiving one
 	// (a partial transfer), owed a request, or waiting on a request already
 	// sent — so the last count needs no ledger of its own (unanswered).
 	reqDeficit int
 	reqApp     string
-	upAcks     []message
 	// unacked is the result ledger: every result this node owes its
 	// parent, in arrival order, retired only by a matching result ack.
 	// The uplink writer is its sole sender, so wire order follows
@@ -330,7 +328,10 @@ type childSession struct {
 	// these are requeued and re-executed (at-least-once semantics; the
 	// root deduplicates results by task ID).
 	outstanding map[uint64]*outTransfer
-	acks        []message // result acks owed on c, for the send port's next turn
+	// acks are the result acks owed on c, one frame on the send port's
+	// next turn; ackSeq is the receipt of the latest, the frame's cause.
+	acks   []resultKey
+	ackSeq uint64
 }
 
 // outTransfer is one task's send to one child: in progress (possibly
@@ -359,10 +360,10 @@ type resultEntry struct {
 	sentAt time.Time // when it was last written, for the retransmit timer
 }
 
-// upJob is one uplink batch as the owner decided it: the final-chunk acks,
-// the owed requests as one frame, then the due ledger entries. The owner
-// reuses the one job; the writer holds it from one pull to the next, and c
-// is nil once it is folded back in.
+// upJob is one uplink batch as the owner decided it: the owed requests as
+// one frame, then the due ledger entries. The owner reuses the one job;
+// the writer holds it from one pull to the next, and c is nil once it is
+// folded back in.
 type upJob struct {
 	c                          *conn
 	msgs                       []message
@@ -377,10 +378,11 @@ type upJob struct {
 // Config.HandshakeTimeout is unset.
 const defaultHandshakeTimeout = 5 * time.Second
 
-// chunkBatch is the most chunks of one transfer the send port writes per
-// port turn (one buffer, one syscall). Preemption happens between turns,
-// so the batch trades preemption granularity for throughput; a LinkDelay,
-// which is emulated per chunk, takes single-chunk turns instead.
+// chunkBatch is the most chunks the send port writes to one child per port
+// turn (one buffer, one syscall): the rest of its transfer and as many of
+// its pending requests' transfers as fit. Preemption happens between
+// turns, so the batch trades preemption granularity for throughput; a
+// LinkDelay, which is emulated per chunk, takes single-chunk turns instead.
 const chunkBatch = 8
 
 // ErrTimeout reports a Run whose context deadline expired with results
@@ -862,7 +864,7 @@ func (n *Node) decide() time.Duration {
 		n.portTurn()
 	}
 	if !n.upBusy && n.parent != nil { // the writer pulls its batch (pullUplink) once it runs
-		if batch, _, _ := n.dueResultBatch(); len(n.upAcks)+n.reqDeficit+len(batch) > 0 {
+		if batch, _, _ := n.dueResultBatch(); n.reqDeficit+len(batch) > 0 {
 			n.upBusy = true
 			n.upKick <- struct{}{}
 		}
@@ -1041,11 +1043,11 @@ func (n *Node) admitChild(c *conn, hello *message) (*childSession, *message) {
 		ack.Revived = true
 		n.record(Event{Kind: EvRevive, Peer: hello.Name})
 		requeuedBefore := n.stats.Requeued
-		// The link is in order and the port writes one transfer per child
-		// at a time, so the child offers at most one partial transfer, and
-		// holds everything handed off before it and nothing written after.
-		// An offered transfer that was already handed off goes back to the
-		// port; whatever else was on the port never reached the child.
+		// The link is in order and the port writes a child's transfers one
+		// after another, several to a write, so the child offers at most one
+		// partial transfer, and holds nothing written after it. An offered
+		// transfer that was already handed off goes back to the port;
+		// whatever else was on the port never reached the child.
 		for _, rp := range hello.Resume {
 			if tr := sess.outstanding[rp.Task]; tr != nil {
 				delete(sess.outstanding, rp.Task)
@@ -1103,8 +1105,8 @@ func (n *Node) admitChild(c *conn, hello *message) (*childSession, *message) {
 	return sess, ack
 }
 
-// childLoop reads one child's requests, acks, and relayed results and
-// hands each frame to the owner.
+// childLoop reads one child's requests and relayed results and hands each
+// frame to the owner.
 func (n *Node) childLoop(s *childSession, c *conn) {
 	for {
 		m, err := c.recv()
@@ -1137,7 +1139,7 @@ func (n *Node) childFrame(s *childSession, c *conn, m *message) {
 		// anything else is a replay of one already relayed (or of a task
 		// reclaimed and re-dispatched elsewhere) — ack it so the child
 		// retires its ledger entry, but do not relay it again. The ack rides
-		// the send port's next turn.
+		// the send port's next turn, one frame for all owed on c.
 		r := Result{ID: m.Task, Output: m.Output, Origin: m.Origin, App: m.App}
 		recvSeq := n.record(Event{Kind: EvResultRecv, Task: m.Task, Origin: m.Origin,
 			Peer: s.name, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
@@ -1154,16 +1156,8 @@ func (n *Node) childFrame(s *childSession, c *conn, m *message) {
 			n.record(Event{Kind: EvResultDedupe, Task: m.Task, Origin: m.Origin, Peer: s.name})
 		}
 		if s.c == c && !s.gone {
-			s.acks = append(s.acks, message{Kind: kindResultAck, Task: m.Task, Origin: m.Origin,
-				TraceNode: n.cfg.Name, TraceSeq: recvSeq})
-		}
-	case kindChunkAck:
-		// It gates nothing — the task was handed off before its last
-		// write — and decides nothing at a revive, where the hello
-		// speaks for the child: it is the recorder's end of the transfer.
-		if m.Last && s.c == c {
-			n.record(Event{Kind: EvChunkAck, Task: m.Task, Peer: s.name, Off: m.Offset,
-				Value: 1, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+			s.acks = append(s.acks, resultKey{Task: m.Task, Origin: m.Origin})
+			s.ackSeq = recvSeq
 		}
 	case kindGoodbye:
 		if s.c == c {
@@ -1338,8 +1332,7 @@ func (n *Node) parentSupervisor(c *conn, inflight map[uint64]*inTransfer) {
 			return
 		}
 		n.do(func() {
-			n.parent = nil          // outbound work is owed until the link is back,
-			n.upAcks = n.upAcks[:0] // except acks: the reconnect hello's Holding set covers them
+			n.parent = nil // outbound work is owed until the link is back
 			n.record(Event{Kind: EvSever, Peer: c.label()})
 		})
 		next, ok := n.reconnect(inflight)
@@ -1410,18 +1403,18 @@ func (n *Node) readParent(c *conn, inflight map[uint64]*inTransfer) (shutdown bo
 			// Heartbeats only refresh the proof-of-life clock; a stray
 			// hello-ack after the handshake is ignored.
 		default:
-			// kindHello, kindRequest, kindResult, kindChunkAck, and
-			// kindGoodbye flow child→parent, never down the uplink. A frame
-			// of a kind this build does not know (a newer peer) lands here
-			// too; dropping it keeps the link alive rather than desyncing
-			// the stream.
+			// kindHello, kindRequest, kindResult and kindGoodbye flow
+			// child→parent, never down the uplink. A frame of a kind this
+			// build does not know (a newer peer) lands here too; dropping it
+			// keeps the link alive rather than desyncing the stream.
 		}
 	}
 }
 
 // parentFrame takes one frame that came down the uplink. A chunk opens a
-// segment or completes a task t: its one ack is owed before it can be
-// computed, so the uplink writer always puts it ahead of the result.
+// segment or completes a task t, which the node records as received on
+// its own last chunk and buffers; the parent is told nothing, having
+// handed the task off when it wrote that chunk.
 func (n *Node) parentFrame(in *input) {
 	m, peer := &in.m, in.c.label()
 	switch m.Kind {
@@ -1431,18 +1424,18 @@ func (n *Node) parentFrame(in *input) {
 				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
 		}
 		if t := in.t; t != nil {
-			recvSeq := n.record(Event{Kind: EvTaskReceived, Task: t.id, Peer: peer,
+			n.record(Event{Kind: EvTaskReceived, Task: t.id, Peer: peer,
 				Off: t.got, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-			n.upAcks = append(n.upAcks, message{Kind: kindChunkAck, Task: t.id, Offset: t.got, Last: true,
-				TraceNode: n.cfg.Name, TraceSeq: recvSeq})
 			n.buffer.push(Task{ID: t.id, Payload: t.payload, App: t.app})
 			n.stats.Received++
 			n.bumpApp(t.app, func(s *AppStats) { s.Received++ })
 		}
 	case kindResultAck:
-		n.retireResult(m.Task, m.Origin)
-		n.record(Event{Kind: EvResultAck, Task: m.Task, Origin: m.Origin, Peer: peer,
-			WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+		for _, k := range m.Acks {
+			n.retireResult(k.Task, k.Origin)
+			n.record(Event{Kind: EvResultAck, Task: k.Task, Origin: k.Origin, Peer: peer,
+				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+		}
 	case kindShutdown:
 		n.record(Event{Kind: EvShutdown, Peer: peer, WireSeq: m.Seq})
 	}
@@ -1485,10 +1478,9 @@ func (n *Node) enqueueResult(r Result) {
 // parks — once nothing is owed. A cut batch loses nothing the node knows
 // unsent: unaccepted requests are owed again (unless a hello built
 // meanwhile reported them sent, and the parent registered them on its
-// word), unaccepted results stay in the ledger untouched, and a lost ack
-// is covered by the reconnect hello's Holding set. A failed write retires
-// the uplink in the step that marks what it carried, so no later batch can
-// follow it onto the dead conn.
+// word), and unaccepted results stay in the ledger untouched. A failed
+// write retires the uplink in the step that marks what it carried, so no
+// later batch can follow it onto the dead conn.
 func (n *Node) pullUplink() {
 	if j := &n.up; j.c != nil {
 		if j.accepted >= j.firstResult {
@@ -1513,10 +1505,8 @@ func (n *Node) pullUplink() {
 }
 
 // nextUplink builds everything owed on the link as one batch, for one
-// write: the final-chunk acks, the owed requests as one frame, then the
-// due ledger entries, in that order, so a task's ack still precedes its
-// result on the in-order link; nil when nothing is owed or there is no
-// link.
+// write: the owed requests as one frame, then the due ledger entries; nil
+// when nothing is owed or there is no link.
 //
 // The ledger is walked in arrival order, (re)sending every entry not yet
 // written to the current parent conn — which after a reconnect replays
@@ -1532,18 +1522,14 @@ func (n *Node) nextUplink() *upJob {
 		return nil
 	}
 	batch, c, replays := n.dueResultBatch()
-	if len(n.upAcks)+n.reqDeficit+len(batch) == 0 {
+	if n.reqDeficit+len(batch) == 0 {
 		return nil
 	}
 	j := &n.up
 	j.c, j.entries, j.replays, j.told = c, batch, replays, false
 	// Sent from here on: the parent may answer the moment the bytes leave.
 	j.reqN, n.reqDeficit = n.reqDeficit, 0
-	j.msgs = append(j.msgs[:0], n.upAcks...)
-	for i := range j.msgs {
-		j.msgs[i].Seq = c.nextSeq()
-	}
-	n.upAcks = n.upAcks[:0]
+	j.msgs = j.msgs[:0]
 	if j.reqN > 0 {
 		wire := c.nextSeq()
 		reqSeq := n.record(Event{Kind: EvRequestSent, Peer: c.label(), Value: int64(j.reqN), WireSeq: wire})
@@ -1570,7 +1556,7 @@ func (n *Node) nextUplink() *upJob {
 // one write, until nothing is owed. It yields once before the first pull:
 // the kick typically comes with a task just handed to the compute port,
 // and a compute that finishes meanwhile puts its result in the same write
-// as the task's ack and request.
+// as the request its buffer freed.
 func (n *Node) uplinkWriter() {
 	var frames []*message
 	pull := func() { n.pullUplink() }

@@ -1,8 +1,9 @@
 package live
 
-// Tests for one write per wake-up: the uplink writer that carries acks,
-// requests and results in one batch, and the result acks that ride the
-// downlink's next write.
+// Tests for one write per wake-up: the uplink writer that carries requests
+// and results in one batch, the send-port turn that serves every pending
+// request of a child in one write, and the result acks that ride it as one
+// frame.
 
 import (
 	"fmt"
@@ -10,81 +11,110 @@ import (
 	"time"
 )
 
-// TestSteadyStateWritesPerTask pins the syscall cost of a task on one
-// link: at most two writes up (ack + request, result — fewer when a
-// wake-up finds more owed) and two down (chunk, result ack), where the
-// parent of this change spent three and two with nothing to share them.
-// Coalescing must not change what crosses the link: every request the
-// leaf counts is on the wire, every result is acked, and a task's ack
-// frame still precedes its result.
+// TestSteadyStateWritesPerTask pins the syscall and frame cost of a task
+// on overlay-small's shape — a gated root, two workers of three buffers,
+// 10,000 tasks of 256 B: at most half a write per task up (summed over the
+// workers) and half down, and at most three frames per task over the
+// overlay (chunk, result, a share of a request and of a result ack, and
+// heartbeats). Coalescing must not change what crosses a link: every
+// request a worker counts is on the wire, every result is acked, and every
+// task a worker received has its result sent after the receipt.
 func TestSteadyStateWritesPerTask(t *testing.T) {
-	const tasks = 2000
+	const (
+		tasks   = 10_000
+		buffers = 3
+	)
 	g := &rootGate{}
-	root := startGatedRoot(t, g, Config{Buffers: 3, RecorderCap: 1 << 16})
-	w := startNode(t, Config{Name: "w", Parent: root.Addr(), Buffers: 3, Compute: g.worker, RecorderCap: 1 << 16})
+	root := startGatedRoot(t, g, Config{Buffers: buffers, RecorderCap: 1 << 16})
+	var ws []*Node
+	for _, name := range []string{"w1", "w2"} {
+		ws = append(ws, startNode(t, Config{Name: name, Parent: root.Addr(), Buffers: buffers,
+			Compute: g.worker, RecorderCap: 1 << 16}))
+	}
+	nodes := append([]*Node{root}, ws...)
+	counters := func() (up, down, frames int64) {
+		for _, w := range ws {
+			up += w.wireCtr.writes.Load()
+		}
+		for _, n := range nodes {
+			frames += n.wireCtr.framesSent.Load()
+		}
+		return up, root.wireCtr.writes.Load(), frames
+	}
 
-	up0, down0 := w.wireCtr.writes.Load(), root.wireCtr.writes.Load()
+	up0, down0, frames0 := counters()
 	g.arm(tasks)
-	results, err := root.RunTimeout(makeTasks(tasks, 256), 60*time.Second)
+	results, err := root.RunTimeout(makeTasks(tasks, 256), 2*time.Minute)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	assertExactlyOnce(t, results, tasks)
-	// The last result's ack races Run's return.
+	// The last results' acks race Run's return.
 	waitFor(t, "every result to be acked", func() bool {
-		s := w.Stats()
-		return s.Computed >= tasks-1 && s.ResultAcks == s.Computed
+		var computed, acked int64
+		for _, w := range ws {
+			s := w.Stats()
+			computed, acked = computed+s.Computed, acked+s.ResultAcks
+		}
+		return computed >= tasks-1 && acked == computed
 	})
-	up, down := w.wireCtr.writes.Load()-up0, root.wireCtr.writes.Load()-down0
-	t.Logf("%d tasks: %d writes up, %d down", tasks, up, down)
-	if up > 2*tasks || down > 2*tasks {
-		t.Errorf("%d tasks took %d writes up and %d down, want at most %d each way", tasks, up, down, 2*tasks)
+	up1, down1, frames1 := counters()
+	up, down, frames := float64(up1-up0)/tasks, float64(down1-down0)/tasks, float64(frames1-frames0)/tasks
+	t.Logf("%d tasks: %.3f writes up, %.3f down, %.3f frames per task", tasks, up, down, frames)
+	if up > 0.5 || down > 0.5 {
+		t.Errorf("%.3f writes per task up and %.3f down, want at most 0.5 each way", up, down)
 	}
-	if d := root.Stats().RecorderDropped + w.Stats().RecorderDropped; d != 0 {
-		t.Fatalf("the recorders dropped %d events: the checks below would read a truncated log", d)
+	if frames > 3.0 {
+		t.Errorf("%.3f frames per task, want at most 3", frames)
 	}
-
-	var onWire int64
-	ackWire := map[uint64]uint64{} // the worker's task-received event → its ack frame's wire sequence
-	for _, e := range root.Events() {
-		switch e.Kind {
-		case EvRequestServed:
-			onWire += e.Value
-		case EvChunkAck:
-			ackWire[e.CauseSeq] = e.WireSeq
+	for _, n := range nodes {
+		if d := n.Stats().RecorderDropped; d != 0 {
+			t.Fatalf("%s's recorder dropped %d events: the checks below would read a truncated log", n.cfg.Name, d)
 		}
 	}
-	if got := w.Stats().Requests; onWire != got || got != w.Stats().Received+3 {
-		t.Errorf("request frames carried %d requests; the worker counts %d sent and %d tasks received behind 3 buffers", onWire, got, w.Stats().Received)
+
+	onWire := map[string]int64{}
+	for _, e := range eventsOf(root, EvRequestServed) {
+		onWire[e.Peer] += e.Value
 	}
-	resultWire := map[uint64]uint64{}
-	for _, e := range eventsOf(w, EvResultSend) {
-		resultWire[e.Task] = e.WireSeq
-	}
-	received := eventsOf(w, EvTaskReceived)
-	if int64(len(received)) != w.Stats().Received {
-		t.Fatalf("the worker recorded %d task receipts for %d tasks", len(received), w.Stats().Received)
-	}
-	for _, e := range received {
-		ack, res := ackWire[e.Seq], resultWire[e.Task]
-		if ack == 0 || res == 0 || ack >= res {
-			t.Fatalf("task %d: ack frame at wire sequence %d, result at %d; want both, ack first", e.Task, ack, res)
+	for _, w := range ws {
+		name, s := w.cfg.Name, w.Stats()
+		if onWire[name] != s.Requests || s.Requests != s.Received+buffers {
+			t.Errorf("%s: request frames carried %d requests; the worker counts %d sent and %d tasks received behind %d buffers",
+				name, onWire[name], s.Requests, s.Received, buffers)
+		}
+		resultSeq := map[uint64]uint64{}
+		for _, e := range eventsOf(w, EvResultSend) {
+			resultSeq[e.Task] = e.Seq
+		}
+		received := eventsOf(w, EvTaskReceived)
+		if int64(len(received)) != s.Received {
+			t.Fatalf("%s recorded %d task receipts for %d tasks", name, len(received), s.Received)
+		}
+		for _, e := range received {
+			if res := resultSeq[e.Task]; res <= e.Seq {
+				t.Fatalf("%s: task %d received at event %d, result sent at %d; want both, receipt first", name, e.Task, e.Seq, res)
+			}
 		}
 	}
 }
 
 // TestMixedBatchCutExhaustive cuts the coalesced writes at every frame
-// kind they carry: a drop or a sever scripted on the worker's chunk ack,
-// request or result (one uplink batch) or on the root's result ack (queued
-// behind the downlink's next write), at each of the first few occurrences.
-// Whatever the cut, the Run completes exactly once, a task never has two
-// owners, and no request is minted twice. Across a sever none is lost
-// either: the reconnect hello carries the worker's own count of requests
-// unanswered, so once idle the root holds one per worker buffer, whatever
-// it had read off the link that died. What is left is the protocol's own
-// gap on a link that stays up: requests are not acked, so a request frame
-// dropped there is gone until the next reconnect, and the root holds that
-// many fewer. A dropped ack or result costs no request at all.
+// kind they carry: a drop or a sever scripted on the worker's request or
+// result (one uplink batch) at each of the first few occurrences, on the
+// root's batched result-ack frame, and on the 2nd and 3rd chunk frame of
+// the root's first turn — a multi-task write, since the worker's first
+// request frame asks for all three of its buffers. Whatever the cut, the
+// Run completes exactly once, a task never has two owners, and no request
+// is minted twice. Across a sever none is lost either: the reconnect hello
+// carries the worker's own count of requests unanswered, so once idle the
+// root holds one per worker buffer, whatever it had read off the link that
+// died. What is left is the protocol's own gap on a link that stays up:
+// requests and chunks are not acked, so a request frame dropped there is
+// gone until the next reconnect, and the root holds that many fewer; a
+// dropped chunk's task sits handed off into a subtree that never got it,
+// so its row severs the link three chunks later and the revive requeues
+// the hole. A dropped ack or result costs no request at all.
 func TestMixedBatchCutExhaustive(t *testing.T) {
 	const (
 		tasks   = 60
@@ -94,20 +124,20 @@ func TestMixedBatchCutExhaustive(t *testing.T) {
 		name   string
 		onRoot bool
 		kind   FrameKind
+		afters []int
 	}{
-		{"chunk-ack", false, FrameChunkAck},
-		{"request", false, FrameRequest},
-		{"result", false, FrameResult},
-		{"result-ack", true, FrameResultAck},
+		{"request", false, FrameRequest, []int{1, 2, 3, 4}},
+		{"result", false, FrameResult, []int{1, 2, 3, 4}},
+		{"result-ack", true, FrameResultAck, []int{1, 2, 3, 4}},
+		{"chunk", true, FrameChunk, []int{2, 3}},
 	}
 	ops := []struct {
-		name       string
-		op         FaultOp
-		reconnects int64
-	}{{"drop", FaultDrop, 0}, {"sever", FaultSever, 1}}
+		name string
+		op   FaultOp
+	}{{"drop", FaultDrop}, {"sever", FaultSever}}
 	for _, cut := range cuts {
 		for _, op := range ops {
-			for after := 1; after <= 4; after++ {
+			for _, after := range cut.afters {
 				t.Run(fmt.Sprintf("%s-%s-%d", op.name, cut.name, after), func(t *testing.T) {
 					// The root computes too, slowly: a worker left without
 					// requests by a dropped request frame cannot hang the Run.
@@ -119,11 +149,17 @@ func TestMixedBatchCutExhaustive(t *testing.T) {
 						Name: "w", Buffers: buffers, Compute: echoCompute(0), ResultRetry: 30 * time.Millisecond,
 						ReconnectBase: 5 * time.Millisecond, ReconnectCap: 20 * time.Millisecond, ReconnectAttempts: 20,
 					}
-					rule := FaultRule{Link: "parent", Dir: FaultSend, Kind: cut.kind, After: after, Op: op.op}
+					rules := []FaultRule{{Link: "parent", Dir: FaultSend, Kind: cut.kind, After: after, Op: op.op}}
 					if cut.onRoot {
-						rule.Link = "w"
+						rules[0].Link = "w"
 					}
-					plan := NewFaultPlan(rule)
+					severed := op.op == FaultSever
+					if cut.kind == FrameChunk && op.op == FaultDrop {
+						// This rule counts only the chunks the drop let pass.
+						rules = append(rules, FaultRule{Link: "w", Dir: FaultSend, Kind: FrameChunk, After: after + 2, Op: FaultSever})
+						severed = true
+					}
+					plan := NewFaultPlan(rules...)
 					if cut.onRoot {
 						rootCfg.Faults = plan
 					} else {
@@ -160,7 +196,7 @@ func TestMixedBatchCutExhaustive(t *testing.T) {
 					// the hello restored whatever the dead link swallowed, and
 					// only a drop on a link that stayed up stays lost.
 					want := func() int {
-						if op.op == FaultSever {
+						if severed {
 							return buffers
 						}
 						return buffers - lost()
@@ -177,13 +213,21 @@ func TestMixedBatchCutExhaustive(t *testing.T) {
 					}
 					if n := lost(); n < 0 {
 						t.Fatalf("the root read %d requests more than the worker counts as sent", -n)
-					} else if n != 0 && op.op == FaultDrop && cut.kind != FrameRequest {
+					} else if n != 0 && !severed && cut.kind != FrameRequest {
 						t.Fatalf("%d requests lost for good on a link that stayed up and dropped no request", n)
 					}
 
-					ws := w.Stats()
-					if ws.Reconnects != op.reconnects {
-						t.Errorf("a scripted %s took %d reconnects, want %d", op.name, ws.Reconnects, op.reconnects)
+					reconnects := int64(0)
+					if severed {
+						reconnects = 1
+					}
+					if got := w.Stats().Reconnects; got != reconnects {
+						t.Errorf("a scripted %s took %d reconnects, want %d", op.name, got, reconnects)
+					}
+					if cut.kind == FrameChunk && root.Stats().Requeued == 0 {
+						// The first turn handed off three tasks; the cut
+						// kept at least one from the worker.
+						t.Errorf("a %s inside the multi-task write requeued nothing at the revive", op.name)
 					}
 					if op.op == FaultDrop && (cut.kind == FrameResult || cut.kind == FrameResultAck) {
 						// The retry timer resends the result whose frame or

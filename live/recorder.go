@@ -64,11 +64,12 @@ const (
 	// final port turn is always a segment of its own, caused by the
 	// hand-off.
 	EvChunkRecv
-	// EvChunkAck is the child's final chunk ack arriving at the parent:
-	// the transfer was delivered (Value is always 1). Nothing waits on it —
-	// see EvHandoff.
+	// EvChunkAck is never recorded: it was wire v1's chunk ack arriving at
+	// the parent, a frame v2 retired. The kind keeps its value and name so
+	// older dumps still load.
 	EvChunkAck
-	// EvTaskReceived is a complete task payload assembled at the receiver.
+	// EvTaskReceived is a complete task payload assembled at the receiver,
+	// recorded on its last chunk; its cause is the sender's hand-off.
 	EvTaskReceived
 	// EvComputeStart is a task entering the local compute port.
 	EvComputeStart
@@ -86,7 +87,8 @@ const (
 	// collection.
 	EvResultDedupe
 	// EvResultAck is a result ack arriving from the parent, retiring the
-	// matching unacked-ledger entry.
+	// matching unacked-ledger entry: one per key of the frame, each naming
+	// as its cause the parent's receipt of the frame's latest result.
 	EvResultAck
 	// EvResultCollect is the root handing a result to Run.
 	EvResultCollect
@@ -175,11 +177,10 @@ func (k *EventKind) UnmarshalText(b []byte) error {
 var wireTraced = map[msgKind][]EventKind{
 	kindHello:     {EvHello},
 	kindRequest:   {EvRequestSent, EvRequestServed},
-	kindChunk:     {EvChunkSend, EvChunkResume, EvHandoff, EvChunkRecv},
+	kindChunk:     {EvChunkSend, EvChunkResume, EvHandoff, EvChunkRecv, EvTaskReceived},
 	kindResult:    {EvResultSend, EvResultReplay, EvResultRecv},
 	kindShutdown:  {EvShutdown},
 	kindHeartbeat: {EvHeartbeatMiss},
-	kindChunkAck:  {EvChunkAck, EvTaskReceived},
 	kindHelloAck:  {EvHelloAck, EvRevive},
 	kindGoodbye:   {EvGoodbye},
 	kindResultAck: {EvResultAck},

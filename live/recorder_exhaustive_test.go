@@ -24,7 +24,6 @@ func TestRecorderWireExhaustive(t *testing.T) {
 		"kindResult":    kindResult,
 		"kindShutdown":  kindShutdown,
 		"kindHeartbeat": kindHeartbeat,
-		"kindChunkAck":  kindChunkAck,
 		"kindHelloAck":  kindHelloAck,
 		"kindGoodbye":   kindGoodbye,
 		"kindResultAck": kindResultAck,

@@ -155,7 +155,7 @@ func TestRecorderConcurrentFollow(t *testing.T) {
 
 // TestRecorderJourneyEvents runs a two-node overlay and asserts the root's
 // recorder holds a complete outbound journey for some task — dispatch,
-// delivery ack, result receive, collection — and the worker's recorder the
+// hand-off, result receive, collection — and the worker's recorder the
 // inbound one, with the wire-carried causality pointing at real events.
 func TestRecorderJourneyEvents(t *testing.T) {
 	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 2,
@@ -167,8 +167,10 @@ func TestRecorderJourneyEvents(t *testing.T) {
 	}
 
 	rootKinds := map[EventKind][]Event{}
+	rootSeqs := map[uint64]Event{}
 	for _, e := range root.Events() {
 		rootKinds[e.Kind] = append(rootKinds[e.Kind], e)
+		rootSeqs[e.Seq] = e
 	}
 	w1Kinds := map[EventKind][]Event{}
 	w1Seqs := map[uint64]Event{}
@@ -176,7 +178,7 @@ func TestRecorderJourneyEvents(t *testing.T) {
 		w1Kinds[e.Kind] = append(w1Kinds[e.Kind], e)
 		w1Seqs[e.Seq] = e
 	}
-	for _, k := range []EventKind{EvHello, EvRequestServed, EvChunkSend, EvChunkAck, EvResultRecv, EvResultCollect} {
+	for _, k := range []EventKind{EvHello, EvRequestServed, EvChunkSend, EvHandoff, EvResultRecv, EvResultCollect} {
 		if len(rootKinds[k]) == 0 {
 			t.Errorf("root recorded no %v events", k)
 		}
@@ -205,10 +207,16 @@ func TestRecorderJourneyEvents(t *testing.T) {
 			t.Errorf("result-recv task %d caused by send of task %d", e.Task, cause.Task)
 		}
 	}
-	// And the worker's chunk-recv events must name the root's dispatches.
+	// And the worker's chunk-recv events must name the root's dispatches,
+	// its task-received events the root's hand-off of the same task.
 	for _, e := range w1Kinds[EvChunkRecv] {
 		if e.CausePeer != "root" || e.CauseSeq == 0 {
 			t.Errorf("chunk-recv without wire causality: %+v", e)
+		}
+	}
+	for _, e := range w1Kinds[EvTaskReceived] {
+		if cause := rootSeqs[e.CauseSeq]; e.CausePeer != "root" || cause.Kind != EvHandoff || cause.Task != e.Task {
+			t.Errorf("task-received of task %d caused by root %v of task %d, want its hand-off", e.Task, cause.Kind, cause.Task)
 		}
 	}
 }

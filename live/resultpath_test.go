@@ -8,6 +8,7 @@ package live
 // requeue.
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -219,7 +220,7 @@ func childGone(n *Node, name string) bool {
 }
 
 // TestReviveReconciliationRequeues drives a scripted child: it takes one
-// task end to end (final chunk acked, so the root holds it outstanding),
+// task end to end (handed off, so the root holds it outstanding),
 // dies without computing it, and revives within the grace window holding
 // nothing. The root must requeue the task at revive time — the hello
 // covers nothing — and account it in both Requeued and RequeuedOnRevive
@@ -450,7 +451,7 @@ func TestReviveReplayDedupedAndAcked(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if m.Kind == kindResultAck && m.Task == leg1.id {
+			if m.Kind == kindResultAck && slices.Contains(m.Acks, resultKey{Task: leg1.id, Origin: "fake"}) {
 				close(got)
 				p2.drain()
 				return

@@ -73,8 +73,8 @@ func (p *scriptedPeer) hello(m message) (*message, error) {
 	return ack, nil
 }
 
-// takeTask asks for one task and assembles it, acking its final chunk as a
-// node would and skipping every frame that is not a chunk.
+// takeTask asks for one task and assembles it, skipping every frame that is
+// not a chunk.
 func (p *scriptedPeer) takeTask() (id uint64, payload []byte, err error) {
 	if err := p.write(&message{Kind: kindRequest, N: 1}); err != nil {
 		return 0, nil, fmt.Errorf("request: %w", err)
@@ -92,8 +92,7 @@ func (p *scriptedPeer) takeTask() (id uint64, payload []byte, err error) {
 		}
 		copy(payload[m.Offset:], m.Data)
 		if m.Last {
-			ack := &message{Kind: kindChunkAck, Task: m.Task, Offset: m.Offset + len(m.Data), Last: true}
-			return m.Task, payload, p.write(ack)
+			return m.Task, payload, nil
 		}
 	}
 }

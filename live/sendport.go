@@ -6,15 +6,16 @@ import (
 	"time"
 )
 
-// portWrite is one write of a send-port turn, on one child's conn: the
-// result acks owed there and, when tr is set, a batch of tr's chunks — the
-// write the port paces and times. The owner reuses the turn's writes; the
-// port holds them from hand-off to report.
+// portWrite is one write of a send-port turn, on one child's conn: a
+// result-ack frame listing keys, when any are owed there, then, when tr is
+// set, the turn's chunks, tr's last — the write the port paces and times.
+// The owner reuses the turn's writes; the port holds them from hand-off to
+// report.
 type portWrite struct {
 	s       *childSession
 	c       *conn
 	msgs    []message
-	acks    int
+	keys    []resultKey
 	tr      *outTransfer
 	restart bool // the port idled since its last chunk: restart the pacing schedule
 	// Filled in by the port.
@@ -32,10 +33,14 @@ func (n *Node) portTurn() {
 		if s != target && (len(s.acks) == 0 || s.gone || s.admitting) {
 			continue
 		}
-		turn = slices.Grow(turn, 1)[:len(turn)+1] // a slot's msgs keep their capacity
+		turn = slices.Grow(turn, 1)[:len(turn)+1] // a slot's msgs and keys keep their capacity
 		w := &turn[len(turn)-1]
-		*w = portWrite{s: s, c: s.c, msgs: append(w.msgs[:0], s.acks...), acks: len(s.acks)}
-		s.acks = s.acks[:0]
+		*w = portWrite{s: s, c: s.c, msgs: w.msgs[:0], keys: append(w.keys[:0], s.acks...)}
+		if len(w.keys) > 0 {
+			w.msgs = append(w.msgs, message{Kind: kindResultAck, Acks: w.keys,
+				TraceNode: n.cfg.Name, TraceSeq: s.ackSeq})
+			s.acks = s.acks[:0]
+		}
 		if s == target {
 			w.tr, w.restart = n.startTurn(s, w), !n.portPaced
 		}
@@ -84,15 +89,14 @@ func (n *Node) reclaim() (wait time.Duration) {
 }
 
 // nextChunk picks the child whose transfer the port should advance,
-// starting a fresh transfer (consuming a buffered task and the child's
-// request) when that child has no active one. It returns nil when there is
-// nothing to send. Each pick advances exactly one transfer by one turn,
-// choosing the highest-priority transfer by measured link speed — so under
-// the interruptible protocol a request from a faster child preempts a
-// slower child's transfer at the next turn, and the preempted transfer
-// later resumes from its offset (the paper's shelve-and-resume). Under the
-// non-interruptible protocol the port sticks with a transfer until its
-// last chunk.
+// starting a fresh transfer (dispatch) when that child has no active one.
+// It returns nil when there is nothing to send. Each pick serves one child
+// for one turn, choosing the highest-priority transfer by measured link
+// speed — so under the interruptible protocol a request from a faster
+// child preempts a slower child's transfer at the next turn, and the
+// preempted transfer later resumes from its offset (the paper's
+// shelve-and-resume). Under the non-interruptible protocol the port sticks
+// with a transfer until its last chunk.
 func (n *Node) nextChunk() *childSession {
 	var best *childSession
 	bestFresh := false
@@ -128,46 +132,47 @@ func (n *Node) nextChunk() *childSession {
 			}
 		}
 	}
-	if best == nil {
-		return nil
-	}
-
 	if bestFresh {
-		// Preemption accounting: starting a fresh transfer while another
-		// child's transfer is unfinished is an interruption.
-		interrupted := false
-		for _, s := range n.children {
-			if s != best && s.active != nil {
-				if !interrupted {
-					n.stats.Interrupts++
-					interrupted = true
-				}
-				// The shelved transfer's next chunk opens a new segment.
-				n.record(Event{Kind: EvChunkInterrupt, Task: s.active.task.ID,
-					Peer: s.name, Off: s.active.offset})
-				s.active.resumed = true
-			}
-		}
-		// WRR over application tags decides whose task moves; the
-		// bandwidth-centric choice of *which child* was made above.
-		t := n.buffer.pop()
-		best.pending--
-		best.active = &outTransfer{task: t}
-		// The dispatch decision, recorded in the owner step that consumes
-		// the buffered task and the child's request. Value is the chosen
-		// child's measured link estimate (ns) at decision time, so recorder
-		// order is exactly the order decisions and estimate updates were
-		// made.
-		best.active.traceSeq = n.record(Event{Kind: EvChunkSend, Task: t.ID, Peer: best.name,
-			Value: int64(best.link.estimate() * 1e9)})
-		n.stats.Forwarded++
-		n.stats.ByChild[best.name]++
-		n.bumpApp(t.App, func(a *AppStats) { a.Forwarded++ })
-		if !n.root {
-			n.oweRequest(t.App) // the freed buffer requests a refill (the paper's rule)
-		}
+		n.dispatch(best)
 	}
 	return best
+}
+
+// dispatch starts a fresh transfer to s, consuming a buffered task and one
+// of s's requests.
+func (n *Node) dispatch(s *childSession) {
+	// Preemption accounting: starting a fresh transfer while another
+	// child's transfer is unfinished is an interruption.
+	interrupted := false
+	for _, o := range n.children {
+		if o != s && o.active != nil {
+			if !interrupted {
+				n.stats.Interrupts++
+				interrupted = true
+			}
+			// The shelved transfer's next chunk opens a new segment.
+			n.record(Event{Kind: EvChunkInterrupt, Task: o.active.task.ID,
+				Peer: o.name, Off: o.active.offset})
+			o.active.resumed = true
+		}
+	}
+	// WRR over application tags decides whose task moves; the
+	// bandwidth-centric choice of *which child* was made by the caller.
+	t := n.buffer.pop()
+	s.pending--
+	s.active = &outTransfer{task: t}
+	// The dispatch decision, recorded in the owner step that consumes the
+	// buffered task and the child's request. Value is the chosen child's
+	// measured link estimate (ns) at decision time, so recorder order is
+	// exactly the order decisions and estimate updates were made.
+	s.active.traceSeq = n.record(Event{Kind: EvChunkSend, Task: t.ID, Peer: s.name,
+		Value: int64(s.link.estimate() * 1e9)})
+	n.stats.Forwarded++
+	n.stats.ByChild[s.name]++
+	n.bumpApp(t.App, func(a *AppStats) { a.Forwarded++ })
+	if !n.root {
+		n.oweRequest(t.App) // the freed buffer requests a refill (the paper's rule)
+	}
 }
 
 // requeue returns a transfer's task to the pool for re-dispatch, behind
@@ -182,66 +187,70 @@ func (n *Node) requeue(s *childSession, tr *outTransfer) {
 	n.stats.Requeued++
 }
 
-// startTurn builds s's chunk batch into w: up to chunkBatch chunks of its
-// active transfer, one write. Preemption happens between port turns: a
-// turn commits to at most one batch on one child.
+// startTurn builds s's turn into w and returns its last transfer: up to
+// chunkBatch chunks to one child, one write, across as many of its pending
+// requests as fit — each time a transfer is handed off with budget left, s
+// is dispatched its next, as the next turn would. Preemption happens
+// between port turns.
 //
 // The turn that builds a transfer's final chunk hands the task off before
 // it is written: the transfer moves from active to outstanding and the
 // port is free, so a child with further pending requests is served back to
-// back instead of one ack round trip apart. Registering the task first is
-// what keeps even the fastest child's result from arriving unexpected; a
-// failed final write needs no path of its own, because the revive
-// reconciliation and the grace-expiry reclaim already cover outstanding.
+// back instead of one round trip apart. Registering the task first is what
+// keeps even the fastest child's result from arriving unexpected; a failed
+// final write needs no path of its own, because the revive reconciliation
+// and the grace-expiry reclaim already cover outstanding.
 func (n *Node) startTurn(s *childSession, w *portWrite) *outTransfer {
-	batch := chunkBatch
+	budget := chunkBatch
 	if n.cfg.LinkDelay != nil {
 		// The emulated delay is charged per chunk; batching would fold a
 		// whole batch under one delay and skew the measured priorities.
-		batch = 1
+		budget = 1
 	}
-	tr := s.active
-	task := tr.task
-	payload := task.Payload
-	offset := tr.offset
-	if tr.resumed {
-		// First chunk after a preemption or a reconnect resume: a new
-		// transfer segment begins here, and its trace context replaces the
-		// original dispatch's on the wire.
-		tr.traceSeq = n.record(Event{Kind: EvChunkResume, Task: task.ID,
-			Peer: s.name, Off: offset})
-		tr.resumed = false
-	}
-	if len(payload)-offset <= batch*n.cfg.ChunkSize {
-		// The hand-off opens the transfer's last segment, so the child's
-		// task-received names it as its cause and no merged timeline can
-		// order anything the child does with the task before it.
-		tr.traceSeq = n.record(Event{Kind: EvHandoff, Task: task.ID, Peer: s.name, Off: offset})
-		s.outstanding[task.ID] = tr
-		s.active = nil
-	}
-
-	// An empty payload still takes exactly one (empty, Last) chunk.
-	end := offset
-	for k := 0; ; k++ {
-		chunkEnd := min(end+n.cfg.ChunkSize, len(payload))
-		w.msgs = append(w.msgs, message{
-			Kind:      kindChunk,
-			Task:      task.ID,
-			Size:      len(payload),
-			Offset:    end,
-			Data:      payload[end:chunkEnd],
-			Last:      chunkEnd == len(payload),
-			TraceNode: n.cfg.Name,
-			TraceSeq:  tr.traceSeq,
-			App:       task.App,
-		})
-		end = chunkEnd
-		if end == len(payload) || k+1 == batch {
-			break
+	for {
+		tr := s.active
+		task := tr.task
+		payload := task.Payload
+		if tr.resumed {
+			// First chunk after a preemption or a reconnect resume: a new
+			// transfer segment begins here, and its trace context replaces
+			// the original dispatch's on the wire.
+			tr.traceSeq = n.record(Event{Kind: EvChunkResume, Task: task.ID,
+				Peer: s.name, Off: tr.offset})
+			tr.resumed = false
 		}
+		if len(payload)-tr.offset <= budget*n.cfg.ChunkSize {
+			// The hand-off opens the transfer's last segment, so the child's
+			// task-received names it as its cause and no merged timeline can
+			// order anything the child does with the task before it.
+			tr.traceSeq = n.record(Event{Kind: EvHandoff, Task: task.ID, Peer: s.name, Off: tr.offset})
+			s.outstanding[task.ID] = tr
+			s.active = nil
+		}
+		// An empty payload still takes exactly one (empty, Last) chunk.
+		for end := tr.offset; ; {
+			chunkEnd := min(end+n.cfg.ChunkSize, len(payload))
+			w.msgs = append(w.msgs, message{
+				Kind:      kindChunk,
+				Task:      task.ID,
+				Size:      len(payload),
+				Offset:    end,
+				Data:      payload[end:chunkEnd],
+				Last:      chunkEnd == len(payload),
+				TraceNode: n.cfg.Name,
+				TraceSeq:  tr.traceSeq,
+				App:       task.App,
+			})
+			budget--
+			if end = chunkEnd; end == len(payload) || budget == 0 {
+				break
+			}
+		}
+		if s.active != nil || budget == 0 || s.pending == 0 || n.buffer.len() == 0 {
+			return tr
+		}
+		n.dispatch(s)
 	}
-	return tr
 }
 
 // sendPort is the node's single outbound task port. It writes each turn
@@ -283,28 +292,28 @@ func (n *Node) turnDone() {
 	n.portBusy = false
 	for i := range n.turn {
 		w := &n.turn[i]
-		if chunks := max(w.accepted-w.acks, 0); w.tr != nil {
-			perChunk := w.took
-			if chunks > 1 {
-				perChunk /= time.Duration(chunks)
-			}
-			// The configured delay, not the time slept, is folded into the
-			// measured chunk time, so priorities reflect the link and not
-			// the pacing clock's catching up.
-			w.s.link.observe(perChunk + w.delay)
-			// The accepted prefix of the batch is on the wire (or scripted
+		// The chunks accepted behind the ack frame, if one opens the write.
+		// A write cut before its first chunk measured nothing of the link:
+		// its duration, up to a write timeout, would deprioritise the child.
+		if chunks := w.accepted - min(len(w.keys), 1); w.tr != nil && chunks > 0 {
+			// Per chunk of the write, whichever transfer it belonged to; the
+			// configured delay, not the time slept, is folded in, so
+			// priorities reflect the link and not the pacing clock.
+			w.s.link.observe(w.took/time.Duration(chunks) + w.delay)
+			// The accepted prefix of the write is on the wire (or scripted
 			// as dropped, which sequential sends also count as progress);
 			// advance the transfer that far even when the tail failed — the
 			// reconnect hello's resume offer recovers the rest. Only the
-			// owning connection may advance the transfer, and a handed-off
-			// one is no longer the port's.
-			if chunks > 0 && w.s.c == w.c && w.s.active == w.tr {
-				last := &w.msgs[w.accepted-1]
+			// owning connection may advance the transfer, a handed-off one
+			// is no longer the port's, and a prefix ending in an earlier
+			// transfer of the turn left it where it was.
+			last := &w.msgs[w.accepted-1]
+			if w.s.c == w.c && w.s.active == w.tr && last.Task == w.tr.task.ID {
 				w.tr.offset = last.Offset + len(last.Data)
 			}
 		}
 		if w.err != nil {
-			if w.acks > 0 {
+			if len(w.keys) > 0 {
 				n.stats.SendErrors++ // the child replays those results and is acked again
 			}
 			n.markChildGone(w.s, w.c)

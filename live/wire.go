@@ -35,28 +35,31 @@ const (
 	// kindHeartbeat is a liveness probe sent on an otherwise idle link in
 	// both directions; any inbound frame counts as proof of life.
 	kindHeartbeat
-	// kindChunkAck confirms receipt of a task's final chunk (child →
-	// parent), one per task. Nothing waits on it: the parent hands the
-	// task off when it writes that chunk, and an interrupted transfer
-	// resumes from the offset the reconnect hello offers. It is the
-	// recorder's end of the transfer.
-	kindChunkAck
 	// kindHelloAck answers a hello (parent → child): the wire version the
 	// parent picked, whether it revived the child's previous session and
-	// which partial transfers it agreed to resume.
-	kindHelloAck
+	// which partial transfers it agreed to resume. (Kind 7, wire v1's chunk
+	// ack, is retired; its number is not reused.)
+	kindHelloAck msgKind = iota + 2
 	// kindGoodbye announces a deliberate departure (child → parent), so
 	// the parent reclaims the subtree's tasks immediately instead of
 	// waiting out the reconnect grace window.
 	kindGoodbye
-	// kindResultAck confirms receipt of a result (parent → child), keyed
-	// by task ID + origin. The child retires the matching entry of its
+	// kindResultAck confirms receipt of results (parent → child): one
+	// frame per send-port turn lists every (task ID, origin) received
+	// since the last. The child retires the matching entries of its
 	// unacked-result ledger; an unacked result is replayed after a
 	// reconnect and retransmitted on a live-but-lossy link, so the
 	// result path is at-least-once in transport and — because the
 	// parent deduplicates before relay — exactly-once in collection.
 	kindResultAck
 )
+
+// resultKey names a result-ledger entry: the task ID and the node that
+// computed it.
+type resultKey struct {
+	Task   uint64
+	Origin string
+}
 
 // ResumePoint names a partially received transfer offered for resumption
 // in a reconnecting child's hello: the child holds the first Offset bytes
@@ -99,19 +102,17 @@ type message struct {
 	// died.
 	N int
 
-	// Chunk and ChunkAck. A ChunkAck's Offset is the contiguous byte
-	// count the child holds; Last marks the final ack of a transfer, the
-	// only one a child sends.
+	// Chunk (and Result's Task). Last marks a transfer's final chunk.
 	Task   uint64
 	Size   int // total payload size, set on every chunk
 	Offset int
 	Data   []byte
 	Last   bool
 
-	// Result. A ResultAck echoes the result's Task and Origin, matching
-	// the sender's ledger key.
+	// Result; a ResultAck lists the ledger keys it retires.
 	Output []byte
 	Origin string // name of the node that computed the task
+	Acks   []resultKey
 
 	// Trace context. Seq is a node-unique wire sequence number stamped on
 	// every frame the node sends. TraceNode and TraceSeq name the

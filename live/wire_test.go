@@ -17,7 +17,6 @@ func TestWireKindValuesStable(t *testing.T) {
 		kindResult:    4,
 		kindShutdown:  5,
 		kindHeartbeat: 6,
-		kindChunkAck:  7,
 		kindHelloAck:  8,
 		kindGoodbye:   9,
 		kindResultAck: 10,
@@ -33,12 +32,12 @@ func TestWireKindValuesStable(t *testing.T) {
 }
 
 // TestResultAckRoundTrip runs the result-ack frame and a Holding-carrying
-// hello through the codec: the ack must preserve its ledger key (task ID +
-// origin), the hello its reconciliation set and its request count.
+// hello through the codec: the ack must preserve its ledger keys (task ID +
+// origin) in order, the hello its reconciliation set and its request count.
 func TestResultAckRoundTrip(t *testing.T) {
 	var in interner
 	for i, want := range []*message{
-		{Kind: kindResultAck, Task: 42, Origin: "leaf-7"},
+		{Kind: kindResultAck, Acks: []resultKey{{Task: 42, Origin: "leaf-7"}, {Task: 7, Origin: "mid"}, {Task: 43, Origin: "leaf-7"}}},
 		{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: "mid", N: 2, Holding: []uint64{3, 9, 12},
 			Resume: []ResumePoint{{Task: 5, Offset: 1024}}},
 		{Kind: kindResult, Task: 42, Output: []byte{1, 2, 3}, Origin: "leaf-7"},
