@@ -150,6 +150,60 @@ func TestDeclaredArtifactsAreWritten(t *testing.T) {
 	}
 }
 
+// TestAllMatchesGolden pins every experiment's rendered text at a small
+// scale, byte for byte. Regenerate after a deliberate output change with
+//
+//	go run ./cmd/bwexp -exp all -q -trees 8 -tasks 600 -graphs 3 -churn 2 > cmd/bwexp/testdata/all.golden
+func TestAllMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "0"} {
+		var b strings.Builder
+		if err := run([]string{"-exp", "all", "-q", "-trees", "8", "-tasks", "600", "-graphs", "3", "-churn", "2", "-workers", workers}, &b); err != nil {
+			t.Fatalf("-workers %s: %v", workers, err)
+		}
+		if got := b.String(); got != string(want) {
+			t.Fatalf("-workers %s: output differs from testdata/all.golden at line %d", workers, firstDiffLine(got, string(want)))
+		}
+	}
+}
+
+// TestReconvergeJSONMatchesResults pins the committed re-convergence
+// artifact. Regenerate with
+//
+//	go run ./cmd/bwexp -exp reconverge -q -json results/reconverge.json
+func TestReconvergeJSONMatchesResults(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "results", "reconverge.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "reconverge.json")
+	var b strings.Builder
+	if err := run([]string{"-exp", "reconverge", "-q", "-json", out}, &b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("reconverge JSON differs from results/reconverge.json at line %d", firstDiffLine(string(got), string(want)))
+	}
+}
+
+// firstDiffLine returns the 1-based line where a and b first differ.
+func firstDiffLine(a, b string) int {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range min(len(al), len(bl)) {
+		if al[i] != bl[i] {
+			return i + 1
+		}
+	}
+	return min(len(al), len(bl)) + 1
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-exp", "fig99"}, &b); err == nil {
