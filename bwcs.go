@@ -68,7 +68,6 @@ import (
 	"bwcs/internal/randtree"
 	"bwcs/internal/rational"
 	"bwcs/internal/sim"
-	"bwcs/internal/stats"
 	"bwcs/internal/steady"
 	"bwcs/internal/tree"
 	"bwcs/internal/window"
@@ -266,44 +265,6 @@ const (
 	ConvergeWindow = 8
 )
 
-// convergence runs the detector over a timeline's rate series,
-// returning (0, false) when the timeline is nil or too short. Samples
-// from the moment the root pool empties are excluded: the rate ramping
-// down as the last buffered tasks drain is depletion, not instability,
-// and would otherwise drag the trailing steady value toward zero.
-func convergence(tl *SimTimeline) (Time, bool) {
-	if tl == nil {
-		return 0, false
-	}
-	rate := tl.Find("rate")
-	if rate == nil {
-		return 0, false
-	}
-	drainT := int64(1<<63 - 1)
-	if pool := tl.Find("pool_depth"); pool != nil {
-		for _, p := range pool.Points {
-			// Depth readings are integer counts, but ring merges can
-			// average a final 0 with its predecessor — anything below 1
-			// means a pool-empty reading contributed. The interval ending
-			// here straddles exhaustion; cut strictly before it.
-			if p.V < 1 {
-				drainT = p.T
-				break
-			}
-		}
-	}
-	times := make([]int64, 0, len(rate.Points))
-	values := make([]float64, 0, len(rate.Points))
-	for _, p := range rate.Points {
-		if p.T < drainT {
-			times = append(times, p.T)
-			values = append(values, p.V)
-		}
-	}
-	at, ok := stats.Converge(times, values, ConvergeEps, ConvergeWindow)
-	return Time(at), ok
-}
-
 // Evaluate runs protocol p on tree t for the given number of tasks and
 // analyzes the run against the tree's optimal steady-state rate. It is a
 // thin single-workload shim over the same machinery as EvaluateWorkloads:
@@ -360,6 +321,7 @@ func summarize(res *SimResult, opt *Allocation, threshold int) (*Summary, error)
 	s.Steady = steady.Detect(res.Completions, steady.Options{})
 	s.Class = s.Steady.Classify(opt.TreeWeight)
 	s.Timeline = res.Timeline
-	s.ConvergedAt, s.Converged = convergence(res.Timeline)
+	// Samples start after t=0, so a zero bound judges the whole run.
+	s.ConvergedAt, s.Converged = res.Timeline.Converged(0, ConvergeEps, ConvergeWindow)
 	return s, nil
 }

@@ -35,40 +35,18 @@ import (
 	"bwcs/internal/export"
 )
 
-// exportFig4 writes the figure 4 populations as per-protocol CSVs plus one
-// JSON document.
-func exportFig4(dir string, r *experiments.Fig4Result) error {
+// writeCSVs writes each population into dir as prefix_<protocol>.csv.
+func writeCSVs(dir, prefix string, pops []experiments.Population) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for i := range r.Populations {
-		p := &r.Populations[i]
-		name := fmt.Sprintf("fig4_%s.csv", sanitize(p.Protocol.Label))
+	for i := range pops {
+		p := &pops[i]
+		name := fmt.Sprintf("%s_%s.csv", prefix, sanitize(p.Protocol.Label))
 		if err := writeFile(dir, name, func(w io.Writer) error {
 			return export.PopulationCSV(w, p)
 		}); err != nil {
 			return err
-		}
-	}
-	return writeFile(dir, "fig4.json", func(w io.Writer) error {
-		return export.PopulationsJSON(w, r.Populations)
-	})
-}
-
-// exportFig5 writes each class's populations as CSVs.
-func exportFig5(dir string, r *experiments.Fig5Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, cls := range r.Classes {
-		for i := range cls.Populations {
-			p := &cls.Populations[i]
-			name := fmt.Sprintf("fig5_x%d_%s.csv", cls.X, sanitize(p.Protocol.Label))
-			if err := writeFile(dir, name, func(w io.Writer) error {
-				return export.PopulationCSV(w, p)
-			}); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -151,37 +129,56 @@ type experiment struct {
 	id    string
 	inAll bool // part of "-exp all"
 	run   func(e *env) (renderer, error)
+	// flag names the flag whose value write takes, for an experiment with
+	// a machine-readable form: "csv" (a directory) or "json" (a path).
+	flag  string
+	write func(r renderer, dest string) error
 }
 
 // experimentTable is the single list of experiment ids: the -exp help
-// text, "all", dispatch and TestEachExperimentRenders all range over it.
-// "all" runs the inAll rows in this order.
+// text, "all", dispatch, the artifact flags and TestEachExperimentRenders
+// all range over it. "all" runs the inAll rows in this order.
 var experimentTable = []experiment{
-	{"fig3", true, func(e *env) (renderer, error) { return experiments.Fig3(e.o) }},
-	{"fig4", true, func(e *env) (renderer, error) { return e.fig4() }},
-	{"table1", true, func(e *env) (renderer, error) {
+	{id: "fig3", inAll: true, run: func(e *env) (renderer, error) { return experiments.Fig3(e.o) }},
+	{id: "fig4", inAll: true, run: func(e *env) (renderer, error) { return e.fig4() },
+		flag: "csv", write: func(r renderer, dir string) error {
+			pops := r.(*experiments.Fig4Result).Populations
+			if err := writeCSVs(dir, "fig4", pops); err != nil {
+				return err
+			}
+			return writeFile(dir, "fig4.json", func(w io.Writer) error { return export.PopulationsJSON(w, pops) })
+		}},
+	{id: "table1", inAll: true, run: func(e *env) (renderer, error) {
 		r4, err := e.fig4()
 		if err != nil {
 			return nil, err
 		}
 		return experiments.Table1(r4)
 	}},
-	{"fig6", true, func(e *env) (renderer, error) {
+	{id: "fig6", inAll: true, run: func(e *env) (renderer, error) {
 		r4, err := e.fig4()
 		if err != nil {
 			return nil, err
 		}
 		return experiments.Fig6(r4)
 	}},
-	{"fig5", true, func(e *env) (renderer, error) { return experiments.Fig5(e.o) }},
-	{"table2", true, func(e *env) (renderer, error) {
+	{id: "fig5", inAll: true, run: func(e *env) (renderer, error) { return experiments.Fig5(e.o) },
+		flag: "csv", write: func(r renderer, dir string) error {
+			for _, cls := range r.(*experiments.Fig5Result).Classes {
+				if err := writeCSVs(dir, fmt.Sprintf("fig5_x%d", cls.X), cls.Populations); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	{id: "table2", inAll: true, run: func(e *env) (renderer, error) {
 		o := e.o
 		if e.tasks == 0 && o.Tasks < 4000 {
 			o.Tasks = 4000 // the paper's Table 2 horizon
 		}
 		return experiments.Table2(o)
 	}},
-	{"paperscale", false, func(e *env) (renderer, error) {
+	{id: "paperscale", run: func(e *env) (renderer, error) {
 		// Full paper scale by default — 25,000 trees × 10,000 tasks —
 		// unless the caller sized the sweep explicitly.
 		o := e.o
@@ -195,23 +192,28 @@ var experimentTable = []experiment{
 			}
 		}
 		return experiments.PaperScale(o)
+	}, flag: "json", write: func(r renderer, path string) error {
+		return writeJSONPath(path, r.(*experiments.PaperScaleResult).JSON())
 	}},
-	{"fig7", true, func(e *env) (renderer, error) { return experiments.Fig7(0, 0) }},
-	{"reconverge", true, func(e *env) (renderer, error) { return experiments.Reconverge(e.tasks, 0) }},
-	{"ablation-policy", true, func(e *env) (renderer, error) { return experiments.AblationPolicy(e.o) }},
-	{"ablation-interrupt", true, func(e *env) (renderer, error) { return experiments.AblationInterrupt(e.o) }},
-	{"ablation-decay", true, func(e *env) (renderer, error) { return experiments.AblationDecay(e.o) }},
-	{"churn", true, func(e *env) (renderer, error) { return experiments.Churn(e.o, e.churn) }},
-	{"detector", true, func(e *env) (renderer, error) { return experiments.Detector(e.o) }},
-	{"fairness", true, func(e *env) (renderer, error) {
+	{id: "fig7", inAll: true, run: func(e *env) (renderer, error) { return experiments.Fig7(0, 0) }},
+	{id: "reconverge", inAll: true, run: func(e *env) (renderer, error) { return experiments.Reconverge(e.tasks, 0) },
+		flag: "json", write: func(r renderer, path string) error {
+			return writeJSONPath(path, r.(*experiments.ReconvergeResult).JSON())
+		}},
+	{id: "ablation-policy", inAll: true, run: func(e *env) (renderer, error) { return experiments.AblationPolicy(e.o) }},
+	{id: "ablation-interrupt", inAll: true, run: func(e *env) (renderer, error) { return experiments.AblationInterrupt(e.o) }},
+	{id: "ablation-decay", inAll: true, run: func(e *env) (renderer, error) { return experiments.AblationDecay(e.o) }},
+	{id: "churn", inAll: true, run: func(e *env) (renderer, error) { return experiments.Churn(e.o, e.churn) }},
+	{id: "detector", inAll: true, run: func(e *env) (renderer, error) { return experiments.Detector(e.o) }},
+	{id: "fairness", inAll: true, run: func(e *env) (renderer, error) {
 		o := e.o
 		if e.trees == 0 && o.Trees > 150 {
 			o.Trees = 150 // 7 tenant counts × population; keep the sweep interactive
 		}
 		return experiments.Fairness(o)
 	}},
-	{"overlay", true, func(e *env) (renderer, error) { return experiments.Overlay(e.o, e.graphs) }},
-	{"overlay-improve", true, func(e *env) (renderer, error) { return experiments.OverlayImprove(e.o, e.graphs/3+1, 0) }},
+	{id: "overlay", inAll: true, run: func(e *env) (renderer, error) { return experiments.Overlay(e.o, e.graphs) }},
+	{id: "overlay-improve", inAll: true, run: func(e *env) (renderer, error) { return experiments.OverlayImprove(e.o, e.graphs/3+1, 0) }},
 }
 
 // experimentIDs returns the table's ids in order, every one or only the
@@ -226,19 +228,21 @@ func experimentIDs(onlyAll bool) []string {
 	return ids
 }
 
-// artifactFlag names, for each experiment that has a machine-readable
-// form, the flag that writes it ("csv" or "json"); writeArtifacts holds
-// the writers.
-var artifactFlag = map[string]string{
-	"fig4": "csv", "fig5": "csv",
-	"paperscale": "json", "reconverge": "json",
+// artifactFlag yields, in table order, each experiment that has a
+// machine-readable form and the flag that writes it.
+func artifactFlag(yield func(id, flag string) bool) {
+	for _, x := range experimentTable {
+		if x.flag != "" && !yield(x.id, x.flag) {
+			return
+		}
+	}
 }
 
 // withArtifact returns those of ids whose artifact the given flag writes.
 func withArtifact(flag string, ids []string) []string {
 	var out []string
-	for _, id := range ids {
-		if artifactFlag[id] == flag {
+	for id, f := range artifactFlag {
+		if f == flag && slices.Contains(ids, id) {
 			out = append(out, id)
 		}
 	}
@@ -261,30 +265,6 @@ func checkArtifactFlags(ids []string, csvDir, jsonOut string) error {
 		}
 		if f.flag == "json" && len(got) > 1 {
 			return fmt.Errorf("-json %s: %s would each overwrite it; run them one at a time", f.value, strings.Join(got, " and "))
-		}
-	}
-	return nil
-}
-
-// writeArtifacts writes the machine-readable forms the -csv and -json
-// flags ask for, for the results that have one.
-func writeArtifacts(r renderer, csvDir, jsonOut string) error {
-	switch r := r.(type) {
-	case *experiments.Fig4Result:
-		if csvDir != "" {
-			return exportFig4(csvDir, r)
-		}
-	case *experiments.Fig5Result:
-		if csvDir != "" {
-			return exportFig5(csvDir, r)
-		}
-	case *experiments.PaperScaleResult:
-		if jsonOut != "" {
-			return writeJSONPath(jsonOut, r.JSON())
-		}
-	case *experiments.ReconvergeResult:
-		if jsonOut != "" {
-			return writeJSONPath(jsonOut, r.JSON())
 		}
 	}
 	return nil
@@ -395,6 +375,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	e := &env{trees: *trees, tasks: *tasks, paper: *paper, graphs: *graphs, churn: *churn}
+	dests := map[string]string{"csv": *csvDir, "json": *jsonOut} // artifact flag → its value
 	for i, x := range selected {
 		if i > 0 {
 			fmt.Fprintln(out, "\n"+strings.Repeat("=", 78)+"\n")
@@ -410,8 +391,8 @@ func run(args []string, out io.Writer) error {
 		if err == nil {
 			err = r.Render(out)
 		}
-		if err == nil {
-			err = writeArtifacts(r, *csvDir, *jsonOut)
+		if dest := dests[x.flag]; err == nil && dest != "" {
+			err = x.write(r, dest)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", x.id, err)

@@ -17,23 +17,23 @@ func main() {
 	const tasks = 3000
 	t := bwcs.ExampleTree()
 
-	// Optimal rates of the three phases.
+	contention := bwcs.Mutation{AfterTasks: 1000, Node: 1, C: 3}    // network contention hits P1
+	upgrade := bwcs.Mutation{AfterTasks: 2000, Node: 1, C: 1, W: 1} // contention clears; P1's CPU frees up
+
+	// Optimal rates of the three phases: the platform as each mutation
+	// leaves it.
 	phase1 := bwcs.Optimal(t).Rate
-	contended := bwcs.ExampleTree()
-	contended.SetC(1, 3)
-	phase2 := bwcs.Optimal(contended).Rate
-	upgraded := bwcs.ExampleTree()
-	upgraded.SetW(1, 1)
-	phase3 := bwcs.Optimal(upgraded).Rate
+	mutated := bwcs.ExampleTree()
+	contention.Apply(mutated)
+	phase2 := bwcs.Optimal(mutated).Rate
+	upgrade.Apply(mutated)
+	phase3 := bwcs.Optimal(mutated).Rate
 
 	res, err := bwcs.Simulate(bwcs.SimConfig{
-		Tree:     t,
-		Protocol: bwcs.NonICFixed(2),
-		Tasks:    tasks,
-		Mutations: []bwcs.Mutation{
-			{AfterTasks: 1000, Node: 1, C: 3},       // network contention hits P1
-			{AfterTasks: 2000, Node: 1, C: 1, W: 1}, // contention clears; P1's CPU frees up
-		},
+		Tree:      t,
+		Protocol:  bwcs.NonICFixed(2),
+		Tasks:     tasks,
+		Mutations: []bwcs.Mutation{contention, upgrade},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -75,6 +75,18 @@ type Mutation struct {
 	C          int64       // new communication weight; 0 leaves it unchanged
 }
 
+// Apply writes the mutation's weights into t. The engine applies it to
+// its copy of the platform mid-run; applied to another copy, it gives the
+// platform the run ends on, whose optimal rate is "the rate after".
+func (m Mutation) Apply(t *tree.Tree) {
+	if m.W > 0 {
+		t.SetW(m.Node, m.W)
+	}
+	if m.C > 0 {
+		t.SetC(m.Node, m.C)
+	}
+}
+
 // AttachMutation grafts a subtree onto the running platform once a given
 // number of tasks have completed, modeling resources joining the overlay —
 // the dynamic-reconfiguration property the paper's Section 3 highlights.
@@ -1005,14 +1017,8 @@ func (e *engine) atCompletion() {
 			e.skippedMut++
 		} else {
 			ns := &e.nodes[m.Node]
-			if m.W > 0 {
-				e.t.SetW(m.Node, m.W)
-				ns.w = m.W
-			}
-			if m.C > 0 {
-				e.t.SetC(m.Node, m.C)
-				ns.c = m.C
-			}
+			m.Apply(e.t)
+			ns.w, ns.c = e.t.W(m.Node), e.t.C(m.Node)
 			if m.Node != e.t.Root() {
 				e.sortChildren(ns.parent)
 			}

@@ -281,6 +281,29 @@ func TestMutationDoesNotTouchCallerTree(t *testing.T) {
 	}
 }
 
+// TestMutationApplyMatchesRun: applied to a copy of the platform, a run's
+// mutations give the tree the run ends on — the tree Figure 7 and the
+// re-convergence study weigh for the optimal rate after a mutation.
+func TestMutationApplyMatchesRun(t *testing.T) {
+	tr := tree.New(10)
+	tr.AddChild(tr.Root(), 5, 2)
+	muts := []Mutation{{AfterTasks: 2, Node: 1, C: 3}, {AfterTasks: 4, Node: 1, W: 1}, {AfterTasks: 6, Node: 0, W: 7}}
+	res := mustRun(t, Config{Tree: tr, Protocol: protocol.Interruptible(1), Tasks: 10, Mutations: muts})
+	want := tr.Clone()
+	for _, m := range muts {
+		m.Apply(want)
+	}
+	if want.W(0) != 7 || want.W(1) != 1 || want.C(1) != 3 {
+		t.Fatalf("Apply left w0=%d w1=%d c1=%d, want 7, 1, 3", want.W(0), want.W(1), want.C(1))
+	}
+	for id := tree.NodeID(0); int(id) < want.Len(); id++ {
+		if res.Tree.W(id) != want.W(id) || res.Tree.C(id) != want.C(id) {
+			t.Fatalf("node %d: run ends on (w=%d, c=%d), Apply gives (w=%d, c=%d)",
+				id, res.Tree.W(id), res.Tree.C(id), want.W(id), want.C(id))
+		}
+	}
+}
+
 func TestMutationChangesCommSpeed(t *testing.T) {
 	// Slowing the only child's link mid-run must slow the tail of the run:
 	// compare against the unmutated baseline.

@@ -70,20 +70,22 @@ type AblationInterruptResult struct {
 	NonIC   []float64 // reached fraction under non-IC FB=b (no growth)
 }
 
-// AblationInterrupt runs both protocol families at FB in 1..3.
+// AblationInterrupt runs both protocol families at FB in 1..3, six
+// columns of one sweep.
 func AblationInterrupt(o Options) (*AblationInterruptResult, error) {
+	var protos []protocol.Protocol
+	for fb := 1; fb <= 3; fb++ {
+		protos = append(protos, protocol.Interruptible(fb), protocol.NonInterruptibleFixed(fb))
+	}
+	pops, err := RunPopulation(o, protos)
+	if err != nil {
+		return nil, err
+	}
 	out := &AblationInterruptResult{Options: o}
 	for fb := 1; fb <= 3; fb++ {
-		pops, err := RunPopulation(o, []protocol.Protocol{
-			protocol.Interruptible(fb),
-			protocol.NonInterruptibleFixed(fb),
-		})
-		if err != nil {
-			return nil, err
-		}
 		out.Buffers = append(out.Buffers, fb)
-		out.IC = append(out.IC, pops[0].Agg.ReachedFraction())
-		out.NonIC = append(out.NonIC, pops[1].Agg.ReachedFraction())
+		out.IC = append(out.IC, pops[2*fb-2].Agg.ReachedFraction())
+		out.NonIC = append(out.NonIC, pops[2*fb-1].Agg.ReachedFraction())
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -77,29 +78,37 @@ func TestAggMatchesOutcomes(t *testing.T) {
 	}
 }
 
-// TestStreamingObserver: the observer sees every tree exactly once, with
-// regenerable indices.
-func TestStreamingObserver(t *testing.T) {
+// TestSweepMeasureSeesEveryRunOnce: a sweep's measure sees every (column,
+// tree) run exactly once, with regenerable indices, while the worker's
+// Evaluator still holds that run's tree and result.
+func TestSweepMeasureSeesEveryRunOnce(t *testing.T) {
 	o := tinyOptions()
 	var mu sync.Mutex
-	seen := map[int]int{}
-	o.Observer = func(oc TreeOutcome) {
-		mu.Lock()
-		seen[oc.Index]++
-		mu.Unlock()
+	seen := map[[2]int]int{}
+	s := sweep{
+		protos: []protocol.Protocol{protocol.Interruptible(3), protocol.NonInterruptible(1)},
+		measure: func(col int, oc TreeOutcome, ev *Evaluator) error {
+			if ev.index != oc.Index || ev.res.Tree.Len() != oc.Nodes {
+				return fmt.Errorf("measure of tree %d sees tree %d's state", oc.Index, ev.index)
+			}
+			mu.Lock()
+			seen[[2]int{col, oc.Index}]++
+			mu.Unlock()
+			return nil
+		},
 	}
-	if _, err := RunPopulation(o, []protocol.Protocol{protocol.Interruptible(3)}); err != nil {
+	if _, err := s.run(o); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != o.Trees {
-		t.Fatalf("observer saw %d distinct trees, want %d", len(seen), o.Trees)
+	if len(seen) != 2*o.Trees {
+		t.Fatalf("measure saw %d distinct runs, want %d", len(seen), 2*o.Trees)
 	}
-	for idx, n := range seen {
+	for run, n := range seen {
 		if n != 1 {
-			t.Fatalf("observer saw tree %d %d times", idx, n)
+			t.Fatalf("measure saw column %d tree %d %d times", run[0], run[1], n)
 		}
-		if idx < 0 || idx >= o.Trees {
-			t.Fatalf("observer saw out-of-range tree index %d", idx)
+		if idx := run[1]; idx < 0 || idx >= o.Trees {
+			t.Fatalf("measure saw out-of-range tree index %d", idx)
 		}
 	}
 }
@@ -115,10 +124,14 @@ func TestProgressSlowCallbackDoesNotBlockWorkers(t *testing.T) {
 	o.Workers = 4
 	allDone := make(chan struct{})
 	var outcomes atomic.Int64
-	o.Observer = func(TreeOutcome) {
-		if outcomes.Add(1) == int64(o.Trees) {
-			close(allDone)
-		}
+	s := sweep{
+		protos: []protocol.Protocol{protocol.Interruptible(3)},
+		measure: func(int, TreeOutcome, *Evaluator) error {
+			if outcomes.Add(1) == int64(o.Trees) {
+				close(allDone)
+			}
+			return nil
+		},
 	}
 	var seen []int // appends are serialized by the progress contract
 	o.Progress = func(done, total int) {
@@ -128,7 +141,7 @@ func TestProgressSlowCallbackDoesNotBlockWorkers(t *testing.T) {
 			<-allDone
 		}
 	}
-	if _, err := RunPopulation(o, []protocol.Protocol{protocol.Interruptible(3)}); err != nil {
+	if _, err := s.run(o); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != o.Trees {

@@ -7,7 +7,6 @@ import (
 
 	"bwcs/internal/engine"
 	"bwcs/internal/protocol"
-	"bwcs/internal/randtree"
 	"bwcs/internal/tree"
 )
 
@@ -31,7 +30,9 @@ type ChurnResult struct {
 }
 
 // Churn runs the study with the given number of churn events per run
-// (half departures, half joins), spread evenly across the application.
+// (half departures, half joins), spread evenly across the application:
+// one sweep of IC FB=3 on the static platform beside IC FB=3 under that
+// tree's seeded departures and attachments.
 func Churn(o Options, events int) (*ChurnResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -40,55 +41,31 @@ func Churn(o Options, events int) (*ChurnResult, error) {
 		return nil, fmt.Errorf("churn: need at least 2 events, got %d", events)
 	}
 	proto := protocol.Interruptible(3)
-	out := &ChurnResult{Options: o, Events: events, Completed: true}
-	slow := make([]float64, o.Trees)
-	req := make([]float64, o.Trees)
+	requeued := make([]int64, o.Trees)
 	finished := make([]bool, o.Trees)
-	if err := parallelFor(o.Trees, o.workers(), func(_, i int) error {
-		tr := randtree.TreeAt(o.Params, o.Seed, i)
-		static, err := engine.Run(engine.Config{Tree: tr, Protocol: proto, Tasks: o.Tasks})
-		if err != nil {
-			return err
-		}
-
-		rng := rand.New(rand.NewPCG(o.Seed^0x5bd1e995, uint64(i)))
-		cfg := engine.Config{Tree: tr, Protocol: proto, Tasks: o.Tasks}
-		step := o.Tasks / int64(events+1)
-		for ev := 0; ev < events; ev++ {
-			at := step * int64(ev+1)
-			if ev%2 == 0 && tr.Len() > 1 {
-				// Depart a random non-root node of the original tree.
-				victim := tree.NodeID(rng.IntN(tr.Len()-1) + 1)
-				cfg.Departures = append(cfg.Departures, engine.DepartMutation{AfterTasks: at, Node: victim})
-			} else {
-				// A small random site joins under a random original node.
-				site := tree.New(rng.Int64N(o.Params.Comp) + 1)
-				for k := rng.IntN(4); k > 0; k-- {
-					site.AddChild(site.Root(), rng.Int64N(o.Params.Comp)+1, rng.Int64N(o.Params.MaxComm)+1)
-				}
-				cfg.Attachments = append(cfg.Attachments, engine.AttachMutation{
-					AfterTasks: at,
-					Parent:     tree.NodeID(rng.IntN(tr.Len())),
-					Subtree:    site,
-					C:          rng.Int64N(o.Params.MaxComm) + 1,
-				})
+	pops, err := sweep{
+		protos: []protocol.Protocol{proto, proto},
+		edit: func(col, i int, cfg *engine.Config) {
+			if col == 1 {
+				churnEvents(o, i, events, cfg)
 			}
-		}
-		churned, err := engine.Run(cfg)
-		if err != nil {
-			return err
-		}
-		finished[i] = int64(len(churned.Completions)) == o.Tasks
-		slow[i] = float64(churned.Makespan) / float64(static.Makespan)
-		req[i] = float64(churned.Requeued) / float64(o.Tasks)
-		return nil
-	}); err != nil {
+		},
+		measure: func(col int, oc TreeOutcome, ev *Evaluator) error {
+			if col == 1 {
+				finished[oc.Index] = int64(len(ev.res.Completions)) == o.Tasks
+				requeued[oc.Index] = ev.res.Requeued
+			}
+			return nil
+		},
+	}.run(o)
+	if err != nil {
 		return nil, err
 	}
+	out := &ChurnResult{Options: o, Events: events, Completed: true}
 	var sumSlow, sumReq float64
-	for i := range slow {
-		sumSlow += slow[i]
-		sumReq += req[i]
+	for i := range requeued {
+		sumSlow += float64(pops[1].Outcomes[i].Makespan) / float64(pops[0].Outcomes[i].Makespan)
+		sumReq += float64(requeued[i]) / float64(o.Tasks)
 		if !finished[i] {
 			out.Completed = false
 		}
@@ -96,6 +73,34 @@ func Churn(o Options, events int) (*ChurnResult, error) {
 	out.MeanSlowdown = sumSlow / float64(o.Trees)
 	out.MeanRequeuedFraction = sumReq / float64(o.Trees)
 	return out, nil
+}
+
+// churnEvents adds tree i's seeded departures and attachments to cfg,
+// which runs that tree.
+func churnEvents(o Options, i, events int, cfg *engine.Config) {
+	tr := cfg.Tree
+	rng := rand.New(rand.NewPCG(o.Seed^0x5bd1e995, uint64(i)))
+	step := o.Tasks / int64(events+1)
+	for ev := 0; ev < events; ev++ {
+		at := step * int64(ev+1)
+		if ev%2 == 0 && tr.Len() > 1 {
+			// Depart a random non-root node of the original tree.
+			victim := tree.NodeID(rng.IntN(tr.Len()-1) + 1)
+			cfg.Departures = append(cfg.Departures, engine.DepartMutation{AfterTasks: at, Node: victim})
+		} else {
+			// A small random site joins under a random original node.
+			site := tree.New(rng.Int64N(o.Params.Comp) + 1)
+			for k := rng.IntN(4); k > 0; k-- {
+				site.AddChild(site.Root(), rng.Int64N(o.Params.Comp)+1, rng.Int64N(o.Params.MaxComm)+1)
+			}
+			cfg.Attachments = append(cfg.Attachments, engine.AttachMutation{
+				AfterTasks: at,
+				Parent:     tree.NodeID(rng.IntN(tr.Len())),
+				Subtree:    site,
+				C:          rng.Int64N(o.Params.MaxComm) + 1,
+			})
+		}
+	}
 }
 
 // Render writes the churn study summary.
@@ -121,48 +126,47 @@ type AblationDecayResult struct {
 	MeanRetired                    float64 // mean buffers retired per tree (decay run)
 }
 
-// AblationDecay runs both variants over the population.
+// AblationDecay runs both variants over the population, two columns of
+// one sweep.
 func AblationDecay(o Options) (*AblationDecayResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	out := &AblationDecayResult{Options: o}
-	for variant := 0; variant < 2; variant++ {
-		proto := protocol.NonInterruptible(1)
-		if variant == 1 {
-			proto = proto.WithDecay(0)
-		}
-		reached := 0
-		var sumTotal, sumRetired float64
-		outcomes := make([]TreeOutcome, o.Trees)
-		results := make([]*engine.Result, o.Trees)
-		if err := parallelFor(o.Trees, o.workers(), func(_, i int) error {
-			oc, res, err := EvaluateTree(o, proto, i, nil)
-			outcomes[i] = oc
-			results[i] = res
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		for i := range outcomes {
-			if outcomes[i].Reached {
-				reached++
+	retired := make([]int64, o.Trees) // buffers retired per tree under decay
+	pops, err := sweep{
+		protos: []protocol.Protocol{protocol.NonInterruptible(1), protocol.NonInterruptible(1).WithDecay(0)},
+		measure: func(col int, oc TreeOutcome, ev *Evaluator) error {
+			if col == 1 {
+				for _, ns := range ev.res.Nodes {
+					retired[oc.Index] += ns.Decayed
+				}
 			}
-			sumTotal += float64(results[i].TotalBuffers())
-			for _, ns := range results[i].Nodes {
-				sumRetired += float64(ns.Decayed)
-			}
-		}
-		frac := float64(reached) / float64(o.Trees)
-		mean := sumTotal / float64(o.Trees)
-		if variant == 0 {
-			out.PlainReached, out.PlainMeanTotal = frac, mean
-		} else {
-			out.DecayReached, out.DecayMeanTotal = frac, mean
-			out.MeanRetired = sumRetired / float64(o.Trees)
-		}
+			return nil
+		},
+	}.run(o)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	// Integer sums, so the means cannot depend on summation order.
+	meanTotal := func(p *Population) float64 {
+		var sum int64
+		for _, oc := range p.Outcomes {
+			sum += oc.TotalBuffers
+		}
+		return float64(sum) / float64(o.Trees)
+	}
+	var sumRetired int64
+	for _, n := range retired {
+		sumRetired += n
+	}
+	return &AblationDecayResult{
+		Options:        o,
+		PlainReached:   pops[0].Agg.ReachedFraction(),
+		DecayReached:   pops[1].Agg.ReachedFraction(),
+		PlainMeanTotal: meanTotal(&pops[0]),
+		DecayMeanTotal: meanTotal(&pops[1]),
+		MeanRetired:    float64(sumRetired) / float64(o.Trees),
+	}, nil
 }
 
 // Render writes the decay ablation summary.

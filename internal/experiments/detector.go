@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"bwcs/internal/optimal"
 	"bwcs/internal/protocol"
-	"bwcs/internal/randtree"
 	"bwcs/internal/steady"
-	"bwcs/internal/window"
 )
 
 // DetectorResult evaluates the paper's empirical onset heuristic against
@@ -29,54 +26,41 @@ type DetectorResult struct {
 	NoPeriodicityFound int // exact detector found no steady interval at all
 }
 
-// Detector runs the comparison.
+// Detector runs the comparison: one IC FB=3 sweep whose measure runs the
+// exact detector on each run's completions and weight, beside the
+// heuristic's verdict in the run's outcome.
 func Detector(o Options) (*DetectorResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	out := &DetectorResult{Options: o}
-	proto := protocol.Interruptible(3)
-	type verdict struct {
-		heuristic bool
-		exact     steady.Class
-	}
-	verdicts := make([]verdict, o.Trees)
-	if err := parallelFor(o.Trees, o.workers(), func(_, i int) error {
-		tr := randtree.TreeAt(o.Params, o.Seed, i)
-		_, res, err := EvaluateTree(o, proto, i, nil)
-		if err != nil {
-			return err
-		}
-		w := optimal.Weight(tr)
-		series, err := window.New(res.Completions, w)
-		if err != nil {
-			return err
-		}
-		det := steady.Detect(res.Completions, steady.Options{})
-		verdicts[i] = verdict{
-			heuristic: series.Reached(o.Threshold),
-			exact:     det.Classify(w),
-		}
-		if verdicts[i].exact == steady.Anomalous {
-			return fmt.Errorf("detector: tree %d steady rate above optimal (model bug)", i)
-		}
-		return nil
-	}); err != nil {
+	exact := make([]steady.Class, o.Trees)
+	pops, err := sweep{
+		protos: []protocol.Protocol{protocol.Interruptible(3)},
+		measure: func(_ int, oc TreeOutcome, ev *Evaluator) error {
+			exact[oc.Index] = steady.Detect(ev.res.Completions, steady.Options{}).Classify(ev.weight)
+			if exact[oc.Index] == steady.Anomalous {
+				return fmt.Errorf("detector: tree %d steady rate above optimal (model bug)", oc.Index)
+			}
+			return nil
+		},
+	}.run(o)
+	if err != nil {
 		return nil, err
 	}
-	for _, v := range verdicts {
-		exactOptimal := v.exact == steady.Optimal
+	out := &DetectorResult{Options: o}
+	for i, oc := range pops[0].Outcomes {
+		exactOptimal := exact[i] == steady.Optimal
 		switch {
-		case v.heuristic && exactOptimal:
+		case oc.Reached && exactOptimal:
 			out.BothOptimal++
-		case v.heuristic && !exactOptimal:
+		case oc.Reached && !exactOptimal:
 			out.HeuristicOnly++
-		case !v.heuristic && exactOptimal:
+		case !oc.Reached && exactOptimal:
 			out.ExactOnly++
 		default:
 			out.NeitherOptimal++
 		}
-		if v.exact == steady.NoSteadyState {
+		if exact[i] == steady.NoSteadyState {
 			out.NoPeriodicityFound++
 		}
 	}

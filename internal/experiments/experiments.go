@@ -2,9 +2,11 @@
 // harness per table and figure, each with a typed result and a text
 // renderer, plus the ablation studies called out in DESIGN.md.
 //
-// Every experiment draws its random trees with randtree.TreeAt, keyed by
-// (seed, tree index), so results are identical no matter how many workers
-// run the sweep, and any individual tree can be regenerated for debugging.
+// Every population experiment is a declaration of one sweep (see sweep):
+// protocol columns, an optional per-run config edit and an optional
+// per-run measure over trees drawn with randtree.TreeAt, keyed by (seed,
+// tree index), so results are identical no matter how many workers run
+// the sweep, and any individual tree can be regenerated for debugging.
 //
 // The paper's full scale (25,000 trees × 10,000 tasks) is reachable by
 // raising Options; the defaults are scaled down to keep the harness
@@ -47,22 +49,16 @@ type Options struct {
 	Workers int
 
 	// Progress, when non-nil, observes sweep advancement: it is called
-	// once per tree, after every protocol of the RunPopulation call has
-	// simulated it, with the number of trees finished so far in that call
-	// and the population size. Calls are serialized and done runs
-	// 1..Trees, increasing by exactly one per call, but they arrive from
-	// worker goroutines. The callback runs outside the
+	// once per tree, after every protocol of the sweep has simulated it,
+	// with the number of trees finished so far in that sweep and the
+	// population size. Calls are serialized and done runs 1..Trees,
+	// increasing by exactly one per call, but they arrive from worker
+	// goroutines. The callback runs outside the
 	// sweep's aggregation lock, so a slow callback delays reporting but
 	// never serializes the workers; it must not call back into the
 	// sweep. Reporting does not perturb results: the tree population and
 	// all outcomes are independent of it.
 	Progress func(done, total int)
-
-	// Observer, when non-nil, receives every TreeOutcome as it
-	// completes, from worker goroutines, unordered, so callers can keep
-	// custom per-tree statistics. The callback must be safe for
-	// concurrent use.
-	Observer func(TreeOutcome)
 }
 
 // Default returns scaled-down defaults that preserve the paper's shapes:
@@ -184,8 +180,8 @@ func NewPopulationAgg() *PopulationAgg {
 }
 
 // Observe folds one tree's outcome into the aggregate. It is not safe
-// for concurrent use; RunPopulation serializes calls under its
-// aggregation lock. Observation order does not affect any aggregate.
+// for concurrent use; a sweep serializes calls under its aggregation
+// lock. Observation order does not affect any aggregate.
 func (a *PopulationAgg) Observe(oc TreeOutcome) {
 	a.Trees++
 	if oc.Reached {
@@ -259,18 +255,21 @@ type Population struct {
 // weight and an engine.Runner whose event free list, node table and
 // completions buffer recycle across runs. It is not safe for concurrent
 // use: sweeps hold one Evaluator per worker. The tree, the window series
-// and the *engine.Result of an evaluation (whose Tree field is that tree)
-// live in the Evaluator's buffers and are valid only until its next call.
+// and the *engine.Result of a run (whose Tree field is that tree) live in
+// the Evaluator's buffers and are valid only until its next call.
 type Evaluator struct {
-	r      *engine.Runner
-	gen    *randtree.Generator
-	calc   optimal.Calculator
-	series *window.Series
+	r    *engine.Runner
+	gen  *randtree.Generator
+	calc optimal.Calculator
 
 	// The loaded tree, its population index and its optimal weight.
 	tree   *tree.Tree
 	index  int
 	weight rational.Rat
+
+	// The last run of the loaded tree and its window series.
+	res    *engine.Result
+	series *window.Series
 }
 
 // NewEvaluator returns an Evaluator with cold run state.
@@ -282,38 +281,43 @@ func (ev *Evaluator) load(o Options, index int) {
 	if ev.gen == nil || ev.gen.Params() != o.Params {
 		ev.gen = randtree.New(o.Params, o.Seed)
 	}
-	ev.tree, ev.index = ev.gen.TreeAt(o.Seed, index), index
-	ev.weight = ev.calc.Weight(ev.tree)
+	ev.use(ev.gen.TreeAt(o.Seed, index), index)
 }
 
-// EvaluateTree runs one protocol on one tree and reduces the run to a
-// TreeOutcome. Checkpoints, when non-nil, are passed through to the engine
-// (Table 2 snapshots buffer usage mid-run); the raw result is returned for
-// experiments that need more than the outcome summary. It and the tree it
+// use loads tr as the tree with population index index and weighs it.
+func (ev *Evaluator) use(tr *tree.Tree, index int) {
+	ev.tree, ev.index = tr, index
+	ev.weight = ev.calc.Weight(tr)
+}
+
+// EvaluateTree runs one protocol on tree index of o's population and
+// reduces the run to a TreeOutcome; the raw result is returned for
+// callers that need more than the outcome summary. It and the tree it
 // points to are valid only until this Evaluator's next call.
-func (ev *Evaluator) EvaluateTree(o Options, p protocol.Protocol, index int, checkpoints []int64) (TreeOutcome, *engine.Result, error) {
+func (ev *Evaluator) EvaluateTree(o Options, p protocol.Protocol, index int) (TreeOutcome, *engine.Result, error) {
 	ev.load(o, index)
-	return ev.run(o, p, checkpoints)
+	oc, err := ev.run(o, ev.config(o, p))
+	return oc, ev.res, err
 }
 
-// run simulates the loaded tree under p and scans the run for its onset.
-func (ev *Evaluator) run(o Options, p protocol.Protocol, checkpoints []int64) (TreeOutcome, *engine.Result, error) {
+// config is the engine config that runs the loaded tree under p.
+func (ev *Evaluator) config(o Options, p protocol.Protocol) engine.Config {
+	return engine.Config{Tree: ev.tree, Protocol: p, Tasks: o.Tasks, Seed: o.Seed + uint64(ev.index)}
+}
+
+// run simulates cfg, a run of the loaded tree, and scans it for its onset.
+func (ev *Evaluator) run(o Options, cfg engine.Config) (TreeOutcome, error) {
 	tr, index := ev.tree, ev.index
-	res, err := ev.r.Run(engine.Config{
-		Tree:        tr,
-		Protocol:    p,
-		Tasks:       o.Tasks,
-		Seed:        o.Seed + uint64(index),
-		Checkpoints: checkpoints,
-	})
+	ev.res, ev.series = nil, nil
+	res, err := ev.r.Run(cfg)
 	if err != nil {
-		return TreeOutcome{}, nil, fmt.Errorf("tree %d under %v: %w", index, p, err)
+		return TreeOutcome{}, fmt.Errorf("tree %d under %v: %w", index, cfg.Protocol, err)
 	}
 	series, err := window.New(res.Completions, ev.weight)
 	if err != nil {
-		return TreeOutcome{}, nil, fmt.Errorf("tree %d under %v: %w", index, p, err)
+		return TreeOutcome{}, fmt.Errorf("tree %d under %v: %w", index, cfg.Protocol, err)
 	}
-	ev.series = series
+	ev.res, ev.series = res, series
 	out := TreeOutcome{
 		Index:          index,
 		Nodes:          tr.Len(),
@@ -326,35 +330,44 @@ func (ev *Evaluator) run(o Options, p protocol.Protocol, checkpoints []int64) (T
 		Makespan:       res.Makespan,
 	}
 	out.Onset, out.Reached = series.Onset(o.Threshold)
-	return out, res, nil
-}
-
-// Series returns the window series built by the last EvaluateTree call.
-// Like the *engine.Result, it aliases the Evaluator's buffers and is
-// valid only until the next EvaluateTree call.
-func (ev *Evaluator) Series() *window.Series { return ev.series }
-
-// EvaluateTree runs one tree through a fresh Evaluator. The result does
-// not alias shared state, so it may be retained; sweeps should prefer a
-// per-worker Evaluator to recycle run state across trees.
-func EvaluateTree(o Options, p protocol.Protocol, index int, checkpoints []int64) (TreeOutcome, *engine.Result, error) {
-	return NewEvaluator().EvaluateTree(o, p, index, checkpoints)
+	return out, nil
 }
 
 // RunPopulation evaluates each protocol over the same tree population and
-// returns one Population per protocol, in order. The sweep is tree-major:
-// one parallel pass over the trees, in which a worker generates tree i
-// into its Evaluator's arena, weighs it, runs every protocol on it and
-// folds the outcomes into the protocols' aggregates under one lock hold.
+// returns one Population per protocol, in order: the sweep with no edit
+// and no measure.
 func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) {
+	return sweep{protos: protos}.run(o)
+}
+
+// sweep declares one pass over a tree population, the package's only
+// loop over one. A worker generates tree i into its Evaluator's arena,
+// weighs it once and runs it under every protocol column in turn,
+// folding the outcomes into the columns' Populations.
+//
+// edit, when non-nil, adjusts column col's engine config for tree i
+// before it runs (checkpoints, workloads, churn events). measure, when
+// non-nil, is called on the worker after each run, while the
+// Evaluator's result, series and weight still describe that run. Calls
+// for different trees run concurrently, so a measure writes only slots
+// its tree owns.
+type sweep struct {
+	protos  []protocol.Protocol
+	edit    func(col, i int, cfg *engine.Config)
+	measure func(col int, oc TreeOutcome, ev *Evaluator) error
+}
+
+// run executes the sweep over o's population and returns one Population
+// per column, in order.
+func (s sweep) run(o Options) ([]Population, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	if len(protos) == 0 {
+	if len(s.protos) == 0 {
 		return nil, fmt.Errorf("experiments: no protocols")
 	}
-	out := make([]Population, len(protos))
-	for pi, p := range protos {
+	out := make([]Population, len(s.protos))
+	for pi, p := range s.protos {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
@@ -369,7 +382,7 @@ func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) 
 	}
 	states := make([]workerState, workers)
 	for i := range states {
-		states[i] = workerState{NewEvaluator(), make([]SweepMetrics, len(protos))}
+		states[i] = workerState{NewEvaluator(), make([]SweepMetrics, len(s.protos))}
 	}
 	var (
 		mu         sync.Mutex // guards out's Agg, done, reported
@@ -412,17 +425,23 @@ func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) 
 	if err := parallelFor(o.Trees, workers, func(worker, i int) error {
 		st := &states[worker]
 		st.ev.load(o, i)
-		for pi, p := range protos {
+		for pi, p := range s.protos {
 			start := time.Now()
-			oc, res, err := st.ev.run(o, p, nil)
+			cfg := st.ev.config(o, p)
+			if s.edit != nil {
+				s.edit(pi, i, &cfg)
+			}
+			oc, err := st.ev.run(o, cfg)
 			if err != nil {
 				return err
 			}
-			st.sweep[pi].Engine.Add(res.Metrics)
+			st.sweep[pi].Engine.Add(st.ev.res.Metrics)
 			st.sweep[pi].Elapsed += time.Since(start)
 			out[pi].Outcomes[i] = oc
-			if o.Observer != nil {
-				o.Observer(oc)
+			if s.measure != nil {
+				if err := s.measure(pi, oc, st.ev); err != nil {
+					return err
+				}
 			}
 		}
 		mu.Lock()
@@ -445,8 +464,8 @@ func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) 
 			sweep.Elapsed += st.sweep[pi].Elapsed
 		}
 		sweep.Elapsed /= time.Duration(workers)
-		if s := sweep.Elapsed.Seconds(); s > 0 {
-			sweep.TreesPerSec = float64(o.Trees) / s
+		if secs := sweep.Elapsed.Seconds(); secs > 0 {
+			sweep.TreesPerSec = float64(o.Trees) / secs
 		}
 	}
 	return out, nil

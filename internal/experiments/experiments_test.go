@@ -71,11 +71,11 @@ func TestExampleTree(t *testing.T) {
 
 func TestEvaluateTreeDeterministic(t *testing.T) {
 	o := tinyOptions()
-	a, _, err := EvaluateTree(o, protocol.Interruptible(3), 4, nil)
+	a, _, err := NewEvaluator().EvaluateTree(o, protocol.Interruptible(3), 4)
 	if err != nil {
 		t.Fatalf("EvaluateTree: %v", err)
 	}
-	b, _, err := EvaluateTree(o, protocol.Interruptible(3), 4, nil)
+	b, _, err := NewEvaluator().EvaluateTree(o, protocol.Interruptible(3), 4)
 	if err != nil {
 		t.Fatalf("EvaluateTree: %v", err)
 	}
@@ -445,7 +445,7 @@ func TestOptimalRateIsUpperBound(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tr := randtree.TreeAt(o.Params, o.Seed, i)
 		opt := optimal.Compute(tr)
-		oc, res, err := EvaluateTree(o, protocol.Interruptible(3), i, nil)
+		oc, res, err := NewEvaluator().EvaluateTree(o, protocol.Interruptible(3), i)
 		if err != nil {
 			t.Fatalf("EvaluateTree: %v", err)
 		}

@@ -4,16 +4,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"bwcs/internal/engine"
-	"bwcs/internal/optimal"
 	"bwcs/internal/protocol"
-	"bwcs/internal/randtree"
 	"bwcs/internal/sim"
 	"bwcs/internal/stats"
-	"bwcs/internal/tree"
-	"bwcs/internal/window"
 )
 
 // The fairness study extends the paper's evaluation to the multi-tenant
@@ -63,33 +58,27 @@ type FairnessPoint struct {
 // Within returns the fraction of outcomes (example tree included) whose
 // aggregate rate is within tol of the single-application optimal.
 func (p *FairnessPoint) Within(tol float64) float64 {
-	n, ok := 0, 0
-	for _, oc := range p.all() {
-		n++
-		if oc.RateRatio >= 1-tol && oc.RateRatio <= 1+tol {
-			ok++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
+	ok, n := p.count(func(oc FairnessOutcome) bool { return oc.RateRatio >= 1-tol && oc.RateRatio <= 1+tol })
 	return float64(ok) / float64(n)
 }
 
 // MonotoneFraction returns the fraction of outcomes whose shares are
 // monotone in weight.
 func (p *FairnessPoint) MonotoneFraction() float64 {
-	n, ok := 0, 0
+	ok, n := p.count(func(oc FairnessOutcome) bool { return oc.Monotone })
+	return float64(ok) / float64(n)
+}
+
+// count returns how many outcomes (example tree included) keep accepts,
+// and how many there are: at least one, the example tree.
+func (p *FairnessPoint) count(keep func(FairnessOutcome) bool) (ok, n int) {
 	for _, oc := range p.all() {
 		n++
-		if oc.Monotone {
+		if keep(oc) {
 			ok++
 		}
 	}
-	if n == 0 {
-		return 0
-	}
-	return float64(ok) / float64(n)
+	return ok, n
 }
 
 // MeanJain and MinJain summarize the fairness index across the
@@ -165,21 +154,17 @@ func fairnessWorkloads(n int, tasks int64) []engine.Workload {
 	return ws
 }
 
-// evaluateFairnessTree runs n tenants on tr and reduces the run to a
-// FairnessOutcome.
-func evaluateFairnessTree(o Options, tr *tree.Tree, index, n int) (FairnessOutcome, error) {
-	p := protocol.Interruptible(3)
-	res, err := engine.Run(engine.Config{
-		Tree:      tr,
-		Protocol:  p,
-		Workloads: fairnessWorkloads(n, o.Tasks),
-		Seed:      o.Seed + uint64(index+1),
-	})
-	if err != nil {
-		return FairnessOutcome{}, fmt.Errorf("fairness tree %d, %d apps: %w", index, n, err)
-	}
-	opt := optimal.Compute(tr)
-	out := FairnessOutcome{Index: index, Apps: n}
+// fairnessConfig makes cfg run n tenants sharing o.Tasks.
+func fairnessConfig(o Options, n int, cfg *engine.Config) {
+	cfg.Tasks, cfg.Workloads = 0, fairnessWorkloads(n, o.Tasks)
+}
+
+// fairnessOutcome reduces ev's last run, n tenants on its loaded tree,
+// to a FairnessOutcome; oc is that run's outcome, whose onset verdict
+// judged the merged stream.
+func fairnessOutcome(n int, oc TreeOutcome, ev *Evaluator) FairnessOutcome {
+	res := ev.res
+	out := FairnessOutcome{Index: oc.Index, Apps: n, Reached: oc.Reached}
 
 	// Aggregate rate over the central 60% of the merged stream (clear of
 	// ramp-up and drain), against the single-application optimal.
@@ -188,13 +173,8 @@ func evaluateFairnessTree(o Options, tr *tree.Tree, index, n int) (FairnessOutco
 	lo, hi := comps[m/5], comps[m*4/5]
 	if hi > lo {
 		rate := float64(countBetween(comps, lo, hi)) / float64(hi-lo)
-		out.RateRatio = rate * opt.TreeWeight.Float64()
+		out.RateRatio = rate * ev.weight.Float64()
 	}
-	series, err := window.New(comps, opt.TreeWeight)
-	if err != nil {
-		return FairnessOutcome{}, fmt.Errorf("fairness tree %d, %d apps: %w", index, n, err)
-	}
-	_, out.Reached = series.Onset(o.Threshold)
 
 	// Per-tenant shares over the same window; fall back to the full run
 	// when the window is degenerate (tiny trees).
@@ -223,7 +203,7 @@ func evaluateFairnessTree(o Options, tr *tree.Tree, index, n int) (FairnessOutco
 		}
 	}
 	out.Jain = stats.Jain(norm)
-	return out, nil
+	return out
 }
 
 // countBetween counts completion times in (lo, hi]; completions are
@@ -234,46 +214,36 @@ func countBetween(ts []sim.Time, lo, hi sim.Time) int {
 	return b - a
 }
 
-// Fairness runs the multi-tenant fairness study: tenant counts 2..8,
-// each over the Figure 1 tree plus o.Trees random trees.
+// Fairness runs the multi-tenant fairness study: tenant counts 2..8, one
+// IC(3) column each, over the Figure 1 tree and one sweep of o.Trees
+// random trees whose config edit gives each column its tenants.
 func Fairness(o Options) (*FairnessResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	counts := make([]int, 0, fairnessMaxApps-1)
+	r := &FairnessResult{Options: o}
+	var protos []protocol.Protocol
+	ex := NewEvaluator()
+	ex.use(ExampleTree(), -1)
 	for n := 2; n <= fairnessMaxApps; n++ {
-		counts = append(counts, n)
-	}
-	r := &FairnessResult{Options: o, Points: make([]FairnessPoint, len(counts))}
-	for ci, n := range counts {
-		pt := FairnessPoint{Apps: n, Outcomes: make([]FairnessOutcome, o.Trees)}
-		ex, err := evaluateFairnessTree(o, ExampleTree(), -1, n)
+		protos = append(protos, protocol.Interruptible(3))
+		cfg := ex.config(o, protos[n-2])
+		fairnessConfig(o, n, &cfg)
+		oc, err := ex.run(o, cfg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fairness, %d apps: %w", n, err)
 		}
-		pt.Example = ex
-		var (
-			mu   sync.Mutex
-			done int
-		)
-		if err := parallelFor(o.Trees, o.workers(), func(_, i int) error {
-			tr := randtree.TreeAt(o.Params, o.Seed, i)
-			oc, err := evaluateFairnessTree(o, tr, i, n)
-			if err != nil {
-				return err
-			}
-			pt.Outcomes[i] = oc
-			if o.Progress != nil {
-				mu.Lock()
-				done++
-				o.Progress(ci*o.Trees+done, len(counts)*o.Trees)
-				mu.Unlock()
-			}
+		r.Points = append(r.Points, FairnessPoint{Apps: n, Example: fairnessOutcome(n, oc, ex), Outcomes: make([]FairnessOutcome, o.Trees)})
+	}
+	if _, err := (sweep{
+		protos: protos,
+		edit:   func(col, _ int, cfg *engine.Config) { fairnessConfig(o, col+2, cfg) },
+		measure: func(col int, oc TreeOutcome, ev *Evaluator) error {
+			r.Points[col].Outcomes[oc.Index] = fairnessOutcome(col+2, oc, ev)
 			return nil
-		}); err != nil {
-			return nil, err
-		}
-		r.Points[ci] = pt
+		},
+	}).run(o); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -287,15 +257,10 @@ func (r *FairnessResult) Render(w io.Writer) error {
 		"N", "agg<=5%off", "min ratio", "reached", "monotone", "mean Jain", "min Jain")
 	for i := range r.Points {
 		p := &r.Points[i]
-		reached := 0
-		for _, oc := range p.all() {
-			if oc.Reached {
-				reached++
-			}
-		}
+		reached, n := p.count(func(oc FairnessOutcome) bool { return oc.Reached })
 		fmt.Fprintf(w, "%4d %11.1f%% %10.4f %9.1f%% %9.1f%% %10.4f %10.4f\n",
 			p.Apps, 100*p.Within(0.05), p.MinRatio(),
-			100*float64(reached)/float64(len(p.all())),
+			100*float64(reached)/float64(n),
 			100*p.MonotoneFraction(), p.MeanJain(), p.MinJain())
 	}
 	fmt.Fprintf(w, "\nFigure 1 tree, measured mid-run shares (weights 1..N; ideal share of tenant i is i/ΣW):\n")

@@ -51,11 +51,11 @@ func Fig3(o Options) (*Fig3Result, error) {
 	// invalidates it, and an exemplar keeps the tree's index, not the tree.
 	eval := NewEvaluator()
 	for i := 0; i < o.Trees && (spiky == nil || below == nil || reached == nil); i++ {
-		oc, _, err := eval.EvaluateTree(o, proto, i, nil)
+		oc, _, err := eval.EvaluateTree(o, proto, i)
 		if err != nil {
 			return nil, err
 		}
-		series := eval.Series()
+		series := eval.series
 		earlySpike := false
 		for x := 1; x <= earlyCut && x <= series.Windows(); x++ {
 			if series.AboveOptimal(x) {

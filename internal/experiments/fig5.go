@@ -24,21 +24,13 @@ type Fig5Result struct {
 	Classes []Fig5Class
 }
 
-// Fig5Protocols returns the two protocols Figure 5 compares.
-func Fig5Protocols() []protocol.Protocol {
-	return []protocol.Protocol{
-		protocol.NonInterruptible(1),
-		protocol.Interruptible(3),
-	}
-}
-
-// Fig5 runs the sweep over the four x classes.
+// Fig5 runs one sweep of non-IC IB=1 and IC FB=3 per x class.
 func Fig5(o Options) (*Fig5Result, error) {
 	out := &Fig5Result{Options: o}
 	for _, x := range CompClasses {
 		co := o
 		co.Params = o.Params.WithComp(x)
-		pops, err := RunPopulation(co, Fig5Protocols())
+		pops, err := RunPopulation(co, []protocol.Protocol{protocol.NonInterruptible(1), protocol.Interruptible(3)})
 		if err != nil {
 			return nil, fmt.Errorf("fig5 x=%d: %w", x, err)
 		}

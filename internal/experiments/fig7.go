@@ -10,7 +10,6 @@ import (
 	"bwcs/internal/rational"
 	"bwcs/internal/sim"
 	"bwcs/internal/textplot"
-	"bwcs/internal/tree"
 )
 
 // Fig7Scenario is one curve of the paper's Figure 7: a run on the
@@ -44,71 +43,83 @@ type Fig7Result struct {
 // Fig7 runs the adaptability experiment. tasks and mutateAt default to the
 // paper's 1000 and 200 when zero.
 func Fig7(tasks, mutateAt int64) (*Fig7Result, error) {
+	s, err := newFigure1Scenario("fig7", tasks, mutateAt, 1000, 0)
+	if err != nil {
+		return nil, err
+	}
+	out := &Fig7Result{Tasks: s.tasks, MutateAt: s.mutateAt}
+	for _, sc := range []struct {
+		name string
+		mut  []engine.Mutation
+	}{
+		{name: "c1=1, w1=3 (baseline)"},
+		{"at 200 tasks, c1=3", []engine.Mutation{{AfterTasks: s.mutateAt, Node: P1, C: 3}}},
+		{"at 200 tasks, w1=1", []engine.Mutation{{AfterTasks: s.mutateAt, Node: P1, W: 1}}},
+	} {
+		run, _, err := s.run(sc.name, protocol.NonInterruptibleFixed(2), sc.mut...)
+		if err != nil {
+			return nil, err
+		}
+		out.Scenarios = append(out.Scenarios, run)
+	}
+	return out, nil
+}
+
+// figure1Scenario is the adaptability set-up Figure 7 and Reconverge
+// share: an application of tasks tasks on the Figure 1 platform, with
+// mutations after mutateAt completions, and the engine's timeline
+// sampled every sampleEvery timesteps (never when zero).
+type figure1Scenario struct {
+	exp             string // experiment id, for errors
+	tasks, mutateAt int64
+	sampleEvery     sim.Time
+}
+
+// newFigure1Scenario fills in the defaults — defTasks tasks, mutations
+// after 200 — and rejects a mutation point the run never reaches.
+func newFigure1Scenario(exp string, tasks, mutateAt, defTasks int64, sampleEvery sim.Time) (figure1Scenario, error) {
 	if tasks == 0 {
-		tasks = 1000
+		tasks = defTasks
 	}
 	if mutateAt == 0 {
 		mutateAt = 200
 	}
 	if mutateAt >= tasks {
-		return nil, fmt.Errorf("fig7: mutation at %d but only %d tasks", mutateAt, tasks)
+		return figure1Scenario{}, fmt.Errorf("%s: mutation at %d but only %d tasks", exp, mutateAt, tasks)
 	}
-	proto := protocol.NonInterruptibleFixed(2)
+	return figure1Scenario{exp, tasks, mutateAt, sampleEvery}, nil
+}
 
-	type scenario struct {
-		name string
-		mut  []engine.Mutation
-		alt  func(*tree.Tree) // applies the mutation to a copy for the optimal rate
+// run runs p on the scenario, applying muts mid-run, and returns the
+// run's Figure 7 curve and its engine result.
+func (s figure1Scenario) run(name string, p protocol.Protocol, muts ...engine.Mutation) (Fig7Scenario, *engine.Result, error) {
+	before, after := ExampleTree(), ExampleTree()
+	for _, m := range muts {
+		m.Apply(after)
 	}
-	scenarios := []scenario{
-		{name: "c1=1, w1=3 (baseline)"},
-		{
-			name: "at 200 tasks, c1=3",
-			mut:  []engine.Mutation{{AfterTasks: mutateAt, Node: P1, C: 3}},
-			alt:  func(t *tree.Tree) { t.SetC(P1, 3) },
-		},
-		{
-			name: "at 200 tasks, w1=1",
-			mut:  []engine.Mutation{{AfterTasks: mutateAt, Node: P1, W: 1}},
-			alt:  func(t *tree.Tree) { t.SetW(P1, 1) },
-		},
+	res, err := engine.Run(engine.Config{
+		Tree:        before,
+		Protocol:    p,
+		Tasks:       s.tasks,
+		Mutations:   muts,
+		SampleEvery: s.sampleEvery,
+	})
+	if err != nil {
+		return Fig7Scenario{}, nil, fmt.Errorf("%s %q: %w", s.exp, name, err)
 	}
-
-	out := &Fig7Result{Tasks: tasks, MutateAt: mutateAt}
-	base := ExampleTree()
-	optBefore := optimal.Weight(base).Inv()
-	for _, sc := range scenarios {
-		res, err := engine.Run(engine.Config{
-			Tree:      ExampleTree(),
-			Protocol:  proto,
-			Tasks:     tasks,
-			Mutations: sc.mut,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig7 %q: %w", sc.name, err)
-		}
-		after := optBefore
-		if sc.alt != nil {
-			mutated := ExampleTree()
-			sc.alt(mutated)
-			after = optimal.Weight(mutated).Inv()
-		}
-		s := Fig7Scenario{
-			Name:          sc.name,
-			Completions:   res.Completions,
-			OptimalBefore: optBefore,
-			OptimalAfter:  after,
-		}
-		// Measured tail rate: tasks completed per time between the
-		// mutation point (plus slack for re-adaptation) and the end.
-		from := mutateAt + (tasks-mutateAt)/4
-		dt := res.Completions[tasks-1] - res.Completions[from-1]
-		if dt > 0 {
-			s.TailRate = float64(tasks-from) / float64(dt)
-		}
-		out.Scenarios = append(out.Scenarios, s)
+	out := Fig7Scenario{
+		Name:          name,
+		Completions:   res.Completions,
+		OptimalBefore: optimal.Weight(before).Inv(),
+		OptimalAfter:  optimal.Weight(after).Inv(),
 	}
-	return out, nil
+	// Tasks completed per time between the mutation point (plus slack
+	// for re-adaptation) and the end.
+	from := s.mutateAt + (s.tasks-s.mutateAt)/4
+	if dt := res.Completions[s.tasks-1] - res.Completions[from-1]; dt > 0 {
+		out.TailRate = float64(s.tasks-from) / float64(dt)
+	}
+	return out, res, nil
 }
 
 // Render writes the Figure 7 report: the cumulative-completion chart and a

@@ -27,7 +27,7 @@ func TestHotPathAllocsPinnedSweep(t *testing.T) {
 		for i := 0; i < trees; i++ {
 			ev.load(o, i)
 			for _, p := range protos {
-				if _, _, err := ev.run(o, p, nil); err != nil {
+				if _, err := ev.run(o, ev.config(o, p)); err != nil {
 					t.Fatal(err)
 				}
 			}

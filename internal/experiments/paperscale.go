@@ -51,21 +51,21 @@ func (r *PaperScaleResult) Render(w io.Writer) error {
 	return nil
 }
 
-// PaperScaleJSON is the machine-readable paper-scale artifact the CI job
+// paperScaleJSON is the machine-readable paper-scale artifact the CI job
 // uploads.
-type PaperScaleJSON struct {
+type paperScaleJSON struct {
 	Schema     string            `json:"schema"`
 	Trees      int               `json:"trees"`
 	Tasks      int64             `json:"tasks"`
 	Threshold  int               `json:"threshold"`
 	Seed       uint64            `json:"seed"`
 	ElapsedSec float64           `json:"elapsed_sec"`
-	Protocols  []PaperScaleProto `json:"protocols"`
-	Table1     PaperScaleTable1  `json:"table1"`
+	Protocols  []paperScaleProto `json:"protocols"`
+	Table1     paperScaleTable1  `json:"table1"`
 }
 
-// PaperScaleProto is one protocol's aggregate in the JSON artifact.
-type PaperScaleProto struct {
+// paperScaleProto is one protocol's aggregate in the JSON artifact.
+type paperScaleProto struct {
 	Label           string    `json:"label"`
 	ReachedFraction float64   `json:"reached_fraction"`
 	MedianOnset     int64     `json:"median_onset"`
@@ -75,24 +75,24 @@ type PaperScaleProto struct {
 	CDFY            []float64 `json:"cdf_y"`
 }
 
-// PaperScaleTable1 mirrors Table1Result for the artifact.
-type PaperScaleTable1 struct {
+// paperScaleTable1 mirrors Table1Result for the artifact.
+type paperScaleTable1 struct {
 	Buckets []int64   `json:"buckets"`
 	NonIC   []float64 `json:"non_ic"`
 	IC      []float64 `json:"ic"`
 }
 
 // JSON reduces the result to its artifact form.
-func (r *PaperScaleResult) JSON() PaperScaleJSON {
+func (r *PaperScaleResult) JSON() paperScaleJSON {
 	o := r.Fig4.Options
-	out := PaperScaleJSON{
+	out := paperScaleJSON{
 		Schema:     "bwcs-paperscale/v1",
 		Trees:      o.Trees,
 		Tasks:      o.Tasks,
 		Threshold:  o.Threshold,
 		Seed:       o.Seed,
 		ElapsedSec: r.Elapsed.Seconds(),
-		Table1: PaperScaleTable1{
+		Table1: paperScaleTable1{
 			Buckets: Table1Buckets,
 			NonIC:   r.Table1.NonIC,
 			IC:      r.Table1.IC,
@@ -101,7 +101,7 @@ func (r *PaperScaleResult) JSON() PaperScaleJSON {
 	xs := gridInt64(int(o.Tasks)/2, 60)
 	for i := range r.Fig4.Populations {
 		p := &r.Fig4.Populations[i]
-		out.Protocols = append(out.Protocols, PaperScaleProto{
+		out.Protocols = append(out.Protocols, paperScaleProto{
 			Label:           p.Protocol.Label,
 			ReachedFraction: p.Agg.ReachedFraction(),
 			MedianOnset:     p.Agg.MedianOnset(),

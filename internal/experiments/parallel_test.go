@@ -201,7 +201,7 @@ func TestTreeMajorIndependentOfWorkers(t *testing.T) {
 			ref = pops
 			for pi, p := range protos {
 				for i, got := range pops[pi].Outcomes {
-					want, _, err := EvaluateTree(o, p, i, nil)
+					want, _, err := NewEvaluator().EvaluateTree(o, p, i)
 					if err != nil {
 						t.Fatal(err)
 					}

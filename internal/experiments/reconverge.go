@@ -6,13 +6,10 @@ import (
 
 	"bwcs/internal/engine"
 	"bwcs/internal/metrics"
-	"bwcs/internal/optimal"
 	"bwcs/internal/protocol"
 	"bwcs/internal/rational"
 	"bwcs/internal/sim"
-	"bwcs/internal/stats"
 	"bwcs/internal/textplot"
-	"bwcs/internal/tree"
 )
 
 // TimelineSchemaV1 identifies the timeline JSON artifact emitted by
@@ -64,20 +61,15 @@ type ReconvergeResult struct {
 // Reconverge runs the re-convergence experiment over the autonomous
 // protocols. tasks and mutateAt default to 2000 and 200 when zero.
 func Reconverge(tasks, mutateAt int64) (*ReconvergeResult, error) {
-	if tasks == 0 {
-		tasks = 2000
-	}
-	if mutateAt == 0 {
-		mutateAt = 200
-	}
-	if mutateAt >= tasks {
-		return nil, fmt.Errorf("reconverge: mutation at %d but only %d tasks", mutateAt, tasks)
-	}
 	const (
 		sampleEvery = sim.Time(64)
 		eps         = 0.05
 		window      = 8
 	)
+	s, err := newFigure1Scenario("reconverge", tasks, mutateAt, 2000, sampleEvery)
+	if err != nil {
+		return nil, err
+	}
 	protocols := []struct {
 		name  string
 		proto protocol.Protocol
@@ -87,75 +79,31 @@ func Reconverge(tasks, mutateAt int64) (*ReconvergeResult, error) {
 		{"non-intr IB=1", protocol.NonInterruptible(1)},
 		{"non-intr FB=2", protocol.NonInterruptibleFixed(2)},
 	}
-	mut := []engine.Mutation{{AfterTasks: mutateAt, Node: P1, C: 3}}
-	alt := func(t *tree.Tree) { t.SetC(P1, 3) }
-
-	optBefore := optimal.Weight(ExampleTree()).Inv()
-	mutated := ExampleTree()
-	alt(mutated)
-	optAfter := optimal.Weight(mutated).Inv()
-
 	out := &ReconvergeResult{
-		Tasks: tasks, MutateAt: mutateAt,
+		Tasks: s.tasks, MutateAt: s.mutateAt,
 		SampleEvery: sampleEvery, Eps: eps, Window: window,
 	}
 	for _, p := range protocols {
-		res, err := engine.Run(engine.Config{
-			Tree:        ExampleTree(),
-			Protocol:    p.proto,
-			Tasks:       tasks,
-			Mutations:   mut,
-			SampleEvery: sampleEvery,
-		})
+		run, res, err := s.run(p.name, p.proto, engine.Mutation{AfterTasks: s.mutateAt, Node: P1, C: 3})
 		if err != nil {
-			return nil, fmt.Errorf("reconverge %q: %w", p.name, err)
+			return nil, err
 		}
 		sc := ReconvergeScenario{
 			Name:          p.name,
 			Protocol:      fmt.Sprint(p.proto),
-			OptimalBefore: optBefore,
-			OptimalAfter:  optAfter,
-			MutateTime:    res.Completions[mutateAt-1],
+			OptimalBefore: run.OptimalBefore,
+			OptimalAfter:  run.OptimalAfter,
+			MutateTime:    res.Completions[s.mutateAt-1],
 			Makespan:      res.Makespan,
+			TailRate:      run.TailRate,
 		}
 		if rate := res.Timeline.Find("rate"); rate != nil {
 			sc.Rate = *rate
-			// The steady-state regime ends when the root pool empties:
-			// from there the rate ramps down as buffers drain, which is
-			// depletion, not instability. Convergence is judged over the
-			// window (mutation, pool-exhaustion] only — pre-mutation
-			// samples would count the old steady state as an excursion,
-			// drain samples would drag the trailing mean to zero.
-			drainT := int64(res.Makespan) + 1
-			if pool := res.Timeline.Find("pool_depth"); pool != nil {
-				for _, pt := range pool.Points {
-					// Below 1 rather than 0: ring merges can average the
-					// final pool-empty reading with its predecessor. The
-					// interval ending at this sample straddles
-					// exhaustion, so cut strictly before it.
-					if pt.V < 1 {
-						drainT = pt.T
-						break
-					}
-				}
-			}
-			var times []int64
-			var values []float64
-			for _, pt := range rate.Points {
-				if pt.T > int64(sc.MutateTime) && pt.T < drainT {
-					times = append(times, pt.T)
-					values = append(values, pt.V)
-				}
-			}
-			if at, ok := stats.Converge(times, values, eps, window); ok {
-				sc.Converged = true
-				sc.ConvergedAt = sim.Time(at)
-				sc.TimeToReconverge = sc.ConvergedAt - sc.MutateTime
-			}
 		}
-		from := mutateAt + (tasks-mutateAt)/4
-		if dt := res.Completions[tasks-1] - res.Completions[from-1]; dt > 0 {
-			sc.TailRate = float64(tasks-from) / float64(dt)
+		// Judged after the mutation only: pre-mutation samples would count
+		// the old steady state as an excursion.
+		if at, ok := res.Timeline.Converged(sc.MutateTime, eps, window); ok {
+			sc.Converged, sc.ConvergedAt, sc.TimeToReconverge = true, at, at-sc.MutateTime
 		}
 		out.Scenarios = append(out.Scenarios, sc)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"bwcs/internal/engine"
 	"bwcs/internal/protocol"
 	"bwcs/internal/stats"
 )
@@ -109,8 +110,9 @@ type Table2Result struct {
 // Table 2.
 var CompClasses = []int64{500, 1000, 5000, 10000}
 
-// Table2 runs the sweep. The task count comes from o.Tasks, which should
-// be at least the last checkpoint (the paper uses 4000).
+// Table2 runs one sweep per class: non-IC IB=1 with the checkpoints that
+// fit in o.Tasks, which should be at least the last one (the paper uses
+// 4000).
 func Table2(o Options) (*Table2Result, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -124,7 +126,6 @@ func Table2(o Options) (*Table2Result, error) {
 	if len(checkpoints) == 0 {
 		return nil, fmt.Errorf("table2: task count %d below first checkpoint %d", o.Tasks, Table2Checkpoints[0])
 	}
-	proto := protocol.NonInterruptible(1)
 	out := &Table2Result{Options: o}
 	for _, x := range CompClasses {
 		co := o
@@ -133,27 +134,20 @@ func Table2(o Options) (*Table2Result, error) {
 		for i := range maxAt {
 			maxAt[i] = make([]int64, co.Trees)
 		}
-		finalMax := make([]int64, co.Trees)
-		evals := make([]*Evaluator, co.workers())
-		for i := range evals {
-			evals[i] = NewEvaluator()
-		}
-		if err := parallelFor(co.Trees, co.workers(), func(worker, i int) error {
-			// res and its tree are the worker's until its next call;
-			// only integers leave this function.
-			_, res, err := evals[worker].EvaluateTree(co, proto, i, checkpoints)
-			if err != nil {
-				return err
-			}
-			for ci, ck := range res.Checkpoints {
-				maxAt[ci][i] = ck.MaxNodeUsed
-			}
-			finalMax[i] = res.MaxNodeUsed()
-			return nil
-		}); err != nil {
+		pops, err := sweep{
+			protos: []protocol.Protocol{protocol.NonInterruptible(1)},
+			edit:   func(_, _ int, cfg *engine.Config) { cfg.Checkpoints = checkpoints },
+			measure: func(_ int, oc TreeOutcome, ev *Evaluator) error {
+				for ci, ck := range ev.res.Checkpoints {
+					maxAt[ci][oc.Index] = ck.MaxNodeUsed
+				}
+				return nil
+			},
+		}.run(co)
+		if err != nil {
 			return nil, err
 		}
-		cls := Table2Class{X: x, Max: stats.Max(finalMax)}
+		cls := Table2Class{X: x, Max: pops[0].Agg.MaxNodeUsedMax}
 		for ci := range checkpoints {
 			cls.MedianAt = append(cls.MedianAt, stats.Median(maxAt[ci]))
 		}
