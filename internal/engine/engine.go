@@ -1,6 +1,7 @@
 // Package engine executes an independent-task application on a platform
-// tree under an autonomous scheduling protocol, using the discrete-event
-// kernel in package sim.
+// tree under an autonomous scheduling protocol: it is the discrete-event
+// driver of the per-node protocol core (protocol.Node), on the kernel in
+// package sim.
 //
 // # Model
 //
@@ -10,24 +11,14 @@
 // task pool. Control traffic (a child's request for a task) is free, as in
 // the paper.
 //
-// Task flow is request-driven. A node's buffer frees at the start of a
-// local computation or of a downstream send, and each freed buffer
-// immediately sends one request up (Section 3.1). The parent matches a
-// request with a send when its port frees — or immediately, preempting a
-// lower-priority send, under the interruptible protocol (Section 3.2). A
-// preempted send is shelved with its remaining time and resumes when its
-// child again has the highest priority among actionable work.
-//
-// Under the non-interruptible protocol nodes may grow buffers on exactly
-// the paper's three events:
-//
-//	G1: the node's buffers all become empty while a child request is
-//	    outstanding;
-//	G2: a send completes while a child request is outstanding and the
-//	    node's buffers are all empty;
-//	G3: a computation completes and the node's buffers are all empty.
-//
-// Each growth adds one buffer and sends one request up.
+// Each node's core decides — which child its send port serves, when a
+// send is shelved or resumes, when a freed buffer requests and when the
+// non-interruptible protocol grows one (G1–G3); see package protocol. The
+// engine turns those decisions into timed events: a send completes c_i
+// timesteps after it starts (a shelved one keeps its remaining time), a
+// computation w_i after. It adds what a simulation needs around the core:
+// mutations, attachments and departures, multi-application tagging,
+// tracing and timeline telemetry.
 //
 // # Determinism
 //
@@ -60,8 +51,6 @@ const (
 	// only); it re-schedules itself until the last task completes.
 	evSample
 )
-
-const noChild int32 = -1
 
 // Mutation changes a node or edge weight once a given number of tasks have
 // completed. The paper's adaptability experiment (Figure 7) raises c1 from
@@ -369,64 +358,40 @@ func (r *Result) TotalBuffers() int64 {
 	return sum
 }
 
-// shelf is a preempted transfer toward a node, kept in that node's own
-// state (a child has at most one transfer in flight or shelved):
-// remaining send time, plus the request-arrival time that FCFS ordering
-// uses and the application tag of the task in flight.
+// shelf is what the driver keeps of a transfer shelved toward a node (a
+// child has at most one transfer in flight or shelved): its remaining send
+// time and the application tag of its task. The core keeps the rest.
 type shelf struct {
 	remaining sim.Time
-	since     sim.Time
 	app       int32
 }
 
-// nodeState is the runtime state of one platform node.
+// nodeState is the runtime state of one platform node: its protocol core
+// and what the discrete-event driver adds to it.
 type nodeState struct {
+	// core is the node's protocol: buffers, ports and one slot per child,
+	// the children in tree order under FCFS, RoundRobin and Random and in
+	// priority order — ascending c (BandwidthCentric) or w
+	// (ComputeCentric), ties by ID — under the two orders whose key is
+	// static. sortChildren restores that order wherever a key or the list
+	// changes: initNodes and Mutations.
+	core protocol.Node
+
 	// w, c and parent mirror the tree (Mutations update both), so the
-	// event path never calls into package tree.
+	// event path never calls into package tree. slot is this node's
+	// position in its parent's core.Slots; -1 once it has departed.
 	w, c   int64
 	parent int32
+	slot   int32
 
-	// children lists the live children: in tree order under FCFS,
-	// RoundRobin and Random, and in priority order — ascending c
-	// (BandwidthCentric) or w (ComputeCentric), ties by ID — under the
-	// two orders whose key is static. sortChildren restores that order
-	// wherever a key or the list changes: initNodes and Mutations.
-	children []int32
-
-	capacity    int64 // current buffer count
-	maxCapacity int64 // high-water of capacity
-	occupied    int64 // tasks sitting in buffers
-	maxOccupied int64 // high-water of occupied
-
-	// reqPending is the number of this node's requests outstanding at its
-	// parent; reqSince is when the oldest of them was sent (for FCFS).
-	reqPending int64
-	reqSince   sim.Time
-
-	// incoming is true while a transfer to this node is in flight or
-	// shelved at the parent; the receiving buffer is reserved.
-	incoming bool
-
-	computing bool
-	sending   int32 // child currently being sent to, or noChild
-	sendEv    *sim.Event
-	sendSince sim.Time // request time backing the current send (FCFS)
-	shelves   int      // children with a shelved transfer
-
-	// shelved is true while a preempted transfer toward this node waits
-	// at its parent, described by shelf.
-	shelved bool
-	shelf   shelf
-
-	// childReqCount counts children with reqPending > 0, so growth checks
-	// are O(1).
-	childReqCount int
-	rrNext        int // round-robin cursor into children
-
+	sendEv    *sim.Event // the send in flight, for preemption and departure
 	computeEv *sim.Event // pending compute completion, for cancellation
 
+	// shelf describes a transfer toward this node shelved at its parent.
+	shelf shelf
+
 	// Multi-application tagging (nil / unused in single-application
-	// runs): occApp[a] is how many of the occupied tasks belong to
+	// runs): occApp[a] is how many of the buffered tasks belong to
 	// application a, appCredit the node's weighted round-robin state, and
 	// computingApp / sendingApp tag the tasks on the compute port and in
 	// flight at the send port.
@@ -434,11 +399,6 @@ type nodeState struct {
 	appCredit    []int64
 	computingApp int32
 	sendingApp   int32
-
-	// Decay bookkeeping: decayStreak counts completions since the buffers
-	// last ran empty; pendingDecay buffers will be retired as they free.
-	decayStreak  int64
-	pendingDecay int64
 
 	departed bool
 
@@ -456,7 +416,6 @@ type engine struct {
 	trace Tracer
 	met   Metrics
 
-	pool        int64 // undispatched tasks at the root
 	requeued    int64
 	skippedMut  int
 	completed   int64
@@ -548,7 +507,6 @@ func (e *engine) reset(cfg Config) {
 		completions: e.completions[:0],
 		checkpoints: e.checkpoints[:0],
 		statsBuf:    e.statsBuf,
-		pool:        cfg.Tasks,
 		totalTasks:  cfg.Tasks,
 		trace:       cfg.Tracer,
 	}
@@ -564,9 +522,10 @@ func (e *engine) run(cfg Config) (*Result, error) {
 		e.src = rand.NewPCG(cfg.Seed, 0xda3e39cb94b95bdb)
 		e.rng = rand.New(e.src)
 	}
+	pool := cfg.Tasks // undispatched tasks at the root: its core's buffers
 	if len(cfg.Workloads) > 0 {
 		e.multi = true
-		e.pool = 0
+		pool = 0
 		e.totalTasks = 0
 		e.pools = make([]int64, len(cfg.Workloads))
 		e.appWeights = make([]int64, len(cfg.Workloads))
@@ -578,7 +537,7 @@ func (e *engine) run(cfg Config) (*Result, error) {
 			e.appCompletions[a] = make([]sim.Time, 0, w.Tasks)
 			if w.Release <= 0 {
 				e.pools[a] = w.Tasks
-				e.pool += w.Tasks
+				pool += w.Tasks
 			}
 		}
 	}
@@ -587,6 +546,7 @@ func (e *engine) run(cfg Config) (*Result, error) {
 	}
 
 	e.initNodes(0)
+	e.nodes[0].core.Refill(pool)
 	if cfg.SampleEvery > 0 {
 		// Before the t=0 scheduling pass, so the very first sends are
 		// stamped for utilization accounting.
@@ -647,17 +607,15 @@ func (e *engine) run(cfg Config) (*Result, error) {
 		}
 	}
 	for i := range e.nodes {
+		core := &e.nodes[i].core
 		res.Nodes[i] = e.nodes[i].stat
-		res.Nodes[i].Buffers = e.nodes[i].capacity
-		res.Nodes[i].MaxCapacity = e.nodes[i].maxCapacity
-		res.Nodes[i].MaxQueued = e.nodes[i].maxOccupied
+		res.Nodes[i].Buffers = core.Capacity
+		res.Nodes[i].MaxCapacity = core.MaxCapacity
+		res.Nodes[i].MaxQueued = core.MaxOccupied
+		res.Nodes[i].MaxShelved = core.MaxShelved
 		res.Nodes[i].Departed = e.nodes[i].departed
-		if e.nodes[i].stat.MaxShelved > e.met.PeakShelved {
-			e.met.PeakShelved = e.nodes[i].stat.MaxShelved
-		}
-		if e.nodes[i].maxOccupied > e.met.PeakOccupied {
-			e.met.PeakOccupied = e.nodes[i].maxOccupied
-		}
+		e.met.PeakShelved = max(e.met.PeakShelved, core.MaxShelved)
+		e.met.PeakOccupied = max(e.met.PeakOccupied, core.MaxOccupied)
 	}
 	e.met.Events = e.s.Steps()
 	e.met.PeakPending = e.s.PeakPending()
@@ -719,23 +677,21 @@ func (e *engine) initNodes(from int) {
 		e.nodes = e.nodes[:n]
 	}
 	for id := from; id < n; id++ {
-		kids := e.t.Children(tree.NodeID(id))
 		ns := &e.nodes[id]
-		// Recycle the element's child backing array across runs (a Runner
-		// keeps the nodes table; fresh elements start nil).
-		children := ns.children[:0]
+		// Recycle the element's slot storage across runs (a Runner keeps
+		// the nodes table; fresh elements start nil).
+		slots := ns.core.Slots
 		*ns = nodeState{
-			w:           e.t.W(tree.NodeID(id)),
-			c:           e.t.C(tree.NodeID(id)),
-			parent:      int32(e.t.Parent(tree.NodeID(id))),
-			capacity:    int64(e.cfg.Protocol.InitialBuffers),
-			maxCapacity: int64(e.cfg.Protocol.InitialBuffers),
-			sending:     noChild,
+			w:      e.t.W(tree.NodeID(id)),
+			c:      e.t.C(tree.NodeID(id)),
+			parent: int32(e.t.Parent(tree.NodeID(id))),
+			slot:   -1,
 		}
-		for _, k := range kids {
-			children = append(children, int32(k))
+		ns.core.Slots = slots
+		ns.core.Reset(e.cfg.Protocol, id == 0)
+		for _, k := range e.t.Children(tree.NodeID(id)) {
+			ns.core.Slots = append(ns.core.Slots, protocol.Slot{Child: int32(k), Key: e.key(k)})
 		}
-		ns.children = children
 		if e.multi {
 			ns.occApp = make([]int64, len(e.cfg.Workloads))
 			ns.appCredit = make([]int64, len(e.cfg.Workloads))
@@ -743,33 +699,58 @@ func (e *engine) initNodes(from int) {
 			ns.computingApp = -1
 		}
 	}
-	// Parents of newly attached nodes gain children; refresh child lists
-	// for all pre-existing nodes too (cheap relative to a run).
+	// Parents of newly attached nodes gain children; re-list them for all
+	// pre-existing nodes too (cheap relative to a run), keeping each listed
+	// child's slot. A child that departed is listed again, down.
 	for id := 0; id < from; id++ {
 		kids := e.t.Children(tree.NodeID(id))
-		if len(kids) != len(e.nodes[id].children) {
-			children := make([]int32, len(kids))
-			for i, k := range kids {
-				children[i] = int32(k)
-			}
-			e.nodes[id].children = children
-			e.sortChildren(int32(id))
+		core := &e.nodes[id].core
+		if len(kids) == len(core.Slots) {
+			continue
 		}
+		slots := make([]protocol.Slot, len(kids))
+		for i, k := range kids {
+			ks := &e.nodes[k]
+			if ks.slot >= 0 { // listed here before; new and departed children have no slot
+				slots[i] = core.Slots[ks.slot]
+			} else {
+				slots[i] = protocol.Slot{Child: int32(k), Key: e.key(k), Down: ks.departed}
+			}
+		}
+		core.Relist(slots)
+		e.sortChildren(int32(id))
 	}
-	// Once every new node's key is in the table.
+	// Once every new node is in the table.
 	for id := from; id < n; id++ {
 		e.sortChildren(int32(id))
 	}
 }
 
-// sortChildren puts node n's child list in priority order when the
-// protocol's order has a static key; the other orders keep tree order.
+// key is child c's priority key under the protocol's static orders: its
+// link's c (BandwidthCentric) or its w (ComputeCentric).
+func (e *engine) key(c tree.NodeID) int64 {
+	switch e.cfg.Protocol.Order {
+	case protocol.BandwidthCentric:
+		return e.t.C(c)
+	case protocol.ComputeCentric:
+		return e.t.W(c)
+	}
+	return 0
+}
+
+// sortChildren puts node n's slots in priority order when the protocol's
+// order has a static key (the other orders keep tree order), and tells
+// each child where its slot is.
 func (e *engine) sortChildren(n int32) {
+	core := &e.nodes[n].core
 	switch e.cfg.Protocol.Order {
 	case protocol.BandwidthCentric, protocol.ComputeCentric:
-		slices.SortFunc(e.nodes[n].children, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(e.priorityKey(a, 0), e.priorityKey(b, 0)), cmp.Compare(a, b))
+		core.Sort(func(a, b protocol.Slot) int {
+			return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Child, b.Child))
 		})
+	}
+	for i := range core.Slots {
+		e.nodes[core.Slots[i].Child].slot = int32(i)
 	}
 }
 
@@ -789,58 +770,29 @@ func (e *engine) Handle(ev *sim.Event) {
 	}
 }
 
-// hasTask reports whether node n holds a task it could compute or send.
-func (e *engine) hasTask(n int32) bool {
-	if n == 0 {
-		return e.pool > 0
-	}
-	return e.nodes[n].occupied > 0
-}
-
-// takeTask removes one task from n's buffers (or the root pool) for
-// immediate use, firing the freed-buffer request and the G1 growth check.
-// It returns the application tag of the task taken — always 0 for
-// single-application runs; for multi-workload runs the weighted
-// round-robin picks among the applications with a task available here.
-func (e *engine) takeTask(n int32) int32 {
+// took carries out the driver's side of node n taking a task its core
+// released for the compute port or a send: the task's application tag —
+// always 0 in single-application runs; the weighted round-robin picks
+// among the applications with a task here otherwise — and the freed
+// buffer's request, retirement or G1 growth.
+func (e *engine) took(n int32, t protocol.Take) int32 {
 	var app int32
 	if e.multi {
 		app = e.pickApp(n)
-	}
-	if n == 0 {
-		if e.pool <= 0 {
-			panic("engine: takeTask on empty pool")
-		}
-		e.pool--
-		if e.multi {
+		if n == 0 {
 			e.pools[app]--
+		} else {
+			e.nodes[n].occApp[app]--
 		}
-		return app
 	}
-	ns := &e.nodes[n]
-	if ns.occupied <= 0 {
-		panic("engine: takeTask on empty buffers")
-	}
-	ns.occupied--
-	if e.multi {
-		ns.occApp[app]--
-	}
-	if ns.occupied == 0 {
-		// Starvation observed: reset the decay observation window.
-		ns.decayStreak = 0
-	}
-	if ns.pendingDecay > 0 && ns.capacity > int64(e.cfg.Protocol.InitialBuffers) {
-		// Retire this freed buffer instead of requesting a refill.
-		ns.pendingDecay--
-		ns.capacity--
-		ns.stat.Decayed++
+	if t.Retired {
+		e.nodes[n].stat.Decayed++
 		e.met.Decays++
-	} else {
+	} else if t.Request {
 		e.request(n)
 	}
-	// G1: buffers just became all empty while a child request waits.
-	if ns.occupied == 0 && ns.childReqCount > 0 {
-		e.growBuffer(n)
+	if t.Grew {
+		e.grew(n)
 	}
 	return app
 }
@@ -849,18 +801,12 @@ func (e *engine) takeTask(n int32) int32 {
 // control traffic and arrive instantly, per the paper's model.
 func (e *engine) request(n int32) {
 	ns := &e.nodes[n]
-	if ns.reqPending == 0 {
-		ns.reqSince = e.s.Now()
-	}
-	ns.reqPending++
 	ns.stat.Requests++
 	e.met.Requests++
 	if e.trace != nil {
 		e.trace.Requested(e.s.Now(), tree.NodeID(n))
 	}
-	if ns.reqPending == 1 {
-		e.nodes[ns.parent].childReqCount++
-	}
+	e.nodes[ns.parent].core.Request(int(ns.slot), 1, int64(e.s.Now()))
 	e.trySchedule(ns.parent)
 }
 
@@ -869,29 +815,17 @@ func (e *engine) request(n int32) {
 // all requests are placed).
 func (e *engine) requestInitial(n int32) {
 	ns := &e.nodes[n]
-	ns.reqPending = ns.capacity
-	ns.reqSince = 0
-	ns.stat.Requests += ns.capacity
-	e.nodes[ns.parent].childReqCount++
+	k := ns.core.Initial()
+	ns.stat.Requests += k
+	e.nodes[ns.parent].core.Request(int(ns.slot), k, 0)
 }
 
-// growBuffer adds one buffer to node n under the growth protocol and
-// requests a task to fill it. The root never grows (it owns the pool).
-func (e *engine) growBuffer(n int32) {
-	if n == 0 || !e.cfg.Protocol.Grow {
-		return
-	}
-	ns := &e.nodes[n]
-	if max := int64(e.cfg.Protocol.MaxBuffers); max > 0 && ns.capacity >= max {
-		return
-	}
-	ns.capacity++
-	if ns.capacity > ns.maxCapacity {
-		ns.maxCapacity = ns.capacity
-	}
+// grew reports a buffer node n's core just grew and requests a task to
+// fill it.
+func (e *engine) grew(n int32) {
 	e.met.Grows++
 	if e.trace != nil {
-		e.trace.Grew(e.s.Now(), tree.NodeID(n), ns.capacity)
+		e.trace.Grew(e.s.Now(), tree.NodeID(n), e.nodes[n].core.Capacity)
 	}
 	e.request(n)
 }
@@ -900,32 +834,26 @@ func (e *engine) growBuffer(n int32) {
 func (e *engine) onSendComplete(p, c int32) {
 	ps := &e.nodes[p]
 	cs := &e.nodes[c]
-	if ps.sending != c {
+	if i := ps.core.Sending(); i < 0 || ps.core.Slots[i].Child != c {
 		panic("engine: send completion for wrong child")
 	}
 	if e.tl != nil {
 		e.tlSendStop(p)
 	}
 	app := ps.sendingApp
-	ps.sending = noChild
 	ps.sendEv = nil
-	cs.incoming = false
-	cs.occupied++
+	grew := ps.core.SendDone()
+	cs.core.Arrived()
 	if e.multi {
 		cs.occApp[app]++
-	}
-	if cs.occupied > cs.maxOccupied {
-		cs.maxOccupied = cs.occupied
 	}
 	cs.stat.Received++
 	e.met.SendsCompleted++
 	if e.trace != nil {
 		e.trace.SendDone(e.s.Now(), tree.NodeID(p), tree.NodeID(c))
 	}
-
-	// G2: send completed, a child still waits, and buffers are all empty.
-	if ps.occupied == 0 && ps.childReqCount > 0 && p != 0 {
-		e.growBuffer(p)
+	if grew { // G2
+		e.grew(p)
 	}
 
 	// The child first (it may consume the task and re-request), then the
@@ -937,14 +865,13 @@ func (e *engine) onSendComplete(p, c int32) {
 // onComputeComplete finishes a task at node n.
 func (e *engine) onComputeComplete(n int32) {
 	ns := &e.nodes[n]
-	if !ns.computing {
+	if !ns.core.Computing {
 		panic("engine: compute completion while idle")
 	}
-	ns.computing = false
+	ns.core.ComputeDone()
 	ns.computeEv = nil
 	ns.stat.Computed++
 	e.met.ComputesDone++
-	e.decayTick(n)
 	e.completed++
 	e.completions = append(e.completions, e.s.Now())
 	if e.multi {
@@ -962,36 +889,10 @@ func (e *engine) onComputeComplete(n int32) {
 	}
 	e.atCompletion()
 	// Attachments inside atCompletion may reallocate the node table.
-	ns = &e.nodes[n]
-
-	// G3: computation completed with all buffers empty.
-	if ns.occupied == 0 && n != 0 {
-		e.growBuffer(n)
+	if e.nodes[n].core.G3() {
+		e.grew(n)
 	}
 	e.trySchedule(n)
-}
-
-// decayTick advances node n's decay window after a completed task: a long
-// enough streak of completions without starvation retires one grown
-// buffer.
-func (e *engine) decayTick(n int32) {
-	if n == 0 || !e.cfg.Protocol.Decay {
-		return
-	}
-	ns := &e.nodes[n]
-	if ns.capacity <= int64(e.cfg.Protocol.InitialBuffers) {
-		ns.decayStreak = 0
-		return
-	}
-	window := int64(e.cfg.Protocol.DecayWindow)
-	if window <= 0 {
-		window = protocol.DefaultDecayWindow
-	}
-	ns.decayStreak++
-	if ns.decayStreak >= window {
-		ns.pendingDecay++
-		ns.decayStreak = 0
-	}
 }
 
 // atCompletion fires checkpoints, mutations and attachments tied to the
@@ -1000,13 +901,10 @@ func (e *engine) atCompletion() {
 	for e.ckIdx < len(e.cfg.Checkpoints) && e.completed >= e.cfg.Checkpoints[e.ckIdx] {
 		snap := CheckpointStat{AfterTasks: e.cfg.Checkpoints[e.ckIdx], Time: e.s.Now()}
 		for i := range e.nodes {
-			if b := e.nodes[i].capacity; b > snap.MaxNodeBuffers {
-				snap.MaxNodeBuffers = b
-			}
-			snap.TotalBuffers += e.nodes[i].capacity
-			if u := e.nodes[i].maxOccupied; u > snap.MaxNodeUsed {
-				snap.MaxNodeUsed = u
-			}
+			core := &e.nodes[i].core
+			snap.MaxNodeBuffers = max(snap.MaxNodeBuffers, core.Capacity)
+			snap.TotalBuffers += core.Capacity
+			snap.MaxNodeUsed = max(snap.MaxNodeUsed, core.MaxOccupied)
 		}
 		e.checkpoints = append(e.checkpoints, snap)
 		e.ckIdx++
@@ -1020,6 +918,7 @@ func (e *engine) atCompletion() {
 			m.Apply(e.t)
 			ns.w, ns.c = e.t.W(m.Node), e.t.C(m.Node)
 			if m.Node != e.t.Root() {
+				e.nodes[ns.parent].core.Slots[ns.slot].Key = e.key(m.Node)
 				e.sortChildren(ns.parent)
 			}
 		}
@@ -1054,8 +953,8 @@ func (e *engine) atCompletion() {
 	}
 }
 
-// trySchedule lets node n start any action it can: computing a buffered
-// task, starting or resuming a send, or (interruptible protocol)
+// trySchedule lets node n start any action its core decides: computing a
+// buffered task, starting or resuming a send, or (interruptible protocol)
 // preempting its current send for higher-priority work.
 func (e *engine) trySchedule(n int32) {
 	ns := &e.nodes[n]
@@ -1065,12 +964,11 @@ func (e *engine) trySchedule(n int32) {
 
 	// CPU: the node itself is the highest-priority consumer (its
 	// "communication time" is zero).
-	if !ns.computing && e.hasTask(n) {
-		app := e.takeTask(n)
+	if t, ok := ns.core.Compute(); ok {
+		app := e.took(n, t)
 		if e.multi {
 			ns.computingApp = app
 		}
-		ns.computing = true
 		e.met.ComputesStarted++
 		ns.computeEv = e.s.Schedule(sim.Time(ns.w), evComputeComplete, n, 0)
 		if e.trace != nil {
@@ -1079,202 +977,49 @@ func (e *engine) trySchedule(n int32) {
 	}
 
 	// Send port.
-	if ns.sending != noChild {
-		if !e.cfg.Protocol.Interruptible {
-			return
-		}
-		best, isShelf := e.bestCandidate(n)
-		if best < 0 {
-			return
-		}
-		if !e.higherPriority(best, isShelf, ns.sending, ns.sendSince) {
-			return
-		}
-		// Preempt: shelve the in-flight transfer with its remaining time.
+	d := ns.core.DecideSend(int64(e.s.Now()), e.rng)
+	if d.Slot < 0 {
+		return
+	}
+	if d.Shelved >= 0 {
+		// Preempted: the in-flight transfer is shelved with its remaining
+		// time.
 		if e.tl != nil {
 			e.tlSendStop(n)
 		}
 		remaining := e.s.Cancel(ns.sendEv)
-		cur := &e.nodes[ns.sending]
-		cur.shelved, cur.shelf = true, shelf{remaining: remaining, since: ns.sendSince, app: ns.sendingApp}
-		ns.shelves++
-		if ns.shelves > ns.stat.MaxShelved {
-			ns.stat.MaxShelved = ns.shelves
-		}
+		cur := ns.core.Slots[d.Shelved].Child
+		e.nodes[cur].shelf = shelf{remaining: remaining, app: ns.sendingApp}
 		ns.stat.Interrupted++
 		e.met.SendsInterrupted++
 		if e.trace != nil {
-			e.trace.SendInterrupted(e.s.Now(), tree.NodeID(n), tree.NodeID(ns.sending), remaining)
+			e.trace.SendInterrupted(e.s.Now(), tree.NodeID(n), tree.NodeID(cur), remaining)
 		}
-		ns.sending = noChild
 		ns.sendEv = nil
-		e.startSend(n, best, isShelf)
-		return
 	}
-
-	best, isShelf := e.bestCandidate(n)
-	if best >= 0 {
-		e.startSend(n, best, isShelf)
-	}
-}
-
-// startSend begins (or resumes) a transfer from n to child c.
-func (e *engine) startSend(n, c int32, fromShelf bool) {
-	ns := &e.nodes[n]
+	c := ns.core.Slots[d.Slot].Child
 	cs := &e.nodes[c]
-	if fromShelf {
-		if !cs.shelved {
-			panic("engine: resume of missing shelf")
-		}
-		cs.shelved = false
-		ns.shelves--
-		ns.sending = c
-		ns.sendSince = cs.shelf.since
+	var delay sim.Time
+	if d.Resume {
 		ns.sendingApp = cs.shelf.app
 		e.met.SendsResumed++
-		if e.tl != nil {
-			e.tlSendStart(n)
-		}
-		ns.sendEv = e.s.Schedule(cs.shelf.remaining, evSendComplete, n, c)
-		if e.trace != nil {
-			e.trace.SendStart(e.s.Now(), tree.NodeID(n), tree.NodeID(c), ns.sendEv.At(), true)
-		}
-		return
-	}
-	since := cs.reqSince
-	cs.reqPending--
-	if cs.reqPending == 0 {
-		ns.childReqCount--
+		delay = cs.shelf.remaining
 	} else {
-		// Remaining requests are at least as old; keep reqSince as an
-		// upper bound of the oldest (requests are FIFO per child, and all
-		// carry the same effective age for FCFS purposes).
-		cs.reqSince = e.s.Now()
+		app := e.took(n, d.Take)
+		if e.multi {
+			ns.sendingApp = app
+		}
+		ns.stat.Forwarded++
+		e.met.SendsStarted++
+		delay = sim.Time(cs.c)
 	}
-	cs.incoming = true
-	app := e.takeTask(n)
-	if e.multi {
-		ns.sendingApp = app
-	}
-	ns.stat.Forwarded++
-	ns.sending = c
-	ns.sendSince = since
-	e.met.SendsStarted++
 	if e.tl != nil {
 		e.tlSendStart(n)
 	}
-	ns.sendEv = e.s.Schedule(sim.Time(cs.c), evSendComplete, n, c)
+	ns.sendEv = e.s.Schedule(delay, evSendComplete, n, c)
 	if e.trace != nil {
-		e.trace.SendStart(e.s.Now(), tree.NodeID(n), tree.NodeID(c), ns.sendEv.At(), false)
+		e.trace.SendStart(e.s.Now(), tree.NodeID(n), tree.NodeID(c), ns.sendEv.At(), d.Resume)
 	}
-}
-
-// bestCandidate returns the highest-priority actionable work at node n's
-// send port: either a shelved transfer (resumable unconditionally) or a
-// child with an outstanding request (requires a task on hand and no
-// transfer already in flight or shelved for that child). Returns (-1,
-// false) when there is nothing to do.
-func (e *engine) bestCandidate(n int32) (child int32, isShelf bool) {
-	ns := &e.nodes[n]
-	canFresh := ns.childReqCount > 0 && e.hasTask(n)
-	if !canFresh && ns.shelves == 0 {
-		return -1, false
-	}
-	switch e.cfg.Protocol.Order {
-	case protocol.RoundRobin:
-		return e.roundRobinCandidate(n, canFresh)
-	case protocol.Random:
-		return e.randomCandidate(n, canFresh)
-	}
-	fcfs := e.cfg.Protocol.Order == protocol.FCFS
-	child = -1
-	var oldest sim.Time
-	for _, c := range ns.children {
-		cs := &e.nodes[c]
-		if !cs.actionable(canFresh) {
-			continue
-		}
-		if !fcfs {
-			return c, cs.shelved // children are in priority order
-		}
-		since := cs.reqSince
-		if cs.shelved {
-			since = cs.shelf.since
-		}
-		if child < 0 || since < oldest || (since == oldest && c < child) {
-			child, isShelf, oldest = c, cs.shelved, since
-		}
-	}
-	return child, isShelf
-}
-
-// actionable reports whether the node's parent has something to send it:
-// its shelved transfer, or, when the parent can start a fresh one, a task
-// for a pending request with no transfer already on the way.
-func (cs *nodeState) actionable(canFresh bool) bool {
-	return cs.shelved || (canFresh && cs.reqPending > 0 && !cs.incoming)
-}
-
-// priorityKey returns the sort key (lower is higher priority) of serving
-// child c under the protocol's order; since is the arrival time of the
-// request behind the transfer, which only FCFS reads.
-func (e *engine) priorityKey(c int32, since sim.Time) int64 {
-	switch e.cfg.Protocol.Order {
-	case protocol.BandwidthCentric:
-		return e.nodes[c].c
-	case protocol.ComputeCentric:
-		return e.nodes[c].w
-	case protocol.FCFS:
-		return int64(since)
-	default:
-		panic(fmt.Sprintf("engine: priorityKey with order %v", e.cfg.Protocol.Order))
-	}
-}
-
-// higherPriority reports whether serving cand (a shelf if candShelf) beats
-// continuing the current send to cur, whose backing request arrived at
-// curSince.
-func (e *engine) higherPriority(cand int32, candShelf bool, cur int32, curSince sim.Time) bool {
-	candSince := e.nodes[cand].reqSince
-	if candShelf {
-		candSince = e.nodes[cand].shelf.since
-	}
-	return e.priorityKey(cand, candSince) < e.priorityKey(cur, curSince)
-}
-
-// roundRobinCandidate scans children cyclically from the cursor; shelved
-// transfers for a child take precedence over fresh sends to it.
-func (e *engine) roundRobinCandidate(n int32, canFresh bool) (int32, bool) {
-	ns := &e.nodes[n]
-	k := len(ns.children)
-	for i := 0; i < k; i++ {
-		c := ns.children[(ns.rrNext+i)%k]
-		cs := &e.nodes[c]
-		if cs.actionable(canFresh) {
-			ns.rrNext = (ns.rrNext + i + 1) % k
-			return c, cs.shelved
-		}
-	}
-	return -1, false
-}
-
-// randomCandidate picks uniformly among actionable children.
-func (e *engine) randomCandidate(n int32, canFresh bool) (int32, bool) {
-	ns := &e.nodes[n]
-	var pick int32 = -1
-	pickShelf := false
-	count := 0
-	for _, c := range ns.children {
-		cs := &e.nodes[c]
-		if !cs.actionable(canFresh) {
-			continue
-		}
-		count++
-		if e.rng.IntN(count) == 0 {
-			pick, pickShelf = c, cs.shelved
-		}
-	}
-	return pick, pickShelf
 }
 
 // depart removes the subtree rooted at node from the running platform.
@@ -1283,10 +1028,11 @@ func (e *engine) randomCandidate(n int32, canFresh bool) (int32, bool) {
 // pool for re-dispatch. The departed nodes' statistics freeze; their IDs
 // stay valid in the Result.
 func (e *engine) depart(node tree.NodeID) {
-	if e.nodes[node].departed {
+	ds := &e.nodes[node]
+	if ds.departed {
 		return // departing an already-gone subtree is a no-op
 	}
-	parent := int32(e.t.Parent(node))
+	parent := ds.parent
 	ps := &e.nodes[parent]
 	if ps.departed {
 		// The whole branch is already gone.
@@ -1300,9 +1046,11 @@ func (e *engine) depart(node tree.NodeID) {
 	}
 
 	// Parent side first: cancel the transfer in flight toward the
-	// departing root and drop its outstanding requests.
-	n32 := int32(node)
-	if ps.sending == n32 {
+	// departing root, drop its outstanding requests and its slot.
+	sending, shelved := ps.core.Remove(int(ds.slot))
+	ds.slot = -1
+	e.sortChildren(parent)
+	if sending {
 		if e.tl != nil {
 			e.tlSendStop(parent)
 		}
@@ -1310,43 +1058,38 @@ func (e *engine) depart(node tree.NodeID) {
 		if e.multi {
 			lostApp[ps.sendingApp]++
 		}
-		ps.sending = noChild
 		ps.sendEv = nil
 		lost++
 	}
-	if e.nodes[node].reqPending > 0 {
-		ps.childReqCount--
-	}
-	for i, c := range ps.children {
-		if c == n32 {
-			ps.children = append(ps.children[:i], ps.children[i+1:]...)
-			break
+	if shelved {
+		if e.multi {
+			lostApp[ds.shelf.app]++
 		}
+		lost++
 	}
 
-	// Subtree side: cancel all work in progress and reclaim held tasks.
+	// Subtree side: cancel all work in progress and reclaim held tasks,
+	// the transfers shelved toward the subtree's own children included.
 	for _, sid := range e.t.Subtree(node) {
 		ns := &e.nodes[sid]
 		ns.departed = true
 		ns.stat.Departed = true
-		lost += ns.occupied
-		ns.occupied = 0
+		lost += ns.core.Occupied
 		if e.multi {
 			for a, k := range ns.occApp {
 				lostApp[a] += k
 				ns.occApp[a] = 0
 			}
 		}
-		if ns.computing {
+		if ns.core.Computing {
 			e.s.Cancel(ns.computeEv)
 			if e.multi {
 				lostApp[ns.computingApp]++
 			}
-			ns.computing = false
 			ns.computeEv = nil
 			lost++
 		}
-		if ns.sending != noChild {
+		if ns.core.Sending() >= 0 {
 			if e.tl != nil {
 				e.tlSendStop(int32(sid))
 			}
@@ -1354,25 +1097,21 @@ func (e *engine) depart(node tree.NodeID) {
 			if e.multi {
 				lostApp[ns.sendingApp]++
 			}
-			ns.sending = noChild
 			ns.sendEv = nil
 			lost++
 		}
-		if ns.shelved {
-			// The transfer toward sid shelved at its parent goes with it —
-			// for node itself that parent survives, and must not resume it.
-			ns.shelved = false
-			e.nodes[ns.parent].shelves--
-			if e.multi {
-				lostApp[ns.shelf.app]++
+		for _, sl := range ns.core.Slots {
+			if sl.Shelved {
+				if e.multi {
+					lostApp[e.nodes[sl.Child].shelf.app]++
+				}
+				lost++
 			}
-			lost++
 		}
-		ns.reqPending = 0
-		ns.childReqCount = 0
+		ns.core.Depart()
 	}
 
-	e.pool += lost
+	e.nodes[0].core.Refill(lost)
 	e.requeued += lost
 	if e.multi {
 		for a, k := range lostApp {

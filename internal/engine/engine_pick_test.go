@@ -1,15 +1,13 @@
 package engine
 
-// The send-port decision against its reference: the linear scan over
-// shelves and children that bestCandidate was before the child lists were
-// kept in priority order, run beside the engine on every state a run
-// passes through; and whole Results against digests taken at the commit
-// that still had that scan.
+// Whole Results against digests taken at the commit that still had the
+// linear-scan send-port pick, under every order, through mutations,
+// attachments and departures. The decision itself is checked against that
+// scan in package protocol (FuzzNodeAgainstScan), where it now lives.
 
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand/v2"
 	"testing"
 
 	"bwcs/internal/protocol"
@@ -112,202 +110,63 @@ var parentDigests = map[string]uint64{
 	"churn":                         0x1b46919719381fee,
 }
 
-// oracleShelf is a shelved transfer as the linear scan kept it: in a list
-// at the sender.
-type oracleShelf struct {
-	child int32
-	since sim.Time
-}
-
-// pickOracle is a Tracer that, at every action of a run, compares the
-// engine's send-port decision with the linear scan's at every live node.
-// It keeps its own shelf lists from the actions it observes, so the scan
-// does not lean on the per-child flags under test, and reads weights from
-// the tree, not from the engine's mirror of them.
-type pickOracle struct {
-	t       *testing.T
+// shelfWatch is a Tracer that keeps its own lists of shelved transfers
+// from the actions it observes, to count the departures that meet one.
+type shelfWatch struct {
 	e       *engine
-	shelves map[int32][]oracleShelf
-	checks  int
+	shelves map[int32][]int32 // sender → children with a shelved transfer
 	// Departures that found a transfer toward the departing node on its
 	// parent's shelf, and shelved transfers held inside departing subtrees.
 	shelvedAtParent, shelvedAtSender int
 }
 
-func (o *pickOracle) ComputeStart(sim.Time, tree.NodeID, sim.Time) { o.check() }
-func (o *pickOracle) SendDone(sim.Time, tree.NodeID, tree.NodeID)  { o.check() }
-func (o *pickOracle) Grew(sim.Time, tree.NodeID, int64)            { o.check() }
+func (o *shelfWatch) ComputeStart(sim.Time, tree.NodeID, sim.Time) {}
+func (o *shelfWatch) SendDone(sim.Time, tree.NodeID, tree.NodeID)  {}
+func (o *shelfWatch) Grew(sim.Time, tree.NodeID, int64)            {}
+func (o *shelfWatch) Requested(sim.Time, tree.NodeID)              {}
 
-// Requested fires between the two halves of the request's bookkeeping
-// (reqPending, then the parent's childReqCount): no check here.
-func (o *pickOracle) Requested(sim.Time, tree.NodeID) {}
-
-func (o *pickOracle) ComputeDone(_ sim.Time, _ tree.NodeID, completed int64) {
-	o.check()
+func (o *shelfWatch) ComputeDone(_ sim.Time, _ tree.NodeID, completed int64) {
 	// The departures this completion triggers run next.
 	for _, d := range o.e.cfg.Departures[o.e.depIdx:] {
 		if completed < d.AfterTasks || int(d.Node) >= len(o.e.nodes) || o.e.nodes[d.Node].departed {
 			continue
 		}
-		for _, sh := range o.shelves[o.e.nodes[d.Node].parent] {
-			if sh.child == int32(d.Node) {
+		for _, c := range o.shelves[o.e.nodes[d.Node].parent] {
+			if c == int32(d.Node) {
 				o.shelvedAtParent++
 			}
 		}
 		for _, sid := range o.e.t.Subtree(d.Node) {
-			o.shelvedAtSender += len(o.liveShelves(int32(sid)))
+			for _, c := range o.shelves[int32(sid)] {
+				if !o.e.nodes[c].departed {
+					o.shelvedAtSender++
+				}
+			}
 		}
 	}
 }
 
-func (o *pickOracle) SendStart(_ sim.Time, parent, child tree.NodeID, _ sim.Time, fromShelf bool) {
+func (o *shelfWatch) SendStart(_ sim.Time, parent, child tree.NodeID, _ sim.Time, fromShelf bool) {
 	if fromShelf {
 		list := o.shelves[int32(parent)]
 		for i := range list {
-			if list[i].child == int32(child) {
+			if list[i] == int32(child) {
 				o.shelves[int32(parent)] = append(list[:i], list[i+1:]...)
 				break
 			}
 		}
 	}
-	o.check()
 }
 
-func (o *pickOracle) SendInterrupted(_ sim.Time, parent, child tree.NodeID, _ sim.Time) {
-	p := int32(parent)
-	o.shelves[p] = append(o.shelves[p], oracleShelf{int32(child), o.e.nodes[p].sendSince})
-	o.check()
+func (o *shelfWatch) SendInterrupted(_ sim.Time, parent, child tree.NodeID, _ sim.Time) {
+	o.shelves[int32(parent)] = append(o.shelves[int32(parent)], int32(child))
 }
 
-// liveShelves is node n's shelf list less the transfers toward children
-// that have since departed, which depart used to delete from the list.
-func (o *pickOracle) liveShelves(n int32) []oracleShelf {
-	var out []oracleShelf
-	for _, sh := range o.shelves[n] {
-		if !o.e.nodes[sh.child].departed {
-			out = append(out, sh)
-		}
-	}
-	return out
-}
-
-// scan is the parent commit's bestCandidate, with its roundRobinCandidate,
-// randomCandidate, hasShelf and priorityKey.
-func (o *pickOracle) scan(n int32) (child int32, isShelf bool) {
-	e := o.e
-	ns := &e.nodes[n]
-	shelves := o.liveShelves(n)
-	canFresh := e.hasTask(n)
-	hasShelf := func(c int32) bool {
-		for _, sh := range shelves {
-			if sh.child == c {
-				return true
-			}
-		}
-		return false
-	}
-	fresh := func(c int32) bool {
-		cs := &e.nodes[c]
-		return canFresh && cs.reqPending > 0 && !cs.incoming
-	}
-
-	switch e.cfg.Protocol.Order {
-	case protocol.RoundRobin:
-		k := len(ns.children)
-		for i := 0; i < k; i++ {
-			c := ns.children[(ns.rrNext+i)%k]
-			if hasShelf(c) || fresh(c) {
-				ns.rrNext = (ns.rrNext + i + 1) % k
-				return c, hasShelf(c)
-			}
-		}
-		return -1, false
-	case protocol.Random:
-		var pick int32 = -1
-		pickShelf := false
-		count := 0
-		for _, c := range ns.children {
-			if !hasShelf(c) && !fresh(c) {
-				continue
-			}
-			count++
-			if e.rng.IntN(count) == 0 {
-				pick, pickShelf = c, hasShelf(c)
-			}
-		}
-		return pick, pickShelf
-	}
-
-	child = -1
-	var bestKey int64
-	consider := func(c int32, shelfCand bool, since sim.Time) {
-		var key int64
-		switch e.cfg.Protocol.Order {
-		case protocol.BandwidthCentric:
-			key = e.t.C(tree.NodeID(c))
-		case protocol.ComputeCentric:
-			key = e.t.W(tree.NodeID(c))
-		case protocol.FCFS:
-			key = int64(since)
-		}
-		if child < 0 || key < bestKey || (key == bestKey && c < child) {
-			child, isShelf, bestKey = c, shelfCand, key
-		}
-	}
-	for _, sh := range shelves {
-		consider(sh.child, true, sh.since)
-	}
-	if canFresh {
-		for _, c := range ns.children {
-			if fresh(c) {
-				consider(c, false, e.nodes[c].reqSince)
-			}
-		}
-	}
-	return child, isShelf
-}
-
-// check compares the two decisions at every live node, each starting from
-// the same round-robin cursor and random stream, which both must leave
-// where the other did.
-func (o *pickOracle) check() {
-	e := o.e
-	for id := range e.nodes {
-		n := int32(id)
-		ns := &e.nodes[n]
-		if ns.departed {
-			continue
-		}
-		o.checks++
-		cursor := ns.rrNext
-		var stream rand.PCG
-		if e.src != nil {
-			stream = *e.src
-		}
-		rewind := func() (int, rand.PCG) {
-			c, s := ns.rrNext, stream
-			ns.rrNext = cursor
-			if e.src != nil {
-				s, *e.src = *e.src, stream
-			}
-			return c, s
-		}
-		gotChild, gotShelf := e.bestCandidate(n)
-		gotCursor, gotStream := rewind()
-		wantChild, wantShelf := o.scan(n)
-		wantCursor, wantStream := rewind()
-		if gotChild != wantChild || gotShelf != wantShelf || gotCursor != wantCursor || gotStream != wantStream {
-			o.t.Fatalf("t=%d node %d under %v: pick (%d, shelf %v, cursor %d), linear scan (%d, shelf %v, cursor %d); same random draws: %v",
-				e.s.Now(), n, e.cfg.Protocol, gotChild, gotShelf, gotCursor, wantChild, wantShelf, wantCursor, gotStream == wantStream)
-		}
-	}
-}
-
-// runWithOracle runs cfg on a fresh engine with the oracle attached.
-func runWithOracle(t *testing.T, cfg Config) (*Result, *pickOracle) {
+// runWatched runs cfg on a fresh engine with a shelfWatch attached.
+func runWatched(t *testing.T, cfg Config) (*Result, *shelfWatch) {
 	t.Helper()
 	r := NewRunner()
-	o := &pickOracle{t: t, e: &r.e, shelves: map[int32][]oracleShelf{}}
+	o := &shelfWatch{e: &r.e, shelves: map[int32][]int32{}}
 	cfg.Tracer = o
 	res, err := r.Run(cfg)
 	if err != nil {
@@ -317,19 +176,15 @@ func runWithOracle(t *testing.T, cfg Config) (*Result, *pickOracle) {
 }
 
 // TestPickMatchesLinearScan: under every order, with and without
-// interruption, through mutations, an attachment and departures, the
-// engine picks what the linear scan picks at every node and every step,
-// and the runs end in the Results the parent commit computed.
+// interruption, through mutations, an attachment and departures, the runs
+// end in the Results the commit with the linear scan computed.
 func TestPickMatchesLinearScan(t *testing.T) {
 	for _, p := range pickProtocols() {
 		t.Run(p.Label, func(t *testing.T) {
 			var digests []uint64
 			var interrupts, requeued int64
 			for _, cfg := range pickConfigs(p) {
-				res, o := runWithOracle(t, cfg)
-				if o.checks < int(cfg.Tasks) {
-					t.Fatalf("oracle compared %d decisions over %d tasks", o.checks, cfg.Tasks)
-				}
+				res, _ := runWatched(t, cfg)
 				interrupts += res.Metrics.SendsInterrupted
 				requeued += res.Requeued
 				digests = append(digests, resultDigest(res))
@@ -366,14 +221,13 @@ func churnTree() *tree.Tree {
 // TestDepartureOfShelvedTransfer: under IC FB=1, node 1's subtree departs
 // at each of a range of moments; at some of them the root holds a shelved
 // transfer toward node 1, at some node 1 itself holds one toward its
-// child. Neither may be resumed afterwards (the oracle's shelf lists
-// would disagree, and the task would be delivered twice), and every run's
-// Result must be the parent commit's.
+// child. Neither may be resumed afterwards (the task would be delivered
+// twice), and every run's Result must be the parent commit's.
 func TestDepartureOfShelvedTransfer(t *testing.T) {
 	var digests []uint64
 	var atParent, atSender int
 	for k := int64(10); k < 130; k++ {
-		res, o := runWithOracle(t, Config{
+		res, o := runWatched(t, Config{
 			Tree: churnTree(), Protocol: protocol.Interruptible(1), Tasks: 300,
 			Departures: []DepartMutation{{AfterTasks: k, Node: 1}},
 			// Rebuilds the root's child list from the tree, departed node 1

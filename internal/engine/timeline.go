@@ -126,7 +126,7 @@ func (e *engine) initTimeline() {
 		busyStart: make([]sim.Time, len(e.nodes)),
 	}
 	for id := range e.nodes {
-		if len(e.nodes[id].children) > 0 {
+		if len(e.nodes[id].core.Slots) > 0 {
 			tl.linkUtil[id] = metrics.NewTimeSeries(fmt.Sprintf("link_util/%d", id), capacity, res)
 		}
 	}
@@ -189,7 +189,7 @@ func (e *engine) sampleTimeline() {
 	done := e.completed - tl.lastCompleted
 	tl.rate.Append(int64(now), float64(done)/float64(delta))
 	tl.lastCompleted = e.completed
-	tl.pool.Append(int64(now), float64(e.pool))
+	tl.pool.Append(int64(now), float64(e.nodes[0].core.Occupied))
 
 	for id, ts := range tl.linkUtil {
 		if ts == nil {
@@ -197,7 +197,7 @@ func (e *engine) sampleTimeline() {
 		}
 		busy := tl.busyAccum[id]
 		tl.busyAccum[id] = 0
-		if e.nodes[id].sending != noChild {
+		if e.nodes[id].core.Sending() >= 0 {
 			// Still mid-send: charge the elapsed part to this interval and
 			// restart the stopwatch for the next.
 			busy += now - tl.busyStart[id]

@@ -126,6 +126,6 @@ func (e *engine) pickApp(n int32) int32 {
 func (e *engine) onAppRelease(app int32) {
 	n := e.cfg.Workloads[app].Tasks
 	e.pools[app] += n
-	e.pool += n
+	e.nodes[0].core.Refill(n)
 	e.trySchedule(0)
 }

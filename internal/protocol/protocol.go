@@ -1,12 +1,26 @@
-// Package protocol defines the autonomous scheduling policies of the
-// paper (Section 3) plus baseline child-ordering strategies used for
-// ablation studies.
+// Package protocol is the paper's autonomous scheduling (Section 3) in
+// one place: the policies — Protocol, plus baseline child orders for
+// ablation studies — and the per-node core that applies them, Node.
 //
-// A protocol is pure policy: which child to serve next, whether an
+// A Protocol is pure policy: which child to serve next, whether an
 // in-flight communication may be interrupted, how many task buffers a node
-// starts with, and whether and how the buffer pool may grow. The engine
-// package interprets a Protocol while simulating; nothing here depends on
-// simulation state.
+// starts with, and whether and how the buffer pool may grow. A Node is one
+// platform node running it: a clock-free state machine over local state
+// only, with no I/O and no goroutine. Two drivers feed it inputs and carry
+// out its decisions: the discrete-event engine (internal/engine) and a
+// live node's owner goroutine (package live). Its rules:
+//
+//   - request on free: a buffer freed by a local computation or a
+//     downstream send asks the parent for one task;
+//   - the send port serves the actionable child of highest priority — its
+//     shelved transfer, or a pending request when a task is on hand — and,
+//     interruptible, shelves its send for a child of strictly higher
+//     priority, resuming it later from where it stopped;
+//   - growth, without interruption: one more buffer, and its request, on
+//     G1 (the buffers ran all empty while a child waits), G2 (a send
+//     landed while a child waits and the buffers are empty) and G3 (a
+//     computation completed with the buffers empty); optionally capped,
+//     and decayed.
 //
 // The two protocols evaluated in the paper are:
 //

@@ -234,6 +234,42 @@ func TestSimDeterminism(t *testing.T) {
 	}
 }
 
+// coreImports is everything the protocol core may import: it is a pure
+// state machine both drivers share, so no clock, network, lock, simulator
+// or runtime reaches it.
+var coreImports = []string{"cmp", "fmt", "math/rand/v2", "slices"}
+
+// TestProtocolCoreIsPure keeps internal/protocol free of time, I/O,
+// goroutines and the drivers: its non-test files import only coreImports
+// and start no goroutine.
+func TestProtocolCoreIsPure(t *testing.T) {
+	files, err := filepath.Glob("internal/protocol/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); !slices.Contains(coreImports, p) {
+				t.Errorf("%s imports %q: the protocol core imports only %v; a clock, a network or a driver belongs to the driver", fset.Position(imp.Pos()), p, coreImports)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement in the protocol core; concurrency belongs to the driver", fset.Position(g.Pos()))
+			}
+			return true
+		})
+	}
+}
+
 // TestNoFunctionStyleAtomics keeps every atomic a typed atomic.Int64 and
 // friends, where a mixed plain access does not compile: the function-style
 // API on a plain field is the only way to write that race.

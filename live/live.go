@@ -3,14 +3,16 @@
 // connections — the prototype its future-work section calls for.
 //
 // Nodes form a tree overlay: each node listens for children and, except at
-// the root, connects to its parent. Scheduling is exactly the paper's:
+// the root, connects to its parent. Scheduling is exactly the paper's,
+// decided by the per-node protocol core the simulator drives too
+// (internal/protocol):
 //
 //   - request-driven — a node sends one request up whenever one of its
 //     task buffers frees (at the start of a local computation or of a
 //     downstream forward);
 //   - bandwidth-centric — a parent serves the requesting child with the
 //     smallest *measured* communication time (an EWMA of observed chunk
-//     send times; no global information);
+//     send times, the core's priority key; no global information);
 //   - interruptible — task payloads stream in chunks through a single send
 //     port, and between chunks the port switches to a higher-priority
 //     child's transfer, exactly the shelve-and-resume semantics of
@@ -66,6 +68,7 @@ import (
 	"time"
 
 	"bwcs/internal/metrics"
+	"bwcs/internal/protocol"
 )
 
 // Task is one unit of application work. App names the application
@@ -275,6 +278,14 @@ type Node struct {
 	wg        sync.WaitGroup
 
 	parent *conn // current uplink; nil while disconnected (or root)
+	// core is the node's protocol (internal/protocol): its buffers, its
+	// compute port, and one slot per child at the send port, slot i being
+	// children[i]'s. The owner feeds it inputs and carries out its
+	// decisions; the tasks themselves are in buffer, the transfers in the
+	// sessions. slotBuf is the other half of resort's double buffer.
+	core    protocol.Node
+	slotBuf []protocol.Slot
+	nextID  int32 // the next session's slot name
 	// reqDeficit counts the requests owed to the parent and reqApp tags
 	// the latest; the uplink writer sends them with its next batch. Every
 	// buffer is at all times exactly one of: holding a task, receiving one
@@ -289,27 +300,31 @@ type Node struct {
 	unacked   []*resultEntry
 	due       []*resultEntry  // dueResultBatch's scratch
 	computing map[uint64]bool // tasks on the compute port right now
-	children  []*childSession
-	buffer    taskPool // tasks awaiting dispatch; at the root, the application
-	backlog   []Result // root only: collected results the results channel had no room for
+	children  []*childSession // in slot order: by link estimate, then name
+	buffer    taskPool        // tasks awaiting dispatch; at the root, the application
+	backlog   []Result        // root only: collected results the results channel had no room for
 	stats     Stats
 	status    *statusServer
 	stopped   bool // Close has taken the last of the owner's state
 
-	// Whether each port holds work, and what the send port and the uplink
-	// writer hold meanwhile. portPaced marks a send port whose last turn
-	// wrote a chunk: its emulated link's schedule runs on.
-	computeBusy, portBusy, upBusy, portPaced bool
-	turn                                     []portWrite
-	up                                       upJob
+	// Whether the send port and the uplink writer hold work (the compute
+	// port's is the core's), and what they hold meanwhile. portPaced marks
+	// a send port whose last turn wrote a chunk: its emulated link's
+	// schedule runs on.
+	portBusy, upBusy, portPaced bool
+	turn                        []portWrite
+	up                          upJob
 }
 
 // childSession is the parent-side state for one connected child.
 type childSession struct {
-	name    string
-	c       *conn
-	pending int  // outstanding requests
-	link    ewma // measured per-chunk communication time
+	name string
+	c    *conn
+	// id names the session in its core slot, and slot is that slot's
+	// index (-1 once reclaimed); the requests pending are the slot's.
+	id   int32
+	slot int
+	link ewma // measured per-chunk communication time, the slot's key
 	// active is the transfer the send port is still writing; the port turn
 	// that builds its final chunk hands it off to outstanding.
 	active *outTransfer
@@ -498,6 +513,7 @@ func StartConfig(cfg Config) (*Node, error) {
 	}
 	n.stats.ByChild = make(map[string]int64)
 	n.stats.PerApp = make(map[string]AppStats)
+	n.core.Reset(protocol.Protocol{InitialBuffers: cfg.Buffers, Interruptible: !cfg.NonInterruptible}, n.root)
 	if recCap > 0 {
 		n.rec = newFlightRecorder(recCap)
 	}
@@ -509,11 +525,10 @@ func StartConfig(cfg Config) (*Node, error) {
 	}
 	if n.root {
 		n.results = make(chan Result, 1024)
-	} else {
-		// The paper's startup rule: one request per buffer, all owed and
-		// none sent, so the first hello reports no request unanswered.
-		n.reqDeficit = cfg.Buffers
 	}
+	// The paper's startup rule: one request per buffer, all owed and none
+	// sent, so the first hello reports no request unanswered.
+	n.reqDeficit = int(n.core.Initial())
 
 	if cfg.Listen != "" {
 		l, err := net.Listen("tcp", cfg.Listen)
@@ -703,7 +718,10 @@ func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 		seen[t.ID] = true
 	}
 
-	n.do(func() { n.buffer.pushAll(tasks) }) // the root's pool
+	n.do(func() { // the root's pool
+		n.buffer.pushAll(tasks)
+		n.core.Refill(int64(len(tasks)))
+	})
 
 	out := make([]Result, 0, len(tasks))
 	for len(out) < len(tasks) {
@@ -850,14 +868,11 @@ func (n *Node) decide() time.Duration {
 		return 0
 	}
 	wait := n.reclaim()
-	if !n.computeBusy && n.buffer.len() > 0 {
+	if take, ok := n.core.Compute(); ok {
 		t := n.buffer.pop()
 		n.computing[t.ID] = true // accounted until the result enters the ledger
-		if !n.root {
-			n.oweRequest(t.App)
-		}
+		n.freed(take, t.App)
 		n.record(Event{Kind: EvComputeStart, Task: t.ID})
-		n.computeBusy = true
 		n.tasks <- t
 	}
 	if !n.portBusy {
@@ -994,6 +1009,7 @@ func (n *Node) acceptLoop() {
 			if sess.admitting = false; err != nil {
 				n.markChildGone(sess, c)
 			}
+			n.reach(sess)
 		})
 	}
 }
@@ -1092,16 +1108,21 @@ func (n *Node) admitChild(c *conn, hello *message) (*childSession, *message) {
 		}
 		n.stats.RequeuedOnRevive += n.stats.Requeued - requeuedBefore
 	} else {
-		sess = &childSession{name: hello.Name, c: c, outstanding: make(map[uint64]*outTransfer)}
+		sess = &childSession{name: hello.Name, c: c, id: n.nextID, outstanding: make(map[uint64]*outTransfer)}
+		n.nextID++
+		sess.slot = len(n.children)
 		n.children = append(n.children, sess)
+		n.core.Slots = append(n.core.Slots, protocol.Slot{Child: sess.id, Down: true})
+		n.resort()
 	}
-	if d := hello.N - sess.pending; d > 0 {
+	if d := int64(hello.N) - n.core.Slots[sess.slot].Pending; d > 0 {
 		// Requests the old connection swallowed, or that transfers requeued
 		// above had consumed: registered now, with no request frame.
-		n.record(Event{Kind: EvRequestServed, Peer: sess.name, Value: int64(d)})
+		n.record(Event{Kind: EvRequestServed, Peer: sess.name, Value: d})
 	}
-	sess.pending = hello.N
+	n.core.Reconcile(sess.slot, int64(hello.N), 0, sess.active != nil)
 	sess.admitting = true
+	n.reach(sess)
 	return sess, ack
 }
 
@@ -1126,8 +1147,8 @@ func (n *Node) childLoop(s *childSession, c *conn) {
 func (n *Node) childFrame(s *childSession, c *conn, m *message) {
 	switch m.Kind {
 	case kindRequest:
-		if s.c == c {
-			s.pending += m.N
+		if s.c == c && s.slot >= 0 {
+			n.core.Request(s.slot, int64(m.N), 0)
 			// Recorded in the owner step that bumps pending, so per-node
 			// event order matches the order the send port observes
 			// serviceability.
@@ -1163,6 +1184,7 @@ func (n *Node) childFrame(s *childSession, c *conn, m *message) {
 		if s.c == c {
 			s.gone = true
 			s.left = true
+			n.reach(s)
 			n.record(Event{Kind: EvGoodbye, Peer: s.name, WireSeq: m.Seq,
 				CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
 		}
@@ -1186,7 +1208,20 @@ func (n *Node) markChildGone(s *childSession, c *conn) {
 	s.gone = true
 	s.goneAt = time.Now()
 	s.acks = s.acks[:0]
+	n.reach(s)
 	n.record(Event{Kind: EvSever, Peer: s.name})
+}
+
+// reach tells the core whether child s can be served: not gone, and not
+// waiting for its hello-ack to be written. A reclaimed session has no slot.
+func (n *Node) reach(s *childSession) {
+	switch {
+	case s.slot < 0:
+	case s.gone || s.admitting:
+		n.core.ChildDown(s.slot)
+	default:
+		n.core.ChildUp(s.slot)
+	}
 }
 
 // connectParent dials the parent and says hello: the wire version, the
@@ -1278,10 +1313,10 @@ func (n *Node) connectParent(inflight map[uint64]*inTransfer, attempt int) (*con
 // unanswered is the node's count of requests sent to its parent that no
 // task has answered: every buffer that is not holding a task, receiving
 // one (partial of them), or still owed its request. (Tasks requeued from a
-// dead child can push the pool past Buffers; the count bottoms out at
+// dead child can push the pool past the buffers; the count bottoms out at
 // none.)
 func (n *Node) unanswered(partial int) int {
-	return max(0, n.cfg.Buffers-n.buffer.len()-partial-n.reqDeficit)
+	return max(0, int(n.core.Capacity)-n.buffer.len()-partial-n.reqDeficit)
 }
 
 // holding enumerates every task ID this node's subtree still accounts for:
@@ -1427,6 +1462,7 @@ func (n *Node) parentFrame(in *input) {
 			n.record(Event{Kind: EvTaskReceived, Task: t.id, Peer: peer,
 				Off: t.got, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
 			n.buffer.push(Task{ID: t.id, Payload: t.payload, App: t.app})
+			n.core.Arrived()
 			n.stats.Received++
 			n.bumpApp(t.app, func(s *AppStats) { s.Received++ })
 		}
@@ -1652,15 +1688,20 @@ func (n *Node) retireResult(task uint64, origin string) {
 	}
 }
 
-// oweRequest fires the request-on-free rule: one more request is owed to
-// the parent, and the uplink writer sends what is owed, as one frame,
-// whenever there is a parent. app tags the request with the application
-// whose freed buffer fired it — informational, exactly like the engine:
-// requests grant anonymous capacity, the parent's own weighted round-robin
-// decides whose task fills it.
-func (n *Node) oweRequest(app string) {
-	n.reqDeficit++
-	n.reqApp = app
+// freed owes the parent the requests the core issued for a taken task:
+// one for the buffer it left, one more for a buffer grown in its place.
+// The uplink writer sends what is owed, as one frame, whenever there is a
+// parent. app tags the request with the application whose freed buffer
+// fired it — informational, exactly like the engine: requests grant
+// anonymous capacity, the parent's own weighted round-robin decides whose
+// task fills it.
+func (n *Node) freed(t protocol.Take, app string) {
+	for _, owed := range [...]bool{t.Request, t.Grew} {
+		if owed {
+			n.reqDeficit++
+			n.reqApp = app
+		}
+	}
 }
 
 // computeLoop is the node's compute port: one task at a time, as the owner
@@ -1692,5 +1733,6 @@ func (n *Node) computed(t Task, out []byte, took time.Duration) {
 		n.enqueueResult(r)
 	}
 	delete(n.computing, t.ID)
-	n.computeBusy = false
+	n.core.ComputeDone()
+	n.freed(protocol.Take{Grew: n.core.G3()}, t.App)
 }

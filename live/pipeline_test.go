@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bwcs/internal/protocol"
 )
 
 // rootGate keeps a root's compute port from competing with its children:
@@ -67,7 +69,9 @@ func startGatedRoot(t *testing.T, g *rootGate, cfg Config) *Node {
 // checkOneOwner asks each node's owner, the way Stats does, to walk its
 // dispatch state: a task has exactly one owner — the pool, one session's
 // active transfer, or one session's outstanding set — and the reconnect
-// hello lists each ID once.
+// hello lists each ID once. The protocol core agrees: it counts the pool,
+// and each session's slot is in place, in flight exactly while the session
+// has an active transfer, and down exactly while it cannot be served.
 func checkOneOwner(t *testing.T, nodes ...*Node) {
 	t.Helper()
 	for _, n := range nodes {
@@ -87,6 +91,15 @@ func checkNodeOwner(t *testing.T, n *Node) {
 			owner[id] = who
 		}
 		n.buffer.each(func(tk Task) { own(tk.ID, "pool") })
+		if n.core.Occupied != int64(n.buffer.len()) {
+			errs = append(errs, fmt.Sprintf("%s: the core counts %d tasks, the pool holds %d", n.cfg.Name, n.core.Occupied, n.buffer.len()))
+		}
+		for i, s := range n.children {
+			if sl := n.core.Slots[i]; s.slot != i || sl.Child != s.id || sl.Inflight != (s.active != nil) || sl.Down != (s.gone || s.admitting) {
+				errs = append(errs, fmt.Sprintf("%s: child %s at %d has slot %d %+v (active %v, gone %v, admitting %v)",
+					n.cfg.Name, s.name, i, s.slot, sl, s.active != nil, s.gone, s.admitting))
+			}
+		}
 		for _, s := range n.children {
 			if s.active != nil {
 				own(s.active.task.ID, s.name+".active")
@@ -138,7 +151,7 @@ func sessionPending(n *Node, child string) int {
 	n.query(func() {
 		for _, s := range n.children {
 			if s.name == child && !s.gone {
-				pending = s.pending
+				pending = int(n.core.Slots[s.slot].Pending)
 				break
 			}
 		}
@@ -166,12 +179,27 @@ func turnNode(cfg Config, pending, tasks, size int) (*Node, *childSession) {
 		cfg.ChunkSize = 4096
 	}
 	n := &Node{cfg: cfg, root: true, portJobs: make(chan []portWrite, 1)}
+	n.core.Reset(protocol.Protocol{InitialBuffers: 3, Interruptible: !cfg.NonInterruptible}, true)
 	n.stats.ByChild = map[string]int64{}
 	n.buffer.pushAll(makeTasks(tasks, size))
-	s := &childSession{name: "w", c: &conn{}, pending: pending, outstanding: map[uint64]*outTransfer{}}
-	n.children = []*childSession{s}
-	return n, s
+	n.core.Refill(int64(tasks))
+	return n, addTurnChild(n, "w", pending)
 }
+
+// addTurnChild lists a reachable child with pending requests at a
+// turnNode.
+func addTurnChild(n *Node, name string, pending int) *childSession {
+	s := &childSession{name: name, c: &conn{}, id: n.nextID, slot: len(n.children), outstanding: map[uint64]*outTransfer{}}
+	n.nextID++
+	n.children = append(n.children, s)
+	n.core.Slots = append(n.core.Slots, protocol.Slot{Child: s.id})
+	n.core.Request(s.slot, int64(pending), 0)
+	n.resort()
+	return s
+}
+
+// pendingOf reads the requests child s has pending at n's core.
+func pendingOf(n *Node, s *childSession) int { return int(n.core.Slots[s.slot].Pending) }
 
 // TestTurnServesEveryPendingRequest pins the multi-task turn: one write
 // carries the owed result acks as one frame, then up to chunkBatch chunks
@@ -203,9 +231,9 @@ func TestTurnServesEveryPendingRequest(t *testing.T) {
 		if tasks, k := chunks(&turn[0]); k != 3 || len(tasks) != 3 {
 			t.Fatalf("the write carries %d chunks of tasks %v, want one each of three tasks", k, tasks)
 		}
-		if s.pending != 0 || s.active != nil || len(s.outstanding) != 3 || n.buffer.len() != 2 || n.stats.Forwarded != 3 {
+		if pendingOf(n, s) != 0 || s.active != nil || len(s.outstanding) != 3 || n.buffer.len() != 2 || n.stats.Forwarded != 3 {
 			t.Fatalf("after the turn: pending %d, active %v, %d outstanding, %d pooled, %d forwarded; want 0, nil, 3, 2, 3",
-				s.pending, s.active, len(s.outstanding), n.buffer.len(), n.stats.Forwarded)
+				pendingOf(n, s), s.active, len(s.outstanding), n.buffer.len(), n.stats.Forwarded)
 		}
 	})
 	t.Run("budget ends mid-transfer", func(t *testing.T) {
@@ -215,8 +243,8 @@ func TestTurnServesEveryPendingRequest(t *testing.T) {
 		if tasks, k := chunks(w); k != chunkBatch || len(tasks) != 3 {
 			t.Fatalf("the write carries %d chunks of tasks %v, want %d across three tasks", k, tasks, chunkBatch)
 		}
-		if len(s.outstanding) != 2 || s.active == nil || s.active != w.tr || s.pending != 0 {
-			t.Fatalf("%d handed off, active %v (turn's last %v), pending %d; want 2, the third, 0", len(s.outstanding), s.active, w.tr, s.pending)
+		if len(s.outstanding) != 2 || s.active == nil || s.active != w.tr || pendingOf(n, s) != 0 {
+			t.Fatalf("%d handed off, active %v (turn's last %v), pending %d; want 2, the third, 0", len(s.outstanding), s.active, w.tr, pendingOf(n, s))
 		}
 		// The network took five chunks, a prefix that ends in the second
 		// transfer: the third has sent nothing, and the write's time is
@@ -246,10 +274,99 @@ func TestTurnServesEveryPendingRequest(t *testing.T) {
 	t.Run("link delay", func(t *testing.T) {
 		n, s := turnNode(Config{LinkDelay: func(string) time.Duration { return time.Millisecond }}, 3, 5, 256)
 		n.portTurn()
-		if tasks, k := chunks(&(<-n.portJobs)[0]); k != 1 || len(tasks) != 1 || s.pending != 2 {
-			t.Fatalf("a paced turn carried %d chunks of tasks %v, %d requests left; want one chunk, 2 left", k, tasks, s.pending)
+		if tasks, k := chunks(&(<-n.portJobs)[0]); k != 1 || len(tasks) != 1 || pendingOf(n, s) != 2 {
+			t.Fatalf("a paced turn carried %d chunks of tasks %v, %d requests left; want one chunk, 2 left", k, tasks, pendingOf(n, s))
 		}
 	})
+}
+
+// flipTurn sets two children's link estimates (seconds), runs one
+// single-chunk port turn and folds it back in as fully written; it returns
+// the turn's chunk write.
+func flipTurn(n *Node, a, b *childSession, ka, kb float64) portWrite {
+	a.link, b.link = ewma{value: ka, seen: true}, ewma{value: kb, seen: true}
+	n.resort()
+	n.portTurn()
+	turn := <-n.portJobs
+	for i := range turn {
+		turn[i].accepted = len(turn[i].msgs)
+	}
+	n.turnDone()
+	return turn[len(turn)-1]
+}
+
+// TestSwitchBetweenUnfinishedTransfersInterrupts: with two partial
+// transfers on the port, flipping their link estimates moves the port from
+// one to the other. That switch is an interruption like any other: one
+// more Stats.Interrupts, one chunk-interrupt for the abandoned task, and a
+// chunk-resume opening its next segment, whose chunks carry that event as
+// their trace context.
+func TestSwitchBetweenUnfinishedTransfersInterrupts(t *testing.T) {
+	n, a := turnNode(Config{ChunkSize: 128, LinkDelay: func(string) time.Duration { return time.Millisecond }}, 1, 2, 3*128)
+	n.rec = newFlightRecorder(256)
+	b := addTurnChild(n, "b", 1)
+	count := func(kind EventKind, task uint64) (k int, last Event) {
+		for _, e := range eventsOf(n, kind) {
+			if e.Task == task {
+				k, last = k+1, e
+			}
+		}
+		return k, last
+	}
+
+	if w := flipTurn(n, a, b, 0.001, 0.002); w.s != a {
+		t.Fatalf("first turn served %s, want a", w.s.name)
+	}
+	if w := flipTurn(n, a, b, 0.003, 0.001); w.s != b || n.stats.Interrupts != 1 {
+		t.Fatalf("a fresh request from the faster b: turn served %s, %d interrupts; want b, 1", w.s.name, n.stats.Interrupts)
+	}
+	taskA, taskB := a.active.task.ID, b.active.task.ID
+	// Both transfers are partial; a is faster again.
+	if w := flipTurn(n, a, b, 0.001, 0.003); w.s != a || n.stats.Interrupts != 2 {
+		t.Fatalf("a switch back to a's transfer: turn served %s, %d interrupts; want a, 2", w.s.name, n.stats.Interrupts)
+	}
+	if k, _ := count(EvChunkInterrupt, taskB); k != 1 {
+		t.Fatalf("%d chunk-interrupts for b's abandoned task, want 1", k)
+	}
+	w := flipTurn(n, a, b, 0.003, 0.001)
+	k, resume := count(EvChunkResume, taskB)
+	if w.s != b || k != 1 || n.stats.Interrupts != 3 {
+		t.Fatalf("back to b: turn served %s, %d resumes of its task, %d interrupts; want b, 1, 3", w.s.name, k, n.stats.Interrupts)
+	}
+	for _, m := range w.msgs {
+		if m.Kind == kindChunk && (m.Task != taskB || m.TraceSeq != resume.Seq) {
+			t.Fatalf("b's resumed chunk: task %d, trace %d; want task %d, trace %d (the resume)", m.Task, m.TraceSeq, taskB, resume.Seq)
+		}
+	}
+	if k, _ := count(EvChunkResume, taskA); k != 1 {
+		t.Fatalf("%d chunk-resumes of a's task, want 1", k)
+	}
+}
+
+// TestTurnTieKeepsSendInFlight pins the tie rule: unmeasured links read
+// estimate 0, so a fresh child's request can tie the transfer on the port.
+// On an exact tie the send in flight keeps the port (the core preempts
+// only for strictly higher priority), whatever the names; between waiting
+// children the name decides.
+func TestTurnTieKeepsSendInFlight(t *testing.T) {
+	n, b := turnNode(Config{ChunkSize: 128, LinkDelay: func(string) time.Duration { return time.Millisecond }}, 1, 2, 3*128)
+	b.name = "b"
+	a := addTurnChild(n, "a", 0)
+	if w := flipTurn(n, a, b, 0, 0); w.s != b {
+		t.Fatalf("first turn served %s, want b, the only child with a request", w.s.name)
+	}
+	n.core.Request(a.slot, 1, 0)
+	if w := flipTurn(n, a, b, 0, 0); w.s != b || n.stats.Interrupts != 0 || pendingOf(n, a) != 1 {
+		t.Fatalf("a tie with the transfer in flight: turn served %s, %d interrupts, a's requests %d; want b, 0, 1",
+			w.s.name, n.stats.Interrupts, pendingOf(n, a))
+	}
+	// Idle, the port serves the tied children in name order.
+	n2, z := turnNode(Config{}, 1, 2, 64)
+	z.name = "z"
+	y := addTurnChild(n2, "y", 1)
+	if w := flipTurn(n2, y, z, 0, 0); w.s != y {
+		t.Fatalf("an idle port served %s first, want y", w.s.name)
+	}
 }
 
 // TestFailedTurnLeavesEstimate severs the root's first chunk write to a

@@ -1,9 +1,13 @@
 package live
 
 import (
+	"cmp"
 	"slices"
 	"sort"
+	"strings"
 	"time"
+
+	"bwcs/internal/protocol"
 )
 
 // portWrite is one write of a send-port turn, on one child's conn: a
@@ -25,10 +29,10 @@ type portWrite struct {
 }
 
 // portTurn hands the idle send port its next turn, when there is one: the
-// transfer nextChunk picks, with every result ack owed to a child riding
+// transfer nextTransfer picks, with every result ack owed to a child riding
 // the same turn.
 func (n *Node) portTurn() {
-	target, turn := n.nextChunk(), n.turn[:0]
+	target, turn := n.nextTransfer(), n.turn[:0]
 	for _, s := range n.children {
 		if s != target && (len(s.acks) == 0 || s.gone || s.admitting) {
 			continue
@@ -61,13 +65,13 @@ func (n *Node) portTurn() {
 // still open expires (0: none is).
 func (n *Node) reclaim() (wait time.Duration) {
 	grace := n.cfg.ReconnectGrace
-	kept := n.children[:0]
-	for _, s := range n.children {
+	for i := 0; i < len(n.children); {
+		s := n.children[i]
 		if !s.gone || (!s.left && grace > 0 && time.Since(s.goneAt) < grace) {
 			if s.gone && (wait == 0 || grace-time.Since(s.goneAt) < wait) {
 				wait = max(grace-time.Since(s.goneAt), time.Millisecond)
 			}
-			kept = append(kept, s)
+			i++
 			continue
 		}
 		if s.active != nil {
@@ -83,96 +87,83 @@ func (n *Node) reclaim() (wait time.Duration) {
 			n.requeue(s, s.outstanding[id])
 		}
 		clear(s.outstanding)
+		n.core.Remove(i) // its transfers are back in the pool
+		n.children = slices.Delete(n.children, i, i+1)
+		s.slot = -1
+		for j := i; j < len(n.children); j++ {
+			n.children[j].slot = j
+		}
 	}
-	n.children = kept
 	return wait
 }
 
-// nextChunk picks the child whose transfer the port should advance,
-// starting a fresh transfer (dispatch) when that child has no active one.
-// It returns nil when there is nothing to send. Each pick serves one child
-// for one turn, choosing the highest-priority transfer by measured link
-// speed — so under the interruptible protocol a request from a faster
-// child preempts a slower child's transfer at the next turn, and the
-// preempted transfer later resumes from its offset (the paper's
-// shelve-and-resume). Under the non-interruptible protocol the port sticks
-// with a transfer until its last chunk.
-func (n *Node) nextChunk() *childSession {
-	var best *childSession
-	bestFresh := false
-	better := func(a *childSession, b *childSession) bool {
-		if b == nil {
-			return true
-		}
-		ka, kb := a.link.estimate(), b.link.estimate()
-		if ka != kb {
-			return ka < kb
-		}
-		return a.name < b.name
+// nextTransfer carries out the core's send-port decision and returns the
+// child whose transfer the port advances next, nil when there is nothing
+// to send: a fresh transfer is dispatched, a shelved one resumes from its
+// offset, or the unfinished one goes on. Under the interruptible protocol a
+// faster child's request shelves a slower child's transfer (the paper's
+// shelve-and-resume, between turns); that is an interruption, whichever
+// transfer takes the port. Under the non-interruptible protocol a transfer
+// keeps the port until its last chunk.
+func (n *Node) nextTransfer() *childSession {
+	d := n.core.DecideSend(0, nil)
+	if d.Shelved >= 0 {
+		o := n.children[d.Shelved]
+		n.stats.Interrupts++
+		n.record(Event{Kind: EvChunkInterrupt, Task: o.active.task.ID, Peer: o.name, Off: o.active.offset})
+		o.active.resumed = true // its next chunk opens a new segment
 	}
-	haveTask := n.buffer.len() > 0
-	for _, s := range n.children {
-		if s.gone || s.admitting {
-			continue
+	switch {
+	case d.Slot >= 0:
+		s := n.children[d.Slot]
+		if !d.Resume {
+			n.dispatch(s, d.Take)
 		}
-		switch {
-		case s.active != nil:
-			if n.cfg.NonInterruptible {
-				// Run-to-completion: an unfinished transfer owns the port.
-				return s
-			}
-			if better(s, best) {
-				best, bestFresh = s, false
-			}
-		// A child whose last transfer was handed off is served again on
-		// its next pending request: the port never waits on a round trip.
-		case s.pending > 0 && haveTask:
-			if better(s, best) {
-				best, bestFresh = s, true
-			}
-		}
+		return s
+	case n.core.Sending() >= 0:
+		return n.children[n.core.Sending()]
 	}
-	if bestFresh {
-		n.dispatch(best)
-	}
-	return best
+	return nil
 }
 
-// dispatch starts a fresh transfer to s, consuming a buffered task and one
-// of s's requests.
-func (n *Node) dispatch(s *childSession) {
-	// Preemption accounting: starting a fresh transfer while another
-	// child's transfer is unfinished is an interruption.
-	interrupted := false
-	for _, o := range n.children {
-		if o != s && o.active != nil {
-			if !interrupted {
-				n.stats.Interrupts++
-				interrupted = true
-			}
-			// The shelved transfer's next chunk opens a new segment.
-			n.record(Event{Kind: EvChunkInterrupt, Task: o.active.task.ID,
-				Peer: o.name, Off: o.active.offset})
-			o.active.resumed = true
-		}
-	}
+// dispatch starts the fresh transfer the core started to s, on a buffered
+// task; take is what became of the buffer the task left.
+func (n *Node) dispatch(s *childSession, take protocol.Take) {
 	// WRR over application tags decides whose task moves; the
-	// bandwidth-centric choice of *which child* was made by the caller.
+	// bandwidth-centric choice of *which child* was the core's.
 	t := n.buffer.pop()
-	s.pending--
 	s.active = &outTransfer{task: t}
 	// The dispatch decision, recorded in the owner step that consumes the
 	// buffered task and the child's request. Value is the chosen child's
 	// measured link estimate (ns) at decision time, so recorder order is
 	// exactly the order decisions and estimate updates were made.
-	s.active.traceSeq = n.record(Event{Kind: EvChunkSend, Task: t.ID, Peer: s.name,
-		Value: int64(s.link.estimate() * 1e9)})
+	s.active.traceSeq = n.record(Event{Kind: EvChunkSend, Task: t.ID, Peer: s.name, Value: s.key()})
 	n.stats.Forwarded++
 	n.stats.ByChild[s.name]++
 	n.bumpApp(t.App, func(a *AppStats) { a.Forwarded++ })
-	if !n.root {
-		n.oweRequest(t.App) // the freed buffer requests a refill (the paper's rule)
+	n.freed(take, t.App) // the freed buffer requests a refill (the paper's rule)
+}
+
+// key is the child's priority key: its measured link estimate in
+// nanoseconds.
+func (s *childSession) key() int64 { return int64(s.link.estimate() * 1e9) }
+
+// resort keeps the children, and their core slots with them, in priority
+// order: by key, then by name. The slots move as whole values, so their
+// state goes with them.
+func (n *Node) resort() {
+	slices.SortFunc(n.children, func(a, b *childSession) int {
+		return cmp.Or(cmp.Compare(a.key(), b.key()), strings.Compare(a.name, b.name), cmp.Compare(a.id, b.id))
+	})
+	slots := n.slotBuf[:0]
+	for i, s := range n.children {
+		sl := n.core.Slots[s.slot]
+		sl.Key = s.key()
+		slots = append(slots, sl)
+		s.slot = i
 	}
+	n.slotBuf = n.core.Slots
+	n.core.Relist(slots)
 }
 
 // requeue returns a transfer's task to the pool for re-dispatch, behind
@@ -182,6 +173,7 @@ func (n *Node) dispatch(s *childSession) {
 // session.
 func (n *Node) requeue(s *childSession, tr *outTransfer) {
 	n.buffer.push(tr.task)
+	n.core.Refill(1)
 	n.record(Event{Kind: EvRequeue, Task: tr.task.ID, Peer: s.name})
 	n.bumpApp(tr.task.App, func(a *AppStats) { a.Requeued++ })
 	n.stats.Requeued++
@@ -226,6 +218,7 @@ func (n *Node) startTurn(s *childSession, w *portWrite) *outTransfer {
 			tr.traceSeq = n.record(Event{Kind: EvHandoff, Task: task.ID, Peer: s.name, Off: tr.offset})
 			s.outstanding[task.ID] = tr
 			s.active = nil
+			n.freed(protocol.Take{Grew: n.core.SendDone()}, task.App) // G2
 		}
 		// An empty payload still takes exactly one (empty, Last) chunk.
 		for end := tr.offset; ; {
@@ -246,10 +239,10 @@ func (n *Node) startTurn(s *childSession, w *portWrite) *outTransfer {
 				break
 			}
 		}
-		if s.active != nil || budget == 0 || s.pending == 0 || n.buffer.len() == 0 {
+		if s.active != nil || budget == 0 || n.core.Slots[s.slot].Pending == 0 || n.core.Occupied == 0 {
 			return tr
 		}
-		n.dispatch(s)
+		n.dispatch(s, n.core.Start(s.slot, 0))
 	}
 }
 
@@ -290,6 +283,7 @@ func (n *Node) sendPort() {
 // reclaimed.
 func (n *Node) turnDone() {
 	n.portBusy = false
+	defer n.resort() // the estimates are the slots' keys
 	for i := range n.turn {
 		w := &n.turn[i]
 		// The chunks accepted behind the ack frame, if one opens the write.
