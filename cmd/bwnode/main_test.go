@@ -35,10 +35,8 @@ func TestRootRunsAloneAndWithWorker(t *testing.T) {
 	// still exercised; only skip the worker assertions then.
 	var worker *live.Node
 	for i := 0; i < 100; i++ {
-		w, err := live.StartConfig(live.Config{
-			Name: "w", Parent: addr, Buffers: 2,
-			Compute: func(t live.Task) ([]byte, error) { return nil, nil },
-		})
+		w, err := live.Start("w", live.WithParent(addr), live.WithBuffers(2),
+			live.WithCompute(func(t live.Task) ([]byte, error) { return nil, nil }))
 		if err == nil {
 			worker = w
 			break

@@ -235,26 +235,22 @@ func TestSeverDuringReplayTimeline(t *testing.T) {
 		live.FaultRule{Link: "parent", Dir: live.FaultSend, Kind: live.FrameResult, After: 3, Op: live.FaultSever},
 		live.FaultRule{Link: "parent", Dir: live.FaultSend, Kind: live.FrameResult, After: 6, Op: live.FaultSever},
 	)
-	root, err := live.StartConfig(live.Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:           func(tk live.Task) ([]byte, error) { time.Sleep(15 * time.Millisecond); return tk.Payload, nil },
-		HeartbeatInterval: 100 * time.Millisecond,
+	root, err := live.Start("root", live.WithListen("127.0.0.1:0"), live.WithBuffers(3),
+		live.WithCompute(func(tk live.Task) ([]byte, error) { time.Sleep(15 * time.Millisecond); return tk.Payload, nil }),
+		live.WithHeartbeat(100*time.Millisecond, 0),
 		// The first result's ack is lost, so a written, unacked result is
 		// in the ledger when the first sever lands and the reconnect has
 		// one to replay whatever the timing of the other acks (as in
 		// live's TestRoadmapStallRepro).
-		Faults: live.NewFaultPlan(live.FaultRule{Link: "w", Dir: live.FaultSend, Kind: live.FrameResultAck, Op: live.FaultDrop}),
-	})
+		live.WithFaultPlan(live.NewFaultPlan(live.FaultRule{Link: "w", Dir: live.FaultSend, Kind: live.FrameResultAck, Op: live.FaultDrop})))
 	if err != nil {
 		t.Fatalf("start root: %v", err)
 	}
 	defer root.Close()
-	w, err := live.StartConfig(live.Config{
-		Name: "w", Parent: root.Addr(), Buffers: 3,
-		Compute:       func(tk live.Task) ([]byte, error) { time.Sleep(5 * time.Millisecond); return tk.Payload, nil },
-		Faults:        plan,
-		ReconnectBase: 20 * time.Millisecond, ReconnectCap: 100 * time.Millisecond, ReconnectAttempts: 20,
-	})
+	w, err := live.Start("w", live.WithParent(root.Addr()), live.WithBuffers(3),
+		live.WithCompute(func(tk live.Task) ([]byte, error) { time.Sleep(5 * time.Millisecond); return tk.Payload, nil }),
+		live.WithFaultPlan(plan),
+		live.WithReconnect(20*time.Millisecond, 100*time.Millisecond, 20))
 	if err != nil {
 		t.Fatalf("start worker: %v", err)
 	}

@@ -17,8 +17,9 @@
 // engine turns those decisions into timed events: a send completes c_i
 // timesteps after it starts (a shelved one keeps its remaining time), a
 // computation w_i after. It adds what a simulation needs around the core:
-// mutations, attachments and departures, multi-application tagging,
-// tracing and timeline telemetry.
+// mutations, attachments and departures, the tagging of every task with
+// its application (package protocol's tenant picker chooses whose task a
+// node takes), tracing and timeline telemetry.
 //
 // # Determinism
 //
@@ -44,8 +45,8 @@ import (
 const (
 	evSendComplete sim.Kind = iota + 1
 	evComputeComplete
-	// evAppRelease opens a workload's pool at its scheduled release time
-	// (multi-application runs only); Node carries the application index.
+	// evAppRelease opens a workload's pool at its scheduled release time;
+	// Node carries the application index.
 	evAppRelease
 	// evSample is the timeline telemetry tick (Config.SampleEvery > 0
 	// only); it re-schedules itself until the last task completes.
@@ -107,9 +108,9 @@ type Config struct {
 	// Workloads runs several applications concurrently over the one tree
 	// with weighted bandwidth-centric sharing (see Workload). Mutually
 	// exclusive with Tasks: a Config sets one or the other. Single-
-	// application callers keep using Tasks; the engine behaves
-	// identically either way (a one-workload run is event-for-event the
-	// Tasks run, with tags riding along).
+	// application callers keep using Tasks, which the engine runs as one
+	// unnamed workload: a one-workload run is event-for-event the Tasks
+	// run.
 	Workloads []Workload
 
 	// Seed feeds the Random child-selection order; unused otherwise.
@@ -290,7 +291,8 @@ type Result struct {
 	// node which had already departed and were therefore ignored.
 	SkippedMutations int
 	// Apps is the per-application breakdown of a multi-workload run, in
-	// Config.Workloads order; nil for single-application (Tasks) runs.
+	// Config.Workloads order; nil for single-application (Tasks) runs. A
+	// one-workload run's Apps[0].Completions is Completions itself.
 	Apps []AppResult
 	// Metrics is the run's engine-wide instrumentation snapshot.
 	Metrics Metrics
@@ -390,15 +392,13 @@ type nodeState struct {
 	// shelf describes a transfer toward this node shelved at its parent.
 	shelf shelf
 
-	// Multi-application tagging (nil / unused in single-application
-	// runs): occApp[a] is how many of the buffered tasks belong to
-	// application a, appCredit the node's weighted round-robin state, and
-	// computingApp / sendingApp tag the tasks on the compute port and in
-	// flight at the send port.
-	occApp       []int64
-	appCredit    []int64
-	computingApp int32
-	sendingApp   int32
+	// Tenant state, one entry per workload: occApp[a] is how many of the
+	// buffered tasks (at the root, of the released pool) belong to
+	// application a, and credit is the node's tenant-picker ledger.
+	// computingApp and sendingApp tag the tasks on the compute port and
+	// in flight at the send port.
+	occApp, credit           []int64
+	computingApp, sendingApp int32
 
 	departed bool
 
@@ -416,22 +416,22 @@ type engine struct {
 	trace Tracer
 	met   Metrics
 
-	requeued    int64
-	skippedMut  int
-	completed   int64
-	completions []sim.Time
+	requeued   int64
+	skippedMut int
+	completed  int64
 
 	// statsBuf backs Result.Nodes, reused across a Runner's runs.
 	statsBuf []NodeStat
 
-	// Multi-application state (empty in single-application runs): one
-	// released pool, weight, completion stream and requeue counter per
-	// workload. totalTasks is the sum over workloads (== cfg.Tasks in
-	// single-application runs).
-	multi          bool
+	// Every run is tagged: workloads is Config.Workloads, or for a Tasks
+	// run one unnamed workload (one). Per workload: its configured weight,
+	// its completion stream — a partition of completions, whose storage
+	// a Runner reuses — and its requeue count. totalTasks is their sum.
+	workloads      []Workload
+	one            [1]Workload
 	totalTasks     int64
-	pools          []int64
 	appWeights     []int64
+	completions    []sim.Time
 	appCompletions [][]sim.Time
 	appRequeued    []int64
 
@@ -500,15 +500,17 @@ func (e *engine) reset(cfg Config) {
 		t = cfg.Tree.Clone()
 	}
 	*e = engine{
-		cfg:         cfg,
-		t:           t,
-		s:           e.s,
-		nodes:       e.nodes,
-		completions: e.completions[:0],
-		checkpoints: e.checkpoints[:0],
-		statsBuf:    e.statsBuf,
-		totalTasks:  cfg.Tasks,
-		trace:       cfg.Tracer,
+		cfg:            cfg,
+		t:              t,
+		s:              e.s,
+		nodes:          e.nodes,
+		checkpoints:    e.checkpoints[:0],
+		statsBuf:       e.statsBuf,
+		appWeights:     e.appWeights[:0],
+		completions:    e.completions,
+		appCompletions: e.appCompletions[:0],
+		appRequeued:    e.appRequeued[:0],
+		trace:          cfg.Tracer,
 	}
 	e.s.Reset()
 }
@@ -522,31 +524,33 @@ func (e *engine) run(cfg Config) (*Result, error) {
 		e.src = rand.NewPCG(cfg.Seed, 0xda3e39cb94b95bdb)
 		e.rng = rand.New(e.src)
 	}
-	pool := cfg.Tasks // undispatched tasks at the root: its core's buffers
-	if len(cfg.Workloads) > 0 {
-		e.multi = true
-		pool = 0
-		e.totalTasks = 0
-		e.pools = make([]int64, len(cfg.Workloads))
-		e.appWeights = make([]int64, len(cfg.Workloads))
-		e.appCompletions = make([][]sim.Time, len(cfg.Workloads))
-		e.appRequeued = make([]int64, len(cfg.Workloads))
-		for a, w := range cfg.Workloads {
-			e.totalTasks += w.Tasks
-			e.appWeights[a] = w.weight()
-			e.appCompletions[a] = make([]sim.Time, 0, w.Tasks)
-			if w.Release <= 0 {
-				e.pools[a] = w.Tasks
-				pool += w.Tasks
-			}
-		}
+	e.workloads = cfg.Workloads
+	if len(e.workloads) == 0 {
+		e.one[0] = Workload{Tasks: cfg.Tasks}
+		e.workloads = e.one[:]
+	}
+	for _, w := range e.workloads {
+		e.totalTasks += w.Tasks
 	}
 	if cap(e.completions) < int(e.totalTasks) {
-		e.completions = make([]sim.Time, 0, e.totalTasks)
+		e.completions = make([]sim.Time, e.totalTasks)
+	}
+	var off int64
+	for _, w := range e.workloads {
+		e.appWeights = append(e.appWeights, w.Weight)
+		e.appRequeued = append(e.appRequeued, 0)
+		e.appCompletions = append(e.appCompletions, e.completions[off:off:off+w.Tasks])
+		off += w.Tasks
 	}
 
 	e.initNodes(0)
-	e.nodes[0].core.Refill(pool)
+	root := &e.nodes[0]
+	for a, w := range e.workloads {
+		if w.Release <= 0 { // undispatched tasks at the root: its core's buffers
+			root.occApp[a] = w.Tasks
+			root.core.Refill(w.Tasks)
+		}
+	}
 	if cfg.SampleEvery > 0 {
 		// Before the t=0 scheduling pass, so the very first sends are
 		// stamped for utilization accounting.
@@ -554,7 +558,7 @@ func (e *engine) run(cfg Config) (*Result, error) {
 	}
 
 	// Workloads arriving mid-run open their pools at their release times.
-	for a, w := range cfg.Workloads {
+	for a, w := range e.workloads {
 		if w.Release > 0 {
 			e.s.Schedule(w.Release, evAppRelease, int32(a), 0)
 		}
@@ -585,7 +589,7 @@ func (e *engine) run(cfg Config) (*Result, error) {
 	}
 	res := &Result{
 		Tree:             e.t,
-		Completions:      e.completions,
+		Completions:      e.merged(),
 		Makespan:         e.s.Now(),
 		Nodes:            e.statsBuf[:len(e.nodes)],
 		Checkpoints:      e.checkpoints,
@@ -593,18 +597,15 @@ func (e *engine) run(cfg Config) (*Result, error) {
 		Requeued:         e.requeued,
 		SkippedMutations: e.skippedMut,
 	}
-	if e.multi {
-		res.Apps = make([]AppResult, len(cfg.Workloads))
-		for a, w := range cfg.Workloads {
-			res.Apps[a] = AppResult{
-				App:         w.App,
-				Weight:      w.weight(),
-				Release:     w.Release,
-				Tasks:       w.Tasks,
-				Completions: e.appCompletions[a],
-				Requeued:    e.appRequeued[a],
-			}
-		}
+	for a, w := range cfg.Workloads {
+		res.Apps = append(res.Apps, AppResult{
+			App:         w.App,
+			Weight:      protocol.Weight(w.Weight),
+			Release:     w.Release,
+			Tasks:       w.Tasks,
+			Completions: e.appCompletions[a],
+			Requeued:    e.appRequeued[a],
+		})
 	}
 	for i := range e.nodes {
 		core := &e.nodes[i].core
@@ -678,9 +679,9 @@ func (e *engine) initNodes(from int) {
 	}
 	for id := from; id < n; id++ {
 		ns := &e.nodes[id]
-		// Recycle the element's slot storage across runs (a Runner keeps
-		// the nodes table; fresh elements start nil).
-		slots := ns.core.Slots
+		// Recycle the element's slot and tenant storage across runs (a
+		// Runner keeps the nodes table; fresh elements start nil).
+		slots, occ, credit := ns.core.Slots, ns.occApp, ns.credit
 		*ns = nodeState{
 			w:      e.t.W(tree.NodeID(id)),
 			c:      e.t.C(tree.NodeID(id)),
@@ -688,15 +689,11 @@ func (e *engine) initNodes(from int) {
 			slot:   -1,
 		}
 		ns.core.Slots = slots
+		ns.occApp = zeroed(occ, len(e.workloads))
+		ns.credit = zeroed(credit, len(e.workloads))
 		ns.core.Reset(e.cfg.Protocol, id == 0)
 		for _, k := range e.t.Children(tree.NodeID(id)) {
 			ns.core.Slots = append(ns.core.Slots, protocol.Slot{Child: int32(k), Key: e.key(k)})
-		}
-		if e.multi {
-			ns.occApp = make([]int64, len(e.cfg.Workloads))
-			ns.appCredit = make([]int64, len(e.cfg.Workloads))
-			ns.sendingApp = -1
-			ns.computingApp = -1
 		}
 	}
 	// Parents of newly attached nodes gain children; re-list them for all
@@ -771,22 +768,16 @@ func (e *engine) Handle(ev *sim.Event) {
 }
 
 // took carries out the driver's side of node n taking a task its core
-// released for the compute port or a send: the task's application tag —
-// always 0 in single-application runs; the weighted round-robin picks
-// among the applications with a task here otherwise — and the freed
-// buffer's request, retirement or G1 growth.
+// released for the compute port or a send: the task's application — the
+// tenant picker's choice among those with a task here, ties to the
+// earliest workload — and the freed buffer's request, retirement or G1
+// growth.
 func (e *engine) took(n int32, t protocol.Take) int32 {
-	var app int32
-	if e.multi {
-		app = e.pickApp(n)
-		if n == 0 {
-			e.pools[app]--
-		} else {
-			e.nodes[n].occApp[app]--
-		}
-	}
+	ns := &e.nodes[n]
+	app := protocol.PickTenant(ns.credit, e.appWeights, ns.occApp, nil)
+	ns.occApp[app]--
 	if t.Retired {
-		e.nodes[n].stat.Decayed++
+		ns.stat.Decayed++
 		e.met.Decays++
 	} else if t.Request {
 		e.request(n)
@@ -794,7 +785,7 @@ func (e *engine) took(n int32, t protocol.Take) int32 {
 	if t.Grew {
 		e.grew(n)
 	}
-	return app
+	return int32(app)
 }
 
 // request sends one task request from node n to its parent. Requests are
@@ -844,9 +835,7 @@ func (e *engine) onSendComplete(p, c int32) {
 	ps.sendEv = nil
 	grew := ps.core.SendDone()
 	cs.core.Arrived()
-	if e.multi {
-		cs.occApp[app]++
-	}
+	cs.occApp[app]++
 	cs.stat.Received++
 	e.met.SendsCompleted++
 	if e.trace != nil {
@@ -873,11 +862,8 @@ func (e *engine) onComputeComplete(n int32) {
 	ns.stat.Computed++
 	e.met.ComputesDone++
 	e.completed++
-	e.completions = append(e.completions, e.s.Now())
-	if e.multi {
-		a := ns.computingApp
-		e.appCompletions[a] = append(e.appCompletions[a], e.s.Now())
-	}
+	a := ns.computingApp
+	e.appCompletions[a] = append(e.appCompletions[a], e.s.Now())
 	if e.trace != nil {
 		e.trace.ComputeDone(e.s.Now(), tree.NodeID(n), e.completed)
 	}
@@ -965,10 +951,7 @@ func (e *engine) trySchedule(n int32) {
 	// CPU: the node itself is the highest-priority consumer (its
 	// "communication time" is zero).
 	if t, ok := ns.core.Compute(); ok {
-		app := e.took(n, t)
-		if e.multi {
-			ns.computingApp = app
-		}
+		ns.computingApp = e.took(n, t)
 		e.met.ComputesStarted++
 		ns.computeEv = e.s.Schedule(sim.Time(ns.w), evComputeComplete, n, 0)
 		if e.trace != nil {
@@ -1005,10 +988,7 @@ func (e *engine) trySchedule(n int32) {
 		e.met.SendsResumed++
 		delay = cs.shelf.remaining
 	} else {
-		app := e.took(n, d.Take)
-		if e.multi {
-			ns.sendingApp = app
-		}
+		ns.sendingApp = e.took(n, d.Take)
 		ns.stat.Forwarded++
 		e.met.SendsStarted++
 		delay = sim.Time(cs.c)
@@ -1039,11 +1019,7 @@ func (e *engine) depart(node tree.NodeID) {
 		return
 	}
 
-	var lost int64
-	var lostApp []int64
-	if e.multi {
-		lostApp = make([]int64, len(e.cfg.Workloads))
-	}
+	requeued := e.requeued
 
 	// Parent side first: cancel the transfer in flight toward the
 	// departing root, drop its outstanding requests and its slot.
@@ -1055,17 +1031,11 @@ func (e *engine) depart(node tree.NodeID) {
 			e.tlSendStop(parent)
 		}
 		e.s.Cancel(ps.sendEv)
-		if e.multi {
-			lostApp[ps.sendingApp]++
-		}
+		e.requeue(ps.sendingApp, 1)
 		ps.sendEv = nil
-		lost++
 	}
 	if shelved {
-		if e.multi {
-			lostApp[ds.shelf.app]++
-		}
-		lost++
+		e.requeue(ds.shelf.app, 1)
 	}
 
 	// Subtree side: cancel all work in progress and reclaim held tasks,
@@ -1074,54 +1044,67 @@ func (e *engine) depart(node tree.NodeID) {
 		ns := &e.nodes[sid]
 		ns.departed = true
 		ns.stat.Departed = true
-		lost += ns.core.Occupied
-		if e.multi {
-			for a, k := range ns.occApp {
-				lostApp[a] += k
-				ns.occApp[a] = 0
-			}
+		for a, k := range ns.occApp {
+			e.requeue(int32(a), k)
+			ns.occApp[a] = 0
 		}
 		if ns.core.Computing {
 			e.s.Cancel(ns.computeEv)
-			if e.multi {
-				lostApp[ns.computingApp]++
-			}
+			e.requeue(ns.computingApp, 1)
 			ns.computeEv = nil
-			lost++
 		}
 		if ns.core.Sending() >= 0 {
 			if e.tl != nil {
 				e.tlSendStop(int32(sid))
 			}
 			e.s.Cancel(ns.sendEv)
-			if e.multi {
-				lostApp[ns.sendingApp]++
-			}
+			e.requeue(ns.sendingApp, 1)
 			ns.sendEv = nil
-			lost++
 		}
 		for _, sl := range ns.core.Slots {
 			if sl.Shelved {
-				if e.multi {
-					lostApp[e.nodes[sl.Child].shelf.app]++
-				}
-				lost++
+				e.requeue(e.nodes[sl.Child].shelf.app, 1)
 			}
 		}
 		ns.core.Depart()
 	}
+	e.nodes[0].core.Refill(e.requeued - requeued)
 
-	e.nodes[0].core.Refill(lost)
-	e.requeued += lost
-	if e.multi {
-		for a, k := range lostApp {
-			e.pools[a] += k
-			e.appRequeued[a] += k
-		}
-	}
 	// The replenished pool and the parent's freed port may enable work.
 	e.trySchedule(parent)
 	if parent != 0 {
 		e.trySchedule(0)
 	}
+}
+
+// requeue returns k of application app's tasks, lost with a departing
+// subtree, to the root's pool.
+func (e *engine) requeue(app int32, k int64) {
+	e.nodes[0].occApp[app] += k
+	e.appRequeued[app] += k
+	e.requeued += k
+}
+
+// merged returns the run's completion stream: the workloads' streams in
+// time order — a one-workload run's own stream, not a copy.
+func (e *engine) merged() []sim.Time {
+	if len(e.appCompletions) == 1 {
+		return e.appCompletions[0]
+	}
+	out := make([]sim.Time, 0, e.totalTasks)
+	for _, c := range e.appCompletions {
+		out = append(out, c...)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// zeroed returns s resized to n zeros, reusing its storage when it can.
+func zeroed(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

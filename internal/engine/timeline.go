@@ -130,17 +130,11 @@ func (e *engine) initTimeline() {
 			tl.linkUtil[id] = metrics.NewTimeSeries(fmt.Sprintf("link_util/%d", id), capacity, res)
 		}
 	}
-	if e.multi {
-		tl.appShare = make([]*metrics.TimeSeries, len(e.cfg.Workloads))
-		tl.lastApp = make([]int64, len(e.cfg.Workloads))
-		for a, w := range e.cfg.Workloads {
-			name := w.App
-			if name == "" {
-				name = fmt.Sprintf("app%d", a)
-			}
-			tl.appShare[a] = metrics.NewTimeSeries("app_share/"+name, capacity, res)
-		}
+	// A Tasks run's one workload is unnamed and has no share series.
+	for _, w := range e.cfg.Workloads {
+		tl.appShare = append(tl.appShare, metrics.NewTimeSeries("app_share/"+w.App, capacity, res))
 	}
+	tl.lastApp = make([]int64, len(tl.appShare))
 	e.tl = tl
 	tl.ev = e.s.Schedule(every, evSample, 0, 0)
 }
@@ -206,16 +200,14 @@ func (e *engine) sampleTimeline() {
 		ts.Append(int64(now), float64(busy)/float64(delta))
 	}
 
-	if e.multi {
-		for a, ts := range tl.appShare {
-			appDone := int64(len(e.appCompletions[a])) - tl.lastApp[a]
-			tl.lastApp[a] = int64(len(e.appCompletions[a]))
-			share := 0.0
-			if done > 0 {
-				share = float64(appDone) / float64(done)
-			}
-			ts.Append(int64(now), share)
+	for a, ts := range tl.appShare {
+		appDone := int64(len(e.appCompletions[a])) - tl.lastApp[a]
+		tl.lastApp[a] = int64(len(e.appCompletions[a]))
+		share := 0.0
+		if done > 0 {
+			share = float64(appDone) / float64(done)
 		}
+		ts.Append(int64(now), share)
 	}
 	tl.intervalStart = now
 }

@@ -11,11 +11,12 @@ import (
 // Workloads schedules several concurrently: every task is tagged with the
 // application it belongs to, the root keeps one pool per application, and
 // each send or compute decision that consumes a task picks the
-// application by weighted round-robin before the paper's bandwidth-centric
-// child priority decides where the task goes. Tagging never perturbs the
-// aggregate schedule: child selection, buffer growth and decay all depend
-// only on untagged totals, so a multi-application run completes tasks at
-// exactly the times a single application of the same total size would.
+// application by weighted round-robin (protocol.PickTenant) before the
+// paper's bandwidth-centric child priority decides where the task goes.
+// Tagging never perturbs the aggregate schedule: child selection, buffer
+// growth and decay all depend only on untagged totals, so a
+// multi-application run completes tasks at exactly the times a single
+// application of the same total size would.
 type Workload struct {
 	// App names the application; names must be unique and non-empty.
 	App string
@@ -23,20 +24,12 @@ type Workload struct {
 	Tasks int64
 	// Weight is the application's sharing weight; the weighted round-robin
 	// dispatches tasks of concurrently eligible applications in proportion
-	// to their weights. Zero means 1.
+	// to their weights. Zero means 1 (protocol.Weight).
 	Weight int64
 	// Release is the simulated time at which the application's pool opens
 	// at the root; zero releases it at the start. Releases let tenants
 	// join a platform mid-run.
 	Release sim.Time
-}
-
-// weight returns the effective sharing weight (zero-valued means 1).
-func (w Workload) weight() int64 {
-	if w.Weight <= 0 {
-		return 1
-	}
-	return w.Weight
 }
 
 // AppResult is the per-application slice of a multi-workload Result.
@@ -86,46 +79,11 @@ func validateWorkloads(ws []Workload, tasks int64) error {
 	return nil
 }
 
-// pickApp chooses which application's task node n consumes next, by
-// smooth weighted round-robin over the applications with a task available
-// at n (the root draws on its released pools, every other node on its
-// tagged buffer occupancy). Each eligible application earns its weight in
-// credit, the highest-credit one (earliest index on ties) is served and
-// pays back the round's total — so over any interval in which a set of
-// applications stays eligible, each receives service proportional to its
-// weight. Single-application runs never call this.
-func (e *engine) pickApp(n int32) int32 {
-	ns := &e.nodes[n]
-	avail := ns.occApp
-	if n == 0 {
-		avail = e.pools
-	}
-	credit := ns.appCredit
-	best := int32(-1)
-	var total int64
-	for a := range avail {
-		if avail[a] <= 0 {
-			continue
-		}
-		w := e.appWeights[a]
-		credit[a] += w
-		total += w
-		if best < 0 || credit[a] > credit[best] {
-			best = int32(a)
-		}
-	}
-	if best < 0 {
-		panic("engine: pickApp with no eligible application")
-	}
-	credit[best] -= total
-	return best
-}
-
 // onAppRelease opens application app's pool at its scheduled release
 // time; the root may immediately have work for waiting children.
 func (e *engine) onAppRelease(app int32) {
-	n := e.cfg.Workloads[app].Tasks
-	e.pools[app] += n
+	n := e.workloads[app].Tasks
+	e.nodes[0].occApp[app] += n
 	e.nodes[0].core.Refill(n)
 	e.trySchedule(0)
 }

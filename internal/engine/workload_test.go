@@ -60,7 +60,7 @@ func TestWorkloadsConservation(t *testing.T) {
 		}
 		counts := make(map[sim.Time]int)
 		for i, ar := range res.Apps {
-			if ar.App != ws[i].App || ar.Tasks != ws[i].Tasks || ar.Weight != ws[i].weight() {
+			if ar.App != ws[i].App || ar.Tasks != ws[i].Tasks || ar.Weight != protocol.Weight(ws[i].Weight) {
 				t.Fatalf("app %d echo mismatch: %+v vs %+v", i, ar, ws[i])
 			}
 			if int64(len(ar.Completions)) != ws[i].Tasks {

@@ -229,7 +229,7 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 			}
 		}()
 		start := time.Now()
-		n, err := StartConfig(Config{Name: "w", Parent: l.Addr().String(), Buffers: 3, Compute: echoCompute(0),
+		n, err := launch(Config{Name: "w", Parent: l.Addr().String(), Buffers: 3, Compute: echoCompute(0),
 			HandshakeTimeout: handshake})
 		if err == nil {
 			n.Close()

@@ -93,9 +93,8 @@ type Result struct {
 // "port" (one task at a time, as in the paper's base model).
 type ComputeFunc func(Task) ([]byte, error)
 
-// Config describes one node of the overlay. Prefer the Start constructor
-// with Options; StartConfig accepts a literal Config for callers built
-// against the positional API.
+// Config describes one node of the overlay, as Start's Options build it;
+// each field documents its Option's default.
 type Config struct {
 	// Name identifies the node in results and statistics.
 	Name string
@@ -124,9 +123,9 @@ type Config struct {
 	// AppWeights are per-application sharing weights: when tasks of
 	// several applications sit buffered at once, the node dispatches them
 	// by weighted round-robin over the applications present (missing or
-	// non-positive entries weigh 1). Bandwidth-centric child selection is
-	// untouched — weights pick *whose* task moves, the measured link
-	// priority picks *where*.
+	// zero entries weigh 1; a negative one is an error). Bandwidth-centric
+	// child selection is untouched — weights pick *whose* task moves, the
+	// measured link priority picks *where*.
 	AppWeights map[string]int64
 
 	// HeartbeatInterval is the per-link supervision period: each link
@@ -206,7 +205,7 @@ type Stats struct {
 	RecorderDropped int64
 
 	// UptimeSeconds is how long the node has been running, in whole
-	// seconds since StartConfig returned it.
+	// seconds since Start returned it.
 	UptimeSeconds int64
 
 	// Wire data-plane volume, aggregated over all of the node's links in
@@ -422,12 +421,10 @@ func (e *TimeoutError) Unwrap() []error {
 	return []error{ErrTimeout, context.DeadlineExceeded}
 }
 
-// StartConfig launches a node from a literal Config. Leaves connect to
-// their parent immediately; the root becomes ready to Run once started.
-//
-// Deprecated: use Start, which names the node and takes functional
-// Options with documented defaults.
-func StartConfig(cfg Config) (*Node, error) {
+// launch starts a node from cfg, defaulting every zero field but
+// Buffers. Leaves connect to their parent immediately; the root becomes
+// ready to Run once started.
+func launch(cfg Config) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("live: node needs a name")
 	}
@@ -436,6 +433,11 @@ func StartConfig(cfg Config) (*Node, error) {
 	}
 	if cfg.Buffers < 1 {
 		return nil, fmt.Errorf("live: buffers %d < 1", cfg.Buffers)
+	}
+	for app, w := range cfg.AppWeights {
+		if w < 0 {
+			return nil, fmt.Errorf("live: application %q: negative weight %d", app, w)
+		}
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 4096
@@ -915,7 +917,7 @@ func (n *Node) fail(err error) {
 
 // goTracked runs fn on a goroutine counted by the node's WaitGroup, unless
 // shutdown has already begun. Its callers are node goroutines — the owner
-// among them — or StartConfig before it returns, so the count is never zero
+// among them — or launch before it returns, so the count is never zero
 // when it adds and the Add cannot race Close's Wait. It is the only place a
 // node goroutine starts and the only place the WaitGroup is counted up or
 // down, so none can be spawned that Close does not wait for

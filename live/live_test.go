@@ -39,7 +39,7 @@ func makeTasks(n, size int) []Task {
 
 func startNode(t *testing.T, cfg Config) *Node {
 	t.Helper()
-	n, err := StartConfig(cfg)
+	n, err := launch(cfg)
 	if err != nil {
 		t.Fatalf("Start(%s): %v", cfg.Name, err)
 	}
@@ -80,16 +80,16 @@ func dumpOnFailure(t *testing.T, n *Node) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := StartConfig(Config{Compute: echoCompute(0), Buffers: 1}); err == nil {
+	if _, err := launch(Config{Compute: echoCompute(0), Buffers: 1}); err == nil {
 		t.Fatalf("nameless node accepted")
 	}
-	if _, err := StartConfig(Config{Name: "x", Buffers: 1}); err == nil {
+	if _, err := launch(Config{Name: "x", Buffers: 1}); err == nil {
 		t.Fatalf("compute-less node accepted")
 	}
-	if _, err := StartConfig(Config{Name: "x", Compute: echoCompute(0), Buffers: 0}); err == nil {
+	if _, err := launch(Config{Name: "x", Compute: echoCompute(0), Buffers: 0}); err == nil {
 		t.Fatalf("zero buffers accepted")
 	}
-	if _, err := StartConfig(Config{Name: "x", Compute: echoCompute(0), Buffers: 1, Parent: "127.0.0.1:1"}); err == nil {
+	if _, err := launch(Config{Name: "x", Compute: echoCompute(0), Buffers: 1, Parent: "127.0.0.1:1"}); err == nil {
 		t.Fatalf("unreachable parent accepted")
 	}
 }
@@ -201,7 +201,7 @@ func TestInterruptibleSendsPreempt(t *testing.T) {
 			}
 			return 100 * time.Microsecond
 		}
-		root, err := StartConfig(Config{
+		root, err := launch(Config{
 			Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
 			Compute:          echoCompute(time.Second),
 			LinkDelay:        delay,
@@ -212,12 +212,12 @@ func TestInterruptibleSendsPreempt(t *testing.T) {
 			return Stats{}, err
 		}
 		defer root.Close()
-		fast, err := StartConfig(Config{Name: "fast", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(time.Millisecond)})
+		fast, err := launch(Config{Name: "fast", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(time.Millisecond)})
 		if err != nil {
 			return Stats{}, err
 		}
 		defer fast.Close()
-		slow, err := StartConfig(Config{Name: "slow", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(time.Millisecond)})
+		slow, err := launch(Config{Name: "slow", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(time.Millisecond)})
 		if err != nil {
 			return Stats{}, err
 		}
@@ -404,7 +404,7 @@ func TestStatusEndpoint(t *testing.T) {
 }
 
 func TestStatusClosedWithNode(t *testing.T) {
-	root, err := StartConfig(Config{Name: "r", Buffers: 1, Compute: echoCompute(0)})
+	root, err := launch(Config{Name: "r", Buffers: 1, Compute: echoCompute(0)})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}

@@ -211,9 +211,24 @@ func TestWeightedDispatchOrder(t *testing.T) {
 			t.Fatalf("uniform buffer popped %d at %d", got, i)
 		}
 	}
-	if n2.buffer.credit != nil {
-		t.Fatalf("uniform buffer built a credit ledger")
+	if c := n2.buffer.credit; len(c) != 1 || c[0] != 0 {
+		t.Fatalf("uniform buffer moved its credit ledger: %v", c)
 	}
+}
+
+// TestStartRejectsNegativeAppWeight: a negative application weight is an
+// error, as a negative Workload.Weight is in the engine; zero and missing
+// entries weigh 1.
+func TestStartRejectsNegativeAppWeight(t *testing.T) {
+	if n, err := Start("r", WithCompute(echoCompute(0)), WithAppWeights(map[string]int64{"a": 2, "b": -1})); err == nil {
+		n.Close()
+		t.Fatal("Start accepted a negative application weight")
+	}
+	n, err := Start("r", WithCompute(echoCompute(0)), WithAppWeights(map[string]int64{"a": 0, "b": 2}))
+	if err != nil {
+		t.Fatalf("Start rejected a zero application weight: %v", err)
+	}
+	n.Close()
 }
 
 // TestLedgerDedupeCountsPerApp pins the per-application side of a

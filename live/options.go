@@ -106,8 +106,8 @@ func WithResultRetry(d time.Duration) Option {
 // WithAppWeights sets per-application sharing weights: when tasks of
 // several applications sit buffered at once, the node dispatches them by
 // weighted round-robin over the applications present, proportional to
-// these weights (missing or non-positive entries weigh 1; default all 1,
-// plain round-robin among tenants). Child selection stays purely
+// these weights (missing or zero entries weigh 1; default all 1, plain
+// round-robin among tenants). A negative weight makes Start fail. Child selection stays purely
 // bandwidth-centric — weights decide whose task moves, not where.
 func WithAppWeights(weights map[string]int64) Option {
 	return func(c *Config) { c.AppWeights = weights }
@@ -162,5 +162,5 @@ func Start(name string, opts ...Option) (*Node, error) {
 	if cfg.Buffers == 0 {
 		cfg.Buffers = 3
 	}
-	return StartConfig(cfg)
+	return launch(cfg)
 }

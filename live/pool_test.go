@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"testing"
 )
@@ -73,6 +72,17 @@ func (n *slicePool) pop() Task {
 	return t
 }
 
+// creditOf is app's entry in p's tenant ledger; 0 for an application the
+// pool has not seen, as in the oracle's map.
+func (p *taskPool) creditOf(app string) int64 {
+	for i := range p.queues {
+		if p.queues[i].app == app {
+			return p.credit[i]
+		}
+	}
+	return 0
+}
+
 // TestPoolMatchesSliceScan drives the pool and the slice-and-scan oracle
 // with the same seeded sequence of pushes (single and bulk), pops and
 // requeues over one to four application tags of unequal weight: the same
@@ -134,8 +144,10 @@ func TestPoolMatchesSliceScan(t *testing.T) {
 							t.Fatalf("op %d: popped task %d (%q), oracle popped %d (%q)",
 								op, got.ID, got.App, want.ID, want.App)
 						}
-						if (pool.credit == nil) != (ref.appCredit == nil) || !maps.Equal(pool.credit, ref.appCredit) {
-							t.Fatalf("op %d: credit %v, oracle %v", op, pool.credit, ref.appCredit)
+						for _, tag := range tags {
+							if got := pool.creditOf(tag); got != ref.appCredit[tag] {
+								t.Fatalf("op %d: credit of %q %d, oracle %v", op, tag, got, ref.appCredit)
+							}
 						}
 						if len(popped) < 64 {
 							popped = append(popped, got)
@@ -182,15 +194,13 @@ func TestPoolZeroesPoppedSlots(t *testing.T) {
 	for p.len() > 0 {
 		p.pop()
 	}
-	for _, ring := range p.spare {
-		for i, s := range ring {
-			if s.task.Payload != nil || s.task.App != "" || s.seq != 0 {
-				t.Fatalf("slot %d still holds %+v after its pop", i, s)
-			}
+	for i, s := range p.queues[0].ring {
+		if s.task.Payload != nil || s.task.App != "" || s.seq != 0 {
+			t.Fatalf("slot %d still holds %+v after its pop", i, s)
 		}
 	}
-	if len(p.apps) != 0 || len(p.spare) != 1 {
-		t.Fatalf("drained pool keeps %d queues and %d spare rings, want 0 and 1", len(p.apps), len(p.spare))
+	if len(p.queues) != 1 || p.count[0] != 0 {
+		t.Fatalf("drained pool keeps %d queues holding %v tasks, want 1 holding 0", len(p.queues), p.count)
 	}
 }
 

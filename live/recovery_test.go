@@ -75,7 +75,7 @@ func TestReconnectBackoffSchedule(t *testing.T) {
 		return true
 	}
 
-	child, err := StartConfig(Config{
+	child, err := launch(Config{
 		Name: "c", Parent: fakeParent(t), Buffers: 2, Compute: echoCompute(0),
 		HeartbeatInterval: -1,
 		ReconnectBase:     10 * time.Millisecond,

@@ -129,8 +129,8 @@ func EvaluateWorkloads(ctx context.Context, t *Tree, p Protocol, ws []Workload, 
 		Timeline: agg.Timeline, Converged: agg.Converged, ConvergedAt: agg.ConvergedAt}
 
 	var sumW int64
-	for _, w := range ws {
-		sumW += effectiveWeight(w)
+	for _, ar := range res.Apps {
+		sumW += ar.Weight // normalized by the engine
 	}
 	shares := midRunShares(res)
 	m.Apps = make([]AppSummary, len(res.Apps))
@@ -157,13 +157,6 @@ func EvaluateWorkloads(ctx context.Context, t *Tree, p Protocol, ws []Workload, 
 	}
 	m.Fairness = jain(m.Apps)
 	return m, nil
-}
-
-func effectiveWeight(w Workload) int64 {
-	if w.Weight <= 0 {
-		return 1
-	}
-	return w.Weight
 }
 
 // midRunShares measures each application's fraction of the aggregate
