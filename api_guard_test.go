@@ -76,8 +76,12 @@ func apiSurface(pkg *types.Package) []string {
 			continue
 		}
 		if tn.IsAlias() {
-			add("type %s = %s", name, types.TypeString(tn.Type(), qual))
-			if named, ok := tn.Type().(*types.Named); ok {
+			// Under Go 1.23 alias semantics tn.Type() is the *types.Alias
+			// itself, which prints as its own name: unalias to reach the
+			// target.
+			target := types.Unalias(tn.Type())
+			add("type %s = %s", name, types.TypeString(target, qual))
+			if named, ok := target.(*types.Named); ok {
 				expand(name, named)
 			}
 			continue
@@ -97,7 +101,9 @@ func apiSurface(pkg *types.Package) []string {
 	return lines
 }
 
-func TestExportedAPICompat(t *testing.T) {
+// loadAPISurface renders the module root package's exported surface.
+func loadAPISurface(t *testing.T) []string {
+	t.Helper()
 	l, err := loader.New(".")
 	if err != nil {
 		t.Fatalf("loader: %v", err)
@@ -106,7 +112,26 @@ func TestExportedAPICompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load %s: %v", l.ModulePath(), err)
 	}
-	lines := apiSurface(pkg.Types)
+	return apiSurface(pkg.Types)
+}
+
+// TestAPISurfaceExpandsAliases: the re-exported engine types are pinned
+// field by field and method by method, not only by name.
+func TestAPISurfaceExpandsAliases(t *testing.T) {
+	lines := loadAPISurface(t)
+	for _, want := range []string{"type SimConfig = bwcs/internal/engine.Config", "field SimConfig.Tracer ", "method SimTracer.Grew("} {
+		found := false
+		for _, ln := range lines {
+			found = found || strings.HasPrefix(ln, want)
+		}
+		if !found {
+			t.Errorf("the API surface has no line starting %q", want)
+		}
+	}
+}
+
+func TestExportedAPICompat(t *testing.T) {
+	lines := loadAPISurface(t)
 
 	if os.Getenv("BWCS_UPDATE_API") != "" {
 		if err := os.WriteFile(apiGoldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -260,7 +261,9 @@ func TestSeverDuringReplayTimeline(t *testing.T) {
 	for i := range in {
 		in[i] = live.Task{ID: uint64(i + 1), Payload: bytes.Repeat([]byte{byte(i)}, 256)}
 	}
-	results, err := root.RunTimeout(in, 60*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	results, err := root.Run(ctx, in)
 	if err != nil {
 		t.Fatalf("run across the sever windows: %v", err)
 	}

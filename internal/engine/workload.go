@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"bwcs/internal/sim"
 )
@@ -47,6 +48,41 @@ type AppResult struct {
 	// Requeued counts this application's tasks returned to the root's
 	// pool by departures and re-dispatched.
 	Requeued int64
+}
+
+// MidRunShares measures each workload's fraction of a multi-workload
+// run's completions in the middle of the run, the window (lo, hi] between
+// its 20th and 80th percentile completion, clear of ramp-up and drain;
+// when that window holds none (tiny trees) the shares are over the whole
+// run. It is a function, not a Result method, so the bwcs facade's
+// SimResult does not grow.
+func MidRunShares(res *Result) (shares []float64, lo, hi sim.Time) {
+	n := len(res.Completions)
+	lo, hi = res.Completions[n/5], res.Completions[n*4/5]
+	per := make([]int64, len(res.Apps))
+	var total int64
+	for i, ar := range res.Apps {
+		per[i] = int64(CountBetween(ar.Completions, lo, hi))
+		total += per[i]
+	}
+	if total == 0 {
+		for i, ar := range res.Apps {
+			per[i] = int64(len(ar.Completions))
+			total += per[i]
+		}
+	}
+	shares = make([]float64, len(per))
+	for i := range per {
+		shares[i] = float64(per[i]) / float64(max(total, 1))
+	}
+	return shares, lo, hi
+}
+
+// CountBetween counts the times in (lo, hi] of the ascending ts.
+func CountBetween(ts []sim.Time, lo, hi sim.Time) int {
+	a := sort.Search(len(ts), func(i int) bool { return ts[i] > lo })
+	b := sort.Search(len(ts), func(i int) bool { return ts[i] > hi })
+	return b - a
 }
 
 // validateWorkloads checks the Workloads field of a Config.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"bwcs/internal/engine"
 	"bwcs/internal/protocol"
@@ -167,34 +166,17 @@ func fairnessOutcome(n int, oc TreeOutcome, ev *Evaluator) FairnessOutcome {
 	out := FairnessOutcome{Index: oc.Index, Apps: n, Reached: oc.Reached}
 
 	// Aggregate rate over the central 60% of the merged stream (clear of
-	// ramp-up and drain), against the single-application optimal.
-	comps := res.Completions
-	m := len(comps)
-	lo, hi := comps[m/5], comps[m*4/5]
+	// ramp-up and drain), against the single-application optimal, and the
+	// per-tenant shares over the same window.
+	var lo, hi sim.Time
+	out.Shares, lo, hi = engine.MidRunShares(res)
 	if hi > lo {
-		rate := float64(countBetween(comps, lo, hi)) / float64(hi-lo)
+		rate := float64(engine.CountBetween(res.Completions, lo, hi)) / float64(hi-lo)
 		out.RateRatio = rate * ev.weight.Float64()
 	}
-
-	// Per-tenant shares over the same window; fall back to the full run
-	// when the window is degenerate (tiny trees).
-	per := make([]int64, n)
-	var total int64
-	for i, ar := range res.Apps {
-		per[i] = int64(countBetween(ar.Completions, lo, hi))
-		total += per[i]
-	}
-	if total == 0 {
-		for i, ar := range res.Apps {
-			per[i] = int64(len(ar.Completions))
-			total += per[i]
-		}
-	}
-	out.Shares = make([]float64, n)
 	norm := make([]float64, n)
-	for i := range per {
-		out.Shares[i] = float64(per[i]) / float64(total)
-		norm[i] = out.Shares[i] / float64(res.Apps[i].Weight)
+	for i, share := range out.Shares {
+		norm[i] = share / float64(res.Apps[i].Weight)
 	}
 	out.Monotone = true
 	for i := 1; i < n; i++ {
@@ -204,14 +186,6 @@ func fairnessOutcome(n int, oc TreeOutcome, ev *Evaluator) FairnessOutcome {
 	}
 	out.Jain = stats.Jain(norm)
 	return out
-}
-
-// countBetween counts completion times in (lo, hi]; completions are
-// ascending, so binary search keeps the sweep cheap.
-func countBetween(ts []sim.Time, lo, hi sim.Time) int {
-	a := sort.Search(len(ts), func(i int) bool { return ts[i] > lo })
-	b := sort.Search(len(ts), func(i int) bool { return ts[i] > hi })
-	return b - a
 }
 
 // Fairness runs the multi-tenant fairness study: tenant counts 2..8, one

@@ -377,7 +377,7 @@ func decodeFrame(data []byte, m *message, in *interner) error {
 			return errFrameTruncated
 		}
 		if count > 0 {
-			m.Resume = make([]ResumePoint, count)
+			m.Resume = make([]resumePoint, count)
 			for i := range m.Resume {
 				if m.Resume[i].Task, err = r.uvarint(); err != nil {
 					return err

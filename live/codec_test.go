@@ -24,7 +24,7 @@ func sampleFrames() []*message {
 			Codecs:  []uint8{wireVersion, 7},
 			Name:    "w1",
 			N:       2,
-			Resume:  []ResumePoint{{Task: 7, Offset: 4096}, {Task: 9, Offset: 0}},
+			Resume:  []resumePoint{{Task: 7, Offset: 4096}, {Task: 9, Offset: 0}},
 			Holding: []uint64{3, 7, 9, 1 << 40}},
 		{Kind: kindRequest, Seq: 102, TraceSeq: 12, TraceNode: "w1",
 			N: 3, App: "tenant-a"},
@@ -160,11 +160,11 @@ const gobStreamOpening = "\xff\xda\x7f\x03\x01\x01\amessage\x01\xff\x80\x00\x01\
 // before the refusals is still there to be revived.
 func TestCodecNegotiationMatrix(t *testing.T) {
 	const handshake = 200 * time.Millisecond
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3, Compute: echoCompute(0),
-		HeartbeatInterval: -1, // the scripted children send no heartbeats
-		HandshakeTimeout:  handshake, ReconnectGrace: 30 * time.Second,
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3), WithCompute(echoCompute(0)),
+		WithHeartbeat(-1, 0), // the scripted children send no heartbeats
+		func(c *config) { c.handshakeTimeout = handshake }, WithReconnectGrace(30*time.Second),
+	)
 	first, err := dialScripted(root.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -229,8 +229,10 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 			}
 		}()
 		start := time.Now()
-		n, err := launch(Config{Name: "w", Parent: l.Addr().String(), Buffers: 3, Compute: echoCompute(0),
-			HandshakeTimeout: handshake})
+		n, err := Start("w",
+			WithParent(l.Addr().String()), WithBuffers(3), WithCompute(echoCompute(0)),
+			func(c *config) { c.handshakeTimeout = handshake },
+		)
 		if err == nil {
 			n.Close()
 			t.Fatalf("a child came up under a parent that speaks gob")

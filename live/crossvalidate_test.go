@@ -48,17 +48,17 @@ func TestSimAndLiveAgreeOnTaskSplit(t *testing.T) {
 		"B": 12 * step,
 		"C": 4 * step,
 	}
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:   sleepCompute(40),
-		LinkDelay: func(child string) time.Duration { return delays[child] },
-		ChunkSize: 1 << 20, // one chunk per task: the delay is the whole c
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(sleepCompute(40)),
+		WithLinkDelay(func(child string) time.Duration { return delays[child] }),
+		WithChunkSize(1<<20), // one chunk per task: the delay is the whole c
+	)
 	workers := map[string]*Node{}
 	for name, w := range map[string]int64{"A": 4, "B": 2, "C": 8} {
-		workers[name] = startNode(t, Config{Name: name, Parent: root.Addr(), Buffers: 3, Compute: sleepCompute(w)})
+		workers[name] = startNode(t, name, WithParent(root.Addr()), WithBuffers(3), WithCompute(sleepCompute(w)))
 	}
-	if _, err := root.RunTimeout(makeTasks(tasks, 64), 120*time.Second); err != nil {
+	if _, err := runWithin(root, makeTasks(tasks, 64), 120*time.Second); err != nil {
 		t.Fatalf("live run: %v", err)
 	}
 
@@ -122,25 +122,25 @@ func TestSimAndLiveAgreeOnDeparture(t *testing.T) {
 	// Live: the same shape. D's uplink is severed by a scripted fault and
 	// its reconnection is disabled, so the sever is a permanent departure;
 	// the root reclaims after a short grace window.
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:        echoCompute(30 * time.Millisecond),
-		ChunkSize:      256,
-		ReconnectGrace: 50 * time.Millisecond,
-	})
-	a := startNode(t, Config{
-		Name: "A", Parent: root.Addr(), Buffers: 3, Compute: echoCompute(3 * time.Millisecond),
-	})
-	d := startNode(t, Config{
-		Name: "D", Parent: root.Addr(), Buffers: 3, Compute: echoCompute(3 * time.Millisecond),
-		ChunkSize: 256,
-		Faults: NewFaultPlan(FaultRule{
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(30*time.Millisecond)),
+		WithChunkSize(256),
+		WithReconnectGrace(50*time.Millisecond),
+	)
+	a := startNode(t, "A",
+		WithParent(root.Addr()), WithBuffers(3), WithCompute(echoCompute(3*time.Millisecond)),
+	)
+	d := startNode(t, "D",
+		WithParent(root.Addr()), WithBuffers(3), WithCompute(echoCompute(3*time.Millisecond)),
+		WithChunkSize(256),
+		WithFaultPlan(NewFaultPlan(FaultRule{
 			Link: "parent", Dir: FaultRecv, Kind: FrameChunk,
 			After: 40, Op: FaultSever,
-		}),
-		ReconnectAttempts: -1, // a severed link is a permanent departure
-	})
-	results, err := root.RunTimeout(makeTasks(tasks, 2048), 60*time.Second)
+		})),
+		WithReconnect(0, 0, -1), // a severed link is a permanent departure
+	)
+	results, err := runWithin(root, makeTasks(tasks, 2048), 60*time.Second)
 	if err != nil {
 		t.Fatalf("live run across the departure: %v", err)
 	}

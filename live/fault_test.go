@@ -124,12 +124,12 @@ func TestFaultPlanDecide(t *testing.T) {
 func TestSeveredMidTreeNodeRecovers(t *testing.T) {
 	const tasks = 60
 
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:        echoCompute(25 * time.Millisecond), // slow root: work flows down
-		ChunkSize:      256,
-		ReconnectGrace: -1, // reclaim a dead child's tasks immediately
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(25*time.Millisecond)), // slow root: work flows down
+		WithChunkSize(256),
+		WithReconnectGrace(-1), // reclaim a dead child's tasks immediately
+	)
 
 	// The scripted fault: mid's uplink is severed while it receives its
 	// 15th chunk — mid-payload, so the root holds an in-flight transfer
@@ -138,19 +138,19 @@ func TestSeveredMidTreeNodeRecovers(t *testing.T) {
 		Link: "parent", Dir: FaultRecv, Kind: FrameChunk,
 		After: 15, Op: FaultSever,
 	})
-	mid := startNode(t, Config{
-		Name: "mid", Parent: root.Addr(), Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:       echoCompute(5 * time.Millisecond),
-		ChunkSize:     256,
-		Faults:        sever,
-		ReconnectBase: 50 * time.Millisecond, ReconnectCap: 200 * time.Millisecond, ReconnectAttempts: 10,
-	})
-	leaf := startNode(t, Config{
-		Name: "leaf", Parent: mid.Addr(), Buffers: 3,
-		Compute: echoCompute(2 * time.Millisecond),
-	})
+	mid := startNode(t, "mid",
+		WithParent(root.Addr()), WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(5*time.Millisecond)),
+		WithChunkSize(256),
+		WithFaultPlan(sever),
+		WithReconnect(50*time.Millisecond, 200*time.Millisecond, 10),
+	)
+	leaf := startNode(t, "leaf",
+		WithParent(mid.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(2*time.Millisecond)),
+	)
 
-	results, err := root.RunTimeout(makeTasks(tasks, 2048), 60*time.Second)
+	results, err := runWithin(root, makeTasks(tasks, 2048), 60*time.Second)
 	if err != nil {
 		t.Fatalf("Run across the sever: %v", err)
 	}
@@ -199,20 +199,20 @@ func TestSeveredFinalChunkIsRedelivered(t *testing.T) {
 		Link: "parent", Dir: FaultRecv, Kind: FrameChunk,
 		After: 5, Op: FaultSever,
 	})
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:        echoCompute(40 * time.Millisecond),
-		ChunkSize:      1 << 16, // every task is one chunk: the sever eats a Last chunk
-		ReconnectGrace: 10 * time.Second,
-	})
-	w := startNode(t, Config{
-		Name: "w", Parent: root.Addr(), Buffers: 3,
-		Compute:       echoCompute(2 * time.Millisecond),
-		Faults:        sever,
-		ReconnectBase: 10 * time.Millisecond, ReconnectCap: 50 * time.Millisecond, ReconnectAttempts: 10,
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(40*time.Millisecond)),
+		WithChunkSize(1<<16), // every task is one chunk: the sever eats a Last chunk
+		WithReconnectGrace(10*time.Second),
+	)
+	w := startNode(t, "w",
+		WithParent(root.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(2*time.Millisecond)),
+		WithFaultPlan(sever),
+		WithReconnect(10*time.Millisecond, 50*time.Millisecond, 10),
+	)
 
-	results, err := root.RunTimeout(makeTasks(30, 512), 30*time.Second)
+	results, err := runWithin(root, makeTasks(30, 512), 30*time.Second)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -236,21 +236,21 @@ func TestResumeFromLastAckedChunk(t *testing.T) {
 		Link: "parent", Dir: FaultRecv, Kind: FrameChunk,
 		After: 10, Op: FaultSever,
 	})
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:        echoCompute(40 * time.Millisecond),
-		ChunkSize:      128,
-		ReconnectGrace: 10 * time.Second, // ample: the child must make it back in time
-	})
-	w := startNode(t, Config{
-		Name: "w", Parent: root.Addr(), Buffers: 3,
-		Compute:       echoCompute(2 * time.Millisecond),
-		ChunkSize:     128,
-		Faults:        sever,
-		ReconnectBase: 10 * time.Millisecond, ReconnectCap: 50 * time.Millisecond, ReconnectAttempts: 10,
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(40*time.Millisecond)),
+		WithChunkSize(128),
+		WithReconnectGrace(10*time.Second), // ample: the child must make it back in time
+	)
+	w := startNode(t, "w",
+		WithParent(root.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(2*time.Millisecond)),
+		WithChunkSize(128),
+		WithFaultPlan(sever),
+		WithReconnect(10*time.Millisecond, 50*time.Millisecond, 10),
+	)
 
-	results, err := root.RunTimeout(makeTasks(30, 4096), 60*time.Second)
+	results, err := runWithin(root, makeTasks(30, 4096), 60*time.Second)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -27,9 +27,9 @@
 //
 // The runtime survives churn, the regime volunteer platforms live in:
 //
-//   - Every link is supervised by heartbeats (WithHeartbeat) and
-//     per-message write deadlines (WithWriteTimeout); a silent or stalled
-//     link is severed rather than hanging the run.
+//   - Every link is supervised by heartbeats (WithHeartbeat) and a 10 s
+//     deadline on every frame written; a silent or stalled link is
+//     severed rather than hanging the run.
 //   - When a child's link dies, its parent keeps the session revivable
 //     for a grace window (WithReconnectGrace) and then reclaims every
 //     task delivered into the dead subtree without a returned result,
@@ -43,7 +43,7 @@
 //   - Results are acknowledged frames, not fire-and-forget: each node
 //     keeps every result it owes its parent in an unacked ledger,
 //     retired only by the parent's ack, replayed after a reconnect, and
-//     retransmitted on a lossy link (WithResultRetry). At revive time
+//     retransmitted after 2 s unacked on a lossy link. At revive time
 //     the parent requeues any outstanding task the child's hello no
 //     longer accounts for, so a result lost in a sever window costs a
 //     retransmission, never the run.
@@ -92,90 +92,6 @@ type Result struct {
 // ComputeFunc executes one task. It runs on the node's single compute
 // "port" (one task at a time, as in the paper's base model).
 type ComputeFunc func(Task) ([]byte, error)
-
-// Config describes one node of the overlay, as Start's Options build it;
-// each field documents its Option's default.
-type Config struct {
-	// Name identifies the node in results and statistics.
-	Name string
-	// Listen is the address to accept children on; empty for leaves.
-	// Use "127.0.0.1:0" to pick a free port (see Node.Addr).
-	Listen string
-	// Parent is the parent node's address; empty for the root.
-	Parent string
-	// Buffers is the number of task buffers (the paper's FB); the
-	// headline protocol uses 3.
-	Buffers int
-	// NonInterruptible disables chunk-level preemption at the send port
-	// (the paper's non-IC variant).
-	NonInterruptible bool
-	// ChunkSize is the payload slice streamed per send-port turn;
-	// default 4096 bytes.
-	ChunkSize int
-	// Compute executes tasks; required.
-	Compute ComputeFunc
-	// LinkDelay, when non-nil, paces chunks to the named child at one per
-	// delay — a deterministic stand-in for heterogeneous link bandwidth in
-	// tests and demos (the measured priorities then reflect it, exactly as
-	// they would reflect real bandwidth). The send port is serial, so all
-	// children share one schedule.
-	LinkDelay func(childName string) time.Duration
-	// AppWeights are per-application sharing weights: when tasks of
-	// several applications sit buffered at once, the node dispatches them
-	// by weighted round-robin over the applications present (missing or
-	// zero entries weigh 1; a negative one is an error). Bandwidth-centric
-	// child selection is untouched — weights pick *whose* task moves, the
-	// measured link priority picks *where*.
-	AppWeights map[string]int64
-
-	// HeartbeatInterval is the per-link supervision period: each link
-	// sends a heartbeat every interval and counts silent intervals
-	// inbound. 0 means the 1s default; negative disables supervision.
-	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many consecutive silent intervals sever a
-	// link; default 3.
-	HeartbeatMisses int
-	// WriteTimeout bounds each outbound frame; 0 means the 10s default,
-	// negative disables the deadline.
-	WriteTimeout time.Duration
-	// ReconnectBase and ReconnectCap shape the capped exponential backoff
-	// of parent re-dials: attempt k sleeps min(base<<(k-1), cap).
-	// Defaults 100ms and 2s.
-	ReconnectBase time.Duration
-	ReconnectCap  time.Duration
-	// ReconnectAttempts is how many re-dials a disconnected node makes
-	// before declaring the parent lost; 0 means the default 5, negative
-	// disables reconnection entirely.
-	ReconnectAttempts int
-	// ReconnectGrace is how long a parent keeps a dead child's session
-	// revivable before reclaiming its tasks; 0 means the default 5s,
-	// negative reclaims immediately.
-	ReconnectGrace time.Duration
-	// ResultRetry is how long an unacknowledged result may sit on a live
-	// uplink before it is retransmitted; 0 means the default 2s,
-	// negative disables retransmission (unacked results then replay only
-	// after a reconnect).
-	ResultRetry time.Duration
-	// HandshakeTimeout bounds the hello / hello-ack exchange on each
-	// side; 0 means the 5s default.
-	HandshakeTimeout time.Duration
-	// Faults, when non-nil, is a deterministic fault-injection script
-	// consulted on every frame this node sends or receives.
-	Faults *FaultPlan
-	// RecorderCap is the flight recorder's ring capacity in events;
-	// 0 means the 8192 default, negative disables the recorder. Overflow
-	// evicts the oldest events and counts them in Stats.RecorderDropped.
-	RecorderCap int
-	// TimelineInterval is the telemetry sampling cadence: every interval
-	// the node records its task and wire byte rates and buffered depth
-	// into the bounded series /timeline serves. 0 means the 1s default;
-	// negative disables sampling (and /timeline answers 404).
-	TimelineInterval time.Duration
-
-	// sleep is the backoff clock, replaceable by tests; nil means real
-	// time.Sleep interruptible by node shutdown.
-	sleep func(d time.Duration, done <-chan struct{}) bool
-}
 
 // Stats is a snapshot of a node's counters.
 type Stats struct {
@@ -241,7 +157,7 @@ type AppStats struct {
 // writer, the compute port, the dialler and the heartbeats move frames and
 // run tasks: they take work the owner decided and report back.
 type Node struct {
-	cfg      Config
+	cfg      config
 	root     bool
 	listener net.Listener
 
@@ -388,15 +304,11 @@ type upJob struct {
 	err                        error
 }
 
-// defaultHandshakeTimeout bounds the hello / hello-ack exchange when
-// Config.HandshakeTimeout is unset.
-const defaultHandshakeTimeout = 5 * time.Second
-
 // chunkBatch is the most chunks the send port writes to one child per port
 // turn (one buffer, one syscall): the rest of its transfer and as many of
 // its pending requests' transfers as fit. Preemption happens between
 // turns, so the batch trades preemption granularity for throughput; a
-// LinkDelay, which is emulated per chunk, takes single-chunk turns instead.
+// link delay (WithLinkDelay), emulated per chunk, takes single-chunk turns.
 const chunkBatch = 8
 
 // ErrTimeout reports a Run whose context deadline expired with results
@@ -421,88 +333,28 @@ func (e *TimeoutError) Unwrap() []error {
 	return []error{ErrTimeout, context.DeadlineExceeded}
 }
 
-// launch starts a node from cfg, defaulting every zero field but
-// Buffers. Leaves connect to their parent immediately; the root becomes
-// ready to Run once started.
-func launch(cfg Config) (*Node, error) {
-	if cfg.Name == "" {
-		return nil, errors.New("live: node needs a name")
+// Start launches a node named name. A root only needs a compute function:
+//
+//	root, err := live.Start("root",
+//		live.WithListen("127.0.0.1:0"),
+//		live.WithCompute(fn))
+//
+// Workers join by address — live.Start("w1", live.WithParent(root.Addr()),
+// live.WithCompute(fn)) — connect to their parent at once, and request
+// work autonomously. Defaults are documented on each Option.
+func Start(name string, opts ...Option) (*Node, error) {
+	cfg := defaults(name)
+	for _, opt := range opts {
+		opt(&cfg)
 	}
-	if cfg.Compute == nil {
-		return nil, errors.New("live: node needs a Compute function")
-	}
-	if cfg.Buffers < 1 {
-		return nil, fmt.Errorf("live: buffers %d < 1", cfg.Buffers)
-	}
-	for app, w := range cfg.AppWeights {
-		if w < 0 {
-			return nil, fmt.Errorf("live: application %q: negative weight %d", app, w)
-		}
-	}
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = 4096
-	}
-	switch {
-	case cfg.HeartbeatInterval == 0:
-		cfg.HeartbeatInterval = time.Second
-	case cfg.HeartbeatInterval < 0:
-		cfg.HeartbeatInterval = 0 // disabled
-	}
-	if cfg.HeartbeatMisses <= 0 {
-		cfg.HeartbeatMisses = 3
-	}
-	switch {
-	case cfg.WriteTimeout == 0:
-		cfg.WriteTimeout = 10 * time.Second
-	case cfg.WriteTimeout < 0:
-		cfg.WriteTimeout = 0 // disabled
-	}
-	if cfg.ReconnectBase <= 0 {
-		cfg.ReconnectBase = 100 * time.Millisecond
-	}
-	if cfg.ReconnectCap <= 0 {
-		cfg.ReconnectCap = 2 * time.Second
-	}
-	switch {
-	case cfg.ReconnectAttempts == 0:
-		cfg.ReconnectAttempts = 5
-	case cfg.ReconnectAttempts < 0:
-		cfg.ReconnectAttempts = 0 // disabled
-	}
-	switch {
-	case cfg.ReconnectGrace == 0:
-		cfg.ReconnectGrace = 5 * time.Second
-	case cfg.ReconnectGrace < 0:
-		cfg.ReconnectGrace = 0 // reclaim immediately
-	}
-	switch {
-	case cfg.ResultRetry == 0:
-		cfg.ResultRetry = 2 * time.Second
-	case cfg.ResultRetry < 0:
-		cfg.ResultRetry = 0 // retransmit only on reconnect
-	}
-	switch {
-	case cfg.TimelineInterval == 0:
-		cfg.TimelineInterval = defaultTimelineInterval
-	case cfg.TimelineInterval < 0:
-		cfg.TimelineInterval = 0 // disabled
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = defaultHandshakeTimeout
-	}
-	if cfg.sleep == nil {
-		cfg.sleep = realSleep
-	}
-
-	recCap := cfg.RecorderCap
-	if recCap == 0 {
-		recCap = defaultRecorderCap
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	n := &Node{
 		cfg:       cfg,
-		root:      cfg.Parent == "",
+		root:      cfg.parent == "",
 		started:   time.Now(),
-		buffer:    taskPool{weights: cfg.AppWeights},
+		buffer:    taskPool{weights: cfg.appWeights},
 		computing: make(map[uint64]bool),
 		inbox:     make(chan input, 64),
 		portJobs:  make(chan []portWrite, 1),
@@ -512,14 +364,13 @@ func launch(cfg Config) (*Node, error) {
 		done:      make(chan struct{}),
 		ownerGone: make(chan struct{}),
 		failed:    make(chan struct{}),
+		stats:     Stats{ByChild: map[string]int64{}, PerApp: map[string]AppStats{}},
 	}
-	n.stats.ByChild = make(map[string]int64)
-	n.stats.PerApp = make(map[string]AppStats)
-	n.core.Reset(protocol.Protocol{InitialBuffers: cfg.Buffers, Interruptible: !cfg.NonInterruptible}, n.root)
-	if recCap > 0 {
-		n.rec = newFlightRecorder(recCap)
+	n.core.Reset(cfg.protocol, n.root)
+	if cfg.recorderCap > 0 {
+		n.rec = newFlightRecorder(cfg.recorderCap)
 	}
-	if cfg.TimelineInterval > 0 {
+	if cfg.timelineInterval > 0 {
 		// Millisecond timestamps at the sampling cadence never collide, so
 		// resolution 1 keeps every pass distinct until capacity forces
 		// downsampling.
@@ -532,8 +383,8 @@ func launch(cfg Config) (*Node, error) {
 	// sent, so the first hello reports no request unanswered.
 	n.reqDeficit = int(n.core.Initial())
 
-	if cfg.Listen != "" {
-		l, err := net.Listen("tcp", cfg.Listen)
+	if cfg.listen != "" {
+		l, err := net.Listen("tcp", cfg.listen)
 		if err != nil {
 			return nil, fmt.Errorf("live: listen: %w", err)
 		}
@@ -565,12 +416,9 @@ func launch(cfg Config) (*Node, error) {
 }
 
 // realSleep pauses for d, abandoning the wait when done closes. The
-// reconnect backoff goes through Config.sleep so tests can substitute a
+// reconnect backoff goes through config.sleep so tests can substitute a
 // fake clock.
 func realSleep(d time.Duration, done <-chan struct{}) bool {
-	if d <= 0 {
-		return true
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -634,7 +482,7 @@ func (n *Node) Stats() Stats {
 func (n *Node) snapshot() StatusSnapshot {
 	var v StatusSnapshot
 	build := func() {
-		v = StatusSnapshot{Name: n.cfg.Name, Root: n.root, Buffered: n.buffer.len(), Stats: n.stats,
+		v = StatusSnapshot{Name: n.cfg.name, Root: n.root, Buffered: n.buffer.len(), Stats: n.stats,
 			Links: map[string]float64{}, Connected: n.root || n.parent != nil}
 		v.Stats.ByChild, v.Stats.PerApp = maps.Clone(n.stats.ByChild), maps.Clone(n.stats.PerApp)
 		v.Stats.MaxQueued = n.buffer.peak
@@ -655,7 +503,8 @@ func (n *Node) snapshot() StatusSnapshot {
 	v.Stats.FramesReceived = n.wireCtr.framesRecv.Load()
 	v.Stats.BytesSent = n.wireCtr.bytesSent.Load()
 	v.Stats.BytesReceived = n.wireCtr.bytesRecv.Load()
-	v.Stats.UptimeSeconds = int64(time.Since(n.started).Seconds())
+	up := time.Since(n.started)
+	v.Stats.UptimeSeconds, v.Uptime = int64(up.Seconds()), up.Round(time.Millisecond).String()
 	return v
 }
 
@@ -752,15 +601,6 @@ func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// RunTimeout dispatches tasks with the deadline expressed as a duration.
-//
-// Deprecated: use Run with a context carrying the deadline.
-func (n *Node) RunTimeout(tasks []Task, timeout time.Duration) ([]Result, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return n.Run(ctx, tasks)
 }
 
 // input is one entry of the owner's inbox: fn to run, or — so a busy
@@ -917,7 +757,7 @@ func (n *Node) fail(err error) {
 
 // goTracked runs fn on a goroutine counted by the node's WaitGroup, unless
 // shutdown has already begun. Its callers are node goroutines — the owner
-// among them — or launch before it returns, so the count is never zero
+// among them — or Start before it returns, so the count is never zero
 // when it adds and the Add cannot race Close's Wait. It is the only place a
 // node goroutine starts and the only place the WaitGroup is counted up or
 // down, so none can be spawned that Close does not wait for
@@ -934,11 +774,11 @@ func (n *Node) goTracked(fn func()) {
 }
 
 // superviseConn watches one link: it sends a heartbeat every interval
-// and, after HeartbeatMisses consecutive intervals with no inbound
+// and, after heartbeatMisses consecutive intervals with no inbound
 // frame, severs the connection so the owning read loop fails fast into
 // the recovery path (requeue at a parent, reconnect at a child).
 func (n *Node) superviseConn(c *conn) {
-	interval := n.cfg.HeartbeatInterval
+	interval := n.cfg.heartbeat
 	if interval <= 0 {
 		return
 	}
@@ -955,7 +795,7 @@ func (n *Node) superviseConn(c *conn) {
 					continue
 				}
 				misses++
-				miss, sever := misses, misses >= n.cfg.HeartbeatMisses
+				miss, sever := misses, misses >= n.cfg.heartbeatMisses
 				n.do(func() {
 					n.stats.HeartbeatMisses++
 					n.record(Event{Kind: EvHeartbeatMiss, Peer: c.label(), Value: int64(miss)})
@@ -987,8 +827,8 @@ func (n *Node) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := newConn(raw, "", n.cfg.Faults, n.cfg.WriteTimeout, &n.wireSeq, &n.wireCtr)
-		hello, err := c.recvTimeout(n.cfg.HandshakeTimeout)
+		c := newConn(raw, "", n.cfg.faults, n.cfg.writeTimeout, &n.wireSeq, &n.wireCtr)
+		hello, err := c.recvTimeout(n.cfg.handshakeTimeout)
 		if err != nil || hello.Kind != kindHello {
 			n.record(Event{Kind: EvSever, Peer: raw.RemoteAddr().String()})
 			_ = c.close()
@@ -1042,11 +882,11 @@ func (n *Node) admitChild(c *conn, hello *message) (*childSession, *message) {
 	for _, id := range hello.Holding {
 		held[id] = true
 	}
-	ack := &message{Kind: kindHelloAck, Name: n.cfg.Name, Codecs: []uint8{wireVersion}}
+	ack := &message{Kind: kindHelloAck, Name: n.cfg.name, Codecs: []uint8{wireVersion}}
 
 	helloSeq := n.record(Event{Kind: EvHello, Peer: hello.Name, WireSeq: hello.Seq,
 		CausePeer: hello.TraceNode, CauseSeq: hello.TraceSeq})
-	ack.TraceNode, ack.TraceSeq = n.cfg.Name, helloSeq
+	ack.TraceNode, ack.TraceSeq = n.cfg.name, helloSeq
 	var sess *childSession
 	for _, s := range n.children {
 		if s.name == hello.Name && s.gone && !s.left {
@@ -1235,16 +1075,16 @@ func (n *Node) reach(s *childSession) {
 // ones written to the old conn but never acked, in arrival order. attempt
 // numbers a reconnect (0: the first dial).
 func (n *Node) connectParent(inflight map[uint64]*inTransfer, attempt int) (*conn, error) {
-	raw, err := net.Dial("tcp", n.cfg.Parent)
+	raw, err := net.Dial("tcp", n.cfg.parent)
 	if err != nil {
 		return nil, fmt.Errorf("live: dial parent: %w", err)
 	}
-	c := newConn(raw, "parent", n.cfg.Faults, n.cfg.WriteTimeout, &n.wireSeq, &n.wireCtr)
+	c := newConn(raw, "parent", n.cfg.faults, n.cfg.writeTimeout, &n.wireSeq, &n.wireCtr)
 
-	hello := &message{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: n.cfg.Name,
-		Resume: make([]ResumePoint, 0, len(inflight)), Seq: c.nextSeq(), TraceNode: n.cfg.Name}
+	hello := &message{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: n.cfg.name,
+		Resume: make([]resumePoint, 0, len(inflight)), Seq: c.nextSeq(), TraceNode: n.cfg.name}
 	for id, t := range inflight {
-		hello.Resume = append(hello.Resume, ResumePoint{Task: id, Offset: t.got})
+		hello.Resume = append(hello.Resume, resumePoint{Task: id, Offset: t.got})
 	}
 	sort.Slice(hello.Resume, func(i, j int) bool { return hello.Resume[i].Task < hello.Resume[j].Task })
 	partial := len(inflight)
@@ -1263,7 +1103,7 @@ func (n *Node) connectParent(inflight map[uint64]*inTransfer, attempt int) (*con
 	}
 	// A parent that speaks another wire version, or none (its answer does
 	// not parse as a frame), fails here, bounded by the handshake timeout.
-	ack, err := c.recvTimeout(n.cfg.HandshakeTimeout)
+	ack, err := c.recvTimeout(n.cfg.handshakeTimeout)
 	if err != nil {
 		_ = c.close()
 		return nil, fmt.Errorf("live: hello ack (wire version %d): %w", wireVersion, err)
@@ -1375,7 +1215,7 @@ func (n *Node) parentSupervisor(c *conn, inflight map[uint64]*inTransfer) {
 		next, ok := n.reconnect(inflight)
 		if !ok {
 			if !n.closing.Load() {
-				n.fail(fmt.Errorf("live: parent link lost; reconnect failed after %d attempts", n.cfg.ReconnectAttempts))
+				n.fail(fmt.Errorf("live: parent link lost; reconnect failed after %d attempts", n.cfg.reconnectAttempts))
 			}
 			return
 		}
@@ -1386,8 +1226,8 @@ func (n *Node) parentSupervisor(c *conn, inflight map[uint64]*inTransfer) {
 // reconnect re-dials the parent under the backoff schedule and returns the
 // new link, if one was established.
 func (n *Node) reconnect(inflight map[uint64]*inTransfer) (*conn, bool) {
-	for attempt := 1; attempt <= n.cfg.ReconnectAttempts; attempt++ {
-		if !n.cfg.sleep(backoffDelay(attempt, n.cfg.ReconnectBase, n.cfg.ReconnectCap), n.done) {
+	for attempt := 1; attempt <= n.cfg.reconnectAttempts; attempt++ {
+		if !n.cfg.sleep(backoffDelay(attempt, n.cfg.reconnectBase, n.cfg.reconnectCap), n.done) {
 			return nil, false // node closed mid-wait
 		}
 		if c, err := n.connectParent(inflight, attempt); err == nil {
@@ -1549,7 +1389,7 @@ func (n *Node) pullUplink() {
 // The ledger is walked in arrival order, (re)sending every entry not yet
 // written to the current parent conn — which after a reconnect replays
 // all outstanding results — and, on a live link, retransmitting entries
-// unacked past the ResultRetry deadline. Single-sender FIFO means replay
+// unacked past the resultRetry deadline. Single-sender FIFO means replay
 // order always matches arrival order. Sends are pipelined: acks stream
 // back asynchronously and retire entries as they arrive; one acked while
 // its batch is on the writer is sent redundantly and deduplicated upstream
@@ -1572,7 +1412,7 @@ func (n *Node) nextUplink() *upJob {
 		wire := c.nextSeq()
 		reqSeq := n.record(Event{Kind: EvRequestSent, Peer: c.label(), Value: int64(j.reqN), WireSeq: wire})
 		j.msgs = append(j.msgs, message{Kind: kindRequest, N: j.reqN, App: n.reqApp,
-			Seq: wire, TraceNode: n.cfg.Name, TraceSeq: reqSeq})
+			Seq: wire, TraceNode: n.cfg.name, TraceSeq: reqSeq})
 	}
 	j.firstResult = len(j.msgs)
 	for _, e := range batch {
@@ -1584,7 +1424,7 @@ func (n *Node) nextUplink() *upJob {
 		sendSeq := n.record(Event{Kind: kind, Task: e.res.ID, Origin: e.res.Origin,
 			Peer: c.label(), WireSeq: wire})
 		j.msgs = append(j.msgs, message{Kind: kindResult, Task: e.res.ID, Output: e.res.Output, Origin: e.res.Origin,
-			App: e.res.App, Seq: wire, TraceNode: n.cfg.Name, TraceSeq: sendSeq})
+			App: e.res.App, Seq: wire, TraceNode: n.cfg.name, TraceSeq: sendSeq})
 	}
 	return j
 }
@@ -1632,7 +1472,7 @@ func (n *Node) dueResultBatch() (batch []*resultEntry, c *conn, replays int) {
 		return nil, nil, 0
 	}
 	batch = n.due[:0]
-	retry := n.cfg.ResultRetry
+	retry := n.cfg.resultRetry
 	for _, e := range n.unacked {
 		due := e.sentOn != c
 		if !due && retry > 0 && time.Since(e.sentAt) >= retry {
@@ -1657,7 +1497,7 @@ func (n *Node) dueResultBatch() (batch []*resultEntry, c *conn, replays int) {
 // hits its retransmit deadline; 0 means no timer is needed (retry
 // disabled, link down, or ledger empty).
 func (n *Node) resultRetryWait() time.Duration {
-	retry := n.cfg.ResultRetry
+	retry := n.cfg.resultRetry
 	if retry <= 0 || n.parent == nil || len(n.unacked) == 0 {
 		return 0
 	}
@@ -1711,7 +1551,7 @@ func (n *Node) freed(t protocol.Take, app string) {
 func (n *Node) computeLoop() {
 	for t := range n.tasks {
 		started := time.Now()
-		out, err := n.cfg.Compute(t)
+		out, err := n.cfg.compute(t)
 		if err != nil {
 			n.fail(fmt.Errorf("live: compute task %d: %w", t.ID, err))
 			return
@@ -1725,10 +1565,10 @@ func (n *Node) computeLoop() {
 // collector (root) or the ledger, and only then does the task leave
 // computing, so a reconnect hello always accounts for it.
 func (n *Node) computed(t Task, out []byte, took time.Duration) {
-	n.record(Event{Kind: EvComputeDone, Task: t.ID, Origin: n.cfg.Name, Value: took.Nanoseconds()})
+	n.record(Event{Kind: EvComputeDone, Task: t.ID, Origin: n.cfg.name, Value: took.Nanoseconds()})
 	n.stats.Computed++
 	n.bumpApp(t.App, func(s *AppStats) { s.Computed++ })
-	r := Result{ID: t.ID, Output: out, Origin: n.cfg.Name, App: t.App}
+	r := Result{ID: t.ID, Output: out, Origin: n.cfg.name, App: t.App}
 	if n.root {
 		n.collectRoot(r)
 	} else {

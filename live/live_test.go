@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -37,17 +38,24 @@ func makeTasks(n, size int) []Task {
 	return tasks
 }
 
-func startNode(t *testing.T, cfg Config) *Node {
+func startNode(t *testing.T, name string, opts ...Option) *Node {
 	t.Helper()
-	n, err := launch(cfg)
+	n, err := Start(name, opts...)
 	if err != nil {
-		t.Fatalf("Start(%s): %v", cfg.Name, err)
+		t.Fatalf("Start(%s): %v", name, err)
 	}
 	t.Cleanup(func() {
 		dumpOnFailure(t, n)
 		n.Close()
 	})
 	return n
+}
+
+// runWithin runs tasks from the root n under a deadline d from now.
+func runWithin(n *Node, tasks []Task, d time.Duration) ([]Result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return n.Run(ctx, tasks)
 }
 
 // dumpOnFailure writes the node's flight-recorder dump — and, when
@@ -73,31 +81,31 @@ func dumpOnFailure(t *testing.T, n *Node) {
 		}
 		t.Logf("dump written to %s", path)
 	}
-	write(filepath.Join(dir, name+"-"+n.cfg.Name+".json"), n.TraceDump())
+	write(filepath.Join(dir, name+"-"+n.cfg.name+".json"), n.TraceDump())
 	if n.sampler != nil {
-		write(filepath.Join(dir, name+"-"+n.cfg.Name+"-timeline.json"), n.TimelineDump())
+		write(filepath.Join(dir, name+"-"+n.cfg.name+"-timeline.json"), n.TimelineDump())
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := launch(Config{Compute: echoCompute(0), Buffers: 1}); err == nil {
+	if _, err := Start("", WithCompute(echoCompute(0)), WithBuffers(1)); err == nil {
 		t.Fatalf("nameless node accepted")
 	}
-	if _, err := launch(Config{Name: "x", Buffers: 1}); err == nil {
+	if _, err := Start("x", WithBuffers(1)); err == nil {
 		t.Fatalf("compute-less node accepted")
 	}
-	if _, err := launch(Config{Name: "x", Compute: echoCompute(0), Buffers: 0}); err == nil {
+	if _, err := Start("x", WithCompute(echoCompute(0)), func(c *config) { c.protocol.InitialBuffers = 0 }); err == nil {
 		t.Fatalf("zero buffers accepted")
 	}
-	if _, err := launch(Config{Name: "x", Compute: echoCompute(0), Buffers: 1, Parent: "127.0.0.1:1"}); err == nil {
+	if _, err := Start("x", WithCompute(echoCompute(0)), WithBuffers(1), WithParent("127.0.0.1:1")); err == nil {
 		t.Fatalf("unreachable parent accepted")
 	}
 }
 
 func TestRootAloneComputesEverything(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Buffers: 3, Compute: echoCompute(0)})
+	root := startNode(t, "root", WithBuffers(3), WithCompute(echoCompute(0)))
 	tasks := makeTasks(25, 64)
-	results, err := root.RunTimeout(tasks, 10*time.Second)
+	results, err := runWithin(root, tasks, 10*time.Second)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -121,13 +129,13 @@ func TestRootAloneComputesEverything(t *testing.T) {
 }
 
 func TestRunRejectsNonRootAndDuplicates(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 2, Compute: echoCompute(0)})
-	child := startNode(t, Config{Name: "c", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(0)})
-	if _, err := child.RunTimeout(makeTasks(1, 8), time.Second); err == nil {
+	root := startNode(t, "root", WithListen("127.0.0.1:0"), WithBuffers(2), WithCompute(echoCompute(0)))
+	child := startNode(t, "c", WithParent(root.Addr()), WithBuffers(2), WithCompute(echoCompute(0)))
+	if _, err := runWithin(child, makeTasks(1, 8), time.Second); err == nil {
 		t.Fatalf("Run on child accepted")
 	}
 	dup := []Task{{ID: 7}, {ID: 7}}
-	if _, err := root.RunTimeout(dup, time.Second); err == nil {
+	if _, err := runWithin(root, dup, time.Second); err == nil {
 		t.Fatalf("duplicate ids accepted")
 	}
 }
@@ -135,12 +143,12 @@ func TestRunRejectsNonRootAndDuplicates(t *testing.T) {
 func TestTwoWorkersShareTheLoad(t *testing.T) {
 	// Root computes slowly; two children compute fast: the work must
 	// spread and every result must come back exactly once.
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 3, Compute: echoCompute(30 * time.Millisecond)})
-	a := startNode(t, Config{Name: "a", Parent: root.Addr(), Buffers: 3, Compute: echoCompute(2 * time.Millisecond)})
-	b := startNode(t, Config{Name: "b", Parent: root.Addr(), Buffers: 3, Compute: echoCompute(2 * time.Millisecond)})
+	root := startNode(t, "root", WithListen("127.0.0.1:0"), WithBuffers(3), WithCompute(echoCompute(30*time.Millisecond)))
+	a := startNode(t, "a", WithParent(root.Addr()), WithBuffers(3), WithCompute(echoCompute(2*time.Millisecond)))
+	b := startNode(t, "b", WithParent(root.Addr()), WithBuffers(3), WithCompute(echoCompute(2*time.Millisecond)))
 
 	tasks := makeTasks(60, 256)
-	results, err := root.RunTimeout(tasks, 30*time.Second)
+	results, err := runWithin(root, tasks, 30*time.Second)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -173,16 +181,16 @@ func TestBandwidthCentricPriorityOnMeasuredLinks(t *testing.T) {
 		}
 		return 500 * time.Microsecond
 	}
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:   echoCompute(500 * time.Millisecond), // root CPU out of the picture
-		LinkDelay: delay,
-	})
-	fast := startNode(t, Config{Name: "fast", Parent: root.Addr(), Buffers: 3, Compute: echoCompute(time.Millisecond)})
-	slow := startNode(t, Config{Name: "slow", Parent: root.Addr(), Buffers: 3, Compute: echoCompute(time.Millisecond)})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(500*time.Millisecond)), // root CPU out of the picture
+		WithLinkDelay(delay),
+	)
+	fast := startNode(t, "fast", WithParent(root.Addr()), WithBuffers(3), WithCompute(echoCompute(time.Millisecond)))
+	slow := startNode(t, "slow", WithParent(root.Addr()), WithBuffers(3), WithCompute(echoCompute(time.Millisecond)))
 
 	tasks := makeTasks(40, 128)
-	if _, err := root.RunTimeout(tasks, 30*time.Second); err != nil {
+	if _, err := runWithin(root, tasks, 30*time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	sf, ss := fast.Stats().Computed, slow.Stats().Computed
@@ -201,28 +209,28 @@ func TestInterruptibleSendsPreempt(t *testing.T) {
 			}
 			return 100 * time.Microsecond
 		}
-		root, err := launch(Config{
-			Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-			Compute:          echoCompute(time.Second),
-			LinkDelay:        delay,
-			ChunkSize:        512,
-			NonInterruptible: nonIC,
-		})
+		root, err := Start("root",
+			WithListen("127.0.0.1:0"), WithBuffers(3),
+			WithCompute(echoCompute(time.Second)),
+			WithLinkDelay(delay),
+			WithChunkSize(512),
+			func(c *config) { c.protocol.Interruptible = !nonIC },
+		)
 		if err != nil {
 			return Stats{}, err
 		}
 		defer root.Close()
-		fast, err := launch(Config{Name: "fast", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(time.Millisecond)})
+		fast, err := Start("fast", WithParent(root.Addr()), WithBuffers(2), WithCompute(echoCompute(time.Millisecond)))
 		if err != nil {
 			return Stats{}, err
 		}
 		defer fast.Close()
-		slow, err := launch(Config{Name: "slow", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(time.Millisecond)})
+		slow, err := Start("slow", WithParent(root.Addr()), WithBuffers(2), WithCompute(echoCompute(time.Millisecond)))
 		if err != nil {
 			return Stats{}, err
 		}
 		defer slow.Close()
-		if _, err := root.RunTimeout(makeTasks(24, 8192), 60*time.Second); err != nil {
+		if _, err := runWithin(root, makeTasks(24, 8192), 60*time.Second); err != nil {
 			return Stats{}, err
 		}
 		return root.Stats(), nil
@@ -244,11 +252,11 @@ func TestInterruptibleSendsPreempt(t *testing.T) {
 }
 
 func TestThreeLevelTree(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 3, Compute: echoCompute(20 * time.Millisecond)})
-	mid := startNode(t, Config{Name: "mid", Parent: root.Addr(), Listen: "127.0.0.1:0", Buffers: 3, Compute: echoCompute(20 * time.Millisecond)})
-	leaf := startNode(t, Config{Name: "leaf", Parent: mid.Addr(), Buffers: 3, Compute: echoCompute(2 * time.Millisecond)})
+	root := startNode(t, "root", WithListen("127.0.0.1:0"), WithBuffers(3), WithCompute(echoCompute(20*time.Millisecond)))
+	mid := startNode(t, "mid", WithParent(root.Addr()), WithListen("127.0.0.1:0"), WithBuffers(3), WithCompute(echoCompute(20*time.Millisecond)))
+	leaf := startNode(t, "leaf", WithParent(mid.Addr()), WithBuffers(3), WithCompute(echoCompute(2*time.Millisecond)))
 
-	results, err := root.RunTimeout(makeTasks(40, 128), 30*time.Second)
+	results, err := runWithin(root, makeTasks(40, 128), 30*time.Second)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -272,18 +280,18 @@ func TestWorkerJoinsMidRun(t *testing.T) {
 	// Autonomy: a new worker connects while the application runs and
 	// simply starts requesting tasks — no coordination with anyone but
 	// its parent.
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 3, Compute: echoCompute(10 * time.Millisecond)})
+	root := startNode(t, "root", WithListen("127.0.0.1:0"), WithBuffers(3), WithCompute(echoCompute(10*time.Millisecond)))
 	type outcome struct {
 		results []Result
 		err     error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		rs, err := root.RunTimeout(makeTasks(80, 64), 60*time.Second)
+		rs, err := runWithin(root, makeTasks(80, 64), 60*time.Second)
 		done <- outcome{rs, err}
 	}()
 	time.Sleep(100 * time.Millisecond)
-	late := startNode(t, Config{Name: "late", Parent: root.Addr(), Buffers: 3, Compute: echoCompute(time.Millisecond)})
+	late := startNode(t, "late", WithParent(root.Addr()), WithBuffers(3), WithCompute(echoCompute(time.Millisecond)))
 	out := <-done
 	if out.err != nil {
 		t.Fatalf("Run: %v", out.err)
@@ -299,13 +307,13 @@ func TestWorkerJoinsMidRun(t *testing.T) {
 func TestWorkerDeathRequeuesTasks(t *testing.T) {
 	// A worker dies mid-run; its in-flight tasks must be re-executed so
 	// the run still completes.
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 3, Compute: echoCompute(5 * time.Millisecond)})
-	doomed := startNode(t, Config{Name: "doomed", Parent: root.Addr(), Buffers: 3, Compute: echoCompute(50 * time.Millisecond)})
+	root := startNode(t, "root", WithListen("127.0.0.1:0"), WithBuffers(3), WithCompute(echoCompute(5*time.Millisecond)))
+	doomed := startNode(t, "doomed", WithParent(root.Addr()), WithBuffers(3), WithCompute(echoCompute(50*time.Millisecond)))
 	go func() {
 		time.Sleep(150 * time.Millisecond)
 		doomed.Close()
 	}()
-	results, err := root.RunTimeout(makeTasks(50, 64), 60*time.Second)
+	results, err := runWithin(root, makeTasks(50, 64), 60*time.Second)
 	if err != nil {
 		t.Fatalf("Run after worker death: %v", err)
 	}
@@ -321,21 +329,21 @@ func TestComputeErrorSurfaces(t *testing.T) {
 		}
 		return nil, nil
 	}
-	root := startNode(t, Config{Name: "root", Buffers: 2, Compute: boom})
-	_, err := root.RunTimeout(makeTasks(10, 8), 5*time.Second)
+	root := startNode(t, "root", WithBuffers(2), WithCompute(boom))
+	_, err := runWithin(root, makeTasks(10, 8), 5*time.Second)
 	if err == nil {
 		t.Fatalf("compute error not surfaced")
 	}
 }
 
 func TestEmptyPayloadTasks(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 2, Compute: echoCompute(5 * time.Millisecond)})
-	startNode(t, Config{Name: "w", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(0)})
+	root := startNode(t, "root", WithListen("127.0.0.1:0"), WithBuffers(2), WithCompute(echoCompute(5*time.Millisecond)))
+	startNode(t, "w", WithParent(root.Addr()), WithBuffers(2), WithCompute(echoCompute(0)))
 	tasks := make([]Task, 20)
 	for i := range tasks {
 		tasks[i] = Task{ID: uint64(i + 1)} // zero-length payloads
 	}
-	results, err := root.RunTimeout(tasks, 20*time.Second)
+	results, err := runWithin(root, tasks, 20*time.Second)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -350,7 +358,7 @@ func TestEmptyPayloadTasks(t *testing.T) {
 }
 
 func TestCloseIsIdempotent(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Buffers: 1, Compute: echoCompute(0)})
+	root := startNode(t, "root", WithBuffers(1), WithCompute(echoCompute(0)))
 	if err := root.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -360,8 +368,8 @@ func TestCloseIsIdempotent(t *testing.T) {
 }
 
 func TestStatusEndpoint(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 2, Compute: echoCompute(2 * time.Millisecond)})
-	w := startNode(t, Config{Name: "w", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(time.Millisecond)})
+	root := startNode(t, "root", WithListen("127.0.0.1:0"), WithBuffers(2), WithCompute(echoCompute(2*time.Millisecond)))
+	w := startNode(t, "w", WithParent(root.Addr()), WithBuffers(2), WithCompute(echoCompute(time.Millisecond)))
 	_ = w
 	addr, err := root.ServeStatus("127.0.0.1:0")
 	if err != nil {
@@ -371,7 +379,7 @@ func TestStatusEndpoint(t *testing.T) {
 	if _, err := root.ServeStatus("127.0.0.1:0"); err == nil {
 		t.Fatalf("duplicate status endpoint accepted")
 	}
-	if _, err := root.RunTimeout(makeTasks(20, 64), 20*time.Second); err != nil {
+	if _, err := runWithin(root, makeTasks(20, 64), 20*time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	resp, err := http.Get("http://" + addr + "/status")
@@ -404,7 +412,7 @@ func TestStatusEndpoint(t *testing.T) {
 }
 
 func TestStatusClosedWithNode(t *testing.T) {
-	root, err := launch(Config{Name: "r", Buffers: 1, Compute: echoCompute(0)})
+	root, err := Start("r", WithBuffers(1), WithCompute(echoCompute(0)))
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -419,7 +427,7 @@ func TestStatusClosedWithNode(t *testing.T) {
 }
 
 func TestStatusBadAddress(t *testing.T) {
-	root := startNode(t, Config{Name: "r", Buffers: 1, Compute: echoCompute(0)})
+	root := startNode(t, "r", WithBuffers(1), WithCompute(echoCompute(0)))
 	if _, err := root.ServeStatus("256.0.0.1:99999"); err == nil {
 		t.Fatalf("bad address accepted")
 	}

@@ -53,14 +53,14 @@ func scrape(t *testing.T, url string) map[string]int64 {
 // every counter /metrics serves equals the corresponding field of the
 // Stats snapshot — the acceptance contract for the observability layer.
 func TestMetricsEndpointMatchesStats(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 2, Compute: echoCompute(2 * time.Millisecond)})
-	startNode(t, Config{Name: "w1", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(time.Millisecond)})
-	startNode(t, Config{Name: "w2", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(time.Millisecond)})
+	root := startNode(t, "root", WithListen("127.0.0.1:0"), WithBuffers(2), WithCompute(echoCompute(2*time.Millisecond)))
+	startNode(t, "w1", WithParent(root.Addr()), WithBuffers(2), WithCompute(echoCompute(time.Millisecond)))
+	startNode(t, "w2", WithParent(root.Addr()), WithBuffers(2), WithCompute(echoCompute(time.Millisecond)))
 	addr, err := root.ServeStatus("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeStatus: %v", err)
 	}
-	if _, err := root.RunTimeout(makeTasks(30, 64), 20*time.Second); err != nil {
+	if _, err := runWithin(root, makeTasks(30, 64), 20*time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 
@@ -130,13 +130,13 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 // TestMetricsEndpointOnWorker: a non-root node serves /metrics too, and
 // reports its uplink as connected.
 func TestMetricsEndpointOnWorker(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 2, Compute: echoCompute(time.Millisecond)})
-	w := startNode(t, Config{Name: "w", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(time.Millisecond)})
+	root := startNode(t, "root", WithListen("127.0.0.1:0"), WithBuffers(2), WithCompute(echoCompute(time.Millisecond)))
+	w := startNode(t, "w", WithParent(root.Addr()), WithBuffers(2), WithCompute(echoCompute(time.Millisecond)))
 	addr, err := w.ServeStatus("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeStatus: %v", err)
 	}
-	if _, err := root.RunTimeout(makeTasks(10, 32), 20*time.Second); err != nil {
+	if _, err := runWithin(root, makeTasks(10, 32), 20*time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	got := scrape(t, "http://"+addr+"/metrics")
@@ -151,7 +151,7 @@ func TestMetricsEndpointOnWorker(t *testing.T) {
 
 // TestPprofServed: the status server wires the standard pprof handlers.
 func TestPprofServed(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Buffers: 1, Compute: echoCompute(0)})
+	root := startNode(t, "root", WithBuffers(1), WithCompute(echoCompute(0)))
 	addr, err := root.ServeStatus("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeStatus: %v", err)

@@ -26,23 +26,23 @@ func makeAppTasks(n, size int, apps ...string) []Task {
 // counters cover everything they computed.
 func TestTwoAppsShareOverlay(t *testing.T) {
 	const tasks = 40
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:    echoCompute(20 * time.Millisecond), // slow root: work flows down
-		ChunkSize:  512,
-		AppWeights: map[string]int64{"alpha": 2, "beta": 1},
-	})
-	w1 := startNode(t, Config{
-		Name: "w1", Parent: root.Addr(), Buffers: 3,
-		Compute: echoCompute(time.Millisecond),
-	})
-	w2 := startNode(t, Config{
-		Name: "w2", Parent: root.Addr(), Buffers: 3,
-		Compute: echoCompute(time.Millisecond),
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(20*time.Millisecond)), // slow root: work flows down
+		WithChunkSize(512),
+		WithAppWeights(map[string]int64{"alpha": 2, "beta": 1}),
+	)
+	w1 := startNode(t, "w1",
+		WithParent(root.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(time.Millisecond)),
+	)
+	w2 := startNode(t, "w2",
+		WithParent(root.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(time.Millisecond)),
+	)
 
 	in := makeAppTasks(tasks, 2048, "alpha", "beta")
-	results, err := root.RunTimeout(in, 30*time.Second)
+	results, err := runWithin(root, in, 30*time.Second)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -73,15 +73,15 @@ func TestTwoAppsShareOverlay(t *testing.T) {
 		ws := w.Stats()
 		for app, a := range ws.PerApp {
 			if a.Computed != 0 && app != "alpha" && app != "beta" {
-				t.Fatalf("%s computed tasks of unknown app %q", w.cfg.Name, app)
+				t.Fatalf("%s computed tasks of unknown app %q", w.cfg.name, app)
 			}
 			workerComputed += a.Computed
 			if a.Received < a.Computed {
-				t.Fatalf("%s app %s: received %d < computed %d", w.cfg.Name, app, a.Received, a.Computed)
+				t.Fatalf("%s app %s: received %d < computed %d", w.cfg.name, app, a.Received, a.Computed)
 			}
 		}
 		if ws.Computed != ws.PerApp["alpha"].Computed+ws.PerApp["beta"].Computed {
-			t.Fatalf("%s: per-app computed does not sum to total", w.cfg.Name)
+			t.Fatalf("%s: per-app computed does not sum to total", w.cfg.name)
 		}
 	}
 	rootStats := root.Stats()
@@ -98,31 +98,31 @@ func TestTwoAppsShareOverlay(t *testing.T) {
 func TestTwoAppsSeverReviveExactlyOnce(t *testing.T) {
 	const tasks = 60
 
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:        echoCompute(25 * time.Millisecond),
-		ChunkSize:      256,
-		ReconnectGrace: -1, // reclaim a dead child's tasks immediately
-		AppWeights:     map[string]int64{"alpha": 1, "beta": 3},
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(25*time.Millisecond)),
+		WithChunkSize(256),
+		WithReconnectGrace(-1), // reclaim a dead child's tasks immediately
+		WithAppWeights(map[string]int64{"alpha": 1, "beta": 3}),
+	)
 	sever := NewFaultPlan(FaultRule{
 		Link: "parent", Dir: FaultRecv, Kind: FrameChunk,
 		After: 15, Op: FaultSever,
 	})
-	mid := startNode(t, Config{
-		Name: "mid", Parent: root.Addr(), Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:       echoCompute(5 * time.Millisecond),
-		ChunkSize:     256,
-		Faults:        sever,
-		ReconnectBase: 50 * time.Millisecond, ReconnectCap: 200 * time.Millisecond, ReconnectAttempts: 10,
-	})
-	leaf := startNode(t, Config{
-		Name: "leaf", Parent: mid.Addr(), Buffers: 3,
-		Compute: echoCompute(2 * time.Millisecond),
-	})
+	mid := startNode(t, "mid",
+		WithParent(root.Addr()), WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(5*time.Millisecond)),
+		WithChunkSize(256),
+		WithFaultPlan(sever),
+		WithReconnect(50*time.Millisecond, 200*time.Millisecond, 10),
+	)
+	leaf := startNode(t, "leaf",
+		WithParent(mid.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(2*time.Millisecond)),
+	)
 
 	in := makeAppTasks(tasks, 2048, "alpha", "beta")
-	results, err := root.RunTimeout(in, 60*time.Second)
+	results, err := runWithin(root, in, 60*time.Second)
 	if err != nil {
 		t.Fatalf("Run across the sever: %v", err)
 	}
@@ -254,15 +254,15 @@ func TestLedgerDedupeCountsPerApp(t *testing.T) {
 // equal to the Stats.PerApp counters (an untagged run exposes none —
 // covered by TestMetricsEndpointMatchesStats's full-exposition sweep).
 func TestPerAppMetricsExposition(t *testing.T) {
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 2,
-		Compute: echoCompute(2 * time.Millisecond),
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(2),
+		WithCompute(echoCompute(2*time.Millisecond)),
+	)
 	addr, err := root.ServeStatus("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeStatus: %v", err)
 	}
-	if _, err := root.RunTimeout(makeAppTasks(20, 256, "alpha", "beta"), 30*time.Second); err != nil {
+	if _, err := runWithin(root, makeAppTasks(20, 256, "alpha", "beta"), 30*time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	got := scrape(t, "http://"+addr+"/metrics")

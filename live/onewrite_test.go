@@ -25,11 +25,13 @@ func TestSteadyStateWritesPerTask(t *testing.T) {
 		buffers = 3
 	)
 	g := &rootGate{}
-	root := startGatedRoot(t, g, Config{Buffers: buffers, RecorderCap: 1 << 16})
+	root := startGatedRoot(t, g, WithBuffers(buffers), WithRecorderCapacity(1<<16))
 	var ws []*Node
 	for _, name := range []string{"w1", "w2"} {
-		ws = append(ws, startNode(t, Config{Name: name, Parent: root.Addr(), Buffers: buffers,
-			Compute: g.worker, RecorderCap: 1 << 16}))
+		ws = append(ws, startNode(t, name,
+			WithParent(root.Addr()), WithBuffers(buffers),
+			WithCompute(g.worker), WithRecorderCapacity(1<<16),
+		))
 	}
 	nodes := append([]*Node{root}, ws...)
 	counters := func() (up, down, frames int64) {
@@ -44,7 +46,7 @@ func TestSteadyStateWritesPerTask(t *testing.T) {
 
 	up0, down0, frames0 := counters()
 	g.arm(tasks)
-	results, err := root.RunTimeout(makeTasks(tasks, 256), 2*time.Minute)
+	results, err := runWithin(root, makeTasks(tasks, 256), 2*time.Minute)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -69,7 +71,7 @@ func TestSteadyStateWritesPerTask(t *testing.T) {
 	}
 	for _, n := range nodes {
 		if d := n.Stats().RecorderDropped; d != 0 {
-			t.Fatalf("%s's recorder dropped %d events: the checks below would read a truncated log", n.cfg.Name, d)
+			t.Fatalf("%s's recorder dropped %d events: the checks below would read a truncated log", n.cfg.name, d)
 		}
 	}
 
@@ -78,7 +80,7 @@ func TestSteadyStateWritesPerTask(t *testing.T) {
 		onWire[e.Peer] += e.Value
 	}
 	for _, w := range ws {
-		name, s := w.cfg.Name, w.Stats()
+		name, s := w.cfg.name, w.Stats()
 		if onWire[name] != s.Requests || s.Requests != s.Received+buffers {
 			t.Errorf("%s: request frames carried %d requests; the worker counts %d sent and %d tasks received behind %d buffers",
 				name, onWire[name], s.Requests, s.Received, buffers)
@@ -141,13 +143,13 @@ func TestMixedBatchCutExhaustive(t *testing.T) {
 				t.Run(fmt.Sprintf("%s-%s-%d", op.name, cut.name, after), func(t *testing.T) {
 					// The root computes too, slowly: a worker left without
 					// requests by a dropped request frame cannot hang the Run.
-					rootCfg := Config{
-						Name: "root", Listen: "127.0.0.1:0", Buffers: buffers,
-						Compute: echoCompute(2 * time.Millisecond), ReconnectGrace: 10 * time.Second,
+					rootOpts := []Option{
+						WithListen("127.0.0.1:0"), WithBuffers(buffers),
+						WithCompute(echoCompute(2 * time.Millisecond)), WithReconnectGrace(10 * time.Second),
 					}
-					wCfg := Config{
-						Name: "w", Buffers: buffers, Compute: echoCompute(0), ResultRetry: 30 * time.Millisecond,
-						ReconnectBase: 5 * time.Millisecond, ReconnectCap: 20 * time.Millisecond, ReconnectAttempts: 20,
+					wOpts := []Option{
+						WithBuffers(buffers), WithCompute(echoCompute(0)), func(c *config) { c.resultRetry = 30 * time.Millisecond },
+						WithReconnect(5*time.Millisecond, 20*time.Millisecond, 20),
 					}
 					rules := []FaultRule{{Link: "parent", Dir: FaultSend, Kind: cut.kind, After: after, Op: op.op}}
 					if cut.onRoot {
@@ -161,16 +163,15 @@ func TestMixedBatchCutExhaustive(t *testing.T) {
 					}
 					plan := NewFaultPlan(rules...)
 					if cut.onRoot {
-						rootCfg.Faults = plan
+						rootOpts = append(rootOpts, WithFaultPlan(plan))
 					} else {
-						wCfg.Faults = plan
+						wOpts = append(wOpts, WithFaultPlan(plan))
 					}
-					root := startNode(t, rootCfg)
-					wCfg.Parent = root.Addr()
-					w := startNode(t, wCfg)
+					root := startNode(t, "root", rootOpts...)
+					w := startNode(t, "w", append(wOpts, WithParent(root.Addr()))...)
 
 					stop := watchOneOwner(t, root)
-					results, err := root.RunTimeout(makeTasks(tasks, 256), 30*time.Second)
+					results, err := runWithin(root, makeTasks(tasks, 256), 30*time.Second)
 					checkOneOwner(t, root, w)
 					stop()
 					if err != nil {
@@ -262,19 +263,19 @@ func TestRequestInDoubtAcrossReconnect(t *testing.T) {
 		stall   = 300 * time.Millisecond
 	)
 	// The root severs the link at its first heartbeat, 30 ms in.
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: buffers,
-		Compute: echoCompute(2 * time.Millisecond), ReconnectGrace: 10 * time.Second,
-		HeartbeatInterval: 30 * time.Millisecond, HeartbeatMisses: 1000, // the stalled worker is silent, not dead
-		Faults: NewFaultPlan(FaultRule{Link: "w", Dir: FaultSend, Kind: FrameHeartbeat, Op: FaultSever}),
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(buffers),
+		WithCompute(echoCompute(2*time.Millisecond)), WithReconnectGrace(10*time.Second),
+		WithHeartbeat(30*time.Millisecond, 1000), // the stalled worker is silent, not dead
+		WithFaultPlan(NewFaultPlan(FaultRule{Link: "w", Dir: FaultSend, Kind: FrameHeartbeat, Op: FaultSever})),
+	)
 	plan := NewFaultPlan(FaultRule{Link: "parent", Dir: FaultSend, Kind: FrameRequest, After: 2, Op: FaultDelay, Delay: stall})
 	start := time.Now()
-	w := startNode(t, Config{
-		Name: "w", Parent: root.Addr(), Buffers: buffers, Compute: echoCompute(0), Faults: plan,
-		ReconnectBase: 5 * time.Millisecond, ReconnectCap: 20 * time.Millisecond, ReconnectAttempts: 20,
-	})
-	results, err := root.RunTimeout(makeTasks(tasks, 256), 30*time.Second)
+	w := startNode(t, "w",
+		WithParent(root.Addr()), WithBuffers(buffers), WithCompute(echoCompute(0)), WithFaultPlan(plan),
+		WithReconnect(5*time.Millisecond, 20*time.Millisecond, 20),
+	)
+	results, err := runWithin(root, makeTasks(tasks, 256), 30*time.Second)
 	if err != nil {
 		t.Fatalf("Run across the stalled write: %v", err)
 	}

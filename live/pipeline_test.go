@@ -58,10 +58,9 @@ func (g *rootGate) worker(t Task) ([]byte, error) {
 
 // startGatedRoot starts a root whose compute is g.root; the gate is
 // opened before the node closes, whatever the test's outcome.
-func startGatedRoot(t *testing.T, g *rootGate, cfg Config) *Node {
+func startGatedRoot(t *testing.T, g *rootGate, opts ...Option) *Node {
 	t.Helper()
-	cfg.Name, cfg.Listen, cfg.Compute = "root", "127.0.0.1:0", g.root
-	n := startNode(t, cfg)
+	n := startNode(t, "root", append(opts, WithListen("127.0.0.1:0"), WithCompute(g.root))...)
 	t.Cleanup(g.open) // runs before startNode's Close, which waits on the compute port
 	return n
 }
@@ -86,18 +85,18 @@ func checkNodeOwner(t *testing.T, n *Node) {
 		owner := map[uint64]string{}
 		own := func(id uint64, who string) {
 			if prev, dup := owner[id]; dup {
-				errs = append(errs, fmt.Sprintf("%s: task %d owned twice: %s and %s", n.cfg.Name, id, prev, who))
+				errs = append(errs, fmt.Sprintf("%s: task %d owned twice: %s and %s", n.cfg.name, id, prev, who))
 			}
 			owner[id] = who
 		}
 		n.buffer.each(func(tk Task) { own(tk.ID, "pool") })
 		if n.core.Occupied != int64(n.buffer.len()) {
-			errs = append(errs, fmt.Sprintf("%s: the core counts %d tasks, the pool holds %d", n.cfg.Name, n.core.Occupied, n.buffer.len()))
+			errs = append(errs, fmt.Sprintf("%s: the core counts %d tasks, the pool holds %d", n.cfg.name, n.core.Occupied, n.buffer.len()))
 		}
 		for i, s := range n.children {
 			if sl := n.core.Slots[i]; s.slot != i || sl.Child != s.id || sl.Inflight != (s.active != nil) || sl.Down != (s.gone || s.admitting) {
 				errs = append(errs, fmt.Sprintf("%s: child %s at %d has slot %d %+v (active %v, gone %v, admitting %v)",
-					n.cfg.Name, s.name, i, s.slot, sl, s.active != nil, s.gone, s.admitting))
+					n.cfg.name, s.name, i, s.slot, sl, s.active != nil, s.gone, s.admitting))
 			}
 		}
 		for _, s := range n.children {
@@ -106,7 +105,7 @@ func checkNodeOwner(t *testing.T, n *Node) {
 			}
 			for id, tr := range s.outstanding {
 				if tr.task.ID != id {
-					errs = append(errs, fmt.Sprintf("%s: outstanding[%d] holds task %d", n.cfg.Name, id, tr.task.ID))
+					errs = append(errs, fmt.Sprintf("%s: outstanding[%d] holds task %d", n.cfg.name, id, tr.task.ID))
 				}
 				own(id, s.name+".outstanding")
 			}
@@ -114,12 +113,12 @@ func checkNodeOwner(t *testing.T, n *Node) {
 		ids := n.holding()
 		for i := 1; i < len(ids); i++ {
 			if ids[i] == ids[i-1] {
-				errs = append(errs, fmt.Sprintf("%s: hello would list task %d twice", n.cfg.Name, ids[i]))
+				errs = append(errs, fmt.Sprintf("%s: hello would list task %d twice", n.cfg.name, ids[i]))
 			}
 		}
 	})
 	if !ran {
-		t.Errorf("%s: closed before its owner could be asked", n.cfg.Name)
+		t.Errorf("%s: closed before its owner could be asked", n.cfg.name)
 	}
 	for _, e := range errs {
 		t.Error(e)
@@ -173,13 +172,13 @@ func eventsOf(n *Node, kind EventKind) []Event {
 // turnNode is an owner's dispatch state with nothing started: one child
 // with pending requests, a pool of tasks of the given size, and the send
 // port's job queue, so a test can run portTurn and turnDone by hand.
-func turnNode(cfg Config, pending, tasks, size int) (*Node, *childSession) {
-	cfg.Name = "root"
-	if cfg.ChunkSize == 0 {
-		cfg.ChunkSize = 4096
+func turnNode(pending, tasks, size int, opts ...Option) (*Node, *childSession) {
+	cfg := defaults("root")
+	for _, opt := range opts {
+		opt(&cfg)
 	}
 	n := &Node{cfg: cfg, root: true, portJobs: make(chan []portWrite, 1)}
-	n.core.Reset(protocol.Protocol{InitialBuffers: 3, Interruptible: !cfg.NonInterruptible}, true)
+	n.core.Reset(cfg.protocol, true)
 	n.stats.ByChild = map[string]int64{}
 	n.buffer.pushAll(makeTasks(tasks, size))
 	n.core.Refill(int64(tasks))
@@ -221,7 +220,7 @@ func TestTurnServesEveryPendingRequest(t *testing.T) {
 		return tasks, n
 	}
 	t.Run("one chunk per task", func(t *testing.T) {
-		n, s := turnNode(Config{}, 3, 5, 256)
+		n, s := turnNode(3, 5, 256)
 		s.acks = []resultKey{{Task: 90, Origin: "w"}, {Task: 91, Origin: "x"}}
 		n.portTurn()
 		turn := <-n.portJobs
@@ -237,7 +236,7 @@ func TestTurnServesEveryPendingRequest(t *testing.T) {
 		}
 	})
 	t.Run("budget ends mid-transfer", func(t *testing.T) {
-		n, s := turnNode(Config{ChunkSize: 128}, 3, 5, 3*128)
+		n, s := turnNode(3, 5, 3*128, WithChunkSize(128))
 		n.portTurn()
 		w := &(<-n.portJobs)[0]
 		if tasks, k := chunks(w); k != chunkBatch || len(tasks) != 3 {
@@ -272,7 +271,7 @@ func TestTurnServesEveryPendingRequest(t *testing.T) {
 		}
 	})
 	t.Run("link delay", func(t *testing.T) {
-		n, s := turnNode(Config{LinkDelay: func(string) time.Duration { return time.Millisecond }}, 3, 5, 256)
+		n, s := turnNode(3, 5, 256, WithLinkDelay(func(string) time.Duration { return time.Millisecond }))
 		n.portTurn()
 		if tasks, k := chunks(&(<-n.portJobs)[0]); k != 1 || len(tasks) != 1 || pendingOf(n, s) != 2 {
 			t.Fatalf("a paced turn carried %d chunks of tasks %v, %d requests left; want one chunk, 2 left", k, tasks, pendingOf(n, s))
@@ -302,7 +301,7 @@ func flipTurn(n *Node, a, b *childSession, ka, kb float64) portWrite {
 // chunk-resume opening its next segment, whose chunks carry that event as
 // their trace context.
 func TestSwitchBetweenUnfinishedTransfersInterrupts(t *testing.T) {
-	n, a := turnNode(Config{ChunkSize: 128, LinkDelay: func(string) time.Duration { return time.Millisecond }}, 1, 2, 3*128)
+	n, a := turnNode(1, 2, 3*128, WithChunkSize(128), WithLinkDelay(func(string) time.Duration { return time.Millisecond }))
 	n.rec = newFlightRecorder(256)
 	b := addTurnChild(n, "b", 1)
 	count := func(kind EventKind, task uint64) (k int, last Event) {
@@ -349,7 +348,7 @@ func TestSwitchBetweenUnfinishedTransfersInterrupts(t *testing.T) {
 // only for strictly higher priority), whatever the names; between waiting
 // children the name decides.
 func TestTurnTieKeepsSendInFlight(t *testing.T) {
-	n, b := turnNode(Config{ChunkSize: 128, LinkDelay: func(string) time.Duration { return time.Millisecond }}, 1, 2, 3*128)
+	n, b := turnNode(1, 2, 3*128, WithChunkSize(128), WithLinkDelay(func(string) time.Duration { return time.Millisecond }))
 	b.name = "b"
 	a := addTurnChild(n, "a", 0)
 	if w := flipTurn(n, a, b, 0, 0); w.s != b {
@@ -361,7 +360,7 @@ func TestTurnTieKeepsSendInFlight(t *testing.T) {
 			w.s.name, n.stats.Interrupts, pendingOf(n, a))
 	}
 	// Idle, the port serves the tied children in name order.
-	n2, z := turnNode(Config{}, 1, 2, 64)
+	n2, z := turnNode(1, 2, 64)
 	z.name = "z"
 	y := addTurnChild(n2, "y", 1)
 	if w := flipTurn(n2, y, z, 0, 0); w.s != y {
@@ -379,11 +378,13 @@ func TestFailedTurnLeavesEstimate(t *testing.T) {
 	const tasks = 30
 	g := &rootGate{}
 	plan := NewFaultPlan(FaultRule{Link: "w", Dir: FaultSend, Kind: FrameChunk, Op: FaultSever})
-	root := startGatedRoot(t, g, Config{Buffers: 3, ReconnectGrace: 10 * time.Second, Faults: plan})
-	w := startNode(t, Config{Name: "w", Parent: root.Addr(), Buffers: 3, Compute: g.worker,
-		ReconnectBase: 5 * time.Millisecond, ReconnectCap: 20 * time.Millisecond, ReconnectAttempts: 20})
+	root := startGatedRoot(t, g, WithBuffers(3), WithReconnectGrace(10*time.Second), WithFaultPlan(plan))
+	w := startNode(t, "w",
+		WithParent(root.Addr()), WithBuffers(3), WithCompute(g.worker),
+		WithReconnect(5*time.Millisecond, 20*time.Millisecond, 20),
+	)
 	g.arm(tasks)
-	results, err := root.RunTimeout(makeTasks(tasks, 256), 30*time.Second)
+	results, err := runWithin(root, makeTasks(tasks, 256), 30*time.Second)
 	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run across the sever: %v", err)
@@ -421,12 +422,12 @@ func TestFailedTurnLeavesEstimate(t *testing.T) {
 func TestResultCannotOutrunHandoff(t *testing.T) {
 	const tasks = 10_000
 	g := &rootGate{}
-	root := startGatedRoot(t, g, Config{Buffers: 3, RecorderCap: -1})
+	root := startGatedRoot(t, g, WithBuffers(3), WithRecorderCapacity(-1))
 	for _, name := range []string{"w1", "w2"} {
-		startNode(t, Config{Name: name, Parent: root.Addr(), Buffers: 3, Compute: g.worker, RecorderCap: -1})
+		startNode(t, name, WithParent(root.Addr()), WithBuffers(3), WithCompute(g.worker), WithRecorderCapacity(-1))
 	}
 	g.arm(tasks)
-	results, err := root.RunTimeout(makeTasks(tasks, 256), 60*time.Second)
+	results, err := runWithin(root, makeTasks(tasks, 256), 60*time.Second)
 	checkOneOwner(t, root)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -445,7 +446,7 @@ func TestResultCannotOutrunHandoff(t *testing.T) {
 func TestSeverLosesWrittenTransfers(t *testing.T) {
 	const tasks = 30
 	g := &rootGate{}
-	root := startGatedRoot(t, g, Config{Buffers: 3, ReconnectGrace: 10 * time.Second})
+	root := startGatedRoot(t, g, WithBuffers(3), WithReconnectGrace(10*time.Second))
 	// The first chunk stalls in the worker's reader while the root writes
 	// the other two transfers its three requests allow; the second read
 	// severs the link with both of them lost.
@@ -463,14 +464,14 @@ func TestSeverLosesWrittenTransfers(t *testing.T) {
 		}
 		return g.worker(tk)
 	}
-	w := startNode(t, Config{
-		Name: "w", Parent: root.Addr(), Buffers: 3, Compute: afterSever, Faults: plan,
-		ReconnectBase: 10 * time.Millisecond, ReconnectCap: 50 * time.Millisecond, ReconnectAttempts: 10,
-	})
+	w := startNode(t, "w",
+		WithParent(root.Addr()), WithBuffers(3), WithCompute(afterSever), WithFaultPlan(plan),
+		WithReconnect(10*time.Millisecond, 50*time.Millisecond, 10),
+	)
 
 	stop := watchOneOwner(t, root)
 	g.arm(tasks)
-	results, err := root.RunTimeout(makeTasks(tasks, 256), 30*time.Second)
+	results, err := runWithin(root, makeTasks(tasks, 256), 30*time.Second)
 	checkOneOwner(t, root, w)
 	stop()
 	if err != nil {
@@ -537,12 +538,12 @@ func TestSeverResumesHandedOffTransfer(t *testing.T) {
 		chunks = 32
 	)
 	g := &rootGate{}
-	root := startGatedRoot(t, g, Config{
-		Buffers: 3, ChunkSize: chunk, ReconnectGrace: 10 * time.Second,
+	root := startGatedRoot(t, g,
+		WithBuffers(3), WithChunkSize(chunk), WithReconnectGrace(10*time.Second),
 		// Paced, so the port takes single-chunk turns and the younger
 		// transfer is still mid-payload when the sever lands.
-		LinkDelay: func(string) time.Duration { return time.Millisecond },
-	})
+		WithLinkDelay(func(string) time.Duration { return time.Millisecond }),
+	)
 	// The worker's reader stalls on the chunk before the first task's
 	// last, long enough for the root to write that last chunk (handing the
 	// task off) and start on the second task; reading the last chunk then
@@ -551,14 +552,14 @@ func TestSeverResumesHandedOffTransfer(t *testing.T) {
 		FaultRule{Link: "parent", Dir: FaultRecv, Kind: FrameChunk, After: chunks - 1, Op: FaultDelay, Delay: 10 * time.Millisecond},
 		FaultRule{Link: "parent", Dir: FaultRecv, Kind: FrameChunk, After: chunks - 1, Op: FaultSever},
 	)
-	w := startNode(t, Config{
-		Name: "w", Parent: root.Addr(), Buffers: 3, ChunkSize: chunk, Compute: g.worker, Faults: plan,
-		ReconnectBase: 10 * time.Millisecond, ReconnectCap: 50 * time.Millisecond, ReconnectAttempts: 10,
-	})
+	w := startNode(t, "w",
+		WithParent(root.Addr()), WithBuffers(3), WithChunkSize(chunk), WithCompute(g.worker), WithFaultPlan(plan),
+		WithReconnect(10*time.Millisecond, 50*time.Millisecond, 10),
+	)
 
 	stop := watchOneOwner(t, root)
 	g.arm(tasks)
-	results, err := root.RunTimeout(makeTasks(tasks, chunk*chunks), 30*time.Second)
+	results, err := runWithin(root, makeTasks(tasks, chunk*chunks), 30*time.Second)
 	checkOneOwner(t, root, w)
 	stop()
 	if err != nil {
@@ -636,7 +637,7 @@ func pacedRun(t *testing.T, root *Node, g *rootGate, base uint64, n, size int) (
 		tasks[i].ID += base
 	}
 	g.arm(n)
-	if _, err := root.RunTimeout(tasks, 30*time.Second); err != nil {
+	if _, err := runWithin(root, tasks, 30*time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	checkOneOwner(t, root)
@@ -691,9 +692,11 @@ func TestLinkPacingBackToBack(t *testing.T) {
 		d = 2 * time.Millisecond
 	)
 	g := &rootGate{}
-	root := startGatedRoot(t, g, Config{Buffers: 1, ChunkSize: 128,
-		LinkDelay: func(string) time.Duration { return d }})
-	startNode(t, Config{Name: "w", Parent: root.Addr(), Buffers: 1, ChunkSize: 128, Compute: g.worker})
+	root := startGatedRoot(t, g,
+		WithBuffers(1), WithChunkSize(128),
+		WithLinkDelay(func(string) time.Duration { return d }),
+	)
+	startNode(t, "w", WithParent(root.Addr()), WithBuffers(1), WithChunkSize(128), WithCompute(g.worker))
 	assertPaced(t, root, g, 2, k*128, 1, k*d)
 }
 
@@ -703,9 +706,11 @@ func TestLinkPacingBackToBack(t *testing.T) {
 func TestLinkPacingIdleIsNotCredit(t *testing.T) {
 	const d = 20 * time.Millisecond
 	g := &rootGate{}
-	root := startGatedRoot(t, g, Config{Buffers: 1,
-		LinkDelay: func(string) time.Duration { return d }})
-	startNode(t, Config{Name: "w", Parent: root.Addr(), Buffers: 1, Compute: g.worker})
+	root := startGatedRoot(t, g,
+		WithBuffers(1),
+		WithLinkDelay(func(string) time.Duration { return d }),
+	)
+	startNode(t, "w", WithParent(root.Addr()), WithBuffers(1), WithCompute(g.worker))
 
 	for run := uint64(0); run < 2; run++ {
 		transfers, took := pacedRun(t, root, g, 2*run, 2, 256)
@@ -724,10 +729,12 @@ func TestLinkPacingSharedSchedule(t *testing.T) {
 	const k = 10
 	delays := map[string]time.Duration{"a": 2 * time.Millisecond, "b": 3 * time.Millisecond}
 	g := &rootGate{}
-	root := startGatedRoot(t, g, Config{Buffers: 1, ChunkSize: 128,
-		LinkDelay: func(child string) time.Duration { return delays[child] }})
+	root := startGatedRoot(t, g,
+		WithBuffers(1), WithChunkSize(128),
+		WithLinkDelay(func(child string) time.Duration { return delays[child] }),
+	)
 	for name := range delays {
-		startNode(t, Config{Name: name, Parent: root.Addr(), Buffers: 1, ChunkSize: 128, Compute: g.worker})
+		startNode(t, name, WithParent(root.Addr()), WithBuffers(1), WithChunkSize(128), WithCompute(g.worker))
 	}
 	waitFor(t, "both children to register a request", func() bool {
 		return sessionPending(root, "a") == 1 && sessionPending(root, "b") == 1

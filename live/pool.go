@@ -15,7 +15,7 @@ import "bwcs/internal/protocol"
 // The zero value is an empty pool in which every application weighs 1.
 // A pool is not safe for concurrent use; a Node's owner goroutine holds its own.
 type taskPool struct {
-	weights map[string]int64 // Config.AppWeights; never written
+	weights map[string]int64 // the node's WithAppWeights; never written
 	// queues holds one queue per application seen, in first-seen order;
 	// count, weight and credit are indexed alike: each application's
 	// buffered tasks, configured weight and tenant-picker ledger entry. An

@@ -231,9 +231,6 @@ type TraceDump struct {
 	Events  []Event `json:"events"`
 }
 
-// defaultRecorderCap is the flight recorder's default ring capacity.
-const defaultRecorderCap = 8192
-
 // flightRecorder is the fixed-capacity event ring. Writers never block
 // and entries are never mutated after being written: overflow overwrites
 // the oldest event and counts it as dropped, so the recorder always
@@ -337,7 +334,7 @@ func (n *Node) Events() []Event {
 // /debug/events serves and cmd/bwtrace merges. The Events slice is nil
 // when the recorder is disabled.
 func (n *Node) TraceDump() TraceDump {
-	d := TraceDump{Node: n.cfg.Name, Root: n.root}
+	d := TraceDump{Node: n.cfg.name, Root: n.root}
 	if n.rec == nil {
 		return d
 	}

@@ -63,8 +63,10 @@ func TestRecorderWrapExact(t *testing.T) {
 // TestRecorderDisabled pins that a negative capacity turns recording off
 // entirely: no events, no dumps, no counter.
 func TestRecorderDisabled(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 2,
-		Compute: echoCompute(0), RecorderCap: -1})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(2),
+		WithCompute(echoCompute(0)), WithRecorderCapacity(-1),
+	)
 	if evs := root.Events(); evs != nil {
 		t.Fatalf("disabled recorder returned %d events", len(evs))
 	}
@@ -85,14 +87,18 @@ func TestRecorderDisabled(t *testing.T) {
 // sequence numbers, and the final Stats must surface exact eviction
 // counts from the deliberately tiny ring.
 func TestRecorderConcurrentFollow(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 2,
-		Compute: echoCompute(time.Millisecond), RecorderCap: 64})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(2),
+		WithCompute(echoCompute(time.Millisecond)), WithRecorderCapacity(64),
+	)
 	addr, err := root.ServeStatus("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("status: %v", err)
 	}
-	startNode(t, Config{Name: "w1", Parent: root.Addr(), Buffers: 2,
-		Compute: echoCompute(time.Millisecond), RecorderCap: 64})
+	startNode(t, "w1",
+		WithParent(root.Addr()), WithBuffers(2),
+		WithCompute(echoCompute(time.Millisecond)), WithRecorderCapacity(64),
+	)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -123,7 +129,7 @@ func TestRecorderConcurrentFollow(t *testing.T) {
 		}
 	}()
 
-	if _, err := root.RunTimeout(makeTasks(60, 2048), 30*time.Second); err != nil {
+	if _, err := runWithin(root, makeTasks(60, 2048), 30*time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	root.Close() // ends the follow stream
@@ -158,11 +164,15 @@ func TestRecorderConcurrentFollow(t *testing.T) {
 // hand-off, result receive, collection — and the worker's recorder the
 // inbound one, with the wire-carried causality pointing at real events.
 func TestRecorderJourneyEvents(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 2,
-		Compute: echoCompute(50 * time.Millisecond)})
-	w1 := startNode(t, Config{Name: "w1", Parent: root.Addr(), Buffers: 2,
-		Compute: echoCompute(time.Millisecond)})
-	if _, err := root.RunTimeout(makeTasks(8, 1024), 30*time.Second); err != nil {
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(2),
+		WithCompute(echoCompute(50*time.Millisecond)),
+	)
+	w1 := startNode(t, "w1",
+		WithParent(root.Addr()), WithBuffers(2),
+		WithCompute(echoCompute(time.Millisecond)),
+	)
+	if _, err := runWithin(root, makeTasks(8, 1024), 30*time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 

@@ -7,11 +7,14 @@ package live
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"bwcs/internal/protocol"
 )
 
 func TestBackoffDelay(t *testing.T) {
@@ -75,14 +78,12 @@ func TestReconnectBackoffSchedule(t *testing.T) {
 		return true
 	}
 
-	child, err := launch(Config{
-		Name: "c", Parent: fakeParent(t), Buffers: 2, Compute: echoCompute(0),
-		HeartbeatInterval: -1,
-		ReconnectBase:     10 * time.Millisecond,
-		ReconnectCap:      40 * time.Millisecond,
-		ReconnectAttempts: 4,
-		sleep:             fakeSleep,
-	})
+	child, err := Start("c",
+		WithParent(fakeParent(t)), WithBuffers(2), WithCompute(echoCompute(0)),
+		WithHeartbeat(-1, 0),
+		WithReconnect(10*time.Millisecond, 40*time.Millisecond, 4),
+		func(c *config) { c.sleep = fakeSleep },
+	)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -122,14 +123,14 @@ func TestHeartbeatMissDetection(t *testing.T) {
 	mute := NewFaultPlan(FaultRule{
 		Link: "parent", Dir: FaultSend, After: 2, Repeat: true, Op: FaultDrop,
 	})
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 2, Compute: echoCompute(0),
-		HeartbeatInterval: 20 * time.Millisecond, HeartbeatMisses: 2,
-	})
-	startNode(t, Config{
-		Name: "m", Parent: root.Addr(), Buffers: 2, Compute: echoCompute(0),
-		HeartbeatInterval: -1, ReconnectAttempts: -1, Faults: mute,
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(2), WithCompute(echoCompute(0)),
+		WithHeartbeat(20*time.Millisecond, 2),
+	)
+	startNode(t, "m",
+		WithParent(root.Addr()), WithBuffers(2), WithCompute(echoCompute(0)),
+		WithHeartbeat(-1, 0), WithReconnect(0, 0, -1), WithFaultPlan(mute),
+	)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for root.Stats().HeartbeatMisses < 2 {
@@ -144,19 +145,19 @@ func TestDeliberateDepartureRequeuesImmediately(t *testing.T) {
 	// A child that Closes announces a goodbye, so its undone tasks requeue
 	// without waiting out the reconnect grace window — and the accounting
 	// shows up in Stats.Requeued.
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute: echoCompute(5 * time.Millisecond),
-	})
-	doomed := startNode(t, Config{
-		Name: "doomed", Parent: root.Addr(), Buffers: 3,
-		Compute: echoCompute(100 * time.Millisecond), // slow: tasks pile up outstanding
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(5*time.Millisecond)),
+	)
+	doomed := startNode(t, "doomed",
+		WithParent(root.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(100*time.Millisecond)), // slow: tasks pile up outstanding
+	)
 	go func() {
 		time.Sleep(200 * time.Millisecond)
 		doomed.Close()
 	}()
-	results, err := root.RunTimeout(makeTasks(40, 64), 60*time.Second)
+	results, err := runWithin(root, makeTasks(40, 64), 60*time.Second)
 	checkOneOwner(t, root)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -170,9 +171,9 @@ func TestDeliberateDepartureRequeuesImmediately(t *testing.T) {
 }
 
 func TestRunDeadlineReturnsTypedErrorAndPartials(t *testing.T) {
-	root := startNode(t, Config{
-		Name: "root", Buffers: 2, Compute: echoCompute(50 * time.Millisecond),
-	})
+	root := startNode(t, "root",
+		WithBuffers(2), WithCompute(echoCompute(50*time.Millisecond)),
+	)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
 	defer cancel()
 	results, err := root.Run(ctx, makeTasks(50, 16))
@@ -196,9 +197,9 @@ func TestRunDeadlineReturnsTypedErrorAndPartials(t *testing.T) {
 }
 
 func TestRunCancellation(t *testing.T) {
-	root := startNode(t, Config{
-		Name: "root", Buffers: 2, Compute: echoCompute(50 * time.Millisecond),
-	})
+	root := startNode(t, "root",
+		WithBuffers(2), WithCompute(echoCompute(50*time.Millisecond)),
+	)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(120 * time.Millisecond)
@@ -214,47 +215,132 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults resolves every option at a negative, a zero and a
+// positive argument: zero keeps the default, a negative value switches
+// off what its option documents as switchable and is refused elsewhere,
+// and the defaults are the paper's headline protocol (IC, FB=3) with the
+// runtime's timings.
 func TestOptionsDefaults(t *testing.T) {
 	n, err := Start("n", WithCompute(echoCompute(0)))
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	defer n.Close()
-	cfg := n.cfg
-	if cfg.Buffers != 3 {
-		t.Errorf("Buffers = %d, want the paper's FB=3", cfg.Buffers)
+	want := config{
+		name: "n", compute: n.cfg.compute, sleep: n.cfg.sleep,
+		protocol:  protocol.Protocol{Interruptible: true, InitialBuffers: 3},
+		chunkSize: 4096, heartbeat: time.Second, heartbeatMisses: 3,
+		writeTimeout: 10 * time.Second, handshakeTimeout: 5 * time.Second,
+		reconnectBase: 100 * time.Millisecond, reconnectCap: 2 * time.Second, reconnectAttempts: 5,
+		reconnectGrace: 5 * time.Second, resultRetry: 2 * time.Second,
+		recorderCap: 8192, timelineInterval: time.Second,
 	}
-	if cfg.HeartbeatInterval != time.Second || cfg.HeartbeatMisses != 3 {
-		t.Errorf("heartbeat defaults = %v/%d, want 1s/3", cfg.HeartbeatInterval, cfg.HeartbeatMisses)
+	if got := settings(n.cfg); got != settings(want) {
+		t.Fatalf("defaults:\n got %s\nwant %s", got, settings(want))
 	}
-	if cfg.WriteTimeout != 10*time.Second {
-		t.Errorf("WriteTimeout = %v, want 10s", cfg.WriteTimeout)
-	}
-	if cfg.ReconnectBase != 100*time.Millisecond || cfg.ReconnectCap != 2*time.Second || cfg.ReconnectAttempts != 5 {
-		t.Errorf("reconnect defaults = %v/%v/%d, want 100ms/2s/5", cfg.ReconnectBase, cfg.ReconnectCap, cfg.ReconnectAttempts)
-	}
-	if cfg.ReconnectGrace != 5*time.Second {
-		t.Errorf("ReconnectGrace = %v, want 5s", cfg.ReconnectGrace)
-	}
-	if cfg.ChunkSize != 4096 {
-		t.Errorf("ChunkSize = %d, want 4096", cfg.ChunkSize)
+	if n.rec == nil || n.sampler == nil {
+		t.Errorf("the node runs without a flight recorder or a timeline sampler")
 	}
 
-	// Negative values disable the corresponding machinery.
-	d, err := Start("d",
-		WithCompute(echoCompute(0)),
-		WithHeartbeat(-1, 0),
-		WithWriteTimeout(-1),
-		WithReconnect(0, 0, -1),
-		WithReconnectGrace(-1),
-	)
-	if err != nil {
-		t.Fatalf("Start: %v", err)
+	plan := NewFaultPlan()
+	same := func(*config) {}
+	cases := []struct {
+		name string
+		opt  Option
+		want func(*config) // the change from the defaults; nil when Start refuses
+	}{
+		{"WithListen(\"\")", WithListen(""), same},
+		{"WithListen(addr)", WithListen("127.0.0.1:0"), func(c *config) { c.listen = "127.0.0.1:0" }},
+		{"WithParent(\"\")", WithParent(""), same},
+		{"WithParent(addr)", WithParent("127.0.0.1:1"), func(c *config) { c.parent = "127.0.0.1:1" }},
+		{"WithCompute(nil)", WithCompute(nil), nil},
+		{"WithBuffers(-1)", WithBuffers(-1), nil},
+		{"WithBuffers(0)", WithBuffers(0), same},
+		{"WithBuffers(5)", WithBuffers(5), func(c *config) { c.protocol.InitialBuffers = 5 }},
+		{"NonInterruptible()", NonInterruptible(), func(c *config) { c.protocol.Interruptible = false }},
+		{"WithChunkSize(-1)", WithChunkSize(-1), nil},
+		{"WithChunkSize(0)", WithChunkSize(0), same},
+		{"WithChunkSize(512)", WithChunkSize(512), func(c *config) { c.chunkSize = 512 }},
+		{"WithLinkDelay(nil)", WithLinkDelay(nil), same},
+		{"WithLinkDelay(fn)", WithLinkDelay(func(string) time.Duration { return 0 }),
+			func(c *config) { c.linkDelay = func(string) time.Duration { return 0 } }},
+		{"WithHeartbeat(-1, 0)", WithHeartbeat(-1, 0), func(c *config) { c.heartbeat = 0 }},
+		{"WithHeartbeat(0, -1)", WithHeartbeat(0, -1), nil},
+		{"WithHeartbeat(0, 0)", WithHeartbeat(0, 0), same},
+		{"WithHeartbeat(200ms, 5)", WithHeartbeat(200*time.Millisecond, 5),
+			func(c *config) { c.heartbeat, c.heartbeatMisses = 200*time.Millisecond, 5 }},
+		{"WithReconnect(-1, 0, 0)", WithReconnect(-1, 0, 0), nil},
+		{"WithReconnect(0, -1, 0)", WithReconnect(0, -1, 0), nil},
+		{"WithReconnect(0, 0, -1)", WithReconnect(0, 0, -1), func(c *config) { c.reconnectAttempts = 0 }},
+		{"WithReconnect(0, 0, 0)", WithReconnect(0, 0, 0), same},
+		{"WithReconnect(50ms, 1s, 7)", WithReconnect(50*time.Millisecond, time.Second, 7),
+			func(c *config) {
+				c.reconnectBase, c.reconnectCap, c.reconnectAttempts = 50*time.Millisecond, time.Second, 7
+			}},
+		{"WithReconnectGrace(-1)", WithReconnectGrace(-1), func(c *config) { c.reconnectGrace = 0 }},
+		{"WithReconnectGrace(0)", WithReconnectGrace(0), same},
+		{"WithReconnectGrace(2s)", WithReconnectGrace(2 * time.Second), func(c *config) { c.reconnectGrace = 2 * time.Second }},
+		{"WithAppWeights(negative)", WithAppWeights(map[string]int64{"a": -1}), nil},
+		{"WithAppWeights(nil)", WithAppWeights(nil), same},
+		{"WithAppWeights(a=2)", WithAppWeights(map[string]int64{"a": 2}), func(c *config) { c.appWeights = map[string]int64{"a": 2} }},
+		{"WithFaultPlan(nil)", WithFaultPlan(nil), same},
+		{"WithFaultPlan(plan)", WithFaultPlan(plan), func(c *config) { c.faults = plan }},
+		{"WithRecorderCapacity(-1)", WithRecorderCapacity(-1), func(c *config) { c.recorderCap = 0 }},
+		{"WithRecorderCapacity(0)", WithRecorderCapacity(0), same},
+		{"WithRecorderCapacity(64)", WithRecorderCapacity(64), func(c *config) { c.recorderCap = 64 }},
+		{"WithTimelineInterval(-1)", WithTimelineInterval(-1), func(c *config) { c.timelineInterval = 0 }},
+		{"WithTimelineInterval(0)", WithTimelineInterval(0), same},
+		{"WithTimelineInterval(250ms)", WithTimelineInterval(250 * time.Millisecond),
+			func(c *config) { c.timelineInterval = 250 * time.Millisecond }},
 	}
-	defer d.Close()
-	if d.cfg.HeartbeatInterval != 0 || d.cfg.WriteTimeout != 0 || d.cfg.ReconnectAttempts != 0 || d.cfg.ReconnectGrace != 0 {
-		t.Errorf("disabled config = hb %v, wto %v, attempts %d, grace %v; want all zero",
-			d.cfg.HeartbeatInterval, d.cfg.WriteTimeout, d.cfg.ReconnectAttempts, d.cfg.ReconnectGrace)
+	for _, tc := range cases {
+		got := defaults("n")
+		WithCompute(echoCompute(0))(&got)
+		tc.opt(&got)
+		err := got.check()
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("%s: accepted, want refused", tc.name)
+			}
+			continue
+		}
+		exp := defaults("n")
+		WithCompute(echoCompute(0))(&exp)
+		tc.want(&exp)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if settings(got) != settings(exp) {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, settings(got), settings(exp))
+		}
+	}
+}
+
+// settings renders c for comparison, each function field as whether it
+// is set.
+func settings(c config) string {
+	funcs := fmt.Sprint(c.compute != nil, c.linkDelay != nil, c.sleep != nil)
+	c.compute, c.linkDelay, c.sleep = nil, nil, nil
+	return fmt.Sprintf("%+v funcs %s", c, funcs)
+}
+
+// TestStartRejectsNegativeArguments: an option argument that neither
+// keeps a default (zero) nor switches a machinery off fails Start rather
+// than running with the default.
+func TestStartRejectsNegativeArguments(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"WithChunkSize(-1)", WithChunkSize(-1)},
+		{"WithHeartbeat(1s, -1)", WithHeartbeat(time.Second, -1)},
+		{"WithReconnect(-1, 2s, 5)", WithReconnect(-1, 2*time.Second, 5)},
+		{"WithReconnect(100ms, -1, 5)", WithReconnect(100*time.Millisecond, -1, 5)},
+	} {
+		n, err := Start("n", WithCompute(echoCompute(0)), tc.opt)
+		if err == nil {
+			n.Close()
+			t.Errorf("Start with %s succeeded, want an error", tc.name)
+		}
 	}
 }
 
@@ -266,10 +352,10 @@ func TestOptionsDefaults(t *testing.T) {
 // without waiting out the write timeout.
 func TestOwnerNeverBlocksOnIO(t *testing.T) {
 	const size = 8 << 20 // one turn of 1 MiB chunks, far past a socket's buffers
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3, Compute: echoCompute(0),
-		ChunkSize: 1 << 20, WriteTimeout: time.Minute, HeartbeatInterval: -1,
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3), WithCompute(echoCompute(0)),
+		WithChunkSize(1<<20), func(c *config) { c.writeTimeout = time.Minute }, WithHeartbeat(-1, 0),
+	)
 	stuck, err := dialScripted(root.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +374,7 @@ func TestOwnerNeverBlocksOnIO(t *testing.T) {
 
 	runErr := make(chan error, 1)
 	go func() {
-		_, err := root.RunTimeout(makeTasks(3, size), time.Minute)
+		_, err := runWithin(root, makeTasks(3, size), time.Minute)
 		runErr <- err
 	}()
 	waitFor(t, "the port to take the stuck child's transfer", func() bool {
@@ -352,16 +438,16 @@ func TestMaxQueuedCountsRequeues(t *testing.T) {
 		return t.Payload, nil
 	}
 
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute: echoCompute(2 * time.Millisecond),
-	})
-	mid := startNode(t, Config{
-		Name: "mid", Parent: root.Addr(), Listen: "127.0.0.1:0", Buffers: 3, Compute: gated,
-	})
-	leaf := startNode(t, Config{
-		Name: "leaf", Parent: mid.Addr(), Buffers: 3, Compute: gated,
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(2*time.Millisecond)),
+	)
+	mid := startNode(t, "mid",
+		WithParent(root.Addr()), WithListen("127.0.0.1:0"), WithBuffers(3), WithCompute(gated),
+	)
+	leaf := startNode(t, "leaf",
+		WithParent(mid.Addr()), WithBuffers(3), WithCompute(gated),
+	)
 
 	type runOut struct {
 		results []Result
@@ -369,7 +455,7 @@ func TestMaxQueuedCountsRequeues(t *testing.T) {
 	}
 	done := make(chan runOut, 1)
 	go func() {
-		results, err := root.RunTimeout(makeTasks(24, 64), 60*time.Second)
+		results, err := runWithin(root, makeTasks(24, 64), 60*time.Second)
 		done <- runOut{results, err}
 	}()
 

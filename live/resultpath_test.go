@@ -46,20 +46,20 @@ func TestResultDropInSeverWindowCompletes(t *testing.T) {
 		FaultRule{Link: "parent", Dir: FaultSend, Kind: FrameResult, After: 2, Op: FaultDrop},
 		FaultRule{Link: "parent", Dir: FaultSend, Kind: FrameResult, After: 4, Op: FaultSever},
 	)
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:        echoCompute(20 * time.Millisecond),
-		ReconnectGrace: 10 * time.Second, // the session must revive, not reclaim
-	})
-	w := startNode(t, Config{
-		Name: "w", Parent: root.Addr(), Buffers: 3,
-		Compute:       echoCompute(2 * time.Millisecond),
-		Faults:        plan,
-		ReconnectBase: 20 * time.Millisecond, ReconnectCap: 100 * time.Millisecond, ReconnectAttempts: 20,
-		ResultRetry: -1, // pin the replay path: no retry timer to the rescue
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(20*time.Millisecond)),
+		WithReconnectGrace(10*time.Second), // the session must revive, not reclaim
+	)
+	w := startNode(t, "w",
+		WithParent(root.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(2*time.Millisecond)),
+		WithFaultPlan(plan),
+		WithReconnect(20*time.Millisecond, 100*time.Millisecond, 20),
+		func(c *config) { c.resultRetry = 0 }, // pin the replay path: no retry timer to the rescue
+	)
 
-	results, err := root.RunTimeout(makeTasks(tasks, 512), 60*time.Second)
+	results, err := runWithin(root, makeTasks(tasks, 512), 60*time.Second)
 	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run across the dropped result: %v", err)
@@ -92,24 +92,24 @@ func TestRoadmapStallRepro(t *testing.T) {
 		FaultRule{Link: "parent", Dir: FaultSend, Kind: FrameResult, After: 3, Op: FaultSever},
 		FaultRule{Link: "parent", Dir: FaultSend, Kind: FrameResult, After: 6, Op: FaultSever},
 	)
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:           echoCompute(15 * time.Millisecond),
-		HeartbeatInterval: 100 * time.Millisecond, // the ROADMAP repro's aggressive root
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(15*time.Millisecond)),
+		WithHeartbeat(100*time.Millisecond, 0), // the ROADMAP repro's aggressive root
 		// The first result's ack is lost, so the ledger holds a written,
 		// unacked result when the first sever lands and the reconnect has
 		// something to replay whatever the timing of the other acks.
-		Faults: NewFaultPlan(FaultRule{Link: "w", Dir: FaultSend, Kind: FrameResultAck, Op: FaultDrop}),
-	})
-	w := startNode(t, Config{
-		Name: "w", Parent: root.Addr(), Buffers: 3,
-		Compute: echoCompute(5 * time.Millisecond),
-		// HeartbeatInterval left zero: the 1s default, per the repro.
-		Faults:        plan,
-		ReconnectBase: 20 * time.Millisecond, ReconnectCap: 100 * time.Millisecond, ReconnectAttempts: 20,
-	})
+		WithFaultPlan(NewFaultPlan(FaultRule{Link: "w", Dir: FaultSend, Kind: FrameResultAck, Op: FaultDrop})),
+	)
+	w := startNode(t, "w",
+		WithParent(root.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(5*time.Millisecond)),
+		// No WithHeartbeat: the 1s default, per the repro.
+		WithFaultPlan(plan),
+		WithReconnect(20*time.Millisecond, 100*time.Millisecond, 20),
+	)
 
-	results, err := root.RunTimeout(makeTasks(tasks, 256), 60*time.Second)
+	results, err := runWithin(root, makeTasks(tasks, 256), 60*time.Second)
 	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run across the sever-while-replaying window: %v", err)
@@ -135,18 +135,18 @@ func TestResultRetryRecoversPureDrop(t *testing.T) {
 	plan := NewFaultPlan(FaultRule{
 		Link: "parent", Dir: FaultSend, Kind: FrameResult, After: 3, Op: FaultDrop,
 	})
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute: echoCompute(10 * time.Millisecond),
-	})
-	w := startNode(t, Config{
-		Name: "w", Parent: root.Addr(), Buffers: 3,
-		Compute:     echoCompute(2 * time.Millisecond),
-		Faults:      plan,
-		ResultRetry: 50 * time.Millisecond,
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(10*time.Millisecond)),
+	)
+	w := startNode(t, "w",
+		WithParent(root.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(2*time.Millisecond)),
+		WithFaultPlan(plan),
+		func(c *config) { c.resultRetry = 50 * time.Millisecond },
+	)
 
-	results, err := root.RunTimeout(makeTasks(tasks, 256), 60*time.Second)
+	results, err := runWithin(root, makeTasks(tasks, 256), 60*time.Second)
 	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run across the dropped result: %v", err)
@@ -170,15 +170,15 @@ func TestResultRetryRecoversPureDrop(t *testing.T) {
 // nothing.
 func TestResultAcksRetireLedger(t *testing.T) {
 	const tasks = 20
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 2,
-		Compute: echoCompute(5 * time.Millisecond),
-	})
-	w := startNode(t, Config{
-		Name: "w", Parent: root.Addr(), Buffers: 2,
-		Compute: echoCompute(time.Millisecond),
-	})
-	results, err := root.RunTimeout(makeTasks(tasks, 128), 30*time.Second)
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(2),
+		WithCompute(echoCompute(5*time.Millisecond)),
+	)
+	w := startNode(t, "w",
+		WithParent(root.Addr()), WithBuffers(2),
+		WithCompute(echoCompute(time.Millisecond)),
+	)
+	results, err := runWithin(root, makeTasks(tasks, 128), 30*time.Second)
 	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -227,11 +227,11 @@ func childGone(n *Node, name string) bool {
 // exactly once, with no later grace-expiry double count.
 func TestReviveReconciliationRequeues(t *testing.T) {
 	const tasks = 8
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:           echoCompute(25 * time.Millisecond),
-		HeartbeatInterval: -1, // the scripted child sends no heartbeats
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(25*time.Millisecond)),
+		WithHeartbeat(-1, 0), // the scripted child sends no heartbeats
+	)
 
 	type taken struct {
 		id  uint64
@@ -256,7 +256,7 @@ func TestReviveReconciliationRequeues(t *testing.T) {
 	resc := make(chan []Result, 1)
 	errc := make(chan error, 1)
 	go func() {
-		results, err := root.RunTimeout(makeTasks(tasks, 128), 60*time.Second)
+		results, err := runWithin(root, makeTasks(tasks, 128), 60*time.Second)
 		resc <- results
 		errc <- err
 	}()
@@ -375,11 +375,11 @@ func TestResultLedgerOrderAndRetire(t *testing.T) {
 // ack it so the child's ledger can retire: exactly-once end to end.
 func TestReviveReplayDedupedAndAcked(t *testing.T) {
 	const tasks = 6
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute:           echoCompute(15 * time.Millisecond),
-		HeartbeatInterval: -1, // the scripted child sends no heartbeats
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(15*time.Millisecond)),
+		WithHeartbeat(-1, 0), // the scripted child sends no heartbeats
+	)
 
 	type legOne struct {
 		id      uint64
@@ -413,7 +413,7 @@ func TestReviveReplayDedupedAndAcked(t *testing.T) {
 	resc := make(chan []Result, 1)
 	errc := make(chan error, 1)
 	go func() {
-		results, err := root.RunTimeout(makeTasks(tasks, 2048), 60*time.Second)
+		results, err := runWithin(root, makeTasks(tasks, 2048), 60*time.Second)
 		resc <- results
 		errc <- err
 	}()
@@ -491,21 +491,19 @@ func TestHelloAckDropRecovers(t *testing.T) {
 		// connect): the handshake must time out and retry.
 		FaultRule{Link: "parent", Dir: FaultRecv, Kind: FrameHelloAck, After: 2, Op: FaultDrop},
 	)
-	root := startNode(t, Config{
-		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		Compute: echoCompute(20 * time.Millisecond),
-	})
-	w := startNode(t, Config{
-		Name: "w", Parent: root.Addr(), Buffers: 3,
-		Compute:           echoCompute(2 * time.Millisecond),
-		Faults:            plan,
-		HandshakeTimeout:  300 * time.Millisecond,
-		ReconnectBase:     20 * time.Millisecond,
-		ReconnectCap:      200 * time.Millisecond,
-		ReconnectAttempts: 8,
-	})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(20*time.Millisecond)),
+	)
+	w := startNode(t, "w",
+		WithParent(root.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(2*time.Millisecond)),
+		WithFaultPlan(plan),
+		func(c *config) { c.handshakeTimeout = 300 * time.Millisecond },
+		WithReconnect(20*time.Millisecond, 200*time.Millisecond, 8),
+	)
 
-	results, err := root.RunTimeout(makeTasks(tasks, 2048), 60*time.Second)
+	results, err := runWithin(root, makeTasks(tasks, 2048), 60*time.Second)
 	checkOneOwner(t, root, w)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

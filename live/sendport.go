@@ -42,7 +42,7 @@ func (n *Node) portTurn() {
 		*w = portWrite{s: s, c: s.c, msgs: w.msgs[:0], keys: append(w.keys[:0], s.acks...)}
 		if len(w.keys) > 0 {
 			w.msgs = append(w.msgs, message{Kind: kindResultAck, Acks: w.keys,
-				TraceNode: n.cfg.Name, TraceSeq: s.ackSeq})
+				TraceNode: n.cfg.name, TraceSeq: s.ackSeq})
 			s.acks = s.acks[:0]
 		}
 		if s == target {
@@ -64,7 +64,7 @@ func (n *Node) portTurn() {
 // starts a fresh session. It returns how long until the next grace window
 // still open expires (0: none is).
 func (n *Node) reclaim() (wait time.Duration) {
-	grace := n.cfg.ReconnectGrace
+	grace := n.cfg.reconnectGrace
 	for i := 0; i < len(n.children); {
 		s := n.children[i]
 		if !s.gone || (!s.left && grace > 0 && time.Since(s.goneAt) < grace) {
@@ -194,7 +194,7 @@ func (n *Node) requeue(s *childSession, tr *outTransfer) {
 // and the grace-expiry reclaim already cover outstanding.
 func (n *Node) startTurn(s *childSession, w *portWrite) *outTransfer {
 	budget := chunkBatch
-	if n.cfg.LinkDelay != nil {
+	if n.cfg.linkDelay != nil {
 		// The emulated delay is charged per chunk; batching would fold a
 		// whole batch under one delay and skew the measured priorities.
 		budget = 1
@@ -211,7 +211,7 @@ func (n *Node) startTurn(s *childSession, w *portWrite) *outTransfer {
 				Peer: s.name, Off: tr.offset})
 			tr.resumed = false
 		}
-		if len(payload)-tr.offset <= budget*n.cfg.ChunkSize {
+		if len(payload)-tr.offset <= budget*n.cfg.chunkSize {
 			// The hand-off opens the transfer's last segment, so the child's
 			// task-received names it as its cause and no merged timeline can
 			// order anything the child does with the task before it.
@@ -222,7 +222,7 @@ func (n *Node) startTurn(s *childSession, w *portWrite) *outTransfer {
 		}
 		// An empty payload still takes exactly one (empty, Last) chunk.
 		for end := tr.offset; ; {
-			chunkEnd := min(end+n.cfg.ChunkSize, len(payload))
+			chunkEnd := min(end+n.cfg.chunkSize, len(payload))
 			w.msgs = append(w.msgs, message{
 				Kind:      kindChunk,
 				Task:      task.ID,
@@ -230,7 +230,7 @@ func (n *Node) startTurn(s *childSession, w *portWrite) *outTransfer {
 				Offset:    end,
 				Data:      payload[end:chunkEnd],
 				Last:      chunkEnd == len(payload),
-				TraceNode: n.cfg.Name,
+				TraceNode: n.cfg.name,
 				TraceSeq:  tr.traceSeq,
 				App:       task.App,
 			})
@@ -258,8 +258,8 @@ func (n *Node) sendPort() {
 			if w.tr != nil && w.restart {
 				n.portDue = time.Time{}
 			}
-			if w.tr != nil && n.cfg.LinkDelay != nil { // a single chunk
-				w.delay = n.cfg.LinkDelay(w.s.name)
+			if w.tr != nil && n.cfg.linkDelay != nil { // a single chunk
+				w.delay = n.cfg.linkDelay(w.s.name)
 				n.paceChunk(w.delay)
 			}
 			start := time.Now()

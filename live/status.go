@@ -21,7 +21,7 @@ type StatusSnapshot struct {
 	Children []string           `json:"children"`
 	Stats    Stats              `json:"stats"`
 	Links    map[string]float64 `json:"measuredLinkSeconds"` // EWMA per-chunk time by child
-	Uptime   string             `json:"uptime"`
+	Uptime   string             `json:"uptime"`              // since Start, as Stats.UptimeSeconds
 	// Connected reports whether the uplink is currently established; a
 	// non-root node mid-reconnect shows false (always true at the root).
 	Connected bool `json:"connected"`
@@ -29,10 +29,9 @@ type StatusSnapshot struct {
 
 // statusServer serves node introspection over HTTP.
 type statusServer struct {
-	node    *Node
-	started time.Time
-	srv     *http.Server
-	ln      net.Listener
+	node *Node
+	srv  *http.Server
+	ln   net.Listener
 }
 
 // ServeStatus exposes the node's introspection endpoints on the given
@@ -56,7 +55,7 @@ func (n *Node) ServeStatus(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("live: status listen: %w", err)
 	}
-	ss := &statusServer{node: n, started: time.Now(), ln: ln}
+	ss := &statusServer{node: n, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", ss.handle)
 	mux.HandleFunc("/metrics", ss.handleMetrics)
@@ -110,8 +109,6 @@ func (n *Node) StopStatus() {
 // handle renders the snapshot.
 func (s *statusServer) handle(w http.ResponseWriter, r *http.Request) {
 	snap := s.node.snapshot()
-	snap.Uptime = time.Since(s.started).Round(time.Millisecond).String()
-
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -17,10 +17,6 @@ import (
 // TimelineSchema identifies the /timeline JSON document format.
 const TimelineSchema = "bwcs-timeline/v1"
 
-// defaultTimelineInterval is the sampling cadence when
-// Config.TimelineInterval is unset.
-const defaultTimelineInterval = time.Second
-
 // timelineSeriesCap bounds the stored points per live series; on
 // overflow a series halves itself and doubles its resolution, so a
 // long-lived node's telemetry stays O(timelineSeriesCap).
@@ -37,12 +33,12 @@ type TimelineDump struct {
 }
 
 // TimelineDump snapshots the node's sampled telemetry. The Series are
-// empty when sampling is disabled (Config.TimelineInterval < 0).
+// empty when sampling is disabled (WithTimelineInterval < 0).
 func (n *Node) TimelineDump() TimelineDump {
 	d := TimelineDump{
 		Schema:     TimelineSchema,
-		Node:       n.cfg.Name,
-		IntervalMS: n.cfg.TimelineInterval.Milliseconds(),
+		Node:       n.cfg.name,
+		IntervalMS: n.cfg.timelineInterval.Milliseconds(),
 	}
 	if n.sampler != nil {
 		d.Series = n.sampler.Snapshot()
@@ -50,13 +46,13 @@ func (n *Node) TimelineDump() TimelineDump {
 	return d
 }
 
-// sampleLoop is the telemetry goroutine: once per TimelineInterval it
+// sampleLoop is the telemetry goroutine: once per timelineInterval it
 // diffs the node's counters against the previous pass and records the
 // rates, stamped in milliseconds since the node started. Rates are
 // computed against the measured (not nominal) elapsed time, so a late
 // tick does not inflate them.
 func (n *Node) sampleLoop() {
-	t := time.NewTicker(n.cfg.TimelineInterval)
+	t := time.NewTicker(n.cfg.timelineInterval)
 	defer t.Stop()
 	prev := n.Stats()
 	prevAt := time.Now()

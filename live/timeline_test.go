@@ -13,15 +13,19 @@ import (
 // bwcs-timeline/v1 document with the rate and depth series populated
 // after work has flowed.
 func TestTimelineEndpointDump(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 2,
-		Compute: echoCompute(time.Millisecond), TimelineInterval: 20 * time.Millisecond})
-	startNode(t, Config{Name: "w1", Parent: root.Addr(), Buffers: 2,
-		Compute: echoCompute(time.Millisecond), TimelineInterval: -1})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(2),
+		WithCompute(echoCompute(time.Millisecond)), WithTimelineInterval(20*time.Millisecond),
+	)
+	startNode(t, "w1",
+		WithParent(root.Addr()), WithBuffers(2),
+		WithCompute(echoCompute(time.Millisecond)), WithTimelineInterval(-1),
+	)
 	addr, err := root.ServeStatus("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("status: %v", err)
 	}
-	if _, err := root.RunTimeout(makeTasks(30, 256), 20*time.Second); err != nil {
+	if _, err := runWithin(root, makeTasks(30, 256), 20*time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	// Let at least one sampling pass observe the completed run.
@@ -88,8 +92,10 @@ func TestTimelineEndpointDump(t *testing.T) {
 // TestTimelineDisabled: a negative interval turns sampling off and
 // /timeline answers 404 instead of an empty document.
 func TestTimelineDisabled(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Buffers: 1,
-		Compute: echoCompute(0), TimelineInterval: -1})
+	root := startNode(t, "root",
+		WithBuffers(1),
+		WithCompute(echoCompute(0)), WithTimelineInterval(-1),
+	)
 	if root.sampler != nil {
 		t.Fatalf("sampler running with sampling disabled")
 	}
@@ -147,10 +153,14 @@ func readFirstLine(t *testing.T, url string) (*http.Response, string) {
 // deliver each line as it is produced — a client reading a live stream
 // sees the first line long before the response ever completes.
 func TestFollowStreamsFlushPerLine(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Listen: "127.0.0.1:0", Buffers: 2,
-		Compute: echoCompute(time.Millisecond), TimelineInterval: 20 * time.Millisecond})
-	startNode(t, Config{Name: "w1", Parent: root.Addr(), Buffers: 2,
-		Compute: echoCompute(time.Millisecond), TimelineInterval: -1})
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(2),
+		WithCompute(echoCompute(time.Millisecond)), WithTimelineInterval(20*time.Millisecond),
+	)
+	startNode(t, "w1",
+		WithParent(root.Addr()), WithBuffers(2),
+		WithCompute(echoCompute(time.Millisecond)), WithTimelineInterval(-1),
+	)
 	addr, err := root.ServeStatus("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("status: %v", err)
@@ -175,10 +185,35 @@ func TestFollowStreamsFlushPerLine(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestStatsUptime: the uptime counter reflects the node's age.
+// TestStatsUptime: the uptime counter reflects the node's age, and
+// /status reports the same age, counted from Start even when the
+// endpoint opens late.
 func TestStatsUptime(t *testing.T) {
-	root := startNode(t, Config{Name: "root", Buffers: 1, Compute: echoCompute(0)})
+	const late = 300 * time.Millisecond
+	root := startNode(t, "root", WithBuffers(1), WithCompute(echoCompute(0)))
 	if up := root.Stats().UptimeSeconds; up < 0 || up > 60 {
 		t.Fatalf("UptimeSeconds = %d just after start", up)
+	}
+	time.Sleep(late)
+	addr, err := root.ServeStatus("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ServeStatus: %v", err)
+	}
+	resp, err := http.Get("http://" + addr + "/status")
+	if err != nil {
+		t.Fatalf("GET /status: %v", err)
+	}
+	defer resp.Body.Close()
+	var snap StatusSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	up, err := time.ParseDuration(snap.Uptime)
+	if err != nil {
+		t.Fatalf("uptime %q: %v", snap.Uptime, err)
+	}
+	if up < late || up < time.Duration(snap.Stats.UptimeSeconds)*time.Second {
+		t.Fatalf("uptime %v with UptimeSeconds %d; want at least the %v the node ran before its endpoint opened, and the counter's whole seconds",
+			up, snap.Stats.UptimeSeconds, late)
 	}
 }

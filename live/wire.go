@@ -61,10 +61,10 @@ type resultKey struct {
 	Origin string
 }
 
-// ResumePoint names a partially received transfer offered for resumption
+// resumePoint names a partially received transfer offered for resumption
 // in a reconnecting child's hello: the child holds the first Offset bytes
 // of the task's payload.
-type ResumePoint struct {
+type resumePoint struct {
 	Task   uint64
 	Offset int
 }
@@ -83,7 +83,7 @@ type message struct {
 
 	// Hello.
 	Name   string
-	Resume []ResumePoint
+	Resume []resumePoint
 	// Holding lists every task ID the reconnecting child's subtree still
 	// accounts for — buffered, computing, forwarded onward, or computed
 	// with the result awaiting an ack. The parent requeues any
@@ -386,10 +386,8 @@ func (c *conn) recv() (*message, error) {
 // recvTimeout reads one message under a read deadline (handshakes only:
 // the steady-state read loop relies on heartbeat supervision instead).
 func (c *conn) recvTimeout(d time.Duration) (*message, error) {
-	if d > 0 {
-		_ = c.raw.SetReadDeadline(time.Now().Add(d))
-		defer c.raw.SetReadDeadline(time.Time{})
-	}
+	_ = c.raw.SetReadDeadline(time.Now().Add(d))
+	defer c.raw.SetReadDeadline(time.Time{})
 	return c.recv()
 }
 

@@ -39,7 +39,7 @@ func TestResultAckRoundTrip(t *testing.T) {
 	for i, want := range []*message{
 		{Kind: kindResultAck, Acks: []resultKey{{Task: 42, Origin: "leaf-7"}, {Task: 7, Origin: "mid"}, {Task: 43, Origin: "leaf-7"}}},
 		{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: "mid", N: 2, Holding: []uint64{3, 9, 12},
-			Resume: []ResumePoint{{Task: 5, Offset: 1024}}},
+			Resume: []resumePoint{{Task: 5, Offset: 1024}}},
 		{Kind: kindResult, Task: 42, Output: []byte{1, 2, 3}, Origin: "leaf-7"},
 	} {
 		want.Seq = uint64(i + 1) // appendFrame encodes it; a conn would have stamped it

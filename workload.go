@@ -132,7 +132,7 @@ func EvaluateWorkloads(ctx context.Context, t *Tree, p Protocol, ws []Workload, 
 	for _, ar := range res.Apps {
 		sumW += ar.Weight // normalized by the engine
 	}
-	shares := midRunShares(res)
+	shares, _, _ := engine.MidRunShares(res)
 	m.Apps = make([]AppSummary, len(res.Apps))
 	for i, ar := range res.Apps {
 		as := AppSummary{
@@ -157,40 +157,6 @@ func EvaluateWorkloads(ctx context.Context, t *Tree, p Protocol, ws []Workload, 
 	}
 	m.Fairness = jain(m.Apps)
 	return m, nil
-}
-
-// midRunShares measures each application's fraction of the aggregate
-// completions over the central 60% of the merged stream (between the 20th
-// and 80th percentile completion times), excluding startup and wind-down.
-// If the window is degenerate (everything completes at once), the full
-// stream is used.
-func midRunShares(res *SimResult) []float64 {
-	n := len(res.Completions)
-	shares := make([]float64, len(res.Apps))
-	lo, hi := res.Completions[n/5], res.Completions[n*4/5]
-	count := func(lo, hi Time) (per []int64, total int64) {
-		per = make([]int64, len(res.Apps))
-		for i, ar := range res.Apps {
-			for _, c := range ar.Completions {
-				if c > lo && c <= hi {
-					per[i]++
-					total++
-				}
-			}
-		}
-		return per, total
-	}
-	per, total := count(lo, hi)
-	if total == 0 {
-		per, total = count(-1, res.Makespan)
-	}
-	if total == 0 {
-		return shares
-	}
-	for i := range per {
-		shares[i] = float64(per[i]) / float64(total)
-	}
-	return shares
 }
 
 // jain computes Jain's fairness index over the applications'
