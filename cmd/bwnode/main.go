@@ -50,24 +50,24 @@ func run(args []string) error {
 		name      = fs.String("name", "", "node name (required)")
 		listen    = fs.String("listen", "", "address to accept children on (empty = leaf)")
 		parent    = fs.String("parent", "", "parent address (empty = root)")
-		buffers   = fs.Int("buffers", 3, "task buffers per node (the paper's FB)")
+		buffers   = fs.Int("buffers", 0, "task buffers per node, the paper's FB (0 keeps the node's default)")
 		nonIC     = fs.Bool("non-interruptible", false, "disable send preemption (non-IC variant)")
-		chunk     = fs.Int("chunk", 4096, "bytes per transfer chunk")
+		chunk     = fs.Int("chunk", 0, "bytes per transfer chunk (0 keeps the node's default)")
 		computeMS = fs.Int("compute-ms", 10, "synthetic compute time per task, milliseconds")
 		tasks     = fs.Int("tasks", 0, "root only: number of tasks to dispatch")
 		size      = fs.Int("size", 4096, "root only: task payload bytes")
 		timeout   = fs.Duration("timeout", 10*time.Minute, "root only: run deadline")
 		status    = fs.String("status", "", "serve /status (JSON), /metrics (Prometheus), /debug/events (flight recorder), /timeline (sampled telemetry) and /debug/pprof at this address (e.g. 127.0.0.1:8080)")
 		traceOut  = fs.String("trace-out", "", "write the node's flight-recorder dump (JSON) to this file on exit; merge dumps with bwtrace")
-		recorder  = fs.Int("recorder", 0, "flight-recorder ring capacity in events (0 = default 8192, negative disables)")
-		timeline  = fs.Duration("timeline", 0, "telemetry sampling interval for /timeline (0 = default 1s, negative disables)")
+		recorder  = fs.Int("recorder", 0, "flight-recorder ring capacity in events (0 keeps the node's default, negative disables)")
+		timeline  = fs.Duration("timeline", 0, "telemetry sampling interval for /timeline (0 keeps the node's default, negative disables)")
 
-		heartbeat = fs.Duration("heartbeat", time.Second, "per-link heartbeat interval (negative disables supervision)")
-		hbMisses  = fs.Int("heartbeat-misses", 3, "consecutive silent intervals before a link is severed")
-		reBase    = fs.Duration("reconnect-base", 100*time.Millisecond, "first reconnect backoff delay")
-		reCap     = fs.Duration("reconnect-cap", 2*time.Second, "reconnect backoff ceiling")
-		reTries   = fs.Int("reconnect-attempts", 5, "parent re-dials before giving up (negative disables reconnection)")
-		grace     = fs.Duration("grace", 5*time.Second, "how long a dead child stays revivable before its tasks requeue")
+		heartbeat = fs.Duration("heartbeat", 0, "per-link heartbeat interval (0 keeps the node's default, negative disables supervision)")
+		hbMisses  = fs.Int("heartbeat-misses", 0, "consecutive silent intervals before a link is severed (0 keeps the node's default)")
+		reBase    = fs.Duration("reconnect-base", 0, "first reconnect backoff delay (0 keeps the node's default)")
+		reCap     = fs.Duration("reconnect-cap", 0, "reconnect backoff ceiling (0 keeps the node's default)")
+		reTries   = fs.Int("reconnect-attempts", 0, "parent re-dials before giving up (0 keeps the node's default, negative disables reconnection)")
+		grace     = fs.Duration("grace", 0, "how long a dead child stays revivable before its tasks requeue (0 keeps the node's default, negative requeues at once)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -88,15 +88,11 @@ func run(args []string) error {
 		live.WithHeartbeat(*heartbeat, *hbMisses),
 		live.WithReconnect(*reBase, *reCap, *reTries),
 		live.WithReconnectGrace(*grace),
+		live.WithRecorderCapacity(*recorder),
+		live.WithTimelineInterval(*timeline),
 	}
 	if *nonIC {
 		opts = append(opts, live.NonInterruptible())
-	}
-	if *recorder != 0 {
-		opts = append(opts, live.WithRecorderCapacity(*recorder))
-	}
-	if *timeline != 0 {
-		opts = append(opts, live.WithTimelineInterval(*timeline))
 	}
 	node, err := live.Start(*name, opts...)
 	if err != nil {

@@ -11,14 +11,15 @@ import (
 
 // wireVersion is the one wire format this build speaks: length-prefixed
 // binary frames, a uvarint body length followed by an explicitly encoded
-// body (see appendFrame for the layout), from the first byte of a
+// body (frameCoder.fields is the layout), from the first byte of a
 // connection. A hello offers it in its Codecs list and the hello-ack echoes
 // it as the parent's pick; a peer whose list lacks it — another version,
 // or a build that spoke gob, whose stream does not parse as a frame — is
 // refused within the handshake timeout, never downgraded. Per-conn buffers
-// are reused across frames, so steady-state encode and decode allocate
-// nothing but a result ack's list. Version 2 retired v1's chunk ack and
-// made the result ack a list of ledger keys.
+// are reused across frames, so encoding allocates nothing once warm, and
+// decoding only what outlives the read buffer: a result's output, a result
+// ack's key list, a handshake's lists (TestHotPathAllocsPinned). Version 2
+// retired v1's chunk ack and made the result ack a list of ledger keys.
 const wireVersion = 2
 
 const (
@@ -52,77 +53,24 @@ const prefixMax = 5
 var framePad [prefixMax]byte
 
 // appendFrame appends m's length-prefixed binary encoding to buf and
-// returns the extended slice. The layout is
-//
-//	uvarint(len(body)) body
-//	body := kind(1 byte) | Seq uvarint | TraceSeq uvarint | TraceNode string | fields…
-//
-// where strings and byte fields are uvarint-length-prefixed and the
-// per-kind fields are fixed by the switch below. The handshake kinds put
-// their version list first, ahead of every field a later layout might
-// change. A kind without a
-// marshal case is an error, as in decodeFrame, so a new wire kind cannot
-// leave as a header-only frame; TestSampleFramesCoverEveryKind and
-// TestCodecConformanceMatrix walk every msgKind constant through here.
+// returns the extended slice: uvarint(len(body)) body, where the body is
+// the kind byte followed by the fields frameCoder.fields walks. A kind
+// fields does not know is an error, as in decodeFrame, and leaves buf as
+// it was, so a new wire kind cannot leave as a header-only frame;
+// TestSampleFramesCoverEveryKind and TestCodecConformanceMatrix walk
+// every msgKind constant through here.
 func appendFrame(buf []byte, m *message) ([]byte, error) {
-	if m.N < 0 || m.Size < 0 || m.Offset < 0 {
-		return buf, fmt.Errorf("live: negative field on %d frame", m.Kind)
-	}
 	start := len(buf)
 	// Reserve the widest possible prefix; once the body length is known
 	// the real prefix is written and the body slid back over the gap, so
 	// batched frames stay contiguous. The gap is copied from a static pad
 	// rather than a make() so the reservation never allocates.
-	buf = append(buf, framePad[:]...)
-	body := len(buf)
-
-	buf = append(buf, byte(m.Kind))
-	buf = binary.AppendUvarint(buf, m.Seq)
-	buf = binary.AppendUvarint(buf, m.TraceSeq)
-	buf = appendStringField(buf, m.TraceNode)
-	switch m.Kind {
-	case kindHello:
-		buf = appendBytesField(buf, m.Codecs)
-		buf = appendStringField(buf, m.Name)
-		buf = binary.AppendUvarint(buf, uint64(m.N))
-		buf = appendU64Field(buf, m.Holding)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Resume)))
-		for _, rp := range m.Resume {
-			buf = binary.AppendUvarint(buf, rp.Task)
-			buf = binary.AppendUvarint(buf, uint64(rp.Offset))
-		}
-	case kindHelloAck:
-		buf = appendBytesField(buf, m.Codecs)
-		buf = appendStringField(buf, m.Name)
-		buf = appendBool(buf, m.Revived)
-		buf = appendU64Field(buf, m.Accepted)
-	case kindRequest:
-		buf = binary.AppendUvarint(buf, uint64(m.N))
-		buf = appendStringField(buf, m.App)
-	case kindChunk:
-		buf = binary.AppendUvarint(buf, m.Task)
-		buf = binary.AppendUvarint(buf, uint64(m.Size))
-		buf = binary.AppendUvarint(buf, uint64(m.Offset))
-		buf = appendBool(buf, m.Last)
-		buf = appendStringField(buf, m.App)
-		buf = appendBytesField(buf, m.Data)
-	case kindResult:
-		buf = binary.AppendUvarint(buf, m.Task)
-		buf = appendStringField(buf, m.Origin)
-		buf = appendStringField(buf, m.App)
-		buf = appendBytesField(buf, m.Output)
-	case kindResultAck:
-		buf = binary.AppendUvarint(buf, uint64(len(m.Acks)))
-		for _, k := range m.Acks {
-			buf = binary.AppendUvarint(buf, k.Task)
-			buf = appendStringField(buf, k.Origin)
-		}
-	case kindShutdown, kindHeartbeat, kindGoodbye:
-		// Header only.
-	default:
-		return buf[:start], fmt.Errorf("live: no binary encoding for frame kind %d", m.Kind)
+	c := frameCoder{buf: append(append(buf, framePad[:]...), byte(m.Kind))}
+	c.fields(m)
+	if c.err != nil {
+		return buf[:start], c.err
 	}
-
+	body, buf := start+prefixMax, c.buf
 	n := len(buf) - body
 	if n > maxFrameBytes {
 		return buf[:start], errFrameTooBig
@@ -137,31 +85,6 @@ func appendFrame(buf []byte, m *message) ([]byte, error) {
 		buf = buf[:start+plen+n]
 	}
 	return buf, nil
-}
-
-func appendStringField(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytesField(buf []byte, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-func appendBool(buf []byte, v bool) []byte {
-	if v {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func appendU64Field(buf []byte, vs []uint64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(vs)))
-	for _, v := range vs {
-		buf = binary.AppendUvarint(buf, v)
-	}
-	return buf
 }
 
 // readFrame reads one length-prefixed frame body from br, reusing buf's
@@ -238,249 +161,231 @@ func (in *interner) intern(b []byte) string {
 	return s
 }
 
-// frameReader is a bounds-checked cursor over one frame body.
-type frameReader struct {
-	b   []byte
-	off int
-}
-
-func (r *frameReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, errFrameTruncated
-	}
-	r.off += n
-	return v, nil
-}
-
-// intField decodes a non-negative integer bounded by maxFieldValue.
-func (r *frameReader) intField() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > maxFieldValue {
-		return 0, fmt.Errorf("live: frame field %d exceeds bound", v)
-	}
-	return int(v), nil
-}
-
-// raw returns the next length-prefixed byte field as a subslice of the
-// frame body (valid only until the read buffer is reused).
-func (r *frameReader) raw() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)-r.off) {
-		return nil, errFrameTruncated
-	}
-	b := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
-}
-
-func (r *frameReader) boolField() (bool, error) {
-	if r.off >= len(r.b) {
-		return false, errFrameTruncated
-	}
-	v := r.b[r.off]
-	r.off++
-	switch v {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, fmt.Errorf("live: bad bool byte %d in frame", v)
-	}
-}
-
-// u64s decodes a count-prefixed uvarint list; the count is validated
-// against the bytes remaining so a lying count cannot drive a large
-// allocation.
-func (r *frameReader) u64s() ([]uint64, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(len(r.b)-r.off) { // each element is at least one byte
-		return nil, errFrameTruncated
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		if out[i], err = r.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // decodeFrame parses one binary frame body into m, resetting every field
-// first so a reused message never leaks state across frames. Data
-// aliases the frame body (its consumers copy before the next read);
-// Output is copied and a result ack's list made, because they outlive the
-// read buffer in ledgers, channels and the owner's inbox. Strings pass
-// through the conn's interner. Decode is strict: unknown kinds, malformed
-// fields, and trailing bytes are all errors, never panics.
+// first so a reused message never leaks state across frames. Decode is
+// strict: unknown kinds, malformed fields, and trailing bytes are all
+// errors, never panics.
 func decodeFrame(data []byte, m *message, in *interner) error {
 	*m = message{}
-	r := frameReader{b: data}
 	if len(data) == 0 {
 		return errFrameTruncated
 	}
 	m.Kind = msgKind(data[0])
-	r.off = 1
-	var err error
-	if m.Seq, err = r.uvarint(); err != nil {
-		return err
+	c := frameCoder{buf: data, off: 1, dec: true, in: in}
+	c.fields(m)
+	if c.err == nil && c.off != len(data) {
+		return fmt.Errorf("live: %d trailing bytes after %d frame", len(data)-c.off, m.Kind)
 	}
-	if m.TraceSeq, err = r.uvarint(); err != nil {
-		return err
-	}
-	var b []byte
-	if b, err = r.raw(); err != nil {
-		return err
-	}
-	m.TraceNode = in.intern(b)
+	return c.err
+}
 
-	if m.Kind == kindHello || m.Kind == kindHelloAck {
-		// The version list is checked before anything behind it is parsed:
-		// a peer on another layout is refused by version, not misread.
-		if m.Codecs, err = r.rawCopy(); err != nil {
-			return err
-		}
-		if bytes.IndexByte(m.Codecs, wireVersion) < 0 {
-			return fmt.Errorf("%w: this build speaks %d, the peer %v", errWireVersion, wireVersion, m.Codecs)
-		}
-	}
+// frameCoder walks one frame body's fields in wire order, in either
+// direction. Encoding, each field helper appends to buf and never writes
+// to the message: a frame being encoded is shared with the owner's
+// bookkeeping. Decoding, each helper reads buf at off into the message,
+// bounds-checked, and the first error stops every later read.
+type frameCoder struct {
+	buf []byte
+	off int
+	dec bool
+	in  *interner // decode: strings pass through the conn's interner
+	err error
+}
+
+// fields is the wire layout: the header every kind carries, then each
+// kind's fields in order. The handshake kinds put their version list
+// first, ahead of every field a later layout might change, and a decode
+// checks it before reading on: a peer on another layout is refused by
+// version, not misread. Data aliases the frame body (its consumers copy
+// before the next read); Output, Codecs and the lists are copied or made,
+// because they outlive the read buffer in ledgers, channels and the
+// owner's inbox.
+func (c *frameCoder) fields(m *message) {
+	c.u64(&m.Seq)
+	c.u64(&m.TraceSeq)
+	c.str(&m.TraceNode)
 	switch m.Kind {
 	case kindHello:
-		if b, err = r.raw(); err != nil {
-			return err
+		c.versions(&m.Codecs)
+		c.str(&m.Name)
+		c.int(&m.N)
+		c.u64s(&m.Holding)
+		if n := c.count(len(m.Resume), 2); c.dec && n > 0 {
+			m.Resume = make([]resumePoint, n)
 		}
-		m.Name = in.intern(b)
-		if m.N, err = r.intField(); err != nil {
-			return err
-		}
-		if m.Holding, err = r.u64s(); err != nil {
-			return err
-		}
-		count, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if count > uint64(len(r.b)-r.off)/2 { // each resume point is ≥ 2 bytes
-			return errFrameTruncated
-		}
-		if count > 0 {
-			m.Resume = make([]resumePoint, count)
-			for i := range m.Resume {
-				if m.Resume[i].Task, err = r.uvarint(); err != nil {
-					return err
-				}
-				if m.Resume[i].Offset, err = r.intField(); err != nil {
-					return err
-				}
-			}
+		for i := range m.Resume {
+			c.u64(&m.Resume[i].Task)
+			c.int(&m.Resume[i].Offset)
 		}
 	case kindHelloAck:
-		if b, err = r.raw(); err != nil {
-			return err
-		}
-		m.Name = in.intern(b)
-		if m.Revived, err = r.boolField(); err != nil {
-			return err
-		}
-		if m.Accepted, err = r.u64s(); err != nil {
-			return err
-		}
+		c.versions(&m.Codecs)
+		c.str(&m.Name)
+		c.bool(&m.Revived)
+		c.u64s(&m.Accepted)
 	case kindRequest:
-		if m.N, err = r.intField(); err != nil {
-			return err
-		}
-		if b, err = r.raw(); err != nil {
-			return err
-		}
-		m.App = in.intern(b)
+		c.int(&m.N)
+		c.str(&m.App)
 	case kindChunk:
-		if m.Task, err = r.uvarint(); err != nil {
-			return err
-		}
-		if m.Size, err = r.intField(); err != nil {
-			return err
-		}
-		if m.Offset, err = r.intField(); err != nil {
-			return err
-		}
-		if m.Last, err = r.boolField(); err != nil {
-			return err
-		}
-		if b, err = r.raw(); err != nil {
-			return err
-		}
-		m.App = in.intern(b)
-		if m.Data, err = r.raw(); err != nil {
-			return err
-		}
-		if len(m.Data) == 0 {
-			m.Data = nil
-		}
+		c.u64(&m.Task)
+		c.int(&m.Size)
+		c.int(&m.Offset)
+		c.bool(&m.Last)
+		c.str(&m.App)
+		c.bytes(&m.Data, true)
 	case kindResult:
-		if m.Task, err = r.uvarint(); err != nil {
-			return err
-		}
-		if b, err = r.raw(); err != nil {
-			return err
-		}
-		m.Origin = in.intern(b)
-		if b, err = r.raw(); err != nil {
-			return err
-		}
-		m.App = in.intern(b)
-		if m.Output, err = r.rawCopy(); err != nil {
-			return err
-		}
+		c.u64(&m.Task)
+		c.str(&m.Origin)
+		c.str(&m.App)
+		c.bytes(&m.Output, false)
 	case kindResultAck:
-		count, err := r.uvarint()
-		if err != nil {
-			return err
+		if n := c.count(len(m.Acks), 2); c.dec && n > 0 {
+			m.Acks = make([]resultKey, n)
 		}
-		if count > uint64(len(r.b)-r.off)/2 { // each key is ≥ 2 bytes
-			return errFrameTruncated
-		}
-		if count > 0 {
-			m.Acks = make([]resultKey, count)
-			for i := range m.Acks {
-				if m.Acks[i].Task, err = r.uvarint(); err != nil {
-					return err
-				}
-				if b, err = r.raw(); err != nil {
-					return err
-				}
-				m.Acks[i].Origin = in.intern(b)
-			}
+		for i := range m.Acks {
+			c.u64(&m.Acks[i].Task)
+			c.str(&m.Acks[i].Origin)
 		}
 	case kindShutdown, kindHeartbeat, kindGoodbye:
 		// Header only.
 	default:
-		return fmt.Errorf("live: unknown frame kind %d", m.Kind)
+		if c.err == nil {
+			c.err = fmt.Errorf("live: unknown frame kind %d", m.Kind)
+		}
 	}
-	if r.off != len(data) {
-		return fmt.Errorf("live: %d trailing bytes after %d frame", len(data)-r.off, m.Kind)
-	}
-	return nil
 }
 
-// rawCopy is raw with the bytes copied out of the frame body, for fields
-// that outlive the read buffer; empty fields stay nil.
-func (r *frameReader) rawCopy() ([]byte, error) {
-	b, err := r.raw()
-	if err != nil || len(b) == 0 {
-		return nil, err
+// uvarint reads one uvarint; after an error it reads nothing and is 0.
+func (c *frameCoder) uvarint() uint64 {
+	if c.err != nil {
+		return 0
 	}
-	return append([]byte(nil), b...), nil
+	v, n := binary.Uvarint(c.buf[c.off:])
+	if n <= 0 {
+		c.err = errFrameTruncated
+		return 0
+	}
+	c.off += n
+	return v
+}
+
+// raw reads a uvarint-length-prefixed byte field as a subslice of the
+// frame body; empty is nil.
+func (c *frameCoder) raw() []byte {
+	n := c.uvarint()
+	if c.err == nil && n > uint64(len(c.buf)-c.off) {
+		c.err = errFrameTruncated
+	}
+	if c.err != nil || n == 0 {
+		return nil
+	}
+	b := c.buf[c.off : c.off+int(n)]
+	c.off += int(n)
+	return b
+}
+
+func (c *frameCoder) u64(p *uint64) {
+	if c.dec {
+		*p = c.uvarint()
+	} else {
+		c.buf = binary.AppendUvarint(c.buf, *p)
+	}
+}
+
+// int carries a non-negative integer: a negative one is not encoded, and
+// a decoded one is bounded by maxFieldValue.
+func (c *frameCoder) int(p *int) {
+	if !c.dec {
+		if *p < 0 {
+			c.err = fmt.Errorf("live: negative field %d", *p)
+		}
+		c.buf = binary.AppendUvarint(c.buf, uint64(*p))
+		return
+	}
+	if v := c.uvarint(); v > maxFieldValue {
+		c.err = fmt.Errorf("live: frame field %d exceeds bound", v) // v > 0: no earlier error
+	} else {
+		*p = int(v)
+	}
+}
+
+// count carries a list's length n. A decoded count is bounded by the bytes
+// left over min, the least an element can take, so a lying count cannot
+// drive a large allocation; after an error it is 0.
+func (c *frameCoder) count(n, min int) int {
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, uint64(n))
+		return n
+	}
+	v := c.uvarint()
+	if c.err == nil && v > uint64((len(c.buf)-c.off)/min) {
+		c.err = errFrameTruncated
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(v)
+}
+
+// bytes carries a length-prefixed byte field. A decoded one aliases the
+// frame body if alias is set and is copied otherwise.
+func (c *frameCoder) bytes(p *[]byte, alias bool) {
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*p)))
+		c.buf = append(c.buf, *p...)
+		return
+	}
+	if b := c.raw(); alias || b == nil {
+		*p = b
+	} else {
+		*p = append([]byte(nil), b...)
+	}
+}
+
+// versions carries a handshake's wire-version list; a decoded list
+// without this build's version stops the decode.
+func (c *frameCoder) versions(p *[]uint8) {
+	c.bytes(p, false)
+	if c.dec && c.err == nil && bytes.IndexByte(*p, wireVersion) < 0 {
+		c.err = fmt.Errorf("%w: this build speaks %d, the peer %v", errWireVersion, wireVersion, *p)
+	}
+}
+
+func (c *frameCoder) str(p *string) {
+	if c.dec {
+		*p = c.in.intern(c.raw())
+		return
+	}
+	c.buf = binary.AppendUvarint(c.buf, uint64(len(*p)))
+	c.buf = append(c.buf, *p...)
+}
+
+func (c *frameCoder) bool(p *bool) {
+	if !c.dec {
+		var b byte
+		if *p {
+			b = 1
+		}
+		c.buf = append(c.buf, b)
+		return
+	}
+	switch {
+	case c.err != nil:
+	case c.off >= len(c.buf):
+		c.err = errFrameTruncated
+	case c.buf[c.off] > 1:
+		c.err = fmt.Errorf("live: bad bool byte %d in frame", c.buf[c.off])
+	default:
+		*p = c.buf[c.off] == 1
+		c.off++
+	}
+}
+
+// u64s carries a count-prefixed uvarint list.
+func (c *frameCoder) u64s(p *[]uint64) {
+	if n := c.count(len(*p), 1); c.dec && n > 0 {
+		*p = make([]uint64, n)
+	}
+	for i := range *p {
+		c.u64(&(*p)[i])
+	}
 }

@@ -306,13 +306,16 @@ func TestHandshakeCountsBoundedByFrame(t *testing.T) {
 // lyingHandshakeFrames builds handshake frame bodies whose list counts
 // promise far more elements than the frame holds.
 func lyingHandshakeFrames() map[string][]byte {
+	field := func(b []byte, s string) []byte { // a length-prefixed string or byte field
+		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
 	header := func(kind msgKind, name string) []byte {
 		b := []byte{byte(kind)}
-		b = binary.AppendUvarint(b, 1)               // Seq
-		b = binary.AppendUvarint(b, 0)               // TraceSeq
-		b = appendStringField(b, "")                 // TraceNode
-		b = appendBytesField(b, []byte{wireVersion}) // Codecs
-		return appendStringField(b, name)
+		b = binary.AppendUvarint(b, 1)            // Seq
+		b = binary.AppendUvarint(b, 0)            // TraceSeq
+		b = field(b, "")                          // TraceNode
+		b = field(b, string([]byte{wireVersion})) // Codecs
+		return field(b, name)
 	}
 	const lie = 1 << 39
 	holding := binary.AppendUvarint(binary.AppendUvarint(header(kindHello, "w"), 0), lie) // N, then Holding's count

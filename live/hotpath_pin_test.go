@@ -11,7 +11,7 @@ import (
 // task costs one way or the other (kindChunk and kindRequest), plus the
 // field helpers and interner under them, run allocation-free once the
 // buffers and the interner are warm. kindResult and kindResultAck are
-// deliberately absent: their decodes copy the output payload (rawCopy) and
+// deliberately absent: their decodes copy the output payload and
 // make the key list by design, so they are not zero-alloc paths.
 func TestHotPathAllocsPinned(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 512)

@@ -1084,7 +1084,7 @@ func (n *Node) connectParent(inflight map[uint64]*inTransfer, attempt int) (*con
 	hello := &message{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: n.cfg.name,
 		Resume: make([]resumePoint, 0, len(inflight)), Seq: c.nextSeq(), TraceNode: n.cfg.name}
 	for id, t := range inflight {
-		hello.Resume = append(hello.Resume, resumePoint{Task: id, Offset: t.got})
+		hello.Resume = append(hello.Resume, resumePoint{Task: id, Offset: len(t.payload)})
 	}
 	sort.Slice(hello.Resume, func(i, j int) bool { return hello.Resume[i].Task < hello.Resume[j].Task })
 	partial := len(inflight)
@@ -1302,7 +1302,7 @@ func (n *Node) parentFrame(in *input) {
 		}
 		if t := in.t; t != nil {
 			n.record(Event{Kind: EvTaskReceived, Task: t.id, Peer: peer,
-				Off: t.got, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+				Off: len(t.payload), CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
 			n.buffer.push(Task{ID: t.id, Payload: t.payload, App: t.app})
 			n.core.Arrived()
 			n.stats.Received++

@@ -152,31 +152,43 @@ func (s *statusServer) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "live: flight recorder disabled", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	t := time.NewTicker(50 * time.Millisecond)
-	defer t.Stop()
 	var cursor uint64
-	for {
+	s.follow(w, r, func(line func(any) error) error {
 		evs, next := n.rec.since(cursor)
 		cursor = next
 		for i := range evs {
-			if err := enc.Encode(&evs[i]); err != nil {
-				return
-			}
-			// Flush per line, not per batch: a follower must see each
-			// event as soon as it is encoded, even mid-batch on a slow
-			// or long-polling connection.
-			if flusher != nil {
-				flusher.Flush()
+			if err := line(&evs[i]); err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+}
+
+// follow streams an NDJSON response: every 50 ms it polls, and poll hands
+// whatever is new to line, one value per line. Each line is flushed as it
+// is encoded, not per batch, so a follower sees it at once even mid-batch
+// on a slow or long-polling connection. The stream ends when a write
+// fails, the client disconnects or the node closes.
+func (s *statusServer) follow(w http.ResponseWriter, r *http.Request, poll func(line func(any) error) error) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	line := func(v any) error {
+		err := enc.Encode(v)
+		if err == nil && flusher != nil {
+			flusher.Flush()
+		}
+		return err
+	}
+	t := time.NewTicker(50 * time.Millisecond)
+	defer t.Stop()
+	for poll(line) == nil {
 		select {
 		case <-t.C:
 		case <-r.Context().Done():
 			return
-		case <-n.done:
+		case <-s.node.done:
 			return
 		}
 	}

@@ -110,33 +110,19 @@ func (s *statusServer) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		_ = enc.Encode(n.TimelineDump())
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// Poll well below the sampling cadence so rows stream promptly after
-	// each pass; the tick cursor makes polls without fresh data free.
-	t := time.NewTicker(50 * time.Millisecond)
-	defer t.Stop()
+	// The tick cursor makes polls without a fresh sampling pass free.
 	var cursor uint64
-	for {
+	s.follow(w, r, func(line func(any) error) error {
 		tick, latest := n.sampler.Latest()
-		if tick > cursor {
-			cursor = tick
-			for _, sn := range latest {
-				if err := enc.Encode(timelineRow{Tick: tick, Series: sn.Name, T: sn.Points[0].T, V: sn.Points[0].V}); err != nil {
-					return
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
+		if tick <= cursor {
+			return nil
+		}
+		cursor = tick
+		for _, sn := range latest {
+			if err := line(timelineRow{Tick: tick, Series: sn.Name, T: sn.Points[0].T, V: sn.Points[0].V}); err != nil {
+				return err
 			}
 		}
-		select {
-		case <-t.C:
-		case <-r.Context().Done():
-			return
-		case <-n.done:
-			return
-		}
-	}
+		return nil
+	})
 }

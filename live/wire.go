@@ -402,11 +402,14 @@ func (c *conn) close() error {
 	return c.raw.Close()
 }
 
-// inTransfer assembles a task arriving in chunks.
+// inTransfer assembles a task arriving in chunks. payload is the
+// assembled prefix of the size bytes the first chunk declared; it grows
+// with the bytes that arrive, so a chunk declaring a huge size costs at
+// most one frameReadStep of memory, not the declared size (like readFrame).
 type inTransfer struct {
 	id      uint64
 	payload []byte
-	got     int
+	size    int
 	// app is the task's application tag, carried on every chunk (empty
 	// when the task is untagged).
 	app string
@@ -417,26 +420,29 @@ type inTransfer struct {
 	segmentFrom string
 }
 
-// feed applies one chunk and reports whether the task is complete.
+// feed applies one chunk and reports whether the task is complete. A
+// chunk must start where the assembled prefix ends and stay within the
+// declared size.
 func (t *inTransfer) feed(m *message) (bool, error) {
 	if t.payload == nil {
-		t.payload = make([]byte, m.Size)
+		t.size = m.Size
+		t.payload = make([]byte, 0, min(m.Size, frameReadStep))
 	}
 	if m.App != "" {
 		t.app = m.App
 	}
-	if m.Offset+len(m.Data) > len(t.payload) {
-		return false, fmt.Errorf("live: chunk overflows task %d: offset %d + %d > %d", m.Task, m.Offset, len(m.Data), len(t.payload))
+	got := len(t.payload)
+	if m.Offset != got || got+len(m.Data) > t.size {
+		return false, fmt.Errorf("live: chunk %d+%d does not extend task %d's %d of %d bytes", m.Offset, len(m.Data), m.Task, got, t.size)
 	}
-	copy(t.payload[m.Offset:], m.Data)
-	t.got += len(m.Data)
-	if m.Last {
-		if t.got != len(t.payload) {
-			return false, fmt.Errorf("live: task %d incomplete: %d of %d bytes", m.Task, t.got, len(t.payload))
-		}
-		return true, nil
+	if got+len(m.Data) > cap(t.payload) { // double, but never past the declared size
+		t.payload = append(make([]byte, 0, min(t.size, 2*cap(t.payload)+len(m.Data))), t.payload...)
 	}
-	return false, nil
+	t.payload = append(t.payload, m.Data...)
+	if m.Last && len(t.payload) != t.size {
+		return false, fmt.Errorf("live: task %d incomplete: %d of %d bytes", m.Task, len(t.payload), t.size)
+	}
+	return m.Last, nil
 }
 
 // ewma tracks an exponentially weighted moving average of duration

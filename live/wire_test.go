@@ -2,6 +2,7 @@ package live
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -87,6 +88,32 @@ func TestInTransferRejectsOverflowAndShort(t *testing.T) {
 	if _, err := tr2.feed(&message{Task: 3, Size: 8, Offset: 0, Data: []byte{1, 2}, Last: true}); err == nil {
 		t.Fatalf("short final chunk accepted")
 	}
+	// A chunk that leaves a gap after the assembled prefix: only a
+	// dropped chunk can make one, and the bytes it skipped never arrive.
+	tr3 := &inTransfer{id: 4}
+	if _, err := tr3.feed(&message{Task: 4, Size: 8, Offset: 0, Data: []byte{1, 2}}); err != nil {
+		t.Fatalf("first chunk: %v", err)
+	}
+	if _, err := tr3.feed(&message{Task: 4, Size: 8, Offset: 4, Data: []byte{5, 6}}); err == nil {
+		t.Fatalf("chunk past a gap accepted")
+	}
+}
+
+// TestInTransferAllocatesWhatArrives: a chunk's declared size is a claim
+// from the wire, bounded only by maxFieldValue. Assembly must allocate
+// for the bytes that arrive, not for the claim: one 4-byte chunk
+// declaring 1 GiB costs well under a megabyte.
+func TestInTransferAllocatesWhatArrives(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := &inTransfer{id: 5}
+	if _, err := tr.feed(&message{Task: 5, Size: 1 << 30, Offset: 0, Data: []byte{1, 2, 3, 4}}); err != nil {
+		t.Fatalf("feed: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a 4-byte chunk declaring 1 GiB allocated %d bytes", grew)
+	}
 }
 
 func TestEwma(t *testing.T) {
@@ -107,7 +134,7 @@ func TestEwma(t *testing.T) {
 
 // FuzzInTransferFeed hardens chunk assembly against malformed wire input:
 // feed must never panic or write out of bounds, whatever offsets and sizes
-// arrive.
+// arrive, and must hold no more than the bytes fed plus one read step.
 func FuzzInTransferFeed(f *testing.F) {
 	f.Add(10, 0, 4, false)
 	f.Add(10, 8, 2, true)
@@ -115,17 +142,20 @@ func FuzzInTransferFeed(f *testing.F) {
 	f.Add(4, 2, 3, false)
 	f.Add(1<<20, 1<<19, 4096, false)
 	f.Fuzz(func(t *testing.T, size, offset, dataLen int, last bool) {
-		if size < 0 || size > 1<<22 || offset < 0 || dataLen < 0 || dataLen > 1<<16 {
+		if size < 0 || size > maxFieldValue || offset < 0 || dataLen < 0 || dataLen > 1<<16 {
 			t.Skip()
 		}
 		tr := &inTransfer{id: 9}
 		m := &message{Task: 9, Size: size, Offset: offset, Data: make([]byte, dataLen), Last: last}
 		done, err := tr.feed(m)
+		if cap(tr.payload) > dataLen+frameReadStep {
+			t.Fatalf("holds %d bytes after a %d-byte chunk declaring %d", cap(tr.payload), dataLen, size)
+		}
 		if err != nil {
 			return // rejected malformed input: fine
 		}
-		if done && tr.got != len(tr.payload) {
-			t.Fatalf("reported done with %d of %d bytes", tr.got, len(tr.payload))
+		if done && len(tr.payload) != size {
+			t.Fatalf("reported done with %d of %d bytes", len(tr.payload), size)
 		}
 	})
 }
