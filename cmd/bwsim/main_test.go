@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,5 +55,34 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run([]string{"-in", "/does/not/exist"}, &b); err == nil {
 		t.Fatalf("missing file accepted")
+	}
+}
+
+// traceGoldenArgs are the runs whose whole report, Gantt view included,
+// testdata/trace.golden pins: the default protocol, which interrupts, and
+// the growth protocol, which grows.
+var traceGoldenArgs = [][]string{
+	{"-example", "-tasks", "300", "-trace", "400"},
+	{"-example", "-tasks", "300", "-trace", "400", "-protocol", "nonic", "-buffers", "1"},
+}
+
+// TestTraceGolden pins bwsim's output for traceGoldenArgs byte for byte,
+// each run under a "$ bwsim args" header. The file is edited by hand, if
+// ever: the Gantt view is rendered from the engine's event stream, so a
+// drift here is a change in what the engine records or does.
+func TestTraceGolden(t *testing.T) {
+	var b strings.Builder
+	for _, args := range traceGoldenArgs {
+		fmt.Fprintf(&b, "$ bwsim %s\n", strings.Join(args, " "))
+		if err := run(args, &b); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "trace.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("bwsim output drifted from testdata/trace.golden\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
