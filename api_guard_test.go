@@ -119,7 +119,7 @@ func loadAPISurface(t *testing.T) []string {
 // field by field and method by method, not only by name.
 func TestAPISurfaceExpandsAliases(t *testing.T) {
 	lines := loadAPISurface(t)
-	for _, want := range []string{"type SimConfig = bwcs/internal/engine.Config", "field SimConfig.Tracer ", "method SimTracer.Grew("} {
+	for _, want := range []string{"type SimConfig = bwcs/internal/engine.Config", "field SimConfig.Tracer ", "method SimMetrics.Add("} {
 		found := false
 		for _, ln := range lines {
 			found = found || strings.HasPrefix(ln, want)

@@ -106,7 +106,7 @@ func run(args []string, out io.Writer) error {
 	cfg := engine.Config{Tree: t, Protocol: p, Tasks: *tasks, Seed: *seed}
 	if *showTrace > 0 {
 		rec = &trace.Recorder{}
-		cfg.Tracer = rec
+		cfg.Tracer = rec.Add
 	}
 	res, err := engine.Run(cfg)
 	if err != nil {

@@ -14,8 +14,10 @@
 // never orders an event before the peer event that caused it, so the
 // printed timeline reads as what actually happened — a result lost to a
 // severed link shows as send → sever → replay → ack as linked lines
-// across both nodes. -verify replays the merged timeline through the same
-// internal/trace conformance checker that validates the simulator.
+// across both nodes. -verify replays the merged timeline through the
+// protocol core (internal/trace's Replay), as the simulator's streams are;
+// it needs every node's whole history, so it refuses a dump whose ring
+// dropped events (size the ring with bwnode -recorder).
 package main
 
 import (
@@ -58,6 +60,9 @@ func run(args []string) error {
 		}
 		if prev, dup := dumps[d.Node]; dup {
 			return fmt.Errorf("two dumps for node %q (%d and %d events)", d.Node, len(prev.Events), len(d.Events))
+		}
+		if *verify && d.Dropped > 0 {
+			return fmt.Errorf("%s: -verify needs node %q's whole history, and its ring dropped the first %d events (raise bwnode's -recorder)", p, d.Node, d.Dropped)
 		}
 		dumps[d.Node] = d
 	}

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,6 +171,35 @@ func TestVerifySyntheticJourney(t *testing.T) {
 	broken["root"] = rd
 	if err := verifyMerged(mergeDumps(broken), broken); err == nil {
 		t.Fatal("dispatch without a registered request passed conformance")
+	}
+}
+
+// TestVerifyRefusesTruncatedDumps: a dump whose ring dropped the start of
+// its node's history cannot be replayed from the start of the run, so
+// -verify refuses it, naming the node and the count, whether the cut would
+// show as a false violation (the root's, after its request-served event)
+// or as nothing at all (the worker's, before its compute start). Printing
+// and the Chrome export still take such dumps.
+func TestVerifyRefusesTruncatedDumps(t *testing.T) {
+	for _, cut := range []struct {
+		node    string
+		dropped int
+	}{{"root", 2}, {"w1", 5}} {
+		dir := t.TempDir()
+		var paths []string
+		for _, d := range synthDumps() {
+			if d.Node == cut.node {
+				d.Events, d.Dropped = d.Events[cut.dropped:], int64(cut.dropped)
+			}
+			paths = append(paths, writeDump(t, dir, d))
+		}
+		err := run(append([]string{"-q", "-verify"}, paths...))
+		if want := fmt.Sprintf("node %q's whole history, and its ring dropped the first %d events", cut.node, cut.dropped); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s cut: -verify says %v, want a refusal containing %s", cut.node, err, want)
+		}
+		if err := run(append([]string{"-q", "-task", "1", "-chrome", filepath.Join(dir, "chrome.json")}, paths...)); err != nil {
+			t.Errorf("%s cut: printing and export refuse the dumps: %v", cut.node, err)
+		}
 	}
 }
 

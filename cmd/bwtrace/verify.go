@@ -2,14 +2,15 @@ package main
 
 // Conformance verification of a merged live timeline: convert the
 // flight-recorder vocabulary into internal/trace events and replay them
-// through the same checker that validates the deterministic engine. The
-// live overlay schedules on measured link estimates, so the sim-only
-// ground-truth priority check stays off, and a faulty run legitimately
-// ends with tasks in flight, so the drain check stays off too; what the
-// replay does verify is the protocol's structural rules — every fresh
-// dispatch served a registered request of a child with no transfer already
-// in flight, from a task the sender actually held, through every sever,
-// requeue, and replay in the timeline.
+// through the protocol core, as the engine's streams are. The live overlay
+// schedules on measured link estimates, so the replay applies the stream
+// rather than holding it to the tree's weights (apply mode), and a faulty
+// run legitimately ends with tasks in flight, so the drain check stays
+// off. What the replay does verify is the protocol's structural rules —
+// every fresh dispatch served a registered request of a child with no
+// transfer already on the way, from a task the sender actually held, and
+// every computation started on a held task on an idle compute port —
+// through every sever, requeue, and replay in the timeline.
 
 import (
 	"fmt"

@@ -30,7 +30,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -38,6 +37,7 @@ import (
 
 	"bwcs/internal/protocol"
 	"bwcs/internal/sim"
+	"bwcs/internal/trace"
 	"bwcs/internal/tree"
 )
 
@@ -137,10 +137,11 @@ type Config struct {
 	// drain. A nil Ctx runs to completion, the zero-cost default.
 	Ctx context.Context
 
-	// Tracer, when non-nil, observes every scheduling action as it
-	// happens (see the trace package for recorders and renderers).
-	// Tracing costs one virtual call per action; leave nil for sweeps.
-	Tracer Tracer
+	// Tracer, when non-nil, receives every scheduling action as the core
+	// decides it, before its consequences (the requests a freed buffer
+	// issues, and any decision they cause upstream); package trace records,
+	// renders and replays the stream. Leave nil for sweeps.
+	Tracer func(trace.Event)
 
 	// SampleEvery, when positive, records timeline telemetry (completion
 	// rate, link utilization, pool depth, per-application share) every
@@ -154,30 +155,6 @@ type Config struct {
 	// memory stays O(TimelineCapacity) for any run length. Zero means
 	// the package default (512); meaningful values are >= 2.
 	TimelineCapacity int
-}
-
-// Tracer observes engine actions. Implementations must not retain the
-// engine's state between calls; all arguments are values.
-type Tracer interface {
-	// ComputeStart fires when node starts computing a task that will
-	// finish at the given time.
-	ComputeStart(now sim.Time, node tree.NodeID, until sim.Time)
-	// ComputeDone fires when a task completes; completed is the global
-	// count including this task.
-	ComputeDone(now sim.Time, node tree.NodeID, completed int64)
-	// SendStart fires when parent begins (fromShelf=false) or resumes
-	// (fromShelf=true) a transfer that will land at the given time.
-	SendStart(now sim.Time, parent, child tree.NodeID, until sim.Time, fromShelf bool)
-	// SendInterrupted fires when an in-flight transfer is shelved with the
-	// given remaining time.
-	SendInterrupted(now sim.Time, parent, child tree.NodeID, remaining sim.Time)
-	// SendDone fires when a transfer lands in the child's buffer.
-	SendDone(now sim.Time, parent, child tree.NodeID)
-	// Requested fires when child asks its parent for one task.
-	Requested(now sim.Time, child tree.NodeID)
-	// Grew fires when node grows one buffer; capacity is the new pool
-	// size.
-	Grew(now sim.Time, node tree.NodeID, capacity int64)
 }
 
 // Validate reports whether the config can be run.
@@ -411,9 +388,8 @@ type engine struct {
 	s     *sim.Simulator
 	nodes []nodeState
 	rng   *rand.Rand
-	src   *rand.PCG // rng's source, so a test can rewind it
 
-	trace Tracer
+	trace func(trace.Event)
 	met   Metrics
 
 	requeued   int64
@@ -521,8 +497,7 @@ func (e *engine) run(cfg Config) (*Result, error) {
 	}
 	e.reset(cfg)
 	if cfg.Protocol.Order == protocol.Random {
-		e.src = rand.NewPCG(cfg.Seed, 0xda3e39cb94b95bdb)
-		e.rng = rand.New(e.src)
+		e.rng = protocol.Rand(cfg.Seed)
 	}
 	e.workloads = cfg.Workloads
 	if len(e.workloads) == 0 {
@@ -693,7 +668,7 @@ func (e *engine) initNodes(from int) {
 		ns.credit = zeroed(credit, len(e.workloads))
 		ns.core.Reset(e.cfg.Protocol, id == 0)
 		for _, k := range e.t.Children(tree.NodeID(id)) {
-			ns.core.Slots = append(ns.core.Slots, protocol.Slot{Child: int32(k), Key: e.key(k)})
+			ns.core.Slots = append(ns.core.Slots, protocol.Slot{Child: int32(k), Key: protocol.Key(e.cfg.Protocol.Order, e.t.C(k), e.t.W(k))})
 		}
 	}
 	// Parents of newly attached nodes gain children; re-list them for all
@@ -711,7 +686,7 @@ func (e *engine) initNodes(from int) {
 			if ks.slot >= 0 { // listed here before; new and departed children have no slot
 				slots[i] = core.Slots[ks.slot]
 			} else {
-				slots[i] = protocol.Slot{Child: int32(k), Key: e.key(k), Down: ks.departed}
+				slots[i] = protocol.Slot{Child: int32(k), Key: protocol.Key(e.cfg.Protocol.Order, e.t.C(k), e.t.W(k)), Down: ks.departed}
 			}
 		}
 		core.Relist(slots)
@@ -723,29 +698,11 @@ func (e *engine) initNodes(from int) {
 	}
 }
 
-// key is child c's priority key under the protocol's static orders: its
-// link's c (BandwidthCentric) or its w (ComputeCentric).
-func (e *engine) key(c tree.NodeID) int64 {
-	switch e.cfg.Protocol.Order {
-	case protocol.BandwidthCentric:
-		return e.t.C(c)
-	case protocol.ComputeCentric:
-		return e.t.W(c)
-	}
-	return 0
-}
-
-// sortChildren puts node n's slots in priority order when the protocol's
-// order has a static key (the other orders keep tree order), and tells
-// each child where its slot is.
+// sortChildren puts node n's slots in priority order (protocol.Node.Sort)
+// and tells each child where its slot is.
 func (e *engine) sortChildren(n int32) {
 	core := &e.nodes[n].core
-	switch e.cfg.Protocol.Order {
-	case protocol.BandwidthCentric, protocol.ComputeCentric:
-		core.Sort(func(a, b protocol.Slot) int {
-			return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Child, b.Child))
-		})
-	}
+	core.Sort()
 	for i := range core.Slots {
 		e.nodes[core.Slots[i].Child].slot = int32(i)
 	}
@@ -794,9 +751,7 @@ func (e *engine) request(n int32) {
 	ns := &e.nodes[n]
 	ns.stat.Requests++
 	e.met.Requests++
-	if e.trace != nil {
-		e.trace.Requested(e.s.Now(), tree.NodeID(n))
-	}
+	e.emit(trace.Event{Kind: trace.Request, Node: tree.NodeID(n), Peer: -1})
 	e.nodes[ns.parent].core.Request(int(ns.slot), 1, int64(e.s.Now()))
 	e.trySchedule(ns.parent)
 }
@@ -815,9 +770,7 @@ func (e *engine) requestInitial(n int32) {
 // fill it.
 func (e *engine) grew(n int32) {
 	e.met.Grows++
-	if e.trace != nil {
-		e.trace.Grew(e.s.Now(), tree.NodeID(n), e.nodes[n].core.Capacity)
-	}
+	e.emit(trace.Event{Kind: trace.Grow, Node: tree.NodeID(n), Peer: -1, Value: e.nodes[n].core.Capacity})
 	e.request(n)
 }
 
@@ -838,9 +791,7 @@ func (e *engine) onSendComplete(p, c int32) {
 	cs.occApp[app]++
 	cs.stat.Received++
 	e.met.SendsCompleted++
-	if e.trace != nil {
-		e.trace.SendDone(e.s.Now(), tree.NodeID(p), tree.NodeID(c))
-	}
+	e.emit(trace.Event{Kind: trace.SendDone, Node: tree.NodeID(p), Peer: tree.NodeID(c)})
 	if grew { // G2
 		e.grew(p)
 	}
@@ -864,9 +815,7 @@ func (e *engine) onComputeComplete(n int32) {
 	e.completed++
 	a := ns.computingApp
 	e.appCompletions[a] = append(e.appCompletions[a], e.s.Now())
-	if e.trace != nil {
-		e.trace.ComputeDone(e.s.Now(), tree.NodeID(n), e.completed)
-	}
+	e.emit(trace.Event{Kind: trace.ComputeDone, Node: tree.NodeID(n), Peer: -1, Value: e.completed})
 	if e.tl != nil && e.completed == e.totalTasks {
 		// The run is over: flush the partial final interval and cancel the
 		// pending tick so it cannot outlive the last completion (Makespan
@@ -904,7 +853,7 @@ func (e *engine) atCompletion() {
 			m.Apply(e.t)
 			ns.w, ns.c = e.t.W(m.Node), e.t.C(m.Node)
 			if m.Node != e.t.Root() {
-				e.nodes[ns.parent].core.Slots[ns.slot].Key = e.key(m.Node)
+				e.nodes[ns.parent].core.Slots[ns.slot].Key = protocol.Key(e.cfg.Protocol.Order, e.t.C(m.Node), e.t.W(m.Node))
 				e.sortChildren(ns.parent)
 			}
 		}
@@ -951,12 +900,10 @@ func (e *engine) trySchedule(n int32) {
 	// CPU: the node itself is the highest-priority consumer (its
 	// "communication time" is zero).
 	if t, ok := ns.core.Compute(); ok {
+		e.emit(trace.Event{Kind: trace.ComputeStart, Node: tree.NodeID(n), Peer: -1, Value: int64(e.s.Now()) + ns.w})
 		ns.computingApp = e.took(n, t)
 		e.met.ComputesStarted++
 		ns.computeEv = e.s.Schedule(sim.Time(ns.w), evComputeComplete, n, 0)
-		if e.trace != nil {
-			e.trace.ComputeStart(e.s.Now(), tree.NodeID(n), ns.computeEv.At())
-		}
 	}
 
 	// Send port.
@@ -975,30 +922,35 @@ func (e *engine) trySchedule(n int32) {
 		e.nodes[cur].shelf = shelf{remaining: remaining, app: ns.sendingApp}
 		ns.stat.Interrupted++
 		e.met.SendsInterrupted++
-		if e.trace != nil {
-			e.trace.SendInterrupted(e.s.Now(), tree.NodeID(n), tree.NodeID(cur), remaining)
-		}
+		e.emit(trace.Event{Kind: trace.SendInterrupt, Node: tree.NodeID(n), Peer: tree.NodeID(cur), Value: int64(remaining)})
 		ns.sendEv = nil
 	}
 	c := ns.core.Slots[d.Slot].Child
 	cs := &e.nodes[c]
 	var delay sim.Time
 	if d.Resume {
+		delay = cs.shelf.remaining
+		e.emit(trace.Event{Kind: trace.SendResume, Node: tree.NodeID(n), Peer: tree.NodeID(c), Value: int64(e.s.Now() + delay)})
 		ns.sendingApp = cs.shelf.app
 		e.met.SendsResumed++
-		delay = cs.shelf.remaining
 	} else {
+		delay = sim.Time(cs.c)
+		e.emit(trace.Event{Kind: trace.SendStart, Node: tree.NodeID(n), Peer: tree.NodeID(c), Value: int64(e.s.Now() + delay)})
 		ns.sendingApp = e.took(n, d.Take)
 		ns.stat.Forwarded++
 		e.met.SendsStarted++
-		delay = sim.Time(cs.c)
 	}
 	if e.tl != nil {
 		e.tlSendStart(n)
 	}
 	ns.sendEv = e.s.Schedule(delay, evSendComplete, n, c)
+}
+
+// emit stamps ev and hands it to Config.Tracer; it inlines to a nil check.
+func (e *engine) emit(ev trace.Event) {
 	if e.trace != nil {
-		e.trace.SendStart(e.s.Now(), tree.NodeID(n), tree.NodeID(c), ns.sendEv.At(), d.Resume)
+		ev.At = e.s.Now()
+		e.trace(ev)
 	}
 }
 

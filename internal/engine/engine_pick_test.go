@@ -12,7 +12,7 @@ import (
 
 	"bwcs/internal/protocol"
 	"bwcs/internal/randtree"
-	"bwcs/internal/sim"
+	"bwcs/internal/trace"
 	"bwcs/internal/tree"
 )
 
@@ -110,8 +110,9 @@ var parentDigests = map[string]uint64{
 	"churn":                         0x1b46919719381fee,
 }
 
-// shelfWatch is a Tracer that keeps its own lists of shelved transfers
-// from the actions it observes, to count the departures that meet one.
+// shelfWatch is a trace sink that keeps its own lists of shelved
+// transfers from the actions it observes, to count the departures that
+// meet one.
 type shelfWatch struct {
 	e       *engine
 	shelves map[int32][]int32 // sender → children with a shelved transfer
@@ -120,46 +121,39 @@ type shelfWatch struct {
 	shelvedAtParent, shelvedAtSender int
 }
 
-func (o *shelfWatch) ComputeStart(sim.Time, tree.NodeID, sim.Time) {}
-func (o *shelfWatch) SendDone(sim.Time, tree.NodeID, tree.NodeID)  {}
-func (o *shelfWatch) Grew(sim.Time, tree.NodeID, int64)            {}
-func (o *shelfWatch) Requested(sim.Time, tree.NodeID)              {}
-
-func (o *shelfWatch) ComputeDone(_ sim.Time, _ tree.NodeID, completed int64) {
-	// The departures this completion triggers run next.
-	for _, d := range o.e.cfg.Departures[o.e.depIdx:] {
-		if completed < d.AfterTasks || int(d.Node) >= len(o.e.nodes) || o.e.nodes[d.Node].departed {
-			continue
-		}
-		for _, c := range o.shelves[o.e.nodes[d.Node].parent] {
-			if c == int32(d.Node) {
-				o.shelvedAtParent++
+func (o *shelfWatch) add(ev trace.Event) {
+	parent, child := int32(ev.Node), int32(ev.Peer)
+	switch ev.Kind {
+	case trace.ComputeDone:
+		// The departures this completion triggers run next.
+		for _, d := range o.e.cfg.Departures[o.e.depIdx:] {
+			if ev.Value < d.AfterTasks || int(d.Node) >= len(o.e.nodes) || o.e.nodes[d.Node].departed {
+				continue
 			}
-		}
-		for _, sid := range o.e.t.Subtree(d.Node) {
-			for _, c := range o.shelves[int32(sid)] {
-				if !o.e.nodes[c].departed {
-					o.shelvedAtSender++
+			for _, c := range o.shelves[o.e.nodes[d.Node].parent] {
+				if c == int32(d.Node) {
+					o.shelvedAtParent++
+				}
+			}
+			for _, sid := range o.e.t.Subtree(d.Node) {
+				for _, c := range o.shelves[int32(sid)] {
+					if !o.e.nodes[c].departed {
+						o.shelvedAtSender++
+					}
 				}
 			}
 		}
-	}
-}
-
-func (o *shelfWatch) SendStart(_ sim.Time, parent, child tree.NodeID, _ sim.Time, fromShelf bool) {
-	if fromShelf {
-		list := o.shelves[int32(parent)]
+	case trace.SendResume:
+		list := o.shelves[parent]
 		for i := range list {
-			if list[i] == int32(child) {
-				o.shelves[int32(parent)] = append(list[:i], list[i+1:]...)
+			if list[i] == child {
+				o.shelves[parent] = append(list[:i], list[i+1:]...)
 				break
 			}
 		}
+	case trace.SendInterrupt:
+		o.shelves[parent] = append(o.shelves[parent], child)
 	}
-}
-
-func (o *shelfWatch) SendInterrupted(_ sim.Time, parent, child tree.NodeID, _ sim.Time) {
-	o.shelves[int32(parent)] = append(o.shelves[int32(parent)], int32(child))
 }
 
 // runWatched runs cfg on a fresh engine with a shelfWatch attached.
@@ -167,7 +161,7 @@ func runWatched(t *testing.T, cfg Config) (*Result, *shelfWatch) {
 	t.Helper()
 	r := NewRunner()
 	o := &shelfWatch{e: &r.e, shelves: map[int32][]int32{}}
-	cfg.Tracer = o
+	cfg.Tracer = o.add
 	res, err := r.Run(cfg)
 	if err != nil {
 		t.Fatalf("Run under %v: %v", cfg.Protocol, err)

@@ -6,6 +6,7 @@ import (
 
 	"bwcs/internal/protocol"
 	"bwcs/internal/sim"
+	"bwcs/internal/trace"
 	"bwcs/internal/tree"
 )
 
@@ -506,20 +507,11 @@ func BenchmarkEngineTraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := &nopTracer{}
-		if _, err := Run(Config{Tree: tr, Protocol: protocol.Interruptible(3), Tasks: 5000, Tracer: rec}); err != nil {
+		if _, err := Run(Config{Tree: tr, Protocol: protocol.Interruptible(3), Tasks: 5000, Tracer: nopTracer}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // nopTracer measures tracing overhead without recording.
-type nopTracer struct{}
-
-func (*nopTracer) ComputeStart(sim.Time, tree.NodeID, sim.Time)                 {}
-func (*nopTracer) ComputeDone(sim.Time, tree.NodeID, int64)                     {}
-func (*nopTracer) SendStart(sim.Time, tree.NodeID, tree.NodeID, sim.Time, bool) {}
-func (*nopTracer) SendInterrupted(sim.Time, tree.NodeID, tree.NodeID, sim.Time) {}
-func (*nopTracer) SendDone(sim.Time, tree.NodeID, tree.NodeID)                  {}
-func (*nopTracer) Requested(sim.Time, tree.NodeID)                              {}
-func (*nopTracer) Grew(sim.Time, tree.NodeID, int64)                            {}
+func nopTracer(trace.Event) {}

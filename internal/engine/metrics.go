@@ -6,11 +6,11 @@ package engine
 // costs nothing measurable even on paper-scale sweeps.
 //
 // The action counters (sends, computes, requests, grows) count exactly
-// the actions a trace.Recorder attached to the same run would record;
-// the conformance test in internal/trace holds the two layers to that
-// contract. Note Requests counts post-startup requests only: the initial
-// burst (one per buffer per node) is configuration, not scheduling, and
-// is likewise absent from traces.
+// the events Config.Tracer receives in the same run; TestMetricsMatchTrace
+// in internal/trace holds the two layers to that contract. Requests counts
+// post-startup requests only: the initial burst (one per buffer per node)
+// is configuration, not scheduling, and is absent from the stream too —
+// the conformance replay derives it from each core's Initial.
 type Metrics struct {
 	// Kernel counters, snapshotted from the sim.Simulator.
 	Events        uint64 // simulator events dispatched

@@ -350,10 +350,37 @@ func (n *Node) Relist(slots []Slot) {
 	n.follow(c)
 }
 
-// Sort orders the slots by cmp, keeping track of the send in flight.
-func (n *Node) Sort(cmp func(a, b Slot) int) {
+// Key is a child's priority key under order o, from its link's c and its
+// w: c under BandwidthCentric, w under ComputeCentric, and 0 under the
+// orders without a static key. A simulated node lists each child as a
+// Slot with this key and then calls Node.Sort.
+func Key(o Order, c, w int64) int64 {
+	switch o {
+	case BandwidthCentric:
+		return c
+	case ComputeCentric:
+		return w
+	}
+	return 0
+}
+
+// Rand is the one random stream a simulated run under the Random order
+// draws from, every node's DecideSend in turn, seeded by the run's seed.
+func Rand(seed uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, 0xda3e39cb94b95bdb))
+}
+
+// Sort puts the slots in priority order under the orders with a static
+// key — ascending Key, ties by Child — keeping track of the send in
+// flight. The other orders keep the driver's order.
+func (n *Node) Sort() {
+	if n.order != BandwidthCentric && n.order != ComputeCentric {
+		return
+	}
 	c := n.sendingChild()
-	slices.SortFunc(n.Slots, cmp)
+	slices.SortFunc(n.Slots, func(a, b Slot) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Child, b.Child))
+	})
 	n.follow(c)
 }
 

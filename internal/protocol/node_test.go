@@ -253,12 +253,6 @@ func (d *differ) static() bool {
 	return d.r.p.Order == BandwidthCentric || d.r.p.Order == ComputeCentric
 }
 
-func (d *differ) sort() {
-	if d.static() {
-		d.n.Sort(func(a, b Slot) int { return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Child, b.Child)) })
-	}
-}
-
 // protocolFor decodes a protocol from one byte: the order, interruption
 // where the order allows it, and, without it, fixed buffers, growth,
 // capped growth or growth with decay.
@@ -294,7 +288,7 @@ func (d *differ) addChild(key int64) {
 	c := d.next
 	d.next++
 	d.n.Slots = append(d.n.Slots, Slot{Child: c, Key: key})
-	d.sort()
+	d.n.Sort()
 	d.r.kids[c] = &refChild{key: key}
 	d.r.list = append(d.r.list, c)
 }
@@ -332,7 +326,7 @@ func (d *differ) run(ops []byte) {
 			if c >= 0 {
 				key := int64(arg / 16 % 4)
 				d.n.Slots[d.slotOf(c)].Key = key
-				d.sort()
+				d.n.Sort()
 				d.r.kids[c].key = key
 			}
 		case 3: // the send in flight lands

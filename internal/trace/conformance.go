@@ -1,37 +1,45 @@
 package trace
 
-// Protocol-conformance replay: reconstruct per-node scheduling state from
-// an event stream and verify the paper's rules at every decision point,
-// independently of whoever produced the stream. The engine test suite
-// replays simulator traces with every check enabled; cmd/bwtrace replays
-// merged live flight-recorder timelines with the checks that assume
-// ground-truth link costs or a fault-free run switched off.
+// Protocol-conformance replay: the protocol core's third driver, after the
+// engine and a live node's owner. It runs one protocol.Node per platform
+// node through an event stream, feeding each the inputs the stream
+// records, and holds the stream to the core's rules. The engine test suite
+// replays simulator streams in decide mode; cmd/bwtrace replays merged
+// live flight-recorder timelines in apply mode.
 
 import (
 	"fmt"
+	"slices"
 
+	"bwcs/internal/protocol"
 	"bwcs/internal/tree"
 )
 
-// Replay verifies an event stream against the protocol's invariants.
+// Replay checks an event stream against the protocol core.
 type Replay struct {
-	// Tree is the platform the events ran on.
-	Tree *tree.Tree
-	// Tasks is the root's initial pool size.
-	Tasks int64
-	// InitialPending seeds every non-root node's outstanding-request count
-	// before replay — the protocol's FB startup requests, which the
-	// simulator does not emit as events. Live replays leave it 0: a live
-	// node's startup requests appear as Request events.
-	InitialPending int
-	// CheckPriority verifies the bandwidth-centric rule at every fresh
-	// send: the chosen child must have minimal Tree.C among serviceable
-	// siblings. It requires Tree.C to be ground truth, so it is a
-	// simulator-only check; live runs schedule on measured estimates and
-	// are verified against those separately.
+	// Tree, Protocol, Tasks (the root's pool) and Seed (the Random order's)
+	// are the run's own inputs. Each node lists its children by the
+	// protocol's rule (protocol.Key, Node.Sort).
+	Tree     *tree.Tree
+	Protocol protocol.Protocol
+	Tasks    int64
+	Seed     uint64
+	// CheckPriority replays in decide mode, for streams whose priority
+	// keys are the tree's weights (the engine's). Every node starts with
+	// the requests its Initial owes, which the engine does not record.
+	// Every compute and send start, with the shelve before a preemption,
+	// must be what the core's Compute and DecideSend decide at that point,
+	// and every Request and Grow one that a freed buffer, G2 or G3 owed,
+	// in the order the engine issues them.
+	//
+	// Off, the replay applies the stream (apply mode, for live streams,
+	// whose keys are measured): startup requests are Request events, and a
+	// fresh send must be one the core allows — a task on hand, a pending
+	// request, no transfer already on the way toward the child.
 	CheckPriority bool
-	// CheckDrain requires the replay to end with the pool empty and no
-	// task buffered or in flight — true for a completed fault-free run.
+	// CheckDrain requires the replay to end with every task computed, no
+	// transfer on the way and nothing owed — true for a completed
+	// fault-free run.
 	CheckDrain bool
 
 	// Fresh counts the fresh send starts the last Run saw; a replay of a
@@ -39,140 +47,153 @@ type Replay struct {
 	Fresh int
 }
 
-// replayState is the per-node scheduling state reconstructed from events.
-type replayState struct {
-	t *tree.Tree
-	// pending[child] counts outstanding requests not yet matched by a
-	// fresh send start.
-	pending map[tree.NodeID]int
-	// inflight[child] is true while a transfer to child is in flight or
-	// shelved (fresh start .. done; interrupts keep it).
-	inflight map[tree.NodeID]bool
-	// buffered[node] counts tasks delivered but not yet consumed; the
-	// root is tracked via the remaining pool.
-	buffered map[tree.NodeID]int
-	pool     int64
-}
-
-func (r *replayState) hasTask(n tree.NodeID) bool {
-	if n == r.t.Root() {
-		return r.pool > 0
-	}
-	return r.buffered[n] > 0
-}
-
-func (r *replayState) take(n tree.NodeID) {
-	if n == r.t.Root() {
-		r.pool--
-		return
-	}
-	r.buffered[n]--
-}
-
-func (r *replayState) give(n tree.NodeID) {
-	if n == r.t.Root() {
-		r.pool++
-		return
-	}
-	r.buffered[n]++
-}
-
-// Run replays the events in order and returns the first invariant
-// violation, or nil if the stream conforms.
+// Run replays the events in order and returns the first violation, or nil
+// if the stream conforms.
 func (rp *Replay) Run(events []Event) error {
-	rs := &replayState{
-		t:        rp.Tree,
-		pending:  map[tree.NodeID]int{},
-		inflight: map[tree.NodeID]bool{},
-		buffered: map[tree.NodeID]int{},
-		pool:     rp.Tasks,
+	t, decide := rp.Tree, rp.CheckPriority
+	nodes := make([]protocol.Node, t.Len())
+	for id := range nodes {
+		n := &nodes[id]
+		n.Reset(rp.Protocol, tree.NodeID(id) == t.Root())
+		for _, k := range t.Children(tree.NodeID(id)) {
+			n.Slots = append(n.Slots, protocol.Slot{Child: int32(k), Key: protocol.Key(rp.Protocol.Order, t.C(k), t.W(k))})
+		}
+		n.Sort()
 	}
-	if rp.InitialPending > 0 {
-		rp.Tree.Walk(func(id tree.NodeID) bool {
-			if id != rp.Tree.Root() {
-				rs.pending[id] = rp.InitialPending
-			}
-			return true
-		})
+	// slot returns child c's slot at p, or -1 if c is not p's child.
+	slot := func(p, c tree.NodeID) int {
+		return slices.IndexFunc(nodes[p].Slots, func(s protocol.Slot) bool { return s.Child == int32(c) })
 	}
+	nodes[t.Root()].Refill(rp.Tasks)
+	for id := 1; decide && id < len(nodes); id++ {
+		p := t.Parent(tree.NodeID(id))
+		nodes[p].Request(slot(p, tree.NodeID(id)), nodes[id].Initial(), 0)
+	}
+	rng := protocol.Rand(rp.Seed)
+
+	// owed is what the nodes still owe, the next one due last: a freed
+	// buffer's request, a growth and then its request.
+	var owed []Event
+	owe := func(n tree.NodeID, tk protocol.Take) {
+		if tk.Grew {
+			owed = append(owed, Event{Kind: Grow, Node: n})
+		}
+		if tk.Request {
+			owed = append(owed, Event{Kind: Request, Node: n})
+		}
+	}
+
 	rp.Fresh = 0
-	for _, e := range events {
+	for i := 0; i < len(events); i++ {
+		e := events[i]
+		if !t.Valid(e.Node) {
+			return fmt.Errorf("trace: unknown node (%s)", e)
+		}
+		n, c, now := &nodes[e.Node], slot(e.Node, e.Peer), int64(e.At)
 		switch e.Kind {
-		case Request:
-			// The sim emits one event per request (Value unset); live
-			// requests are batched, with Value carrying the count.
-			n := int(e.Value)
-			if n <= 0 {
-				n = 1
-			}
-			rs.pending[e.Node] += n
-		case SendStart:
-			// A fresh send must serve a serviceable child (pending request,
-			// no transfer already in flight or shelved) from a held task.
-			parent, chosen := e.Node, e.Peer
-			if !rs.hasTask(parent) {
-				return fmt.Errorf("trace: fresh send from %d without a task (%s)", parent, e)
-			}
-			if rs.pending[chosen] < 1 || rs.inflight[chosen] {
-				return fmt.Errorf("trace: send to unserviceable child %d (pending=%d inflight=%v) (%s)",
-					chosen, rs.pending[chosen], rs.inflight[chosen], e)
-			}
-			if rp.CheckPriority {
-				for _, sib := range rs.t.Children(parent) {
-					if sib == chosen || rs.pending[sib] < 1 || rs.inflight[sib] {
-						continue
-					}
-					if rs.t.C(sib) < rs.t.C(chosen) {
-						return fmt.Errorf("trace: served child %d (c=%d) over faster sibling %d (c=%d) (%s)",
-							chosen, rs.t.C(chosen), sib, rs.t.C(sib), e)
-					}
+		case Request, Grow:
+			if decide {
+				k := len(owed) - 1
+				if k < 0 || owed[k] != (Event{Kind: e.Kind, Node: e.Node}) {
+					return fmt.Errorf("trace: %s that no freed buffer, G2 or G3 owed (%s)", e.Kind, e)
+				}
+				if owed = owed[:k]; e.Kind == Grow {
+					owed = append(owed, Event{Kind: Request, Node: e.Node})
 				}
 			}
-			rs.pending[chosen]--
-			rs.inflight[chosen] = true
-			rs.take(parent)
-			rp.Fresh++
-		case SendResume:
-			if !rs.inflight[e.Peer] {
-				return fmt.Errorf("trace: resume without an in-flight transfer to %d (%s)", e.Peer, e)
+			switch p := t.Parent(e.Node); {
+			case e.Kind == Grow:
+			case p < 0:
+				return fmt.Errorf("trace: the root requests (%s)", e)
+			case decide:
+				nodes[p].Request(slot(p, e.Node), 1, now)
+			default: // a live request batch carries its count
+				nodes[p].Request(slot(p, e.Node), max(e.Value, 1), now)
 			}
-		case SendInterrupt:
-			if !rs.inflight[e.Peer] {
-				return fmt.Errorf("trace: interrupt without an in-flight transfer to %d (%s)", e.Peer, e)
+		case ComputeStart:
+			tk, ok := n.Compute()
+			if !ok {
+				return fmt.Errorf("trace: node %d computing without a task, or twice (%s)", e.Node, e)
+			}
+			if decide {
+				owe(e.Node, tk)
+			}
+		case ComputeDone:
+			if !n.Computing {
+				return fmt.Errorf("trace: node %d finishes a computation it never started (%s)", e.Node, e)
+			}
+			if n.ComputeDone(); decide && n.G3() {
+				owed = append(owed, Event{Kind: Grow, Node: e.Node})
+			}
+		case SendStart, SendResume, SendInterrupt:
+			switch {
+			case c < 0:
+				return fmt.Errorf("trace: %d sends to %d, not its child (%s)", e.Node, e.Peer, e)
+			case decide:
+				start, d := e, n.DecideSend(now, rng)
+				if e.Kind == SendInterrupt {
+					if i++; d.Shelved != c || i == len(events) || events[i].Node != e.Node || events[i].Kind != SendStart && events[i].Kind != SendResume {
+						return fmt.Errorf("trace: interrupt that is not the core's preemption (%s)", e)
+					}
+					start = events[i]
+				} else if d.Shelved >= 0 {
+					return fmt.Errorf("trace: the core shelves the send to %d first (%s)", n.Slots[d.Shelved].Child, e)
+				}
+				if d.Slot != slot(e.Node, start.Peer) || d.Resume != (start.Kind == SendResume) {
+					child := int32(-1)
+					if d.Slot >= 0 {
+						child = n.Slots[d.Slot].Child
+					}
+					return fmt.Errorf("trace: the core decides child %d (resume %v) (%s)", child, d.Resume, start)
+				}
+				if !d.Resume {
+					owe(e.Node, d.Take)
+					rp.Fresh++
+				}
+			case e.Kind != SendStart:
+				if !n.Slots[c].Inflight {
+					return fmt.Errorf("trace: %s without a transfer on the way to %d (%s)", e.Kind, e.Peer, e)
+				}
+			case n.Occupied == 0 || n.Slots[c].Pending < 1 || n.Slots[c].Inflight:
+				return fmt.Errorf("trace: send to unserviceable child %d (tasks=%d pending=%d inflight=%v) (%s)",
+					e.Peer, n.Occupied, n.Slots[c].Pending, n.Slots[c].Inflight, e)
+			default:
+				n.Start(c, now)
+				rp.Fresh++
 			}
 		case SendDone:
-			if !rs.inflight[e.Peer] {
-				return fmt.Errorf("trace: delivery without an in-flight transfer to %d (%s)", e.Peer, e)
+			switch {
+			case c < 0 || !n.Slots[c].Inflight || decide && n.Sending() != c:
+				return fmt.Errorf("trace: delivery without a transfer on the way to %d (%s)", e.Peer, e)
+			case !decide: // live's port is pipelined: the hand-off clears its own slot
+				n.Reconcile(c, n.Slots[c].Pending, now, false)
+			case n.SendDone(): // G2
+				owed = append(owed, Event{Kind: Grow, Node: e.Node})
 			}
-			rs.inflight[e.Peer] = false
-			rs.buffered[e.Peer]++
-		case ComputeStart:
-			if !rs.hasTask(e.Node) {
-				return fmt.Errorf("trace: node %d computing without a task (%s)", e.Node, e)
-			}
-			rs.take(e.Node)
+			nodes[e.Peer].Arrived()
 		case Requeue:
-			// Recovery: the acting node reclaims one task from the Peer
-			// subtree. Whether the task was mid-transfer (in flight) or
-			// fully delivered (outstanding), it re-enters the node's pool;
-			// the child side's copy, if any, produces a duplicate result
-			// that dedupe suppresses, invisible at this layer.
-			rs.inflight[e.Peer] = false
-			rs.give(e.Node)
+			// Recovery: the task of the transfer toward Peer, in flight or
+			// delivered, returns to the pool (a copy is dedupe's business).
+			if c < 0 {
+				return fmt.Errorf("trace: requeue from %d, not a child of %d (%s)", e.Peer, e.Node, e)
+			}
+			n.Reconcile(c, n.Slots[c].Pending, now, false)
+			n.Refill(1)
+		default:
+			return fmt.Errorf("trace: unknown event (%s)", e)
 		}
 	}
-	if rp.CheckDrain {
-		if rs.pool != 0 {
-			return fmt.Errorf("trace: %d tasks left in the pool", rs.pool)
+	if k := len(owed); rp.CheckDrain && k > 0 {
+		return fmt.Errorf("trace: node %d never issued the %s it owed", owed[k-1].Node, owed[k-1].Kind)
+	}
+	for id := 0; rp.CheckDrain && id < len(nodes); id++ {
+		n := &nodes[id]
+		if n.Occupied != 0 || n.Computing {
+			return fmt.Errorf("trace: node %d ends holding %d tasks (computing %v)", id, n.Occupied, n.Computing)
 		}
-		for id, n := range rs.buffered {
-			if n != 0 {
-				return fmt.Errorf("trace: node %d ends with %d buffered tasks", id, n)
-			}
-		}
-		for id, f := range rs.inflight {
-			if f {
-				return fmt.Errorf("trace: transfer to %d never completed", id)
+		for _, s := range n.Slots {
+			if s.Inflight {
+				return fmt.Errorf("trace: transfer to %d never completed", s.Child)
 			}
 		}
 	}

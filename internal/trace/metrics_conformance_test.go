@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 // Trace-vs-metrics conformance: the engine maintains cheap inline
 // counters (engine.Result.Metrics) and, independently, reports every
@@ -13,14 +13,15 @@ import (
 	"bwcs/internal/engine"
 	"bwcs/internal/protocol"
 	"bwcs/internal/randtree"
+	"bwcs/internal/trace"
 )
 
 // assertConformance runs one config with a recorder attached and checks
 // every counter against the trace.
 func assertConformance(t *testing.T, cfg engine.Config, label string) {
 	t.Helper()
-	rec := &Recorder{}
-	cfg.Tracer = rec
+	rec := &trace.Recorder{}
+	cfg.Tracer = rec.Add
 	res, err := engine.Run(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -30,16 +31,16 @@ func assertConformance(t *testing.T, cfg engine.Config, label string) {
 	checks := []struct {
 		name    string
 		counter int64
-		kind    Kind
+		kind    trace.Kind
 	}{
-		{"SendsStarted", m.SendsStarted, SendStart},
-		{"SendsResumed", m.SendsResumed, SendResume},
-		{"SendsInterrupted", m.SendsInterrupted, SendInterrupt},
-		{"SendsCompleted", m.SendsCompleted, SendDone},
-		{"ComputesStarted", m.ComputesStarted, ComputeStart},
-		{"ComputesDone", m.ComputesDone, ComputeDone},
-		{"Requests", m.Requests, Request},
-		{"Grows", m.Grows, Grow},
+		{"SendsStarted", m.SendsStarted, trace.SendStart},
+		{"SendsResumed", m.SendsResumed, trace.SendResume},
+		{"SendsInterrupted", m.SendsInterrupted, trace.SendInterrupt},
+		{"SendsCompleted", m.SendsCompleted, trace.SendDone},
+		{"ComputesStarted", m.ComputesStarted, trace.ComputeStart},
+		{"ComputesDone", m.ComputesDone, trace.ComputeDone},
+		{"Requests", m.Requests, trace.Request},
+		{"Grows", m.Grows, trace.Grow},
 	}
 	for _, c := range checks {
 		if c.counter != int64(counts[c.kind]) {

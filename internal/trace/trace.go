@@ -1,16 +1,18 @@
-// Package trace records and renders engine execution traces.
-//
-// A Recorder implements engine.Tracer and captures every scheduling action
-// — compute start/finish, send start/interrupt/resume/finish, requests,
-// buffer growth — as a flat, time-ordered event list. The list can be
-// filtered, asserted against in tests (the engine test suite validates
-// protocol behaviour at the event level), and rendered as a per-node text
-// timeline for debugging schedules by eye.
+// Package trace is the engine's event stream: the Event vocabulary every
+// scheduling action is recorded in, a Recorder that keeps a stream and
+// renders it (filters, counts, a per-node text Gantt chart), and Replay,
+// the conformance check that drives one protocol.Node per platform node
+// through a stream and holds every recorded decision to what the core
+// decides. The engine emits each action as the core makes it, before its
+// consequences; the engine test suite asserts protocol behaviour at the
+// event level, and cmd/bwtrace replays live flight-recorder timelines
+// converted into the same vocabulary.
 package trace
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"bwcs/internal/sim"
@@ -66,8 +68,9 @@ type Event struct {
 	Peer tree.NodeID
 	// Value carries kind-specific data: the scheduled finish time for
 	// ComputeStart/SendStart/SendResume, the remaining time for
-	// SendInterrupt, the completed count for ComputeDone, and the new
-	// capacity for Grow.
+	// SendInterrupt, the completed count for ComputeDone, the new
+	// capacity for Grow, and a live Request's batch count (the engine
+	// records one event per request, Value 0).
 	Value int64
 }
 
@@ -79,9 +82,9 @@ func (e Event) String() string {
 	return fmt.Sprintf("t=%d %s %d (%d)", e.At, e.Kind, e.Node, e.Value)
 }
 
-// Recorder captures engine actions. It implements engine.Tracer. The zero
-// value is ready to use. Recorders are not safe for concurrent use; the
-// engine is single-goroutine.
+// Recorder keeps an event stream in order; its Add is an engine
+// Config.Tracer. The zero value is ready to use. Recorders are not safe
+// for concurrent use; the engine is single-goroutine.
 type Recorder struct {
 	events []Event
 	// Max caps the number of retained events when positive; recording
@@ -90,71 +93,23 @@ type Recorder struct {
 	Max int
 }
 
-func (r *Recorder) add(e Event) {
+// Add records one event.
+func (r *Recorder) Add(e Event) {
 	if r.Max > 0 && len(r.events) >= r.Max {
 		return
 	}
 	r.events = append(r.events, e)
 }
 
-// ComputeStart implements engine.Tracer.
-func (r *Recorder) ComputeStart(now sim.Time, node tree.NodeID, until sim.Time) {
-	r.add(Event{At: now, Kind: ComputeStart, Node: node, Peer: -1, Value: int64(until)})
-}
-
-// ComputeDone implements engine.Tracer.
-func (r *Recorder) ComputeDone(now sim.Time, node tree.NodeID, completed int64) {
-	r.add(Event{At: now, Kind: ComputeDone, Node: node, Peer: -1, Value: completed})
-}
-
-// SendStart implements engine.Tracer.
-func (r *Recorder) SendStart(now sim.Time, parent, child tree.NodeID, until sim.Time, fromShelf bool) {
-	k := SendStart
-	if fromShelf {
-		k = SendResume
-	}
-	r.add(Event{At: now, Kind: k, Node: parent, Peer: child, Value: int64(until)})
-}
-
-// SendInterrupted implements engine.Tracer.
-func (r *Recorder) SendInterrupted(now sim.Time, parent, child tree.NodeID, remaining sim.Time) {
-	r.add(Event{At: now, Kind: SendInterrupt, Node: parent, Peer: child, Value: int64(remaining)})
-}
-
-// SendDone implements engine.Tracer.
-func (r *Recorder) SendDone(now sim.Time, parent, child tree.NodeID) {
-	r.add(Event{At: now, Kind: SendDone, Node: parent, Peer: child})
-}
-
-// Requested implements engine.Tracer.
-func (r *Recorder) Requested(now sim.Time, child tree.NodeID) {
-	r.add(Event{At: now, Kind: Request, Node: child, Peer: -1})
-}
-
-// Grew implements engine.Tracer.
-func (r *Recorder) Grew(now sim.Time, node tree.NodeID, capacity int64) {
-	r.add(Event{At: now, Kind: Grow, Node: node, Peer: -1, Value: capacity})
-}
-
 // Events returns the recorded events in order. The slice is owned by the
 // recorder.
 func (r *Recorder) Events() []Event { return r.events }
-
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
 
 // Filter returns the events matching every given predicate.
 func (r *Recorder) Filter(preds ...func(Event) bool) []Event {
 	var out []Event
 	for _, e := range r.events {
-		keep := true
-		for _, p := range preds {
-			if !p(e) {
-				keep = false
-				break
-			}
-		}
-		if keep {
+		if !slices.ContainsFunc(preds, func(p func(Event) bool) bool { return !p(e) }) {
 			out = append(out, e)
 		}
 	}
@@ -199,12 +154,7 @@ func (r *Recorder) Timeline(w io.Writer, from, to sim.Time, bucket sim.Time, max
 	// Determine the node set.
 	maxNode := tree.NodeID(-1)
 	for _, e := range r.events {
-		if e.Node > maxNode {
-			maxNode = e.Node
-		}
-		if e.Peer > maxNode {
-			maxNode = e.Peer
-		}
+		maxNode = max(maxNode, e.Node, e.Peer)
 	}
 	n := int(maxNode) + 1
 	if maxNodes > 0 && n > maxNodes {
@@ -223,13 +173,7 @@ func (r *Recorder) Timeline(w io.Writer, from, to sim.Time, bucket sim.Time, max
 		if int(node) >= n {
 			return
 		}
-		if a < from {
-			a = from
-		}
-		if b > to {
-			b = to
-		}
-		for t := a; t < b; t += bucket {
+		for t := max(a, from); t < min(b, to); t += bucket {
 			col := int((t - from) / bucket)
 			if col >= 0 && col < cols {
 				rows[node][col] = ch

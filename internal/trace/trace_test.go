@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"strings"
@@ -6,18 +6,19 @@ import (
 
 	"bwcs/internal/engine"
 	"bwcs/internal/protocol"
+	"bwcs/internal/trace"
 	"bwcs/internal/tree"
 )
 
 // runTraced executes a small two-child platform with the recorder
 // attached.
-func runTraced(t *testing.T, p protocol.Protocol, tasks int64) (*Recorder, *engine.Result) {
+func runTraced(t *testing.T, p protocol.Protocol, tasks int64) (*trace.Recorder, *engine.Result) {
 	t.Helper()
 	tr := tree.New(3)
 	tr.AddChild(tr.Root(), 2, 1)   // fast link
 	tr.AddChild(tr.Root(), 10, 10) // slow link
-	rec := &Recorder{}
-	res, err := engine.Run(engine.Config{Tree: tr, Protocol: p, Tasks: tasks, Tracer: rec})
+	rec := &trace.Recorder{}
+	res, err := engine.Run(engine.Config{Tree: tr, Protocol: p, Tasks: tasks, Tracer: rec.Add})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -27,26 +28,26 @@ func runTraced(t *testing.T, p protocol.Protocol, tasks int64) (*Recorder, *engi
 func TestRecorderCapturesConsistentStory(t *testing.T) {
 	rec, res := runTraced(t, protocol.Interruptible(1), 40)
 	counts := rec.Counts()
-	if counts[ComputeDone] != 40 {
-		t.Fatalf("ComputeDone events = %d, want 40", counts[ComputeDone])
+	if counts[trace.ComputeDone] != 40 {
+		t.Fatalf("ComputeDone events = %d, want 40", counts[trace.ComputeDone])
 	}
-	if counts[ComputeStart] != counts[ComputeDone] {
-		t.Fatalf("starts %d != dones %d", counts[ComputeStart], counts[ComputeDone])
+	if counts[trace.ComputeStart] != counts[trace.ComputeDone] {
+		t.Fatalf("starts %d != dones %d", counts[trace.ComputeStart], counts[trace.ComputeDone])
 	}
 	// Every interruption must be followed by exactly one resume (all
 	// shelved transfers eventually complete).
-	if counts[SendInterrupt] != counts[SendResume] {
-		t.Fatalf("interrupts %d != resumes %d", counts[SendInterrupt], counts[SendResume])
+	if counts[trace.SendInterrupt] != counts[trace.SendResume] {
+		t.Fatalf("interrupts %d != resumes %d", counts[trace.SendInterrupt], counts[trace.SendResume])
 	}
-	if counts[SendInterrupt] == 0 {
+	if counts[trace.SendInterrupt] == 0 {
 		t.Fatalf("expected interruptions on this platform")
 	}
 	// Sends started (fresh) must equal sends completed.
-	if counts[SendStart] != counts[SendDone] {
-		t.Fatalf("send starts %d != dones %d", counts[SendStart], counts[SendDone])
+	if counts[trace.SendStart] != counts[trace.SendDone] {
+		t.Fatalf("send starts %d != dones %d", counts[trace.SendStart], counts[trace.SendDone])
 	}
-	if int64(counts[SendDone]) != res.Nodes[0].Forwarded {
-		t.Fatalf("send dones %d != forwarded %d", counts[SendDone], res.Nodes[0].Forwarded)
+	if int64(counts[trace.SendDone]) != res.Nodes[0].Forwarded {
+		t.Fatalf("send dones %d != forwarded %d", counts[trace.SendDone], res.Nodes[0].Forwarded)
 	}
 	// Events are time-ordered.
 	evs := rec.Events()
@@ -59,7 +60,7 @@ func TestRecorderCapturesConsistentStory(t *testing.T) {
 
 func TestRecorderGrowthEvents(t *testing.T) {
 	rec, res := runTraced(t, protocol.NonInterruptible(1), 40)
-	grows := rec.Filter(OfKind(Grow))
+	grows := rec.Filter(trace.OfKind(trace.Grow))
 	var grown int64
 	for i := range res.Nodes {
 		grown += res.Nodes[i].Buffers - 1
@@ -79,41 +80,41 @@ func TestRecorderGrowthEvents(t *testing.T) {
 
 func TestFilterPredicates(t *testing.T) {
 	rec, _ := runTraced(t, protocol.Interruptible(2), 30)
-	onNode1 := func(e Event) bool { return e.Node == 1 }
+	onNode1 := func(e trace.Event) bool { return e.Node == 1 }
 	for _, e := range rec.Filter(onNode1) {
 		if e.Node != 1 {
 			t.Fatalf("predicate leaked %v", e)
 		}
 	}
-	if both := rec.Filter(OfKind(ComputeDone), onNode1); len(both) == 0 || len(both) >= 30 {
+	if both := rec.Filter(trace.OfKind(trace.ComputeDone), onNode1); len(both) == 0 || len(both) >= 30 {
 		t.Fatalf("combined filter = %d, want node 1's share of 30", len(both))
 	}
-	if all := rec.Filter(OfKind(ComputeDone)); len(all) != 30 {
+	if all := rec.Filter(trace.OfKind(trace.ComputeDone)); len(all) != 30 {
 		t.Fatalf("OfKind(ComputeDone) = %d, want 30", len(all))
 	}
 }
 
 func TestMaxCapsRecording(t *testing.T) {
 	tr := tree.New(2)
-	rec := &Recorder{Max: 5}
-	if _, err := engine.Run(engine.Config{Tree: tr, Protocol: protocol.Interruptible(1), Tasks: 100, Tracer: rec}); err != nil {
+	rec := &trace.Recorder{Max: 5}
+	if _, err := engine.Run(engine.Config{Tree: tr, Protocol: protocol.Interruptible(1), Tasks: 100, Tracer: rec.Add}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if rec.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", rec.Len())
+	if n := len(rec.Events()); n != 5 {
+		t.Fatalf("recorded %d events, want 5", n)
 	}
 }
 
 func TestEventString(t *testing.T) {
-	e := Event{At: 7, Kind: SendStart, Node: 1, Peer: 2, Value: 9}
+	e := trace.Event{At: 7, Kind: trace.SendStart, Node: 1, Peer: 2, Value: 9}
 	if got := e.String(); !strings.Contains(got, "send-start") || !strings.Contains(got, "1->2") {
 		t.Fatalf("String = %q", got)
 	}
-	e2 := Event{At: 3, Kind: ComputeDone, Node: 4, Peer: -1, Value: 10}
+	e2 := trace.Event{At: 3, Kind: trace.ComputeDone, Node: 4, Peer: -1, Value: 10}
 	if got := e2.String(); !strings.Contains(got, "compute-done") || strings.Contains(got, "->") {
 		t.Fatalf("String = %q", got)
 	}
-	if !strings.Contains(Kind(99).String(), "99") {
+	if !strings.Contains(trace.Kind(99).String(), "99") {
 		t.Fatalf("unknown kind string")
 	}
 }
@@ -147,7 +148,7 @@ func TestTimeline(t *testing.T) {
 }
 
 func TestTimelineErrors(t *testing.T) {
-	rec := &Recorder{}
+	rec := &trace.Recorder{}
 	var b strings.Builder
 	if err := rec.Timeline(&b, 0, 10, 0, 0); err == nil {
 		t.Fatalf("zero bucket accepted")
@@ -174,7 +175,7 @@ func TestInterruptionVisibleInTrace(t *testing.T) {
 	rec, _ := runTraced(t, protocol.Interruptible(1), 40)
 	evs := rec.Events()
 	for i, e := range evs {
-		if e.Kind != SendInterrupt {
+		if e.Kind != trace.SendInterrupt {
 			continue
 		}
 		if e.Peer != 2 {
@@ -183,7 +184,7 @@ func TestInterruptionVisibleInTrace(t *testing.T) {
 		// The very next transfer action from the root must target the
 		// fast child.
 		for j := i + 1; j < len(evs); j++ {
-			if evs[j].Node == 0 && (evs[j].Kind == SendStart || evs[j].Kind == SendResume) {
+			if evs[j].Node == 0 && (evs[j].Kind == trace.SendStart || evs[j].Kind == trace.SendResume) {
 				if evs[j].Peer != 1 {
 					t.Fatalf("after interrupt, sent to %d, want fast child 1", evs[j].Peer)
 				}

@@ -15,10 +15,6 @@ import "bwcs/internal/engine"
 // WithMetrics.
 type SimMetrics = engine.Metrics
 
-// SimTracer observes every scheduling action of a run as it happens; see
-// WithTracer and the trace package.
-type SimTracer = engine.Tracer
-
 // evalSettings collects everything an evaluation can be configured with:
 // the engine knobs (a SimConfig minus the positional tree/protocol/work)
 // plus the analysis knobs that have no engine equivalent.
@@ -73,12 +69,6 @@ func WithDepartures(ds ...DepartMutation) Option {
 // guard for hostile inputs.
 func WithMaxSteps(n uint64) Option {
 	return func(s *evalSettings) { s.cfg.MaxSteps = n }
-}
-
-// WithTracer attaches a Tracer observing every scheduling action. Tracing
-// costs one virtual call per action; leave unset for sweeps.
-func WithTracer(tr SimTracer) Option {
-	return func(s *evalSettings) { s.cfg.Tracer = tr }
 }
 
 // WithWindow overrides the onset detector's window threshold (default
