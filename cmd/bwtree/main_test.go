@@ -68,17 +68,24 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestDOTExport pins bwtree -example -dot byte for byte against
+// testdata/fig1.dot: the Figure 1 platform coloured by its optimal
+// allocation. The file is edited by hand, if ever.
 func TestDOTExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.dot")
 	var b strings.Builder
 	if err := run([]string{"-example", "-dot", path}, &b); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	data, err := os.ReadFile(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read dot: %v", err)
 	}
-	if !strings.Contains(string(data), "digraph") || !strings.Contains(string(data), "palegreen") {
-		t.Fatalf("dot output wrong:\n%s", data)
+	want, err := os.ReadFile(filepath.Join("testdata", "fig1.dot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("DOT output drifted from testdata/fig1.dot\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
