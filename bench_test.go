@@ -167,20 +167,6 @@ func BenchmarkAblationInterrupt(b *testing.B) {
 	}
 }
 
-func BenchmarkOverlay(b *testing.B) {
-	b.ReportAllocs()
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Overlay(o, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := r.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimulateDefaultTree measures the raw engine: one paper-scale
 // random tree, 10,000 tasks, the headline IC FB=3 protocol.
 func BenchmarkSimulateDefaultTree(b *testing.B) {

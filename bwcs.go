@@ -23,10 +23,8 @@
 //     simulated deterministically by Simulate.
 //   - The paper's steady-state detection methodology (sliding growing
 //     windows, exact rational comparisons) via Evaluate and RateSeries.
-//   - The paper's random platform generator (GenerateTree), its example
-//     platform (ExampleTree), and overlay-construction strategies over
-//     physical host graphs (the internal/overlay package, surfaced through
-//     the bwexp command).
+//   - The paper's random platform generator (GenerateTree) and its example
+//     platform (ExampleTree).
 //
 // # Quick start
 //

@@ -1,6 +1,6 @@
 // Command bwexp reproduces the paper's evaluation: every figure and table
-// of Section 4, plus the ablation and overlay studies described in
-// DESIGN.md.
+// of Section 4, plus the ablation, churn, detector and fairness studies
+// described in DESIGN.md.
 //
 // Usage:
 //
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"bwcs/internal/experiments"
-	"bwcs/internal/export"
 )
 
 // writeCSVs writes each population into dir as prefix_<protocol>.csv.
@@ -44,7 +43,7 @@ func writeCSVs(dir, prefix string, pops []experiments.Population) error {
 		p := &pops[i]
 		name := fmt.Sprintf("%s_%s.csv", prefix, sanitize(p.Protocol.Label))
 		if err := writeFile(dir, name, func(w io.Writer) error {
-			return export.PopulationCSV(w, p)
+			return populationCSV(w, p)
 		}); err != nil {
 			return err
 		}
@@ -105,13 +104,12 @@ type renderer interface{ Render(io.Writer) error }
 // the raw flags a few experiments consult for their own defaults, and
 // the Figure 4 run that Table 1 and Figure 6 share.
 type env struct {
-	o      experiments.Options
-	trees  int   // -trees as given (0 = unset)
-	tasks  int64 // -tasks as given (0 = unset)
-	paper  bool
-	graphs int
-	churn  int
-	f4     *experiments.Fig4Result // set by the first fig4 call
+	o     experiments.Options
+	trees int   // -trees as given (0 = unset)
+	tasks int64 // -tasks as given (0 = unset)
+	paper bool
+	churn int
+	f4    *experiments.Fig4Result // set by the first fig4 call
 }
 
 // fig4 runs Figure 4 once; its populations also back Table 1 and
@@ -146,7 +144,7 @@ var experimentTable = []experiment{
 			if err := writeCSVs(dir, "fig4", pops); err != nil {
 				return err
 			}
-			return writeFile(dir, "fig4.json", func(w io.Writer) error { return export.PopulationsJSON(w, pops) })
+			return writeFile(dir, "fig4.json", func(w io.Writer) error { return populationsJSON(w, pops) })
 		}},
 	{id: "table1", inAll: true, run: func(e *env) (renderer, error) {
 		r4, err := e.fig4()
@@ -212,8 +210,6 @@ var experimentTable = []experiment{
 		}
 		return experiments.Fairness(o)
 	}},
-	{id: "overlay", inAll: true, run: func(e *env) (renderer, error) { return experiments.Overlay(e.o, e.graphs) }},
-	{id: "overlay-improve", inAll: true, run: func(e *env) (renderer, error) { return experiments.OverlayImprove(e.o, e.graphs/3+1, 0) }},
 }
 
 // experimentIDs returns the table's ids in order, every one or only the
@@ -286,7 +282,6 @@ func run(args []string, out io.Writer) error {
 		seed      = fs.Uint64("seed", 0, "generator seed (0 = default)")
 		threshold = fs.Int("threshold", -1, "onset window threshold (-1 = paper's 300)")
 		workers   = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		graphs    = fs.Int("graphs", 60, "host graphs for the overlay study")
 		churn     = fs.Int("churn", 6, "churn events per run for the churn study")
 		paper     = fs.Bool("paper", false, "use the paper's full scale (25000 trees, 10000 tasks)")
 		quiet     = fs.Bool("q", false, "suppress progress timing")
@@ -299,6 +294,12 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *trees < 0 {
+		return fmt.Errorf("-trees %d < 0 (0 = experiment default)", *trees)
+	}
+	if *tasks < 0 {
+		return fmt.Errorf("-tasks %d < 0 (0 = experiment default)", *tasks)
 	}
 
 	ids := strings.Split(*exp, ",")
@@ -374,7 +375,7 @@ func run(args []string, out io.Writer) error {
 		o.Workers = *workers
 	}
 
-	e := &env{trees: *trees, tasks: *tasks, paper: *paper, graphs: *graphs, churn: *churn}
+	e := &env{trees: *trees, tasks: *tasks, paper: *paper, churn: *churn}
 	dests := map[string]string{"csv": *csvDir, "json": *jsonOut} // artifact flag → its value
 	for i, x := range selected {
 		if i > 0 {

@@ -27,8 +27,6 @@ func TestEachExperimentRenders(t *testing.T) {
 		"churn":              {"-trees", "3", "-churn", "2"},
 		"detector":           {"-trees", "3"},
 		"fairness":           {"-trees", "2"},
-		"overlay":            {"-graphs", "4"},
-		"overlay-improve":    {"-graphs", "4"},
 	}
 	markers := map[string]string{
 		"fig3": "Figure 3(a)", "fig4": "Figure 4", "table1": "Table 1",
@@ -38,7 +36,6 @@ func TestEachExperimentRenders(t *testing.T) {
 		"ablation-policy": "Ablation", "ablation-interrupt": "Ablation",
 		"ablation-decay": "decay", "churn": "Churn study",
 		"detector": "Detector", "fairness": "Fairness",
-		"overlay": "Overlay construction", "overlay-improve": "Overlay local search",
 	}
 	for _, x := range experimentTable {
 		t.Run(x.id, func(t *testing.T) {
@@ -153,7 +150,7 @@ func TestDeclaredArtifactsAreWritten(t *testing.T) {
 // TestAllMatchesGolden pins every experiment's rendered text at a small
 // scale, byte for byte. Regenerate after a deliberate output change with
 //
-//	go run ./cmd/bwexp -exp all -q -trees 8 -tasks 600 -graphs 3 -churn 2 > cmd/bwexp/testdata/all.golden
+//	go run ./cmd/bwexp -exp all -q -trees 8 -tasks 600 -churn 2 > cmd/bwexp/testdata/all.golden
 func TestAllMatchesGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
 	if err != nil {
@@ -161,7 +158,7 @@ func TestAllMatchesGolden(t *testing.T) {
 	}
 	for _, workers := range []string{"1", "0"} {
 		var b strings.Builder
-		if err := run([]string{"-exp", "all", "-q", "-trees", "8", "-tasks", "600", "-graphs", "3", "-churn", "2", "-workers", workers}, &b); err != nil {
+		if err := run([]string{"-exp", "all", "-q", "-trees", "8", "-tasks", "600", "-churn", "2", "-workers", workers}, &b); err != nil {
 			t.Fatalf("-workers %s: %v", workers, err)
 		}
 		if got := b.String(); got != string(want) {
@@ -202,6 +199,24 @@ func firstDiffLine(a, b string) int {
 		}
 	}
 	return min(len(al), len(bl)) + 1
+}
+
+// TestNegativeSizesRejected pins that a negative -trees or -tasks fails
+// before anything runs instead of silently running the experiment's
+// default size; 0 stays "experiment default".
+func TestNegativeSizesRejected(t *testing.T) {
+	for _, c := range []struct{ flag, value, want string }{
+		{"-trees", "-1", "-trees -1 < 0"},
+		{"-tasks", "-5", "-tasks -5 < 0"},
+	} {
+		var b strings.Builder
+		if err := run([]string{"-exp", "fig3", c.flag, c.value}, &b); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %s: err = %v, want %q", c.flag, c.value, err, c.want)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%s %s: ran before rejecting:\n%s", c.flag, c.value, b.String())
+		}
+	}
 }
 
 func TestUnknownExperiment(t *testing.T) {

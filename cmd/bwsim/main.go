@@ -56,6 +56,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *tasks < 1 {
+		return fmt.Errorf("-tasks %d < 1", *tasks)
+	}
 
 	var t *tree.Tree
 	var err error

@@ -56,6 +56,15 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-in", "/does/not/exist"}, &b); err == nil {
 		t.Fatalf("missing file accepted")
 	}
+	// A run of no tasks has no rate to report (it printed NaN).
+	for _, n := range []string{"0", "-3"} {
+		if err := run([]string{"-example", "-tasks", n}, &b); err == nil || !strings.Contains(err.Error(), "-tasks") {
+			t.Fatalf("-tasks %s: err = %v, want a -tasks error", n, err)
+		}
+	}
+	if b.Len() != 0 {
+		t.Fatalf("rejected runs printed a report:\n%s", b.String())
+	}
 }
 
 // traceGoldenArgs are the runs whose whole report, Gantt view included,

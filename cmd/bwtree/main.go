@@ -19,7 +19,6 @@ import (
 
 	"bwcs"
 
-	"bwcs/internal/dot"
 	"bwcs/internal/optimal"
 	"bwcs/internal/randtree"
 	"bwcs/internal/tree"
@@ -102,7 +101,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := dot.Write(f, t, dot.Options{Allocation: optimal.Compute(t)}); err != nil {
+		if err := writeDOT(f, t, optimal.Compute(t)); err != nil {
 			f.Close()
 			return err
 		}

@@ -282,6 +282,46 @@ func TestPropertyMonotonicity(t *testing.T) {
 	}
 }
 
+// TestPropertyPruneStarved: deleting every subtree the optimal schedule
+// sends no tasks changes nothing optimal — the rate, and each surviving
+// node's rate, stay exactly equal. (The protocol's completion stream does
+// change: starved nodes still compute tasks.)
+func TestPropertyPruneStarved(t *testing.T) {
+	p := randtree.Defaults()
+	pruned := 0
+	for i := 0; i < 400; i++ {
+		tr := randtree.TreeAt(p, 2003, i)
+		a := Compute(tr)
+		// Keep the root and every fed node; walk order puts a parent
+		// before its children, and a fed node's parent is fed.
+		kept := tree.New(tr.W(tr.Root()))
+		newID := map[tree.NodeID]tree.NodeID{tr.Root(): kept.Root()}
+		tr.Walk(func(id tree.NodeID) bool {
+			if id != tr.Root() && !a.InflowRate[id].IsZero() {
+				newID[id] = kept.AddChild(newID[tr.Parent(id)], tr.W(id), tr.C(id))
+			}
+			return true
+		})
+		if kept.Len() == tr.Len() {
+			continue
+		}
+		pruned++
+		b := Compute(kept)
+		if !b.Rate.Equal(a.Rate) {
+			t.Fatalf("tree %d: pruning starved subtrees moved the rate %v -> %v", i, a.Rate, b.Rate)
+		}
+		for id, nid := range newID {
+			if !b.NodeRate[nid].Equal(a.NodeRate[id]) {
+				t.Fatalf("tree %d: node %d's rate moved %v -> %v", i, id, a.NodeRate[id], b.NodeRate[nid])
+			}
+		}
+	}
+	t.Logf("%d of 400 trees had a starved subtree", pruned)
+	if pruned < 100 {
+		t.Fatalf("only %d of 400 trees had a starved subtree; the check is near vacuous", pruned)
+	}
+}
+
 func TestPropertyForkMatchesCompute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	for i := 0; i < 60; i++ {
