@@ -57,7 +57,7 @@ func run(args []string) error {
 		tasks     = fs.Int("tasks", 0, "root only: number of tasks to dispatch")
 		size      = fs.Int("size", 4096, "root only: task payload bytes")
 		timeout   = fs.Duration("timeout", 10*time.Minute, "root only: run deadline")
-		status    = fs.String("status", "", "serve /status (JSON), /metrics (Prometheus), /debug/events (flight recorder), /timeline (sampled telemetry) and /debug/pprof at this address (e.g. 127.0.0.1:8080)")
+		status    = fs.String("status", "", "serve /status (JSON), /debug/events (flight recorder), /timeline (sampled telemetry) and /debug/pprof at this address (e.g. 127.0.0.1:8080)")
 		traceOut  = fs.String("trace-out", "", "write the node's flight-recorder dump (JSON) to this file on exit; merge dumps with bwtrace")
 		recorder  = fs.Int("recorder", 0, "flight-recorder ring capacity in events (0 keeps the node's default, negative disables)")
 		timeline  = fs.Duration("timeline", 0, "telemetry sampling interval for /timeline (0 keeps the node's default, negative disables)")
@@ -117,8 +117,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s status at http://%s/status, metrics at http://%s/metrics, pprof at http://%s/debug/pprof/\n",
-			*name, addr, addr, addr)
+		fmt.Printf("%s status at http://%s/status, pprof at http://%s/debug/pprof/\n", *name, addr, addr)
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)

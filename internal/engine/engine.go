@@ -30,7 +30,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -126,16 +125,6 @@ type Config struct {
 	Mutations   []Mutation
 	Attachments []AttachMutation
 	Departures  []DepartMutation
-
-	// MaxSteps aborts the run after this many simulator events when
-	// positive, as a runaway guard.
-	MaxSteps uint64
-
-	// Ctx, when non-nil, is checked for cancellation every few thousand
-	// simulator events, so long sweeps over large platforms can be
-	// abandoned (deadlines, ctrl-c) without waiting for the run to
-	// drain. A nil Ctx runs to completion, the zero-cost default.
-	Ctx context.Context
 
 	// Tracer, when non-nil, receives every scheduling action as the core
 	// decides it, before its consequences (the requests a freed buffer
@@ -456,9 +445,9 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 }
 
 // Run simulates cfg to completion and returns the result. It returns an
-// error if the configuration is invalid, the run exceeds MaxSteps, or the
-// simulation deadlocks before all tasks complete (which would indicate an
-// engine bug; the test suite exercises this path with fault injection).
+// error if the configuration is invalid or the simulation deadlocks
+// before all tasks complete (which would indicate an engine bug; the test
+// suite exercises this path with fault injection).
 func Run(cfg Config) (*Result, error) {
 	return NewRunner().Run(cfg)
 }
@@ -549,12 +538,7 @@ func (e *engine) run(cfg Config) (*Result, error) {
 		e.trySchedule(int32(id))
 	}
 
-	if err := e.runEvents(); err != nil {
-		return nil, err
-	}
-	if cfg.MaxSteps > 0 && e.s.Steps() >= cfg.MaxSteps && e.completed < e.totalTasks {
-		return nil, fmt.Errorf("engine: aborted after %d steps with %d/%d tasks complete", e.s.Steps(), e.completed, e.totalTasks)
-	}
+	e.s.Run(0)
 	if e.completed != e.totalTasks {
 		return nil, fmt.Errorf("engine: deadlock: simulation drained with %d/%d tasks complete", e.completed, e.totalTasks)
 	}
@@ -603,41 +587,6 @@ func (e *engine) run(cfg Config) (*Result, error) {
 		res.Timeline = e.timelineResult()
 	}
 	return res, nil
-}
-
-// ctxCheckEvery is how many simulator events fire between cancellation
-// checks — coarse enough that the check is free relative to event
-// handling, fine enough that cancellation lands within microseconds.
-const ctxCheckEvery = 4096
-
-// runEvents drains the event queue, honoring MaxSteps and, when a
-// context is configured, polling it for cancellation between batches.
-func (e *engine) runEvents() error {
-	if e.cfg.Ctx == nil {
-		e.s.Run(e.cfg.MaxSteps)
-		return nil
-	}
-	var fired uint64
-	for {
-		if err := e.cfg.Ctx.Err(); err != nil {
-			return fmt.Errorf("engine: run canceled after %d events with %d/%d tasks complete: %w",
-				e.s.Steps(), e.completed, e.totalTasks, err)
-		}
-		limit := uint64(ctxCheckEvery)
-		if e.cfg.MaxSteps > 0 {
-			if rem := e.cfg.MaxSteps - fired; rem < limit {
-				limit = rem
-			}
-			if limit == 0 {
-				return nil
-			}
-		}
-		k := e.s.Run(limit)
-		fired += k
-		if k < limit {
-			return nil // queue drained
-		}
-	}
 }
 
 // initNodes (re)builds runtime state for tree nodes with ID >= from,

@@ -401,15 +401,6 @@ func TestUsedHelpers(t *testing.T) {
 	}
 }
 
-func TestMaxStepsAborts(t *testing.T) {
-	tr := tree.New(5)
-	tr.AddChild(tr.Root(), 5, 1)
-	_, err := Run(Config{Tree: tr, Protocol: protocol.Interruptible(1), Tasks: 10000, MaxSteps: 10})
-	if err == nil {
-		t.Fatalf("MaxSteps did not abort")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	good := func() Config {
 		tr := tree.New(5)

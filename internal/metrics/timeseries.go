@@ -1,3 +1,7 @@
+// Package metrics holds TimeSeries and Sampler, the bounded time-series
+// ring behind the engine and live timelines. There are no instruments and
+// no registry: the engine and the live node keep their counters as plain
+// struct fields (engine.Metrics, live.Stats).
 package metrics
 
 import (

@@ -21,8 +21,9 @@ func Weight(w int64) int64 {
 // smooth weighted round-robin over the applications with a task there.
 // Applications are the driver's, indexed densely from 0: credit[a] is
 // application a's entry in the node's ledger, weight[a] its configured
-// weight (see Weight) and tasks[a] how many of its tasks the node holds.
-// key(a) is a's tie key; a nil key ties by index.
+// weight (see Weight; a nil weight weighs every application 1) and
+// tasks[a] how many of its tasks the node holds. key(a) is a's tie key; a
+// nil key ties by index.
 //
 // Each application with a task is credited its weight, the richest is
 // served — on a tie, the one with the smallest key — and pays back the
@@ -44,7 +45,10 @@ func pickTenant(credit, weight, tasks []int64, key func(a int) uint64) int {
 		if tasks[a] <= 0 {
 			continue
 		}
-		w := Weight(weight[a])
+		w := int64(1)
+		if weight != nil {
+			w = Weight(weight[a])
+		}
 		credit[a] += w
 		total += w
 		if best < 0 || credit[a] > credit[best] || credit[a] == credit[best] && key != nil && key(a) < key(best) {

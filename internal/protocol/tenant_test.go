@@ -96,6 +96,9 @@ func (r *scanPool) pop() tenantTask {
 type tenantDiffer struct {
 	t       testing.TB
 	weights []int64
+	// pickWeights is what PickTenant is given: weights, or nil, which
+	// must weigh every application 1.
+	pickWeights []int64
 
 	// Counts: the picker's ledger, the reference's, the task counts and
 	// the popped applications a requeue returns.
@@ -114,7 +117,7 @@ type tenantDiffer struct {
 
 func newTenantDiffer(t testing.TB, weights []int64) *tenantDiffer {
 	n := len(weights)
-	return &tenantDiffer{t: t, weights: weights,
+	return &tenantDiffer{t: t, weights: weights, pickWeights: weights,
 		credit: make([]int64, n), refCredit: make([]int64, n), counts: make([]int64, n),
 		qCredit: make([]int64, n), queues: make([][][2]int, n), scan: scanPool{weights: weights}}
 }
@@ -134,7 +137,7 @@ func (d *tenantDiffer) pop() {
 	for a, w := range d.weights {
 		normalized[a] = max(w, 1)
 	}
-	got := PickTenant(d.credit, d.weights, d.counts, nil)
+	got := PickTenant(d.credit, d.pickWeights, d.counts, nil)
 	if want := countPick(d.counts, d.refCredit, normalized); got != want || !slices.Equal(d.credit, d.refCredit) {
 		d.t.Fatalf("by count: picked %d with credit %v, reference %d with %v", got, d.credit, want, d.refCredit)
 	}
@@ -145,7 +148,7 @@ func (d *tenantDiffer) pop() {
 	for a, q := range d.queues {
 		lens[a] = int64(len(q))
 	}
-	q := PickTenant(d.qCredit, d.weights, lens, func(a int) uint64 { return uint64(d.queues[a][0][1]) })
+	q := PickTenant(d.qCredit, d.pickWeights, lens, func(a int) uint64 { return uint64(d.queues[a][0][1]) })
 	task := tenantTask{id: d.queues[q][0][0], app: q}
 	d.queues[q] = d.queues[q][1:]
 	want := d.scan.pop()
@@ -214,6 +217,10 @@ func TestTenantPickMatchesReferences(t *testing.T) {
 		}
 		weights, ops := tenantInput(data)
 		newTenantDiffer(t, weights).run(ops)
+		// A nil weight slice weighs every application 1, as zeros do.
+		d := newTenantDiffer(t, make([]int64, len(weights)))
+		d.pickWeights = nil
+		d.run(ops)
 	}
 }
 

@@ -16,8 +16,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"bwcs/internal/loader"
 )
 
 // discardAllowlist names, as "file:callee", each deliberate site in
@@ -33,10 +31,9 @@ var discardAllowlist = map[string]string{
 // (which fail only on a closed socket, reported by the next I/O call) are
 // matched by name, fmt printing by prefix.
 var teardownCallees = map[string]string{
-	"(*bufio.Writer).Flush":                            "teardown flush on a conn already being closed",
-	"(*net/http.Server).Serve":                         "returns ErrServerClosed on orderly shutdown",
-	"(*encoding/json.Encoder).Encode":                  "status-server response write: the client went away",
-	"(bwcs/internal/metrics.Snapshot).WritePrometheus": "status-server response write: the client went away",
+	"(*bufio.Writer).Flush":           "teardown flush on a conn already being closed",
+	"(*net/http.Server).Serve":        "returns ErrServerClosed on orderly shutdown",
+	"(*encoding/json.Encoder).Encode": "status-server response write: the client went away",
 }
 
 // wrapVerb finds a %w verb once every %% is removed.
@@ -48,7 +45,7 @@ var wrapVerb = regexp.MustCompile(`%[-+# 0-9.*\[\]]*w`)
 // discardAllowlist, and fmt.Errorf with an error argument must wrap it
 // with %w so errors.Is/As see through.
 func TestNoDiscardedErrors(t *testing.T) {
-	l, err := loader.New(".")
+	l, err := newLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}

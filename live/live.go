@@ -74,7 +74,8 @@ import (
 // Task is one unit of application work. App names the application
 // (tenant) the task belongs to; empty for single-application runs. The
 // tag rides every chunk of the task's payload, so per-tenant accounting
-// and weighted sharing work at every node of the overlay.
+// and round-robin sharing between tenants work at every node of the
+// overlay.
 type Task struct {
 	ID      uint64
 	Payload []byte
@@ -354,7 +355,6 @@ func Start(name string, opts ...Option) (*Node, error) {
 		cfg:       cfg,
 		root:      cfg.parent == "",
 		started:   time.Now(),
-		buffer:    taskPool{weights: cfg.appWeights},
 		computing: make(map[uint64]bool),
 		inbox:     make(chan input, 64),
 		portJobs:  make(chan []portWrite, 1),
@@ -477,12 +477,12 @@ func (n *Node) Stats() Stats {
 	return n.snapshot().Stats
 }
 
-// snapshot is the one source of Stats, /status, /metrics and the sampler:
+// snapshot is the one source of Stats, /status and the sampler:
 // built by the owner, or from the state it left once it has stopped.
-func (n *Node) snapshot() StatusSnapshot {
-	var v StatusSnapshot
+func (n *Node) snapshot() statusSnapshot {
+	var v statusSnapshot
 	build := func() {
-		v = StatusSnapshot{Name: n.cfg.name, Root: n.root, Buffered: n.buffer.len(), Stats: n.stats,
+		v = statusSnapshot{Name: n.cfg.name, Root: n.root, Buffered: n.buffer.len(), Stats: n.stats,
 			Links: map[string]float64{}, Connected: n.root || n.parent != nil}
 		v.Stats.ByChild, v.Stats.PerApp = maps.Clone(n.stats.ByChild), maps.Clone(n.stats.PerApp)
 		v.Stats.MaxQueued = n.buffer.peak
@@ -1535,8 +1535,8 @@ func (n *Node) retireResult(task uint64, origin string) {
 // The uplink writer sends what is owed, as one frame, whenever there is a
 // parent. app tags the request with the application whose freed buffer
 // fired it — informational, exactly like the engine: requests grant
-// anonymous capacity, the parent's own weighted round-robin decides whose
-// task fills it.
+// anonymous capacity, the parent's own round-robin between tenants decides
+// whose task fills it.
 func (n *Node) freed(t protocol.Take, app string) {
 	for _, owed := range [...]bool{t.Request, t.Grew} {
 		if owed {

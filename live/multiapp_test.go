@@ -30,7 +30,6 @@ func TestTwoAppsShareOverlay(t *testing.T) {
 		WithListen("127.0.0.1:0"), WithBuffers(3),
 		WithCompute(echoCompute(20*time.Millisecond)), // slow root: work flows down
 		WithChunkSize(512),
-		WithAppWeights(map[string]int64{"alpha": 2, "beta": 1}),
 	)
 	w1 := startNode(t, "w1",
 		WithParent(root.Addr()), WithBuffers(3),
@@ -103,7 +102,6 @@ func TestTwoAppsSeverReviveExactlyOnce(t *testing.T) {
 		WithCompute(echoCompute(25*time.Millisecond)),
 		WithChunkSize(256),
 		WithReconnectGrace(-1), // reclaim a dead child's tasks immediately
-		WithAppWeights(map[string]int64{"alpha": 1, "beta": 3}),
 	)
 	sever := NewFaultPlan(FaultRule{
 		Link: "parent", Dir: FaultRecv, Kind: FrameChunk,
@@ -176,61 +174,6 @@ func TestTwoAppsSeverReviveExactlyOnce(t *testing.T) {
 	t.Logf("requeued %d (tagged %d), per-app %v", st.Requeued, requeuedTagged, perApp)
 }
 
-// TestWeightedDispatchOrder pins the WRR pop deterministically: with
-// two applications buffered and weights 3:1, the pool serves the heavy
-// app three times as often, in the smooth-WRR order, while a uniform
-// buffer stays strict FIFO.
-func TestWeightedDispatchOrder(t *testing.T) {
-	n := &Node{buffer: taskPool{weights: map[string]int64{"heavy": 3, "light": 1}}}
-	for i := 0; i < 8; i++ {
-		app := "heavy"
-		if i >= 6 {
-			app = "light"
-		}
-		n.buffer.push(Task{ID: uint64(i + 1), App: app})
-	}
-	var order []string
-	for n.buffer.len() > 0 {
-		order = append(order, n.buffer.pop().App)
-	}
-	// Smooth WRR with weights 3:1 over 4 slots: heavy, heavy, light, heavy.
-	want := []string{"heavy", "heavy", "light", "heavy", "heavy", "heavy", "light", "heavy"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dispatch order %v, want %v", order, want)
-		}
-	}
-
-	// Uniform buffer: FIFO, no credit ledger involvement.
-	n2 := &Node{}
-	for i := 0; i < 4; i++ {
-		n2.buffer.push(Task{ID: uint64(i + 1), App: "only"})
-	}
-	for i := 0; i < 4; i++ {
-		if got := n2.buffer.pop().ID; got != uint64(i+1) {
-			t.Fatalf("uniform buffer popped %d at %d", got, i)
-		}
-	}
-	if c := n2.buffer.credit; len(c) != 1 || c[0] != 0 {
-		t.Fatalf("uniform buffer moved its credit ledger: %v", c)
-	}
-}
-
-// TestStartRejectsNegativeAppWeight: a negative application weight is an
-// error, as a negative Workload.Weight is in the engine; zero and missing
-// entries weigh 1.
-func TestStartRejectsNegativeAppWeight(t *testing.T) {
-	if n, err := Start("r", WithCompute(echoCompute(0)), WithAppWeights(map[string]int64{"a": 2, "b": -1})); err == nil {
-		n.Close()
-		t.Fatal("Start accepted a negative application weight")
-	}
-	n, err := Start("r", WithCompute(echoCompute(0)), WithAppWeights(map[string]int64{"a": 0, "b": 2}))
-	if err != nil {
-		t.Fatalf("Start rejected a zero application weight: %v", err)
-	}
-	n.Close()
-}
-
 // TestLedgerDedupeCountsPerApp pins the per-application side of a
 // ledger-level duplicate: a result already pending in the unacked ledger
 // is suppressed and counted under its application as well as in total,
@@ -246,43 +189,5 @@ func TestLedgerDedupeCountsPerApp(t *testing.T) {
 	}
 	if got, app := n.stats.ResultsDeduped, n.stats.PerApp["alpha"].Deduped; got != 1 || app != 1 {
 		t.Fatalf("deduped: total %d, app alpha %d; want 1 and 1", got, app)
-	}
-}
-
-// TestPerAppMetricsExposition asserts the /metrics per-application
-// families: a tagged run exposes one labeled sample per app per family,
-// equal to the Stats.PerApp counters (an untagged run exposes none —
-// covered by TestMetricsEndpointMatchesStats's full-exposition sweep).
-func TestPerAppMetricsExposition(t *testing.T) {
-	root := startNode(t, "root",
-		WithListen("127.0.0.1:0"), WithBuffers(2),
-		WithCompute(echoCompute(2*time.Millisecond)),
-	)
-	addr, err := root.ServeStatus("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ServeStatus: %v", err)
-	}
-	if _, err := runWithin(root, makeAppTasks(20, 256, "alpha", "beta"), 30*time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	got := scrape(t, "http://"+addr+"/metrics")
-	st := root.Stats()
-	for app, a := range st.PerApp {
-		for name, want := range map[string]int64{
-			"live_app_tasks_computed_total":    a.Computed,
-			"live_app_results_collected_total": a.Collected,
-			"live_app_tasks_forwarded_total":   a.Forwarded,
-			"live_app_tasks_received_total":    a.Received,
-			"live_app_tasks_requeued_total":    a.Requeued,
-			"live_app_results_deduped_total":   a.Deduped,
-		} {
-			key := name + `{app="` + app + `"}`
-			if got[key] != want {
-				t.Errorf("%s = %d, want %d", key, got[key], want)
-			}
-		}
-	}
-	if st.PerApp["alpha"].Computed+st.PerApp["beta"].Computed != 20 {
-		t.Fatalf("per-app computed %v does not cover the run", st.PerApp)
 	}
 }

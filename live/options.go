@@ -19,10 +19,9 @@ type config struct {
 	compute  ComputeFunc
 	protocol protocol.Protocol // the paper's two choices: interruptible, and FB
 
-	chunkSize  int // payload bytes streamed per send-port turn and chunk
-	linkDelay  func(childName string) time.Duration
-	appWeights map[string]int64
-	faults     *FaultPlan
+	chunkSize int // payload bytes streamed per send-port turn and chunk
+	linkDelay func(childName string) time.Duration
+	faults    *FaultPlan
 
 	heartbeat         time.Duration // per-link supervision period
 	heartbeatMisses   int           // consecutive silent periods that sever a link
@@ -79,11 +78,6 @@ func (c *config) check() error {
 	}
 	if err := c.protocol.Validate(); err != nil {
 		return fmt.Errorf("live: %w", err)
-	}
-	for app, w := range c.appWeights {
-		if w < 0 {
-			return fmt.Errorf("live: application %q: negative weight %d", app, w)
-		}
 	}
 	return nil
 }
@@ -195,17 +189,6 @@ func WithReconnectGrace(d time.Duration) Option {
 	return func(c *config) { c.reconnectGrace = orOff(d, c.reconnectGrace) }
 }
 
-// WithAppWeights sets per-application sharing weights: when tasks of
-// several applications sit buffered at once, the node dispatches them by
-// weighted round-robin over the applications present, proportional to
-// these weights (missing or zero entries weigh 1; default all 1, plain
-// round-robin among tenants). A negative weight makes Start fail. Child
-// selection stays purely bandwidth-centric — weights decide whose task
-// moves, the measured link priority decides where.
-func WithAppWeights(weights map[string]int64) Option {
-	return func(c *config) { c.appWeights = weights }
-}
-
 // WithFaultPlan installs a deterministic fault-injection script consulted
 // on every frame this node sends or receives; default none. See
 // FaultPlan.
@@ -216,7 +199,7 @@ func WithFaultPlan(p *FaultPlan) Option {
 // WithRecorderCapacity sets the flight recorder's ring capacity in
 // events; default 8192, negative disables the recorder entirely. When the
 // ring wraps, the oldest events are evicted and counted in
-// Stats.RecorderDropped (live_recorder_dropped_total on /metrics), so a
+// Stats.RecorderDropped (also on /status), so a
 // dump always holds the most recent window. Dumps are served by
 // /debug/events and Node.TraceDump.
 func WithRecorderCapacity(events int) Option {

@@ -12,18 +12,16 @@ import "bwcs/internal/protocol"
 // never pins a dispatched payload. A single-application node is the
 // one-tag case of the same code.
 //
-// The zero value is an empty pool in which every application weighs 1.
-// A pool is not safe for concurrent use; a Node's owner goroutine holds its own.
+// Every application weighs 1, so the picker alternates between the
+// applications present. The zero value is an empty pool. A pool is not
+// safe for concurrent use; a Node's owner goroutine holds its own.
 type taskPool struct {
-	weights map[string]int64 // the node's WithAppWeights; never written
 	// queues holds one queue per application seen, in first-seen order;
-	// count, weight and credit are indexed alike: each application's
-	// buffered tasks, configured weight and tenant-picker ledger entry. An
-	// application keeps its ring and its credit while it has nothing
-	// buffered.
+	// count and credit are indexed alike: each application's buffered
+	// tasks and tenant-picker ledger entry. An application keeps its ring
+	// and its credit while it has nothing buffered.
 	queues []appQueue
 	count  []int64
-	weight []int64
 	credit []int64
 	seq    uint64 // arrival stamps issued so far
 	size   int    // tasks buffered
@@ -108,7 +106,6 @@ func (p *taskPool) queue(app string) int {
 	}
 	p.queues = append(p.queues, appQueue{app: app})
 	p.count = append(p.count, 0)
-	p.weight = append(p.weight, p.weights[app])
 	p.credit = append(p.credit, 0)
 	return len(p.queues) - 1
 }
@@ -118,7 +115,7 @@ func (p *taskPool) queue(app string) int {
 // to the one whose oldest task arrived first. Callers guarantee the pool
 // is non-empty.
 func (p *taskPool) pop() Task {
-	i := protocol.PickTenant(p.credit, p.weight, p.count, func(a int) uint64 { return p.queues[a].at(0).seq })
+	i := protocol.PickTenant(p.credit, nil, p.count, func(a int) uint64 { return p.queues[a].at(0).seq })
 	q := &p.queues[i]
 	slot := q.at(0)
 	t := slot.task

@@ -11,7 +11,6 @@ import (
 // the old Node.popTaskLocked verbatim but for the receiver. Its pop costs
 // O(buffered); that is the point.
 type slicePool struct {
-	weights   map[string]int64
 	buffer    []Task
 	appCredit map[string]int64
 	peak      int
@@ -22,13 +21,6 @@ func (n *slicePool) push(t Task) {
 	if q := len(n.buffer); q > n.peak {
 		n.peak = q
 	}
-}
-
-func (n *slicePool) appWeight(app string) int64 {
-	if w := n.weights[app]; w > 0 {
-		return w
-	}
-	return 1
 }
 
 func (n *slicePool) pop() Task {
@@ -58,9 +50,8 @@ func (n *slicePool) pop() Task {
 	var total int64
 	best := ""
 	for _, app := range order {
-		w := n.appWeight(app)
-		n.appCredit[app] += w
-		total += w
+		n.appCredit[app]++ // every application weighs 1
+		total++
 		if best == "" || n.appCredit[app] > n.appCredit[best] {
 			best = app
 		}
@@ -85,7 +76,7 @@ func (p *taskPool) creditOf(app string) int64 {
 
 // TestPoolMatchesSliceScan drives the pool and the slice-and-scan oracle
 // with the same seeded sequence of pushes (single and bulk), pops and
-// requeues over one to four application tags of unequal weight: the same
+// requeues over one to four application tags: the same
 // task must come out of every pop, with the same credit ledger, length
 // and high-water mark on both sides. The load swings between filling and
 // draining, so tags leave the pool and return with their credit, and
@@ -95,7 +86,6 @@ func TestPoolMatchesSliceScan(t *testing.T) {
 	// mark and so passed over the untagged application whenever a tagged
 	// one followed it; see TestPoolServesUntaggedAmongTagged.
 	tags := []string{"a", "b", "c", "d"}
-	weights := map[string]int64{"a": 3, "b": 1, "c": -2} // c and d weigh the default 1
 	ops := 12000
 	if testing.Short() {
 		ops = 3000
@@ -104,8 +94,8 @@ func TestPoolMatchesSliceScan(t *testing.T) {
 		for k := 1; k <= len(tags); k++ {
 			t.Run(fmt.Sprintf("seed%d/tags%d", seed, k), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				pool := taskPool{weights: weights}
-				ref := slicePool{weights: weights}
+				var pool taskPool
+				var ref slicePool
 				var popped []Task // candidates for a requeue
 				nextID := uint64(0)
 				for op := 0; op < ops; op++ {
@@ -207,7 +197,7 @@ func TestPoolZeroesPoppedSlots(t *testing.T) {
 // filledPool buffers size tasks dealt round-robin over the first k tags.
 func filledPool(size, k int) *taskPool {
 	tags := []string{"a", "b", "c"}[:k]
-	p := &taskPool{weights: map[string]int64{"a": 3, "b": 1, "c": 2}}
+	p := &taskPool{}
 	for i := 0; i < size; i++ {
 		p.push(Task{ID: uint64(i + 1), App: tags[i%k]})
 	}

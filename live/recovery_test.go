@@ -280,9 +280,6 @@ func TestOptionsDefaults(t *testing.T) {
 		{"WithReconnectGrace(-1)", WithReconnectGrace(-1), func(c *config) { c.reconnectGrace = 0 }},
 		{"WithReconnectGrace(0)", WithReconnectGrace(0), same},
 		{"WithReconnectGrace(2s)", WithReconnectGrace(2 * time.Second), func(c *config) { c.reconnectGrace = 2 * time.Second }},
-		{"WithAppWeights(negative)", WithAppWeights(map[string]int64{"a": -1}), nil},
-		{"WithAppWeights(nil)", WithAppWeights(nil), same},
-		{"WithAppWeights(a=2)", WithAppWeights(map[string]int64{"a": 2}), func(c *config) { c.appWeights = map[string]int64{"a": 2} }},
 		{"WithFaultPlan(nil)", WithFaultPlan(nil), same},
 		{"WithFaultPlan(plan)", WithFaultPlan(plan), func(c *config) { c.faults = plan }},
 		{"WithRecorderCapacity(-1)", WithRecorderCapacity(-1), func(c *config) { c.recorderCap = 0 }},

@@ -7,14 +7,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"time"
-
-	"bwcs/internal/metrics"
 )
 
-// StatusSnapshot is the JSON document served by the status endpoint.
-type StatusSnapshot struct {
+// statusSnapshot is the JSON document served by the status endpoint.
+type statusSnapshot struct {
 	Name     string             `json:"name"`
 	Root     bool               `json:"root"`
 	Buffered int                `json:"buffered"`
@@ -38,8 +35,8 @@ type statusServer struct {
 // address (use "127.0.0.1:0" for an ephemeral port; the chosen address
 // is returned):
 //
-//	/status        the node's statistics as JSON (StatusSnapshot)
-//	/metrics       the same counters in Prometheus text format
+//	/status        the node's statistics as JSON (name, root, buffered,
+//	               children, stats, measuredLinkSeconds, uptime, connected)
 //	/timeline      the node's sampled telemetry as JSON (TimelineDump);
 //	               ?follow=1 streams each sampling pass as NDJSON until
 //	               the client disconnects or the node closes
@@ -49,7 +46,7 @@ type statusServer struct {
 //	/debug/pprof/  the standard net/http/pprof profiling handlers
 //
 // The endpoints are read-only introspection for operating a deployed
-// overlay; they stop when the node closes or StopStatus is called.
+// overlay; they stop when the node closes.
 func (n *Node) ServeStatus(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -58,7 +55,6 @@ func (n *Node) ServeStatus(addr string) (string, error) {
 	ss := &statusServer{node: n, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", ss.handle)
-	mux.HandleFunc("/metrics", ss.handleMetrics)
 	mux.HandleFunc("/timeline", ss.handleTimeline)
 	mux.HandleFunc("/debug/events", ss.handleEvents)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -97,15 +93,6 @@ func (n *Node) ServeStatus(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// StopStatus shuts the status endpoint down; safe to call when none runs.
-func (n *Node) StopStatus() {
-	var ss *statusServer
-	n.query(func() { ss, n.status = n.status, nil })
-	if ss != nil {
-		_ = ss.srv.Close()
-	}
-}
-
 // handle renders the snapshot.
 func (s *statusServer) handle(w http.ResponseWriter, r *http.Request) {
 	snap := s.node.snapshot()
@@ -114,24 +101,6 @@ func (s *statusServer) handle(w http.ResponseWriter, r *http.Request) {
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(snap)
 }
-
-// handleMetrics renders the node's counters in the Prometheus text
-// exposition format. Every sample is derived from the same owner-built
-// snapshot /status serves, so the two endpoints always agree.
-func (s *statusServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.node.snapshot()
-	connected := int64(0)
-	if snap.Connected {
-		connected = 1
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = metricsSnapshot(snap.Stats, int64(snap.Buffered), connected, int64(len(snap.Children))).WritePrometheus(w)
-}
-
-// processStart anchors process_start_time_seconds, the conventional
-// Prometheus gauge scrapers use to detect restarts and compute process
-// age.
-var processStart = time.Now()
 
 // handleEvents serves the flight recorder. A plain GET returns the full
 // TraceDump as JSON — the document cmd/bwtrace merges. With ?follow=1 the
@@ -192,84 +161,4 @@ func (s *statusServer) follow(w http.ResponseWriter, r *http.Request, poll func(
 			return
 		}
 	}
-}
-
-// metricsSnapshot converts a Stats snapshot (plus point-in-time gauges)
-// into a renderable metric set. Factored out so tests can assert the
-// exact exposition against a Stats value.
-func metricsSnapshot(st Stats, buffered, connected, children int64) metrics.Snapshot {
-	counter := func(name, help string, v int64) metrics.Family {
-		return metrics.Family{Name: name, Help: help, Type: "counter", Samples: []metrics.Sample{{Value: v}}}
-	}
-	gauge := func(name, help string, v int64) metrics.Family {
-		return metrics.Family{Name: name, Help: help, Type: "gauge", Samples: []metrics.Sample{{Value: v}}}
-	}
-	snap := metrics.Snapshot{
-		counter("live_tasks_computed_total", "tasks computed locally", st.Computed),
-		counter("live_tasks_forwarded_total", "tasks sent to children", st.Forwarded),
-		counter("live_tasks_received_total", "tasks received from the parent", st.Received),
-		counter("live_requests_sent_total", "requests sent to the parent", st.Requests),
-		counter("live_send_interrupts_total", "send-port switches away from an unfinished transfer", st.Interrupts),
-		counter("live_reconnects_total", "successful re-dials of a lost parent link", st.Reconnects),
-		counter("live_tasks_requeued_total", "tasks reclaimed from dead subtrees and requeued", st.Requeued),
-		counter("live_transfers_resumed_total", "transfers resumed mid-payload after a child reconnected", st.Resumed),
-		counter("live_heartbeat_misses_total", "supervision intervals that passed with a silent link", st.HeartbeatMisses),
-		counter("live_send_errors_total", "ack sends that failed on a dying link (replay covers them)", st.SendErrors),
-		counter("live_result_acks_total", "unacked-ledger entries retired by a parent's result ack", st.ResultAcks),
-		counter("live_results_replayed_total", "unacked results retransmitted (reconnect replay or retry)", st.ResultsReplayed),
-		counter("live_results_deduped_total", "duplicate results suppressed before relay or collection", st.ResultsDeduped),
-		counter("live_tasks_requeued_on_revive_total", "tasks requeued by revive-time reconciliation", st.RequeuedOnRevive),
-		counter("live_recorder_dropped_total", "flight-recorder events evicted by ring overflow", st.RecorderDropped),
-		counter("live_wire_frames_sent_total", "wire frames sent on all links", st.FramesSent),
-		counter("live_wire_frames_received_total", "wire frames received on all links", st.FramesReceived),
-		counter("live_wire_bytes_sent_total", "bytes written to all links, codec overhead included", st.BytesSent),
-		counter("live_wire_bytes_received_total", "bytes read from all links, codec overhead included", st.BytesReceived),
-		gauge("live_buffered_tasks", "tasks currently buffered", buffered),
-		gauge("live_queued_peak", "most tasks simultaneously buffered", int64(st.MaxQueued)),
-		gauge("live_connected", "whether the uplink is established (always 1 at the root)", connected),
-		gauge("live_children", "currently connected children", children),
-		gauge("live_uptime_seconds", "seconds since the node started", st.UptimeSeconds),
-		gauge("process_start_time_seconds", "unix time the process started", processStart.Unix()),
-	}
-	if len(st.ByChild) > 0 {
-		names := make([]string, 0, len(st.ByChild))
-		for name := range st.ByChild {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		f := metrics.Family{Name: "live_forwarded_by_child_total", Help: "tasks forwarded per child", Type: "counter"}
-		for _, name := range names {
-			f.Samples = append(f.Samples, metrics.Sample{
-				Labels: []metrics.Label{{Key: "child", Value: name}},
-				Value:  st.ByChild[name],
-			})
-		}
-		snap = append(snap, f)
-	}
-	if len(st.PerApp) > 0 {
-		apps := make([]string, 0, len(st.PerApp))
-		for app := range st.PerApp {
-			apps = append(apps, app)
-		}
-		sort.Strings(apps)
-		perApp := func(name, help string, get func(AppStats) int64) metrics.Family {
-			f := metrics.Family{Name: name, Help: help, Type: "counter"}
-			for _, app := range apps {
-				f.Samples = append(f.Samples, metrics.Sample{
-					Labels: []metrics.Label{{Key: "app", Value: app}},
-					Value:  get(st.PerApp[app]),
-				})
-			}
-			return f
-		}
-		snap = append(snap,
-			perApp("live_app_tasks_computed_total", "tasks computed locally per application", func(a AppStats) int64 { return a.Computed }),
-			perApp("live_app_tasks_forwarded_total", "tasks sent to children per application", func(a AppStats) int64 { return a.Forwarded }),
-			perApp("live_app_tasks_received_total", "tasks received from the parent per application", func(a AppStats) int64 { return a.Received }),
-			perApp("live_app_tasks_requeued_total", "tasks reclaimed and requeued per application", func(a AppStats) int64 { return a.Requeued }),
-			perApp("live_app_results_collected_total", "results delivered to Run per application (root only)", func(a AppStats) int64 { return a.Collected }),
-			perApp("live_app_results_deduped_total", "duplicate results suppressed per application", func(a AppStats) int64 { return a.Deduped }),
-		)
-	}
-	return snap
 }

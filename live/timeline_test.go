@@ -204,7 +204,7 @@ func TestStatsUptime(t *testing.T) {
 		t.Fatalf("GET /status: %v", err)
 	}
 	defer resp.Body.Close()
-	var snap StatusSnapshot
+	var snap statusSnapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
