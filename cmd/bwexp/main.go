@@ -1,6 +1,6 @@
 // Command bwexp reproduces the paper's evaluation: every figure and table
-// of Section 4, plus the ablation, churn, detector and fairness studies
-// described in DESIGN.md.
+// of Section 4, plus the ablation, churn and detector studies described
+// in DESIGN.md.
 //
 // Usage:
 //
@@ -203,13 +203,6 @@ var experimentTable = []experiment{
 	{id: "ablation-decay", inAll: true, run: func(e *env) (renderer, error) { return experiments.AblationDecay(e.o) }},
 	{id: "churn", inAll: true, run: func(e *env) (renderer, error) { return experiments.Churn(e.o, e.churn) }},
 	{id: "detector", inAll: true, run: func(e *env) (renderer, error) { return experiments.Detector(e.o) }},
-	{id: "fairness", inAll: true, run: func(e *env) (renderer, error) {
-		o := e.o
-		if e.trees == 0 && o.Trees > 150 {
-			o.Trees = 150 // 7 tenant counts × population; keep the sweep interactive
-		}
-		return experiments.Fairness(o)
-	}},
 }
 
 // experimentIDs returns the table's ids in order, every one or only the

@@ -59,6 +59,12 @@ func run(args []string, out io.Writer) error {
 	if *tasks < 1 {
 		return fmt.Errorf("-tasks %d < 1", *tasks)
 	}
+	if *threshold < 0 {
+		return fmt.Errorf("-threshold %d < 0", *threshold)
+	}
+	if *index < 0 {
+		return fmt.Errorf("-index %d < 0", *index)
+	}
 
 	var t *tree.Tree
 	var err error

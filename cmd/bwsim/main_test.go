@@ -62,6 +62,13 @@ func TestErrors(t *testing.T) {
 			t.Fatalf("-tasks %s: err = %v, want a -tasks error", n, err)
 		}
 	}
+	// A negative threshold ran the paper's 300 and reported itself; a
+	// negative index built a tree of no population.
+	for _, args := range [][]string{{"-threshold", "-5"}, {"-gen", "-index", "-1"}} {
+		if err := run(append([]string{"-example", "-tasks", "2000"}, args...), &b); err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {
+			t.Fatalf("%v: err = %v, want a %s error", args, err, args[len(args)-2])
+		}
+	}
 	if b.Len() != 0 {
 		t.Fatalf("rejected runs printed a report:\n%s", b.String())
 	}

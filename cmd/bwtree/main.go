@@ -51,6 +51,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *index < 0 {
+		return fmt.Errorf("-index %d < 0", *index)
+	}
 
 	var t *tree.Tree
 	switch {

@@ -68,6 +68,18 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestNegativeIndexRejected: -index -1 built a tree that belongs to no
+// seed's population.
+func TestNegativeIndexRejected(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-gen", "-index", "-1"}, &b); err == nil || !strings.Contains(err.Error(), "-index") {
+		t.Fatalf("err = %v, want an -index error", err)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("rejected run printed:\n%s", b.String())
+	}
+}
+
 // TestDOTExport pins bwtree -example -dot byte for byte against
 // testdata/fig1.dot: the Figure 1 platform coloured by its optimal
 // allocation. The file is edited by hand, if ever.

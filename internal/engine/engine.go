@@ -17,9 +17,7 @@
 // engine turns those decisions into timed events: a send completes c_i
 // timesteps after it starts (a shelved one keeps its remaining time), a
 // computation w_i after. It adds what a simulation needs around the core:
-// mutations, attachments and departures, the tagging of every task with
-// its application (package protocol's tenant picker chooses whose task a
-// node takes), tracing and timeline telemetry.
+// mutations, attachments and departures, tracing and timeline telemetry.
 //
 // # Determinism
 //
@@ -44,9 +42,6 @@ import (
 const (
 	evSendComplete sim.Kind = iota + 1
 	evComputeComplete
-	// evAppRelease opens a workload's pool at its scheduled release time;
-	// Node carries the application index.
-	evAppRelease
 	// evSample is the timeline telemetry tick (Config.SampleEvery > 0
 	// only); it re-schedules itself until the last task completes.
 	evSample
@@ -102,15 +97,7 @@ type DepartMutation struct {
 type Config struct {
 	Tree     *tree.Tree
 	Protocol protocol.Protocol
-	Tasks    int64 // number of application tasks at the root (single-application form)
-
-	// Workloads runs several applications concurrently over the one tree
-	// with weighted bandwidth-centric sharing (see Workload). Mutually
-	// exclusive with Tasks: a Config sets one or the other. Single-
-	// application callers keep using Tasks, which the engine runs as one
-	// unnamed workload: a one-workload run is event-for-event the Tasks
-	// run.
-	Workloads []Workload
+	Tasks    int64 // number of application tasks at the root
 
 	// Seed feeds the Random child-selection order; unused otherwise.
 	Seed uint64
@@ -133,17 +120,11 @@ type Config struct {
 	Tracer func(trace.Event)
 
 	// SampleEvery, when positive, records timeline telemetry (completion
-	// rate, link utilization, pool depth, per-application share) every
-	// SampleEvery timesteps into Result.Timeline. Zero — the default —
-	// disables sampling entirely; the event path then carries no
-	// telemetry cost (pinned by TestTimelineDisabledZeroAllocs).
+	// rate, link utilization, pool depth) every SampleEvery timesteps
+	// into Result.Timeline. Zero — the default — disables sampling
+	// entirely; the event path then carries no telemetry cost (pinned by
+	// TestTimelineDisabledZeroAllocs).
 	SampleEvery sim.Time
-
-	// TimelineCapacity caps the stored points per timeline series; on
-	// overflow a series halves itself and doubles its resolution, so
-	// memory stays O(TimelineCapacity) for any run length. Zero means
-	// the package default (512); meaningful values are >= 2.
-	TimelineCapacity int
 }
 
 // Validate reports whether the config can be run.
@@ -160,14 +141,8 @@ func (c *Config) Validate() error {
 	if c.Tasks < 0 {
 		return fmt.Errorf("engine: negative task count %d", c.Tasks)
 	}
-	if err := validateWorkloads(c.Workloads, c.Tasks); err != nil {
-		return err
-	}
 	if c.SampleEvery < 0 {
 		return fmt.Errorf("engine: negative sample interval %d", c.SampleEvery)
-	}
-	if c.TimelineCapacity != 0 && c.TimelineCapacity < 2 {
-		return fmt.Errorf("engine: timeline capacity %d, need 0 (default) or >= 2", c.TimelineCapacity)
 	}
 	if !slices.IsSorted(c.Checkpoints) {
 		return fmt.Errorf("engine: checkpoints must be ascending")
@@ -256,10 +231,6 @@ type Result struct {
 	// SkippedMutations counts mutations and attachments that targeted a
 	// node which had already departed and were therefore ignored.
 	SkippedMutations int
-	// Apps is the per-application breakdown of a multi-workload run, in
-	// Config.Workloads order; nil for single-application (Tasks) runs. A
-	// one-workload run's Apps[0].Completions is Completions itself.
-	Apps []AppResult
 	// Metrics is the run's engine-wide instrumentation snapshot.
 	Metrics Metrics
 	// Timeline holds the run's sampled telemetry when Config.SampleEvery
@@ -326,14 +297,6 @@ func (r *Result) TotalBuffers() int64 {
 	return sum
 }
 
-// shelf is what the driver keeps of a transfer shelved toward a node (a
-// child has at most one transfer in flight or shelved): its remaining send
-// time and the application tag of its task. The core keeps the rest.
-type shelf struct {
-	remaining sim.Time
-	app       int32
-}
-
 // nodeState is the runtime state of one platform node: its protocol core
 // and what the discrete-event driver adds to it.
 type nodeState struct {
@@ -355,16 +318,10 @@ type nodeState struct {
 	sendEv    *sim.Event // the send in flight, for preemption and departure
 	computeEv *sim.Event // pending compute completion, for cancellation
 
-	// shelf describes a transfer toward this node shelved at its parent.
-	shelf shelf
-
-	// Tenant state, one entry per workload: occApp[a] is how many of the
-	// buffered tasks (at the root, of the released pool) belong to
-	// application a, and credit is the node's tenant-picker ledger.
-	// computingApp and sendingApp tag the tasks on the compute port and
-	// in flight at the send port.
-	occApp, credit           []int64
-	computingApp, sendingApp int32
+	// shelf is the remaining send time of a transfer toward this node
+	// shelved at its parent (a child has at most one transfer in flight or
+	// shelved); the core keeps the rest.
+	shelf sim.Time
 
 	departed bool
 
@@ -385,20 +342,10 @@ type engine struct {
 	skippedMut int
 	completed  int64
 
-	// statsBuf backs Result.Nodes, reused across a Runner's runs.
-	statsBuf []NodeStat
-
-	// Every run is tagged: workloads is Config.Workloads, or for a Tasks
-	// run one unnamed workload (one). Per workload: its configured weight,
-	// its completion stream — a partition of completions, whose storage
-	// a Runner reuses — and its requeue count. totalTasks is their sum.
-	workloads      []Workload
-	one            [1]Workload
-	totalTasks     int64
-	appWeights     []int64
-	completions    []sim.Time
-	appCompletions [][]sim.Time
-	appRequeued    []int64
+	// statsBuf backs Result.Nodes and completions Result.Completions,
+	// both reused across a Runner's runs.
+	statsBuf    []NodeStat
+	completions []sim.Time
 
 	// tl is the timeline sampling state; nil unless Config.SampleEvery is
 	// positive, and every hook checks for nil so the disabled path stays
@@ -465,17 +412,14 @@ func (e *engine) reset(cfg Config) {
 		t = cfg.Tree.Clone()
 	}
 	*e = engine{
-		cfg:            cfg,
-		t:              t,
-		s:              e.s,
-		nodes:          e.nodes,
-		checkpoints:    e.checkpoints[:0],
-		statsBuf:       e.statsBuf,
-		appWeights:     e.appWeights[:0],
-		completions:    e.completions,
-		appCompletions: e.appCompletions[:0],
-		appRequeued:    e.appRequeued[:0],
-		trace:          cfg.Tracer,
+		cfg:         cfg,
+		t:           t,
+		s:           e.s,
+		nodes:       e.nodes,
+		checkpoints: e.checkpoints[:0],
+		statsBuf:    e.statsBuf,
+		completions: e.completions[:0],
+		trace:       cfg.Tracer,
 	}
 	e.s.Reset()
 }
@@ -488,44 +432,16 @@ func (e *engine) run(cfg Config) (*Result, error) {
 	if cfg.Protocol.Order == protocol.Random {
 		e.rng = protocol.Rand(cfg.Seed)
 	}
-	e.workloads = cfg.Workloads
-	if len(e.workloads) == 0 {
-		e.one[0] = Workload{Tasks: cfg.Tasks}
-		e.workloads = e.one[:]
-	}
-	for _, w := range e.workloads {
-		e.totalTasks += w.Tasks
-	}
-	if cap(e.completions) < int(e.totalTasks) {
-		e.completions = make([]sim.Time, e.totalTasks)
-	}
-	var off int64
-	for _, w := range e.workloads {
-		e.appWeights = append(e.appWeights, w.Weight)
-		e.appRequeued = append(e.appRequeued, 0)
-		e.appCompletions = append(e.appCompletions, e.completions[off:off:off+w.Tasks])
-		off += w.Tasks
+	if cap(e.completions) < int(cfg.Tasks) {
+		e.completions = make([]sim.Time, 0, cfg.Tasks)
 	}
 
 	e.initNodes(0)
-	root := &e.nodes[0]
-	for a, w := range e.workloads {
-		if w.Release <= 0 { // undispatched tasks at the root: its core's buffers
-			root.occApp[a] = w.Tasks
-			root.core.Refill(w.Tasks)
-		}
-	}
+	e.nodes[0].core.Refill(cfg.Tasks) // undispatched tasks at the root: its core's buffers
 	if cfg.SampleEvery > 0 {
 		// Before the t=0 scheduling pass, so the very first sends are
 		// stamped for utilization accounting.
 		e.initTimeline()
-	}
-
-	// Workloads arriving mid-run open their pools at their release times.
-	for a, w := range e.workloads {
-		if w.Release > 0 {
-			e.s.Schedule(w.Release, evAppRelease, int32(a), 0)
-		}
 	}
 
 	// All nodes issue their initial requests (one per empty buffer) before
@@ -539,8 +455,8 @@ func (e *engine) run(cfg Config) (*Result, error) {
 	}
 
 	e.s.Run(0)
-	if e.completed != e.totalTasks {
-		return nil, fmt.Errorf("engine: deadlock: simulation drained with %d/%d tasks complete", e.completed, e.totalTasks)
+	if e.completed != cfg.Tasks {
+		return nil, fmt.Errorf("engine: deadlock: simulation drained with %d/%d tasks complete", e.completed, cfg.Tasks)
 	}
 
 	if cap(e.statsBuf) < len(e.nodes) {
@@ -548,23 +464,13 @@ func (e *engine) run(cfg Config) (*Result, error) {
 	}
 	res := &Result{
 		Tree:             e.t,
-		Completions:      e.merged(),
+		Completions:      e.completions,
 		Makespan:         e.s.Now(),
 		Nodes:            e.statsBuf[:len(e.nodes)],
 		Checkpoints:      e.checkpoints,
 		Steps:            e.s.Steps(),
 		Requeued:         e.requeued,
 		SkippedMutations: e.skippedMut,
-	}
-	for a, w := range cfg.Workloads {
-		res.Apps = append(res.Apps, AppResult{
-			App:         w.App,
-			Weight:      protocol.Weight(w.Weight),
-			Release:     w.Release,
-			Tasks:       w.Tasks,
-			Completions: e.appCompletions[a],
-			Requeued:    e.appRequeued[a],
-		})
 	}
 	for i := range e.nodes {
 		core := &e.nodes[i].core
@@ -603,9 +509,9 @@ func (e *engine) initNodes(from int) {
 	}
 	for id := from; id < n; id++ {
 		ns := &e.nodes[id]
-		// Recycle the element's slot and tenant storage across runs (a
-		// Runner keeps the nodes table; fresh elements start nil).
-		slots, occ, credit := ns.core.Slots, ns.occApp, ns.credit
+		// Recycle the element's slot storage across runs (a Runner keeps
+		// the nodes table; fresh elements start nil).
+		slots := ns.core.Slots
 		*ns = nodeState{
 			w:      e.t.W(tree.NodeID(id)),
 			c:      e.t.C(tree.NodeID(id)),
@@ -613,8 +519,6 @@ func (e *engine) initNodes(from int) {
 			slot:   -1,
 		}
 		ns.core.Slots = slots
-		ns.occApp = zeroed(occ, len(e.workloads))
-		ns.credit = zeroed(credit, len(e.workloads))
 		ns.core.Reset(e.cfg.Protocol, id == 0)
 		for _, k := range e.t.Children(tree.NodeID(id)) {
 			ns.core.Slots = append(ns.core.Slots, protocol.Slot{Child: int32(k), Key: protocol.Key(e.cfg.Protocol.Order, e.t.C(k), e.t.W(k))})
@@ -664,8 +568,6 @@ func (e *engine) Handle(ev *sim.Event) {
 		e.onSendComplete(ev.Node, ev.Child)
 	case evComputeComplete:
 		e.onComputeComplete(ev.Node)
-	case evAppRelease:
-		e.onAppRelease(ev.Node)
 	case evSample:
 		e.onSample()
 	default:
@@ -674,16 +576,11 @@ func (e *engine) Handle(ev *sim.Event) {
 }
 
 // took carries out the driver's side of node n taking a task its core
-// released for the compute port or a send: the task's application — the
-// tenant picker's choice among those with a task here, ties to the
-// earliest workload — and the freed buffer's request, retirement or G1
-// growth.
-func (e *engine) took(n int32, t protocol.Take) int32 {
-	ns := &e.nodes[n]
-	app := protocol.PickTenant(ns.credit, e.appWeights, ns.occApp, nil)
-	ns.occApp[app]--
+// released for the compute port or a send: the freed buffer's request,
+// retirement or G1 growth.
+func (e *engine) took(n int32, t protocol.Take) {
 	if t.Retired {
-		ns.stat.Decayed++
+		e.nodes[n].stat.Decayed++
 		e.met.Decays++
 	} else if t.Request {
 		e.request(n)
@@ -691,7 +588,6 @@ func (e *engine) took(n int32, t protocol.Take) int32 {
 	if t.Grew {
 		e.grew(n)
 	}
-	return int32(app)
 }
 
 // request sends one task request from node n to its parent. Requests are
@@ -733,11 +629,9 @@ func (e *engine) onSendComplete(p, c int32) {
 	if e.tl != nil {
 		e.tlSendStop(p)
 	}
-	app := ps.sendingApp
 	ps.sendEv = nil
 	grew := ps.core.SendDone()
 	cs.core.Arrived()
-	cs.occApp[app]++
 	cs.stat.Received++
 	e.met.SendsCompleted++
 	e.emit(trace.Event{Kind: trace.SendDone, Node: tree.NodeID(p), Peer: tree.NodeID(c)})
@@ -762,10 +656,9 @@ func (e *engine) onComputeComplete(n int32) {
 	ns.stat.Computed++
 	e.met.ComputesDone++
 	e.completed++
-	a := ns.computingApp
-	e.appCompletions[a] = append(e.appCompletions[a], e.s.Now())
+	e.completions = append(e.completions, e.s.Now())
 	e.emit(trace.Event{Kind: trace.ComputeDone, Node: tree.NodeID(n), Peer: -1, Value: e.completed})
-	if e.tl != nil && e.completed == e.totalTasks {
+	if e.tl != nil && e.completed == e.cfg.Tasks {
 		// The run is over: flush the partial final interval and cancel the
 		// pending tick so it cannot outlive the last completion (Makespan
 		// is the time of the last fired event).
@@ -850,7 +743,7 @@ func (e *engine) trySchedule(n int32) {
 	// "communication time" is zero).
 	if t, ok := ns.core.Compute(); ok {
 		e.emit(trace.Event{Kind: trace.ComputeStart, Node: tree.NodeID(n), Peer: -1, Value: int64(e.s.Now()) + ns.w})
-		ns.computingApp = e.took(n, t)
+		e.took(n, t)
 		e.met.ComputesStarted++
 		ns.computeEv = e.s.Schedule(sim.Time(ns.w), evComputeComplete, n, 0)
 	}
@@ -868,7 +761,7 @@ func (e *engine) trySchedule(n int32) {
 		}
 		remaining := e.s.Cancel(ns.sendEv)
 		cur := ns.core.Slots[d.Shelved].Child
-		e.nodes[cur].shelf = shelf{remaining: remaining, app: ns.sendingApp}
+		e.nodes[cur].shelf = remaining
 		ns.stat.Interrupted++
 		e.met.SendsInterrupted++
 		e.emit(trace.Event{Kind: trace.SendInterrupt, Node: tree.NodeID(n), Peer: tree.NodeID(cur), Value: int64(remaining)})
@@ -878,14 +771,13 @@ func (e *engine) trySchedule(n int32) {
 	cs := &e.nodes[c]
 	var delay sim.Time
 	if d.Resume {
-		delay = cs.shelf.remaining
+		delay = cs.shelf
 		e.emit(trace.Event{Kind: trace.SendResume, Node: tree.NodeID(n), Peer: tree.NodeID(c), Value: int64(e.s.Now() + delay)})
-		ns.sendingApp = cs.shelf.app
 		e.met.SendsResumed++
 	} else {
 		delay = sim.Time(cs.c)
 		e.emit(trace.Event{Kind: trace.SendStart, Node: tree.NodeID(n), Peer: tree.NodeID(c), Value: int64(e.s.Now() + delay)})
-		ns.sendingApp = e.took(n, d.Take)
+		e.took(n, d.Take)
 		ns.stat.Forwarded++
 		e.met.SendsStarted++
 	}
@@ -920,7 +812,7 @@ func (e *engine) depart(node tree.NodeID) {
 		return
 	}
 
-	requeued := e.requeued
+	var held int64
 
 	// Parent side first: cancel the transfer in flight toward the
 	// departing root, drop its outstanding requests and its slot.
@@ -932,11 +824,11 @@ func (e *engine) depart(node tree.NodeID) {
 			e.tlSendStop(parent)
 		}
 		e.s.Cancel(ps.sendEv)
-		e.requeue(ps.sendingApp, 1)
+		held++
 		ps.sendEv = nil
 	}
 	if shelved {
-		e.requeue(ds.shelf.app, 1)
+		held++
 	}
 
 	// Subtree side: cancel all work in progress and reclaim held tasks,
@@ -945,13 +837,10 @@ func (e *engine) depart(node tree.NodeID) {
 		ns := &e.nodes[sid]
 		ns.departed = true
 		ns.stat.Departed = true
-		for a, k := range ns.occApp {
-			e.requeue(int32(a), k)
-			ns.occApp[a] = 0
-		}
+		held += ns.core.Occupied
 		if ns.core.Computing {
 			e.s.Cancel(ns.computeEv)
-			e.requeue(ns.computingApp, 1)
+			held++
 			ns.computeEv = nil
 		}
 		if ns.core.Sending() >= 0 {
@@ -959,53 +848,22 @@ func (e *engine) depart(node tree.NodeID) {
 				e.tlSendStop(int32(sid))
 			}
 			e.s.Cancel(ns.sendEv)
-			e.requeue(ns.sendingApp, 1)
+			held++
 			ns.sendEv = nil
 		}
 		for _, sl := range ns.core.Slots {
 			if sl.Shelved {
-				e.requeue(e.nodes[sl.Child].shelf.app, 1)
+				held++
 			}
 		}
 		ns.core.Depart()
 	}
-	e.nodes[0].core.Refill(e.requeued - requeued)
+	e.requeued += held
+	e.nodes[0].core.Refill(held)
 
 	// The replenished pool and the parent's freed port may enable work.
 	e.trySchedule(parent)
 	if parent != 0 {
 		e.trySchedule(0)
 	}
-}
-
-// requeue returns k of application app's tasks, lost with a departing
-// subtree, to the root's pool.
-func (e *engine) requeue(app int32, k int64) {
-	e.nodes[0].occApp[app] += k
-	e.appRequeued[app] += k
-	e.requeued += k
-}
-
-// merged returns the run's completion stream: the workloads' streams in
-// time order — a one-workload run's own stream, not a copy.
-func (e *engine) merged() []sim.Time {
-	if len(e.appCompletions) == 1 {
-		return e.appCompletions[0]
-	}
-	out := make([]sim.Time, 0, e.totalTasks)
-	for _, c := range e.appCompletions {
-		out = append(out, c...)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// zeroed returns s resized to n zeros, reusing its storage when it can.
-func zeroed(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }

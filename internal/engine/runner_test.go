@@ -138,40 +138,6 @@ func TestRunnerWarmRunAllocs(t *testing.T) {
 	}
 }
 
-// TestRunnerAfterMultiWorkloadRun: a Runner that just ran a
-// multi-application config resets cleanly back to single-application
-// runs (the tagged state must not leak).
-func TestRunnerAfterMultiWorkloadRun(t *testing.T) {
-	tr := randtree.TreeAt(runnerParams, 11, 1)
-	r := NewRunner()
-	multi := Config{
-		Tree:     tr,
-		Protocol: protocol.Interruptible(3),
-		Workloads: []Workload{
-			{App: "a", Tasks: 200, Weight: 2},
-			{App: "b", Tasks: 100, Weight: 1},
-		},
-	}
-	if _, err := r.Run(multi); err != nil {
-		t.Fatalf("multi run: %v", err)
-	}
-	single := Config{Tree: tr, Protocol: protocol.Interruptible(3), Tasks: 300}
-	fresh, err := Run(single)
-	if err != nil {
-		t.Fatalf("fresh single run: %v", err)
-	}
-	reused, err := r.Run(single)
-	if err != nil {
-		t.Fatalf("reused single run: %v", err)
-	}
-	if !equalSnapshots(snapshot(reused), snapshot(fresh)) {
-		t.Fatalf("single-app run after multi-app run differs from fresh run")
-	}
-	if reused.Apps != nil {
-		t.Fatalf("single-app run reports per-app results: %+v", reused.Apps)
-	}
-}
-
 // TestColdRunStaysSmall: the package-level Run builds its Runner, and with
 // it the kernel's time ring, from nothing on every call, and internal/brute
 // and internal/steady make thousands of such calls on trees of a few

@@ -9,24 +9,19 @@ import (
 	"bwcs/internal/stats"
 )
 
-// defaultTimelineCapacity bounds the points stored per timeline series
-// when Config.TimelineCapacity is unset. With 2× downsampling on
-// overflow, a capacity-c series summarizes any run length in O(c)
-// memory.
-const defaultTimelineCapacity = 512
+// timelineCapacity bounds the points stored per timeline series. With 2×
+// downsampling on overflow, a capacity-c series summarizes any run length
+// in O(c) memory.
+const timelineCapacity = 512
 
 // Timeline is the sampled telemetry of one run: every Config.SampleEvery
 // timesteps the engine records the interval task-completion rate, the
-// root pool's depth, each internal node's send-port utilization, and
-// (multi-workload runs) each application's share of the interval's
-// completions. Series are snapshots — copies, safe to retain across
-// Runner reuse.
+// root pool's depth and each internal node's send-port utilization.
+// Series are snapshots — copies, safe to retain across Runner reuse.
 //
 // Series names: "rate" (tasks per timestep), "pool_depth" (tasks
 // undispatched at the root), "link_util/<node>" (busy fraction of the
-// node's send port, one series per node that had children at run start),
-// "app_share/<app>" (fraction of the interval's completions belonging to
-// the application).
+// node's send port, one series per node that had children at run start).
 type Timeline struct {
 	// SampleEvery is the sampling cadence in sim timesteps.
 	SampleEvery sim.Time `json:"sampleEvery"`
@@ -102,9 +97,6 @@ type timeline struct {
 	linkUtil  []*metrics.TimeSeries
 	busyAccum []sim.Time // send-port busy time this interval, per node
 	busyStart []sim.Time // when the in-flight send started (valid while sending)
-
-	appShare []*metrics.TimeSeries
-	lastApp  []int64
 }
 
 // initTimeline builds the sampling state for the current run and
@@ -112,29 +104,20 @@ type timeline struct {
 // built; allocation here is run setup, not the event hot path.
 func (e *engine) initTimeline() {
 	every := e.cfg.SampleEvery
-	capacity := e.cfg.TimelineCapacity
-	if capacity == 0 {
-		capacity = defaultTimelineCapacity
-	}
 	res := int64(every)
 	tl := &timeline{
 		every:     every,
-		rate:      metrics.NewTimeSeries("rate", capacity, res),
-		pool:      metrics.NewTimeSeries("pool_depth", capacity, res),
+		rate:      metrics.NewTimeSeries("rate", timelineCapacity, res),
+		pool:      metrics.NewTimeSeries("pool_depth", timelineCapacity, res),
 		linkUtil:  make([]*metrics.TimeSeries, len(e.nodes)),
 		busyAccum: make([]sim.Time, len(e.nodes)),
 		busyStart: make([]sim.Time, len(e.nodes)),
 	}
 	for id := range e.nodes {
 		if len(e.nodes[id].core.Slots) > 0 {
-			tl.linkUtil[id] = metrics.NewTimeSeries(fmt.Sprintf("link_util/%d", id), capacity, res)
+			tl.linkUtil[id] = metrics.NewTimeSeries(fmt.Sprintf("link_util/%d", id), timelineCapacity, res)
 		}
 	}
-	// A Tasks run's one workload is unnamed and has no share series.
-	for _, w := range e.cfg.Workloads {
-		tl.appShare = append(tl.appShare, metrics.NewTimeSeries("app_share/"+w.App, capacity, res))
-	}
-	tl.lastApp = make([]int64, len(tl.appShare))
 	e.tl = tl
 	tl.ev = e.s.Schedule(every, evSample, 0, 0)
 }
@@ -164,7 +147,7 @@ func (e *engine) onSample() {
 	tl := e.tl
 	tl.ev = nil
 	e.sampleTimeline()
-	if e.completed < e.totalTasks {
+	if e.completed < e.cfg.Tasks {
 		tl.ev = e.s.Schedule(tl.every, evSample, 0, 0)
 	}
 }
@@ -180,8 +163,7 @@ func (e *engine) sampleTimeline() {
 		return // final completion coincided with a tick; nothing new
 	}
 
-	done := e.completed - tl.lastCompleted
-	tl.rate.Append(int64(now), float64(done)/float64(delta))
+	tl.rate.Append(int64(now), float64(e.completed-tl.lastCompleted)/float64(delta))
 	tl.lastCompleted = e.completed
 	tl.pool.Append(int64(now), float64(e.nodes[0].core.Occupied))
 
@@ -198,16 +180,6 @@ func (e *engine) sampleTimeline() {
 			tl.busyStart[id] = now
 		}
 		ts.Append(int64(now), float64(busy)/float64(delta))
-	}
-
-	for a, ts := range tl.appShare {
-		appDone := int64(len(e.appCompletions[a])) - tl.lastApp[a]
-		tl.lastApp[a] = int64(len(e.appCompletions[a]))
-		share := 0.0
-		if done > 0 {
-			share = float64(appDone) / float64(done)
-		}
-		ts.Append(int64(now), share)
 	}
 	tl.intervalStart = now
 }
@@ -234,9 +206,6 @@ func (e *engine) timelineResult() *Timeline {
 		if ts != nil {
 			out.Series = append(out.Series, metrics.SnapshotSeries(ts))
 		}
-	}
-	for _, ts := range tl.appShare {
-		out.Series = append(out.Series, metrics.SnapshotSeries(ts))
 	}
 	return out
 }

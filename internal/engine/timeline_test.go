@@ -63,7 +63,6 @@ func TestTimelineSampling(t *testing.T) {
 
 	cfg := base
 	cfg.SampleEvery = 1
-	cfg.TimelineCapacity = 8192 // enough to never downsample this run
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("sampled run: %v", err)
@@ -145,24 +144,23 @@ func TestTimelineSampling(t *testing.T) {
 	}
 }
 
-// TestTimelineBounded: a long run with a tiny capacity stays within
-// capacity by coarsening resolution, keeping timestamps ascending.
+// TestTimelineBounded: a run longer than the capacity stays within it by
+// coarsening resolution, keeping timestamps ascending.
 func TestTimelineBounded(t *testing.T) {
 	tr := randtree.TreeAt(runnerParams, 7, 3)
 	cfg := Config{
-		Tree:             tr,
-		Protocol:         protocol.Interruptible(3),
-		Tasks:            600,
-		SampleEvery:      1,
-		TimelineCapacity: 16,
+		Tree:        tr,
+		Protocol:    protocol.Interruptible(3),
+		Tasks:       600,
+		SampleEvery: 1,
 	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range res.Timeline.Series {
-		if len(s.Points) > 16 {
-			t.Fatalf("series %q holds %d points, capacity 16", s.Name, len(s.Points))
+		if len(s.Points) > timelineCapacity {
+			t.Fatalf("series %q holds %d points, capacity %d", s.Name, len(s.Points), timelineCapacity)
 		}
 		for i := 1; i < len(s.Points); i++ {
 			if s.Points[i].T <= s.Points[i-1].T {
@@ -172,37 +170,6 @@ func TestTimelineBounded(t *testing.T) {
 	}
 	if rate := res.Timeline.Find("rate"); rate.Resolution <= 1 {
 		t.Fatalf("rate resolution never coarsened on a long run: %d", rate.Resolution)
-	}
-}
-
-// TestTimelineMultiAppShare: multi-workload runs record one share series
-// per application, named by the workload, with values that are
-// fractions of each interval's completions.
-func TestTimelineMultiAppShare(t *testing.T) {
-	tr := timelineFixtureTree()
-	cfg := Config{
-		Tree:     tr,
-		Protocol: protocol.Interruptible(1),
-		Workloads: []Workload{
-			{App: "heavy", Tasks: 60, Weight: 2},
-			{App: "light", Tasks: 30, Weight: 1},
-		},
-		SampleEvery: 8,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"app_share/heavy", "app_share/light"} {
-		s := res.Timeline.Find(name)
-		if s == nil {
-			t.Fatalf("no %s series", name)
-		}
-		for _, p := range s.Points {
-			if p.V < 0 || p.V > 1 {
-				t.Fatalf("%s out of range: %+v", name, p)
-			}
-		}
 	}
 }
 
@@ -232,8 +199,6 @@ func TestTimelineResultOutlivesRunner(t *testing.T) {
 	}
 }
 
-// TestTimelineConfigValidation: nonsense sampling configs are rejected
-// up front.
 // TestTimelineConverged pins the window the one convergence rule judges:
 // rate samples after the time bound and before the pool's first reading
 // below 1. A nil timeline never converges.
@@ -271,11 +236,12 @@ func TestTimelineConverged(t *testing.T) {
 	}
 }
 
+// TestTimelineConfigValidation: nonsense sampling configs are rejected
+// up front.
 func TestTimelineConfigValidation(t *testing.T) {
 	tr := timelineFixtureTree()
 	bad := []Config{
 		{Tree: tr, Protocol: protocol.Interruptible(1), Tasks: 10, SampleEvery: -1},
-		{Tree: tr, Protocol: protocol.Interruptible(1), Tasks: 10, SampleEvery: 4, TimelineCapacity: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

@@ -346,7 +346,7 @@ func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) 
 // folding the outcomes into the columns' Populations.
 //
 // edit, when non-nil, adjusts column col's engine config for tree i
-// before it runs (checkpoints, workloads, churn events). measure, when
+// before it runs (checkpoints, churn events). measure, when
 // non-nil, is called on the worker after each run, while the
 // Evaluator's result, series and weight still describe that run. Calls
 // for different trees run concurrently, so a measure writes only slots

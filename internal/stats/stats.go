@@ -34,22 +34,6 @@ func Max(vs []int64) int64 {
 	return slices.Max(vs)
 }
 
-// Jain returns Jain's fairness index over the allocations xs:
-// (Σx)² ⁄ (n·Σx²). The index is 1 when every allocation is equal and
-// approaches 1/n as one allocation dominates; it is 0 when all
-// allocations are 0 (or xs is empty).
-func Jain(xs []float64) float64 {
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
 // Histogram bins values into fixed-width buckets for PDF plots.
 type Histogram struct {
 	// BinWidth is the width of each bucket; bucket i covers

@@ -115,7 +115,7 @@ func (p *taskPool) queue(app string) int {
 // to the one whose oldest task arrived first. Callers guarantee the pool
 // is non-empty.
 func (p *taskPool) pop() Task {
-	i := protocol.PickTenant(p.credit, nil, p.count, func(a int) uint64 { return p.queues[a].at(0).seq })
+	i := protocol.PickTenant(p.credit, p.count, func(a int) uint64 { return p.queues[a].at(0).seq })
 	q := &p.queues[i]
 	slot := q.at(0)
 	t := slot.task

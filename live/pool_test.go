@@ -160,8 +160,8 @@ func TestPoolMatchesSliceScan(t *testing.T) {
 
 // TestPoolServesUntaggedAmongTagged pins the one place the pool departs
 // from the slice-and-scan pop on purpose: untagged tasks buffered beside
-// tagged ones are an application like any other (as in the engine, where
-// applications are indexes), not one every tagged application overtakes.
+// tagged ones are an application like any other, not one every tagged
+// application overtakes.
 func TestPoolServesUntaggedAmongTagged(t *testing.T) {
 	var p taskPool
 	for i, app := range []string{"", "", "x", "x"} {
