@@ -90,13 +90,8 @@ func TestTimelineThroughFacade(t *testing.T) {
 	if rate == nil || len(rate.Points) == 0 {
 		t.Fatalf("timeline missing the rate series: %+v", res.Timeline)
 	}
-	// Samples start after t=0, so a zero bound judges the whole run.
-	at, ok := res.Timeline.Converged(0, 0.05, 8)
-	if !ok {
-		t.Fatalf("steady 2000-task run did not converge")
-	}
-	if at <= 0 || at > res.Makespan {
-		t.Fatalf("converged at %d outside (0, %d]", at, res.Makespan)
+	if last := rate.Points[len(rate.Points)-1]; last.T != int64(res.Makespan) {
+		t.Fatalf("last rate sample at %d, want the makespan %d", last.T, res.Makespan)
 	}
 
 	// Without sampling the run pays nothing and reports nothing.

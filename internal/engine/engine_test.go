@@ -187,19 +187,6 @@ func TestGrowthProtocolGrowsWhenStarved(t *testing.T) {
 	}
 }
 
-func TestGrowthCap(t *testing.T) {
-	const x, k = 4, 5
-	tr := tree.New(100000)
-	tr.AddChild(tr.Root(), x, 1)
-	tr.AddChild(tr.Root(), k*x+1, k*x+1)
-	res := mustRun(t, Config{Tree: tr, Protocol: protocol.NonInterruptible(1).WithCap(3), Tasks: 400})
-	for i, ns := range res.Nodes[1:] {
-		if ns.Buffers > 3 {
-			t.Fatalf("node %d grew past cap: %d", i+1, ns.Buffers)
-		}
-	}
-}
-
 // TestDeterministicReplay: a config replays bit for bit, eight times over.
 // Round-robin and random keep tree order, and the wide tree's root has
 // eight children, so a child order leaked from Go's randomized map

@@ -2,11 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"bwcs/internal/metrics"
 	"bwcs/internal/sim"
-	"bwcs/internal/stats"
 )
 
 // timelineCapacity bounds the points stored per timeline series. With 2×
@@ -37,46 +35,6 @@ func (t *Timeline) Find(name string) *metrics.SeriesSnapshot {
 		}
 	}
 	return nil
-}
-
-// Converged runs stats.Converge over the "rate" series: the first sample
-// time from which the completion rate stays within eps of its trailing
-// mean over window samples. Only samples after the time bound after (a
-// mutation, or 0 for the whole run) and before the root pool empties are
-// judged: from there the rate ramps down as the last buffered tasks
-// drain, which is depletion, not instability, and would drag the
-// trailing mean toward zero. It returns (0, false) for a nil timeline.
-func (t *Timeline) Converged(after sim.Time, eps float64, window int) (sim.Time, bool) {
-	if t == nil {
-		return 0, false
-	}
-	rate := t.Find("rate")
-	if rate == nil {
-		return 0, false
-	}
-	drainT := int64(math.MaxInt64)
-	if pool := t.Find("pool_depth"); pool != nil {
-		for _, p := range pool.Points {
-			// Depth readings are integer counts, but ring merges can
-			// average a final 0 with its predecessor — anything below 1
-			// means a pool-empty reading contributed. The interval ending
-			// here straddles exhaustion; cut strictly before it.
-			if p.V < 1 {
-				drainT = p.T
-				break
-			}
-		}
-	}
-	var times []int64
-	var values []float64
-	for _, p := range rate.Points {
-		if p.T > int64(after) && p.T < drainT {
-			times = append(times, p.T)
-			values = append(values, p.V)
-		}
-	}
-	at, ok := stats.Converge(times, values, eps, window)
-	return sim.Time(at), ok
 }
 
 // timeline is the engine's run-time sampling state. It exists only when

@@ -6,7 +6,6 @@ import (
 	"bwcs/internal/metrics"
 	"bwcs/internal/protocol"
 	"bwcs/internal/randtree"
-	"bwcs/internal/sim"
 	"bwcs/internal/tree"
 )
 
@@ -196,43 +195,6 @@ func TestTimelineResultOutlivesRunner(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("timeline point %d clobbered by the next run: %+v vs %+v", i, got[i], want[i])
 		}
-	}
-}
-
-// TestTimelineConverged pins the window the one convergence rule judges:
-// rate samples after the time bound and before the pool's first reading
-// below 1. A nil timeline never converges.
-func TestTimelineConverged(t *testing.T) {
-	points := func(vs ...float64) []metrics.Point {
-		ps := make([]metrics.Point, len(vs))
-		for i, v := range vs {
-			ps[i] = metrics.Point{T: int64(10 * (i + 1)), V: v}
-		}
-		return ps
-	}
-	rate := metrics.SeriesSnapshot{Name: "rate", Points: points(5, 1, 1, 1, 1, 1, 0)}
-	pool := metrics.SeriesSnapshot{Name: "pool_depth", Points: points(9, 8, 7, 6, 5, 4, 0)}
-	tl := &Timeline{Series: []metrics.SeriesSnapshot{rate, pool}}
-	for _, c := range []struct {
-		after sim.Time
-		at    sim.Time
-		ok    bool
-	}{
-		{0, 20, true},  // the spike at 10 is outside the band
-		{20, 30, true}, // only samples after the bound count
-		{50, 0, false}, // one sample left before the drain: too short
-	} {
-		if at, ok := tl.Converged(c.after, 0.05, 3); at != c.at || ok != c.ok {
-			t.Errorf("after %d: Converged = (%d, %v), want (%d, %v)", c.after, at, ok, c.at, c.ok)
-		}
-	}
-	// Without the pool series the drain sample at 70 counts, and the rate
-	// has not settled.
-	if at, ok := (&Timeline{Series: []metrics.SeriesSnapshot{rate}}).Converged(0, 0.05, 3); ok {
-		t.Errorf("drain sample judged: converged at %d", at)
-	}
-	if _, ok := (*Timeline)(nil).Converged(0, 0.05, 3); ok {
-		t.Errorf("nil timeline converged")
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 	"bwcs/internal/protocol"
 	"bwcs/internal/rational"
 	"bwcs/internal/sim"
+	"bwcs/internal/steady"
 	"bwcs/internal/textplot"
 )
 
 // Fig7Scenario is one curve of the paper's Figure 7: a run on the
-// Figure 1 platform, optionally mutating P1's weights after 200 tasks.
+// Figure 1 platform, optionally mutating P1's weights mid-run.
 type Fig7Scenario struct {
 	Name string
 	// Completions[k] is when task k+1 finished; the cumulative-completion
@@ -24,9 +25,10 @@ type Fig7Scenario struct {
 	// mutation); Figure 7's dashed lines have these slopes.
 	OptimalBefore rational.Rat
 	OptimalAfter  rational.Rat
-	// TailRate is the measured rate over the post-mutation tail of the
-	// run, for comparing against OptimalAfter.
-	TailRate float64
+	// Tail is the exact periodic steady state of the completions after the
+	// mutation point (steady.Detect); its Rate is compared with
+	// OptimalAfter in rational, never as a float.
+	Tail steady.Detection
 }
 
 // Fig7Result reproduces Figure 7: adaptability of the autonomous protocol
@@ -53,8 +55,8 @@ func Fig7(tasks, mutateAt int64) (*Fig7Result, error) {
 		mut  []engine.Mutation
 	}{
 		{name: "c1=1, w1=3 (baseline)"},
-		{"at 200 tasks, c1=3", []engine.Mutation{{AfterTasks: s.mutateAt, Node: P1, C: 3}}},
-		{"at 200 tasks, w1=1", []engine.Mutation{{AfterTasks: s.mutateAt, Node: P1, W: 1}}},
+		{fmt.Sprintf("at %d tasks, c1=3", s.mutateAt), []engine.Mutation{{AfterTasks: s.mutateAt, Node: P1, C: 3}}},
+		{fmt.Sprintf("at %d tasks, w1=1", s.mutateAt), []engine.Mutation{{AfterTasks: s.mutateAt, Node: P1, W: 1}}},
 	} {
 		run, _, err := s.run(sc.name, protocol.NonInterruptibleFixed(2), sc.mut...)
 		if err != nil {
@@ -112,18 +114,22 @@ func (s figure1Scenario) run(name string, p protocol.Protocol, muts ...engine.Mu
 		Completions:   res.Completions,
 		OptimalBefore: optimal.Weight(before).Inv(),
 		OptimalAfter:  optimal.Weight(after).Inv(),
-	}
-	// Tasks completed per time between the mutation point (plus slack
-	// for re-adaptation) and the end.
-	from := s.mutateAt + (s.tasks-s.mutateAt)/4
-	if dt := res.Completions[s.tasks-1] - res.Completions[from-1]; dt > 0 {
-		out.TailRate = float64(s.tasks-from) / float64(dt)
+		Tail:          steady.Detect(res.Completions[s.mutateAt:], steady.Options{}),
 	}
 	return out, res, nil
 }
 
+// tailCell renders an exact tail rate beside its phase optimum opt: the
+// fraction, its float and "<", "=" or ">" against opt, or "no period".
+func tailCell(d steady.Detection, opt rational.Rat) string {
+	if !d.Found {
+		return "no period"
+	}
+	return fmt.Sprintf("%s %s %s", d.Rate, d.Rate.Format(5), [...]string{"<", "=", ">"}[d.Rate.Cmp(opt)+1])
+}
+
 // Render writes the Figure 7 report: the cumulative-completion chart and a
-// table of measured tail rates against per-phase optimal rates.
+// table of exact tail rates against per-phase optimal rates.
 func (r *Fig7Result) Render(w io.Writer) error {
 	chart := textplot.NewChart("Figure 7: adaptability on the Figure 1 platform (cumulative completions)", 72, 20).
 		Labels("timesteps", "tasks completed")
@@ -139,16 +145,12 @@ func (r *Fig7Result) Render(w io.Writer) error {
 	if err := chart.Render(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\n%-28s %14s %14s %14s %8s\n", "scenario", "opt before", "opt after", "tail rate", "ratio")
+	fmt.Fprintf(w, "\n%-28s %14s %14s  %s\n", "scenario", "opt before", "opt after", "tail rate")
 	for _, sc := range r.Scenarios {
-		ratio := 0.0
-		if f := sc.OptimalAfter.Float64(); f > 0 {
-			ratio = sc.TailRate / f
-		}
-		fmt.Fprintf(w, "%-28s %14s %14s %14.5f %8.3f\n",
-			sc.Name, sc.OptimalBefore.Format(5), sc.OptimalAfter.Format(5), sc.TailRate, ratio)
+		fmt.Fprintf(w, "%-28s %14s %14s  %s\n",
+			sc.Name, sc.OptimalBefore.Format(5), sc.OptimalAfter.Format(5), tailCell(sc.Tail, sc.OptimalAfter))
 	}
-	fmt.Fprintf(w, "\nmutation after %d of %d tasks; protocol %s; ratio = measured tail rate / optimal-after\n",
+	fmt.Fprintf(w, "\nmutation after %d of %d tasks; protocol %s; tail rate = exact steady period after the mutation, vs opt after\n",
 		r.MutateAt, r.Tasks, protocol.NonInterruptibleFixed(2))
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"bwcs/internal/protocol"
 	"bwcs/internal/rational"
 	"bwcs/internal/sim"
+	"bwcs/internal/steady"
 	"bwcs/internal/textplot"
 )
 
@@ -32,40 +33,33 @@ type ReconvergeScenario struct {
 	// time of task MutateAt).
 	MutateTime sim.Time
 	Makespan   sim.Time
-	// TailRate is the measured rate over the post-mutation tail.
-	TailRate float64
-	// Converged reports whether the post-mutation rate settled; if so,
-	// ConvergedAt is the sample time it entered its final steady band
-	// and TimeToReconverge = ConvergedAt - MutateTime.
-	Converged        bool
-	ConvergedAt      sim.Time
+	// Tail is the exact periodic steady state of the completions after
+	// the mutation (steady.Detect), compared with OptimalAfter in rational.
+	Tail steady.Detection
+	// TimeToReconverge is the completion time of Tail's first periodic
+	// task minus MutateTime; meaningful only when Tail.Found.
 	TimeToReconverge sim.Time
-	// Rate is the sampled interval-completion-rate series of the run.
+	// Rate is the sampled interval-completion-rate series of the run, a
+	// picture of the dip and recovery; no rate is judged from it.
 	Rate metrics.SeriesSnapshot
 }
 
 // ReconvergeResult measures time-to-re-converge: how long each protocol
-// takes to settle back onto a steady completion rate after the platform
-// changes under it (the adaptability claim of Section 4.2.3, here made
-// quantitative with the timeline sampler and the stats.Converge
-// detector instead of eyeballing Figure 7's slopes).
+// takes to settle onto an exactly periodic completion stream after the
+// platform changes under it, and at what exact rate (the adaptability
+// claim of Section 4.2.3, made quantitative with steady.Detect instead of
+// eyeballing Figure 7's slopes).
 type ReconvergeResult struct {
 	Tasks       int64
 	MutateAt    int64
 	SampleEvery sim.Time
-	Eps         float64
-	Window      int
 	Scenarios   []ReconvergeScenario
 }
 
 // Reconverge runs the re-convergence experiment over the autonomous
 // protocols. tasks and mutateAt default to 2000 and 200 when zero.
 func Reconverge(tasks, mutateAt int64) (*ReconvergeResult, error) {
-	const (
-		sampleEvery = sim.Time(64)
-		eps         = 0.05
-		window      = 8
-	)
+	const sampleEvery = sim.Time(64)
 	s, err := newFigure1Scenario("reconverge", tasks, mutateAt, 2000, sampleEvery)
 	if err != nil {
 		return nil, err
@@ -79,10 +73,7 @@ func Reconverge(tasks, mutateAt int64) (*ReconvergeResult, error) {
 		{"non-intr IB=1", protocol.NonInterruptible(1)},
 		{"non-intr FB=2", protocol.NonInterruptibleFixed(2)},
 	}
-	out := &ReconvergeResult{
-		Tasks: s.tasks, MutateAt: s.mutateAt,
-		SampleEvery: sampleEvery, Eps: eps, Window: window,
-	}
+	out := &ReconvergeResult{Tasks: s.tasks, MutateAt: s.mutateAt, SampleEvery: sampleEvery}
 	for _, p := range protocols {
 		run, res, err := s.run(p.name, p.proto, engine.Mutation{AfterTasks: s.mutateAt, Node: P1, C: 3})
 		if err != nil {
@@ -95,15 +86,13 @@ func Reconverge(tasks, mutateAt int64) (*ReconvergeResult, error) {
 			OptimalAfter:  run.OptimalAfter,
 			MutateTime:    res.Completions[s.mutateAt-1],
 			Makespan:      res.Makespan,
-			TailRate:      run.TailRate,
+			Tail:          run.Tail,
+		}
+		if sc.Tail.Found {
+			sc.TimeToReconverge = res.Completions[s.mutateAt+int64(sc.Tail.Start)-1] - sc.MutateTime
 		}
 		if rate := res.Timeline.Find("rate"); rate != nil {
 			sc.Rate = *rate
-		}
-		// Judged after the mutation only: pre-mutation samples would count
-		// the old steady state as an excursion.
-		if at, ok := res.Timeline.Converged(sc.MutateTime, eps, window); ok {
-			sc.Converged, sc.ConvergedAt, sc.TimeToReconverge = true, at, at-sc.MutateTime
 		}
 		out.Scenarios = append(out.Scenarios, sc)
 	}
@@ -112,7 +101,8 @@ func Reconverge(tasks, mutateAt int64) (*ReconvergeResult, error) {
 
 // Render writes the re-convergence report: one rate sparkline per
 // protocol (the dip-and-recover shape of Figure 7's slope change) and a
-// table of time-to-re-converge against the per-phase optimal rates.
+// table of exact tail rates and time-to-re-converge against the per-phase
+// optimal rates.
 func (r *ReconvergeResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Re-convergence after c1: 1→3 at task %d of %d (sampled every %d steps)\n\n",
 		r.MutateAt, r.Tasks, r.SampleEvery)
@@ -123,19 +113,18 @@ func (r *ReconvergeResult) Render(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%-20s %s\n", sc.Name, textplot.Spark(vals))
 	}
-	fmt.Fprintf(w, "\n%-20s %10s %10s %10s %10s %12s\n",
+	fmt.Fprintf(w, "\n%-20s %10s %10s  %-19s %8s %12s\n",
 		"protocol", "opt before", "opt after", "tail rate", "t_mutate", "t_reconverge")
 	for _, sc := range r.Scenarios {
-		reconv := "never"
-		if sc.Converged {
-			reconv = fmt.Sprintf("%d", sc.TimeToReconverge)
+		reconv := "-"
+		if sc.Tail.Found {
+			reconv = fmt.Sprint(sc.TimeToReconverge)
 		}
-		fmt.Fprintf(w, "%-20s %10s %10s %10.5f %10d %12s\n",
+		fmt.Fprintf(w, "%-20s %10s %10s  %-19s %8d %12s\n",
 			sc.Name, sc.OptimalBefore.Format(5), sc.OptimalAfter.Format(5),
-			sc.TailRate, sc.MutateTime, reconv)
+			tailCell(sc.Tail, sc.OptimalAfter), sc.MutateTime, reconv)
 	}
-	fmt.Fprintf(w, "\nt_reconverge = first sample time from which the rate stays within ±%.0f%% of its\nfinal %d-sample mean, minus t_mutate; sim timesteps throughout\n",
-		r.Eps*100, r.Window)
+	fmt.Fprintln(w, "\nt_reconverge = completion time of the first task of the exact post-mutation period minus t_mutate, in sim timesteps")
 	return nil
 }
 
@@ -147,43 +136,42 @@ func (r *ReconvergeResult) JSON() any {
 		Protocol         string                 `json:"protocol"`
 		OptimalBefore    float64                `json:"optimalBefore"`
 		OptimalAfter     float64                `json:"optimalAfter"`
-		TailRate         float64                `json:"tailRate"`
+		TailBatch        int                    `json:"tailBatch"`
+		TailPeriod       int64                  `json:"tailPeriod"`
 		MutateTime       int64                  `json:"mutateTime"`
 		Makespan         int64                  `json:"makespan"`
-		Converged        bool                   `json:"converged"`
-		ConvergedAt      int64                  `json:"convergedAt"`
-		TimeToReconverge int64                  `json:"timeToReconverge"`
+		TimeToReconverge *int64                 `json:"timeToReconverge,omitempty"`
 		Rate             metrics.SeriesSnapshot `json:"rate"`
 	}
 	rows := make([]row, 0, len(r.Scenarios))
 	for _, sc := range r.Scenarios {
-		rows = append(rows, row{
-			Name:             sc.Name,
-			Protocol:         sc.Protocol,
-			OptimalBefore:    sc.OptimalBefore.Float64(),
-			OptimalAfter:     sc.OptimalAfter.Float64(),
-			TailRate:         sc.TailRate,
-			MutateTime:       int64(sc.MutateTime),
-			Makespan:         int64(sc.Makespan),
-			Converged:        sc.Converged,
-			ConvergedAt:      int64(sc.ConvergedAt),
-			TimeToReconverge: int64(sc.TimeToReconverge),
-			Rate:             sc.Rate,
-		})
+		rw := row{
+			Name:          sc.Name,
+			Protocol:      sc.Protocol,
+			OptimalBefore: sc.OptimalBefore.Float64(),
+			OptimalAfter:  sc.OptimalAfter.Float64(),
+			TailBatch:     sc.Tail.Batch,
+			TailPeriod:    int64(sc.Tail.Period),
+			MutateTime:    int64(sc.MutateTime),
+			Makespan:      int64(sc.Makespan),
+			Rate:          sc.Rate,
+		}
+		if sc.Tail.Found {
+			t := int64(sc.TimeToReconverge)
+			rw.TimeToReconverge = &t
+		}
+		rows = append(rows, rw)
 	}
 	return struct {
-		Schema      string  `json:"schema"`
-		Experiment  string  `json:"experiment"`
-		Tasks       int64   `json:"tasks"`
-		MutateAt    int64   `json:"mutateAt"`
-		SampleEvery int64   `json:"sampleEvery"`
-		Eps         float64 `json:"eps"`
-		Window      int     `json:"window"`
-		Scenarios   []row   `json:"scenarios"`
+		Schema      string `json:"schema"`
+		Experiment  string `json:"experiment"`
+		Tasks       int64  `json:"tasks"`
+		MutateAt    int64  `json:"mutateAt"`
+		SampleEvery int64  `json:"sampleEvery"`
+		Scenarios   []row  `json:"scenarios"`
 	}{
 		Schema: TimelineSchemaV1, Experiment: "reconverge",
-		Tasks: r.Tasks, MutateAt: r.MutateAt,
-		SampleEvery: int64(r.SampleEvery), Eps: r.Eps, Window: r.Window,
+		Tasks: r.Tasks, MutateAt: r.MutateAt, SampleEvery: int64(r.SampleEvery),
 		Scenarios: rows,
 	}
 }

@@ -68,7 +68,7 @@ type Node struct {
 
 	order                       Order
 	root, interruptible, growOn bool
-	initial, maxBuffers, window int64
+	initial, window             int64
 
 	sending   int   // slot of the send in flight; -1: the port is free
 	sendSince int64 // request time behind it (FCFS)
@@ -121,7 +121,6 @@ func (n *Node) Reset(p Protocol, root bool) {
 		interruptible: p.Interruptible,
 		growOn:        p.Grow,
 		initial:       int64(p.InitialBuffers),
-		maxBuffers:    int64(p.MaxBuffers),
 		sending:       -1,
 	}
 	if p.Decay {
@@ -442,10 +441,9 @@ func (n *Node) take() (t Take) {
 	return t
 }
 
-// grow adds one buffer under the growth protocol, within its cap. The
-// root never grows.
+// grow adds one buffer under the growth protocol. The root never grows.
 func (n *Node) grow() bool {
-	if n.root || !n.growOn || n.maxBuffers > 0 && n.Capacity >= n.maxBuffers {
+	if n.root || !n.growOn {
 		return false
 	}
 	n.Capacity++

@@ -46,7 +46,7 @@ type ref struct {
 }
 
 func (r *ref) grow() bool {
-	if r.root || !r.p.Grow || r.p.MaxBuffers > 0 && r.capacity >= int64(r.p.MaxBuffers) {
+	if r.root || !r.p.Grow {
 		return false
 	}
 	r.capacity++
@@ -254,20 +254,18 @@ func (d *differ) static() bool {
 }
 
 // protocolFor decodes a protocol from one byte: the order, interruption
-// where the order allows it, and, without it, fixed buffers, growth,
-// capped growth or growth with decay.
+// where the order allows it, and, without it, fixed buffers, growth or
+// growth with decay.
 func protocolFor(b, buffers byte) Protocol {
 	o := Order(b % 5)
 	ib := int(buffers%3) + 1
 	if o.HasPriority() && b/5%2 == 1 {
 		return Interruptible(ib).WithOrder(o)
 	}
-	switch b / 10 % 4 {
+	switch b / 10 % 3 {
 	case 1:
 		return NonInterruptible(ib).WithOrder(o)
 	case 2:
-		return NonInterruptible(ib).WithOrder(o).WithCap(ib + 2)
-	case 3:
 		return NonInterruptible(ib).WithOrder(o).WithDecay(3)
 	}
 	return NonInterruptibleFixed(ib).WithOrder(o)

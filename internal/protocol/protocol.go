@@ -98,10 +98,6 @@ type Protocol struct {
 	InitialBuffers int
 	// Grow enables the three buffer-growth events of Section 3.1.
 	Grow bool
-	// MaxBuffers caps growth when positive; 0 means unbounded. The paper's
-	// Table 1 measures usage rather than capping, but a cap lets bounded-
-	// buffer deployments be simulated.
-	MaxBuffers int
 	// Order is the child-selection policy; the paper always uses
 	// BandwidthCentric, the others are baselines.
 	Order Order
@@ -165,13 +161,6 @@ func (p Protocol) WithOrder(o Order) Protocol {
 	return p
 }
 
-// WithCap returns p with buffer growth capped at max buffers per node.
-func (p Protocol) WithCap(max int) Protocol {
-	p.MaxBuffers = max
-	p.Label = fmt.Sprintf("%s cap=%d", p.Label, max)
-	return p
-}
-
 // WithDecay returns p with buffer decay enabled over the given observation
 // window (0 = DefaultDecayWindow).
 func (p Protocol) WithDecay(window int) Protocol {
@@ -185,15 +174,6 @@ func (p Protocol) WithDecay(window int) Protocol {
 func (p Protocol) Validate() error {
 	if p.InitialBuffers < 1 {
 		return fmt.Errorf("protocol: initial buffers %d < 1", p.InitialBuffers)
-	}
-	if p.MaxBuffers < 0 {
-		return fmt.Errorf("protocol: negative buffer cap %d", p.MaxBuffers)
-	}
-	if p.MaxBuffers > 0 && p.MaxBuffers < p.InitialBuffers {
-		return fmt.Errorf("protocol: buffer cap %d below initial buffers %d", p.MaxBuffers, p.InitialBuffers)
-	}
-	if p.MaxBuffers > 0 && !p.Grow {
-		return fmt.Errorf("protocol: buffer cap set but growth disabled")
 	}
 	if p.Interruptible && p.Grow {
 		return fmt.Errorf("protocol: the interruptible protocol uses fixed buffers, not growth")

@@ -37,12 +37,7 @@ func TestValidate(t *testing.T) {
 		{"non-IC", NonInterruptible(1), true},
 		{"non-IC fixed", NonInterruptibleFixed(2), true},
 		{"IC 3", Interruptible(3), true},
-		{"IC capped via WithCap invalid", Interruptible(3).WithCap(5), false},
-		{"non-IC capped", NonInterruptible(1).WithCap(10), true},
-		{"cap below initial", NonInterruptible(5).WithCap(3), false},
-		{"cap without growth", Protocol{InitialBuffers: 1, MaxBuffers: 5}, false},
 		{"zero buffers", Protocol{InitialBuffers: 0}, false},
-		{"negative cap", Protocol{InitialBuffers: 1, MaxBuffers: -1, Grow: true}, false},
 		{"IC with round-robin", Interruptible(2).WithOrder(RoundRobin), false},
 		{"IC with random", Interruptible(2).WithOrder(Random), false},
 		{"IC with fcfs", Interruptible(2).WithOrder(FCFS), true},
