@@ -78,6 +78,12 @@ func run(args []string) error {
 	if *parent == "" && *tasks <= 0 {
 		return fmt.Errorf("a root needs -tasks")
 	}
+	if *size < 0 {
+		return fmt.Errorf("-size %d < 0", *size)
+	}
+	if *computeMS < 0 {
+		return fmt.Errorf("-compute-ms %d < 0", *computeMS)
+	}
 
 	opts := []live.Option{
 		live.WithListen(*listen),

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +14,16 @@ func TestFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-name", "root"}); err == nil {
 		t.Fatalf("root without -tasks accepted")
+	}
+	// Rejected before the node starts: a negative size used to panic in
+	// the workload's make, a negative compute time ran as 0 ms.
+	for _, args := range [][]string{
+		{"-name", "r", "-tasks", "3", "-size", "-1"},
+		{"-name", "w", "-parent", "127.0.0.1:1", "-compute-ms", "-5"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), " < 0") {
+			t.Errorf("run(%q) = %v, want a < 0 error", args, err)
+		}
 	}
 }
 

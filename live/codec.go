@@ -101,34 +101,20 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 		return buf[:0], errFrameTooBig
 	}
 	need := int(n)
-	if cap(buf) >= need {
-		buf = buf[:need]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return buf[:0], fmt.Errorf("%w: %v", errFrameTruncated, err)
-		}
-		return buf, nil
-	}
 	buf = buf[:0]
-	got := 0
-	for got < need {
-		step := need - got
-		if step > frameReadStep {
-			step = frameReadStep
-		}
-		if cap(buf) < got+step {
+	for got := 0; got < need; got = len(buf) {
+		step := min(need-got, frameReadStep)
+		if cap(buf) < got+step { // double, but never past need
 			newCap := got + step
 			if doubled := 2 * cap(buf); doubled > newCap && doubled <= need {
 				newCap = doubled
 			}
-			nb := make([]byte, newCap)
-			copy(nb, buf[:got])
-			buf = nb
+			buf = append(make([]byte, 0, newCap), buf...)
 		}
 		buf = buf[:got+step]
 		if _, err := io.ReadFull(br, buf[got:]); err != nil {
 			return buf[:0], fmt.Errorf("%w: %v", errFrameTruncated, err)
 		}
-		got += step
 	}
 	return buf, nil
 }

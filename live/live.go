@@ -62,6 +62,7 @@ import (
 	"maps"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -152,11 +153,12 @@ type AppStats struct {
 
 // Node is a running overlay node.
 //
-// One goroutine, the owner (ownerLoop), holds the protocol state — the
-// fields from parent on — and changes it only in response to inputs on
-// inbox; it never does I/O. The conn readers, the send port, the uplink
-// writer, the compute port, the dialler and the heartbeats move frames and
-// run tasks: they take work the owner decided and report back.
+// One goroutine, the owner, holds the protocol state — the fields from
+// parent on. Its steps (owner.go) take data inputs and append effects as
+// data; its shell (ownerLoop) receives the inputs on inbox, reads the
+// clock and carries the effects out. The conn readers, the send port, the
+// uplink writer, the compute port, the dialler and the heartbeats move
+// frames and run tasks: they take work the owner decided and report back.
 type Node struct {
 	cfg      config
 	root     bool
@@ -215,13 +217,14 @@ type Node struct {
 	// ledger order even across reconnects and retransmits.
 	unacked   []*resultEntry
 	due       []*resultEntry  // dueResultBatch's scratch
-	computing map[uint64]bool // tasks on the compute port right now
+	computing []uint64        // the task on the compute port right now, if any
 	children  []*childSession // in slot order: by link estimate, then name
 	buffer    taskPool        // tasks awaiting dispatch; at the root, the application
-	backlog   []Result        // root only: collected results the results channel had no room for
 	stats     Stats
 	status    *statusServer
-	stopped   bool // Close has taken the last of the owner's state
+	stopped   bool     // Close stopped the owner
+	armed     bool     // the timer is armed
+	fx        []effect // the step's effects, for the shell
 
 	// Whether the send port and the uplink writer hold work (the compute
 	// port's is the core's), and what they hold meanwhile. portPaced marks
@@ -281,30 +284,6 @@ type outTransfer struct {
 	traceSeq uint64
 }
 
-// resultEntry is one slot of the unacked-result ledger: a result owed to
-// the parent, keyed by task ID + origin. A successful write does not
-// retire it — only the parent's ack does — so a frame lost to a severed
-// or lossy link is replayed rather than silently dropped.
-type resultEntry struct {
-	res    Result
-	sentOn *conn     // uplink the entry was last written to; nil = never sent
-	sentAt time.Time // when it was last written, for the retransmit timer
-}
-
-// upJob is one uplink batch as the owner decided it: the owed requests as
-// one frame, then the due ledger entries. The owner reuses the one job;
-// the writer holds it from one pull to the next, and c is nil once it is
-// folded back in.
-type upJob struct {
-	c                          *conn
-	msgs                       []message
-	entries                    []*resultEntry // the ledger entries msgs carries, from firstResult on
-	firstResult, reqN, replays int
-	told                       bool // a hello built while the write was in doubt reported reqN as sent
-	accepted                   int  // filled in by the writer, with err
-	err                        error
-}
-
 // chunkBatch is the most chunks the send port writes to one child per port
 // turn (one buffer, one syscall): the rest of its transfer and as many of
 // its pending requests' transfers as fit. Preemption happens between
@@ -351,37 +330,19 @@ func Start(name string, opts ...Option) (*Node, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	n := &Node{
-		cfg:       cfg,
-		root:      cfg.parent == "",
-		started:   time.Now(),
-		computing: make(map[uint64]bool),
-		inbox:     make(chan input, 64),
-		portJobs:  make(chan []portWrite, 1),
-		upKick:    make(chan struct{}, 1),
-		upJobs:    make(chan *upJob, 1),
-		tasks:     make(chan Task, 1),
-		done:      make(chan struct{}),
-		ownerGone: make(chan struct{}),
-		failed:    make(chan struct{}),
-		stats:     Stats{ByChild: map[string]int64{}, PerApp: map[string]AppStats{}},
+	n := newNode(cfg)
+	n.inbox, n.tasks = make(chan input, 64), make(chan Task, 1)
+	n.portJobs, n.upKick, n.upJobs = make(chan []portWrite, 1), make(chan struct{}, 1), make(chan *upJob, 1)
+	if n.root {
+		n.results = make(chan Result, 1024)
 	}
-	n.core.Reset(cfg.protocol, n.root)
-	if cfg.recorderCap > 0 {
-		n.rec = newFlightRecorder(cfg.recorderCap)
-	}
+	n.done, n.ownerGone, n.failed = make(chan struct{}), make(chan struct{}), make(chan struct{})
 	if cfg.timelineInterval > 0 {
 		// Millisecond timestamps at the sampling cadence never collide, so
 		// resolution 1 keeps every pass distinct until capacity forces
 		// downsampling.
 		n.sampler = metrics.NewSampler(timelineSeriesCap, 1)
 	}
-	if n.root {
-		n.results = make(chan Result, 1024)
-	}
-	// The paper's startup rule: one request per buffer, all owed and none
-	// sent, so the first hello reports no request unanswered.
-	n.reqDeficit = int(n.core.Initial())
 
 	if cfg.listen != "" {
 		l, err := net.Listen("tcp", cfg.listen)
@@ -415,14 +376,30 @@ func Start(name string, opts ...Option) (*Node, error) {
 	return n, nil
 }
 
+// newNode is the owner's state as Start begins it: no goroutine or socket.
+func newNode(cfg config) *Node {
+	n := &Node{
+		cfg:     cfg,
+		root:    cfg.parent == "",
+		started: time.Now(),
+		stats:   Stats{ByChild: map[string]int64{}, PerApp: map[string]AppStats{}},
+	}
+	n.core.Reset(cfg.protocol, n.root)
+	if cfg.recorderCap > 0 {
+		n.rec = newFlightRecorder(cfg.recorderCap)
+	}
+	// The paper's startup rule: one request per buffer, all owed and none
+	// sent, so the first hello reports no request unanswered.
+	n.reqDeficit = int(n.core.Initial())
+	return n
+}
+
 // realSleep pauses for d, abandoning the wait when done closes. The
 // reconnect backoff goes through config.sleep so tests can substitute a
 // fake clock.
 func realSleep(d time.Duration, done <-chan struct{}) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-time.After(d):
 		return true
 	case <-done:
 		return false
@@ -436,10 +413,7 @@ func backoffDelay(attempt int, base, cap time.Duration) time.Duration {
 	for i := 1; i < attempt && d < cap; i++ {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
-	}
-	return d
+	return min(d, cap)
 }
 
 // Addr returns the node's listen address (useful with "127.0.0.1:0").
@@ -477,32 +451,26 @@ func (n *Node) Stats() Stats {
 	return n.snapshot().Stats
 }
 
-// snapshot is the one source of Stats, /status and the sampler:
-// built by the owner, or from the state it left once it has stopped.
+// snapshot is the one source of Stats, /status and the sampler: read
+// while the owner is paused, or from the state it left once it stopped.
 func (n *Node) snapshot() statusSnapshot {
-	var v statusSnapshot
-	build := func() {
-		v = statusSnapshot{Name: n.cfg.name, Root: n.root, Buffered: n.buffer.len(), Stats: n.stats,
-			Links: map[string]float64{}, Connected: n.root || n.parent != nil}
-		v.Stats.ByChild, v.Stats.PerApp = maps.Clone(n.stats.ByChild), maps.Clone(n.stats.PerApp)
-		v.Stats.MaxQueued = n.buffer.peak
-		for _, s := range n.children {
-			if !s.gone {
-				v.Children = append(v.Children, s.name)
-				v.Links[s.name] = s.link.estimate()
-			}
+	resume, _ := n.pause()
+	v := statusSnapshot{Name: n.cfg.name, Root: n.root, Buffered: n.buffer.len(), Stats: n.stats,
+		Links: map[string]float64{}, Connected: n.root || n.parent != nil}
+	v.Stats.ByChild, v.Stats.PerApp = maps.Clone(n.stats.ByChild), maps.Clone(n.stats.PerApp)
+	v.Stats.MaxQueued = n.buffer.peak
+	for _, s := range n.children {
+		if !s.gone {
+			v.Children = append(v.Children, s.name)
+			v.Links[s.name] = s.link.estimate()
 		}
 	}
-	if !n.query(build) {
-		build()
-	}
+	resume()
 	if n.rec != nil {
 		v.Stats.RecorderDropped = n.rec.dropped()
 	}
-	v.Stats.FramesSent = n.wireCtr.framesSent.Load()
-	v.Stats.FramesReceived = n.wireCtr.framesRecv.Load()
-	v.Stats.BytesSent = n.wireCtr.bytesSent.Load()
-	v.Stats.BytesReceived = n.wireCtr.bytesRecv.Load()
+	v.Stats.FramesSent, v.Stats.FramesReceived = n.wireCtr.framesSent.Load(), n.wireCtr.framesRecv.Load()
+	v.Stats.BytesSent, v.Stats.BytesReceived = n.wireCtr.bytesSent.Load(), n.wireCtr.bytesRecv.Load()
 	up := time.Since(n.started)
 	v.Stats.UptimeSeconds, v.Uptime = int64(up.Seconds()), up.Round(time.Millisecond).String()
 	return v
@@ -513,30 +481,20 @@ func (n *Node) snapshot() statusSnapshot {
 // immediately instead of waiting out the reconnect grace), and all
 // connections close. Closing the root before Run returns aborts the run.
 func (n *Node) Close() error {
-	if !n.closing.CompareAndSwap(false, true) { // the owner takes no admission, endpoint or port work from here on
+	if !n.closing.CompareAndSwap(false, true) { // no node goroutine starts from here on
 		return nil
 	}
-	var (
-		children []*conn
-		parent   *conn
-		status   *statusServer
-	)
-	n.query(func() {
-		for _, s := range n.children {
-			children = append(children, s.c)
-		}
-		parent, status, n.status = n.parent, n.status, nil
-		n.stopped = true
-	})
-	if status != nil {
-		_ = status.srv.Close()
+	n.put(input{kind: inClose}) // the owner stops only here
+	<-n.ownerGone
+	if n.status != nil {
+		_ = n.status.srv.Close()
 	}
 	close(n.done)
-	for _, c := range children {
-		c.farewell(&message{Kind: kindShutdown})
+	for _, s := range n.children {
+		s.c.farewell(&message{Kind: kindShutdown})
 	}
-	if parent != nil {
-		parent.farewell(&message{Kind: kindGoodbye})
+	if n.parent != nil {
+		n.parent.farewell(&message{Kind: kindGoodbye})
 	}
 	if n.listener != nil {
 		_ = n.listener.Close()
@@ -569,10 +527,7 @@ func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 		seen[t.ID] = true
 	}
 
-	n.do(func() { // the root's pool
-		n.buffer.pushAll(tasks)
-		n.core.Refill(int64(len(tasks)))
-	})
+	n.put(input{kind: inRun, tasks: tasks})
 
 	out := make([]Result, 0, len(tasks))
 	for len(out) < len(tasks) {
@@ -594,31 +549,12 @@ func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 			return out, fmt.Errorf("live: run canceled: %w", ctx.Err())
 		case <-n.done:
 			return out, errors.New("live: node closed during run")
-		}
-		if err := n.Err(); err != nil {
-			return out, err
+		case <-n.failed:
+			return out, n.Err()
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// input is one entry of the owner's inbox: fn to run, or — so a busy
-// reader allocates nothing per frame — a frame m it decoded on c (copied
-// out, Data dropped), from child session s or, s nil, down the uplink,
-// where a chunk carries its segment mark and its completed transfer t.
-type input struct {
-	fn      func()
-	s       *childSession
-	c       *conn
-	m       message
-	segment bool
-	t       *inTransfer
-}
-
-// do hands fn to the owner, reporting false when the owner has stopped.
-func (n *Node) do(fn func()) bool {
-	return n.put(input{fn: fn})
 }
 
 // put hands the owner an input, reporting false when it has stopped.
@@ -636,29 +572,50 @@ func (n *Node) put(in input) bool {
 	}
 }
 
-// query runs fn on the owner and waits for it; false means the owner had
-// stopped (the node closed), whether or not fn ran first.
-func (n *Node) query(fn func()) bool {
-	ran := make(chan struct{})
-	if !n.do(func() { fn(); close(ran) }) {
-		return false
+// ask hands the owner an input with a reply slot and waits for the reply;
+// false means the owner stopped without giving one.
+func (n *Node) ask(in input) (r reply, ok bool) {
+	in.reply = make(chan reply, 1)
+	if n.put(in) {
+		select {
+		case r = <-in.reply:
+			return r, true
+		case <-n.ownerGone: // a reply is sent before the owner stops
+		}
 	}
 	select {
-	case <-ran:
-		return true
-	case <-n.ownerGone:
-		return false
+	case r = <-in.reply:
+		return r, true
+	default:
+		return r, false
 	}
 }
 
-// ownerLoop is the node's one decision maker, until Close stops it. A
-// wake-up runs every pending input before it decides anything, so a burst
-// of frames costs one decision and at most one write per link; a deadline
-// wakes it with an input of its own. Stopping, it closes the channels it
-// alone sends on, so the ports wind down.
+// pause parks the owner between two steps, for the caller to read its
+// state, and returns the function that releases it. parked is false once
+// the owner has stopped: its state is then read-only, resume a no-op.
+func (n *Node) pause() (resume func(), parked bool) {
+	hold := make(chan reply) // unbuffered: the owner hands over, then takes back
+	if n.put(input{kind: inPause, reply: hold}) {
+		select {
+		case <-hold:
+			return func() { hold <- reply{} }, true
+		case <-n.ownerGone:
+		}
+	}
+	return func() {}, false
+}
+
+// ownerLoop is the owner's shell, until Close stops it. A wake-up reads
+// the clock once and steps every pending input, carrying out each step's
+// effects before the next, then decides: a burst of frames costs one
+// decision and at most one write per link. It alone receives on inbox,
+// sends to the ports, arms the timer and holds the root's backlog of
+// results Run has not taken; stopping, it closes the ports' channels.
 func (n *Node) ownerLoop() {
-	wake := func() {}
-	timer := time.AfterFunc(time.Hour, func() { n.do(wake) })
+	var backlog []Result
+	timer := time.AfterFunc(time.Hour, func() { n.put(input{kind: inTimer}) })
+	timer.Stop() // armed only by an effect
 	defer func() {
 		timer.Stop()
 		close(n.ownerGone)
@@ -667,85 +624,74 @@ func (n *Node) ownerLoop() {
 		close(n.upKick)
 		close(n.upJobs)
 	}()
+	carry := func() {
+		for i := range n.fx {
+			switch e := &n.fx[i]; e.kind {
+			case effCompute:
+				n.tasks <- e.task
+			case effPortTurn:
+				n.portJobs <- e.writes
+			case effKick:
+				n.upKick <- struct{}{}
+			case effBatch:
+				n.upJobs <- e.job
+			case effDeliver:
+				if len(backlog) == 0 {
+					select {
+					case n.results <- e.res:
+						continue
+					default:
+					}
+				}
+				backlog = append(backlog, e.res)
+			case effArm:
+				if e.d > 0 {
+					timer.Reset(e.d)
+				} else {
+					timer.Stop()
+				}
+			case effReply:
+				e.to <- e.r
+			case effServe:
+				if ss := e.r.status; !n.goTracked(ss.serve) {
+					_ = ss.ln.Close() // the node is closing
+				}
+			}
+		}
+		clear(n.fx) // pins no payload
+		n.fx = n.fx[:0]
+	}
 	for !n.stopped {
 		var in input
-		if len(n.backlog) == 0 {
+		if len(backlog) == 0 {
 			in = <-n.inbox
 		} else {
 			select {
 			case in = <-n.inbox:
-			case n.results <- n.backlog[0]:
-				n.backlog[0] = Result{}
-				n.backlog = n.backlog[1:]
+			case n.results <- backlog[0]:
+				backlog[0] = Result{}
+				backlog = backlog[1:]
 				continue
 			}
 		}
-		for more := true; more; {
-			switch {
-			case in.fn != nil:
-				in.fn()
-			case in.s != nil:
-				n.childFrame(in.s, in.c, &in.m)
-			default:
-				n.parentFrame(&in)
+		for now := n.started.Add(time.Since(n.started)); !n.stopped; { // one clock read: the owner only subtracts times
+			if in.kind == inPause {
+				in.reply <- reply{} // parked
+				<-in.reply          // released
+			} else {
+				n.step(now, &in)
+				carry() // a reply or a batch goes out before the next input
 			}
 			select {
 			case in = <-n.inbox:
+				continue
 			default:
-				more = false
 			}
-		}
-		if wait := n.decide(); wait > 0 {
-			timer.Reset(wait)
-		}
-	}
-}
-
-// decide hands every idle port its next work — the compute port first (the
-// node is its own highest-priority consumer), then the send port, then the
-// uplink writer, which so carries the requests both just owed — and says
-// how long until a grace expiry or retransmission is due (0: none).
-func (n *Node) decide() time.Duration {
-	if n.closing.Load() {
-		return 0
-	}
-	wait := n.reclaim()
-	if take, ok := n.core.Compute(); ok {
-		t := n.buffer.pop()
-		n.computing[t.ID] = true // accounted until the result enters the ledger
-		n.freed(take, t.App)
-		n.record(Event{Kind: EvComputeStart, Task: t.ID})
-		n.tasks <- t
-	}
-	if !n.portBusy {
-		n.portTurn()
-	}
-	if !n.upBusy && n.parent != nil { // the writer pulls its batch (pullUplink) once it runs
-		if batch, _, _ := n.dueResultBatch(); n.reqDeficit+len(batch) > 0 {
-			n.upBusy = true
-			n.upKick <- struct{}{}
+			n.decide(now)
+			carry()
+			break
 		}
 	}
-	if !n.upBusy {
-		if d := n.resultRetryWait(); d > 0 && (wait == 0 || d < wait) {
-			wait = d
-		}
-	}
-	return wait
-}
-
-// bumpApp updates one application's counter slice; untagged tasks (empty
-// app) keep no per-app entry.
-func (n *Node) bumpApp(app string, f func(*AppStats)) {
-	if app == "" {
-		return
-	}
-	if n.stats.PerApp == nil {
-		n.stats.PerApp = make(map[string]AppStats)
-	}
-	s := n.stats.PerApp[app]
-	f(&s)
-	n.stats.PerApp[app] = s
 }
 
 // fail records the first fatal error.
@@ -761,16 +707,17 @@ func (n *Node) fail(err error) {
 // when it adds and the Add cannot race Close's Wait. It is the only place a
 // node goroutine starts and the only place the WaitGroup is counted up or
 // down, so none can be spawned that Close does not wait for
-// (TestGoroutinesStartTracked).
-func (n *Node) goTracked(fn func()) {
+// (TestGoroutinesStartTracked). It reports whether fn started.
+func (n *Node) goTracked(fn func()) bool {
 	if n.closing.Load() {
-		return
+		return false
 	}
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		fn()
 	}()
+	return true
 }
 
 // superviseConn watches one link: it sends a heartbeat every interval
@@ -795,14 +742,8 @@ func (n *Node) superviseConn(c *conn) {
 					continue
 				}
 				misses++
-				miss, sever := misses, misses >= n.cfg.heartbeatMisses
-				n.do(func() {
-					n.stats.HeartbeatMisses++
-					n.record(Event{Kind: EvHeartbeatMiss, Peer: c.label(), Value: int64(miss)})
-					if sever {
-						n.record(Event{Kind: EvSever, Peer: c.label()})
-					}
-				})
+				sever := misses >= n.cfg.heartbeatMisses
+				n.put(input{kind: inHeartbeatMiss, c: c, n: misses, sever: sever})
 				if sever {
 					_ = c.close()
 					return
@@ -835,137 +776,19 @@ func (n *Node) acceptLoop() {
 			continue
 		}
 		c.peer, c.peerName = hello.Name, hello.Name
-		var sess *childSession
-		var ack *message
-		if !n.query(func() { sess, ack = n.admitChild(c, hello) }) || sess == nil {
+		r, _ := n.ask(input{kind: inAdmit, c: c, m: *hello})
+		if r.sess == nil {
 			_ = c.close() // the node is closing
 			continue
 		}
-		if err = c.send(ack); err == nil {
-			n.goTracked(func() { n.childLoop(sess, c) })
+		if err = c.send(r.msg); err == nil {
+			n.goTracked(func() { n.childLoop(r.sess, c) })
 			n.superviseConn(c)
 		} else {
 			_ = c.close()
 		}
-		n.do(func() {
-			if sess.admitting = false; err != nil {
-				n.markChildGone(sess, c)
-			}
-			n.reach(sess)
-		})
+		n.put(input{kind: inAdmitted, s: r.sess, c: c, err: err})
 	}
-}
-
-// admitChild installs a connection as a fresh child session — or, when
-// the hello names a session whose link died within the reconnect grace
-// window, revives that session: the handed-off tasks the hello covers
-// survive, a transfer cut mid-payload resumes from the offset the hello
-// offers, and everything else the child never received returns to the
-// pool. Fresh or revived, the session's request count is the hello's: the
-// child knows how many of its requests no task has answered; the parent
-// cannot tell a request it never read from one it served into a dead link.
-// It returns the session, admitting until the accept loop has written the
-// hello-ack it also returns; nil while the node is closing.
-func (n *Node) admitChild(c *conn, hello *message) (*childSession, *message) {
-	if n.closing.Load() {
-		return nil, nil
-	}
-	offered := make(map[uint64]int, len(hello.Resume))
-	for _, rp := range hello.Resume {
-		offered[rp.Task] = rp.Offset
-	}
-	// held is every task the child's hello still accounts for complete:
-	// somewhere in its subtree, or computed with the result awaiting an
-	// ack. A handed-off task outside this set (and not offered for
-	// resumption) was lost with the old connection.
-	held := make(map[uint64]bool, len(hello.Holding))
-	for _, id := range hello.Holding {
-		held[id] = true
-	}
-	ack := &message{Kind: kindHelloAck, Name: n.cfg.name, Codecs: []uint8{wireVersion}}
-
-	helloSeq := n.record(Event{Kind: EvHello, Peer: hello.Name, WireSeq: hello.Seq,
-		CausePeer: hello.TraceNode, CauseSeq: hello.TraceSeq})
-	ack.TraceNode, ack.TraceSeq = n.cfg.name, helloSeq
-	var sess *childSession
-	for _, s := range n.children {
-		if s.name == hello.Name && s.gone && !s.left {
-			sess = s
-			break
-		}
-	}
-	if sess != nil {
-		sess.c = c
-		sess.gone = false
-		sess.goneAt = time.Time{}
-		ack.Revived = true
-		n.record(Event{Kind: EvRevive, Peer: hello.Name})
-		requeuedBefore := n.stats.Requeued
-		// The link is in order and the port writes a child's transfers one
-		// after another, several to a write, so the child offers at most one
-		// partial transfer, and holds nothing written after it. An offered
-		// transfer that was already handed off goes back to the port;
-		// whatever else was on the port never reached the child.
-		for _, rp := range hello.Resume {
-			if tr := sess.outstanding[rp.Task]; tr != nil {
-				delete(sess.outstanding, rp.Task)
-				if sess.active != nil {
-					n.requeue(sess, sess.active)
-				}
-				sess.active = tr
-			}
-		}
-		if tr := sess.active; tr != nil {
-			if off, ok := offered[tr.task.ID]; ok && off >= 0 && off <= len(tr.task.Payload) {
-				// Resume mid-payload from the offset the hello offers.
-				tr.offset = off
-				tr.resumed = true
-				ack.Accepted = append(ack.Accepted, tr.task.ID)
-				n.stats.Resumed++
-			} else {
-				// A transfer still on the port never had its final chunk
-				// written, so with nothing offered the child holds none of
-				// it: back to the pool.
-				n.requeue(sess, tr)
-				sess.active = nil
-			}
-		}
-		// Revive-time reconciliation: requeue every handed-off task the
-		// hello no longer covers — not held in the subtree, not resuming,
-		// no unacked result to replay. It was lost with the old
-		// connection, and waiting for a grace expiry that perpetual
-		// revival keeps pushing out would stall the run forever. One the
-		// hello does cover stands.
-		var lost []uint64
-		for id := range sess.outstanding {
-			if !held[id] {
-				lost = append(lost, id)
-			}
-		}
-		sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-		for _, id := range lost {
-			tr := sess.outstanding[id]
-			delete(sess.outstanding, id)
-			n.requeue(sess, tr)
-		}
-		n.stats.RequeuedOnRevive += n.stats.Requeued - requeuedBefore
-	} else {
-		sess = &childSession{name: hello.Name, c: c, id: n.nextID, outstanding: make(map[uint64]*outTransfer)}
-		n.nextID++
-		sess.slot = len(n.children)
-		n.children = append(n.children, sess)
-		n.core.Slots = append(n.core.Slots, protocol.Slot{Child: sess.id, Down: true})
-		n.resort()
-	}
-	if d := int64(hello.N) - n.core.Slots[sess.slot].Pending; d > 0 {
-		// Requests the old connection swallowed, or that transfers requeued
-		// above had consumed: registered now, with no request frame.
-		n.record(Event{Kind: EvRequestServed, Peer: sess.name, Value: d})
-	}
-	n.core.Reconcile(sess.slot, int64(hello.N), 0, sess.active != nil)
-	sess.admitting = true
-	n.reach(sess)
-	return sess, ack
 }
 
 // childLoop reads one child's requests and relayed results and hands each
@@ -975,94 +798,12 @@ func (n *Node) childLoop(s *childSession, c *conn) {
 		m, err := c.recv()
 		if err != nil {
 			_ = c.close()
-			n.do(func() { n.markChildGone(s, c) })
+			n.put(input{kind: inChildLost, s: s, c: c})
 			return
 		}
 		if m.Kind != kindHeartbeat { // receipt alone refreshed the link's proof-of-life clock
-			n.put(input{s: s, c: c, m: *m}) // no frame up a child link carries Data
+			n.put(input{kind: inChild, s: s, c: c, m: *m}) // no frame up a child link carries Data
 		}
-	}
-}
-
-// childFrame takes one frame a child sent on c. Once the session is revived
-// on a newer connection, a stale conn's frames may no longer change it.
-func (n *Node) childFrame(s *childSession, c *conn, m *message) {
-	switch m.Kind {
-	case kindRequest:
-		if s.c == c && s.slot >= 0 {
-			n.core.Request(s.slot, int64(m.N), 0)
-			// Recorded in the owner step that bumps pending, so per-node
-			// event order matches the order the send port observes
-			// serviceability.
-			n.record(Event{Kind: EvRequestServed, Peer: s.name, Value: int64(m.N),
-				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-		}
-	case kindResult:
-		// A result is expected exactly while its task is outstanding;
-		// anything else is a replay of one already relayed (or of a task
-		// reclaimed and re-dispatched elsewhere) — ack it so the child
-		// retires its ledger entry, but do not relay it again. The ack rides
-		// the send port's next turn, one frame for all owed on c.
-		r := Result{ID: m.Task, Output: m.Output, Origin: m.Origin, App: m.App}
-		recvSeq := n.record(Event{Kind: EvResultRecv, Task: m.Task, Origin: m.Origin,
-			Peer: s.name, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-		if _, expected := s.outstanding[m.Task]; expected {
-			delete(s.outstanding, m.Task)
-			if n.root {
-				n.collectRoot(r)
-			} else {
-				n.enqueueResult(r)
-			}
-		} else {
-			n.stats.ResultsDeduped++
-			n.bumpApp(m.App, func(s *AppStats) { s.Deduped++ })
-			n.record(Event{Kind: EvResultDedupe, Task: m.Task, Origin: m.Origin, Peer: s.name})
-		}
-		if s.c == c && !s.gone {
-			s.acks = append(s.acks, resultKey{Task: m.Task, Origin: m.Origin})
-			s.ackSeq = recvSeq
-		}
-	case kindGoodbye:
-		if s.c == c {
-			s.gone = true
-			s.left = true
-			n.reach(s)
-			n.record(Event{Kind: EvGoodbye, Peer: s.name, WireSeq: m.Seq,
-				CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-		}
-	default:
-		// kindHello arrives only through the accept handshake, and
-		// kindChunk, kindHelloAck, kindShutdown, and kindResultAck flow
-		// parent→child, never up a child link. Anything here is a peer
-		// protocol bug; receipt already counted as proof of life, and
-		// dropping the frame is the safe response.
-	}
-}
-
-// markChildGone flags a child's link dead — unless the session has
-// already been revived on a newer connection — and starts the reconnect
-// grace window, at whose end decide reclaims its tasks. Whoever saw the
-// link fail has closed the conn.
-func (n *Node) markChildGone(s *childSession, c *conn) {
-	if s.c != c || s.gone {
-		return
-	}
-	s.gone = true
-	s.goneAt = time.Now()
-	s.acks = s.acks[:0]
-	n.reach(s)
-	n.record(Event{Kind: EvSever, Peer: s.name})
-}
-
-// reach tells the core whether child s can be served: not gone, and not
-// waiting for its hello-ack to be written. A reclaimed session has no slot.
-func (n *Node) reach(s *childSession) {
-	switch {
-	case s.slot < 0:
-	case s.gone || s.admitting:
-		n.core.ChildDown(s.slot)
-	default:
-		n.core.ChildUp(s.slot)
 	}
 }
 
@@ -1081,115 +822,44 @@ func (n *Node) connectParent(inflight map[uint64]*inTransfer, attempt int) (*con
 	}
 	c := newConn(raw, "parent", n.cfg.faults, n.cfg.writeTimeout, &n.wireSeq, &n.wireCtr)
 
-	hello := &message{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: n.cfg.name,
+	hello := message{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: n.cfg.name,
 		Resume: make([]resumePoint, 0, len(inflight)), Seq: c.nextSeq(), TraceNode: n.cfg.name}
-	for id, t := range inflight {
-		hello.Resume = append(hello.Resume, resumePoint{Task: id, Offset: len(t.payload)})
+	for _, id := range slices.Sorted(maps.Keys(inflight)) {
+		hello.Resume = append(hello.Resume, resumePoint{Task: id, Offset: len(inflight[id].payload)})
 	}
-	sort.Slice(hello.Resume, func(i, j int) bool { return hello.Resume[i].Task < hello.Resume[j].Task })
-	partial := len(inflight)
-	if !n.query(func() {
-		hello.Holding = n.holding()
-		hello.N = n.unanswered(partial)
-		n.up.told = true // a batch still on the writer is, from here on, reported as sent
-		hello.TraceSeq = n.record(Event{Kind: EvHello, Peer: "parent", WireSeq: hello.Seq})
-	}) {
+	r, ok := n.ask(input{kind: inHello, m: hello})
+	if !ok {
 		_ = c.close()
 		return nil, errors.New("live: node closed")
 	}
-	if err := c.send(hello); err != nil {
+	if err := c.send(r.msg); err != nil {
 		_ = c.close()
 		return nil, fmt.Errorf("live: hello: %w", err)
 	}
 	// A parent that speaks another wire version, or none (its answer does
 	// not parse as a frame), fails here, bounded by the handshake timeout.
 	ack, err := c.recvTimeout(n.cfg.handshakeTimeout)
+	if err == nil && ack.Kind != kindHelloAck {
+		err = fmt.Errorf("got frame kind %d", ack.Kind)
+	}
 	if err != nil {
 		_ = c.close()
 		return nil, fmt.Errorf("live: hello ack (wire version %d): %w", wireVersion, err)
 	}
-	if ack.Kind != kindHelloAck {
-		_ = c.close()
-		return nil, fmt.Errorf("live: expected hello ack, got frame kind %d", ack.Kind)
-	}
-	if ack.Name != "" {
-		// Written before the conn is published; recorder events on this
-		// link can now carry the parent's real name.
-		c.peerName = ack.Name
-	}
-	ackEv := Event{Kind: EvHelloAck, Peer: c.label(), WireSeq: ack.Seq, CausePeer: ack.TraceNode, CauseSeq: ack.TraceSeq}
-	if ack.Revived {
-		ackEv.Value = 1
-	}
-	accepted := make(map[uint64]bool, len(ack.Accepted))
-	for _, id := range ack.Accepted {
-		accepted[id] = true
-	}
+	// Written before the conn is published; recorder events on this link
+	// can now carry the parent's real name.
+	c.peerName = ack.Name
 	// Partial transfers the parent will not resume were reclaimed on its
 	// side; drop their assembly state so a fresh stream starts clean. The
 	// hello counted each as a buffer being filled, so each now owes the
 	// request that asks for a refill.
-	dropped := 0
-	for id := range inflight {
-		if !accepted[id] {
-			delete(inflight, id)
-			dropped++
-		}
-	}
-	if !n.query(func() {
-		n.record(ackEv)
-		n.reqDeficit += dropped
-		n.parent = c
-		if attempt > 0 {
-			n.stats.Reconnects++
-			n.record(Event{Kind: EvReconnect, Peer: c.label(), Value: int64(attempt)})
-		}
-	}) {
+	maps.DeleteFunc(inflight, func(id uint64, _ *inTransfer) bool { return !slices.Contains(ack.Accepted, id) })
+	if _, ok := n.ask(input{kind: inInstalled, c: c, m: *ack, n: len(hello.Resume) - len(inflight), attempt: attempt}); !ok {
 		_ = c.close()
 		return nil, errors.New("live: node closed")
 	}
 	n.superviseConn(c)
 	return c, nil
-}
-
-// unanswered is the node's count of requests sent to its parent that no
-// task has answered: every buffer that is not holding a task, receiving
-// one (partial of them), or still owed its request. (Tasks requeued from a
-// dead child can push the pool past the buffers; the count bottoms out at
-// none.)
-func (n *Node) unanswered(partial int) int {
-	return max(0, int(n.core.Capacity)-n.buffer.len()-partial-n.reqDeficit)
-}
-
-// holding enumerates every task ID this node's subtree still accounts for:
-// buffered, on the compute port, handed to the send port, delivered into a
-// child subtree without a returned result, or computed with the result
-// awaiting an ack. The reconnect hello carries the set so the parent can
-// requeue outstanding tasks the subtree lost (revive-time reconciliation).
-// Partially received transfers are conveyed separately as Resume points.
-func (n *Node) holding() []uint64 {
-	set := make(map[uint64]bool, n.buffer.len()+len(n.unacked)+len(n.computing))
-	n.buffer.each(func(t Task) { set[t.ID] = true })
-	for id := range n.computing {
-		set[id] = true
-	}
-	for _, s := range n.children {
-		if s.active != nil {
-			set[s.active.task.ID] = true
-		}
-		for id := range s.outstanding {
-			set[id] = true
-		}
-	}
-	for _, e := range n.unacked {
-		set[e.res.ID] = true
-	}
-	ids := make([]uint64, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // parentSupervisor owns the uplink's reading side: it runs the read loop
@@ -1208,33 +878,20 @@ func (n *Node) parentSupervisor(c *conn, inflight map[uint64]*inTransfer) {
 		if n.closing.Load() {
 			return
 		}
-		n.do(func() {
-			n.parent = nil // outbound work is owed until the link is back
-			n.record(Event{Kind: EvSever, Peer: c.label()})
-		})
-		next, ok := n.reconnect(inflight)
-		if !ok {
-			if !n.closing.Load() {
-				n.fail(fmt.Errorf("live: parent link lost; reconnect failed after %d attempts", n.cfg.reconnectAttempts))
+		n.put(input{kind: inUplinkLost, c: c})
+		var err error
+		for attempt := 1; ; attempt++ { // re-dial under the backoff schedule
+			if attempt > n.cfg.reconnectAttempts || !n.cfg.sleep(backoffDelay(attempt, n.cfg.reconnectBase, n.cfg.reconnectCap), n.done) {
+				if !n.closing.Load() { // not closed mid-wait
+					n.fail(fmt.Errorf("live: parent link lost; reconnect failed after %d attempts", n.cfg.reconnectAttempts))
+				}
+				return
 			}
-			return
-		}
-		c = next
-	}
-}
-
-// reconnect re-dials the parent under the backoff schedule and returns the
-// new link, if one was established.
-func (n *Node) reconnect(inflight map[uint64]*inTransfer) (*conn, bool) {
-	for attempt := 1; attempt <= n.cfg.reconnectAttempts; attempt++ {
-		if !n.cfg.sleep(backoffDelay(attempt, n.cfg.reconnectBase, n.cfg.reconnectCap), n.done) {
-			return nil, false // node closed mid-wait
-		}
-		if c, err := n.connectParent(inflight, attempt); err == nil {
-			return c, true
+			if c, err = n.connectParent(inflight, attempt); err == nil {
+				break
+			}
 		}
 	}
-	return nil, false
 }
 
 // readParent consumes frames from the current uplink until it fails or
@@ -1257,7 +914,7 @@ func (n *Node) readParent(c *conn, inflight map[uint64]*inTransfer) (shutdown bo
 			// The first chunk of a new transfer segment (fresh dispatch or a
 			// resume after preemption/reconnect on the parent side) is
 			// recorded; a complete task leaves inflight for the owner.
-			in := input{c: c, m: *m, segment: m.TraceSeq != t.segment || m.TraceNode != t.segmentFrom}
+			in := input{kind: inUplink, c: c, m: *m, segment: m.TraceSeq != t.segment || m.TraceNode != t.segmentFrom}
 			t.segment, t.segmentFrom = m.TraceSeq, m.TraceNode
 			complete, err := t.feed(m)
 			if err != nil {
@@ -1271,11 +928,10 @@ func (n *Node) readParent(c *conn, inflight map[uint64]*inTransfer) (shutdown bo
 			if in.m.Data = nil; in.segment || complete {
 				n.put(in)
 			}
-		case kindResultAck:
-			n.put(input{c: c, m: *m})
-		case kindShutdown:
-			n.put(input{c: c, m: *m})
-			return true
+		case kindResultAck, kindShutdown:
+			if n.put(input{kind: inUplink, c: c, m: *m}); m.Kind == kindShutdown {
+				return true
+			}
 		case kindHeartbeat, kindHelloAck:
 			// Heartbeats only refresh the proof-of-life clock; a stray
 			// hello-ack after the handshake is ignored.
@@ -1288,147 +944,6 @@ func (n *Node) readParent(c *conn, inflight map[uint64]*inTransfer) (shutdown bo
 	}
 }
 
-// parentFrame takes one frame that came down the uplink. A chunk opens a
-// segment or completes a task t, which the node records as received on
-// its own last chunk and buffers; the parent is told nothing, having
-// handed the task off when it wrote that chunk.
-func (n *Node) parentFrame(in *input) {
-	m, peer := &in.m, in.c.label()
-	switch m.Kind {
-	case kindChunk:
-		if in.segment {
-			n.record(Event{Kind: EvChunkRecv, Task: m.Task, Peer: peer, Off: m.Offset,
-				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-		}
-		if t := in.t; t != nil {
-			n.record(Event{Kind: EvTaskReceived, Task: t.id, Peer: peer,
-				Off: len(t.payload), CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-			n.buffer.push(Task{ID: t.id, Payload: t.payload, App: t.app})
-			n.core.Arrived()
-			n.stats.Received++
-			n.bumpApp(t.app, func(s *AppStats) { s.Received++ })
-		}
-	case kindResultAck:
-		for _, k := range m.Acks {
-			n.retireResult(k.Task, k.Origin)
-			n.record(Event{Kind: EvResultAck, Task: k.Task, Origin: k.Origin, Peer: peer,
-				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-		}
-	case kindShutdown:
-		n.record(Event{Kind: EvShutdown, Peer: peer, WireSeq: m.Seq})
-	}
-}
-
-// collectRoot hands a result to the root's Run loop, through the owner's
-// backlog when the results channel is full.
-func (n *Node) collectRoot(r Result) {
-	n.bumpApp(r.App, func(s *AppStats) { s.Collected++ })
-	n.record(Event{Kind: EvResultCollect, Task: r.ID, Origin: r.Origin})
-	if len(n.backlog) == 0 {
-		select {
-		case n.results <- r:
-			return
-		default:
-		}
-	}
-	n.backlog = append(n.backlog, r)
-}
-
-// enqueueResult appends a result to the unacked ledger unless an entry
-// with the same task ID + origin is already pending (a duplicate from a
-// re-delivered task; it would be deduplicated upstream anyway). Every
-// uplink result routes through the ledger — there is no direct send path
-// — so a frame lost to a just-severed conn, a scripted drop, or a
-// disconnect is always replayed: only the parent's ack retires an entry.
-func (n *Node) enqueueResult(r Result) {
-	for _, e := range n.unacked {
-		if e.res.ID == r.ID && e.res.Origin == r.Origin {
-			n.stats.ResultsDeduped++
-			n.bumpApp(r.App, func(s *AppStats) { s.Deduped++ })
-			return
-		}
-	}
-	n.unacked = append(n.unacked, &resultEntry{res: r})
-}
-
-// pullUplink is the uplink writer's input: it folds in the batch the
-// writer last wrote, if any, and hands it the next, or nil — the writer
-// parks — once nothing is owed. A cut batch loses nothing the node knows
-// unsent: unaccepted requests are owed again (unless a hello built
-// meanwhile reported them sent, and the parent registered them on its
-// word), and unaccepted results stay in the ledger untouched. A failed
-// write retires the uplink in the step that marks what it carried, so no
-// later batch can follow it onto the dead conn.
-func (n *Node) pullUplink() {
-	if j := &n.up; j.c != nil {
-		if j.accepted >= j.firstResult {
-			n.stats.Requests += int64(j.reqN)
-		} else if !j.told {
-			n.reqDeficit += j.reqN // cut before the request: owed again
-		}
-		now := time.Now()
-		for _, e := range j.entries[:max(j.accepted-j.firstResult, 0)] {
-			e.sentOn = j.c
-			e.sentAt = now
-		}
-		n.stats.ResultsReplayed += int64(j.replays)
-		if j.err != nil && n.parent == j.c {
-			n.parent = nil // the writer closed it; the supervisor redials
-		}
-		j.c = nil
-	}
-	j := n.nextUplink()
-	n.upBusy = j != nil
-	n.upJobs <- j
-}
-
-// nextUplink builds everything owed on the link as one batch, for one
-// write: the owed requests as one frame, then the due ledger entries; nil
-// when nothing is owed or there is no link.
-//
-// The ledger is walked in arrival order, (re)sending every entry not yet
-// written to the current parent conn — which after a reconnect replays
-// all outstanding results — and, on a live link, retransmitting entries
-// unacked past the resultRetry deadline. Single-sender FIFO means replay
-// order always matches arrival order. Sends are pipelined: acks stream
-// back asynchronously and retire entries as they arrive; one acked while
-// its batch is on the writer is sent redundantly and deduplicated upstream
-// — exactly-once is preserved by the parent's dedupe, not by the writer's
-// timing.
-func (n *Node) nextUplink() *upJob {
-	if n.parent == nil || n.closing.Load() {
-		return nil
-	}
-	batch, c, replays := n.dueResultBatch()
-	if n.reqDeficit+len(batch) == 0 {
-		return nil
-	}
-	j := &n.up
-	j.c, j.entries, j.replays, j.told = c, batch, replays, false
-	// Sent from here on: the parent may answer the moment the bytes leave.
-	j.reqN, n.reqDeficit = n.reqDeficit, 0
-	j.msgs = j.msgs[:0]
-	if j.reqN > 0 {
-		wire := c.nextSeq()
-		reqSeq := n.record(Event{Kind: EvRequestSent, Peer: c.label(), Value: int64(j.reqN), WireSeq: wire})
-		j.msgs = append(j.msgs, message{Kind: kindRequest, N: j.reqN, App: n.reqApp,
-			Seq: wire, TraceNode: n.cfg.name, TraceSeq: reqSeq})
-	}
-	j.firstResult = len(j.msgs)
-	for _, e := range batch {
-		kind := EvResultSend
-		if e.sentOn != nil {
-			kind = EvResultReplay
-		}
-		wire := c.nextSeq()
-		sendSeq := n.record(Event{Kind: kind, Task: e.res.ID, Origin: e.res.Origin,
-			Peer: c.label(), WireSeq: wire})
-		j.msgs = append(j.msgs, message{Kind: kindResult, Task: e.res.ID, Output: e.res.Output, Origin: e.res.Origin,
-			App: e.res.App, Seq: wire, TraceNode: n.cfg.name, TraceSeq: sendSeq})
-	}
-	return j
-}
-
 // uplinkWriter is the only steady-state sender toward the parent. Woken by
 // decide, it pulls batch after batch from the owner, each one sendBatch,
 // one write, until nothing is owed. It yields once before the first pull:
@@ -1437,10 +952,9 @@ func (n *Node) nextUplink() *upJob {
 // as the request its buffer freed.
 func (n *Node) uplinkWriter() {
 	var frames []*message
-	pull := func() { n.pullUplink() }
 	for range n.upKick {
 		runtime.Gosched()
-		for n.do(pull) {
+		for n.put(input{kind: inPull}) {
 			j := <-n.upJobs
 			if j == nil {
 				break
@@ -1456,96 +970,6 @@ func (n *Node) uplinkWriter() {
 	}
 }
 
-// maxResultBatch caps how many ledger entries one writer round sends; a
-// longer backlog simply takes several rounds back to back.
-const maxResultBatch = 128
-
-// dueResultBatch snapshots, in ledger (arrival) order, every entry due
-// on the wire: entries never written to the current uplink (first send,
-// or replay after a reconnect) and — when retransmission is enabled —
-// entries unacked past the retry deadline. replays counts the entries
-// being retransmitted rather than first-sent. The batch is the uplink
-// writer's reusable scratch.
-func (n *Node) dueResultBatch() (batch []*resultEntry, c *conn, replays int) {
-	c = n.parent
-	if c == nil {
-		return nil, nil, 0
-	}
-	batch = n.due[:0]
-	retry := n.cfg.resultRetry
-	for _, e := range n.unacked {
-		due := e.sentOn != c
-		if !due && retry > 0 && time.Since(e.sentAt) >= retry {
-			due = true
-		}
-		if !due {
-			continue
-		}
-		if e.sentOn != nil {
-			replays++
-		}
-		batch = append(batch, e)
-		if len(batch) == maxResultBatch {
-			break
-		}
-	}
-	n.due = batch
-	return batch, c, replays
-}
-
-// resultRetryWait reports how long until the earliest-sent unacked entry
-// hits its retransmit deadline; 0 means no timer is needed (retry
-// disabled, link down, or ledger empty).
-func (n *Node) resultRetryWait() time.Duration {
-	retry := n.cfg.resultRetry
-	if retry <= 0 || n.parent == nil || len(n.unacked) == 0 {
-		return 0
-	}
-	earliest := time.Duration(-1)
-	for _, e := range n.unacked {
-		if e.sentAt.IsZero() {
-			continue
-		}
-		if d := retry - time.Since(e.sentAt); earliest < 0 || d < earliest {
-			earliest = d
-		}
-	}
-	if earliest < 0 {
-		return 0
-	}
-	if earliest < time.Millisecond {
-		earliest = time.Millisecond
-	}
-	return earliest
-}
-
-// retireResult removes the ledger entry matching an ack.
-func (n *Node) retireResult(task uint64, origin string) {
-	for i, e := range n.unacked {
-		if e.res.ID == task && e.res.Origin == origin {
-			n.unacked = append(n.unacked[:i], n.unacked[i+1:]...)
-			n.stats.ResultAcks++
-			return
-		}
-	}
-}
-
-// freed owes the parent the requests the core issued for a taken task:
-// one for the buffer it left, one more for a buffer grown in its place.
-// The uplink writer sends what is owed, as one frame, whenever there is a
-// parent. app tags the request with the application whose freed buffer
-// fired it — informational, exactly like the engine: requests grant
-// anonymous capacity, the parent's own round-robin between tenants decides
-// whose task fills it.
-func (n *Node) freed(t protocol.Take, app string) {
-	for _, owed := range [...]bool{t.Request, t.Grew} {
-		if owed {
-			n.reqDeficit++
-			n.reqApp = app
-		}
-	}
-}
-
 // computeLoop is the node's compute port: one task at a time, as the owner
 // hands them out (decide).
 func (n *Node) computeLoop() {
@@ -1556,25 +980,6 @@ func (n *Node) computeLoop() {
 			n.fail(fmt.Errorf("live: compute task %d: %w", t.ID, err))
 			return
 		}
-		took := time.Since(started)
-		n.do(func() { n.computed(t, out, took) })
+		n.put(input{kind: inComputed, task: t, out: out, took: time.Since(started)})
 	}
-}
-
-// computed takes a finished computation: the result goes to the local
-// collector (root) or the ledger, and only then does the task leave
-// computing, so a reconnect hello always accounts for it.
-func (n *Node) computed(t Task, out []byte, took time.Duration) {
-	n.record(Event{Kind: EvComputeDone, Task: t.ID, Origin: n.cfg.name, Value: took.Nanoseconds()})
-	n.stats.Computed++
-	n.bumpApp(t.App, func(s *AppStats) { s.Computed++ })
-	r := Result{ID: t.ID, Output: out, Origin: n.cfg.name, App: t.App}
-	if n.root {
-		n.collectRoot(r)
-	} else {
-		n.enqueueResult(r)
-	}
-	delete(n.computing, t.ID)
-	n.core.ComputeDone()
-	n.freed(protocol.Take{Grew: n.core.G3()}, t.App)
 }

@@ -334,6 +334,23 @@ func TestComputeErrorSurfaces(t *testing.T) {
 	if err == nil {
 		t.Fatalf("compute error not surfaced")
 	}
+
+	// The only task fails: no result will ever come, and Run must return
+	// the node's error at once rather than wait out its context.
+	lone := startNode(t, "lone", WithCompute(boom))
+	ran := make(chan error, 1)
+	go func() {
+		_, err := lone.Run(context.Background(), []Task{{ID: 3}})
+		ran <- err
+	}()
+	select {
+	case err := <-ran:
+		if err == nil || err != lone.Err() {
+			t.Fatalf("Run returned %v, want the node's error %v", err, lone.Err())
+		}
+	case <-time.After(time.Second):
+		t.Fatalf("Run still blocked 1 s after its only task failed (Err: %v)", lone.Err())
+	}
 }
 
 func TestEmptyPayloadTasks(t *testing.T) {

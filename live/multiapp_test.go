@@ -179,7 +179,7 @@ func TestTwoAppsSeverReviveExactlyOnce(t *testing.T) {
 // is suppressed and counted under its application as well as in total,
 // exactly as childLoop counts an unexpected result.
 func TestLedgerDedupeCountsPerApp(t *testing.T) {
-	n := &Node{}
+	n := newNode(defaults("w"))
 	r := Result{ID: 7, Origin: "w1", App: "alpha"}
 	n.enqueueResult(r)
 	n.enqueueResult(r)

@@ -65,6 +65,22 @@ func startGatedRoot(t *testing.T, g *rootGate, opts ...Option) *Node {
 	return n
 }
 
+// query runs fn while n's owner is parked (pause) and reports whether it
+// was; fn may read the owner's state. A node built without goroutines
+// (newNode) has no shell to park, so fn runs at once.
+func (n *Node) query(fn func()) bool {
+	if n.inbox == nil {
+		fn()
+		return true
+	}
+	resume, parked := n.pause()
+	if parked {
+		fn()
+	}
+	resume()
+	return parked
+}
+
 // checkOneOwner asks each node's owner, the way Stats does, to walk its
 // dispatch state: a task has exactly one owner — the pool, one session's
 // active transfer, or one session's outstanding set — and the reconnect
@@ -171,13 +187,14 @@ func eventsOf(n *Node, kind EventKind) []Event {
 
 // turnNode is an owner's dispatch state with nothing started: one child
 // with pending requests, a pool of tasks of the given size, and the send
-// port's job queue, so a test can run portTurn and turnDone by hand.
+// port's turn among its effects, so a test can run portTurn and turnDone
+// by hand.
 func turnNode(pending, tasks, size int, opts ...Option) (*Node, *childSession) {
 	cfg := defaults("root")
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	n := &Node{cfg: cfg, root: true, portJobs: make(chan []portWrite, 1)}
+	n := &Node{cfg: cfg, root: true}
 	n.core.Reset(cfg.protocol, true)
 	n.stats.ByChild = map[string]int64{}
 	n.buffer.pushAll(makeTasks(tasks, size))
@@ -195,6 +212,17 @@ func addTurnChild(n *Node, name string, pending int) *childSession {
 	n.core.Request(s.slot, int64(pending), 0)
 	n.resort()
 	return s
+}
+
+// portJob takes the turn portTurn handed the send port off n's effects.
+func portJob(n *Node) []portWrite {
+	defer func() { n.fx = n.fx[:0] }()
+	for _, e := range n.fx {
+		if e.kind == effPortTurn {
+			return e.writes
+		}
+	}
+	panic("portTurn handed the port no turn")
 }
 
 // pendingOf reads the requests child s has pending at n's core.
@@ -223,7 +251,7 @@ func TestTurnServesEveryPendingRequest(t *testing.T) {
 		n, s := turnNode(3, 5, 256)
 		s.acks = []resultKey{{Task: 90, Origin: "w"}, {Task: 91, Origin: "x"}}
 		n.portTurn()
-		turn := <-n.portJobs
+		turn := portJob(n)
 		if len(turn) != 1 || turn[0].msgs[0].Kind != kindResultAck || len(turn[0].msgs[0].Acks) != 2 || turn[0].msgs[1].Kind != kindChunk {
 			t.Fatalf("turn %+v: want one write opening with one result-ack frame of two keys", turn)
 		}
@@ -238,7 +266,7 @@ func TestTurnServesEveryPendingRequest(t *testing.T) {
 	t.Run("budget ends mid-transfer", func(t *testing.T) {
 		n, s := turnNode(3, 5, 3*128, WithChunkSize(128))
 		n.portTurn()
-		w := &(<-n.portJobs)[0]
+		w := &portJob(n)[0]
 		if tasks, k := chunks(w); k != chunkBatch || len(tasks) != 3 {
 			t.Fatalf("the write carries %d chunks of tasks %v, want %d across three tasks", k, tasks, chunkBatch)
 		}
@@ -249,7 +277,7 @@ func TestTurnServesEveryPendingRequest(t *testing.T) {
 		// transfer: the third has sent nothing, and the write's time is
 		// per chunk over all five.
 		w.accepted, w.took = 5, 5*time.Millisecond
-		n.turnDone()
+		n.turnDone(time.Now())
 		if s.active.offset != 0 {
 			t.Fatalf("offset %d after a prefix that ended in an earlier transfer, want 0", s.active.offset)
 		}
@@ -258,14 +286,14 @@ func TestTurnServesEveryPendingRequest(t *testing.T) {
 		}
 		// Had it taken one chunk of the third, that one resumes from there.
 		w.accepted = 7
-		n.turnDone()
+		n.turnDone(time.Now())
 		if s.active.offset != 128 {
 			t.Fatalf("offset %d after the third transfer's first chunk, want 128", s.active.offset)
 		}
 		// A write cut before its first chunk measured nothing of the link.
 		est := s.link.estimate()
 		w.accepted, w.took, w.err = 0, time.Second, errFaultSevered
-		n.turnDone()
+		n.turnDone(time.Now())
 		if got := s.link.estimate(); got != est || !s.gone {
 			t.Fatalf("a write cut before any chunk: estimate %v → %v, child gone %v", est, got, s.gone)
 		}
@@ -273,7 +301,7 @@ func TestTurnServesEveryPendingRequest(t *testing.T) {
 	t.Run("link delay", func(t *testing.T) {
 		n, s := turnNode(3, 5, 256, WithLinkDelay(func(string) time.Duration { return time.Millisecond }))
 		n.portTurn()
-		if tasks, k := chunks(&(<-n.portJobs)[0]); k != 1 || len(tasks) != 1 || pendingOf(n, s) != 2 {
+		if tasks, k := chunks(&portJob(n)[0]); k != 1 || len(tasks) != 1 || pendingOf(n, s) != 2 {
 			t.Fatalf("a paced turn carried %d chunks of tasks %v, %d requests left; want one chunk, 2 left", k, tasks, pendingOf(n, s))
 		}
 	})
@@ -286,11 +314,11 @@ func flipTurn(n *Node, a, b *childSession, ka, kb float64) portWrite {
 	a.link, b.link = ewma{value: ka, seen: true}, ewma{value: kb, seen: true}
 	n.resort()
 	n.portTurn()
-	turn := <-n.portJobs
+	turn := portJob(n)
 	for i := range turn {
 		turn[i].accepted = len(turn[i].msgs)
 	}
-	n.turnDone()
+	n.turnDone(time.Now())
 	return turn[len(turn)-1]
 }
 

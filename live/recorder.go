@@ -19,6 +19,7 @@ package live
 // one node names the send event on its peer.
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -159,14 +160,7 @@ func (k EventKind) MarshalText() ([]byte, error) {
 // UnmarshalText parses a kind name; unknown names decode to 0 rather
 // than erroring, so dumps from newer nodes still load.
 func (k *EventKind) UnmarshalText(b []byte) error {
-	s := string(b)
-	for i, name := range eventKindNames {
-		if name == s {
-			*k = EventKind(i)
-			return nil
-		}
-	}
-	*k = 0
+	*k = EventKind(max(slices.Index(eventKindNames[:], string(b)), 0))
 	return nil
 }
 
@@ -283,12 +277,8 @@ func (r *flightRecorder) droppedLocked() int64 {
 func (r *flightRecorder) snapshot() ([]Event, int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	start := uint64(r.droppedLocked()) // seq of the oldest retained event, minus one
-	for seq := start + 1; seq <= r.next; seq++ {
-		out = append(out, r.buf[(seq-1)%uint64(cap(r.buf))])
-	}
-	return out, r.droppedLocked()
+	evs, _ := r.sinceLocked(0)
+	return evs, r.droppedLocked()
 }
 
 // since returns the retained events with Seq > after, in order, and the
@@ -297,13 +287,12 @@ func (r *flightRecorder) snapshot() ([]Event, int64) {
 func (r *flightRecorder) since(after uint64) ([]Event, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if oldest := uint64(r.droppedLocked()); after < oldest {
-		after = oldest
-	}
-	if after >= r.next {
-		return nil, r.next
-	}
-	out := make([]Event, 0, r.next-after)
+	return r.sinceLocked(after)
+}
+
+func (r *flightRecorder) sinceLocked(after uint64) ([]Event, uint64) {
+	after = max(after, uint64(r.droppedLocked()))
+	out := make([]Event, 0, r.next-min(after, r.next))
 	for seq := after + 1; seq <= r.next; seq++ {
 		out = append(out, r.buf[(seq-1)%uint64(cap(r.buf))])
 	}
@@ -322,13 +311,7 @@ func (n *Node) record(e Event) uint64 {
 
 // Events returns a snapshot of the flight recorder's retained events in
 // order; nil when the recorder is disabled.
-func (n *Node) Events() []Event {
-	if n.rec == nil {
-		return nil
-	}
-	evs, _ := n.rec.snapshot()
-	return evs
-}
+func (n *Node) Events() []Event { return n.TraceDump().Events }
 
 // TraceDump returns the node's flight-recorder dump — the document
 // /debug/events serves and cmd/bwtrace merges. The Events slice is nil

@@ -328,7 +328,7 @@ func TestResultLedgerOrderAndRetire(t *testing.T) {
 	// 3 (sent on the old link) — a replay interleaved with fresh sends.
 	n.unacked = []*resultEntry{mk(1, oldC), mk(2, nil), mk(3, oldC)}
 
-	batch, c, replays := n.dueResultBatch()
+	batch, c, replays := n.dueResultBatch(time.Now())
 	if c != newC {
 		t.Fatalf("batch scheduled on the wrong conn")
 	}
@@ -348,7 +348,7 @@ func TestResultLedgerOrderAndRetire(t *testing.T) {
 		e.sentOn = newC
 		e.sentAt = time.Now()
 	}
-	if again, _, _ := n.dueResultBatch(); len(again) != 0 {
+	if again, _, _ := n.dueResultBatch(time.Now()); len(again) != 0 {
 		t.Fatalf("entry %d scheduled with everything sent and retry disabled", again[0].res.ID)
 	}
 

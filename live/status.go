@@ -24,11 +24,12 @@ type statusSnapshot struct {
 	Connected bool `json:"connected"`
 }
 
-// statusServer serves node introspection over HTTP.
+// statusServer serves node introspection over HTTP. The shell runs serve,
+// the one reference to srv.Serve, so a program that never serves links none.
 type statusServer struct {
-	node *Node
-	srv  *http.Server
-	ln   net.Listener
+	srv   *http.Server
+	ln    net.Listener
+	serve func()
 }
 
 // ServeStatus exposes the node's introspection endpoints on the given
@@ -52,11 +53,12 @@ func (n *Node) ServeStatus(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("live: status listen: %w", err)
 	}
-	ss := &statusServer{node: n, ln: ln}
+	ss := &statusServer{ln: ln}
+	ss.serve = func() { _ = ss.srv.Serve(ln) } // returns on Close
 	mux := http.NewServeMux()
-	mux.HandleFunc("/status", ss.handle)
-	mux.HandleFunc("/timeline", ss.handleTimeline)
-	mux.HandleFunc("/debug/events", ss.handleEvents)
+	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, n.snapshot()) })
+	mux.HandleFunc("/timeline", n.handleTimeline)
+	mux.HandleFunc("/debug/events", n.handleEvents)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -73,33 +75,22 @@ func (n *Node) ServeStatus(addr string) (string, error) {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	err = errors.New("live: status endpoint on a closed node")
-	n.query(func() {
-		switch {
-		case n.closing.Load():
-		case n.status != nil:
-			err = errors.New("live: status endpoint already running")
-		default:
-			n.status, err = ss, nil
-			n.goTracked(func() {
-				_ = ss.srv.Serve(ln) // returns on Close
-			})
-		}
-	})
-	if err != nil {
+	if r, ok := n.ask(input{kind: inStatus, status: ss}); !ok || r.status != ss { // the owner starts Serve
 		ln.Close() // no Serve will
-		return "", err
+		if !ok {
+			return "", errors.New("live: status endpoint on a closed node")
+		}
+		return "", errors.New("live: status endpoint already running")
 	}
 	return ln.Addr().String(), nil
 }
 
-// handle renders the snapshot.
-func (s *statusServer) handle(w http.ResponseWriter, r *http.Request) {
-	snap := s.node.snapshot()
+// writeJSON serves v as one indented JSON document.
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(snap)
+	_ = enc.Encode(v)
 }
 
 // handleEvents serves the flight recorder. A plain GET returns the full
@@ -108,13 +99,9 @@ func (s *statusServer) handle(w http.ResponseWriter, r *http.Request) {
 // from the oldest retained and polling for new ones until the client
 // disconnects or the node closes; events evicted between polls appear as
 // gaps in seq.
-func (s *statusServer) handleEvents(w http.ResponseWriter, r *http.Request) {
-	n := s.node
+func (n *Node) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("follow") == "" {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(n.TraceDump())
+		writeJSON(w, n.TraceDump())
 		return
 	}
 	if n.rec == nil {
@@ -122,7 +109,7 @@ func (s *statusServer) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var cursor uint64
-	s.follow(w, r, func(line func(any) error) error {
+	n.follow(w, r, func(line func(any) error) error {
 		evs, next := n.rec.since(cursor)
 		cursor = next
 		for i := range evs {
@@ -139,7 +126,7 @@ func (s *statusServer) handleEvents(w http.ResponseWriter, r *http.Request) {
 // is encoded, not per batch, so a follower sees it at once even mid-batch
 // on a slow or long-polling connection. The stream ends when a write
 // fails, the client disconnects or the node closes.
-func (s *statusServer) follow(w http.ResponseWriter, r *http.Request, poll func(line func(any) error) error) {
+func (n *Node) follow(w http.ResponseWriter, r *http.Request, poll func(line func(any) error) error) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
@@ -157,7 +144,7 @@ func (s *statusServer) follow(w http.ResponseWriter, r *http.Request, poll func(
 		case <-t.C:
 		case <-r.Context().Done():
 			return
-		case <-s.node.done:
+		case <-n.done:
 			return
 		}
 	}

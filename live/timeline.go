@@ -7,7 +7,6 @@ package live
 // the live mirror of the simulator's Result.Timeline.
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -97,22 +96,18 @@ type timelineRow struct {
 // full TimelineDump as JSON; with ?follow=1 the response is an NDJSON
 // stream — one timelineRow per series per sampling pass, flushed per
 // line — until the client disconnects or the node closes.
-func (s *statusServer) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	n := s.node
+func (n *Node) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if n.sampler == nil {
 		http.Error(w, "live: timeline sampling disabled", http.StatusNotFound)
 		return
 	}
 	if r.URL.Query().Get("follow") == "" {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(n.TimelineDump())
+		writeJSON(w, n.TimelineDump())
 		return
 	}
 	// The tick cursor makes polls without a fresh sampling pass free.
 	var cursor uint64
-	s.follow(w, r, func(line func(any) error) error {
+	n.follow(w, r, func(line func(any) error) error {
 		tick, latest := n.sampler.Latest()
 		if tick <= cursor {
 			return nil

@@ -84,9 +84,9 @@ type message struct {
 	// Hello.
 	Name   string
 	Resume []resumePoint
-	// Holding lists every task ID the reconnecting child's subtree still
-	// accounts for — buffered, computing, forwarded onward, or computed
-	// with the result awaiting an ack. The parent requeues any
+	// Holding lists, in ascending order, every task ID the reconnecting
+	// child's subtree still accounts for — buffered, computing, forwarded
+	// onward, or computed with the result awaiting an ack. The parent requeues any
 	// outstanding task the hello does not cover (revive-time
 	// reconciliation); partially received transfers are conveyed
 	// separately as Resume points.
@@ -179,28 +179,22 @@ type wireCounters struct {
 	writes     atomic.Int64 // Write calls, i.e. syscalls; read by tests only
 }
 
-// countingWriter and countingReader meter raw link bytes into the owning
-// node's wire counters.
-type countingWriter struct {
-	w   io.Writer
+// counting meters a link's raw bytes both ways into the node's counters.
+type counting struct {
+	rw  io.ReadWriter
 	ctr *wireCounters
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
+func (cw *counting) Write(p []byte) (int, error) {
+	n, err := cw.rw.Write(p)
 	cw.ctr.bytesSent.Add(int64(n))
 	cw.ctr.writes.Add(1)
 	return n, err
 }
 
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n.Add(int64(n))
+func (cw *counting) Read(p []byte) (int, error) {
+	n, err := cw.rw.Read(p)
+	cw.ctr.bytesRecv.Add(int64(n))
 	return n, err
 }
 
@@ -208,12 +202,11 @@ func newConn(raw net.Conn, peer string, faults *FaultPlan, writeTO time.Duration
 	if ctr == nil {
 		ctr = &wireCounters{}
 	}
-	w := &countingWriter{w: raw, ctr: ctr}
-	br := bufio.NewReaderSize(&countingReader{r: raw, n: &ctr.bytesRecv}, 32<<10)
+	counted := &counting{rw: raw, ctr: ctr}
 	c := &conn{
 		raw:     raw,
-		w:       w,
-		br:      br,
+		w:       counted,
+		br:      bufio.NewReaderSize(counted, 32<<10),
 		peer:    peer,
 		faults:  faults,
 		writeTO: writeTO,

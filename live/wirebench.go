@@ -42,19 +42,16 @@ type WireBenchResult struct {
 }
 
 // FramesPerSec is the run's frame throughput across all links.
-func (r WireBenchResult) FramesPerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Frames) / r.Elapsed.Seconds()
-}
+func (r WireBenchResult) FramesPerSec() float64 { return r.perSec(r.Frames) }
 
 // BytesPerSec is the run's wire throughput across all links.
-func (r WireBenchResult) BytesPerSec() float64 {
+func (r WireBenchResult) BytesPerSec() float64 { return r.perSec(r.Bytes) }
+
+func (r WireBenchResult) perSec(k int64) float64 {
 	if r.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Bytes) / r.Elapsed.Seconds()
+	return float64(k) / r.Elapsed.Seconds()
 }
 
 // WireBench measures raw data-plane throughput — framing, codec, and
@@ -148,10 +145,7 @@ func WireBench(codec Codec, links, frames, size, batch int) (WireBenchResult, er
 			msgs := make([]message, batch)
 			group := make([]*message, batch)
 			for sent := 0; sent < frames; {
-				n := batch
-				if left := frames - sent; left < n {
-					n = left
-				}
+				n := min(batch, frames-sent)
 				for i := 0; i < n; i++ {
 					msgs[i] = message{
 						Kind: kindChunk, Task: uint64(sent + i + 1),
