@@ -84,6 +84,9 @@ func run(args []string) error {
 	if *computeMS < 0 {
 		return fmt.Errorf("-compute-ms %d < 0", *computeMS)
 	}
+	if *timeout <= 0 {
+		return fmt.Errorf("-timeout %v <= 0", *timeout)
+	}
 
 	opts := []live.Option{
 		live.WithListen(*listen),

@@ -16,13 +16,19 @@ func TestFlagValidation(t *testing.T) {
 		t.Fatalf("root without -tasks accepted")
 	}
 	// Rejected before the node starts: a negative size used to panic in
-	// the workload's make, a negative compute time ran as 0 ms.
-	for _, args := range [][]string{
-		{"-name", "r", "-tasks", "3", "-size", "-1"},
-		{"-name", "w", "-parent", "127.0.0.1:1", "-compute-ms", "-5"},
+	// the workload's make, a negative compute time ran as 0 ms, and a root
+	// with no time to run started anyway and timed out with no results.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-name", "r", "-tasks", "3", "-size", "-1"}, "-size -1 < 0"},
+		{[]string{"-name", "w", "-parent", "127.0.0.1:1", "-compute-ms", "-5"}, "-compute-ms -5 < 0"},
+		{[]string{"-name", "r", "-tasks", "3", "-timeout", "0"}, "-timeout 0s <= 0"},
+		{[]string{"-name", "r", "-tasks", "3", "-timeout", "-1s"}, "-timeout -1s <= 0"},
 	} {
-		if err := run(args); err == nil || !strings.Contains(err.Error(), " < 0") {
-			t.Errorf("run(%q) = %v, want a < 0 error", args, err)
+		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%q) = %v, want %q", c.args, err, c.want)
 		}
 	}
 }

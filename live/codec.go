@@ -19,8 +19,9 @@ import (
 // are reused across frames, so encoding allocates nothing once warm, and
 // decoding only what outlives the read buffer: a result's output, a result
 // ack's key list, a handshake's lists (TestHotPathAllocsPinned). Version 2
-// retired v1's chunk ack and made the result ack a list of ledger keys.
-const wireVersion = 2
+// retired v1's chunk ack and made the result ack a list of ledger keys;
+// version 3 dropped the application tag from requests, chunks and results.
+const wireVersion = 3
 
 const (
 	// maxFrameBytes bounds a binary frame's declared body length. A
@@ -120,10 +121,9 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 }
 
 // interner deduplicates the small recurring strings of a stream — node
-// names, application tags, trace origins — so steady-state decode does
-// not allocate one string per frame. It belongs to a conn's single
-// reader goroutine (no locking) and is capped so a hostile stream
-// cannot grow it without bound.
+// names and trace origins — so steady-state decode does not allocate one
+// string per frame. It belongs to a conn's single reader goroutine (no
+// locking) and is capped so a hostile stream cannot grow it without bound.
 type interner struct {
 	m map[string]string
 }
@@ -210,18 +210,15 @@ func (c *frameCoder) fields(m *message) {
 		c.u64s(&m.Accepted)
 	case kindRequest:
 		c.int(&m.N)
-		c.str(&m.App)
 	case kindChunk:
 		c.u64(&m.Task)
 		c.int(&m.Size)
 		c.int(&m.Offset)
 		c.bool(&m.Last)
-		c.str(&m.App)
 		c.bytes(&m.Data, true)
 	case kindResult:
 		c.u64(&m.Task)
 		c.str(&m.Origin)
-		c.str(&m.App)
 		c.bytes(&m.Output, false)
 	case kindResultAck:
 		if n := c.count(len(m.Acks), 2); c.dec && n > 0 {

@@ -14,9 +14,9 @@ func benchFrames() []message {
 	out := bytes.Repeat([]byte{0x5A}, 1024)
 	return []message{
 		{Kind: kindChunk, Seq: 101, Task: 7, Size: 65536, Offset: 40960,
-			Data: data, App: "alpha", TraceNode: "root", TraceSeq: 33},
-		{Kind: kindRequest, Seq: 102, N: 2, App: "alpha", TraceNode: "w1", TraceSeq: 12},
-		{Kind: kindResult, Seq: 103, Task: 6, Origin: "w1", App: "alpha",
+			Data: data, TraceNode: "root", TraceSeq: 33},
+		{Kind: kindRequest, Seq: 102, N: 2, TraceNode: "w1", TraceSeq: 12},
+		{Kind: kindResult, Seq: 103, Task: 6, Origin: "w1",
 			Output: out, TraceNode: "w1", TraceSeq: 11},
 		{Kind: kindResultAck, Seq: 104, Acks: []resultKey{{Task: 5, Origin: "w1"}, {Task: 6, Origin: "w1"}},
 			TraceNode: "root", TraceSeq: 34},

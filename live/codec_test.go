@@ -27,12 +27,12 @@ func sampleFrames() []*message {
 			Resume:  []resumePoint{{Task: 7, Offset: 4096}, {Task: 9, Offset: 0}},
 			Holding: []uint64{3, 7, 9, 1 << 40}},
 		{Kind: kindRequest, Seq: 102, TraceSeq: 12, TraceNode: "w1",
-			N: 3, App: "tenant-a"},
+			N: 3},
 		{Kind: kindChunk, Seq: 103, TraceSeq: 13, TraceNode: "root",
 			Task: 42, Size: 8192, Offset: 4096, Data: []byte("chunk payload bytes"),
-			Last: true, App: "tenant-a"},
+			Last: true},
 		{Kind: kindResult, Seq: 104, TraceSeq: 14, TraceNode: "w1",
-			Task: 42, Output: []byte("result output"), Origin: "w1-leaf", App: "tenant-b"},
+			Task: 42, Output: []byte("result output"), Origin: "w1-leaf"},
 		{Kind: kindShutdown, Seq: 105, TraceSeq: 15, TraceNode: "root"},
 		{Kind: kindHeartbeat, Seq: 106},
 		{Kind: kindHelloAck, Seq: 108, TraceSeq: 18, TraceNode: "root",
@@ -96,8 +96,8 @@ func binaryRoundTrip(t *testing.T, m *message, in *interner) *message {
 
 // TestCodecConformanceMatrix round-trips every wire kind through the
 // production encode and read path and pins the decode equal to the sample
-// field by field — trace context, App tags, and the handshake's version
-// list and counts included.
+// field by field — trace context and the handshake's version list and
+// counts included.
 func TestCodecConformanceMatrix(t *testing.T) {
 	var in interner
 	for _, m := range sampleFrames() {
@@ -266,10 +266,10 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 // layout this build may not know is parsed — so the refusal names the
 // versions, and whatever follows the list cannot turn it into a parse
 // error. The same holds for a hello-ack whose pick is not ours. Both sides
-// of the v1 ↔ v2 boundary are covered: a v1 peer offers [1].
+// of the v2 ↔ v3 boundary are covered: a v2 peer offers [2].
 func TestVersionSkewHello(t *testing.T) {
 	for _, kind := range []msgKind{kindHello, kindHelloAck} {
-		for _, v := range []uint8{1, 99} {
+		for _, v := range []uint8{2, 99} {
 			frame, err := appendFrame(nil, &message{Kind: kind, Codecs: []uint8{v}, Name: "other"})
 			if err != nil {
 				t.Fatalf("encode: %v", err)

@@ -5,6 +5,8 @@ package live
 // mid-tree node's uplink mid-run must cost throughput, not the run.
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 )
@@ -186,6 +188,88 @@ func TestSeveredMidTreeNodeRecovers(t *testing.T) {
 	}
 	t.Logf("requeued %d, reconnects %d, leaf computed %d",
 		root.Stats().Requeued, mid.Stats().Reconnects, leaf.Stats().Computed)
+}
+
+// TestTwoAppsSeverReviveExactlyOnce runs two applications one after the
+// other on one three-level overlay — an overlay serves one application at
+// a time — with the middle node severed during the first. The first
+// application's tasks are reclaimed, re-dispatched and possibly
+// re-executed, yet each application gets every result exactly once, and
+// the second runs on the revived tree: no replay of the first leaks into
+// it, and the leaf below the sever works for it.
+func TestTwoAppsSeverReviveExactlyOnce(t *testing.T) {
+	const tasks = 60
+
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(25*time.Millisecond)),
+		WithChunkSize(256),
+		WithReconnectGrace(-1), // reclaim a dead child's tasks immediately
+	)
+	sever := NewFaultPlan(FaultRule{
+		Link: "parent", Dir: FaultRecv, Kind: FrameChunk,
+		After: 15, Op: FaultSever,
+	})
+	mid := startNode(t, "mid",
+		WithParent(root.Addr()), WithListen("127.0.0.1:0"), WithBuffers(3),
+		WithCompute(echoCompute(5*time.Millisecond)),
+		WithChunkSize(256),
+		WithFaultPlan(sever),
+		WithReconnect(50*time.Millisecond, 200*time.Millisecond, 10),
+	)
+	leaf := startNode(t, "leaf",
+		WithParent(mid.Addr()), WithBuffers(3),
+		WithCompute(echoCompute(2*time.Millisecond)),
+	)
+
+	// exactlyOnce runs one application whose task IDs start at base and
+	// checks that each of them comes back once, with its own output.
+	exactlyOnce := func(app string, base uint64) {
+		t.Helper()
+		in := makeTasks(tasks, 2048)
+		want := make(map[uint64][]byte, tasks)
+		for i := range in {
+			in[i].ID += base
+			out := slices.Clone(in[i].Payload) // echoCompute reverses
+			slices.Reverse(out)
+			want[in[i].ID] = out
+		}
+		results, err := runWithin(root, in, 60*time.Second)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", app, err)
+		}
+		if len(results) != tasks {
+			t.Fatalf("%s: results = %d, want %d", app, len(results), tasks)
+		}
+		for _, r := range results {
+			output, ok := want[r.ID]
+			if !ok {
+				t.Fatalf("%s: task %d delivered twice or never dispatched", app, r.ID)
+			}
+			if !bytes.Equal(r.Output, output) {
+				t.Fatalf("%s: task %d returned another task's output", app, r.ID)
+			}
+			delete(want, r.ID)
+		}
+	}
+
+	exactlyOnce("first", 0)
+	if sever.Pending() != 0 {
+		t.Fatalf("the scripted sever never fired")
+	}
+	if root.Stats().Requeued == 0 {
+		t.Fatalf("root reclaimed nothing from the severed subtree")
+	}
+	if mid.Stats().Reconnects == 0 {
+		t.Fatalf("mid never reconnected")
+	}
+
+	leafBefore := leaf.Stats().Computed
+	exactlyOnce("second", 1000)
+	if leaf.Stats().Computed == leafBefore {
+		t.Fatalf("leaf did no work for the second application on the revived tree")
+	}
+	checkOneOwner(t, root, mid, leaf)
 }
 
 // TestSeveredFinalChunkIsRedelivered pins the nastiest revival case: with

@@ -17,8 +17,8 @@ import (
 func TestHotPathAllocsPinned(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 512)
 	chunk := message{Kind: kindChunk, Seq: 9, Task: 41, Size: 2048, Offset: 512,
-		Last: false, App: "appA", Data: payload, TraceNode: "parent", TraceSeq: 3}
-	req := message{Kind: kindRequest, Seq: 10, N: 3, App: "appA", TraceNode: "child", TraceSeq: 4}
+		Last: false, Data: payload, TraceNode: "parent", TraceSeq: 3}
+	req := message{Kind: kindRequest, Seq: 10, N: 3, TraceNode: "child", TraceSeq: 4}
 
 	var (
 		wbuf []byte
@@ -47,11 +47,11 @@ func TestHotPathAllocsPinned(t *testing.T) {
 				t.Fatalf("decodeFrame: %v", err)
 			}
 		}
-		if out.Kind != kindRequest || out.N != 3 || out.App != "appA" {
+		if out.Kind != kindRequest || out.N != 3 {
 			t.Fatalf("round trip corrupted the request: %+v", out)
 		}
 	}
-	cycle() // warm: grows wbuf/body once, interns "appA"/"parent"/"child"
+	cycle() // warm: grows wbuf/body once, interns "parent"/"child"
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("warm codec round trip allocates %.0f times, want 0", allocs)
 	}

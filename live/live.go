@@ -19,9 +19,11 @@
 //     Section 3.2 (disable with NonInterruptible for the non-IC variant).
 //
 // Results return hop by hop to the root, which is the source and sink of
-// all application data. Every scheduling decision uses only locally
-// observable state, so subtrees can be added under any node while an
-// application runs.
+// all application data. An overlay runs one application, as in the paper:
+// its tasks are independent and alike, so every node buffers them first
+// in, first out, and no frame names an application. Every scheduling
+// decision uses only locally observable state, so subtrees can be added
+// under any node while an application runs.
 //
 // # Fault tolerance
 //
@@ -72,23 +74,20 @@ import (
 	"bwcs/internal/protocol"
 )
 
-// Task is one unit of application work. App names the application
-// (tenant) the task belongs to; empty for single-application runs. The
-// tag rides every chunk of the task's payload, so per-tenant accounting
-// and round-robin sharing between tenants work at every node of the
-// overlay.
+// Task is one unit of work of the application an overlay runs: as in the
+// paper, every task of a Run is one more of the same application's
+// independent tasks, and a node buffers and serves them first in, first
+// out.
 type Task struct {
 	ID      uint64
 	Payload []byte
-	App     string
 }
 
-// Result is a completed task. App echoes the task's application tag.
+// Result is a completed task.
 type Result struct {
 	ID     uint64
 	Output []byte
 	Origin string // name of the node that computed it
-	App    string
 }
 
 // ComputeFunc executes one task. It runs on the node's single compute
@@ -134,21 +133,6 @@ type Stats struct {
 	FramesReceived int64
 	BytesSent      int64
 	BytesReceived  int64
-
-	// PerApp breaks the task-path counters down by application tag, for
-	// tagged tasks only (single-application runs with untagged tasks keep
-	// it empty).
-	PerApp map[string]AppStats
-}
-
-// AppStats is one application's slice of a node's counters.
-type AppStats struct {
-	Computed  int64 // tasks of this app computed locally
-	Forwarded int64 // tasks of this app sent to children
-	Received  int64 // tasks of this app received from the parent
-	Requeued  int64 // tasks of this app reclaimed and requeued
-	Collected int64 // root only: results of this app delivered to Run
-	Deduped   int64 // duplicate results of this app suppressed
 }
 
 // Node is a running overlay node.
@@ -187,6 +171,10 @@ type Node struct {
 	upJobs   chan *upJob   // its pulled batches; nil parks it
 	tasks    chan Task
 	results  chan Result // root only: collected results for Run
+	// abandoned holds the IDs of tasks an earlier Run returned without
+	// collecting: their results still arrive, and Run drops them. Only Run
+	// touches it.
+	abandoned map[uint64]bool
 
 	done      chan struct{}         // closed by Close
 	ownerGone chan struct{}         // closed once the owner has stopped; its state is then read-only
@@ -204,13 +192,12 @@ type Node struct {
 	core    protocol.Node
 	slotBuf []protocol.Slot
 	nextID  int32 // the next session's slot name
-	// reqDeficit counts the requests owed to the parent and reqApp tags
-	// the latest; the uplink writer sends them with its next batch. Every
-	// buffer is at all times exactly one of: holding a task, receiving one
-	// (a partial transfer), owed a request, or waiting on a request already
-	// sent — so the last count needs no ledger of its own (unanswered).
+	// reqDeficit counts the requests owed to the parent; the uplink writer
+	// sends them with its next batch. Every buffer is at all times exactly
+	// one of: holding a task, receiving one (a partial transfer), owed a
+	// request, or waiting on a request already sent — so the last count
+	// needs no ledger of its own (unanswered).
 	reqDeficit int
-	reqApp     string
 	// unacked is the result ledger: every result this node owes its
 	// parent, in arrival order, retired only by a matching result ack.
 	// The uplink writer is its sole sender, so wire order follows
@@ -334,7 +321,7 @@ func Start(name string, opts ...Option) (*Node, error) {
 	n.inbox, n.tasks = make(chan input, 64), make(chan Task, 1)
 	n.portJobs, n.upKick, n.upJobs = make(chan []portWrite, 1), make(chan struct{}, 1), make(chan *upJob, 1)
 	if n.root {
-		n.results = make(chan Result, 1024)
+		n.results, n.abandoned = make(chan Result, 1024), make(map[uint64]bool)
 	}
 	n.done, n.ownerGone, n.failed = make(chan struct{}), make(chan struct{}), make(chan struct{})
 	if cfg.timelineInterval > 0 {
@@ -382,7 +369,7 @@ func newNode(cfg config) *Node {
 		cfg:     cfg,
 		root:    cfg.parent == "",
 		started: time.Now(),
-		stats:   Stats{ByChild: map[string]int64{}, PerApp: map[string]AppStats{}},
+		stats:   Stats{ByChild: map[string]int64{}},
 	}
 	n.core.Reset(cfg.protocol, n.root)
 	if cfg.recorderCap > 0 {
@@ -457,7 +444,7 @@ func (n *Node) snapshot() statusSnapshot {
 	resume, _ := n.pause()
 	v := statusSnapshot{Name: n.cfg.name, Root: n.root, Buffered: n.buffer.len(), Stats: n.stats,
 		Links: map[string]float64{}, Connected: n.root || n.parent != nil}
-	v.Stats.ByChild, v.Stats.PerApp = maps.Clone(n.stats.ByChild), maps.Clone(n.stats.PerApp)
+	v.Stats.ByChild = maps.Clone(n.stats.ByChild)
 	v.Stats.MaxQueued = n.buffer.peak
 	for _, s := range n.children {
 		if !s.gone {
@@ -511,7 +498,8 @@ func (n *Node) Close() error {
 // *TimeoutError (errors.Is(err, ErrTimeout)); on cancellation it returns
 // the partial results and the context's error. Re-executed tasks from
 // recovered failures are deduplicated by ID: each result is delivered
-// exactly once.
+// exactly once. A Run that returns early abandons the tasks it has not
+// collected: they still run, and a later Run drops their results.
 func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -530,10 +518,21 @@ func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 	n.put(input{kind: inRun, tasks: tasks})
 
 	out := make([]Result, 0, len(tasks))
+	defer func() { // a Run cut short abandons the tasks it did not collect
+		for id, wanted := range seen {
+			if wanted {
+				n.abandoned[id] = true
+			}
+		}
+	}()
 	for len(out) < len(tasks) {
 		select {
 		case r := <-n.results:
 			wanted, known := seen[r.ID]
+			if !known && n.abandoned[r.ID] {
+				delete(n.abandoned, r.ID) // a late result of an earlier Run
+				continue
+			}
 			if !known {
 				return out, fmt.Errorf("live: unexpected result id %d", r.ID)
 			}

@@ -170,7 +170,7 @@ func (n *Node) decide(now time.Time) {
 	if take, ok := n.core.Compute(); ok {
 		t := n.buffer.pop()
 		n.computing = append(n.computing[:0], t.ID) // accounted until the result enters the ledger
-		n.freed(take, t.App)
+		n.freed(take)
 		n.record(Event{Kind: EvComputeStart, Task: t.ID})
 		n.emit(effect{kind: effCompute, task: t})
 	}
@@ -192,17 +192,6 @@ func (n *Node) decide(now time.Time) {
 		n.armed = wait > 0
 		n.emit(effect{kind: effArm, d: wait})
 	}
-}
-
-// bumpApp updates one application's counter slice; untagged tasks (empty
-// app) keep no per-app entry.
-func (n *Node) bumpApp(app string, f func(*AppStats)) {
-	if app == "" {
-		return
-	}
-	s := n.stats.PerApp[app]
-	f(&s)
-	n.stats.PerApp[app] = s
 }
 
 // admitChild installs a connection as a fresh child session — or, when
@@ -310,7 +299,7 @@ func (n *Node) childFrame(s *childSession, c *conn, m *message) {
 		// reclaimed and re-dispatched elsewhere) — ack it so the child
 		// retires its ledger entry, but do not relay it again. The ack rides
 		// the send port's next turn, one frame for all owed on c.
-		r := Result{ID: m.Task, Output: m.Output, Origin: m.Origin, App: m.App}
+		r := Result{ID: m.Task, Output: m.Output, Origin: m.Origin}
 		recvSeq := n.record(Event{Kind: EvResultRecv, Task: m.Task, Origin: m.Origin,
 			Peer: s.name, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
 		if _, expected := s.outstanding[m.Task]; expected {
@@ -318,7 +307,6 @@ func (n *Node) childFrame(s *childSession, c *conn, m *message) {
 			n.owe(r)
 		} else {
 			n.stats.ResultsDeduped++
-			n.bumpApp(m.App, func(s *AppStats) { s.Deduped++ })
 			n.record(Event{Kind: EvResultDedupe, Task: m.Task, Origin: m.Origin, Peer: s.name})
 		}
 		if s.c == c && !s.gone {
@@ -373,7 +361,6 @@ func (n *Node) owe(r Result) {
 		n.enqueueResult(r)
 		return
 	}
-	n.bumpApp(r.App, func(s *AppStats) { s.Collected++ })
 	n.record(Event{Kind: EvResultCollect, Task: r.ID, Origin: r.Origin})
 	n.emit(effect{kind: effDeliver, res: r})
 }
@@ -381,15 +368,11 @@ func (n *Node) owe(r Result) {
 // freed owes the parent the requests the core issued for a taken task:
 // one for the buffer it left, one more for a buffer grown in its place.
 // The uplink writer sends what is owed, as one frame, whenever there is a
-// parent. app tags the request with the application whose freed buffer
-// fired it — informational, exactly like the engine: requests grant
-// anonymous capacity, the parent's own round-robin between tenants decides
-// whose task fills it.
-func (n *Node) freed(t protocol.Take, app string) {
+// parent.
+func (n *Node) freed(t protocol.Take) {
 	for _, owed := range [...]bool{t.Request, t.Grew} {
 		if owed {
 			n.reqDeficit++
-			n.reqApp = app
 		}
 	}
 }
@@ -400,11 +383,10 @@ func (n *Node) freed(t protocol.Take, app string) {
 func (n *Node) computed(t Task, out []byte, took time.Duration) {
 	n.record(Event{Kind: EvComputeDone, Task: t.ID, Origin: n.cfg.name, Value: took.Nanoseconds()})
 	n.stats.Computed++
-	n.bumpApp(t.App, func(s *AppStats) { s.Computed++ })
-	n.owe(Result{ID: t.ID, Output: out, Origin: n.cfg.name, App: t.App})
+	n.owe(Result{ID: t.ID, Output: out, Origin: n.cfg.name})
 	n.computing = n.computing[:0]
 	n.core.ComputeDone()
-	n.freed(protocol.Take{Grew: n.core.G3()}, t.App)
+	n.freed(protocol.Take{Grew: n.core.G3()})
 }
 
 // resultEntry is one slot of the unacked-result ledger: a result owed to
@@ -446,10 +428,9 @@ func (n *Node) parentFrame(in *input) {
 		if t := in.t; t != nil {
 			n.record(Event{Kind: EvTaskReceived, Task: t.id, Peer: peer,
 				Off: len(t.payload), CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
-			n.buffer.push(Task{ID: t.id, Payload: t.payload, App: t.app})
+			n.buffer.push(Task{ID: t.id, Payload: t.payload})
 			n.core.Arrived()
 			n.stats.Received++
-			n.bumpApp(t.app, func(s *AppStats) { s.Received++ })
 		}
 	case kindResultAck:
 		for _, k := range m.Acks {
@@ -507,7 +488,6 @@ func (n *Node) enqueueResult(r Result) {
 	for _, e := range n.unacked {
 		if e.res.ID == r.ID && e.res.Origin == r.Origin {
 			n.stats.ResultsDeduped++
-			n.bumpApp(r.App, func(s *AppStats) { s.Deduped++ })
 			return
 		}
 	}
@@ -573,7 +553,7 @@ func (n *Node) nextUplink(now time.Time) *upJob {
 	if j.reqN > 0 {
 		wire := c.nextSeq()
 		reqSeq := n.record(Event{Kind: EvRequestSent, Peer: c.label(), Value: int64(j.reqN), WireSeq: wire})
-		j.msgs = append(j.msgs, message{Kind: kindRequest, N: j.reqN, App: n.reqApp,
+		j.msgs = append(j.msgs, message{Kind: kindRequest, N: j.reqN,
 			Seq: wire, TraceNode: n.cfg.name, TraceSeq: reqSeq})
 	}
 	j.firstResult = len(j.msgs)
@@ -586,7 +566,7 @@ func (n *Node) nextUplink(now time.Time) *upJob {
 		sendSeq := n.record(Event{Kind: kind, Task: e.res.ID, Origin: e.res.Origin,
 			Peer: c.label(), WireSeq: wire})
 		j.msgs = append(j.msgs, message{Kind: kindResult, Task: e.res.ID, Output: e.res.Output, Origin: e.res.Origin,
-			App: e.res.App, Seq: wire, TraceNode: n.cfg.name, TraceSeq: sendSeq})
+			Seq: wire, TraceNode: n.cfg.name, TraceSeq: sendSeq})
 	}
 	return j
 }

@@ -127,9 +127,7 @@ func (n *Node) nextTransfer() *childSession {
 // dispatch starts the fresh transfer the core started to s, on a buffered
 // task; take is what became of the buffer the task left.
 func (n *Node) dispatch(s *childSession, take protocol.Take) {
-	// WRR over application tags decides whose task moves; the
-	// bandwidth-centric choice of *which child* was the core's.
-	t := n.buffer.pop()
+	t := n.buffer.pop() // the oldest buffered task; which child gets it was the core's choice
 	s.active = &outTransfer{task: t}
 	// The dispatch decision, recorded in the owner step that consumes the
 	// buffered task and the child's request. Value is the chosen child's
@@ -138,8 +136,7 @@ func (n *Node) dispatch(s *childSession, take protocol.Take) {
 	s.active.traceSeq = n.record(Event{Kind: EvChunkSend, Task: t.ID, Peer: s.name, Value: s.key()})
 	n.stats.Forwarded++
 	n.stats.ByChild[s.name]++
-	n.bumpApp(t.App, func(a *AppStats) { a.Forwarded++ })
-	n.freed(take, t.App) // the freed buffer requests a refill (the paper's rule)
+	n.freed(take) // the freed buffer requests a refill (the paper's rule)
 }
 
 // key is the child's priority key: its measured link estimate in
@@ -173,7 +170,6 @@ func (n *Node) requeue(s *childSession, tr *outTransfer) {
 	n.buffer.push(tr.task)
 	n.core.Refill(1)
 	n.record(Event{Kind: EvRequeue, Task: tr.task.ID, Peer: s.name})
-	n.bumpApp(tr.task.App, func(a *AppStats) { a.Requeued++ })
 	n.stats.Requeued++
 }
 
@@ -216,7 +212,7 @@ func (n *Node) startTurn(s *childSession, w *portWrite) *outTransfer {
 			tr.traceSeq = n.record(Event{Kind: EvHandoff, Task: task.ID, Peer: s.name, Off: tr.offset})
 			s.outstanding[task.ID] = tr
 			s.active = nil
-			n.freed(protocol.Take{Grew: n.core.SendDone()}, task.App) // G2
+			n.freed(protocol.Take{Grew: n.core.SendDone()}) // G2
 		}
 		// An empty payload still takes exactly one (empty, Last) chunk.
 		for end := tr.offset; ; {
@@ -230,7 +226,6 @@ func (n *Node) startTurn(s *childSession, w *portWrite) *outTransfer {
 				Last:      chunkEnd == len(payload),
 				TraceNode: n.cfg.name,
 				TraceSeq:  tr.traceSeq,
-				App:       task.App,
 			})
 			budget--
 			if end = chunkEnd; end == len(payload) || budget == 0 {

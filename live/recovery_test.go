@@ -215,6 +215,29 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
+// TestRunAfterAbandonedRun: the tasks a timed-out Run abandoned still run,
+// and the next Run drops their late results instead of failing on them; a
+// result of a task no Run dispatched still fails the Run.
+func TestRunAfterAbandonedRun(t *testing.T) {
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithCompute(echoCompute(20*time.Millisecond)),
+	)
+	startNode(t, "leaf", WithParent(root.Addr()), WithCompute(echoCompute(20*time.Millisecond)))
+	first, err := runWithin(root, makeTasks(40, 16), 60*time.Millisecond)
+	if !errors.Is(err, ErrTimeout) || len(first) == 40 {
+		t.Fatalf("40 x 20ms inside 60ms: %d results, err %v; want a timeout", len(first), err)
+	}
+	next := []Task{{ID: 1001}, {ID: 1002}}
+	if results, err := runWithin(root, next, 30*time.Second); err != nil || len(results) != 2 {
+		t.Fatalf("Run after an abandoned Run: %d results, err %v; want 2 and none", len(results), err)
+	}
+	root.results <- Result{ID: 5555}
+	if _, err := runWithin(root, []Task{{ID: 2001}}, 30*time.Second); err == nil || !strings.Contains(err.Error(), "unexpected result id 5555") {
+		t.Fatalf("a result no Run dispatched: err %v, want unexpected result id 5555", err)
+	}
+	checkOneOwner(t, root)
+}
+
 // TestOptionsDefaults resolves every option at a negative, a zero and a
 // positive argument: zero keeps the default, a negative value switches
 // off what its option documents as switchable and is refused elsewhere,

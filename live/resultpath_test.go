@@ -308,6 +308,21 @@ func TestReviveReconciliationRequeues(t *testing.T) {
 	}
 }
 
+// TestLedgerDedupesByKey pins a ledger-level duplicate: a result already
+// pending in the unacked ledger under the same task ID and origin is
+// suppressed and counted, as childFrame counts an unexpected result; the
+// same task from another origin is not a duplicate.
+func TestLedgerDedupesByKey(t *testing.T) {
+	n := newNode(defaults("w"))
+	r := Result{ID: 7, Origin: "w1"}
+	n.enqueueResult(r)
+	n.enqueueResult(r)
+	n.enqueueResult(Result{ID: 7, Origin: "w2"})
+	if len(n.unacked) != 2 || n.stats.ResultsDeduped != 1 {
+		t.Fatalf("ledger holds %d entries, %d deduped; want 2 and 1", len(n.unacked), n.stats.ResultsDeduped)
+	}
+}
+
 // TestResultLedgerOrderAndRetire unit-tests the ledger scheduler: after
 // a reconnect, entries written to the old conn and entries queued while
 // disconnected are sent strictly in arrival order (the old flush used to

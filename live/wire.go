@@ -122,13 +122,6 @@ type message struct {
 	Seq       uint64
 	TraceNode string
 	TraceSeq  uint64
-
-	// Application tag. Chunks carry the task's application so the
-	// receiving subtree preserves tenant attribution; results echo it back
-	// so every hop keeps per-tenant counters; a request carries the
-	// application whose freed buffer fired it (informational — requests
-	// remain anonymous capacity, exactly as in the engine).
-	App string
 }
 
 // conn wraps a network connection with the frame codec and a write lock
@@ -403,9 +396,6 @@ type inTransfer struct {
 	id      uint64
 	payload []byte
 	size    int
-	// app is the task's application tag, carried on every chunk (empty
-	// when the task is untagged).
-	app string
 	// segment/segmentFrom track the trace context of the last chunk, so
 	// the flight recorder logs one receive event per transfer segment
 	// (the first chunk after each dispatch or resume on the sender).
@@ -420,9 +410,6 @@ func (t *inTransfer) feed(m *message) (bool, error) {
 	if t.payload == nil {
 		t.size = m.Size
 		t.payload = make([]byte, 0, min(m.Size, frameReadStep))
-	}
-	if m.App != "" {
-		t.app = m.App
 	}
 	got := len(t.payload)
 	if m.Offset != got || got+len(m.Data) > t.size {

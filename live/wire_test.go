@@ -72,11 +72,6 @@ func TestInTransferAssembly(t *testing.T) {
 			t.Fatalf("payload[%d] = %d", i, b)
 		}
 	}
-	// An untagged transfer (single-application run) must not fabricate an
-	// app on assembly.
-	if tr.app != "" {
-		t.Errorf("untagged transfer acquired app %q", tr.app)
-	}
 }
 
 func TestInTransferRejectsOverflowAndShort(t *testing.T) {
