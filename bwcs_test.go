@@ -77,29 +77,3 @@ func TestMutationsThroughFacade(t *testing.T) {
 		t.Fatalf("mutation not applied")
 	}
 }
-
-func TestTimelineThroughFacade(t *testing.T) {
-	res, err := Simulate(SimConfig{Tree: ExampleTree(), Protocol: IC(3), Tasks: 2000, SampleEvery: 64})
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
-	if res.Timeline == nil {
-		t.Fatalf("SampleEvery set but Result.Timeline nil")
-	}
-	rate := res.Timeline.Find("rate")
-	if rate == nil || len(rate.Points) == 0 {
-		t.Fatalf("timeline missing the rate series: %+v", res.Timeline)
-	}
-	if last := rate.Points[len(rate.Points)-1]; last.T != int64(res.Makespan) {
-		t.Fatalf("last rate sample at %d, want the makespan %d", last.T, res.Makespan)
-	}
-
-	// Without sampling the run pays nothing and reports nothing.
-	plain, err := Simulate(SimConfig{Tree: ExampleTree(), Protocol: IC(3), Tasks: 2000})
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
-	if plain.Timeline != nil {
-		t.Fatalf("timeline set without SampleEvery: %+v", plain.Timeline)
-	}
-}

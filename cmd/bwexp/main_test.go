@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -187,6 +188,55 @@ func TestReconvergeJSONMatchesResults(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("reconverge JSON differs from results/reconverge.json at line %d", firstDiffLine(string(got), string(want)))
 	}
+}
+
+// TestDefaultScaleSectionsMatchResults pins the hand-spliced sections of
+// the committed default-scale outputs that take milliseconds to rerun:
+// Figure 7 and reconverge in results/all_default_scale.txt, and Figure 7
+// in results/extras.txt. After a deliberate output change, splice the
+// fresh `go run ./cmd/bwexp -exp fig7,reconverge` sections into both.
+func TestDefaultScaleSectionsMatchResults(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-exp", "fig7,reconverge", "-q"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	fresh := sections(b.String())
+	for _, c := range []struct {
+		file string
+		want []string
+	}{
+		{"all_default_scale.txt", fresh},
+		{"extras.txt", fresh[:1]},
+	} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", "results", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		have := sections(string(raw))
+		for _, want := range c.want {
+			heading, _, _ := strings.Cut(want, "\n")
+			i := slices.IndexFunc(have, func(s string) bool { return strings.HasPrefix(s, heading+"\n") })
+			if i < 0 {
+				t.Errorf("results/%s has no section %q", c.file, heading)
+			} else if have[i] != want {
+				t.Errorf("results/%s: section %q differs from a fresh run at line %d", c.file, heading, firstDiffLine(have[i], want))
+			}
+		}
+	}
+}
+
+// completedLine matches the timing line bwexp prints after each
+// experiment without -q.
+var completedLine = regexp.MustCompile(`(?m)^\[\S+ completed in .*\]$`)
+
+// sections splits bwexp's text output into its experiments' sections,
+// timing lines and surrounding blank lines dropped.
+func sections(out string) []string {
+	parts := strings.Split(out, "\n"+strings.Repeat("=", 78)+"\n")
+	for i, p := range parts {
+		parts[i] = strings.TrimSpace(completedLine.ReplaceAllString(p, ""))
+	}
+	return parts
 }
 
 // firstDiffLine returns the 1-based line where a and b first differ.

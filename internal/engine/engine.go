@@ -17,7 +17,7 @@
 // engine turns those decisions into timed events: a send completes c_i
 // timesteps after it starts (a shelved one keeps its remaining time), a
 // computation w_i after. It adds what a simulation needs around the core:
-// mutations, attachments and departures, tracing and timeline telemetry.
+// mutations, attachments and departures, and tracing.
 //
 // # Determinism
 //
@@ -42,9 +42,6 @@ import (
 const (
 	evSendComplete sim.Kind = iota + 1
 	evComputeComplete
-	// evSample is the timeline telemetry tick (Config.SampleEvery > 0
-	// only); it re-schedules itself until the last task completes.
-	evSample
 )
 
 // Mutation changes a node or edge weight once a given number of tasks have
@@ -118,13 +115,6 @@ type Config struct {
 	// issues, and any decision they cause upstream); package trace records,
 	// renders and replays the stream. Leave nil for sweeps.
 	Tracer func(trace.Event)
-
-	// SampleEvery, when positive, records timeline telemetry (completion
-	// rate, link utilization, pool depth) every SampleEvery timesteps
-	// into Result.Timeline. Zero — the default — disables sampling
-	// entirely; the event path then carries no telemetry cost (pinned by
-	// TestTimelineDisabledZeroAllocs).
-	SampleEvery sim.Time
 }
 
 // Validate reports whether the config can be run.
@@ -140,9 +130,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Tasks < 0 {
 		return fmt.Errorf("engine: negative task count %d", c.Tasks)
-	}
-	if c.SampleEvery < 0 {
-		return fmt.Errorf("engine: negative sample interval %d", c.SampleEvery)
 	}
 	if !slices.IsSorted(c.Checkpoints) {
 		return fmt.Errorf("engine: checkpoints must be ascending")
@@ -233,10 +220,6 @@ type Result struct {
 	SkippedMutations int
 	// Metrics is the run's engine-wide instrumentation snapshot.
 	Metrics Metrics
-	// Timeline holds the run's sampled telemetry when Config.SampleEvery
-	// was positive; nil otherwise. Unlike the slices above, the Timeline
-	// is a copy — it stays valid across Runner reuse.
-	Timeline *Timeline
 }
 
 // UsedCount returns how many nodes computed at least one task.
@@ -347,11 +330,6 @@ type engine struct {
 	statsBuf    []NodeStat
 	completions []sim.Time
 
-	// tl is the timeline sampling state; nil unless Config.SampleEvery is
-	// positive, and every hook checks for nil so the disabled path stays
-	// allocation- and branch-cheap.
-	tl *timeline
-
 	checkpoints []CheckpointStat
 	mutIdx      int
 	attIdx      int
@@ -438,11 +416,6 @@ func (e *engine) run(cfg Config) (*Result, error) {
 
 	e.initNodes(0)
 	e.nodes[0].core.Refill(cfg.Tasks) // undispatched tasks at the root: its core's buffers
-	if cfg.SampleEvery > 0 {
-		// Before the t=0 scheduling pass, so the very first sends are
-		// stamped for utilization accounting.
-		e.initTimeline()
-	}
 
 	// All nodes issue their initial requests (one per empty buffer) before
 	// anyone acts, so t=0 scheduling sees the complete picture rather than
@@ -489,9 +462,6 @@ func (e *engine) run(cfg Config) (*Result, error) {
 	e.met.EventAllocs = e.s.Allocs()
 	e.met.EventsCancels = e.s.Cancelled()
 	res.Metrics = e.met
-	if e.tl != nil {
-		res.Timeline = e.timelineResult()
-	}
 	return res, nil
 }
 
@@ -568,8 +538,6 @@ func (e *engine) Handle(ev *sim.Event) {
 		e.onSendComplete(ev.Node, ev.Child)
 	case evComputeComplete:
 		e.onComputeComplete(ev.Node)
-	case evSample:
-		e.onSample()
 	default:
 		panic(fmt.Sprintf("engine: unknown event kind %d", ev.Kind))
 	}
@@ -626,9 +594,6 @@ func (e *engine) onSendComplete(p, c int32) {
 	if i := ps.core.Sending(); i < 0 || ps.core.Slots[i].Child != c {
 		panic("engine: send completion for wrong child")
 	}
-	if e.tl != nil {
-		e.tlSendStop(p)
-	}
 	ps.sendEv = nil
 	grew := ps.core.SendDone()
 	cs.core.Arrived()
@@ -658,12 +623,6 @@ func (e *engine) onComputeComplete(n int32) {
 	e.completed++
 	e.completions = append(e.completions, e.s.Now())
 	e.emit(trace.Event{Kind: trace.ComputeDone, Node: tree.NodeID(n), Peer: -1, Value: e.completed})
-	if e.tl != nil && e.completed == e.cfg.Tasks {
-		// The run is over: flush the partial final interval and cancel the
-		// pending tick so it cannot outlive the last completion (Makespan
-		// is the time of the last fired event).
-		e.finishTimeline()
-	}
 	e.atCompletion()
 	// Attachments inside atCompletion may reallocate the node table.
 	if e.nodes[n].core.G3() {
@@ -756,9 +715,6 @@ func (e *engine) trySchedule(n int32) {
 	if d.Shelved >= 0 {
 		// Preempted: the in-flight transfer is shelved with its remaining
 		// time.
-		if e.tl != nil {
-			e.tlSendStop(n)
-		}
 		remaining := e.s.Cancel(ns.sendEv)
 		cur := ns.core.Slots[d.Shelved].Child
 		e.nodes[cur].shelf = remaining
@@ -780,9 +736,6 @@ func (e *engine) trySchedule(n int32) {
 		e.took(n, d.Take)
 		ns.stat.Forwarded++
 		e.met.SendsStarted++
-	}
-	if e.tl != nil {
-		e.tlSendStart(n)
 	}
 	ns.sendEv = e.s.Schedule(delay, evSendComplete, n, c)
 }
@@ -820,9 +773,6 @@ func (e *engine) depart(node tree.NodeID) {
 	ds.slot = -1
 	e.sortChildren(parent)
 	if sending {
-		if e.tl != nil {
-			e.tlSendStop(parent)
-		}
 		e.s.Cancel(ps.sendEv)
 		held++
 		ps.sendEv = nil
@@ -844,9 +794,6 @@ func (e *engine) depart(node tree.NodeID) {
 			ns.computeEv = nil
 		}
 		if ns.core.Sending() >= 0 {
-			if e.tl != nil {
-				e.tlSendStop(int32(sid))
-			}
 			e.s.Cancel(ns.sendEv)
 			held++
 			ns.sendEv = nil

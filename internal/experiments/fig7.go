@@ -45,7 +45,7 @@ type Fig7Result struct {
 // Fig7 runs the adaptability experiment. tasks and mutateAt default to the
 // paper's 1000 and 200 when zero.
 func Fig7(tasks, mutateAt int64) (*Fig7Result, error) {
-	s, err := newFigure1Scenario("fig7", tasks, mutateAt, 1000, 0)
+	s, err := newFigure1Scenario("fig7", tasks, mutateAt, 1000)
 	if err != nil {
 		return nil, err
 	}
@@ -69,17 +69,15 @@ func Fig7(tasks, mutateAt int64) (*Fig7Result, error) {
 
 // figure1Scenario is the adaptability set-up Figure 7 and Reconverge
 // share: an application of tasks tasks on the Figure 1 platform, with
-// mutations after mutateAt completions, and the engine's timeline
-// sampled every sampleEvery timesteps (never when zero).
+// mutations after mutateAt completions.
 type figure1Scenario struct {
 	exp             string // experiment id, for errors
 	tasks, mutateAt int64
-	sampleEvery     sim.Time
 }
 
 // newFigure1Scenario fills in the defaults — defTasks tasks, mutations
 // after 200 — and rejects a mutation point the run never reaches.
-func newFigure1Scenario(exp string, tasks, mutateAt, defTasks int64, sampleEvery sim.Time) (figure1Scenario, error) {
+func newFigure1Scenario(exp string, tasks, mutateAt, defTasks int64) (figure1Scenario, error) {
 	if tasks == 0 {
 		tasks = defTasks
 	}
@@ -89,7 +87,7 @@ func newFigure1Scenario(exp string, tasks, mutateAt, defTasks int64, sampleEvery
 	if mutateAt >= tasks {
 		return figure1Scenario{}, fmt.Errorf("%s: mutation at %d but only %d tasks", exp, mutateAt, tasks)
 	}
-	return figure1Scenario{exp, tasks, mutateAt, sampleEvery}, nil
+	return figure1Scenario{exp, tasks, mutateAt}, nil
 }
 
 // run runs p on the scenario, applying muts mid-run, and returns the
@@ -100,11 +98,10 @@ func (s figure1Scenario) run(name string, p protocol.Protocol, muts ...engine.Mu
 		m.Apply(after)
 	}
 	res, err := engine.Run(engine.Config{
-		Tree:        before,
-		Protocol:    p,
-		Tasks:       s.tasks,
-		Mutations:   muts,
-		SampleEvery: s.sampleEvery,
+		Tree:      before,
+		Protocol:  p,
+		Tasks:     s.tasks,
+		Mutations: muts,
 	})
 	if err != nil {
 		return Fig7Scenario{}, nil, fmt.Errorf("%s %q: %w", s.exp, name, err)

@@ -20,8 +20,7 @@ const TimelineSchemaV1 = "bwcs-timeline/v1"
 
 // ReconvergeScenario is one protocol's run of the re-convergence
 // experiment: the Figure 1 platform with P1's link re-weighted (c1: 1→3)
-// after MutateAt completed tasks, with the engine's timeline sampling
-// the interval completion rate throughout.
+// after MutateAt completed tasks.
 type ReconvergeScenario struct {
 	Name     string
 	Protocol string
@@ -39,8 +38,9 @@ type ReconvergeScenario struct {
 	// TimeToReconverge is the completion time of Tail's first periodic
 	// task minus MutateTime; meaningful only when Tail.Found.
 	TimeToReconverge sim.Time
-	// Rate is the sampled interval-completion-rate series of the run, a
-	// picture of the dip and recovery; no rate is judged from it.
+	// Rate is the run's completion rate in whole rateWindow-step windows
+	// (rateSeries), a picture of the dip and recovery; no rate is judged
+	// from it.
 	Rate metrics.SeriesSnapshot
 }
 
@@ -50,31 +50,35 @@ type ReconvergeScenario struct {
 // claim of Section 4.2.3, made quantitative with steady.Detect instead of
 // eyeballing Figure 7's slopes).
 type ReconvergeResult struct {
-	Tasks       int64
-	MutateAt    int64
-	SampleEvery sim.Time
-	Scenarios   []ReconvergeScenario
+	Tasks     int64
+	MutateAt  int64
+	Scenarios []ReconvergeScenario
+}
+
+// rateWindow is the width of one point of a scenario's Rate, in sim
+// timesteps.
+const rateWindow = sim.Time(64)
+
+// reconvergeProtocols are the autonomous protocols Reconverge runs.
+var reconvergeProtocols = []struct {
+	name  string
+	proto protocol.Protocol
+}{
+	{"interruptible FB=3", protocol.Interruptible(3)},
+	{"interruptible FB=1", protocol.Interruptible(1)},
+	{"non-intr IB=1", protocol.NonInterruptible(1)},
+	{"non-intr FB=2", protocol.NonInterruptibleFixed(2)},
 }
 
 // Reconverge runs the re-convergence experiment over the autonomous
 // protocols. tasks and mutateAt default to 2000 and 200 when zero.
 func Reconverge(tasks, mutateAt int64) (*ReconvergeResult, error) {
-	const sampleEvery = sim.Time(64)
-	s, err := newFigure1Scenario("reconverge", tasks, mutateAt, 2000, sampleEvery)
+	s, err := newFigure1Scenario("reconverge", tasks, mutateAt, 2000)
 	if err != nil {
 		return nil, err
 	}
-	protocols := []struct {
-		name  string
-		proto protocol.Protocol
-	}{
-		{"interruptible FB=3", protocol.Interruptible(3)},
-		{"interruptible FB=1", protocol.Interruptible(1)},
-		{"non-intr IB=1", protocol.NonInterruptible(1)},
-		{"non-intr FB=2", protocol.NonInterruptibleFixed(2)},
-	}
-	out := &ReconvergeResult{Tasks: s.tasks, MutateAt: s.mutateAt, SampleEvery: sampleEvery}
-	for _, p := range protocols {
+	out := &ReconvergeResult{Tasks: s.tasks, MutateAt: s.mutateAt}
+	for _, p := range reconvergeProtocols {
 		run, res, err := s.run(p.name, p.proto, engine.Mutation{AfterTasks: s.mutateAt, Node: P1, C: 3})
 		if err != nil {
 			return nil, err
@@ -87,16 +91,31 @@ func Reconverge(tasks, mutateAt int64) (*ReconvergeResult, error) {
 			MutateTime:    res.Completions[s.mutateAt-1],
 			Makespan:      res.Makespan,
 			Tail:          run.Tail,
+			Rate:          rateSeries(res.Completions, rateWindow, res.Makespan),
 		}
 		if sc.Tail.Found {
 			sc.TimeToReconverge = res.Completions[s.mutateAt+int64(sc.Tail.Start)-1] - sc.MutateTime
 		}
-		if rate := res.Timeline.Find("rate"); rate != nil {
-			sc.Rate = *rate
-		}
 		out.Scenarios = append(out.Scenarios, sc)
 	}
 	return out, nil
+}
+
+// rateSeries is the completion rate of a run in whole windows of w
+// timesteps: the point at T = t, for each multiple t of w up to makespan,
+// is the count of completions in [t−w, t) divided by w. The partial
+// window after the last whole one is not drawn.
+func rateSeries(completions []sim.Time, w, makespan sim.Time) metrics.SeriesSnapshot {
+	pts := make([]metrics.Point, 0, makespan/w)
+	i := 0
+	for t := w; t <= makespan; t += w {
+		n := i
+		for i < len(completions) && completions[i] < t {
+			i++
+		}
+		pts = append(pts, metrics.Point{T: int64(t), V: float64(i-n) / float64(w)})
+	}
+	return metrics.SeriesSnapshot{Name: "rate", Resolution: int64(w), Points: pts}
 }
 
 // Render writes the re-convergence report: one rate sparkline per
@@ -105,7 +124,7 @@ func Reconverge(tasks, mutateAt int64) (*ReconvergeResult, error) {
 // optimal rates.
 func (r *ReconvergeResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Re-convergence after c1: 1→3 at task %d of %d (sampled every %d steps)\n\n",
-		r.MutateAt, r.Tasks, r.SampleEvery)
+		r.MutateAt, r.Tasks, rateWindow)
 	for _, sc := range r.Scenarios {
 		vals := make([]float64, len(sc.Rate.Points))
 		for i, p := range sc.Rate.Points {
@@ -171,7 +190,7 @@ func (r *ReconvergeResult) JSON() any {
 		Scenarios   []row  `json:"scenarios"`
 	}{
 		Schema: TimelineSchemaV1, Experiment: "reconverge",
-		Tasks: r.Tasks, MutateAt: r.MutateAt, SampleEvery: int64(r.SampleEvery),
+		Tasks: r.Tasks, MutateAt: r.MutateAt, SampleEvery: int64(rateWindow),
 		Scenarios: rows,
 	}
 }

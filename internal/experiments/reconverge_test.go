@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
+	"bwcs/internal/engine"
+	"bwcs/internal/metrics"
+	"bwcs/internal/sim"
 	"bwcs/internal/textplot"
 )
 
@@ -88,6 +92,45 @@ func TestReconvergeNoPeriod(t *testing.T) {
 	}
 	if raw, err := json.Marshal(r.JSON()); err != nil || strings.Contains(string(raw), "timeToReconverge") {
 		t.Fatalf("artifact without a period: %v, %s", err, raw)
+	}
+}
+
+// TestRateSeries pins rateSeries' windows: half-open, whole, and none
+// for the tail after the last whole one.
+func TestRateSeries(t *testing.T) {
+	// A completion exactly at t = 64 counts in [64, 128), not in [0, 64);
+	// 130 and 150 fall in the partial window [128, 150], which adds no
+	// point.
+	got := rateSeries([]sim.Time{10, 64, 100, 130, 150}, 64, 150)
+	want := metrics.SeriesSnapshot{Name: "rate", Resolution: 64, Points: []metrics.Point{{T: 64, V: 1.0 / 64}, {T: 128, V: 2.0 / 64}}}
+	if got.Name != want.Name || got.Resolution != want.Resolution || !slices.Equal(got.Points, want.Points) {
+		t.Fatalf("rateSeries = %+v, want %+v", got, want)
+	}
+
+	// On the re-convergence runs, the points count every completion
+	// before the last point's T, once.
+	s, err := newFigure1Scenario("reconverge", 0, 0, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range reconvergeProtocols {
+		_, res, err := s.run(p.name, p.proto, engine.Mutation{AfterTasks: s.mutateAt, Node: P1, C: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := rateSeries(res.Completions, rateWindow, res.Makespan).Points
+		var sum float64
+		for _, pt := range pts {
+			if pt.T%int64(rateWindow) != 0 || pt.T > int64(res.Makespan) {
+				t.Errorf("%s: point at T = %d (makespan %d)", p.name, pt.T, res.Makespan)
+			}
+			sum += pt.V * float64(rateWindow)
+		}
+		last := sim.Time(pts[len(pts)-1].T)
+		before, _ := slices.BinarySearch(res.Completions, last)
+		if sum != float64(before) {
+			t.Errorf("%s: Σ V·%d = %v, want the %d completions before T = %d", p.name, rateWindow, sum, before, last)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package metrics holds TimeSeries and Sampler, the bounded time-series
-// ring behind the engine and live timelines. There are no instruments and
-// no registry: the engine and the live node keep their counters as plain
-// struct fields (engine.Metrics, live.Stats).
+// Package metrics holds Sampler, the bounded time-series rings behind a
+// live node's /timeline. There are no instruments and no registry: the
+// engine and the live node keep their counters as plain struct fields
+// (engine.Metrics, live.Stats).
 package metrics
 
 import (
@@ -10,15 +10,15 @@ import (
 )
 
 // Point is one time-series sample: a value observed at time T. T's unit
-// is whatever the producer samples in — sim timesteps for the engine,
-// nanoseconds since an epoch for the live runtime. Consumers treat it as
-// an opaque monotonic axis.
+// is the producer's — milliseconds since the node started for the live
+// sampler, sim timesteps for reconverge's rate series. Consumers treat it
+// as an opaque monotonic axis.
 type Point struct {
 	T int64   `json:"t"`
 	V float64 `json:"v"`
 }
 
-// TimeSeries is a fixed-capacity series of (t, value) points with
+// timeSeries is a fixed-capacity series of (t, value) points with
 // automatic 2× downsampling: when the buffer fills, adjacent pairs are
 // averaged in place (halving the point count and doubling the effective
 // resolution), and subsequent points arriving closer together than the
@@ -28,57 +28,35 @@ type Point struct {
 // right trade for telemetry, where recent detail matters most and old
 // detail only needs to preserve the curve's shape.
 //
-// The buffer is allocated once at construction; Append never allocates.
-// A TimeSeries is not safe for concurrent use — the engine drives one
-// per run from its single-threaded event loop, and the live runtime
-// serializes access through a Sampler.
-type TimeSeries struct {
+// The buffer is allocated once at construction; add never allocates.
+// A timeSeries is not safe for concurrent use; its Sampler serializes
+// access.
+type timeSeries struct {
 	name  string
 	pts   []Point
 	res   int64 // current minimum spacing between stored points
 	lastN int64 // raw samples merged into the newest point
 }
 
-// NewTimeSeries returns an empty series that stores at most capacity
+// newTimeSeries returns an empty series that stores at most capacity
 // points (capacity >= 2) at an initial resolution of res time units
 // between stored points (res >= 1; points arriving closer together than
 // the resolution merge into their predecessor).
-func NewTimeSeries(name string, capacity int, res int64) *TimeSeries {
+func newTimeSeries(name string, capacity int, res int64) *timeSeries {
 	if capacity < 2 {
 		panic(fmt.Sprintf("metrics: time series %q capacity %d must be >= 2", name, capacity))
 	}
 	if res < 1 {
 		panic(fmt.Sprintf("metrics: time series %q resolution %d must be >= 1", name, res))
 	}
-	return &TimeSeries{name: name, pts: make([]Point, 0, capacity), res: res}
+	return &timeSeries{name: name, pts: make([]Point, 0, capacity), res: res}
 }
 
-// Name returns the series name.
-func (ts *TimeSeries) Name() string { return ts.name }
-
-// Resolution returns the current minimum spacing between stored points.
-// It starts at the construction-time resolution and doubles on every
-// downsampling pass.
-func (ts *TimeSeries) Resolution() int64 { return ts.res }
-
-// Last returns the newest stored point, or ok=false on an empty series.
-func (ts *TimeSeries) Last() (Point, bool) {
-	if len(ts.pts) == 0 {
-		return Point{}, false
-	}
-	return ts.pts[len(ts.pts)-1], true
-}
-
-// Points returns a copy of the stored points, oldest first.
-func (ts *TimeSeries) Points() []Point {
-	return append([]Point(nil), ts.pts...)
-}
-
-// Append records value v observed at time t. Times must be
+// add records value v observed at time t. Times must be
 // non-decreasing; a point closer than the current resolution to the
 // newest stored point merges into it (running mean over the merged raw
-// samples, timestamp advanced to t). Append never allocates.
-func (ts *TimeSeries) Append(t int64, v float64) {
+// samples, timestamp advanced to t). add never allocates.
+func (ts *timeSeries) add(t int64, v float64) {
 	if n := len(ts.pts); n > 0 {
 		last := &ts.pts[n-1]
 		if t < last.T {
@@ -102,7 +80,7 @@ func (ts *TimeSeries) Append(t int64, v float64) {
 // their mean at the later timestamp, an odd trailing point is kept
 // verbatim, and the resolution doubles so future points land at the new
 // spacing.
-func (ts *TimeSeries) downsample() {
+func (ts *timeSeries) downsample() {
 	n := len(ts.pts)
 	j := 0
 	for i := 0; i+1 < n; i += 2 {
@@ -118,7 +96,7 @@ func (ts *TimeSeries) downsample() {
 	ts.lastN = 1
 }
 
-// SeriesSnapshot is the renderable view of one TimeSeries, the unit of
+// SeriesSnapshot is the renderable view of one series, the unit of
 // the /timeline JSON document and the bwcs-timeline/v1 artifact.
 type SeriesSnapshot struct {
 	Name       string  `json:"name"`
@@ -126,30 +104,35 @@ type SeriesSnapshot struct {
 	Points     []Point `json:"points"`
 }
 
-// SnapshotSeries captures a TimeSeries as a SeriesSnapshot (points
-// copied, safe to retain).
-func SnapshotSeries(ts *TimeSeries) SeriesSnapshot {
-	return SeriesSnapshot{Name: ts.Name(), Resolution: ts.Resolution(), Points: ts.Points()}
+// snapshot captures the series as a SeriesSnapshot, its points copied,
+// oldest first; the resolution is the current one, which doubles on
+// every downsampling pass.
+func (ts *timeSeries) snapshot() SeriesSnapshot {
+	return SeriesSnapshot{Name: ts.name, Resolution: ts.res, Points: append([]Point(nil), ts.pts...)}
 }
 
-// Sampler is a mutex-guarded registry of TimeSeries sharing one capacity
-// and resolution — the live runtime's wall-clock sampler appends from
-// its sampling goroutine while HTTP handlers snapshot concurrently. The
-// engine does not use a Sampler: its event loop is single-threaded and
-// holds TimeSeries directly.
+// Sampler is a mutex-guarded registry of series — a live node's
+// wall-clock sampler appends from its sampling goroutine while HTTP
+// handlers snapshot concurrently.
 type Sampler struct {
 	mu     sync.Mutex
-	cap    int
-	res    int64
-	order  []*TimeSeries
-	byName map[string]*TimeSeries
+	order  []*timeSeries
+	byName map[string]*timeSeries
 	ticks  uint64
 }
 
-// NewSampler returns an empty sampler whose series store at most
-// capacity points at the given initial resolution.
-func NewSampler(capacity int, res int64) *Sampler {
-	return &Sampler{cap: capacity, res: res, byName: make(map[string]*TimeSeries)}
+// A Sampler series stores at most samplerCapacity points, halving itself
+// on overflow, so a long-lived node's telemetry stays O(samplerCapacity).
+// Millisecond timestamps at a sampling cadence never collide, so
+// resolution 1 keeps every pass distinct until capacity forces a halving.
+const (
+	samplerCapacity   = 512
+	samplerResolution = 1
+)
+
+// NewSampler returns an empty sampler.
+func NewSampler() *Sampler {
+	return &Sampler{byName: make(map[string]*timeSeries)}
 }
 
 // Observe appends (t, v) to the named series, creating it on first use.
@@ -158,11 +141,11 @@ func (s *Sampler) Observe(name string, t int64, v float64) {
 	defer s.mu.Unlock()
 	ts, ok := s.byName[name]
 	if !ok {
-		ts = NewTimeSeries(name, s.cap, s.res)
+		ts = newTimeSeries(name, samplerCapacity, samplerResolution)
 		s.byName[name] = ts
 		s.order = append(s.order, ts)
 	}
-	ts.Append(t, v)
+	ts.add(t, v)
 }
 
 // Tick marks the end of one sampling pass (one Observe per series) and
@@ -181,7 +164,7 @@ func (s *Sampler) Snapshot() []SeriesSnapshot {
 	defer s.mu.Unlock()
 	out := make([]SeriesSnapshot, 0, len(s.order))
 	for _, ts := range s.order {
-		out = append(out, SnapshotSeries(ts))
+		out = append(out, ts.snapshot())
 	}
 	return out
 }
@@ -193,12 +176,8 @@ func (s *Sampler) Latest() (uint64, []SeriesSnapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]SeriesSnapshot, 0, len(s.order))
-	for _, ts := range s.order {
-		p, ok := ts.Last()
-		if !ok {
-			continue
-		}
-		out = append(out, SeriesSnapshot{Name: ts.Name(), Resolution: ts.Resolution(), Points: []Point{p}})
+	for _, ts := range s.order { // Observe never leaves a series empty
+		out = append(out, SeriesSnapshot{Name: ts.name, Resolution: ts.res, Points: []Point{ts.pts[len(ts.pts)-1]}})
 	}
 	return s.ticks, out
 }

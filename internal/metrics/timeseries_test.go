@@ -5,17 +5,17 @@ import (
 )
 
 func TestTimeSeriesAppendAndSnapshot(t *testing.T) {
-	ts := NewTimeSeries("rate", 8, 10)
+	ts := newTimeSeries("rate", 8, 10)
 	for i := int64(0); i < 5; i++ {
-		ts.Append(i*10, float64(i))
+		ts.add(i*10, float64(i))
 	}
 	if len(ts.pts) != 5 {
 		t.Fatalf("Len = %d, want 5", len(ts.pts))
 	}
-	if ts.Resolution() != 10 {
-		t.Fatalf("Resolution = %d, want 10", ts.Resolution())
+	if ts.res != 10 {
+		t.Fatalf("Resolution = %d, want 10", ts.res)
 	}
-	snap := SnapshotSeries(ts)
+	snap := ts.snapshot()
 	if snap.Name != "rate" || snap.Resolution != 10 || len(snap.Points) != 5 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
@@ -32,47 +32,47 @@ func TestTimeSeriesAppendAndSnapshot(t *testing.T) {
 }
 
 func TestTimeSeriesSubResolutionMerge(t *testing.T) {
-	ts := NewTimeSeries("x", 8, 10)
-	ts.Append(0, 2)
+	ts := newTimeSeries("x", 8, 10)
+	ts.add(0, 2)
 	// Three more samples inside the same 10-step bucket: running mean,
 	// timestamp advances to the newest.
-	ts.Append(3, 4)
-	ts.Append(6, 6)
-	ts.Append(9, 8)
+	ts.add(3, 4)
+	ts.add(6, 6)
+	ts.add(9, 8)
 	if len(ts.pts) != 1 {
 		t.Fatalf("Len = %d, want 1 (merged)", len(ts.pts))
 	}
-	p, _ := ts.Last()
+	p := ts.pts[len(ts.pts)-1]
 	if p.T != 9 || p.V != 5 {
 		t.Fatalf("merged point = %+v, want {9 5}", p)
 	}
 	// A point a full resolution past the (advanced) merged timestamp
 	// starts a fresh point with a fresh mean.
-	ts.Append(19, 100)
-	ts.Append(20, 200)
-	p, _ = ts.Last()
+	ts.add(19, 100)
+	ts.add(20, 200)
+	p = ts.pts[len(ts.pts)-1]
 	if len(ts.pts) != 2 || p.T != 20 || p.V != 150 {
 		t.Fatalf("after new bucket: len=%d last=%+v", len(ts.pts), p)
 	}
 }
 
 func TestTimeSeriesDownsampleOnOverflow(t *testing.T) {
-	ts := NewTimeSeries("x", 4, 1)
+	ts := newTimeSeries("x", 4, 1)
 	for i := int64(0); i < 4; i++ {
-		ts.Append(i, float64(i))
+		ts.add(i, float64(i))
 	}
-	if len(ts.pts) != 4 || ts.Resolution() != 1 {
-		t.Fatalf("before overflow: len=%d res=%d", len(ts.pts), ts.Resolution())
+	if len(ts.pts) != 4 || ts.res != 1 {
+		t.Fatalf("before overflow: len=%d res=%d", len(ts.pts), ts.res)
 	}
 	// The 5th point overflows: pairs (0,1) and (2,3) average to 2 points
 	// at the later timestamps, resolution doubles, then the new point
 	// lands.
-	ts.Append(4, 4)
+	ts.add(4, 4)
 	if len(ts.pts) != 3 {
 		t.Fatalf("after overflow: len = %d, want 3", len(ts.pts))
 	}
-	if ts.Resolution() != 2 {
-		t.Fatalf("after overflow: res = %d, want 2", ts.Resolution())
+	if ts.res != 2 {
+		t.Fatalf("after overflow: res = %d, want 2", ts.res)
 	}
 	want := []Point{{T: 1, V: 0.5}, {T: 3, V: 2.5}, {T: 4, V: 4}}
 	for i, w := range want {
@@ -84,11 +84,11 @@ func TestTimeSeriesDownsampleOnOverflow(t *testing.T) {
 
 func TestTimeSeriesDownsampleOddCount(t *testing.T) {
 	// An odd point count keeps the trailing point verbatim.
-	ts := NewTimeSeries("x", 5, 1)
+	ts := newTimeSeries("x", 5, 1)
 	for i := int64(0); i < 5; i++ {
-		ts.Append(i, float64(i*10))
+		ts.add(i, float64(i*10))
 	}
-	ts.Append(5, 50)
+	ts.add(5, 50)
 	// Pairs (0,10)@1, (20,30)@3, odd 40@4 kept, then 50@5 appended.
 	want := []Point{{T: 1, V: 5}, {T: 3, V: 25}, {T: 4, V: 40}, {T: 5, V: 50}}
 	if len(ts.pts) != len(want) {
@@ -104,9 +104,9 @@ func TestTimeSeriesDownsampleOddCount(t *testing.T) {
 func TestTimeSeriesBoundedOverLongRun(t *testing.T) {
 	// A million appends at unit spacing must stay within capacity, with
 	// monotone timestamps and ever-coarser resolution.
-	ts := NewTimeSeries("x", 64, 1)
+	ts := newTimeSeries("x", 64, 1)
 	for i := int64(0); i < 1_000_000; i++ {
-		ts.Append(i, 1.0)
+		ts.add(i, 1.0)
 	}
 	if len(ts.pts) > 64 {
 		t.Fatalf("series exceeded capacity: %d", len(ts.pts))
@@ -116,8 +116,8 @@ func TestTimeSeriesBoundedOverLongRun(t *testing.T) {
 			t.Fatalf("timestamps not strictly ascending at %d: %v then %v", i, ts.pts[i-1], ts.pts[i])
 		}
 	}
-	if ts.Resolution() <= 1 {
-		t.Fatalf("resolution never coarsened: %d", ts.Resolution())
+	if ts.res <= 1 {
+		t.Fatalf("resolution never coarsened: %d", ts.res)
 	}
 	// Constant input must survive mean-of-means exactly.
 	for i := 0; i < len(ts.pts); i++ {
@@ -133,9 +133,9 @@ func TestTimeSeriesBackwardsTimePanics(t *testing.T) {
 			t.Fatalf("backwards time did not panic")
 		}
 	}()
-	ts := NewTimeSeries("x", 4, 1)
-	ts.Append(10, 1)
-	ts.Append(9, 1)
+	ts := newTimeSeries("x", 4, 1)
+	ts.add(10, 1)
+	ts.add(9, 1)
 }
 
 func TestNewTimeSeriesValidates(t *testing.T) {
@@ -146,31 +146,32 @@ func TestNewTimeSeriesValidates(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewTimeSeries(cap=%d res=%d) did not panic", tc.cap1, tc.res)
+					t.Errorf("newTimeSeries(cap=%d res=%d) did not panic", tc.cap1, tc.res)
 				}
 			}()
-			NewTimeSeries("x", tc.cap1, tc.res)
+			newTimeSeries("x", tc.cap1, tc.res)
 		}()
 	}
 }
 
-// TestTimeSeriesAppendZeroAllocs pins TimeSeries.Append and downsample
-// to zero allocations: the engine calls Append from its event loop, so
-// it must not allocate even across downsampling passes.
+// TestTimeSeriesAppendZeroAllocs pins timeSeries.add and downsample
+// to zero allocations: a live node's sampler appends on every tick for
+// the node's lifetime, so it must not allocate even across downsampling
+// passes.
 func TestTimeSeriesAppendZeroAllocs(t *testing.T) {
-	ts := NewTimeSeries("x", 64, 1)
+	ts := newTimeSeries("x", 64, 1)
 	var i int64
 	allocs := testing.AllocsPerRun(10_000, func() {
-		ts.Append(i, float64(i))
+		ts.add(i, float64(i))
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("Append allocates %.1f times per call on the warm path", allocs)
+		t.Fatalf("add allocates %.1f times per call on the warm path", allocs)
 	}
 }
 
 func TestSamplerObserveSnapshotLatest(t *testing.T) {
-	s := NewSampler(16, 1)
+	s := NewSampler()
 	s.Observe("a", 1, 10)
 	s.Observe("b", 1, 20)
 	if n := s.Tick(); n != 1 {

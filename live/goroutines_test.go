@@ -292,19 +292,22 @@ func renderEffect(e *effect) string {
 		if e.r.msg != nil {
 			s += msgs([]message{*e.r.msg})
 		}
+		if e.r.err != nil {
+			s += " err " + e.r.err.Error()
+		}
 		return s + fmt.Sprintf(" status=%v", e.r.status != nil)
 	}
-	return fmt.Sprintf("%s %d %v", [...]string{effKick: "kick", effDeliver: "deliver", effArm: "arm", effServe: "serve"}[e.kind], e.res.ID, e.d)
+	return fmt.Sprintf("%s %d %v", [...]string{effKick: "kick", effDeliver: "deliver", effDrop: "drop", effArm: "arm", effServe: "serve"}[e.kind], e.res.ID, e.d)
 }
 
 // TestOwnerStepReplays feeds one script of inputs, at scripted times, to
 // two owners built without goroutines or sockets: a relay with a parent
 // and one child, through a task relayed and one computed, their results,
 // acks and a retransmission, the child's loss, revival and reclaim, the
-// uplink's loss and reconnect, and Run, ServeStatus and Close. Every input
-// kind the owner steps must appear; the two rendered effect lists must be
-// byte-identical; and the one-owner invariant (checkOneOwner) must hold
-// after every input.
+// uplink's loss and reconnect, a Run and its abandonment, ServeStatus and
+// Close. Every input kind the owner steps must appear; the two rendered
+// effect lists must be byte-identical; and the one-owner invariant
+// (checkOneOwner) must hold after every input.
 func TestOwnerStepReplays(t *testing.T) {
 	t0 := time.Date(2003, 4, 22, 0, 0, 0, 0, time.UTC)
 	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
@@ -373,7 +376,10 @@ func TestOwnerStepReplays(t *testing.T) {
 			return input{kind: inInstalled, c: r.up2, m: message{Kind: kindHelloAck, Name: "parent", Revived: true}, attempt: 1}
 		}},
 		{204, func(r *stepRig) input { wrote(r); return input{kind: inPull} }},
-		{205, func(r *stepRig) input { return input{kind: inRun, tasks: []Task{{ID: 100, Payload: []byte("mn")}}} }},
+		{205, func(r *stepRig) input {
+			return input{kind: inRun, tasks: []Task{{ID: 100, Payload: []byte("mn")}, {ID: 101}}}
+		}},
+		{205, func(r *stepRig) input { return input{kind: inAbandon, tasks: []Task{{ID: 100}, {ID: 101}}} }},
 		{206, func(r *stepRig) input { return input{kind: inStatus, status: r.status} }},
 		{207, func(r *stepRig) input { return input{kind: inHeartbeatMiss, c: r.up2, n: 3, sever: true} }},
 		{208, func(r *stepRig) input { return input{kind: inClose} }},

@@ -171,10 +171,6 @@ type Node struct {
 	upJobs   chan *upJob   // its pulled batches; nil parks it
 	tasks    chan Task
 	results  chan Result // root only: collected results for Run
-	// abandoned holds the IDs of tasks an earlier Run returned without
-	// collecting: their results still arrive, and Run drops them. Only Run
-	// touches it.
-	abandoned map[uint64]bool
 
 	done      chan struct{}         // closed by Close
 	ownerGone chan struct{}         // closed once the owner has stopped; its state is then read-only
@@ -207,6 +203,10 @@ type Node struct {
 	computing []uint64        // the task on the compute port right now, if any
 	children  []*childSession // in slot order: by link estimate, then name
 	buffer    taskPool        // tasks awaiting dispatch; at the root, the application
+	// abandoned holds the IDs of the tasks in flight that a Run returned
+	// without collecting (root only): the owner drops their results and
+	// their requeues, and refuses a Run that reuses one.
+	abandoned map[uint64]bool
 	stats     Stats
 	status    *statusServer
 	stopped   bool     // Close stopped the owner
@@ -321,14 +321,11 @@ func Start(name string, opts ...Option) (*Node, error) {
 	n.inbox, n.tasks = make(chan input, 64), make(chan Task, 1)
 	n.portJobs, n.upKick, n.upJobs = make(chan []portWrite, 1), make(chan struct{}, 1), make(chan *upJob, 1)
 	if n.root {
-		n.results, n.abandoned = make(chan Result, 1024), make(map[uint64]bool)
+		n.results = make(chan Result, 1024)
 	}
 	n.done, n.ownerGone, n.failed = make(chan struct{}), make(chan struct{}), make(chan struct{})
 	if cfg.timelineInterval > 0 {
-		// Millisecond timestamps at the sampling cadence never collide, so
-		// resolution 1 keeps every pass distinct until capacity forces
-		// downsampling.
-		n.sampler = metrics.NewSampler(timelineSeriesCap, 1)
+		n.sampler = metrics.NewSampler()
 	}
 
 	if cfg.listen != "" {
@@ -366,10 +363,11 @@ func Start(name string, opts ...Option) (*Node, error) {
 // newNode is the owner's state as Start begins it: no goroutine or socket.
 func newNode(cfg config) *Node {
 	n := &Node{
-		cfg:     cfg,
-		root:    cfg.parent == "",
-		started: time.Now(),
-		stats:   Stats{ByChild: map[string]int64{}},
+		cfg:       cfg,
+		root:      cfg.parent == "",
+		started:   time.Now(),
+		stats:     Stats{ByChild: map[string]int64{}},
+		abandoned: map[uint64]bool{},
 	}
 	n.core.Reset(cfg.protocol, n.root)
 	if cfg.recorderCap > 0 {
@@ -499,7 +497,9 @@ func (n *Node) Close() error {
 // the partial results and the context's error. Re-executed tasks from
 // recovered failures are deduplicated by ID: each result is delivered
 // exactly once. A Run that returns early abandons the tasks it has not
-// collected: they still run, and a later Run drops their results.
+// collected: those not yet dispatched are dropped, those in flight still
+// run but their results are dropped, and a later Run that reuses one of
+// their IDs is refused until its result is in.
 func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -515,24 +515,20 @@ func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 		seen[t.ID] = true
 	}
 
-	n.put(input{kind: inRun, tasks: tasks})
+	if r, ok := n.ask(input{kind: inRun, tasks: tasks}); ok && r.err != nil {
+		return nil, r.err
+	}
 
 	out := make([]Result, 0, len(tasks))
 	defer func() { // a Run cut short abandons the tasks it did not collect
-		for id, wanted := range seen {
-			if wanted {
-				n.abandoned[id] = true
-			}
+		if len(out) < len(tasks) {
+			n.ask(input{kind: inAbandon, tasks: slices.DeleteFunc(slices.Clone(tasks), func(t Task) bool { return !seen[t.ID] })})
 		}
 	}()
 	for len(out) < len(tasks) {
 		select {
 		case r := <-n.results:
 			wanted, known := seen[r.ID]
-			if !known && n.abandoned[r.ID] {
-				delete(n.abandoned, r.ID) // a late result of an earlier Run
-				continue
-			}
 			if !known {
 				return out, fmt.Errorf("live: unexpected result id %d", r.ID)
 			}
@@ -634,6 +630,15 @@ func (n *Node) ownerLoop() {
 				n.upKick <- struct{}{}
 			case effBatch:
 				n.upJobs <- e.job
+			case effDrop:
+				clear(backlog)
+				backlog = backlog[:0]
+				for len(n.results) > 0 {
+					select {
+					case <-n.results:
+					default: // a concurrent Run took it
+					}
+				}
 			case effDeliver:
 				if len(backlog) == 0 {
 					select {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"time"
@@ -29,7 +30,8 @@ const (
 	inAdmitted                       // the hello-ack to session s on c was written, or failed with err
 	inHello                          // the dialler's hello m needs the subtree's counts; reply: the hello
 	inInstalled                      // hello-ack m came back on c: n partial transfers dropped, attempt numbers a reconnect
-	inRun                            // Run hands the root tasks
+	inRun                            // Run hands the root tasks; reply: err if one reuses an abandoned ID in flight
+	inAbandon                        // Run returned without collecting tasks; reply once they are dropped
 	inClose                          // Close stops the owner, whose state is then read-only
 	inStatus                         // ServeStatus installs status; reply: the server running
 	inPause                          // pause: the shell parks between two steps; never reaches step
@@ -60,6 +62,7 @@ type reply struct {
 	sess   *childSession // inAdmit: nil once the node is closing
 	msg    *message      // inAdmit: the hello-ack; inHello: the completed hello
 	status *statusServer // inStatus
+	err    error         // inRun
 }
 
 // effectKind names what the shell must do for the owner.
@@ -71,6 +74,7 @@ const (
 	effKick                       // wake the uplink writer
 	effBatch                      // answer the writer's pull with job; nil parks it
 	effDeliver                    // root: hand res to Run
+	effDrop                       // root: discard every result Run has not taken
 	effArm                        // arm the timer for d; 0 disarms it
 	effReply                      // complete the reply slot to with r
 	effServe                      // serve r.status's endpoints
@@ -145,8 +149,10 @@ func (n *Node) step(now time.Time, in *input) {
 		}
 		n.emit(effect{kind: effReply, to: in.reply})
 	case inRun:
-		n.buffer.pushAll(in.tasks) // the root's pool
-		n.core.Refill(int64(len(in.tasks)))
+		n.emit(effect{kind: effReply, to: in.reply, r: reply{err: n.run(in.tasks)}})
+	case inAbandon:
+		n.abandon(in.tasks)
+		n.emit(effect{kind: effReply, to: in.reply})
 	case inClose:
 		n.stopped = true
 	case inStatus:
@@ -354,11 +360,47 @@ func (n *Node) reach(s *childSession) {
 	}
 }
 
+// run takes a Run's tasks into the root's pool, unless one reuses the ID
+// of a task an abandoned Run still has in flight: the two results could
+// not be told apart.
+func (n *Node) run(tasks []Task) error {
+	for _, t := range tasks {
+		if n.abandoned[t.ID] {
+			return fmt.Errorf("live: task id %d is still in flight from an abandoned Run", t.ID)
+		}
+	}
+	n.buffer.pushAll(tasks)
+	n.core.Refill(int64(len(tasks)))
+	return nil
+}
+
+// abandon takes the tasks a Run returned without collecting. Those still
+// in the pool leave it; those in flight are marked abandoned, so their
+// results and requeues are dropped; the results of the rest are already
+// on their way to Run, and the shell discards them.
+func (n *Node) abandon(tasks []Task) {
+	left := make(map[uint64]bool, len(tasks))
+	for _, t := range tasks {
+		left[t.ID] = true
+	}
+	n.core.Refill(-int64(n.buffer.remove(func(t Task) bool { return left[t.ID] })))
+	for _, id := range n.holding() {
+		if left[id] {
+			n.abandoned[id] = true
+		}
+	}
+	n.emit(effect{kind: effDrop})
+}
+
 // owe takes a result this node owes upward: to the ledger, or at the root
-// to Run.
+// to Run — unless the Run that dispatched it has returned.
 func (n *Node) owe(r Result) {
 	if !n.root {
 		n.enqueueResult(r)
+		return
+	}
+	if n.abandoned[r.ID] {
+		delete(n.abandoned, r.ID)
 		return
 	}
 	n.record(Event{Kind: EvResultCollect, Task: r.ID, Origin: r.Origin})

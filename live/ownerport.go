@@ -162,11 +162,15 @@ func (n *Node) resort() {
 }
 
 // requeue returns a transfer's task to the pool for re-dispatch, behind
-// everything already buffered. The request the dispatch consumed is not
-// its business: a child that comes back says in its hello how many
-// requests are still unanswered. The caller takes the transfer off the
-// session.
+// everything already buffered, or drops it if its Run was abandoned. The
+// request the dispatch consumed is not its business: a child that comes
+// back says in its hello how many requests are still unanswered. The
+// caller takes the transfer off the session.
 func (n *Node) requeue(s *childSession, tr *outTransfer) {
+	if n.abandoned[tr.task.ID] {
+		delete(n.abandoned, tr.task.ID)
+		return
+	}
 	n.buffer.push(tr.task)
 	n.core.Refill(1)
 	n.record(Event{Kind: EvRequeue, Task: tr.task.ID, Peer: s.name})

@@ -70,6 +70,25 @@ func (p *taskPool) pop() Task {
 	return t
 }
 
+// remove drops every buffered task drop reports true for, keeping the
+// others in order, and returns how many it dropped. Freed slots are
+// zeroed, as popped ones are.
+func (p *taskPool) remove(drop func(Task) bool) int {
+	kept := 0
+	for k := 0; k < p.size; k++ {
+		if t := *p.at(k); !drop(t) {
+			*p.at(kept) = t
+			kept++
+		}
+	}
+	for k := kept; k < p.size; k++ {
+		*p.at(k) = Task{}
+	}
+	dropped := p.size - kept
+	p.size = kept
+	return dropped
+}
+
 // each calls f on every buffered task, oldest first.
 func (p *taskPool) each(f func(Task)) {
 	for k := 0; k < p.size; k++ {

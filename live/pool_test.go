@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -19,6 +20,12 @@ func (n *slicePool) push(t Task) {
 	n.peak = max(n.peak, len(n.buffer))
 }
 
+func (n *slicePool) remove(drop func(Task) bool) int {
+	before := len(n.buffer)
+	n.buffer = slices.DeleteFunc(n.buffer, drop)
+	return before - len(n.buffer)
+}
+
 func (n *slicePool) pop() Task {
 	t := n.buffer[0]
 	n.buffer = n.buffer[1:]
@@ -26,9 +33,10 @@ func (n *slicePool) pop() Task {
 }
 
 // TestPoolMatchesSliceScan drives the pool and the slice oracle with the
-// same seeded sequence of pushes (single and bulk), pops and requeues:
-// the same task, with the same payload, must come out of every pop, with
-// the same length and high-water mark on both sides. Each task's one-byte
+// same seeded sequence of pushes (single and bulk), pops, requeues and
+// removals (an abandoned Run's tasks leaving the pool): the same task,
+// with the same payload, must come out of every pop, with the same length
+// and high-water mark on both sides. Each task's one-byte
 // payload is a tag drawn from K values (the subtest's tagsK). The load
 // swings between filling and draining, so the ring wraps, grows and
 // empties now and then.
@@ -77,6 +85,12 @@ func TestPoolMatchesSliceScan(t *testing.T) {
 							pool.push(tk)
 							ref.push(tk)
 						}
+					case r == 99:
+						tag := byte(rng.Intn(k))
+						drop := func(t Task) bool { return t.Payload[0] == tag }
+						if got, want := pool.remove(drop), ref.remove(drop); got != want {
+							t.Fatalf("op %d: removed %d tasks tagged %d, oracle removed %d", op, got, tag, want)
+						}
 					default:
 						got, want := pool.pop(), ref.pop()
 						if got.ID != want.ID || !bytes.Equal(got.Payload, want.Payload) {
@@ -107,13 +121,14 @@ func TestPoolMatchesSliceScan(t *testing.T) {
 	}
 }
 
-// TestPoolZeroesPoppedSlots checks that a dispatched task's payload is
-// not kept reachable from the ring it was buffered in.
+// TestPoolZeroesPoppedSlots checks that a dispatched or removed task's
+// payload is not kept reachable from the ring it was buffered in.
 func TestPoolZeroesPoppedSlots(t *testing.T) {
 	var p taskPool
 	for i := 0; i < 5; i++ {
 		p.push(Task{ID: uint64(i + 1), Payload: []byte{1}})
 	}
+	p.remove(func(t Task) bool { return t.ID%2 == 0 })
 	for p.len() > 0 {
 		p.pop()
 	}

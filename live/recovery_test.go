@@ -215,9 +215,11 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestRunAfterAbandonedRun: the tasks a timed-out Run abandoned still run,
-// and the next Run drops their late results instead of failing on them; a
-// result of a task no Run dispatched still fails the Run.
+// TestRunAfterAbandonedRun: a timed-out Run leaves none of its tasks in
+// the root's pool, so the next Run is not queued behind them; the tasks
+// still in flight run on, their late results are dropped, and a Run that
+// reuses one of their IDs meanwhile is refused; a result of a task no Run
+// dispatched still fails the Run.
 func TestRunAfterAbandonedRun(t *testing.T) {
 	root := startNode(t, "root",
 		WithListen("127.0.0.1:0"), WithCompute(echoCompute(20*time.Millisecond)),
@@ -226,6 +228,18 @@ func TestRunAfterAbandonedRun(t *testing.T) {
 	first, err := runWithin(root, makeTasks(40, 16), 60*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) || len(first) == 40 {
 		t.Fatalf("40 x 20ms inside 60ms: %d results, err %v; want a timeout", len(first), err)
+	}
+	if b := root.snapshot().Buffered; b != 0 {
+		t.Errorf("the abandoned Run left %d tasks buffered at the root", b)
+	}
+	var held []uint64
+	root.query(func() { held = root.holding() })
+	if len(held) == 0 {
+		t.Fatalf("no task of the abandoned Run in flight")
+	}
+	reused := held[len(held)-1] // dispatched last, so the furthest from done
+	if _, err := runWithin(root, []Task{{ID: reused}}, 30*time.Second); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("task id %d ", reused)) {
+		t.Errorf("a Run reusing in-flight abandoned task %d: err %v, want a refusal naming it", reused, err)
 	}
 	next := []Task{{ID: 1001}, {ID: 1002}}
 	if results, err := runWithin(root, next, 30*time.Second); err != nil || len(results) != 2 {

@@ -3,8 +3,7 @@ package live
 // Wall-clock timeline telemetry for a running overlay node: a background
 // sampler snapshots the node's counters once per interval and folds the
 // deltas into bounded time series (task and wire byte rates, buffered
-// depth), which /timeline serves as a JSON dump or follows as NDJSON —
-// the live mirror of the simulator's Result.Timeline.
+// depth), which /timeline serves as a JSON dump or follows as NDJSON.
 
 import (
 	"net/http"
@@ -15,11 +14,6 @@ import (
 
 // TimelineSchema identifies the /timeline JSON document format.
 const TimelineSchema = "bwcs-timeline/v1"
-
-// timelineSeriesCap bounds the stored points per live series; on
-// overflow a series halves itself and doubles its resolution, so a
-// long-lived node's telemetry stays O(timelineSeriesCap).
-const timelineSeriesCap = 512
 
 // TimelineDump is the JSON document /timeline serves: every sampled
 // series of the node, point timestamps in milliseconds since the node
