@@ -6,6 +6,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -84,9 +85,11 @@ func (n *Node) query(fn func()) bool {
 // checkOneOwner asks each node's owner, the way Stats does, to walk its
 // dispatch state: a task has exactly one owner — the pool, one session's
 // active transfer, or one session's outstanding set — and the reconnect
-// hello lists each ID once. The protocol core agrees: it counts the pool,
-// and each session's slot is in place, in flight exactly while the session
-// has an active transfer, and down exactly while it cannot be served.
+// hello lists each ID once; an abandoned Run's task is marked only while
+// it is in flight, held but not pooled. The protocol core agrees: it
+// counts the pool, and each session's slot is in place, in flight exactly
+// while the session has an active transfer, and down exactly while it
+// cannot be served.
 func checkOneOwner(t *testing.T, nodes ...*Node) {
 	t.Helper()
 	for _, n := range nodes {
@@ -130,6 +133,11 @@ func checkNodeOwner(t *testing.T, n *Node) {
 		for i := 1; i < len(ids); i++ {
 			if ids[i] == ids[i-1] {
 				errs = append(errs, fmt.Sprintf("%s: hello would list task %d twice", n.cfg.name, ids[i]))
+			}
+		}
+		for id := range n.abandoned {
+			if _, held := slices.BinarySearch(ids, id); !held || owner[id] == "pool" {
+				errs = append(errs, fmt.Sprintf("%s: abandoned task %d is pooled or held nowhere", n.cfg.name, id))
 			}
 		}
 	})
