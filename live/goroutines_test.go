@@ -232,14 +232,19 @@ type stepRig struct {
 	kid, kid2 *conn // child k's link, then the one it revives on
 	sess      *childSession
 	status    *statusServer
+	slot      chan reply // the reply slot of the Run the script starts
 	out       strings.Builder
 }
 
-func newStepRig() *stepRig {
+// newStepRig builds a relay named mid, or with root the root.
+func newStepRig(root bool) *stepRig {
 	cfg := defaults("mid")
 	cfg.parent, cfg.chunkSize, cfg.resultRetry, cfg.reconnectGrace = "parent:1", 2, 50*time.Millisecond, 100*time.Millisecond
+	if root {
+		cfg.name, cfg.parent = "root", ""
+	}
 	cfg.protocol.InitialBuffers = 2
-	r := &stepRig{n: newNode(cfg), status: &statusServer{}}
+	r := &stepRig{n: newNode(cfg), status: &statusServer{}, slot: make(chan reply, 1)}
 	link := func(peer string) *conn { return &conn{peer: peer, wireSeq: &r.n.wireSeq} }
 	r.up, r.up2, r.kid, r.kid2 = link("parent"), link("parent"), link("k"), link("k")
 	return r
@@ -292,22 +297,33 @@ func renderEffect(e *effect) string {
 		if e.r.msg != nil {
 			s += msgs([]message{*e.r.msg})
 		}
+		for _, res := range e.r.results {
+			s += fmt.Sprintf(" result %d %q", res.ID, res.Output)
+		}
 		if e.r.err != nil {
 			s += " err " + e.r.err.Error()
 		}
 		return s + fmt.Sprintf(" status=%v", e.r.status != nil)
 	}
-	return fmt.Sprintf("%s %d %v", [...]string{effKick: "kick", effDeliver: "deliver", effDrop: "drop", effArm: "arm", effServe: "serve"}[e.kind], e.res.ID, e.d)
+	return fmt.Sprintf("%s %v", [...]string{effKick: "kick", effArm: "arm", effServe: "serve"}[e.kind], e.d)
 }
 
-// TestOwnerStepReplays feeds one script of inputs, at scripted times, to
-// two owners built without goroutines or sockets: a relay with a parent
-// and one child, through a task relayed and one computed, their results,
-// acks and a retransmission, the child's loss, revival and reclaim, the
-// uplink's loss and reconnect, a Run and its abandonment, ServeStatus and
-// Close. Every input kind the owner steps must appear; the two rendered
-// effect lists must be byte-identical; and the one-owner invariant
-// (checkOneOwner) must hold after every input.
+// scriptStep is one input of a step-replay script, fed at ms.
+type scriptStep struct {
+	ms int
+	in func(r *stepRig) input
+}
+
+// TestOwnerStepReplays feeds scripts of inputs, at scripted times, each to
+// two owners built without goroutines or sockets. The first is a relay
+// with a parent and one child, through a task relayed and one computed,
+// their results, acks and a retransmission, the child's loss, revival and
+// reclaim, the uplink's loss and reconnect, a Run and its abandonment,
+// ServeStatus and Close. The second is a root whose Run, computed there
+// and at one child, collects its results and completes, with a second Run
+// refused meanwhile. Every input kind the owner steps must appear; each
+// script's two rendered effect lists must be byte-identical; and the
+// one-owner invariant (checkOneOwner) must hold after every input.
 func TestOwnerStepReplays(t *testing.T) {
 	t0 := time.Date(2003, 4, 22, 0, 0, 0, 0, time.UTC)
 	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
@@ -324,10 +340,7 @@ func TestOwnerStepReplays(t *testing.T) {
 		}
 		return input{}
 	}
-	script := []struct {
-		ms int
-		in func(r *stepRig) input
-	}{
+	script := []scriptStep{
 		{0, func(r *stepRig) input { return input{kind: inHello, m: message{Kind: kindHello, Name: "mid", Seq: 1}} }},
 		{1, func(r *stepRig) input {
 			return input{kind: inInstalled, c: r.up, m: message{Kind: kindHelloAck, Name: "parent", TraceSeq: 1}}
@@ -377,32 +390,60 @@ func TestOwnerStepReplays(t *testing.T) {
 		}},
 		{204, func(r *stepRig) input { wrote(r); return input{kind: inPull} }},
 		{205, func(r *stepRig) input {
-			return input{kind: inRun, tasks: []Task{{ID: 100, Payload: []byte("mn")}, {ID: 101}}}
+			return input{kind: inRun, tasks: []Task{{ID: 100, Payload: []byte("mn")}, {ID: 101}}, reply: r.slot}
 		}},
-		{205, func(r *stepRig) input { return input{kind: inAbandon, tasks: []Task{{ID: 100}, {ID: 101}}} }},
+		{205, func(r *stepRig) input { return input{kind: inAbandon, reply: r.slot} }},
 		{206, func(r *stepRig) input { return input{kind: inStatus, status: r.status} }},
 		{207, func(r *stepRig) input { return input{kind: inHeartbeatMiss, c: r.up2, n: 3, sever: true} }},
 		{208, func(r *stepRig) input { return input{kind: inClose} }},
 	}
-	var renders [2]string
+	rootScript := []scriptStep{
+		{0, func(r *stepRig) input {
+			return input{kind: inRun, tasks: []Task{{ID: 1, Payload: []byte("ab")}, {ID: 2, Payload: []byte("cd")}, {ID: 3}}, reply: r.slot}
+		}},
+		{1, func(r *stepRig) input { return input{kind: inRun, tasks: []Task{{ID: 9}}} }}, // refused: one Run at a time
+		{2, func(r *stepRig) input {
+			return input{kind: inAdmit, c: r.kid, m: message{Kind: kindHello, Name: "k", N: 1}}
+		}},
+		{3, func(r *stepRig) input { return input{kind: inAdmitted, s: r.sess, c: r.kid} }},
+		{4, func(r *stepRig) input { wrote(r); return input{kind: inTurnDone} }},
+		{5, func(r *stepRig) input {
+			return input{kind: inComputed, task: Task{ID: 1}, out: []byte("ba"), took: time.Millisecond}
+		}},
+		{6, func(r *stepRig) input {
+			return input{kind: inChild, s: r.sess, c: r.kid, m: message{Kind: kindResult, Task: 2, Origin: "k", Output: []byte("dc")}}
+		}},
+		{7, func(r *stepRig) input { return input{kind: inComputed, task: Task{ID: 3}, took: time.Millisecond} }}, // the Run completes
+		{8, func(r *stepRig) input { wrote(r); return input{kind: inTurnDone} }},
+		{9, func(r *stepRig) input { return input{kind: inClose} }},
+	}
 	used := map[inputKind]bool{}
-	for i := range renders {
-		r := newStepRig()
-		for _, s := range script {
-			in := s.in(r)
-			used[in.kind] = true
-			r.run(at(s.ms), in)
-			checkOneOwner(t, r.n)
+	for _, sc := range []struct {
+		root   bool
+		script []scriptStep
+	}{{false, script}, {true, rootScript}} {
+		var renders [2]string
+		for i := range renders {
+			r := newStepRig(sc.root)
+			for _, s := range sc.script {
+				in := s.in(r)
+				used[in.kind] = true
+				r.run(at(s.ms), in)
+				checkOneOwner(t, r.n)
+			}
+			renders[i] = r.out.String()
 		}
-		renders[i] = r.out.String()
+		if renders[0] != renders[1] {
+			t.Fatalf("one script, two effect lists:\n%s\nvs\n%s", renders[0], renders[1])
+		}
+		if want := `reply result 1 "ba" result 2 "dc" result 3 ""`; sc.root && !strings.Contains(renders[0], want) {
+			t.Errorf("the root's Run never replied %q", want)
+		}
+		t.Logf("effects:\n%s", renders[0])
 	}
 	for k := inChild; k < inPause; k++ {
 		if !used[k] {
-			t.Errorf("the script never feeds input kind %d", k)
+			t.Errorf("the scripts never feed input kind %d", k)
 		}
 	}
-	if renders[0] != renders[1] {
-		t.Fatalf("one script, two effect lists:\n%s\nvs\n%s", renders[0], renders[1])
-	}
-	t.Logf("effects:\n%s", renders[0])
 }

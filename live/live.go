@@ -58,6 +58,7 @@
 package live
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -65,7 +66,6 @@ import (
 	"net"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,7 +170,6 @@ type Node struct {
 	upKick   chan struct{} // wakes the parked uplink writer
 	upJobs   chan *upJob   // its pulled batches; nil parks it
 	tasks    chan Task
-	results  chan Result // root only: collected results for Run
 
 	done      chan struct{}         // closed by Close
 	ownerGone chan struct{}         // closed once the owner has stopped; its state is then read-only
@@ -203,6 +202,7 @@ type Node struct {
 	computing []uint64        // the task on the compute port right now, if any
 	children  []*childSession // in slot order: by link estimate, then name
 	buffer    taskPool        // tasks awaiting dispatch; at the root, the application
+	running   *runLedger      // the Run in flight (root only)
 	// abandoned holds the IDs of the tasks in flight that a Run returned
 	// without collecting (root only): the owner drops their results and
 	// their requeues, and refuses a Run that reuses one.
@@ -320,9 +320,6 @@ func Start(name string, opts ...Option) (*Node, error) {
 	n := newNode(cfg)
 	n.inbox, n.tasks = make(chan input, 64), make(chan Task, 1)
 	n.portJobs, n.upKick, n.upJobs = make(chan []portWrite, 1), make(chan struct{}, 1), make(chan *upJob, 1)
-	if n.root {
-		n.results = make(chan Result, 1024)
-	}
 	n.done, n.ownerGone, n.failed = make(chan struct{}), make(chan struct{}), make(chan struct{})
 	if cfg.timelineInterval > 0 {
 		n.sampler = metrics.NewSampler()
@@ -490,16 +487,19 @@ func (n *Node) Close() error {
 
 // Run dispatches the given tasks from the root and blocks until every
 // result has been collected or ctx ends. Only the root (a node with no
-// parent) may call Run.
+// parent) may call Run, and one Run at a time: a Run while another is in
+// flight is refused at once.
 //
-// On a context deadline, Run returns the partial results alongside a
-// *TimeoutError (errors.Is(err, ErrTimeout)); on cancellation it returns
-// the partial results and the context's error. Re-executed tasks from
-// recovered failures are deduplicated by ID: each result is delivered
-// exactly once. A Run that returns early abandons the tasks it has not
-// collected: those not yet dispatched are dropped, those in flight still
-// run but their results are dropped, and a later Run that reuses one of
-// their IDs is refused until its result is in.
+// On a context deadline, Run returns the partial results, in arrival
+// order, alongside a *TimeoutError (errors.Is(err, ErrTimeout)); on
+// cancellation it returns the partial results and the context's error.
+// Re-executed tasks from recovered failures are deduplicated by ID: each
+// result is delivered exactly once. A Run that returns early abandons the
+// tasks it has not collected: those not yet dispatched are dropped, those
+// in flight still run but their results are dropped, and a later Run that
+// reuses one of their IDs is refused until its result is in. Tasks already
+// handed to a child run there before anything the child is sent later, so
+// they can delay the next Run on that child.
 func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -507,49 +507,39 @@ func (n *Node) Run(ctx context.Context, tasks []Task) ([]Result, error) {
 	if !n.root {
 		return nil, errors.New("live: Run called on a non-root node")
 	}
-	seen := make(map[uint64]bool, len(tasks))
-	for _, t := range tasks {
-		if seen[t.ID] {
-			return nil, fmt.Errorf("live: duplicate task id %d", t.ID)
-		}
-		seen[t.ID] = true
-	}
-
-	if r, ok := n.ask(input{kind: inRun, tasks: tasks}); ok && r.err != nil {
-		return nil, r.err
-	}
-
-	out := make([]Result, 0, len(tasks))
-	defer func() { // a Run cut short abandons the tasks it did not collect
-		if len(out) < len(tasks) {
-			n.ask(input{kind: inAbandon, tasks: slices.DeleteFunc(slices.Clone(tasks), func(t Task) bool { return !seen[t.ID] })})
-		}
-	}()
-	for len(out) < len(tasks) {
+	// The owner collects the Run and answers on slot once: the results, a
+	// refusal, or, asked by inAbandon, the results so far.
+	slot := make(chan reply, 1)
+	var r reply
+	err := errors.New("live: node closed during run")
+	if n.put(input{kind: inRun, tasks: tasks, reply: slot}) {
 		select {
-		case r := <-n.results:
-			wanted, known := seen[r.ID]
-			if !known {
-				return out, fmt.Errorf("live: unexpected result id %d", r.ID)
-			}
-			if !wanted {
-				continue // duplicate from a re-executed task; ignore
-			}
-			seen[r.ID] = false
-			out = append(out, r)
+		case r = <-slot:
+			err = nil
 		case <-ctx.Done():
+			err = fmt.Errorf("live: run canceled: %w", ctx.Err())
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				return out, &TimeoutError{Received: len(out), Expected: len(tasks)}
+				err = &TimeoutError{Expected: len(tasks)}
 			}
-			return out, fmt.Errorf("live: run canceled: %w", ctx.Err())
 		case <-n.done:
-			return out, errors.New("live: node closed during run")
 		case <-n.failed:
-			return out, n.Err()
+			err = n.Err()
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
+	if err != nil { // cut short, unless the reply is in the slot already
+		var ok bool
+		if r, ok = n.ask(input{kind: inAbandon, reply: slot}); !ok && n.running != nil && n.running.reply == slot {
+			r.results = n.running.results // the owner stopped: its state is read-only
+		}
+		if te, timedOut := err.(*TimeoutError); timedOut {
+			te.Received = len(r.results)
+		}
+	}
+	if r.err != nil || len(r.results) < len(tasks) {
+		return r.results, cmp.Or(r.err, err)
+	}
+	slices.SortFunc(r.results, func(a, b Result) int { return cmp.Compare(a.ID, b.ID) })
+	return r.results, nil
 }
 
 // put hands the owner an input, reporting false when it has stopped.
@@ -567,10 +557,13 @@ func (n *Node) put(in input) bool {
 	}
 }
 
-// ask hands the owner an input with a reply slot and waits for the reply;
-// false means the owner stopped without giving one.
+// ask hands the owner an input with a reply slot, a new one unless in
+// brings its own, and waits for the reply; false means the owner stopped
+// without giving one.
 func (n *Node) ask(in input) (r reply, ok bool) {
-	in.reply = make(chan reply, 1)
+	if in.reply == nil {
+		in.reply = make(chan reply, 1)
+	}
 	if n.put(in) {
 		select {
 		case r = <-in.reply:
@@ -605,10 +598,9 @@ func (n *Node) pause() (resume func(), parked bool) {
 // the clock once and steps every pending input, carrying out each step's
 // effects before the next, then decides: a burst of frames costs one
 // decision and at most one write per link. It alone receives on inbox,
-// sends to the ports, arms the timer and holds the root's backlog of
-// results Run has not taken; stopping, it closes the ports' channels.
+// sends to the ports and arms the timer; stopping, it closes the ports'
+// channels.
 func (n *Node) ownerLoop() {
-	var backlog []Result
 	timer := time.AfterFunc(time.Hour, func() { n.put(input{kind: inTimer}) })
 	timer.Stop() // armed only by an effect
 	defer func() {
@@ -630,24 +622,6 @@ func (n *Node) ownerLoop() {
 				n.upKick <- struct{}{}
 			case effBatch:
 				n.upJobs <- e.job
-			case effDrop:
-				clear(backlog)
-				backlog = backlog[:0]
-				for len(n.results) > 0 {
-					select {
-					case <-n.results:
-					default: // a concurrent Run took it
-					}
-				}
-			case effDeliver:
-				if len(backlog) == 0 {
-					select {
-					case n.results <- e.res:
-						continue
-					default:
-					}
-				}
-				backlog = append(backlog, e.res)
 			case effArm:
 				if e.d > 0 {
 					timer.Reset(e.d)
@@ -666,18 +640,7 @@ func (n *Node) ownerLoop() {
 		n.fx = n.fx[:0]
 	}
 	for !n.stopped {
-		var in input
-		if len(backlog) == 0 {
-			in = <-n.inbox
-		} else {
-			select {
-			case in = <-n.inbox:
-			case n.results <- backlog[0]:
-				backlog[0] = Result{}
-				backlog = backlog[1:]
-				continue
-			}
-		}
+		in := <-n.inbox
 		for now := n.started.Add(time.Since(n.started)); !n.stopped; { // one clock read: the owner only subtracts times
 			if in.kind == inPause {
 				in.reply <- reply{} // parked

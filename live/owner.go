@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -30,8 +31,8 @@ const (
 	inAdmitted                       // the hello-ack to session s on c was written, or failed with err
 	inHello                          // the dialler's hello m needs the subtree's counts; reply: the hello
 	inInstalled                      // hello-ack m came back on c: n partial transfers dropped, attempt numbers a reconnect
-	inRun                            // Run hands the root tasks; reply: err if one reuses an abandoned ID in flight
-	inAbandon                        // Run returned without collecting tasks; reply once they are dropped
+	inRun                            // Run hands the root tasks; reply, once: the results, or why it was refused or failed
+	inAbandon                        // the Run whose reply slot this is was cut short: if in flight, it replies with the results so far
 	inClose                          // Close stops the owner, whose state is then read-only
 	inStatus                         // ServeStatus installs status; reply: the server running
 	inPause                          // pause: the shell parks between two steps; never reaches step
@@ -59,10 +60,11 @@ type input struct {
 
 // reply answers an input that carries a reply slot.
 type reply struct {
-	sess   *childSession // inAdmit: nil once the node is closing
-	msg    *message      // inAdmit: the hello-ack; inHello: the completed hello
-	status *statusServer // inStatus
-	err    error         // inRun
+	sess    *childSession // inAdmit: nil once the node is closing
+	msg     *message      // inAdmit: the hello-ack; inHello: the completed hello
+	status  *statusServer // inStatus
+	results []Result      // inRun: collected, in arrival order
+	err     error         // inRun
 }
 
 // effectKind names what the shell must do for the owner.
@@ -73,8 +75,6 @@ const (
 	effPortTurn                   // hand writes to the send port
 	effKick                       // wake the uplink writer
 	effBatch                      // answer the writer's pull with job; nil parks it
-	effDeliver                    // root: hand res to Run
-	effDrop                       // root: discard every result Run has not taken
 	effArm                        // arm the timer for d; 0 disarms it
 	effReply                      // complete the reply slot to with r
 	effServe                      // serve r.status's endpoints
@@ -86,7 +86,6 @@ type effect struct {
 	task   Task
 	writes []portWrite
 	job    *upJob
-	res    Result
 	d      time.Duration
 	to     chan reply
 	r      reply
@@ -149,10 +148,13 @@ func (n *Node) step(now time.Time, in *input) {
 		}
 		n.emit(effect{kind: effReply, to: in.reply})
 	case inRun:
-		n.emit(effect{kind: effReply, to: in.reply, r: reply{err: n.run(in.tasks)}})
+		if err := n.run(in.tasks, in.reply); err != nil {
+			n.emit(effect{kind: effReply, to: in.reply, r: reply{err: err}})
+		}
 	case inAbandon:
-		n.abandon(in.tasks)
-		n.emit(effect{kind: effReply, to: in.reply})
+		if n.running != nil && n.running.reply == in.reply {
+			n.endRun(nil)
+		}
 	case inClose:
 		n.stopped = true
 	case inStatus:
@@ -360,51 +362,83 @@ func (n *Node) reach(s *childSession) {
 	}
 }
 
-// run takes a Run's tasks into the root's pool, unless one reuses the ID
-// of a task an abandoned Run still has in flight: the two results could
-// not be told apart.
-func (n *Node) run(tasks []Task) error {
+// runLedger is the Run the root is collecting: every task ID it
+// dispatched, owed until its result is collected, the results in arrival
+// order, and the slot Run waits on.
+type runLedger struct {
+	owed    map[uint64]bool
+	results []Result
+	reply   chan reply
+}
+
+// run opens a Run's ledger and takes its tasks into the root's pool,
+// unless a Run is already in flight, two tasks share an ID, or one reuses
+// the ID of a task an abandoned Run still has in flight (the two results
+// could not be told apart).
+func (n *Node) run(tasks []Task, to chan reply) error {
+	if n.running != nil {
+		return errors.New("live: a Run is already in flight")
+	}
+	owed := make(map[uint64]bool, len(tasks))
 	for _, t := range tasks {
-		if n.abandoned[t.ID] {
+		switch {
+		case owed[t.ID]:
+			return fmt.Errorf("live: duplicate task id %d", t.ID)
+		case n.abandoned[t.ID]:
 			return fmt.Errorf("live: task id %d is still in flight from an abandoned Run", t.ID)
 		}
+		owed[t.ID] = true
 	}
+	n.running = &runLedger{owed: owed, results: make([]Result, 0, len(tasks)), reply: to}
 	n.buffer.pushAll(tasks)
 	n.core.Refill(int64(len(tasks)))
+	if len(tasks) == 0 {
+		n.endRun(nil)
+	}
 	return nil
 }
 
-// abandon takes the tasks a Run returned without collecting. Those still
-// in the pool leave it; those in flight are marked abandoned, so their
-// results and requeues are dropped; the results of the rest are already
-// on their way to Run, and the shell discards them.
-func (n *Node) abandon(tasks []Task) {
-	left := make(map[uint64]bool, len(tasks))
-	for _, t := range tasks {
-		left[t.ID] = true
-	}
-	n.core.Refill(-int64(n.buffer.remove(func(t Task) bool { return left[t.ID] })))
+// endRun replies to the Run in flight with what it collected, and err,
+// and closes its ledger. Tasks it still owes are abandoned: those in the
+// pool leave it, and those in flight are marked, so their results and
+// requeues are dropped.
+func (n *Node) endRun(err error) {
+	run := n.running
+	n.running = nil
+	n.emit(effect{kind: effReply, to: run.reply, r: reply{results: run.results, err: err}})
+	n.core.Refill(-int64(n.buffer.remove(func(t Task) bool { return run.owed[t.ID] })))
 	for _, id := range n.holding() {
-		if left[id] {
+		if run.owed[id] {
 			n.abandoned[id] = true
 		}
 	}
-	n.emit(effect{kind: effDrop})
 }
 
 // owe takes a result this node owes upward: to the ledger, or at the root
-// to Run — unless the Run that dispatched it has returned.
+// to the Run in flight, which completes with its last owed result. The
+// root drops an abandoned task's result, one no Run waits for, and a
+// duplicate; one the Run in flight did not dispatch fails it.
 func (n *Node) owe(r Result) {
 	if !n.root {
 		n.enqueueResult(r)
 		return
 	}
-	if n.abandoned[r.ID] {
+	run := n.running
+	if n.abandoned[r.ID] || run == nil { // no Run waits for it
 		delete(n.abandoned, r.ID)
 		return
 	}
-	n.record(Event{Kind: EvResultCollect, Task: r.ID, Origin: r.Origin})
-	n.emit(effect{kind: effDeliver, res: r})
+	switch owed, known := run.owed[r.ID]; {
+	case !known:
+		n.endRun(fmt.Errorf("live: unexpected result id %d", r.ID))
+	case owed:
+		run.owed[r.ID] = false
+		run.results = append(run.results, r)
+		n.record(Event{Kind: EvResultCollect, Task: r.ID, Origin: r.Origin})
+		if len(run.results) == len(run.owed) {
+			n.endRun(nil)
+		}
+	}
 }
 
 // freed owes the parent the requests the core issued for a taken task:

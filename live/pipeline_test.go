@@ -86,7 +86,9 @@ func (n *Node) query(fn func()) bool {
 // dispatch state: a task has exactly one owner — the pool, one session's
 // active transfer, or one session's outstanding set — and the reconnect
 // hello lists each ID once; an abandoned Run's task is marked only while
-// it is in flight, held but not pooled. The protocol core agrees: it
+// it is in flight, held but not pooled; every task the Run in flight
+// still owes is held and not abandoned, and it has collected the rest of
+// its tasks. The protocol core agrees: it
 // counts the pool, and each session's slot is in place, in flight exactly
 // while the session has an active transfer, and down exactly while it
 // cannot be served.
@@ -138,6 +140,21 @@ func checkNodeOwner(t *testing.T, n *Node) {
 		for id := range n.abandoned {
 			if _, held := slices.BinarySearch(ids, id); !held || owner[id] == "pool" {
 				errs = append(errs, fmt.Sprintf("%s: abandoned task %d is pooled or held nowhere", n.cfg.name, id))
+			}
+		}
+		if run := n.running; run != nil {
+			owed := 0
+			for id, o := range run.owed {
+				if !o {
+					continue
+				}
+				owed++
+				if _, held := slices.BinarySearch(ids, id); !held || n.abandoned[id] {
+					errs = append(errs, fmt.Sprintf("%s: task %d the Run owes is held nowhere or abandoned", n.cfg.name, id))
+				}
+			}
+			if len(run.results)+owed != len(run.owed) {
+				errs = append(errs, fmt.Sprintf("%s: the Run collected %d and owes %d of %d", n.cfg.name, len(run.results), owed, len(run.owed)))
 			}
 		}
 	})

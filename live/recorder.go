@@ -91,7 +91,7 @@ const (
 	// matching unacked-ledger entry: one per key of the frame, each naming
 	// as its cause the parent's receipt of the frame's latest result.
 	EvResultAck
-	// EvResultCollect is the root handing a result to Run.
+	// EvResultCollect is the root collecting a result for the Run in flight.
 	EvResultCollect
 	// EvHeartbeatMiss is a supervision interval that passed with a silent
 	// link; Value is the consecutive miss count.

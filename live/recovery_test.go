@@ -245,10 +245,72 @@ func TestRunAfterAbandonedRun(t *testing.T) {
 	if results, err := runWithin(root, next, 30*time.Second); err != nil || len(results) != 2 {
 		t.Fatalf("Run after an abandoned Run: %d results, err %v; want 2 and none", len(results), err)
 	}
-	root.results <- Result{ID: 5555}
-	if _, err := runWithin(root, []Task{{ID: 2001}}, 30*time.Second); err == nil || !strings.Contains(err.Error(), "unexpected result id 5555") {
+	// A result no Run dispatched, planted at the root's owner while a Run
+	// collects, fails that Run.
+	stray := makeTasks(40, 16)
+	for i := range stray {
+		stray[i].ID += 2000
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := runWithin(root, stray, 30*time.Second)
+		errc <- err
+	}()
+	for planted := false; !planted; {
+		select {
+		case err := <-errc:
+			t.Fatalf("the Run ended before a stray result could be planted: %v", err)
+		default:
+		}
+		root.query(func() {
+			if planted = root.running != nil; planted {
+				root.owe(Result{ID: 5555})
+			}
+		})
+	}
+	if err := <-errc; err == nil || !strings.Contains(err.Error(), "unexpected result id 5555") {
 		t.Fatalf("a result no Run dispatched: err %v, want unexpected result id 5555", err)
 	}
+	checkOneOwner(t, root)
+}
+
+// TestConcurrentRunRefused: two Runs started together on one root. The
+// owner takes one and refuses the other at once, and the one it takes
+// still collects every result exactly once.
+func TestConcurrentRunRefused(t *testing.T) {
+	root := startNode(t, "root",
+		WithListen("127.0.0.1:0"), WithCompute(echoCompute(5*time.Millisecond)),
+	)
+	startNode(t, "leaf", WithParent(root.Addr()), WithCompute(echoCompute(5*time.Millisecond)))
+	type runOut struct {
+		base    uint64
+		results []Result
+		err     error
+	}
+	out, start := make(chan runOut, 2), make(chan struct{})
+	for _, base := range []uint64{0, 1000} {
+		go func() {
+			tasks := makeTasks(30, 16)
+			for i := range tasks {
+				tasks[i].ID += base
+			}
+			<-start
+			results, err := runWithin(root, tasks, 10*time.Second)
+			out <- runOut{base, results, err}
+		}()
+	}
+	close(start)
+	refused, taken := <-out, <-out
+	if refused.err == nil || !strings.Contains(refused.err.Error(), "a Run is already in flight") || len(refused.results) != 0 {
+		t.Fatalf("the Run that returned first: %d results, err %v; want none and a refusal", len(refused.results), refused.err)
+	}
+	if taken.err != nil {
+		t.Fatalf("the Run taken: %d results, err %v", len(taken.results), taken.err)
+	}
+	for i := range taken.results {
+		taken.results[i].ID -= taken.base
+	}
+	assertExactlyOnce(t, taken.results, 30)
 	checkOneOwner(t, root)
 }
 
