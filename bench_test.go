@@ -234,18 +234,3 @@ func BenchmarkChurn(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkDetector(b *testing.B) {
-	b.ReportAllocs()
-	o := benchOptions()
-	o.Trees = 6
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Detector(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := r.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

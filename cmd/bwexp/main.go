@@ -1,6 +1,6 @@
 // Command bwexp reproduces the paper's evaluation: every figure and table
-// of Section 4, plus the ablation, churn and detector studies described
-// in DESIGN.md.
+// of Section 4, plus the ablation and churn studies described in
+// DESIGN.md.
 //
 // Usage:
 //
@@ -202,7 +202,6 @@ var experimentTable = []experiment{
 	{id: "ablation-interrupt", inAll: true, run: func(e *env) (renderer, error) { return experiments.AblationInterrupt(e.o) }},
 	{id: "ablation-decay", inAll: true, run: func(e *env) (renderer, error) { return experiments.AblationDecay(e.o) }},
 	{id: "churn", inAll: true, run: func(e *env) (renderer, error) { return experiments.Churn(e.o, e.churn) }},
-	{id: "detector", inAll: true, run: func(e *env) (renderer, error) { return experiments.Detector(e.o) }},
 }
 
 // experimentIDs returns the table's ids in order, every one or only the

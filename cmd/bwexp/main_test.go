@@ -26,7 +26,6 @@ func TestEachExperimentRenders(t *testing.T) {
 		"ablation-interrupt": {"-trees", "3"},
 		"ablation-decay":     {"-trees", "3"},
 		"churn":              {"-trees", "3", "-churn", "2"},
-		"detector":           {"-trees", "3"},
 	}
 	markers := map[string]string{
 		"fig3": "Figure 3(a)", "fig4": "Figure 4", "table1": "Table 1",
@@ -35,7 +34,6 @@ func TestEachExperimentRenders(t *testing.T) {
 		"fig7":       "Figure 7", "reconverge": "Re-convergence",
 		"ablation-policy": "Ablation", "ablation-interrupt": "Ablation",
 		"ablation-decay": "decay", "churn": "Churn study",
-		"detector": "Detector",
 	}
 	for _, x := range experimentTable {
 		t.Run(x.id, func(t *testing.T) {

@@ -139,7 +139,7 @@ func run(args []string, out io.Writer) error {
 	} else {
 		fmt.Fprintf(out, "did not reach the optimal steady-state rate within %d tasks\n", *tasks)
 	}
-	det := steady.Detect(res.Completions, steady.Options{})
+	det := steady.Detect(res.Completions)
 	if det.Found {
 		fmt.Fprintf(out, "periodicity: %s — %s vs the optimal rate\n", det, det.Classify(opt.TreeWeight))
 	} else {

@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	det := steady.Detect(long.Result.Completions, steady.Options{})
+	det := steady.Detect(long.Result.Completions)
 	fmt.Printf("4. over 4000 tasks the protocol settles into %s\n", det)
 	fmt.Printf("   detected rate %s == theorem rate %s: %v — exact, no tolerances\n",
 		det.Rate, opt.Rate, det.Classify(opt.TreeWeight) == steady.Optimal)

@@ -165,7 +165,7 @@ func TestBruteForceRespectsSteadyStateBound(t *testing.T) {
 		for tasks := 2; tasks <= 8; tasks += 2 {
 			r := mustSearch(t, tr, tasks)
 			bound := rational.FromInt(int64(tasks)).Mul(alloc.TreeWeight).Sub(rational.FromInt(slack))
-			if rational.FromInt(int64(r.Makespan)).Less(bound) {
+			if rational.FromInt(int64(r.Makespan)).Cmp(bound) < 0 {
 				t.Fatalf("platform %d tasks %d: brute makespan %d below steady-state bound %s",
 					pi, tasks, r.Makespan, bound.Format(2))
 			}

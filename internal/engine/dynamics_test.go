@@ -212,7 +212,7 @@ func TestDecayRetiresOverGrownBuffers(t *testing.T) {
 	}
 	departC := []DepartMutation{{AfterTasks: 1000, Node: 2}}
 	plain := mustRun(t, Config{Tree: build(), Protocol: protocol.NonInterruptible(1), Tasks: 2000, Departures: departC})
-	decayed := mustRun(t, Config{Tree: build(), Protocol: protocol.NonInterruptible(1).WithDecay(8), Tasks: 2000, Departures: departC})
+	decayed := mustRun(t, Config{Tree: build(), Protocol: protocol.NonInterruptible(1).WithDecay(), Tasks: 2000, Departures: departC})
 	var retired int64
 	for _, ns := range decayed.Nodes {
 		retired += ns.Decayed
@@ -237,7 +237,7 @@ func TestDecayNeverBelowInitialBuffers(t *testing.T) {
 	tr := tree.New(50)
 	tr.AddChild(tr.Root(), 4, 1)
 	tr.AddChild(tr.Root(), 9, 3)
-	res := mustRun(t, Config{Tree: tr, Protocol: protocol.NonInterruptible(2).WithDecay(4), Tasks: 800})
+	res := mustRun(t, Config{Tree: tr, Protocol: protocol.NonInterruptible(2).WithDecay(), Tasks: 800})
 	for i, ns := range res.Nodes {
 		if ns.Buffers < 2 {
 			t.Fatalf("node %d decayed below initial buffers: %d", i, ns.Buffers)
@@ -249,14 +249,8 @@ func TestDecayValidation(t *testing.T) {
 	if err := (protocol.Protocol{InitialBuffers: 1, Decay: true}).Validate(); err == nil {
 		t.Fatalf("decay without growth accepted")
 	}
-	if err := (protocol.Protocol{InitialBuffers: 1, Grow: true, Decay: true, DecayWindow: -1}).Validate(); err == nil {
-		t.Fatalf("negative decay window accepted")
-	}
-	if err := (protocol.Protocol{InitialBuffers: 1, Grow: true, DecayWindow: 5}).Validate(); err == nil {
-		t.Fatalf("decay window without decay accepted")
-	}
-	if err := protocol.NonInterruptible(1).WithDecay(0).Validate(); err != nil {
-		t.Fatalf("default decay window rejected: %v", err)
+	if err := protocol.NonInterruptible(1).WithDecay().Validate(); err != nil {
+		t.Fatalf("decay with growth rejected: %v", err)
 	}
 }
 

@@ -478,7 +478,7 @@ func BenchmarkEngineIC3(b *testing.B)   { benchmarkProtocol(b, protocol.Interrup
 func BenchmarkEngineIC1(b *testing.B)   { benchmarkProtocol(b, protocol.Interruptible(1)) }
 func BenchmarkEngineNonIC(b *testing.B) { benchmarkProtocol(b, protocol.NonInterruptible(1)) }
 func BenchmarkEngineNonICDecay(b *testing.B) {
-	benchmarkProtocol(b, protocol.NonInterruptible(1).WithDecay(0))
+	benchmarkProtocol(b, protocol.NonInterruptible(1).WithDecay())
 }
 func BenchmarkEngineTraced(b *testing.B) {
 	tr := benchTree()

@@ -21,7 +21,7 @@ var propertyProtocols = []protocol.Protocol{
 	protocol.Interruptible(3),
 	protocol.NonInterruptible(1),
 	protocol.NonInterruptibleFixed(2),
-	protocol.NonInterruptible(1).WithDecay(8),
+	protocol.NonInterruptible(1).WithDecay(),
 	protocol.NonInterruptibleFixed(3).WithOrder(protocol.ComputeCentric),
 	protocol.NonInterruptibleFixed(3).WithOrder(protocol.FCFS),
 	protocol.NonInterruptibleFixed(3).WithOrder(protocol.RoundRobin),
@@ -129,7 +129,7 @@ func TestPropertyMakespanRespectsOptimalRate(t *testing.T) {
 		bound := rational.FromInt(tasks - 1).Mul(opt.TreeWeight)
 		for _, p := range propertyProtocols {
 			res := mustRun(t, Config{Tree: tr, Protocol: p, Tasks: tasks, Seed: 4})
-			if rational.FromInt(int64(res.Makespan)).Less(bound) {
+			if rational.FromInt(int64(res.Makespan)).Cmp(bound) < 0 {
 				t.Fatalf("%v on %v: makespan %d beats the optimal bound %v",
 					p, tr, res.Makespan, bound.Format(2))
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"bwcs/internal/protocol"
@@ -109,47 +108,6 @@ func TestSweepMeasureSeesEveryRunOnce(t *testing.T) {
 		}
 		if idx := run[1]; idx < 0 || idx >= o.Trees {
 			t.Fatalf("measure saw out-of-range tree index %d", idx)
-		}
-	}
-}
-
-// TestProgressSlowCallbackDoesNotBlockWorkers: the progress callback runs
-// outside the aggregation lock, so a callback that stalls cannot
-// serialize the sweep — every other worker keeps simulating while the
-// report is stuck, and the stalled reporter later drains the backlog in
-// order. Under the old behaviour (callback invoked under the lock) this
-// test deadlocks.
-func TestProgressSlowCallbackDoesNotBlockWorkers(t *testing.T) {
-	o := tinyOptions()
-	o.Workers = 4
-	allDone := make(chan struct{})
-	var outcomes atomic.Int64
-	s := sweep{
-		protos: []protocol.Protocol{protocol.Interruptible(3)},
-		measure: func(int, TreeOutcome, *Evaluator) error {
-			if outcomes.Add(1) == int64(o.Trees) {
-				close(allDone)
-			}
-			return nil
-		},
-	}
-	var seen []int // appends are serialized by the progress contract
-	o.Progress = func(done, total int) {
-		seen = append(seen, done)
-		if done == 1 {
-			// Stall the first report until every tree has simulated.
-			<-allDone
-		}
-	}
-	if _, err := s.run(o); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != o.Trees {
-		t.Fatalf("progress fired %d times, want %d", len(seen), o.Trees)
-	}
-	for i, d := range seen {
-		if d != i+1 {
-			t.Fatalf("progress sequence %v not 1..%d", seen, o.Trees)
 		}
 	}
 }

@@ -134,7 +134,7 @@ func AblationDecay(o Options) (*AblationDecayResult, error) {
 	}
 	retired := make([]int64, o.Trees) // buffers retired per tree under decay
 	pops, err := sweep{
-		protos: []protocol.Protocol{protocol.NonInterruptible(1), protocol.NonInterruptible(1).WithDecay(0)},
+		protos: []protocol.Protocol{protocol.NonInterruptible(1), protocol.NonInterruptible(1).WithDecay()},
 		measure: func(col int, oc TreeOutcome, ev *Evaluator) error {
 			if col == 1 {
 				for _, ns := range ev.res.Nodes {

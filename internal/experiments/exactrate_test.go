@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"bwcs/internal/engine"
@@ -60,7 +62,7 @@ func TestNoPrintedRateAboveOptimal(t *testing.T) {
 	check := func(i int, p string, seg []sim.Time, t0 *tree.Tree) {
 		t.Helper()
 		segments++
-		d := steady.Detect(seg, steady.Options{})
+		d := steady.Detect(seg)
 		if d.Found {
 			found++
 		}
@@ -96,4 +98,42 @@ func TestNoPrintedRateAboveOptimal(t *testing.T) {
 		t.Errorf("a period in only %d of %d segments; the check is near vacuous", found, segments)
 	}
 	t.Logf("%d of %d segments found a period", found, segments)
+}
+
+// TestMakespanAtLeastTheorem1Bound holds every run of a default
+// population to Theorem 1 scaled to the run: its LP bounds the
+// completions in any prefix [0, t] from empty buffers by t/W, so T tasks
+// take at least T·W timesteps, compared exactly with the sweep's own
+// optimal weight W. Unlike a detected period's rate, the bound applies to
+// every run, periodic or not.
+func TestMakespanAtLeastTheorem1Bound(t *testing.T) {
+	for _, seed := range []uint64{7, 2003} {
+		o := Default()
+		o.Trees, o.Tasks, o.Seed = 100, 2000, seed
+		protos := Fig4Protocols()
+		// The smallest makespan ÷ T·W seen per protocol.
+		closest := make([]rational.Rat, len(protos))
+		var mu sync.Mutex
+		_, err := sweep{
+			protos: protos,
+			measure: func(col int, oc TreeOutcome, ev *Evaluator) error {
+				ratio := rational.FromInt(int64(ev.res.Makespan)).Div(ev.weight.Mul(rational.FromInt(o.Tasks)))
+				if ratio.Cmp(rational.One()) < 0 {
+					return fmt.Errorf("seed %d tree %d under %v: makespan %d beats Theorem 1's %d·%v", seed, oc.Index, protos[col], ev.res.Makespan, o.Tasks, ev.weight)
+				}
+				mu.Lock()
+				if closest[col].IsZero() || ratio.Cmp(closest[col]) < 0 {
+					closest[col] = ratio
+				}
+				mu.Unlock()
+				return nil
+			},
+		}.run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for col, p := range protos {
+			t.Logf("seed %d, %v: smallest makespan ÷ T·W %s", seed, p, closest[col].Format(4))
+		}
+	}
 }

@@ -51,13 +51,13 @@ type Options struct {
 	// Progress, when non-nil, observes sweep advancement: it is called
 	// once per tree, after every protocol of the sweep has simulated it,
 	// with the number of trees finished so far in that sweep and the
-	// population size. Calls are serialized and done runs 1..Trees,
-	// increasing by exactly one per call, but they arrive from worker
-	// goroutines. The callback runs outside the
-	// sweep's aggregation lock, so a slow callback delays reporting but
-	// never serializes the workers; it must not call back into the
-	// sweep. Reporting does not perturb results: the tree population and
-	// all outcomes are independent of it.
+	// population size. Calls arrive from worker goroutines but are
+	// serialized, and done runs 1..Trees, increasing by exactly one per
+	// call. The callback runs under the sweep's aggregation lock, so it
+	// must be quick (a slow one holds up every worker finishing a tree)
+	// and must not call back into the sweep. Reporting does not perturb
+	// results: the tree population and all outcomes are independent of
+	// it.
 	Progress func(done, total int)
 }
 
@@ -385,43 +385,9 @@ func (s sweep) run(o Options) ([]Population, error) {
 		states[i] = workerState{NewEvaluator(), make([]SweepMetrics, len(s.protos))}
 	}
 	var (
-		mu         sync.Mutex // guards out's Agg, done, reported
-		done       int
-		progressMu sync.Mutex // serializes Progress callbacks
-		reported   int        // last done value reported
+		mu   sync.Mutex // guards out's Agg, done and the Progress calls
+		done int
 	)
-	// report drains pending progress values outside mu: whoever wins
-	// progressMu reports each done value 1..Trees exactly once, in
-	// order, while losers return immediately — a slow callback
-	// therefore delays reporting, never the workers. The post-unlock
-	// recheck closes the window where a worker increments done and
-	// finds progressMu still held by a drainer that just decided to
-	// stop.
-	report := func() {
-		for {
-			if !progressMu.TryLock() {
-				return
-			}
-			for {
-				mu.Lock()
-				if reported >= done {
-					mu.Unlock()
-					break
-				}
-				reported++
-				next := reported
-				mu.Unlock()
-				o.Progress(next, o.Trees)
-			}
-			progressMu.Unlock()
-			mu.Lock()
-			again := reported < done
-			mu.Unlock()
-			if !again {
-				return
-			}
-		}
-	}
 	if err := parallelFor(o.Trees, workers, func(worker, i int) error {
 		st := &states[worker]
 		st.ev.load(o, i)
@@ -449,10 +415,10 @@ func (s sweep) run(o Options) ([]Population, error) {
 			out[pi].Agg.Observe(out[pi].Outcomes[i])
 		}
 		done++
-		mu.Unlock()
 		if o.Progress != nil {
-			report()
+			o.Progress(done, o.Trees)
 		}
+		mu.Unlock()
 		return nil
 	}); err != nil {
 		return nil, err

@@ -340,10 +340,10 @@ func TestFig7Adaptability(t *testing.T) {
 	if !base.OptimalBefore.Equal(base.OptimalAfter) {
 		t.Fatalf("baseline optimal changed")
 	}
-	if !slower.OptimalAfter.Less(slower.OptimalBefore) {
+	if slower.OptimalAfter.Cmp(slower.OptimalBefore) >= 0 {
 		t.Fatalf("raising c1 did not lower the optimal rate")
 	}
-	if faster.OptimalAfter.Less(faster.OptimalBefore) {
+	if faster.OptimalAfter.Cmp(faster.OptimalBefore) < 0 {
 		t.Fatalf("lowering w1 lowered the optimal rate")
 	}
 	// The protocol adapts: each scenario settles onto an exact period after

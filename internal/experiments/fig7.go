@@ -111,7 +111,7 @@ func (s figure1Scenario) run(name string, p protocol.Protocol, muts ...engine.Mu
 		Completions:   res.Completions,
 		OptimalBefore: optimal.Weight(before).Inv(),
 		OptimalAfter:  optimal.Weight(after).Inv(),
-		Tail:          steady.Detect(res.Completions[s.mutateAt:], steady.Options{}),
+		Tail:          steady.Detect(res.Completions[s.mutateAt:]),
 	}
 	return out, res, nil
 }

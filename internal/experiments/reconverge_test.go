@@ -41,7 +41,7 @@ func TestReconverge(t *testing.T) {
 		}
 		// Raising c1 lowers the optimal rate — the Figure 7 shape,
 		// measured instead of eyeballed.
-		if !sc.OptimalAfter.Less(sc.OptimalBefore) {
+		if sc.OptimalAfter.Cmp(sc.OptimalBefore) >= 0 {
 			t.Errorf("%s: mutation did not lower the optimal rate", sc.Name)
 		}
 		if len(sc.Rate.Points) == 0 {

@@ -64,34 +64,3 @@ func TestAblationDecay(t *testing.T) {
 		t.Fatalf("render missing content")
 	}
 }
-
-func TestDetectorStudy(t *testing.T) {
-	o := tinyOptions()
-	o.Trees = 10
-	r, err := Detector(o)
-	if err != nil {
-		t.Fatalf("Detector: %v", err)
-	}
-	total := r.BothOptimal + r.HeuristicOnly + r.ExactOnly + r.NeitherOptimal
-	if total != o.Trees {
-		t.Fatalf("matrix total %d != %d trees", total, o.Trees)
-	}
-	if a := r.Agreement(); a < 0 || a > 1 {
-		t.Fatalf("agreement = %v", a)
-	}
-	var buf strings.Builder
-	if err := r.Render(&buf); err != nil {
-		t.Fatalf("Render: %v", err)
-	}
-	if !strings.Contains(buf.String(), "Detector study") {
-		t.Fatalf("render missing title")
-	}
-}
-
-func TestDetectorRejectsBadOptions(t *testing.T) {
-	bad := tinyOptions()
-	bad.Trees = 0
-	if _, err := Detector(bad); err == nil {
-		t.Fatalf("bad options accepted")
-	}
-}

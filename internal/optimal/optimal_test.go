@@ -192,18 +192,18 @@ func checkInvariants(t *testing.T, tr *tree.Tree, a *Allocation) {
 		if a.NodeRate[id].Sign() < 0 {
 			t.Fatalf("node %d negative rate %v", id, a.NodeRate[id])
 		}
-		if w.Inv().Less(a.NodeRate[id]) {
+		if w.Inv().Cmp(a.NodeRate[id]) < 0 {
 			t.Fatalf("node %d rate %v exceeds 1/w = %v", id, a.NodeRate[id], w.Inv())
 		}
-		if one.Less(a.PortBusy[id]) {
+		if one.Cmp(a.PortBusy[id]) < 0 {
 			t.Fatalf("node %d port busy %v > 1", id, a.PortBusy[id])
 		}
 		if id != tr.Root() {
 			c := rational.FromInt(tr.C(id))
-			if a.SubWeight[id].Less(c) {
+			if a.SubWeight[id].Cmp(c) < 0 {
 				t.Fatalf("node %d subtree weight %v below link weight %v", id, a.SubWeight[id], c)
 			}
-			if a.SubWeight[id].Inv().Less(a.InflowRate[id]) {
+			if a.SubWeight[id].Inv().Cmp(a.InflowRate[id]) < 0 {
 				t.Fatalf("node %d inflow %v exceeds subtree capacity %v", id, a.InflowRate[id], a.SubWeight[id].Inv())
 			}
 			// Used nodes must have a fed parent chain.
@@ -234,7 +234,7 @@ func TestPropertyInvariantsOnRandomTrees(t *testing.T) {
 		checkInvariants(t, tr, a)
 		// Bounds: the rate is at least the root alone and at most all CPUs
 		// running flat out.
-		if a.Rate.Less(rational.New(1, tr.W(tr.Root()))) {
+		if a.Rate.Cmp(rational.New(1, tr.W(tr.Root()))) < 0 {
 			t.Fatalf("rate below root-only rate")
 		}
 		all := rational.Zero()
@@ -242,7 +242,7 @@ func TestPropertyInvariantsOnRandomTrees(t *testing.T) {
 			all = all.Add(rational.New(1, tr.W(id)))
 			return true
 		})
-		if all.Less(a.Rate) {
+		if all.Cmp(a.Rate) < 0 {
 			t.Fatalf("rate %v above sum of CPU rates %v", a.Rate, all)
 		}
 	}
@@ -259,7 +259,7 @@ func TestPropertyMonotonicity(t *testing.T) {
 		faster := tr.Clone()
 		id := tree.NodeID(rng.IntN(tr.Len()))
 		faster.SetW(id, (tr.W(id)+1)/2)
-		if Compute(faster).Rate.Less(before) {
+		if Compute(faster).Rate.Cmp(before) < 0 {
 			t.Fatalf("tree %d: faster CPU at %d reduced the optimal rate", i, id)
 		}
 
@@ -268,7 +268,7 @@ func TestPropertyMonotonicity(t *testing.T) {
 			faster2 := tr.Clone()
 			id2 := tree.NodeID(rng.IntN(tr.Len()-1) + 1)
 			faster2.SetC(id2, (tr.C(id2)+1)/2)
-			if Compute(faster2).Rate.Less(before) {
+			if Compute(faster2).Rate.Cmp(before) < 0 {
 				t.Fatalf("tree %d: faster link at %d reduced the optimal rate", i, id2)
 			}
 		}
@@ -276,7 +276,7 @@ func TestPropertyMonotonicity(t *testing.T) {
 		// Adding a child never hurts.
 		grown := tr.Clone()
 		grown.AddChild(tree.NodeID(rng.IntN(tr.Len())), 10, 10)
-		if Compute(grown).Rate.Less(before) {
+		if Compute(grown).Rate.Cmp(before) < 0 {
 			t.Fatalf("tree %d: adding a node reduced the optimal rate", i)
 		}
 	}

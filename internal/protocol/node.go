@@ -66,9 +66,9 @@ type Node struct {
 	// sorts them) and in the driver's order under the others.
 	Slots []Slot
 
-	order                       Order
-	root, interruptible, growOn bool
-	initial, window             int64
+	order                              Order
+	root, interruptible, growOn, decay bool
+	initial                            int64
 
 	sending   int   // slot of the send in flight; -1: the port is free
 	sendSince int64 // request time behind it (FCFS)
@@ -120,14 +120,9 @@ func (n *Node) Reset(p Protocol, root bool) {
 		root:          root,
 		interruptible: p.Interruptible,
 		growOn:        p.Grow,
+		decay:         p.Decay,
 		initial:       int64(p.InitialBuffers),
 		sending:       -1,
-	}
-	if p.Decay {
-		n.window = int64(p.DecayWindow)
-		if n.window <= 0 {
-			n.window = DefaultDecayWindow
-		}
 	}
 }
 
@@ -211,14 +206,14 @@ func (n *Node) Compute() (t Take, ok bool) {
 // (G3), since a driver may act on the completion in between.
 func (n *Node) ComputeDone() {
 	n.Computing = false
-	if n.root || n.window == 0 {
+	if n.root || !n.decay {
 		return
 	}
 	if n.Capacity <= n.initial {
 		n.decayStreak = 0
 		return
 	}
-	if n.decayStreak++; n.decayStreak >= n.window {
+	if n.decayStreak++; n.decayStreak >= DecayWindow {
 		n.pendingDecay++
 		n.decayStreak = 0
 	}

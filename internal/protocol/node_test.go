@@ -84,12 +84,8 @@ func (r *ref) computeDone() {
 		r.decayStreak = 0
 		return
 	}
-	window := int64(r.p.DecayWindow)
-	if window <= 0 {
-		window = DefaultDecayWindow
-	}
 	r.decayStreak++
-	if r.decayStreak >= window {
+	if r.decayStreak >= DecayWindow {
 		r.pendingDecay++
 		r.decayStreak = 0
 	}
@@ -266,7 +262,7 @@ func protocolFor(b, buffers byte) Protocol {
 	case 1:
 		return NonInterruptible(ib).WithOrder(o)
 	case 2:
-		return NonInterruptible(ib).WithOrder(o).WithDecay(3)
+		return NonInterruptible(ib).WithOrder(o).WithDecay()
 	}
 	return NonInterruptibleFixed(ib).WithOrder(o)
 }
@@ -504,6 +500,18 @@ func TestNodeMatchesScan(t *testing.T) {
 				grew += d.cov.grew
 				retired += d.cov.retired
 			}
+		}
+		if p := protocolFor(byte(b), 0); p.Decay {
+			// A grown buffer kept busy: the first completion grows one,
+			// then each completion is followed by an arrival, so the
+			// buffers never run empty for DecayWindow completions.
+			steady := []byte{0, 0, 5, 0, 4, 0, 5, 0, 5, 0, 5, 0}
+			for i := 0; i < 2*DecayWindow; i++ {
+				steady = append(steady, 4, 0, 5, 0)
+			}
+			d := newDiffer(t, p, false, 0)
+			d.run(steady)
+			retired += d.cov.retired
 		}
 	}
 	if resumed == 0 || shelved == 0 || grew == 0 || retired == 0 {

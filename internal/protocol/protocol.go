@@ -110,14 +110,11 @@ type Protocol struct {
 	// buffer that frees is retired instead of generating a request.
 	// Requires Grow.
 	Decay bool
-	// DecayWindow is the number of uninterrupted completions that trigger
-	// one decay; 0 means DefaultDecayWindow.
-	DecayWindow int
 }
 
-// DefaultDecayWindow is the decay observation window used when
-// Protocol.DecayWindow is zero.
-const DefaultDecayWindow = 16
+// DecayWindow is the number of uninterrupted completions that trigger one
+// decay.
+const DecayWindow = 16
 
 // NonInterruptible returns the paper's non-IC protocol: bandwidth-centric,
 // run-to-completion sends, ib initial buffers, growth enabled and
@@ -161,11 +158,10 @@ func (p Protocol) WithOrder(o Order) Protocol {
 	return p
 }
 
-// WithDecay returns p with buffer decay enabled over the given observation
-// window (0 = DefaultDecayWindow).
-func (p Protocol) WithDecay(window int) Protocol {
+// WithDecay returns p with buffer decay enabled: one grown buffer retired
+// per DecayWindow completions with the buffers never empty.
+func (p Protocol) WithDecay() Protocol {
 	p.Decay = true
-	p.DecayWindow = window
 	p.Label = fmt.Sprintf("%s decay", p.Label)
 	return p
 }
@@ -180,12 +176,6 @@ func (p Protocol) Validate() error {
 	}
 	if p.Decay && !p.Grow {
 		return fmt.Errorf("protocol: decay requires growth")
-	}
-	if p.DecayWindow < 0 {
-		return fmt.Errorf("protocol: negative decay window %d", p.DecayWindow)
-	}
-	if p.DecayWindow > 0 && !p.Decay {
-		return fmt.Errorf("protocol: decay window set but decay disabled")
 	}
 	if p.Interruptible && !p.Order.HasPriority() {
 		return fmt.Errorf("protocol: interruption requires a priority order, %v has none", p.Order)

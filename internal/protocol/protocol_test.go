@@ -105,8 +105,8 @@ func TestStringIsLabel(t *testing.T) {
 }
 
 func TestWithDecay(t *testing.T) {
-	p := NonInterruptible(1).WithDecay(8)
-	if !p.Decay || p.DecayWindow != 8 {
+	p := NonInterruptible(1).WithDecay()
+	if !p.Decay {
 		t.Fatalf("WithDecay wrong: %+v", p)
 	}
 	if !strings.Contains(p.Label, "decay") {
@@ -114,10 +114,6 @@ func TestWithDecay(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
-	}
-	// Default window (0) is valid.
-	if err := NonInterruptible(1).WithDecay(0).Validate(); err != nil {
-		t.Fatalf("default window: %v", err)
 	}
 }
 
@@ -127,8 +123,6 @@ func TestValidateDecayRules(t *testing.T) {
 		p    Protocol
 	}{
 		{"decay without growth", Protocol{InitialBuffers: 1, Decay: true}},
-		{"negative window", Protocol{InitialBuffers: 1, Grow: true, Decay: true, DecayWindow: -2}},
-		{"window without decay", Protocol{InitialBuffers: 1, Grow: true, DecayWindow: 3}},
 	}
 	for _, tc := range cases {
 		if tc.p.Validate() == nil {

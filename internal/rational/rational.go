@@ -100,9 +100,6 @@ func (x Rat) Inv() Rat {
 // Cmp compares x and y and returns -1, 0, or +1.
 func (x Rat) Cmp(y Rat) int { return x.big().Cmp(y.big()) }
 
-// Less reports whether x < y.
-func (x Rat) Less(y Rat) bool { return x.Cmp(y) < 0 }
-
 // Equal reports whether x == y exactly.
 func (x Rat) Equal(y Rat) bool { return x.Cmp(y) == 0 }
 

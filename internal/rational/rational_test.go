@@ -78,9 +78,6 @@ func TestArithmeticBasics(t *testing.T) {
 
 func TestComparisons(t *testing.T) {
 	a, b := New(1, 3), New(1, 2)
-	if !a.Less(b) || b.Less(a) {
-		t.Fatalf("Less ordering wrong for %v, %v", a, b)
-	}
 	if a.Cmp(b) != -1 || b.Cmp(a) != 1 || a.Cmp(a) != 0 {
 		t.Fatalf("Cmp wrong")
 	}
@@ -210,13 +207,13 @@ func TestPropertyOrdering(t *testing.T) {
 		a, b := randRat(rng), randRat(rng)
 		// Exactly one of <, ==, > holds.
 		n := 0
-		if a.Less(b) {
+		if a.Cmp(b) < 0 {
 			n++
 		}
 		if a.Equal(b) {
 			n++
 		}
-		if b.Less(a) {
+		if b.Cmp(a) < 0 {
 			n++
 		}
 		if n != 1 {
@@ -224,7 +221,7 @@ func TestPropertyOrdering(t *testing.T) {
 		}
 		// Adding a positive value increases.
 		p := New(rng.Int64N(100)+1, rng.Int64N(100)+1)
-		if !a.Less(a.Add(p)) {
+		if a.Cmp(a.Add(p)) >= 0 {
 			t.Fatalf("a < a+p violated: %v %v", a, p)
 		}
 	}

@@ -31,7 +31,7 @@ type differ struct {
 
 	// What the run exercised; the randomized test requires all of it.
 	cov struct {
-		grows, nearCancels, farCancels, farFires, splitTies, wraps, fullResets int
+		grows, nearCancels, farCancels, farFires, splitTies, fullResets int
 	}
 }
 
@@ -49,8 +49,8 @@ func (d *differ) Handle(e *Event) {
 		}
 	}
 	want := d.pending[min]
-	if e.Node != want.id || e.At() != want.at || d.s.Now() != want.at {
-		d.t.Fatalf("fired event %d at %d (clock %d), model expects event %d at %d", e.Node, e.At(), d.s.Now(), want.id, want.at)
+	if e.Node != want.id || e.at != want.at || d.s.Now() != want.at {
+		d.t.Fatalf("fired event %d at %d (clock %d), model expects event %d at %d", e.Node, e.at, d.s.Now(), want.id, want.at)
 	}
 	if e.index >= 0 {
 		d.t.Fatalf("event %d still marked queued while it fires", e.Node)
@@ -80,8 +80,8 @@ func (d *differ) schedule(delay Time) {
 	id := d.nextID
 	d.nextID++
 	e := d.s.Schedule(delay, 1, id, -id)
-	if e.At() != d.now+delay || e.Node != id || e.Child != -id {
-		d.t.Fatalf("scheduled event %d carries at=%d node=%d child=%d", id, e.At(), e.Node, e.Child)
+	if e.at != d.now+delay || e.Node != id || e.Child != -id {
+		d.t.Fatalf("scheduled event %d carries at=%d node=%d child=%d", id, e.at, e.Node, e.Child)
 	}
 	if wantFar := delay >= maxSpan; (e.index == inFar) != wantFar {
 		d.t.Fatalf("delay %d stored with index %d", delay, e.index)
@@ -162,30 +162,12 @@ func (d *differ) run(ops []byte) {
 			if want := len(d.pending) > 0; d.s.Step() != want {
 				d.t.Fatalf("Step returned %v", !want)
 			}
-		case 13:
+		case 13, 14:
 			before := d.fires
 			k := uint64(next()%8) + 1
 			if got := d.s.Run(k); got != d.fires-before || (got < k && len(d.pending) > 0) {
 				d.t.Fatalf("Run(%d) returned %d after %d fires with %d still pending", k, got, d.fires-before, len(d.pending))
 			}
-		case 14:
-			// To a pending event's time, one short of it, or a stretch ahead
-			// that wraps the ring.
-			dt := Time(next()) * Time(len(d.s.slots)) / 64
-			if arg := next(); len(d.pending) > 0 && arg%4 != 0 {
-				dt = d.pending[int(arg)%len(d.pending)].at - d.now - Time(arg%4/3)
-			}
-			until := d.now + max(dt, 0)
-			if mask := Time(len(d.s.slots) - 1); until-d.now > mask || until&mask < d.now&mask {
-				d.cov.wraps++
-			}
-			d.s.RunUntil(until)
-			for _, p := range d.pending {
-				if p.at <= until {
-					d.t.Fatalf("RunUntil(%d) left event %d at %d pending", until, p.id, p.at)
-				}
-			}
-			d.now = until
 		case 15:
 			if next()%4 != 0 {
 				continue // keep resets rare enough for queues to build up
@@ -241,7 +223,7 @@ func (d *differ) agree() {
 // of the fuzzer's choosing.
 func FuzzKernelAgainstReference(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 5, 0, 4, 3, 0, 6, 0, 11, 14, 200, 0, 11, 11})                  // near, far, step, long RunUntil
+	f.Add([]byte{0, 0, 5, 0, 4, 3, 0, 6, 0, 11, 14, 200, 0, 11, 11})                  // near, far, step, run
 	f.Add([]byte{0, 4, 1, 14, 255, 0, 0, 6, 0, 8, 0, 8, 0, 15, 0, 0, 3, 2, 13, 7})    // far then its time again from nearby; cancels; reset
 	f.Add([]byte{0, 1, 3, 0, 2, 255, 0, 3, 1, 0, 3, 2, 0, 3, 3, 13, 7, 14, 9, 1, 12}) // either side of both ring edges
 	f.Fuzz(func(t *testing.T, ops []byte) {

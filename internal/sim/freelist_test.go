@@ -28,7 +28,7 @@ func TestFreeListRecyclesAfterFire(t *testing.T) {
 	if got := s.Allocs(); got != 1 {
 		t.Fatalf("allocs = %d, want 1", got)
 	}
-	if e2.Kind != 2 || e2.Node != 30 || e2.Child != 40 || e2.At() != 5+7 {
+	if e2.Kind != 2 || e2.Node != 30 || e2.Child != 40 || e2.at != 5+7 {
 		t.Fatalf("recycled event carries stale payload: %+v", *e2)
 	}
 }

@@ -66,9 +66,6 @@ const (
 	maxSpan = 1 << 14 // the ring never outgrows this; the paper's w <= 10,000 fits
 )
 
-// At returns the simulated time at which the event will fire.
-func (e *Event) At() Time { return e.at }
-
 // Handler receives events as they fire.
 type Handler interface {
 	Handle(e *Event)
@@ -257,16 +254,6 @@ func (s *Simulator) Run(maxSteps uint64) uint64 {
 		fired++
 	}
 	return fired
-}
-
-// RunUntil fires events with time <= t, then sets the clock to t.
-func (s *Simulator) RunUntil(t Time) {
-	for e := s.peek(); e != nil && e.at <= t; e = s.peek() {
-		s.fire(e)
-	}
-	if s.now < t {
-		s.now = t
-	}
 }
 
 func (s *Simulator) recycle(e *Event) {

@@ -144,24 +144,6 @@ func TestRunMaxSteps(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s, r := newSim()
-	s.Schedule(10, 1, 0, 0)
-	s.Schedule(20, 2, 0, 0)
-	s.Schedule(30, 3, 0, 0)
-	s.RunUntil(20)
-	if len(r.fired) != 2 {
-		t.Fatalf("RunUntil fired %d, want 2", len(r.fired))
-	}
-	if s.Now() != 20 {
-		t.Fatalf("Now = %d, want 20", s.Now())
-	}
-	s.RunUntil(25)
-	if s.Now() != 25 || len(r.fired) != 2 {
-		t.Fatalf("RunUntil(25) advanced wrong: now=%d fired=%d", s.Now(), len(r.fired))
-	}
-}
-
 func TestHandlerSchedulesMore(t *testing.T) {
 	s, r := newSim()
 	count := 0
@@ -195,12 +177,12 @@ func TestEventRecyclingKeepsPayloadCorrect(t *testing.T) {
 
 // TestRandomizedAgainstReferenceModel drives the kernel with random
 // operation strings — schedules with delays below, at and beyond each ring
-// size, cancels, single steps, bounded runs, RunUntil and Reset — against
+// size, cancels, single steps, bounded runs and Reset — against
 // the reference model, and requires the trials together to have reached
 // every corner the two-store queue has.
 func TestRandomizedAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
-	var cov [7]int
+	var cov [6]int
 	for trial := 0; trial < 60; trial++ {
 		ops := make([]byte, 1500)
 		for i := range ops {
@@ -208,12 +190,12 @@ func TestRandomizedAgainstReferenceModel(t *testing.T) {
 		}
 		d := newDiffer(t)
 		d.run(ops)
-		for i, n := range []int{d.cov.grows, d.cov.nearCancels, d.cov.farCancels, d.cov.farFires, d.cov.splitTies, d.cov.wraps, d.cov.fullResets} {
+		for i, n := range []int{d.cov.grows, d.cov.nearCancels, d.cov.farCancels, d.cov.farFires, d.cov.splitTies, d.cov.fullResets} {
 			cov[i] += n
 		}
 	}
 	for i, what := range []string{"ring growth", "cancel in the ring", "cancel in the far store", "fire from the far store",
-		"same-time events split across the stores", "RunUntil across a wrap of the ring", "Reset with events in both stores"} {
+		"same-time events split across the stores", "Reset with events in both stores"} {
 		if cov[i] == 0 {
 			t.Errorf("no trial exercised: %s", what)
 		}

@@ -1,8 +1,8 @@
 // Package stats provides the small set of descriptive statistics the
-// paper's evaluation uses: medians and extrema over tree populations
-// (Table 2), probability distribution functions over binned counts
-// (Figure 6), and the counting histogram behind the cumulative
-// distribution series (Figures 4 and 5).
+// paper's evaluation uses: medians over tree populations (Table 2),
+// probability distribution functions over binned counts (Figure 6), and
+// the counting histogram behind the cumulative distribution series
+// (Figures 4 and 5).
 package stats
 
 import (
@@ -24,14 +24,6 @@ func Median(vs []int64) int64 {
 		return s[mid]
 	}
 	return (s[mid-1] + s[mid]) / 2
-}
-
-// Max returns the maximum of vs. It panics on an empty slice.
-func Max(vs []int64) int64 {
-	if len(vs) == 0 {
-		panic("stats: max of empty slice")
-	}
-	return slices.Max(vs)
 }
 
 // Histogram bins values into fixed-width buckets for PDF plots.

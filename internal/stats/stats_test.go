@@ -32,17 +32,9 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestMinMaxMean(t *testing.T) {
-	vs := []int64{4, -2, 9, 9, 0}
-	if Max(vs) != 9 {
-		t.Fatalf("Max wrong")
-	}
-}
-
 func TestEmptyPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"median": func() { Median(nil) },
-		"max":    func() { Max(nil) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

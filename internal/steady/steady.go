@@ -28,17 +28,6 @@ import (
 	"bwcs/internal/sim"
 )
 
-// Options bounds the search.
-type Options struct {
-	// MaxBatch is the largest tasks-per-period b to try; 0 means
-	// len(completions)/4.
-	MaxBatch int
-	// MinRun is the minimum number of consecutive tasks the periodic
-	// relation must cover to count as steady state; 0 means
-	// max(4*b, len/8) per candidate b.
-	MinRun int
-}
-
 // Detection is the result of periodicity analysis.
 type Detection struct {
 	// Found reports whether a steady interval was detected.
@@ -114,27 +103,18 @@ func (d Detection) Classify(optWeight rational.Rat) Class {
 }
 
 // Detect searches completions (ascending completion times, as produced by
-// the engine) for the smallest-batch periodic steady interval.
-func Detect(completions []sim.Time, o Options) Detection {
+// the engine) for the smallest-batch periodic steady interval. It tries
+// every batch b from 1 to len/4 and accepts the first whose longest run
+// of constant t[k+b]-t[k] covers at least max(4b, len/8) tasks. On large
+// random platforms no period shows within a practical horizon, so it
+// judges the Figure 7 and reconverge tails, not tree populations.
+func Detect(completions []sim.Time) Detection {
 	n := len(completions)
 	if n < 8 {
 		return Detection{}
 	}
-	maxB := o.MaxBatch
-	if maxB <= 0 {
-		maxB = n / 4
-	}
-	if maxB > n/2 {
-		maxB = n / 2
-	}
-	for b := 1; b <= maxB; b++ {
-		minRun := o.MinRun
-		if minRun <= 0 {
-			minRun = 4 * b
-			if alt := n / 8; alt > minRun {
-				minRun = alt
-			}
-		}
+	for b := 1; b <= n/4; b++ {
+		minRun := max(4*b, n/8)
 		if d, ok := tryBatch(completions, b, minRun); ok {
 			return d
 		}

@@ -32,7 +32,7 @@ func repeat(pattern []sim.Time, n int) []sim.Time {
 }
 
 func TestUniformStreamIsBatchOne(t *testing.T) {
-	d := Detect(repeat([]sim.Time{5}, 100), Options{})
+	d := Detect(repeat([]sim.Time{5}, 100))
 	if !d.Found || d.Batch != 1 || d.Period != 5 {
 		t.Fatalf("detection = %+v", d)
 	}
@@ -46,7 +46,7 @@ func TestUniformStreamIsBatchOne(t *testing.T) {
 
 func TestAlternatingDeltasNeedBatchTwo(t *testing.T) {
 	// Deltas 3,5,3,5...: t[k+1]-t[k] is not constant but t[k+2]-t[k] = 8.
-	d := Detect(repeat([]sim.Time{3, 5}, 60), Options{})
+	d := Detect(repeat([]sim.Time{3, 5}, 60))
 	if !d.Found || d.Batch != 2 || d.Period != 8 {
 		t.Fatalf("detection = %+v", d)
 	}
@@ -63,7 +63,7 @@ func TestStartupExcluded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		deltas = append(deltas, 7)
 	}
-	d := Detect(times(deltas...), Options{})
+	d := Detect(times(deltas...))
 	if !d.Found || d.Batch != 1 || d.Period != 7 {
 		t.Fatalf("detection = %+v", d)
 	}
@@ -78,7 +78,7 @@ func TestWindDownExcluded(t *testing.T) {
 		deltas = append(deltas, 7)
 	}
 	deltas = append(deltas, 19, 44, 3) // wind-down stragglers
-	d := Detect(times(deltas...), Options{})
+	d := Detect(times(deltas...))
 	if !d.Found || d.Period != 7 {
 		t.Fatalf("detection = %+v", d)
 	}
@@ -93,7 +93,7 @@ func TestNoPeriodicity(t *testing.T) {
 	for i := 1; i <= 60; i++ {
 		deltas = append(deltas, sim.Time(i))
 	}
-	d := Detect(times(deltas...), Options{})
+	d := Detect(times(deltas...))
 	if d.Found {
 		t.Fatalf("detected phantom steady state: %+v", d)
 	}
@@ -103,15 +103,22 @@ func TestNoPeriodicity(t *testing.T) {
 }
 
 func TestTooShortStream(t *testing.T) {
-	if d := Detect(times(1, 1, 1), Options{}); d.Found {
+	if d := Detect(times(1, 1, 1)); d.Found {
 		t.Fatalf("found steady state in 3 samples")
 	}
 }
 
+// TestMinRunRespected: a periodic stretch must cover max(4b, n/8) tasks.
+// Here 10 equal deltas among 130 tasks cover 11, under the 16 required.
 func TestMinRunRespected(t *testing.T) {
-	// 10 periodic tasks, but demand a 50-task run.
-	d := Detect(repeat([]sim.Time{4}, 10), Options{MinRun: 50})
-	if d.Found {
+	var deltas []sim.Time
+	for i := 1; i <= 120; i++ {
+		deltas = append(deltas, sim.Time(i))
+		if i == 60 {
+			deltas = append(deltas, 1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000)
+		}
+	}
+	if d := Detect(times(deltas...)); d.Found {
 		t.Fatalf("short run accepted: %+v", d)
 	}
 }
@@ -176,7 +183,7 @@ func TestEngineRunsReachExactOptimalSteadyState(t *testing.T) {
 			t.Fatalf("platform %d: %v", i, err)
 		}
 		opt := optimal.Compute(tr)
-		d := Detect(res.Completions, Options{})
+		d := Detect(res.Completions)
 		if !d.Found {
 			t.Fatalf("platform %d: no steady state found", i)
 		}
@@ -196,7 +203,7 @@ func TestRandomTreesNeverAnomalous(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tree %d: %v", i, err)
 		}
-		d := Detect(res.Completions, Options{})
+		d := Detect(res.Completions)
 		if d.Classify(optimal.Compute(tr).TreeWeight) == Anomalous {
 			t.Fatalf("tree %d: detected rate %v above optimal", i, d.Rate)
 		}

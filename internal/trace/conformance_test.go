@@ -31,7 +31,7 @@ func variants() []protocol.Protocol {
 	for _, o := range []protocol.Order{protocol.Random, protocol.RoundRobin} {
 		ps = append(ps, protocol.NonInterruptible(1).WithOrder(o), protocol.NonInterruptibleFixed(2).WithOrder(o))
 	}
-	return append(ps, protocol.NonInterruptible(1).WithDecay(20), protocol.NonInterruptible(1).WithDecay(50))
+	return append(ps, protocol.NonInterruptible(1).WithDecay())
 }
 
 // matrixParams are the random platforms the matrix runs on.
@@ -108,7 +108,7 @@ func TestReplayMatchesEveryProtocol(t *testing.T) {
 func FuzzEngineStreamReplays(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint8(0))
 	f.Add(uint64(7), uint16(3), uint8(12))
-	f.Add(uint64(9), uint16(5), uint8(17))
+	f.Add(uint64(9), uint16(5), uint8(16))
 	ps := variants()
 	f.Fuzz(func(t *testing.T, seed uint64, index uint16, pi uint8) {
 		replayDecided(t, engine.Config{Tree: randtree.TreeAt(matrixParams, seed, int(index)), Protocol: ps[int(pi)%len(ps)], Tasks: 300, Seed: seed})
@@ -268,7 +268,7 @@ func TestGrowthEventsOnlyUnderGrowthProtocol(t *testing.T) {
 		if _, err := engine.Run(engine.Config{Tree: tr, Protocol: p, Tasks: 300, Tracer: rec.Add}); err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		if got := rec.Counts()[trace.Grow]; got != 0 {
+		if got := kindCounts(rec)[trace.Grow]; got != 0 {
 			t.Fatalf("%v emitted %d grow events", p, got)
 		}
 	}
@@ -277,7 +277,10 @@ func TestGrowthEventsOnlyUnderGrowthProtocol(t *testing.T) {
 		t.Fatalf("non-IC: %v", err)
 	}
 	last := map[tree.NodeID]int64{}
-	for _, e := range rec.Filter(trace.OfKind(trace.Grow)) {
+	for _, e := range rec.Events() {
+		if e.Kind != trace.Grow {
+			continue
+		}
 		if e.Value != last[e.Node]+1 && last[e.Node] != 0 {
 			t.Fatalf("node %d capacity jumped %d -> %d", e.Node, last[e.Node], e.Value)
 		}

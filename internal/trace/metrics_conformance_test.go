@@ -26,7 +26,7 @@ func assertConformance(t *testing.T, cfg engine.Config, label string) {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	counts := rec.Counts()
+	counts := kindCounts(rec)
 	m := res.Metrics
 	checks := []struct {
 		name    string
@@ -74,7 +74,7 @@ func TestMetricsMatchTrace(t *testing.T) {
 			"IC3")
 		assertConformance(t, engine.Config{Tree: tr, Protocol: protocol.NonInterruptible(1), Tasks: 500},
 			"non-IC")
-		assertConformance(t, engine.Config{Tree: tr, Protocol: protocol.NonInterruptible(1).WithDecay(50), Tasks: 500},
+		assertConformance(t, engine.Config{Tree: tr, Protocol: protocol.NonInterruptible(1).WithDecay(), Tasks: 500},
 			"non-IC decay")
 	}
 }

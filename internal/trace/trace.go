@@ -1,18 +1,17 @@
 // Package trace is the engine's event stream: the Event vocabulary every
 // scheduling action is recorded in, a Recorder that keeps a stream and
-// renders it (filters, counts, a per-node text Gantt chart), and Replay,
-// the conformance check that drives one protocol.Node per platform node
-// through a stream and holds every recorded decision to what the core
-// decides. The engine emits each action as the core makes it, before its
-// consequences; the engine test suite asserts protocol behaviour at the
-// event level, and cmd/bwtrace replays live flight-recorder timelines
-// converted into the same vocabulary.
+// renders it as a per-node text Gantt chart, and Replay, the conformance
+// check that drives one protocol.Node per platform node through a stream
+// and holds every recorded decision to what the core decides. The engine
+// emits each action as the core makes it, before its consequences; the
+// engine test suite asserts protocol behaviour at the event level, and
+// cmd/bwtrace replays live flight-recorder timelines converted into the
+// same vocabulary.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 
 	"bwcs/internal/sim"
@@ -99,35 +98,6 @@ func (r *Recorder) Add(e Event) {
 		return
 	}
 	r.events = append(r.events, e)
-}
-
-// Events returns the recorded events in order. The slice is owned by the
-// recorder.
-func (r *Recorder) Events() []Event { return r.events }
-
-// Filter returns the events matching every given predicate.
-func (r *Recorder) Filter(preds ...func(Event) bool) []Event {
-	var out []Event
-	for _, e := range r.events {
-		if !slices.ContainsFunc(preds, func(p func(Event) bool) bool { return !p(e) }) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// OfKind returns a predicate matching one event kind.
-func OfKind(k Kind) func(Event) bool {
-	return func(e Event) bool { return e.Kind == k }
-}
-
-// Counts returns how many events of each kind were recorded.
-func (r *Recorder) Counts() map[Kind]int {
-	out := make(map[Kind]int)
-	for _, e := range r.events {
-		out[e.Kind]++
-	}
-	return out
 }
 
 // Timeline renders a per-node text Gantt chart of the interval [from, to],

@@ -25,9 +25,18 @@ func runTraced(t *testing.T, p protocol.Protocol, tasks int64) (*trace.Recorder,
 	return rec, res
 }
 
+// kindCounts counts the recorded events of each kind.
+func kindCounts(rec *trace.Recorder) map[trace.Kind]int {
+	counts := map[trace.Kind]int{}
+	for _, e := range rec.Events() {
+		counts[e.Kind]++
+	}
+	return counts
+}
+
 func TestRecorderCapturesConsistentStory(t *testing.T) {
 	rec, res := runTraced(t, protocol.Interruptible(1), 40)
-	counts := rec.Counts()
+	counts := kindCounts(rec)
 	if counts[trace.ComputeDone] != 40 {
 		t.Fatalf("ComputeDone events = %d, want 40", counts[trace.ComputeDone])
 	}
@@ -60,7 +69,12 @@ func TestRecorderCapturesConsistentStory(t *testing.T) {
 
 func TestRecorderGrowthEvents(t *testing.T) {
 	rec, res := runTraced(t, protocol.NonInterruptible(1), 40)
-	grows := rec.Filter(trace.OfKind(trace.Grow))
+	var grows []trace.Event
+	for _, e := range rec.Events() {
+		if e.Kind == trace.Grow {
+			grows = append(grows, e)
+		}
+	}
 	var grown int64
 	for i := range res.Nodes {
 		grown += res.Nodes[i].Buffers - 1
@@ -75,22 +89,6 @@ func TestRecorderGrowthEvents(t *testing.T) {
 			t.Fatalf("capacity not monotone at %v", e)
 		}
 		last[e.Node] = e.Value
-	}
-}
-
-func TestFilterPredicates(t *testing.T) {
-	rec, _ := runTraced(t, protocol.Interruptible(2), 30)
-	onNode1 := func(e trace.Event) bool { return e.Node == 1 }
-	for _, e := range rec.Filter(onNode1) {
-		if e.Node != 1 {
-			t.Fatalf("predicate leaked %v", e)
-		}
-	}
-	if both := rec.Filter(trace.OfKind(trace.ComputeDone), onNode1); len(both) == 0 || len(both) >= 30 {
-		t.Fatalf("combined filter = %d, want node 1's share of 30", len(both))
-	}
-	if all := rec.Filter(trace.OfKind(trace.ComputeDone)); len(all) != 30 {
-		t.Fatalf("OfKind(ComputeDone) = %d, want 30", len(all))
 	}
 }
 

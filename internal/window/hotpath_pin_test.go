@@ -9,7 +9,7 @@ import (
 
 // TestHotPathAllocsPinned is the allocation gate for this package: the
 // windowed onset scan (Onset, OnsetInclusive, AboveOptimal,
-// AtOrAboveOptimal, Reached, Windows and the comparison helpers under
+// AtOrAboveOptimal, Windows and the comparison helpers under
 // them) runs allocation-free on the int64 fast path.
 func TestHotPathAllocsPinned(t *testing.T) {
 	completions := uniformCompletions(1500, 6)
@@ -27,7 +27,6 @@ func TestHotPathAllocsPinned(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		s.Onset(DefaultThreshold)
 		s.OnsetInclusive(DefaultThreshold)
-		s.Reached(DefaultThreshold)
 		for x := 1; x <= s.Windows(); x += 97 {
 			s.AboveOptimal(x)
 			s.AtOrAboveOptimal(x)

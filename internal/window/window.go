@@ -120,9 +120,9 @@ func (s *Series) span(x int) sim.Time {
 }
 
 // Rate returns the windowed rate x/(t_{2x}−t_x) for window x in 1..Windows.
-// A zero time span (2x tasks finishing simultaneously) reports +Inf-like
-// behaviour via a true report from AboveOptimal and is returned here as 0
-// denominator guarded to the maximum representable rate.
+// A zero time span (tasks x through 2x finishing at one instant) is
+// treated as a span of one timestep, so Rate returns x; AboveOptimal, which
+// compares exactly, reports such a window as above optimal.
 func (s *Series) Rate(x int) float64 {
 	if x < 1 || x > s.Windows() {
 		panic(fmt.Sprintf("window: index %d out of range 1..%d", x, s.Windows()))
@@ -199,13 +199,6 @@ func (s *Series) onset(threshold int, above func(*Series, int) bool) (int, bool)
 		}
 	}
 	return 0, false
-}
-
-// Reached reports whether the run reached the optimal steady state under
-// the paper's criterion with the given threshold window.
-func (s *Series) Reached(threshold int) bool {
-	_, ok := s.Onset(threshold)
-	return ok
 }
 
 // NormalizedSeries returns the normalized rate for every window index

@@ -151,9 +151,6 @@ func TestOnsetSecondCrossing(t *testing.T) {
 	if got != crossings[1] {
 		t.Fatalf("Onset = %d, want second crossing %d", got, crossings[1])
 	}
-	if !s.Reached(4) {
-		t.Fatalf("Reached = false")
-	}
 }
 
 func TestOnsetRequiresTwoCrossings(t *testing.T) {
@@ -172,8 +169,8 @@ func TestOnsetRequiresTwoCrossings(t *testing.T) {
 	if above > 1 {
 		t.Skipf("construction yielded %d crossings; adjust", above)
 	}
-	if s.Reached(2) && above < 2 {
-		t.Fatalf("Reached with %d crossings", above)
+	if _, ok := s.Onset(2); ok && above < 2 {
+		t.Fatalf("onset with %d crossings", above)
 	}
 }
 

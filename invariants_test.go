@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -326,5 +327,172 @@ func TestGobOnlyInWireBench(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// readerAllowlist names, as "package.Name" or "package.Type.Method"
+// relative to the module, each exported internal/ name that needs no
+// non-test reader, with the reason. Each entry must name a declaration.
+var readerAllowlist = map[string]string{
+	"internal/optimal.Fork": "reference oracle: Theorem 1 on one fork, written out, that the tests hold Compute and Weight to",
+}
+
+// interfaceMethods are method names a package satisfies an interface
+// with; a call through the interface is not a use of the method itself.
+// Each entry must cover at least one method.
+var interfaceMethods = map[string]string{
+	"String":        "fmt.Stringer: fmt calls it",
+	"Error":         "error: callers read it through the interface",
+	"Unwrap":        "errors.Is and errors.As call it",
+	"MarshalJSON":   "json.Marshaler: encoding/json calls it",
+	"UnmarshalJSON": "json.Unmarshaler: encoding/json calls it",
+	"MarshalText":   "encoding.TextMarshaler: encoding/json calls it",
+	"UnmarshalText": "encoding.TextUnmarshaler: encoding/json calls it",
+	"Handle":        "sim.Handler: the kernel calls it through the interface",
+	"Render":        "bwexp's renderer: the command calls it through the interface",
+}
+
+// TestInternalNamesHaveReaders keeps internal/ free of dead names: every
+// exported package-level func, type, const and var of a package under
+// internal/, and every exported method declared there, must be used by
+// the module's non-test code (benchmark/, cmd/, examples/, live/, the
+// facade and internal/ itself) outside its own declaration. A method's
+// receiver does not count as a use of its type. Exempt are names on the
+// facade's surface, which TestExportedAPICompat pins to
+// testdata/api_golden.txt, methods on interfaceMethods and names on
+// readerAllowlist. live/ is out of scope: it is importable, so its
+// exported names are user API.
+func TestInternalNamesHaveReaders(t *testing.T) {
+	l, err := newLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*loadedPackage
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		if names, err := goFilesIn(path); err != nil || len(names) == 0 {
+			return err
+		}
+		pkg, err := l.Load(l.ModulePath() + strings.TrimPrefix("/"+filepath.ToSlash(path), "/."))
+		if err != nil {
+			return err
+		}
+		pkgs = append(pkgs, pkg)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The declarations to account for, each with its extent in the source
+	// and its key: the package path relative to the module, a dot, and
+	// the name (Type.Method for a method).
+	type decl struct {
+		key      string
+		pos, end token.Pos
+		read     bool
+	}
+	decls := make(map[types.Object]*decl)
+	receivers := make(map[token.Pos]bool) // idents in method receivers
+	used := make(map[string]bool)         // list entries that cover something
+	var facade *loadedPackage
+	for _, pkg := range pkgs {
+		if pkg.Path == l.ModulePath() {
+			facade = pkg
+		}
+		rel := strings.TrimPrefix(pkg.Path, l.ModulePath()+"/")
+		internal := strings.HasPrefix(rel, "internal/")
+		add := func(id *ast.Ident, key string, node ast.Node) {
+			if internal && id.IsExported() {
+				decls[pkg.Info.Defs[id]] = &decl{key: rel + "." + key, pos: node.Pos(), end: node.End()}
+			}
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					key := d.Name.Name
+					if d.Recv != nil {
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								receivers[id.Pos()] = true
+								if _, ok := pkg.Info.Uses[id].(*types.TypeName); ok {
+									key = id.Name + "." + d.Name.Name
+								}
+							}
+							return true
+						})
+						if _, ok := interfaceMethods[d.Name.Name]; ok {
+							used[d.Name.Name] = true
+							continue
+						}
+					}
+					add(d.Name, key, d)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, s.Name.Name, s)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								add(id, id.Name, s)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// The facade's surface: every method reachable through its exported
+	// aliases is pinned there.
+	for _, name := range facade.Types.Scope().Names() {
+		tn, ok := facade.Types.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() || !tn.IsAlias() {
+			continue
+		}
+		if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+			ms := types.NewMethodSet(types.NewPointer(named))
+			for i := range ms.Len() {
+				if d := decls[ms.At(i).Obj()]; d != nil {
+					d.read = true
+				}
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		for id, obj := range pkg.Info.Uses {
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+			case *types.Var:
+				obj = o.Origin()
+			}
+			if d := decls[obj]; d != nil && !receivers[id.Pos()] && (id.Pos() < d.pos || id.Pos() >= d.end) {
+				d.read = true
+			}
+		}
+	}
+	for _, d := range slices.SortedFunc(maps.Values(decls), func(a, b *decl) int { return strings.Compare(a.key, b.key) }) {
+		if _, ok := readerAllowlist[d.key]; ok {
+			used[d.key] = true
+			continue
+		}
+		if !d.read {
+			t.Errorf("%s: %s has no reader in non-test code: delete it, or list it in readerAllowlist with the reason", l.Fset.Position(d.pos), d.key)
+		}
+	}
+	for key := range readerAllowlist {
+		if !used[key] {
+			t.Errorf("readerAllowlist entry %q names no exported internal/ declaration: delete it", key)
+		}
+	}
+	for name := range interfaceMethods {
+		if !used[name] {
+			t.Errorf("interfaceMethods entry %q names no method declared in the module: delete it", name)
+		}
 	}
 }
