@@ -119,8 +119,8 @@ func writeChrome(w io.Writer, merged []MergedEvent) error {
 				return err
 			}
 		}
-		if e.CauseSeq != 0 && e.CausePeer != "" {
-			if ci, ok := index[key{e.CausePeer, e.CauseSeq}]; ok {
+		if e.CauseSeq != 0 {
+			if ci, ok := index[key{e.Peer, e.CauseSeq}]; ok {
 				flowID++
 				cause := merged[ci]
 				if err := emit(fmt.Sprintf("{\"name\":\"wire\",\"cat\":\"flow\",\"ph\":\"s\",\"ts\":%s,\"pid\":%d,\"tid\":1,\"id\":%d}",

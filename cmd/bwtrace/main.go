@@ -124,8 +124,8 @@ func printTimeline(w *os.File, merged []MergedEvent, task uint64) {
 		if e.Value != 0 {
 			line += fmt.Sprintf(" value=%d", e.Value)
 		}
-		if e.CauseSeq != 0 && e.CausePeer != "" {
-			line += fmt.Sprintf("  <- %s#%d", e.CausePeer, e.CauseSeq)
+		if e.CauseSeq != 0 {
+			line += fmt.Sprintf("  <- %s#%d", e.Peer, e.CauseSeq)
 		}
 		fmt.Fprintln(w, line)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -36,26 +37,26 @@ func synthDumps() map[string]live.TraceDump {
 		"root": {
 			Node: "root", Root: true, EpochUnixNano: 1_700_000_000_000_000_000,
 			Events: []live.Event{
-				rt(1, 1500, live.Event{Kind: live.EvHello, Peer: "w1", WireSeq: 1, CausePeer: "w1", CauseSeq: 1}),
-				rt(2, 2600, live.Event{Kind: live.EvRequestServed, Peer: "w1", Value: 3, WireSeq: 2, CausePeer: "w1", CauseSeq: 3}),
+				rt(1, 1500, live.Event{Kind: live.EvHello, Peer: "w1", CauseSeq: 1}),
+				rt(2, 2600, live.Event{Kind: live.EvRequestServed, Peer: "w1", Value: 3, CauseSeq: 3}),
 				rt(3, 3000, live.Event{Kind: live.EvChunkSend, Task: 1, Peer: "w1"}),
 				rt(4, 3100, live.Event{Kind: live.EvHandoff, Task: 1, Peer: "w1"}),
-				rt(5, 4900, live.Event{Kind: live.EvResultRecv, Task: 1, Origin: "w1", Peer: "w1", WireSeq: 5, CausePeer: "w1", CauseSeq: 8}),
+				rt(5, 4900, live.Event{Kind: live.EvResultRecv, Task: 1, Origin: "w1", Peer: "w1", CauseSeq: 8}),
 				rt(6, 5000, live.Event{Kind: live.EvResultCollect, Task: 1, Origin: "w1"}),
 			},
 		},
 		"w1": {
 			Node: "w1", EpochUnixNano: 1_700_000_000_000_000_000,
 			Events: []live.Event{
-				w1(1, 1000, live.Event{Kind: live.EvHello, Peer: "parent", WireSeq: 1}),
-				w1(2, 2000, live.Event{Kind: live.EvHelloAck, Peer: "root", WireSeq: 2, CausePeer: "root", CauseSeq: 1}),
-				w1(3, 2100, live.Event{Kind: live.EvRequestSent, Peer: "root", Value: 3, WireSeq: 2}),
-				w1(4, 3600, live.Event{Kind: live.EvChunkRecv, Task: 1, Peer: "root", WireSeq: 3, CausePeer: "root", CauseSeq: 4}),
-				w1(5, 3700, live.Event{Kind: live.EvTaskReceived, Task: 1, Peer: "root", Off: 4096, CausePeer: "root", CauseSeq: 4}),
+				w1(1, 1000, live.Event{Kind: live.EvHello, Peer: "parent"}),
+				w1(2, 2000, live.Event{Kind: live.EvHelloAck, Peer: "root", CauseSeq: 1}),
+				w1(3, 2100, live.Event{Kind: live.EvRequestSent, Peer: "root", Value: 3}),
+				w1(4, 3600, live.Event{Kind: live.EvChunkRecv, Task: 1, Peer: "root", CauseSeq: 4}),
+				w1(5, 3700, live.Event{Kind: live.EvTaskReceived, Task: 1, Peer: "root", Off: 4096, CauseSeq: 4}),
 				w1(6, 3800, live.Event{Kind: live.EvComputeStart, Task: 1}),
 				w1(7, 4300, live.Event{Kind: live.EvComputeDone, Task: 1, Origin: "w1", Value: 500}),
-				w1(8, 4400, live.Event{Kind: live.EvResultSend, Task: 1, Origin: "w1", Peer: "root", WireSeq: 5}),
-				w1(9, 5400, live.Event{Kind: live.EvResultAck, Task: 1, Origin: "w1", Peer: "root", WireSeq: 3, CausePeer: "root", CauseSeq: 5}),
+				w1(8, 4400, live.Event{Kind: live.EvResultSend, Task: 1, Origin: "w1", Peer: "root"}),
+				w1(9, 5400, live.Event{Kind: live.EvResultAck, Task: 1, Origin: "w1", Peer: "root", CauseSeq: 5}),
 			},
 		},
 	}
@@ -114,11 +115,11 @@ func assertCausalOrder(t *testing.T, merged []MergedEvent) {
 	}
 	for i, m := range merged {
 		e := m.Ev
-		if e.CauseSeq != 0 && e.CausePeer != "" && present[e.CausePeer] && e.CauseSeq > emitted[e.CausePeer] {
+		if e.CauseSeq != 0 && present[e.Peer] && e.CauseSeq > emitted[e.Peer] {
 			// Only a violation if the cause exists in the loaded window.
 			for _, later := range merged[i:] {
-				if later.Node == e.CausePeer && later.Ev.Seq == e.CauseSeq {
-					t.Fatalf("merged[%d] %s/%v precedes its cause %s#%d", i, m.Node, e.Kind, e.CausePeer, e.CauseSeq)
+				if later.Node == e.Peer && later.Ev.Seq == e.CauseSeq {
+					t.Fatalf("merged[%d] %s/%v precedes its cause %s#%d", i, m.Node, e.Kind, e.Peer, e.CauseSeq)
 				}
 			}
 		}
@@ -138,7 +139,7 @@ func TestMergeCausalOverridesRawTime(t *testing.T) {
 			{Seq: 1, At: 3000, Kind: live.EvChunkSend, Task: 1, Peer: "w1"},
 		}},
 		"w1": {Node: "w1", Events: []live.Event{
-			{Seq: 1, At: 2500, Kind: live.EvTaskReceived, Task: 1, Peer: "root", CausePeer: "root", CauseSeq: 1},
+			{Seq: 1, At: 2500, Kind: live.EvTaskReceived, Task: 1, Peer: "root", CauseSeq: 1},
 		}},
 	}
 	merged := mergeDumps(dumps)
@@ -236,6 +237,70 @@ func TestChromeGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("export drifted from golden (run with -update if intended)\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestLoadsV3Dumps: a dump written before wire v4, whose events also carry
+// wireSeq (the frame's node-wide sequence number) and causePeer (the
+// sender's name, always the event's own peer), still loads, and merges to
+// the same timeline and the same Chrome export as the dump without them.
+func TestLoadsV3Dumps(t *testing.T) {
+	wireSeqs := map[string]map[uint64]int{ // node → event seq → its frame's wireSeq
+		"root": {1: 1, 2: 2, 5: 5},
+		"w1":   {1: 1, 2: 2, 3: 2, 4: 3, 8: 5, 9: 3},
+	}
+	load := func(v3 bool) ([]MergedEvent, []byte) {
+		dumps := map[string]live.TraceDump{}
+		for name, d := range synthDumps() {
+			path := writeDump(t, t.TempDir(), d)
+			if v3 {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var doc map[string]any
+				if err := json.Unmarshal(b, &doc); err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range doc["events"].([]any) {
+					e := x.(map[string]any)
+					if w := wireSeqs[name][uint64(e["seq"].(float64))]; w != 0 {
+						e["wireSeq"] = w
+					}
+					if _, ok := e["causeSeq"]; ok {
+						e["causePeer"] = e["peer"]
+					}
+				}
+				if b, err = json.Marshal(doc); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Contains(b, []byte(`"causePeer"`)) || !bytes.Contains(b, []byte(`"wireSeq"`)) {
+					t.Fatalf("%s: the v3 dump carries neither field:\n%s", name, b)
+				}
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			loaded, err := loadDump(path)
+			if err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			dumps[name] = loaded
+		}
+		merged := mergeDumps(dumps)
+		var chrome bytes.Buffer
+		if err := writeChrome(&chrome, merged); err != nil {
+			t.Fatalf("writeChrome: %v", err)
+		}
+		return merged, chrome.Bytes()
+	}
+	old, oldChrome := load(true)
+	now, nowChrome := load(false)
+	if !reflect.DeepEqual(old, now) {
+		t.Errorf("the v3 dump merges to\n%+v\nwant\n%+v", old, now)
+	}
+	if !bytes.Equal(oldChrome, nowChrome) {
+		t.Errorf("the v3 dump exports\n%s\nwant\n%s", oldChrome, nowChrome)
 	}
 }
 
@@ -341,7 +406,7 @@ func TestSeverDuringReplayTimeline(t *testing.T) {
 		}
 		j := pos(func(x MergedEvent) bool {
 			return x.Node == "root" && x.Ev.Kind == live.EvResultRecv &&
-				x.Ev.CausePeer == "w" && x.Ev.CauseSeq == m.Ev.Seq
+				x.Ev.Peer == "w" && x.Ev.CauseSeq == m.Ev.Seq
 		})
 		if j >= 0 {
 			replayIdx, recvIdx, task = i, j, m.Ev.Task

@@ -4,7 +4,7 @@ package main
 //
 // Each node's events carry timestamps on its own monotonic clock. The
 // merger first aligns clocks per link: a chunk or result receipt names the
-// sending node's event (CausePeer/CauseSeq), so each matched pair bounds
+// sending node's event (Peer/CauseSeq), so each matched pair bounds
 // the clock offset from one side, and the two directions of a link bound
 // it from both — the classic symmetric-delay estimate offset =
 // (d1 - d2)/2 over the minimum observed deltas. Offsets compose along the
@@ -59,7 +59,7 @@ func loadDump(path string) (live.TraceDump, error) {
 // makes cross its links, each one frame's transit behind its cause — a
 // task-received is a whole segment's.
 func alignable(e live.Event) bool {
-	return e.CauseSeq != 0 && e.CausePeer != "" && (e.Kind == live.EvChunkRecv || e.Kind == live.EvResultRecv)
+	return e.CauseSeq != 0 && (e.Kind == live.EvChunkRecv || e.Kind == live.EvResultRecv)
 }
 
 // clockShifts computes, for every dump, the shift that maps its local
@@ -84,18 +84,18 @@ func clockShifts(dumps map[string]live.TraceDump, root string) map[string]int64 
 			if !alignable(e) {
 				continue
 			}
-			causeAt, ok := byNodeSeq[e.CausePeer][e.CauseSeq]
+			causeAt, ok := byNodeSeq[e.Peer][e.CauseSeq]
 			if !ok {
 				continue
 			}
 			dt := e.At - causeAt
-			if delta[e.CausePeer] == nil {
-				delta[e.CausePeer] = make(map[string]int64)
-				seen[e.CausePeer] = make(map[string]bool)
+			if delta[e.Peer] == nil {
+				delta[e.Peer] = make(map[string]int64)
+				seen[e.Peer] = make(map[string]bool)
 			}
-			if !seen[e.CausePeer][name] || dt < delta[e.CausePeer][name] {
-				delta[e.CausePeer][name] = dt
-				seen[e.CausePeer][name] = true
+			if !seen[e.Peer][name] || dt < delta[e.Peer][name] {
+				delta[e.Peer][name] = dt
+				seen[e.Peer][name] = true
 			}
 		}
 	}
@@ -162,10 +162,10 @@ func mergeDumps(dumps map[string]live.TraceDump) []MergedEvent {
 	cursor := make(map[string]int, len(dumps))
 	emitted := make(map[string]uint64, len(dumps))
 	satisfied := func(e live.Event) bool {
-		if e.CauseSeq == 0 || e.CausePeer == "" {
+		if e.CauseSeq == 0 {
 			return true
 		}
-		d, ok := dumps[e.CausePeer]
+		d, ok := dumps[e.Peer]
 		if !ok || len(d.Events) == 0 {
 			return true // cause node's dump not loaded (or empty)
 		}
@@ -175,7 +175,7 @@ func mergeDumps(dumps map[string]live.TraceDump) []MergedEvent {
 		if e.CauseSeq > d.Events[len(d.Events)-1].Seq {
 			return true // cause recorded after the dump was taken
 		}
-		return e.CauseSeq <= emitted[e.CausePeer]
+		return e.CauseSeq <= emitted[e.Peer]
 	}
 
 	total := 0

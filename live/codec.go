@@ -2,7 +2,6 @@ package live
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,16 +11,19 @@ import (
 // wireVersion is the one wire format this build speaks: length-prefixed
 // binary frames, a uvarint body length followed by an explicitly encoded
 // body (frameCoder.fields is the layout), from the first byte of a
-// connection. A hello offers it in its Codecs list and the hello-ack echoes
-// it as the parent's pick; a peer whose list lacks it — another version,
-// or a build that spoke gob, whose stream does not parse as a frame — is
-// refused within the handshake timeout, never downgraded. Per-conn buffers
-// are reused across frames, so encoding allocates nothing once warm, and
-// decoding only what outlives the read buffer: a result's output, a result
-// ack's key list, a handshake's lists (TestHotPathAllocsPinned). Version 2
-// retired v1's chunk ack and made the result ack a list of ledger keys;
-// version 3 dropped the application tag from requests, chunks and results.
-const wireVersion = 3
+// connection. Hello and hello-ack carry it as the byte after the kind; a
+// peer that sends another byte there — another version, or a build that
+// spoke gob, whose stream does not parse as a frame — is refused within the
+// handshake timeout, never downgraded. Per-conn buffers are reused across
+// frames, so encoding allocates nothing once warm, and decoding only what
+// outlives the read buffer: a result's output, a result ack's key list, a
+// handshake's lists (TestHotPathAllocsPinned). Version 2 retired v1's
+// chunk ack and made the result ack a list of ledger keys; version 3
+// dropped the application tag from requests, chunks and results; version 4
+// dropped what the receiver already knows — the frame's sequence number,
+// the sender's name, the chunk's last flag — and turned the handshake's
+// version list into the one byte.
+const wireVersion = 4
 
 const (
 	// maxFrameBytes bounds a binary frame's declared body length. A
@@ -121,8 +123,8 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 }
 
 // interner deduplicates the small recurring strings of a stream — node
-// names and trace origins — so steady-state decode does not allocate one
-// string per frame. It belongs to a conn's single reader goroutine (no
+// names and result origins — so steady-state decode does not allocate one
+// string per result. It belongs to a conn's single reader goroutine (no
 // locking) and is capped so a hostile stream cannot grow it without bound.
 type interner struct {
 	m map[string]string
@@ -178,21 +180,21 @@ type frameCoder struct {
 	err error
 }
 
-// fields is the wire layout: the header every kind carries, then each
-// kind's fields in order. The handshake kinds put their version list
-// first, ahead of every field a later layout might change, and a decode
-// checks it before reading on: a peer on another layout is refused by
-// version, not misread. Data aliases the frame body (its consumers copy
-// before the next read); Output, Codecs and the lists are copied or made,
-// because they outlive the read buffer in ledgers, channels and the
-// owner's inbox.
+// fields is the wire layout: the handshake kinds' version byte, the header
+// every kind carries, then each kind's fields in order. The version byte
+// comes right after the kind, ahead of every field a later layout might
+// change, and a decode checks it before reading on: a peer on another
+// layout is refused by version, not misread. Data aliases the frame body
+// (its consumers copy before the next read); Output and the lists are
+// copied or made, because they outlive the read buffer in ledgers,
+// channels and the owner's inbox.
 func (c *frameCoder) fields(m *message) {
-	c.u64(&m.Seq)
+	if m.Kind == kindHello || m.Kind == kindHelloAck {
+		c.version()
+	}
 	c.u64(&m.TraceSeq)
-	c.str(&m.TraceNode)
 	switch m.Kind {
 	case kindHello:
-		c.versions(&m.Codecs)
 		c.str(&m.Name)
 		c.int(&m.N)
 		c.u64s(&m.Holding)
@@ -204,7 +206,6 @@ func (c *frameCoder) fields(m *message) {
 			c.int(&m.Resume[i].Offset)
 		}
 	case kindHelloAck:
-		c.versions(&m.Codecs)
 		c.str(&m.Name)
 		c.bool(&m.Revived)
 		c.u64s(&m.Accepted)
@@ -214,7 +215,6 @@ func (c *frameCoder) fields(m *message) {
 		c.u64(&m.Task)
 		c.int(&m.Size)
 		c.int(&m.Offset)
-		c.bool(&m.Last)
 		c.bytes(&m.Data, true)
 	case kindResult:
 		c.u64(&m.Task)
@@ -324,12 +324,19 @@ func (c *frameCoder) bytes(p *[]byte, alias bool) {
 	}
 }
 
-// versions carries a handshake's wire-version list; a decoded list
-// without this build's version stops the decode.
-func (c *frameCoder) versions(p *[]uint8) {
-	c.bytes(p, false)
-	if c.dec && c.err == nil && bytes.IndexByte(*p, wireVersion) < 0 {
-		c.err = fmt.Errorf("%w: this build speaks %d, the peer %v", errWireVersion, wireVersion, *p)
+// version carries a handshake's wire-version byte: this build's, and on
+// decode any other stops the decode. It is the first field read, so no
+// earlier error can be pending.
+func (c *frameCoder) version() {
+	switch {
+	case !c.dec:
+		c.buf = append(c.buf, wireVersion)
+	case c.off >= len(c.buf):
+		c.err = errFrameTruncated
+	case c.buf[c.off] != wireVersion:
+		c.err = fmt.Errorf("%w: this build speaks %d, the peer %d", errWireVersion, wireVersion, c.buf[c.off])
+	default:
+		c.off++
 	}
 }
 

@@ -13,13 +13,10 @@ func benchFrames() []message {
 	data := bytes.Repeat([]byte{0xA5}, 4096)
 	out := bytes.Repeat([]byte{0x5A}, 1024)
 	return []message{
-		{Kind: kindChunk, Seq: 101, Task: 7, Size: 65536, Offset: 40960,
-			Data: data, TraceNode: "root", TraceSeq: 33},
-		{Kind: kindRequest, Seq: 102, N: 2, TraceNode: "w1", TraceSeq: 12},
-		{Kind: kindResult, Seq: 103, Task: 6, Origin: "w1",
-			Output: out, TraceNode: "w1", TraceSeq: 11},
-		{Kind: kindResultAck, Seq: 104, Acks: []resultKey{{Task: 5, Origin: "w1"}, {Task: 6, Origin: "w1"}},
-			TraceNode: "root", TraceSeq: 34},
+		{Kind: kindChunk, Task: 7, Size: 65536, Offset: 40960, Data: data, TraceSeq: 33},
+		{Kind: kindRequest, N: 2, TraceSeq: 12},
+		{Kind: kindResult, Task: 6, Origin: "w1", Output: out, TraceSeq: 11},
+		{Kind: kindResultAck, Acks: []resultKey{{Task: 5, Origin: "w1"}, {Task: 6, Origin: "w1"}}, TraceSeq: 34},
 	}
 }
 

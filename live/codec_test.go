@@ -20,25 +20,23 @@ import (
 // its sample, and a field the codec forgets to carry breaks the equality.
 func sampleFrames() []*message {
 	return []*message{
-		{Kind: kindHello, Seq: 101, TraceSeq: 11, TraceNode: "w1",
-			Codecs:  []uint8{wireVersion, 7},
+		{Kind: kindHello, TraceSeq: 11,
 			Name:    "w1",
 			N:       2,
 			Resume:  []resumePoint{{Task: 7, Offset: 4096}, {Task: 9, Offset: 0}},
 			Holding: []uint64{3, 7, 9, 1 << 40}},
-		{Kind: kindRequest, Seq: 102, TraceSeq: 12, TraceNode: "w1",
+		{Kind: kindRequest, TraceSeq: 12,
 			N: 3},
-		{Kind: kindChunk, Seq: 103, TraceSeq: 13, TraceNode: "root",
-			Task: 42, Size: 8192, Offset: 4096, Data: []byte("chunk payload bytes"),
-			Last: true},
-		{Kind: kindResult, Seq: 104, TraceSeq: 14, TraceNode: "w1",
+		{Kind: kindChunk, TraceSeq: 13,
+			Task: 42, Size: 8192, Offset: 4096, Data: []byte("chunk payload bytes")},
+		{Kind: kindResult, TraceSeq: 14,
 			Task: 42, Output: []byte("result output"), Origin: "w1-leaf"},
-		{Kind: kindShutdown, Seq: 105, TraceSeq: 15, TraceNode: "root"},
-		{Kind: kindHeartbeat, Seq: 106},
-		{Kind: kindHelloAck, Seq: 108, TraceSeq: 18, TraceNode: "root",
-			Name: "root", Revived: true, Accepted: []uint64{7, 9}, Codecs: []uint8{wireVersion}},
-		{Kind: kindGoodbye, Seq: 109, TraceSeq: 19, TraceNode: "w1"},
-		{Kind: kindResultAck, Seq: 110, TraceSeq: 20, TraceNode: "root",
+		{Kind: kindShutdown, TraceSeq: 15},
+		{Kind: kindHeartbeat},
+		{Kind: kindHelloAck, TraceSeq: 18,
+			Name: "root", Revived: true, Accepted: []uint64{7, 9}},
+		{Kind: kindGoodbye, TraceSeq: 19},
+		{Kind: kindResultAck, TraceSeq: 20,
 			Acks: []resultKey{{Task: 42, Origin: "w1-leaf"}, {Task: 1 << 40, Origin: ""}, {Task: 43, Origin: "w2"}}},
 	}
 }
@@ -96,8 +94,8 @@ func binaryRoundTrip(t *testing.T, m *message, in *interner) *message {
 
 // TestCodecConformanceMatrix round-trips every wire kind through the
 // production encode and read path and pins the decode equal to the sample
-// field by field — trace context and the handshake's version list and
-// counts included.
+// field by field — trace context and the handshake's lists and counts
+// included.
 func TestCodecConformanceMatrix(t *testing.T) {
 	var in interner
 	for _, m := range sampleFrames() {
@@ -175,10 +173,7 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 	first.close()
 	waitFor(t, "the root to mark the first child gone", func() bool { return childGone(root, "w") })
 
-	futureHello, err := appendFrame(nil, &message{Kind: kindHello, Name: "w", Codecs: []uint8{99}})
-	if err != nil {
-		t.Fatalf("encode a version-99 hello: %v", err)
-	}
+	futureHello := helloOfVersion(t, kindHello, 99)
 	for _, tc := range []struct {
 		name    string
 		opening []byte
@@ -248,12 +243,9 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 			t.Fatalf("dial: %v", err)
 		}
 		defer p.close()
-		ack, err := p.hello(message{Name: "w"})
+		ack, err := p.hello(message{Name: "w"}) // decoded, so it carried this build's version
 		if err != nil {
 			t.Fatalf("hello after the refusals: %v", err)
-		}
-		if len(ack.Codecs) != 1 || ack.Codecs[0] != wireVersion {
-			t.Errorf("hello-ack picked wire versions %v, want [%d]", ack.Codecs, wireVersion)
 		}
 		if !ack.Revived {
 			t.Errorf("the session that died before the refusals was not revived")
@@ -261,25 +253,54 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 	})
 }
 
+// helloOfVersion encodes a handshake frame of this layout and patches its
+// version byte, the one after the kind, to v.
+func helloOfVersion(t *testing.T, kind msgKind, v uint8) []byte {
+	t.Helper()
+	frame, err := appendFrame(nil, &message{Kind: kind, Name: "other"})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	frame[2] = v // one-byte length prefix, the kind, then the version
+	return frame
+}
+
 // TestVersionSkewHello pins where a hello from another wire version is
-// turned away: at its version list, the first field, before anything of a
+// turned away: at its version byte, the first field, before anything of a
 // layout this build may not know is parsed — so the refusal names the
-// versions, and whatever follows the list cannot turn it into a parse
-// error. The same holds for a hello-ack whose pick is not ours. Both sides
-// of the v2 ↔ v3 boundary are covered: a v2 peer offers [2].
+// offered byte, and whatever follows it cannot turn it into a parse error.
+// The same holds for a hello-ack of another version. The v2 and v3
+// boundaries are covered: a v2 peer's byte is 2, and a v3 hello, which
+// opened with its frame sequence number, its trace context and a version
+// list, offers that number's first byte.
 func TestVersionSkewHello(t *testing.T) {
+	type skew struct {
+		name string
+		body []byte
+	}
+	var cases []skew
 	for _, kind := range []msgKind{kindHello, kindHelloAck} {
 		for _, v := range []uint8{2, 99} {
-			frame, err := appendFrame(nil, &message{Kind: kind, Codecs: []uint8{v}, Name: "other"})
-			if err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			frame = append(frame, "fields of another layout"...)
-			body := frame[1:] // one-byte length prefix: the frame is short
-			var m message
-			if err := decodeFrame(body, &m, &interner{}); !errors.Is(err, errWireVersion) || !strings.Contains(err.Error(), fmt.Sprintf("[%d]", v)) {
-				t.Errorf("kind %d offering version %d: %v; want errWireVersion naming the offer", kind, v, err)
-			}
+			frame := append(helloOfVersion(t, kind, v), "fields of another layout"...)
+			cases = append(cases, skew{fmt.Sprintf("kind %d, version %d", kind, v), frame[1:]})
+		}
+	}
+	for _, seq := range []uint64{1, 300} {
+		v3 := binary.AppendUvarint([]byte{byte(kindHello)}, seq) // Seq
+		v3 = binary.AppendUvarint(v3, 7)                         // TraceSeq
+		v3 = append(binary.AppendUvarint(v3, 2), "w1"...)        // TraceNode
+		v3 = append(binary.AppendUvarint(v3, 1), 3)              // Codecs: [3]
+		v3 = append(binary.AppendUvarint(v3, 2), "w1"...)        // Name
+		v3 = binary.AppendUvarint(v3, 0)                         // N
+		v3 = binary.AppendUvarint(v3, 0)                         // Holding
+		v3 = binary.AppendUvarint(v3, 0)                         // Resume
+		cases = append(cases, skew{fmt.Sprintf("v3 hello, Seq %d", seq), v3})
+	}
+	for _, tc := range cases {
+		var m message
+		offered := fmt.Sprintf("the peer %d", tc.body[1])
+		if err := decodeFrame(tc.body, &m, &interner{}); !errors.Is(err, errWireVersion) || !strings.Contains(err.Error(), offered) {
+			t.Errorf("%s: %v; want errWireVersion naming %q", tc.name, err, offered)
 		}
 	}
 }
@@ -295,10 +316,10 @@ func TestHandshakeCountsBoundedByFrame(t *testing.T) {
 		if err := decodeFrame(body, &m, &in); !errors.Is(err, errFrameTruncated) {
 			t.Errorf("%s: %v, want errFrameTruncated", name, err)
 		}
-		// The version list and the name ahead of the count are real and
-		// small; the count's list must never be made.
-		if allocs := testing.AllocsPerRun(50, func() { _ = decodeFrame(body, &m, &in) }); allocs > 1 {
-			t.Errorf("%s: decoding the lie allocates %.0f times, want at most the version list's copy", name, allocs)
+		// The name ahead of the count is real, small and interned; the
+		// count's list must never be made.
+		if allocs := testing.AllocsPerRun(50, func() { _ = decodeFrame(body, &m, &in) }); allocs > 0 {
+			t.Errorf("%s: decoding the lie allocates %.0f times, want none", name, allocs)
 		}
 	}
 }
@@ -310,11 +331,8 @@ func lyingHandshakeFrames() map[string][]byte {
 		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 	}
 	header := func(kind msgKind, name string) []byte {
-		b := []byte{byte(kind)}
-		b = binary.AppendUvarint(b, 1)            // Seq
-		b = binary.AppendUvarint(b, 0)            // TraceSeq
-		b = field(b, "")                          // TraceNode
-		b = field(b, string([]byte{wireVersion})) // Codecs
+		b := []byte{byte(kind), wireVersion}
+		b = binary.AppendUvarint(b, 0) // TraceSeq
 		return field(b, name)
 	}
 	const lie = 1 << 39
@@ -358,7 +376,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(append(binary.AppendUvarint(nil, uint64(len(body))), body...))
 	}
 	// And a result ack whose key count lies the same way.
-	lyingAck := binary.AppendUvarint([]byte{byte(kindResultAck), 1, 0, 0}, 1<<39)
+	lyingAck := binary.AppendUvarint([]byte{byte(kindResultAck), 0}, 1<<39)
 	f.Add(append(binary.AppendUvarint(nil, uint64(len(lyingAck))), lyingAck...))
 	// Hand-built hostile seeds: empty input, a lying oversized length
 	// prefix, a truncated body, an unknown kind.

@@ -286,7 +286,7 @@ func TestSeveredFinalChunkIsRedelivered(t *testing.T) {
 	root := startNode(t, "root",
 		WithListen("127.0.0.1:0"), WithBuffers(3),
 		WithCompute(echoCompute(40*time.Millisecond)),
-		WithChunkSize(1<<16), // every task is one chunk: the sever eats a Last chunk
+		WithChunkSize(1<<16), // every task is one chunk: the sever eats a final chunk
 		WithReconnectGrace(10*time.Second),
 	)
 	w := startNode(t, "w",

@@ -245,7 +245,7 @@ func newStepRig(root bool) *stepRig {
 	}
 	cfg.protocol.InitialBuffers = 2
 	r := &stepRig{n: newNode(cfg), status: &statusServer{}, slot: make(chan reply, 1)}
-	link := func(peer string) *conn { return &conn{peer: peer, wireSeq: &r.n.wireSeq} }
+	link := func(peer string) *conn { return &conn{peer: peer} }
 	r.up, r.up2, r.kid, r.kid2 = link("parent"), link("parent"), link("k"), link("k")
 	return r
 }
@@ -328,7 +328,7 @@ func TestOwnerStepReplays(t *testing.T) {
 	t0 := time.Date(2003, 4, 22, 0, 0, 0, 0, time.UTC)
 	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
 	chunk := func(id uint64, payload string) input {
-		return input{kind: inUplink, m: message{Kind: kindChunk, Task: id, Size: len(payload), Last: true, TraceNode: "parent", TraceSeq: id},
+		return input{kind: inUplink, m: message{Kind: kindChunk, Task: id, Size: len(payload), TraceSeq: id},
 			segment: true, t: &inTransfer{id: id, payload: []byte(payload), size: len(payload)}}
 	}
 	wrote := func(r *stepRig) input { // the port or the writer wrote all it held
@@ -341,7 +341,7 @@ func TestOwnerStepReplays(t *testing.T) {
 		return input{}
 	}
 	script := []scriptStep{
-		{0, func(r *stepRig) input { return input{kind: inHello, m: message{Kind: kindHello, Name: "mid", Seq: 1}} }},
+		{0, func(r *stepRig) input { return input{kind: inHello, m: message{Kind: kindHello, Name: "mid"}} }},
 		{1, func(r *stepRig) input {
 			return input{kind: inInstalled, c: r.up, m: message{Kind: kindHelloAck, Name: "parent", TraceSeq: 1}}
 		}},
@@ -384,7 +384,7 @@ func TestOwnerStepReplays(t *testing.T) {
 		{81, func(r *stepRig) input { return input{kind: inAdmitted, s: r.sess, c: r.kid2, err: errFaultSevered} }},
 		{200, func(r *stepRig) input { return input{kind: inTimer} }}, // the grace has run out: k is reclaimed
 		{201, func(r *stepRig) input { return input{kind: inUplinkLost, c: r.up} }},
-		{202, func(r *stepRig) input { return input{kind: inHello, m: message{Kind: kindHello, Name: "mid", Seq: 9}} }},
+		{202, func(r *stepRig) input { return input{kind: inHello, m: message{Kind: kindHello, Name: "mid"}} }},
 		{203, func(r *stepRig) input {
 			return input{kind: inInstalled, c: r.up2, m: message{Kind: kindHelloAck, Name: "parent", Revived: true}, attempt: 1}
 		}},

@@ -16,9 +16,8 @@ import (
 // make the key list by design, so they are not zero-alloc paths.
 func TestHotPathAllocsPinned(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 512)
-	chunk := message{Kind: kindChunk, Seq: 9, Task: 41, Size: 2048, Offset: 512,
-		Last: false, Data: payload, TraceNode: "parent", TraceSeq: 3}
-	req := message{Kind: kindRequest, Seq: 10, N: 3, TraceNode: "child", TraceSeq: 4}
+	chunk := message{Kind: kindChunk, Task: 41, Size: 2048, Offset: 512, Data: payload, TraceSeq: 3}
+	req := message{Kind: kindRequest, N: 3, TraceSeq: 4}
 
 	var (
 		wbuf []byte
@@ -67,7 +66,7 @@ func TestHotPathAllocsPinnedOwner(t *testing.T) {
 	cfg := defaults("leaf")
 	cfg.parent = "parent:1"
 	n := newNode(cfg)
-	up := &conn{peer: "parent", wireSeq: &n.wireSeq}
+	up := &conn{peer: "parent"}
 	now := time.Date(2003, 4, 22, 0, 0, 0, 0, time.UTC)
 	wake := func(in input) {
 		n.step(now, &in)
@@ -94,7 +93,7 @@ func TestHotPathAllocsPinnedOwner(t *testing.T) {
 	cycle := func() {
 		id++
 		tr.id, ack.Acks[0].Task = id, id
-		wake(input{kind: inUplink, c: up, m: message{Kind: kindChunk, Task: id, Size: len(payload), Last: true}, t: tr})
+		wake(input{kind: inUplink, c: up, m: message{Kind: kindChunk, Task: id, Size: len(payload)}, t: tr})
 		pull() // the request the compute start freed
 		wake(input{kind: inComputed, task: Task{ID: id, Payload: payload}, out: payload, took: time.Millisecond})
 		pull() // the result

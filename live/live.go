@@ -148,11 +148,9 @@ type Node struct {
 	root     bool
 	listener net.Listener
 
-	// rec is the flight recorder; nil when disabled. wireSeq numbers
-	// every frame the node sends, across all conns and reconnects.
-	// wireCtr meters data-plane volume across all conns.
+	// rec is the flight recorder; nil when disabled. wireCtr meters
+	// data-plane volume across all conns.
 	rec     *flightRecorder
-	wireSeq atomic.Uint64
 	wireCtr wireCounters
 
 	// started anchors uptime and timeline timestamps; sampler is the
@@ -735,7 +733,7 @@ func (n *Node) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := newConn(raw, "", n.cfg.faults, n.cfg.writeTimeout, &n.wireSeq, &n.wireCtr)
+		c := newConn(raw, "", n.cfg.faults, n.cfg.writeTimeout, &n.wireCtr)
 		hello, err := c.recvTimeout(n.cfg.handshakeTimeout)
 		if err != nil || hello.Kind != kindHello {
 			n.record(Event{Kind: EvSever, Peer: raw.RemoteAddr().String()})
@@ -787,10 +785,9 @@ func (n *Node) connectParent(inflight map[uint64]*inTransfer, attempt int) (*con
 	if err != nil {
 		return nil, fmt.Errorf("live: dial parent: %w", err)
 	}
-	c := newConn(raw, "parent", n.cfg.faults, n.cfg.writeTimeout, &n.wireSeq, &n.wireCtr)
+	c := newConn(raw, "parent", n.cfg.faults, n.cfg.writeTimeout, &n.wireCtr)
 
-	hello := message{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: n.cfg.name,
-		Resume: make([]resumePoint, 0, len(inflight)), Seq: c.nextSeq(), TraceNode: n.cfg.name}
+	hello := message{Kind: kindHello, Name: n.cfg.name, Resume: make([]resumePoint, 0, len(inflight))}
 	for _, id := range slices.Sorted(maps.Keys(inflight)) {
 		hello.Resume = append(hello.Resume, resumePoint{Task: id, Offset: len(inflight[id].payload)})
 	}
@@ -874,15 +871,16 @@ func (n *Node) readParent(c *conn, inflight map[uint64]*inTransfer) (shutdown bo
 		switch m.Kind {
 		case kindChunk:
 			t := inflight[m.Task]
-			if t == nil {
+			fresh := t == nil
+			if fresh {
 				t = &inTransfer{id: m.Task}
 				inflight[m.Task] = t
 			}
 			// The first chunk of a new transfer segment (fresh dispatch or a
 			// resume after preemption/reconnect on the parent side) is
 			// recorded; a complete task leaves inflight for the owner.
-			in := input{kind: inUplink, c: c, m: *m, segment: m.TraceSeq != t.segment || m.TraceNode != t.segmentFrom}
-			t.segment, t.segmentFrom = m.TraceSeq, m.TraceNode
+			in := input{kind: inUplink, c: c, m: *m, segment: fresh || m.TraceSeq != t.segment}
+			t.segment = m.TraceSeq
 			complete, err := t.feed(m)
 			if err != nil {
 				n.fail(err)

@@ -187,7 +187,7 @@ func TestMixedBatchCutExhaustive(t *testing.T) {
 					lost := func() int {
 						onWire := int64(0)
 						for _, e := range eventsOf(root, EvRequestServed) {
-							if e.WireSeq != 0 { // a revive registers the hello's count with no request frame
+							if e.CauseSeq != 0 { // a revive registers the hello's count with no request frame
 								onWire += e.Value
 							}
 						}

@@ -132,10 +132,10 @@ func (n *Node) step(now time.Time, in *input) {
 		h := in.m
 		h.Holding, h.N = n.holding(), n.unanswered(len(h.Resume))
 		n.up.told = true // a batch still on the writer is, from here on, reported as sent
-		h.TraceSeq = n.record(Event{Kind: EvHello, Peer: "parent", WireSeq: h.Seq})
+		h.TraceSeq = n.record(Event{Kind: EvHello, Peer: "parent"})
 		n.emit(effect{kind: effReply, to: in.reply, r: reply{msg: &h}})
 	case inInstalled: // c is the uplink: each of the n partial transfers its hello-ack dropped owes a request
-		ev := Event{Kind: EvHelloAck, Peer: in.c.label(), WireSeq: in.m.Seq, CausePeer: in.m.TraceNode, CauseSeq: in.m.TraceSeq}
+		ev := Event{Kind: EvHelloAck, Peer: in.c.label(), CauseSeq: in.m.TraceSeq}
 		if in.m.Revived {
 			ev.Value = 1
 		}
@@ -216,9 +216,8 @@ func (n *Node) admitChild(c *conn, hello *message) (*childSession, *message) {
 	if n.stopped {
 		return nil, nil
 	}
-	helloSeq := n.record(Event{Kind: EvHello, Peer: hello.Name, WireSeq: hello.Seq,
-		CausePeer: hello.TraceNode, CauseSeq: hello.TraceSeq})
-	ack := &message{Kind: kindHelloAck, Name: n.cfg.name, Codecs: []uint8{wireVersion}, TraceNode: n.cfg.name, TraceSeq: helloSeq}
+	helloSeq := n.record(Event{Kind: EvHello, Peer: hello.Name, CauseSeq: hello.TraceSeq})
+	ack := &message{Kind: kindHelloAck, Name: n.cfg.name, TraceSeq: helloSeq}
 	var sess *childSession
 	if i := slices.IndexFunc(n.children, func(s *childSession) bool { return s.name == hello.Name && s.gone && !s.left }); i >= 0 {
 		sess = n.children[i]
@@ -298,8 +297,7 @@ func (n *Node) childFrame(s *childSession, c *conn, m *message) {
 			// Recorded in the owner step that bumps pending, so per-node
 			// event order matches the order the send port observes
 			// serviceability.
-			n.record(Event{Kind: EvRequestServed, Peer: s.name, Value: int64(m.N),
-				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+			n.record(Event{Kind: EvRequestServed, Peer: s.name, Value: int64(m.N), CauseSeq: m.TraceSeq})
 		}
 	case kindResult:
 		// A result is expected exactly while its task is outstanding;
@@ -309,7 +307,7 @@ func (n *Node) childFrame(s *childSession, c *conn, m *message) {
 		// the send port's next turn, one frame for all owed on c.
 		r := Result{ID: m.Task, Output: m.Output, Origin: m.Origin}
 		recvSeq := n.record(Event{Kind: EvResultRecv, Task: m.Task, Origin: m.Origin,
-			Peer: s.name, WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+			Peer: s.name, CauseSeq: m.TraceSeq})
 		if _, expected := s.outstanding[m.Task]; expected {
 			delete(s.outstanding, m.Task)
 			n.owe(r)
@@ -325,8 +323,7 @@ func (n *Node) childFrame(s *childSession, c *conn, m *message) {
 		if s.c == c {
 			s.gone, s.left = true, true
 			n.reach(s)
-			n.record(Event{Kind: EvGoodbye, Peer: s.name, WireSeq: m.Seq,
-				CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+			n.record(Event{Kind: EvGoodbye, Peer: s.name, CauseSeq: m.TraceSeq})
 		}
 	default:
 		// kindHello arrives only through the accept handshake, and
@@ -498,12 +495,11 @@ func (n *Node) parentFrame(in *input) {
 	switch m.Kind {
 	case kindChunk:
 		if in.segment {
-			n.record(Event{Kind: EvChunkRecv, Task: m.Task, Peer: peer, Off: m.Offset,
-				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+			n.record(Event{Kind: EvChunkRecv, Task: m.Task, Peer: peer, Off: m.Offset, CauseSeq: m.TraceSeq})
 		}
 		if t := in.t; t != nil {
 			n.record(Event{Kind: EvTaskReceived, Task: t.id, Peer: peer,
-				Off: len(t.payload), CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+				Off: len(t.payload), CauseSeq: m.TraceSeq})
 			n.buffer.push(Task{ID: t.id, Payload: t.payload})
 			n.core.Arrived()
 			n.stats.Received++
@@ -511,11 +507,10 @@ func (n *Node) parentFrame(in *input) {
 	case kindResultAck:
 		for _, k := range m.Acks {
 			n.retireResult(k.Task, k.Origin)
-			n.record(Event{Kind: EvResultAck, Task: k.Task, Origin: k.Origin, Peer: peer,
-				WireSeq: m.Seq, CausePeer: m.TraceNode, CauseSeq: m.TraceSeq})
+			n.record(Event{Kind: EvResultAck, Task: k.Task, Origin: k.Origin, Peer: peer, CauseSeq: m.TraceSeq})
 		}
 	case kindShutdown:
-		n.record(Event{Kind: EvShutdown, Peer: peer, WireSeq: m.Seq})
+		n.record(Event{Kind: EvShutdown, Peer: peer})
 	}
 }
 
@@ -627,10 +622,8 @@ func (n *Node) nextUplink(now time.Time) *upJob {
 	j.reqN, n.reqDeficit = n.reqDeficit, 0
 	j.msgs = j.msgs[:0]
 	if j.reqN > 0 {
-		wire := c.nextSeq()
-		reqSeq := n.record(Event{Kind: EvRequestSent, Peer: c.label(), Value: int64(j.reqN), WireSeq: wire})
-		j.msgs = append(j.msgs, message{Kind: kindRequest, N: j.reqN,
-			Seq: wire, TraceNode: n.cfg.name, TraceSeq: reqSeq})
+		reqSeq := n.record(Event{Kind: EvRequestSent, Peer: c.label(), Value: int64(j.reqN)})
+		j.msgs = append(j.msgs, message{Kind: kindRequest, N: j.reqN, TraceSeq: reqSeq})
 	}
 	j.firstResult = len(j.msgs)
 	for _, e := range batch {
@@ -638,11 +631,9 @@ func (n *Node) nextUplink(now time.Time) *upJob {
 		if e.sentOn != nil {
 			kind = EvResultReplay
 		}
-		wire := c.nextSeq()
-		sendSeq := n.record(Event{Kind: kind, Task: e.res.ID, Origin: e.res.Origin,
-			Peer: c.label(), WireSeq: wire})
+		sendSeq := n.record(Event{Kind: kind, Task: e.res.ID, Origin: e.res.Origin, Peer: c.label()})
 		j.msgs = append(j.msgs, message{Kind: kindResult, Task: e.res.ID, Output: e.res.Output, Origin: e.res.Origin,
-			Seq: wire, TraceNode: n.cfg.name, TraceSeq: sendSeq})
+			TraceSeq: sendSeq})
 	}
 	return j
 }

@@ -44,8 +44,7 @@ func (n *Node) portTurn() {
 		w := &turn[len(turn)-1]
 		*w = portWrite{s: s, c: s.c, msgs: w.msgs[:0], keys: append(w.keys[:0], s.acks...)}
 		if len(w.keys) > 0 {
-			w.msgs = append(w.msgs, message{Kind: kindResultAck, Acks: w.keys,
-				TraceNode: n.cfg.name, TraceSeq: s.ackSeq})
+			w.msgs = append(w.msgs, message{Kind: kindResultAck, Acks: w.keys, TraceSeq: s.ackSeq})
 			s.acks = s.acks[:0]
 		}
 		if s == target {
@@ -218,18 +217,16 @@ func (n *Node) startTurn(s *childSession, w *portWrite) *outTransfer {
 			s.active = nil
 			n.freed(protocol.Take{Grew: n.core.SendDone()}) // G2
 		}
-		// An empty payload still takes exactly one (empty, Last) chunk.
+		// An empty payload still takes exactly one (empty) chunk.
 		for end := tr.offset; ; {
 			chunkEnd := min(end+n.cfg.chunkSize, len(payload))
 			w.msgs = append(w.msgs, message{
-				Kind:      kindChunk,
-				Task:      task.ID,
-				Size:      len(payload),
-				Offset:    end,
-				Data:      payload[end:chunkEnd],
-				Last:      chunkEnd == len(payload),
-				TraceNode: n.cfg.name,
-				TraceSeq:  tr.traceSeq,
+				Kind:     kindChunk,
+				Task:     task.ID,
+				Size:     len(payload),
+				Offset:   end,
+				Data:     payload[end:chunkEnd],
+				TraceSeq: tr.traceSeq,
 			})
 			budget--
 			if end = chunkEnd; end == len(payload) || budget == 0 {

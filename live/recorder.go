@@ -13,10 +13,10 @@ package live
 // goroutine in the step that makes the state change it describes, so the
 // per-node event order is the owner's decision order — cmd/bwtrace relies
 // on this to re-verify scheduling decisions from merged dumps. Cross-node
-// causality is carried on the wire: chunk and result frames are stamped
-// with the sender's name and the sequence number of the recorder event
-// that caused them (the frame header, see codec.go), so a receive event on
-// one node names the send event on its peer.
+// causality is carried on the wire: every frame is stamped with the
+// sequence number of the recorder event on the sender that caused it (the
+// frame header, see codec.go), and the link names the sender, so a receive
+// event on one node names the send event on its peer (Peer and CauseSeq).
 
 import (
 	"slices"
@@ -45,10 +45,10 @@ const (
 	// number of tasks requested.
 	EvRequestSent
 	// EvRequestServed is a child's task request registered by its parent;
-	// Value is the number of tasks requested. One with no wire context is
-	// what a hello's count of unanswered requests added to the session's:
-	// requests the dead link swallowed, or consumed by transfers that
-	// returned to the pool undelivered.
+	// Value is the number of tasks requested. One with no CauseSeq (from
+	// a child whose recorder is on) is what a hello's count of unanswered
+	// requests added to the session's: requests the dead link swallowed,
+	// or consumed by transfers that returned to the pool undelivered.
 	EvRequestServed
 	// EvChunkSend is the dispatch of a fresh transfer to a child — the
 	// bandwidth-centric scheduling decision. Value is the chosen child's
@@ -197,14 +197,10 @@ type Event struct {
 	Origin string `json:"origin,omitempty"`
 	// Peer names the remote end of the link the event concerns.
 	Peer string `json:"peer,omitempty"`
-	// WireSeq is the node-unique sequence number of the wire frame the
-	// event corresponds to, when it corresponds to one.
-	WireSeq uint64 `json:"wireSeq,omitempty"`
-	// CausePeer and CauseSeq name the causal event on the peer node for
-	// events triggered by a received frame: CauseSeq is the Seq of the
-	// sender-side event carried in the frame's trace context.
-	CausePeer string `json:"causePeer,omitempty"`
-	CauseSeq  uint64 `json:"causeSeq,omitempty"`
+	// CauseSeq names the causal event on Peer for events triggered by a
+	// received frame: the Seq of the sender-side event carried in the
+	// frame's trace context.
+	CauseSeq uint64 `json:"causeSeq,omitempty"`
 	// Off is a byte offset for transfer events.
 	Off int `json:"off,omitempty"`
 	// Value carries kind-specific data; see the kind constants.

@@ -201,7 +201,7 @@ func TestRecorderJourneyEvents(t *testing.T) {
 	// Causality: the root's result-recv events must name real w1 events of
 	// the result-send/replay kinds.
 	for _, e := range rootKinds[EvResultRecv] {
-		if e.CausePeer != "w1" || e.CauseSeq == 0 {
+		if e.Peer != "w1" || e.CauseSeq == 0 {
 			t.Errorf("result-recv without wire causality: %+v", e)
 			continue
 		}
@@ -220,12 +220,12 @@ func TestRecorderJourneyEvents(t *testing.T) {
 	// And the worker's chunk-recv events must name the root's dispatches,
 	// its task-received events the root's hand-off of the same task.
 	for _, e := range w1Kinds[EvChunkRecv] {
-		if e.CausePeer != "root" || e.CauseSeq == 0 {
+		if e.Peer != "root" || e.CauseSeq == 0 {
 			t.Errorf("chunk-recv without wire causality: %+v", e)
 		}
 	}
 	for _, e := range w1Kinds[EvTaskReceived] {
-		if cause := rootSeqs[e.CauseSeq]; e.CausePeer != "root" || cause.Kind != EvHandoff || cause.Task != e.Task {
+		if cause := rootSeqs[e.CauseSeq]; e.Peer != "root" || cause.Kind != EvHandoff || cause.Task != e.Task {
 			t.Errorf("task-received of task %d caused by root %v of task %d, want its hand-off", e.Task, cause.Kind, cause.Task)
 		}
 	}

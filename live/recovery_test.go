@@ -57,7 +57,7 @@ func fakeParent(t *testing.T) string {
 		}
 		p := newScriptedPeer(c)
 		if hello, err := p.read(); err == nil && hello.Kind == kindHello {
-			_ = p.write(&message{Kind: kindHelloAck, Codecs: []uint8{wireVersion}})
+			_ = p.write(&message{Kind: kindHelloAck})
 		}
 		time.Sleep(50 * time.Millisecond) // let the child finish its handshake
 		_ = c.Close()

@@ -59,7 +59,7 @@ func (p *scriptedPeer) read() (*message, error) {
 // hello plays the child's side of the handshake: m goes out as a hello
 // offering this build's wire version, and the parent's ack comes back.
 func (p *scriptedPeer) hello(m message) (*message, error) {
-	m.Kind, m.Codecs = kindHello, []uint8{wireVersion}
+	m.Kind = kindHello
 	if err := p.write(&m); err != nil {
 		return nil, fmt.Errorf("hello: %w", err)
 	}
@@ -91,7 +91,7 @@ func (p *scriptedPeer) takeTask() (id uint64, payload []byte, err error) {
 			payload = make([]byte, m.Size)
 		}
 		copy(payload[m.Offset:], m.Data)
-		if m.Last {
+		if m.Offset+len(m.Data) == m.Size {
 			return m.Task, payload, nil
 		}
 	}

@@ -15,7 +15,7 @@ type msgKind uint8
 
 const (
 	// kindHello introduces a child to its parent (child → parent) and is
-	// the first frame on every connection. It lists the wire versions the
+	// the first frame on every connection. It names the wire version the
 	// child speaks and carries the child's own account of the link: the
 	// requests it has sent that no task has answered and, on a reconnect,
 	// Resume points for partially received transfers.
@@ -35,8 +35,8 @@ const (
 	// kindHeartbeat is a liveness probe sent on an otherwise idle link in
 	// both directions; any inbound frame counts as proof of life.
 	kindHeartbeat
-	// kindHelloAck answers a hello (parent → child): the wire version the
-	// parent picked, whether it revived the child's previous session and
+	// kindHelloAck answers a hello (parent → child): the parent's wire
+	// version, whether it revived the child's previous session and
 	// which partial transfers it agreed to resume. (Kind 7, wire v1's chunk
 	// ack, is retired; its number is not reused.)
 	kindHelloAck msgKind = iota + 2
@@ -70,16 +70,12 @@ type resumePoint struct {
 }
 
 // message is the single wire envelope; codec.go gives each kind's
-// encoding.
+// encoding. It carries only what the receiver cannot know: not the sender
+// (the link names it), not the wire version (the codec writes and checks
+// it on the handshake kinds), not whether a chunk is a transfer's last
+// (Offset+len(Data) == Size says so).
 type message struct {
 	Kind msgKind
-
-	// Hello and HelloAck. Codecs is the wire-version list: a hello offers
-	// every version the child speaks, the hello-ack echoes the parent's
-	// pick. It is encoded ahead of every other field and checked first, so
-	// a peer on a different layout is refused by version (errWireVersion),
-	// never misparsed.
-	Codecs []uint8
 
 	// Hello.
 	Name   string
@@ -102,26 +98,22 @@ type message struct {
 	// died.
 	N int
 
-	// Chunk (and Result's Task). Last marks a transfer's final chunk.
+	// Chunk (and Result's Task).
 	Task   uint64
 	Size   int // total payload size, set on every chunk
 	Offset int
 	Data   []byte
-	Last   bool
 
 	// Result; a ResultAck lists the ledger keys it retires.
 	Output []byte
 	Origin string // name of the node that computed the task
 	Acks   []resultKey
 
-	// Trace context. Seq is a node-unique wire sequence number stamped on
-	// every frame the node sends. TraceNode and TraceSeq name the
-	// flight-recorder event on the sending node that caused this frame, so
-	// a receive event on one node links to the causal send event on its
-	// peer (CausePeer/CauseSeq in the recorder's Event).
-	Seq       uint64
-	TraceNode string
-	TraceSeq  uint64
+	// Trace context: TraceSeq is the Seq of the flight-recorder event on
+	// the sending node that caused this frame, so a receive event on one
+	// node names the causal send event on its peer (the recorder Event's
+	// Peer and CauseSeq).
+	TraceSeq uint64
 }
 
 // conn wraps a network connection with the frame codec and a write lock
@@ -150,10 +142,6 @@ type conn struct {
 	peerName string
 	faults   *FaultPlan
 	writeTO  time.Duration
-	// wireSeq stamps outbound frames with a node-unique sequence number;
-	// it points at the owning node's counter so numbering survives
-	// reconnects (one conn is replaced, the numbering is not).
-	wireSeq *atomic.Uint64
 	// ctr aggregates frame/byte counters into the owning node's stats;
 	// never nil for conns built by newConn.
 	ctr      *wireCounters
@@ -191,7 +179,7 @@ func (cw *counting) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func newConn(raw net.Conn, peer string, faults *FaultPlan, writeTO time.Duration, wireSeq *atomic.Uint64, ctr *wireCounters) *conn {
+func newConn(raw net.Conn, peer string, faults *FaultPlan, writeTO time.Duration, ctr *wireCounters) *conn {
 	if ctr == nil {
 		ctr = &wireCounters{}
 	}
@@ -203,7 +191,6 @@ func newConn(raw net.Conn, peer string, faults *FaultPlan, writeTO time.Duration
 		peer:    peer,
 		faults:  faults,
 		writeTO: writeTO,
-		wireSeq: wireSeq,
 		ctr:     ctr,
 		stop:    make(chan struct{}),
 	}
@@ -217,12 +204,6 @@ func (c *conn) label() string {
 		return c.peerName
 	}
 	return c.peer
-}
-
-// nextSeq pre-assigns a wire sequence number so a caller can record the
-// frame's flight-recorder event before handing it to send.
-func (c *conn) nextSeq() uint64 {
-	return c.wireSeq.Add(1)
 }
 
 // errFaultSevered reports a connection cut by the fault-injection plan; it
@@ -251,15 +232,11 @@ func (c *conn) farewell(m *message) {
 	_ = c.close()
 }
 
-// stage stamps an outbound frame with its wire sequence number and
-// consults the fault plan for it — the one place a send-side fault is
-// decided. keep is false for a frame scripted as dropped (silently lost in
-// the "network"); errFaultSevered means the plan cuts the link at this
-// frame, and the caller closes the conn.
+// stage consults the fault plan for an outbound frame — the one place a
+// send-side fault is decided. keep is false for a frame scripted as
+// dropped (silently lost in the "network"); errFaultSevered means the plan
+// cuts the link at this frame, and the caller closes the conn.
 func (c *conn) stage(m *message) (keep bool, err error) {
-	if m.Seq == 0 {
-		m.Seq = c.wireSeq.Add(1)
-	}
 	if c.faults == nil {
 		return true, nil
 	}
@@ -396,33 +373,30 @@ type inTransfer struct {
 	id      uint64
 	payload []byte
 	size    int
-	// segment/segmentFrom track the trace context of the last chunk, so
-	// the flight recorder logs one receive event per transfer segment
-	// (the first chunk after each dispatch or resume on the sender).
-	segment     uint64
-	segmentFrom string
+	// segment is the trace context of the last chunk, so the flight
+	// recorder logs one receive event per transfer segment (the first
+	// chunk after each dispatch or resume on the sender).
+	segment uint64
 }
 
-// feed applies one chunk and reports whether the task is complete. A
-// chunk must start where the assembled prefix ends and stay within the
-// declared size.
+// feed applies one chunk and reports whether the task is complete: the
+// assembled prefix has reached the declared size. A chunk must declare
+// the transfer's size, start where the assembled prefix ends and stay
+// within the size.
 func (t *inTransfer) feed(m *message) (bool, error) {
 	if t.payload == nil {
 		t.size = m.Size
 		t.payload = make([]byte, 0, min(m.Size, frameReadStep))
 	}
 	got := len(t.payload)
-	if m.Offset != got || got+len(m.Data) > t.size {
-		return false, fmt.Errorf("live: chunk %d+%d does not extend task %d's %d of %d bytes", m.Offset, len(m.Data), m.Task, got, t.size)
+	if m.Size != t.size || m.Offset != got || got+len(m.Data) > t.size {
+		return false, fmt.Errorf("live: chunk %d+%d of %d does not extend task %d's %d of %d bytes", m.Offset, len(m.Data), m.Size, m.Task, got, t.size)
 	}
 	if got+len(m.Data) > cap(t.payload) { // double, but never past the declared size
 		t.payload = append(make([]byte, 0, min(t.size, 2*cap(t.payload)+len(m.Data))), t.payload...)
 	}
 	t.payload = append(t.payload, m.Data...)
-	if m.Last && len(t.payload) != t.size {
-		return false, fmt.Errorf("live: task %d incomplete: %d of %d bytes", m.Task, len(t.payload), t.size)
-	}
-	return m.Last, nil
+	return len(t.payload) == t.size, nil
 }
 
 // ewma tracks an exponentially weighted moving average of duration

@@ -39,11 +39,11 @@ func TestResultAckRoundTrip(t *testing.T) {
 	var in interner
 	for i, want := range []*message{
 		{Kind: kindResultAck, Acks: []resultKey{{Task: 42, Origin: "leaf-7"}, {Task: 7, Origin: "mid"}, {Task: 43, Origin: "leaf-7"}}},
-		{Kind: kindHello, Codecs: []uint8{wireVersion}, Name: "mid", N: 2, Holding: []uint64{3, 9, 12},
+		{Kind: kindHello, Name: "mid", N: 2, Holding: []uint64{3, 9, 12},
 			Resume: []resumePoint{{Task: 5, Offset: 1024}}},
 		{Kind: kindResult, Task: 42, Output: []byte{1, 2, 3}, Origin: "leaf-7"},
 	} {
-		want.Seq = uint64(i + 1) // appendFrame encodes it; a conn would have stamped it
+		want.TraceSeq = uint64(i + 1)
 		if got := binaryRoundTrip(t, want, &in); !reflect.DeepEqual(got, want) {
 			t.Errorf("frame %d round-tripped to %+v, want %+v", i, got, *want)
 		}
@@ -56,7 +56,7 @@ func TestInTransferAssembly(t *testing.T) {
 	chunks := []*message{
 		{Task: 1, Size: 10, Offset: 0, Data: []byte{0, 1, 2, 3}},
 		{Task: 1, Size: 10, Offset: 4, Data: []byte{4, 5, 6, 7}},
-		{Task: 1, Size: 10, Offset: 8, Data: []byte{8, 9}, Last: true},
+		{Task: 1, Size: 10, Offset: 8, Data: []byte{8, 9}},
 	}
 	for i, m := range chunks {
 		done, err := tr.feed(m)
@@ -79,9 +79,14 @@ func TestInTransferRejectsOverflowAndShort(t *testing.T) {
 	if _, err := tr.feed(&message{Task: 2, Size: 4, Offset: 2, Data: []byte{1, 2, 3}}); err == nil {
 		t.Fatalf("overflowing chunk accepted")
 	}
+	// A chunk whose size disagrees with its transfer's: the size alone
+	// says when the transfer is complete.
 	tr2 := &inTransfer{id: 3}
-	if _, err := tr2.feed(&message{Task: 3, Size: 8, Offset: 0, Data: []byte{1, 2}, Last: true}); err == nil {
-		t.Fatalf("short final chunk accepted")
+	if _, err := tr2.feed(&message{Task: 3, Size: 8, Offset: 0, Data: []byte{1, 2}}); err != nil {
+		t.Fatalf("first chunk: %v", err)
+	}
+	if done, err := tr2.feed(&message{Task: 3, Size: 4, Offset: 2, Data: []byte{3, 4}}); err == nil {
+		t.Fatalf("chunk declaring size 4 of an 8-byte transfer accepted (done %v)", done)
 	}
 	// A chunk that leaves a gap after the assembled prefix: only a
 	// dropped chunk can make one, and the bytes it skipped never arrive.
@@ -129,28 +134,44 @@ func TestEwma(t *testing.T) {
 
 // FuzzInTransferFeed hardens chunk assembly against malformed wire input:
 // feed must never panic or write out of bounds, whatever offsets and sizes
-// arrive, and must hold no more than the bytes fed plus one read step.
+// arrive, and must hold no more than the bytes fed plus one read step. It
+// reports a transfer done exactly when the declared size is assembled, and
+// a second chunk whose size disagrees with the first's is refused.
 func FuzzInTransferFeed(f *testing.F) {
-	f.Add(10, 0, 4, false)
-	f.Add(10, 8, 2, true)
-	f.Add(0, 0, 0, true)
-	f.Add(4, 2, 3, false)
-	f.Add(1<<20, 1<<19, 4096, false)
-	f.Fuzz(func(t *testing.T, size, offset, dataLen int, last bool) {
-		if size < 0 || size > maxFieldValue || offset < 0 || dataLen < 0 || dataLen > 1<<16 {
+	f.Add(10, 0, 4, 10, 6)
+	f.Add(10, 8, 2, 10, 2)
+	f.Add(0, 0, 0, 0, 0)
+	f.Add(4, 2, 3, 4, 1)
+	f.Add(8, 0, 2, 4, 2)
+	f.Add(1<<20, 1<<19, 4096, 1<<20, 4096)
+	f.Fuzz(func(t *testing.T, size, offset, dataLen, size2, dataLen2 int) {
+		bad := func(size, dataLen int) bool {
+			return size < 0 || size > maxFieldValue || dataLen < 0 || dataLen > 1<<16
+		}
+		if bad(size, dataLen) || bad(size2, dataLen2) || offset < 0 {
 			t.Skip()
 		}
 		tr := &inTransfer{id: 9}
-		m := &message{Task: 9, Size: size, Offset: offset, Data: make([]byte, dataLen), Last: last}
-		done, err := tr.feed(m)
+		done, err := tr.feed(&message{Task: 9, Size: size, Offset: offset, Data: make([]byte, dataLen)})
 		if cap(tr.payload) > dataLen+frameReadStep {
 			t.Fatalf("holds %d bytes after a %d-byte chunk declaring %d", cap(tr.payload), dataLen, size)
 		}
 		if err != nil {
 			return // rejected malformed input: fine
 		}
-		if done && len(tr.payload) != size {
-			t.Fatalf("reported done with %d of %d bytes", len(tr.payload), size)
+		if done != (len(tr.payload) == size) {
+			t.Fatalf("done %v with %d of %d bytes", done, len(tr.payload), size)
+		}
+		if done {
+			return
+		}
+		got := len(tr.payload)
+		done, err = tr.feed(&message{Task: 9, Size: size2, Offset: got, Data: make([]byte, dataLen2)})
+		if size2 != size && err == nil {
+			t.Fatalf("a chunk declaring %d bytes extended a %d-byte transfer", size2, size)
+		}
+		if err == nil && done != (len(tr.payload) == size) {
+			t.Fatalf("done %v with %d of %d bytes", done, len(tr.payload), size)
 		}
 	})
 }

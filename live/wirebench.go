@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -84,7 +83,6 @@ func WireBench(codec Codec, links, frames, size, batch int) (WireBenchResult, er
 	defer ln.Close()
 
 	var (
-		seq  atomic.Uint64
 		ctr  wireCounters // senders only: counts exactly the benched direction
 		wg   sync.WaitGroup
 		errs = make(chan error, 2*links)
@@ -100,7 +98,7 @@ func WireBench(codec Codec, links, frames, size, batch int) (WireBenchResult, er
 				errs <- err
 				return
 			}
-			c := newConn(raw, "parent", nil, 0, &seq, nil)
+			c := newConn(raw, "parent", nil, 0, nil)
 			recv := func() error { _, err := c.recv(); return err }
 			if codec == CodecGob {
 				dec := gob.NewDecoder(c.br)
@@ -132,7 +130,7 @@ func WireBench(codec Codec, links, frames, size, batch int) (WireBenchResult, er
 			ln.Close()
 			return WireBenchResult{}, err
 		}
-		c := newConn(raw, fmt.Sprintf("w%d", l+1), nil, 0, &seq, &ctr)
+		c := newConn(raw, fmt.Sprintf("w%d", l+1), nil, 0, &ctr)
 		send := func(ms []*message) error { _, err := c.sendBatch(ms); return err }
 		if codec == CodecGob { // one envelope per frame, one frame per write: batch is 1
 			enc := gob.NewEncoder(c.w)
@@ -149,7 +147,7 @@ func WireBench(codec Codec, links, frames, size, batch int) (WireBenchResult, er
 				for i := 0; i < n; i++ {
 					msgs[i] = message{
 						Kind: kindChunk, Task: uint64(sent + i + 1),
-						Size: size, Data: payload, Last: true,
+						Size: size, Data: payload,
 					}
 					group[i] = &msgs[i]
 				}
