@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"bwcs/internal/engine"
-	"bwcs/internal/metrics"
 	"bwcs/internal/protocol"
 	"bwcs/internal/rational"
 	"bwcs/internal/sim"
@@ -41,7 +40,7 @@ type ReconvergeScenario struct {
 	// Rate is the run's completion rate in whole rateWindow-step windows
 	// (rateSeries), a picture of the dip and recovery; no rate is judged
 	// from it.
-	Rate metrics.SeriesSnapshot
+	Rate []float64
 }
 
 // ReconvergeResult measures time-to-re-converge: how long each protocol
@@ -102,20 +101,20 @@ func Reconverge(tasks, mutateAt int64) (*ReconvergeResult, error) {
 }
 
 // rateSeries is the completion rate of a run in whole windows of w
-// timesteps: the point at T = t, for each multiple t of w up to makespan,
-// is the count of completions in [t−w, t) divided by w. The partial
-// window after the last whole one is not drawn.
-func rateSeries(completions []sim.Time, w, makespan sim.Time) metrics.SeriesSnapshot {
-	pts := make([]metrics.Point, 0, makespan/w)
+// timesteps: value k, for the window ending at t = (k+1)·w ≤ makespan, is
+// the count of completions in [t−w, t) divided by w. The partial window
+// after the last whole one is not drawn.
+func rateSeries(completions []sim.Time, w, makespan sim.Time) []float64 {
+	rates := make([]float64, 0, makespan/w)
 	i := 0
 	for t := w; t <= makespan; t += w {
 		n := i
 		for i < len(completions) && completions[i] < t {
 			i++
 		}
-		pts = append(pts, metrics.Point{T: int64(t), V: float64(i-n) / float64(w)})
+		rates = append(rates, float64(i-n)/float64(w))
 	}
-	return metrics.SeriesSnapshot{Name: "rate", Resolution: int64(w), Points: pts}
+	return rates
 }
 
 // Render writes the re-convergence report: one rate sparkline per
@@ -126,11 +125,7 @@ func (r *ReconvergeResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Re-convergence after c1: 1→3 at task %d of %d (sampled every %d steps)\n\n",
 		r.MutateAt, r.Tasks, rateWindow)
 	for _, sc := range r.Scenarios {
-		vals := make([]float64, len(sc.Rate.Points))
-		for i, p := range sc.Rate.Points {
-			vals[i] = p.V
-		}
-		fmt.Fprintf(w, "%-20s %s\n", sc.Name, textplot.Spark(vals))
+		fmt.Fprintf(w, "%-20s %s\n", sc.Name, textplot.Spark(sc.Rate))
 	}
 	fmt.Fprintf(w, "\n%-20s %10s %10s  %-19s %8s %12s\n",
 		"protocol", "opt before", "opt after", "tail rate", "t_mutate", "t_reconverge")
@@ -148,19 +143,29 @@ func (r *ReconvergeResult) Render(w io.Writer) error {
 }
 
 // JSON returns the bwcs-timeline/v1 document for this result, suitable
-// for bwexp -json.
+// for bwexp -json: each scenario's Rate is a series of points, the window
+// ending at t for each.
 func (r *ReconvergeResult) JSON() any {
+	type point struct {
+		T int64   `json:"t"`
+		V float64 `json:"v"`
+	}
+	type series struct {
+		Name       string  `json:"name"`
+		Resolution int64   `json:"resolution"`
+		Points     []point `json:"points"`
+	}
 	type row struct {
-		Name             string                 `json:"name"`
-		Protocol         string                 `json:"protocol"`
-		OptimalBefore    float64                `json:"optimalBefore"`
-		OptimalAfter     float64                `json:"optimalAfter"`
-		TailBatch        int                    `json:"tailBatch"`
-		TailPeriod       int64                  `json:"tailPeriod"`
-		MutateTime       int64                  `json:"mutateTime"`
-		Makespan         int64                  `json:"makespan"`
-		TimeToReconverge *int64                 `json:"timeToReconverge,omitempty"`
-		Rate             metrics.SeriesSnapshot `json:"rate"`
+		Name             string  `json:"name"`
+		Protocol         string  `json:"protocol"`
+		OptimalBefore    float64 `json:"optimalBefore"`
+		OptimalAfter     float64 `json:"optimalAfter"`
+		TailBatch        int     `json:"tailBatch"`
+		TailPeriod       int64   `json:"tailPeriod"`
+		MutateTime       int64   `json:"mutateTime"`
+		Makespan         int64   `json:"makespan"`
+		TimeToReconverge *int64  `json:"timeToReconverge,omitempty"`
+		Rate             series  `json:"rate"`
 	}
 	rows := make([]row, 0, len(r.Scenarios))
 	for _, sc := range r.Scenarios {
@@ -173,7 +178,10 @@ func (r *ReconvergeResult) JSON() any {
 			TailPeriod:    int64(sc.Tail.Period),
 			MutateTime:    int64(sc.MutateTime),
 			Makespan:      int64(sc.Makespan),
-			Rate:          sc.Rate,
+			Rate:          series{Name: "rate", Resolution: int64(rateWindow), Points: make([]point, len(sc.Rate))},
+		}
+		for i, v := range sc.Rate {
+			rw.Rate.Points[i] = point{T: int64(rateWindow) * int64(i+1), V: v}
 		}
 		if sc.Tail.Found {
 			t := int64(sc.TimeToReconverge)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"bwcs/internal/engine"
-	"bwcs/internal/metrics"
 	"bwcs/internal/sim"
 	"bwcs/internal/textplot"
 )
@@ -44,7 +43,7 @@ func TestReconverge(t *testing.T) {
 		if sc.OptimalAfter.Cmp(sc.OptimalBefore) >= 0 {
 			t.Errorf("%s: mutation did not lower the optimal rate", sc.Name)
 		}
-		if len(sc.Rate.Points) == 0 {
+		if len(sc.Rate) == 0 {
 			t.Errorf("%s: empty rate series", sc.Name)
 		}
 	}
@@ -102,13 +101,12 @@ func TestRateSeries(t *testing.T) {
 	// 130 and 150 fall in the partial window [128, 150], which adds no
 	// point.
 	got := rateSeries([]sim.Time{10, 64, 100, 130, 150}, 64, 150)
-	want := metrics.SeriesSnapshot{Name: "rate", Resolution: 64, Points: []metrics.Point{{T: 64, V: 1.0 / 64}, {T: 128, V: 2.0 / 64}}}
-	if got.Name != want.Name || got.Resolution != want.Resolution || !slices.Equal(got.Points, want.Points) {
-		t.Fatalf("rateSeries = %+v, want %+v", got, want)
+	if want := []float64{1.0 / 64, 2.0 / 64}; !slices.Equal(got, want) {
+		t.Fatalf("rateSeries = %v, want %v", got, want)
 	}
 
-	// On the re-convergence runs, the points count every completion
-	// before the last point's T, once.
+	// On the re-convergence runs, the windows up to makespan count every
+	// completion before the last one's end, once.
 	s, err := newFigure1Scenario("reconverge", 0, 0, 2000)
 	if err != nil {
 		t.Fatal(err)
@@ -118,15 +116,15 @@ func TestRateSeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts := rateSeries(res.Completions, rateWindow, res.Makespan).Points
-		var sum float64
-		for _, pt := range pts {
-			if pt.T%int64(rateWindow) != 0 || pt.T > int64(res.Makespan) {
-				t.Errorf("%s: point at T = %d (makespan %d)", p.name, pt.T, res.Makespan)
-			}
-			sum += pt.V * float64(rateWindow)
+		rates := rateSeries(res.Completions, rateWindow, res.Makespan)
+		if want := int(res.Makespan / rateWindow); len(rates) != want {
+			t.Errorf("%s: %d windows, want makespan %d / %d = %d", p.name, len(rates), res.Makespan, rateWindow, want)
 		}
-		last := sim.Time(pts[len(pts)-1].T)
+		var sum float64
+		for _, v := range rates {
+			sum += v * float64(rateWindow)
+		}
+		last := rateWindow * sim.Time(len(rates))
 		before, _ := slices.BinarySearch(res.Completions, last)
 		if sum != float64(before) {
 			t.Errorf("%s: Σ V·%d = %v, want the %d completions before T = %d", p.name, rateWindow, sum, before, last)

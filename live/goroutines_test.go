@@ -80,9 +80,8 @@ func TestGoroutinesStartTracked(t *testing.T) {
 // this package, as "Type.field", each with the reason it exists. Node
 // state has none: one goroutine owns it (ownerLoop).
 var mutexAllowlist = map[string]string{
-	"conn.wmu":          "serializes one socket's writes among the goroutines that share it (port or uplink writer, heartbeat, hello-ack, farewell); it guards no other state",
-	"flightRecorder.mu": "the recorder ring is appended by the owner and read by Events, TraceDump and /debug/events from any goroutine",
-	"FaultPlan.mu":      "one plan is consulted by every reader and writer of the node's conns, and by the test that scripted it",
+	"conn.wmu":     "serializes one socket's writes among the goroutines that share it (port or uplink writer, heartbeat, hello-ack, farewell); it guards no other state",
+	"FaultPlan.mu": "one plan is consulted by every reader and writer of the node's conns, and by the test that scripted it",
 }
 
 // TestMutexAllowlist keeps the package's mutexes to the allowlist: a
@@ -180,8 +179,10 @@ var (
 // TestOwnerIsPure keeps the owner a step function: in its step files no
 // import of net, sync, sync/atomic or runtime, no clock reading or waiting
 // function of time, and no go statement, channel send, receive, select or
-// close. The shell, ownerLoop, does all of that. (A range over a channel
-// is a receive this syntactic check cannot see.)
+// close. The shell, ownerLoop, does all of that. The one clock read a step
+// reaches is through record, whose flight recorder stamps each event at
+// its own instant. (A range over a channel is a receive this syntactic
+// check cannot see.)
 func TestOwnerIsPure(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, name := range ownerFiles {
@@ -256,6 +257,9 @@ func (r *stepRig) run(now time.Time, in input) {
 	r.n.step(now, &in)
 	r.n.decide(now)
 	fmt.Fprintf(&r.out, "%v %d:", now.Format("05.000"), in.kind)
+	if in.kind == inSample {
+		fmt.Fprintf(&r.out, " row %+v", r.n.samples.rows[len(r.n.samples.rows)-1])
+	}
 	for _, e := range r.n.fx {
 		fmt.Fprintf(&r.out, " [%s]", renderEffect(&e))
 		if e.kind == effReply && e.r.sess != nil {
@@ -318,10 +322,10 @@ type scriptStep struct {
 // two owners built without goroutines or sockets. The first is a relay
 // with a parent and one child, through a task relayed and one computed,
 // their results, acks and a retransmission, the child's loss, revival and
-// reclaim, the uplink's loss and reconnect, a Run and its abandonment,
-// ServeStatus and Close. The second is a root whose Run, computed there
-// and at one child, collects its results and completes, with a second Run
-// refused meanwhile. Every input kind the owner steps must appear; each
+// reclaim, the uplink's loss and reconnect, a refused handshake, a
+// sampling pass, a Run and its abandonment, ServeStatus and Close. The
+// second is a root whose Run, computed there and at one child, collects
+// its results and completes, with a second Run refused meanwhile. Every input kind the owner steps must appear; each
 // script's two rendered effect lists must be byte-identical; and the
 // one-owner invariant (checkOneOwner) must hold after every input.
 func TestOwnerStepReplays(t *testing.T) {
@@ -389,6 +393,8 @@ func TestOwnerStepReplays(t *testing.T) {
 			return input{kind: inInstalled, c: r.up2, m: message{Kind: kindHelloAck, Name: "parent", Revived: true}, attempt: 1}
 		}},
 		{204, func(r *stepRig) input { wrote(r); return input{kind: inPull} }},
+		{204, func(r *stepRig) input { return input{kind: inRefused, c: &conn{peerName: "10.0.0.9:4711"}} }},
+		{204, func(r *stepRig) input { return input{kind: inSample, bytes: [2]int64{4096, 512}} }},
 		{205, func(r *stepRig) input {
 			return input{kind: inRun, tasks: []Task{{ID: 100, Payload: []byte("mn")}, {ID: 101}}, reply: r.slot}
 		}},
@@ -425,6 +431,7 @@ func TestOwnerStepReplays(t *testing.T) {
 		var renders [2]string
 		for i := range renders {
 			r := newStepRig(sc.root)
+			r.n.started = t0
 			for _, s := range sc.script {
 				in := s.in(r)
 				used[in.kind] = true

@@ -70,7 +70,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bwcs/internal/metrics"
 	"bwcs/internal/protocol"
 )
 
@@ -148,15 +147,10 @@ type Node struct {
 	root     bool
 	listener net.Listener
 
-	// rec is the flight recorder; nil when disabled. wireCtr meters
-	// data-plane volume across all conns.
-	rec     *flightRecorder
+	// wireCtr meters data-plane volume across all conns; started anchors
+	// uptime and timeline timestamps.
 	wireCtr wireCounters
-
-	// started anchors uptime and timeline timestamps; sampler is the
-	// timeline telemetry state, nil when sampling is disabled.
 	started time.Time
-	sampler *metrics.Sampler
 
 	portDue time.Time // the emulated link's schedule (see paceChunk), the send port's own
 
@@ -206,6 +200,8 @@ type Node struct {
 	// their requeues, and refuses a Run that reuses one.
 	abandoned map[uint64]bool
 	stats     Stats
+	rec       *flightRecorder // nil when disabled
+	samples   *sampleRing     // the timeline; nil when sampling is disabled
 	status    *statusServer
 	stopped   bool     // Close stopped the owner
 	armed     bool     // the timer is armed
@@ -319,9 +315,6 @@ func Start(name string, opts ...Option) (*Node, error) {
 	n.inbox, n.tasks = make(chan input, 64), make(chan Task, 1)
 	n.portJobs, n.upKick, n.upJobs = make(chan []portWrite, 1), make(chan struct{}, 1), make(chan *upJob, 1)
 	n.done, n.ownerGone, n.failed = make(chan struct{}), make(chan struct{}), make(chan struct{})
-	if cfg.timelineInterval > 0 {
-		n.sampler = metrics.NewSampler()
-	}
 
 	if cfg.listen != "" {
 		l, err := net.Listen("tcp", cfg.listen)
@@ -349,9 +342,6 @@ func Start(name string, opts ...Option) (*Node, error) {
 
 	n.goTracked(n.computeLoop)
 	n.goTracked(n.sendPort)
-	if n.sampler != nil {
-		n.goTracked(n.sampleLoop)
-	}
 	return n, nil
 }
 
@@ -367,6 +357,9 @@ func newNode(cfg config) *Node {
 	n.core.Reset(cfg.protocol, n.root)
 	if cfg.recorderCap > 0 {
 		n.rec = newFlightRecorder(cfg.recorderCap)
+	}
+	if cfg.timelineInterval > 0 {
+		n.samples = newSampleRing(timelineCapacity)
 	}
 	// The paper's startup rule: one request per buffer, all owed and none
 	// sent, so the first hello reports no request unanswered.
@@ -431,8 +424,8 @@ func (n *Node) Stats() Stats {
 	return n.snapshot().Stats
 }
 
-// snapshot is the one source of Stats, /status and the sampler: read
-// while the owner is paused, or from the state it left once it stopped.
+// snapshot is the one source of Stats and /status: read while the owner
+// is paused, or from the state it left once it stopped.
 func (n *Node) snapshot() statusSnapshot {
 	resume, _ := n.pause()
 	v := statusSnapshot{Name: n.cfg.name, Root: n.root, Buffered: n.buffer.len(), Stats: n.stats,
@@ -445,10 +438,10 @@ func (n *Node) snapshot() statusSnapshot {
 			v.Links[s.name] = s.link.estimate()
 		}
 	}
-	resume()
 	if n.rec != nil {
 		v.Stats.RecorderDropped = n.rec.dropped()
 	}
+	resume()
 	v.Stats.FramesSent, v.Stats.FramesReceived = n.wireCtr.framesSent.Load(), n.wireCtr.framesRecv.Load()
 	v.Stats.BytesSent, v.Stats.BytesReceived = n.wireCtr.bytesSent.Load(), n.wireCtr.bytesRecv.Load()
 	up := time.Since(n.started)
@@ -596,13 +589,22 @@ func (n *Node) pause() (resume func(), parked bool) {
 // the clock once and steps every pending input, carrying out each step's
 // effects before the next, then decides: a burst of frames costs one
 // decision and at most one write per link. It alone receives on inbox,
-// sends to the ports and arms the timer; stopping, it closes the ports'
-// channels.
+// sends to the ports and arms the timer and the sampling tick; stopping,
+// it closes the ports' channels.
 func (n *Node) ownerLoop() {
 	timer := time.AfterFunc(time.Hour, func() { n.put(input{kind: inTimer}) })
 	timer.Stop() // armed only by an effect
+	// The sampling tick reads the wire's counters, which no step may.
+	tick := time.AfterFunc(time.Hour, func() {
+		n.put(input{kind: inSample, bytes: [2]int64{n.wireCtr.bytesSent.Load(), n.wireCtr.bytesRecv.Load()}})
+	})
+	tick.Stop()
+	if n.samples != nil {
+		tick.Reset(n.cfg.timelineInterval)
+	}
 	defer func() {
 		timer.Stop()
+		tick.Stop()
 		close(n.ownerGone)
 		close(n.tasks)
 		close(n.portJobs)
@@ -640,10 +642,14 @@ func (n *Node) ownerLoop() {
 	for !n.stopped {
 		in := <-n.inbox
 		for now := n.started.Add(time.Since(n.started)); !n.stopped; { // one clock read: the owner only subtracts times
-			if in.kind == inPause {
+			switch in.kind {
+			case inPause:
 				in.reply <- reply{} // parked
 				<-in.reply          // released
-			} else {
+			case inSample:
+				tick.Reset(n.cfg.timelineInterval) // the next pass
+				fallthrough
+			default:
 				n.step(now, &in)
 				carry() // a reply or a batch goes out before the next input
 			}
@@ -726,7 +732,8 @@ func (n *Node) superviseConn(c *conn) {
 // and the first bytes read from an unauthenticated peer: anything else — a
 // stream that is not frames (a build that spoke gob), a hello offering no
 // wire version this build speaks, silence past the handshake timeout — is
-// refused, recorded as a sever of the remote address, and the conn closed.
+// refused: the conn is closed, and the owner records a sever of the remote
+// address.
 func (n *Node) acceptLoop() {
 	for {
 		raw, err := n.listener.Accept()
@@ -736,7 +743,8 @@ func (n *Node) acceptLoop() {
 		c := newConn(raw, "", n.cfg.faults, n.cfg.writeTimeout, &n.wireCtr)
 		hello, err := c.recvTimeout(n.cfg.handshakeTimeout)
 		if err != nil || hello.Kind != kindHello {
-			n.record(Event{Kind: EvSever, Peer: raw.RemoteAddr().String()})
+			c.peerName = raw.RemoteAddr().String()
+			n.put(input{kind: inRefused, c: c}) // before the close, which a peer may see
 			_ = c.close()
 			continue
 		}

@@ -82,8 +82,8 @@ func dumpOnFailure(t *testing.T, n *Node) {
 		t.Logf("dump written to %s", path)
 	}
 	write(filepath.Join(dir, name+"-"+n.cfg.name+".json"), n.TraceDump())
-	if n.sampler != nil {
-		write(filepath.Join(dir, name+"-"+n.cfg.name+"-timeline.json"), n.TimelineDump())
+	if d := n.TimelineDump(); d.Series != nil {
+		write(filepath.Join(dir, name+"-"+n.cfg.name+"-timeline.json"), d)
 	}
 }
 

@@ -35,6 +35,8 @@ const (
 	inAbandon                        // the Run whose reply slot this is was cut short: if in flight, it replies with the results so far
 	inClose                          // Close stops the owner, whose state is then read-only
 	inStatus                         // ServeStatus installs status; reply: the server running
+	inRefused                        // the accept loop refused c's handshake; c is labelled with the remote address
+	inSample                         // a sampling tick; bytes are the wire's bytes sent and received so far
 	inPause                          // pause: the shell parks between two steps; never reaches step
 )
 
@@ -55,6 +57,7 @@ type input struct {
 	err            error
 	tasks          []Task
 	status         *statusServer
+	bytes          [2]int64
 	reply          chan reply
 }
 
@@ -114,6 +117,10 @@ func (n *Node) step(now time.Time, in *input) {
 	case inUplinkLost:
 		n.parent = nil // outbound work is owed until the link is back
 		n.record(Event{Kind: EvSever, Peer: in.c.label()})
+	case inRefused:
+		n.record(Event{Kind: EvSever, Peer: in.c.label()})
+	case inSample:
+		n.sample(now, in.bytes)
 	case inHeartbeatMiss:
 		n.stats.HeartbeatMisses++
 		n.record(Event{Kind: EvHeartbeatMiss, Peer: in.c.label(), Value: int64(in.n)})

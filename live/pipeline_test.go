@@ -201,8 +201,11 @@ func sessionPending(n *Node, child string) int {
 
 // eventsOf filters a node's recorder by kind.
 func eventsOf(n *Node, kind EventKind) []Event {
-	var out []Event
-	for _, e := range n.Events() {
+	var evs, out []Event
+	if !n.query(func() { evs, _ = n.rec.since(0) }) {
+		evs = n.Events() // the owner stopped: its state is read-only
+	}
+	for _, e := range evs {
 		if e.Kind == kind {
 			out = append(out, e)
 		}

@@ -9,9 +9,9 @@ package live
 // misbehaves, counters say how many, the recorder says which task, on
 // which link, in what order.
 //
-// Every event but a refused handshake is recorded by the node's owner
-// goroutine in the step that makes the state change it describes, so the
-// per-node event order is the owner's decision order — cmd/bwtrace relies
+// Every event is recorded by the node's owner goroutine in the step that
+// makes the state change it describes, so the per-node event order is the
+// owner's decision order — cmd/bwtrace relies
 // on this to re-verify scheduling decisions from merged dumps. Cross-node
 // causality is carried on the wire: every frame is stamped with the
 // sequence number of the recorder event on the sender that caused it (the
@@ -20,7 +20,6 @@ package live
 
 import (
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -221,73 +220,48 @@ type TraceDump struct {
 	Events  []Event `json:"events"`
 }
 
-// flightRecorder is the fixed-capacity event ring. Writers never block
-// and entries are never mutated after being written: overflow overwrites
-// the oldest event and counts it as dropped, so the recorder always
-// holds the most recent window of the node's history.
+// flightRecorder is the fixed-capacity event ring, owner state like
+// Stats. Entries are never mutated after being written: overflow
+// overwrites the oldest event and counts it as dropped, so the recorder
+// always holds the most recent window of the node's history.
 type flightRecorder struct {
 	epoch time.Time
-
-	mu   sync.Mutex
-	buf  []Event // ring storage; index seq-1 mod cap
-	next uint64  // total events ever recorded; the next event gets Seq next+1
+	buf   []Event // ring storage; index seq-1 mod cap
+	next  uint64  // total events ever recorded; the next event gets Seq next+1
 }
 
 func newFlightRecorder(capacity int) *flightRecorder {
 	return &flightRecorder{epoch: time.Now(), buf: make([]Event, 0, capacity)}
 }
 
-// add assigns the event its sequence number and monotonic timestamp,
+// add assigns the event its sequence number and monotonic timestamp — the
+// one clock read a step reaches, so each event bears its own instant —
 // appends it, and returns the sequence number for wire stamping.
 func (r *flightRecorder) add(e Event) uint64 {
-	at := time.Since(r.epoch).Nanoseconds()
-	r.mu.Lock()
 	r.next++
 	e.Seq = r.next
-	e.At = at
+	e.At = time.Since(r.epoch).Nanoseconds()
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, e)
 	} else {
 		r.buf[(e.Seq-1)%uint64(cap(r.buf))] = e
 	}
-	r.mu.Unlock()
 	return e.Seq
 }
 
 // dropped reports how many events were evicted by wrap-around.
 func (r *flightRecorder) dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.droppedLocked()
-}
-
-func (r *flightRecorder) droppedLocked() int64 {
 	if c := uint64(cap(r.buf)); r.next > c {
 		return int64(r.next - c)
 	}
 	return 0
 }
 
-// snapshot returns the retained events in sequence order plus the evicted
-// count.
-func (r *flightRecorder) snapshot() ([]Event, int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	evs, _ := r.sinceLocked(0)
-	return evs, r.droppedLocked()
-}
-
 // since returns the retained events with Seq > after, in order, and the
 // sequence number the next call should resume from. Events evicted before
 // they could be read are skipped (the caller observes the gap in Seq).
 func (r *flightRecorder) since(after uint64) ([]Event, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sinceLocked(after)
-}
-
-func (r *flightRecorder) sinceLocked(after uint64) ([]Event, uint64) {
-	after = max(after, uint64(r.droppedLocked()))
+	after = max(after, uint64(r.dropped()))
 	out := make([]Event, 0, r.next-min(after, r.next))
 	for seq := after + 1; seq <= r.next; seq++ {
 		out = append(out, r.buf[(seq-1)%uint64(cap(r.buf))])
@@ -297,7 +271,7 @@ func (r *flightRecorder) sinceLocked(after uint64) ([]Event, uint64) {
 
 // record appends one event to the node's flight recorder, returning its
 // sequence number for wire stamping; a node with the recorder disabled
-// records nothing.
+// records nothing. Only owner steps call it.
 func (n *Node) record(e Event) uint64 {
 	if n.rec == nil {
 		return 0
@@ -309,15 +283,18 @@ func (n *Node) record(e Event) uint64 {
 // order; nil when the recorder is disabled.
 func (n *Node) Events() []Event { return n.TraceDump().Events }
 
-// TraceDump returns the node's flight-recorder dump — the document
-// /debug/events serves and cmd/bwtrace merges. The Events slice is nil
-// when the recorder is disabled.
+// TraceDump copies the node's flight-recorder dump while the owner is
+// paused — the document /debug/events serves and cmd/bwtrace merges. The
+// Events slice is nil when the recorder is disabled.
 func (n *Node) TraceDump() TraceDump {
 	d := TraceDump{Node: n.cfg.name, Root: n.root}
 	if n.rec == nil {
 		return d
 	}
 	d.EpochUnixNano = n.rec.epoch.UnixNano()
-	d.Events, d.Dropped = n.rec.snapshot()
+	resume, _ := n.pause()
+	d.Events, _ = n.rec.since(0)
+	d.Dropped = n.rec.dropped()
+	resume()
 	return d
 }

@@ -25,10 +25,7 @@ func TestRecorderWrapExact(t *testing.T) {
 	if got, want := r.dropped(), int64(writes-capacity); got != want {
 		t.Fatalf("dropped = %d, want %d", got, want)
 	}
-	evs, dropped := r.snapshot()
-	if dropped != int64(writes-capacity) {
-		t.Fatalf("snapshot dropped = %d, want %d", dropped, writes-capacity)
-	}
+	evs, _ := r.since(0)
 	if len(evs) != capacity {
 		t.Fatalf("snapshot holds %d events, want %d", len(evs), capacity)
 	}
@@ -61,7 +58,8 @@ func TestRecorderWrapExact(t *testing.T) {
 }
 
 // TestRecorderDisabled pins that a negative capacity turns recording off
-// entirely: no events, no dumps, no counter.
+// entirely: no events, no dumps, no counter, and /debug/events answers 404
+// in both forms, as /timeline does with sampling off.
 func TestRecorderDisabled(t *testing.T) {
 	root := startNode(t, "root",
 		WithListen("127.0.0.1:0"), WithBuffers(2),
@@ -79,16 +77,19 @@ func TestRecorderDisabled(t *testing.T) {
 	if s := root.Stats(); s.RecorderDropped != 0 {
 		t.Fatalf("disabled recorder dropped %d", s.RecorderDropped)
 	}
+	want404(t, root, "/debug/events", "/debug/events?follow=1")
 }
 
-// TestRecorderConcurrentFollow drives a two-node overlay under -race with
-// every frame-handling goroutine writing events while a ?follow=1 reader
-// streams them: the stream must be valid NDJSON with strictly increasing
-// sequence numbers, and the final Stats must surface exact eviction
+// TestRecorderConcurrentFollow drives a two-node overlay under -race
+// while ?follow=1 readers stream the root's events and timeline and
+// another goroutine calls every read path (TimelineDump, Events,
+// TraceDump, Stats): the event stream must be valid NDJSON with strictly
+// increasing sequence numbers, the timeline stream whole passes in
+// increasing order, and the final Stats must surface exact eviction
 // counts from the deliberately tiny ring.
 func TestRecorderConcurrentFollow(t *testing.T) {
 	root := startNode(t, "root",
-		WithListen("127.0.0.1:0"), WithBuffers(2),
+		WithListen("127.0.0.1:0"), WithBuffers(2), WithTimelineInterval(5*time.Millisecond),
 		WithCompute(echoCompute(time.Millisecond)), WithRecorderCapacity(64),
 	)
 	addr, err := root.ServeStatus("127.0.0.1:0")
@@ -101,44 +102,82 @@ func TestRecorderConcurrentFollow(t *testing.T) {
 	)
 
 	var wg sync.WaitGroup
-	wg.Add(1)
-	streamed := make([]Event, 0, 1024)
-	var streamErr error
-	go func() {
-		defer wg.Done()
-		resp, err := http.Get(fmt.Sprintf("http://%s/debug/events?follow=1", addr))
-		if err != nil {
-			streamErr = err
-			return
+	errs, ready := make(chan error, 3), make(chan struct{}, 2)
+	follow := func(path string, line func([]byte) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(fmt.Sprintf("http://%s%s?follow=1", addr, path))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			for sc, first := bufio.NewScanner(resp.Body), true; sc.Scan(); first = false {
+				if err := line(sc.Bytes()); err != nil {
+					errs <- fmt.Errorf("%s line %q: %w", path, sc.Text(), err)
+					return
+				}
+				if first {
+					ready <- struct{}{}
+				}
+			}
+		}()
+	}
+	var streamed, rows int
+	var lastSeq, lastTick uint64
+	follow("/debug/events", func(b []byte) error {
+		var e Event
+		if err := json.Unmarshal(b, &e); err != nil || e.Seq <= lastSeq {
+			return fmt.Errorf("after seq %d: %v", lastSeq, err)
 		}
-		defer resp.Body.Close()
-		sc := bufio.NewScanner(resp.Body)
-		var lastSeq uint64
-		for sc.Scan() {
-			var e Event
-			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-				streamErr = fmt.Errorf("bad NDJSON line %q: %w", sc.Text(), err)
+		lastSeq, streamed = e.Seq, streamed+1
+		return nil
+	})
+	follow("/timeline", func(b []byte) error {
+		var row timelineRow
+		err := json.Unmarshal(b, &row)
+		if fresh := rows%len(timelineSeries) == 0; err != nil || row.Series != timelineSeries[rows%len(timelineSeries)] ||
+			fresh != (row.Tick > lastTick) || row.Tick < lastTick {
+			return fmt.Errorf("row %d after tick %d: %v", rows, lastTick, err)
+		}
+		lastTick, rows = row.Tick, rows+1
+		return nil
+	})
+	for range 2 { // both streams are open before the run
+		select {
+		case <-ready:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a follow stream never started")
+		}
+	}
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // every read path, against the running owner
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
 				return
+			case <-time.After(time.Millisecond):
+				_, _, _, _ = root.TimelineDump(), root.Events(), root.TraceDump(), root.Stats()
 			}
-			if e.Seq <= lastSeq {
-				streamErr = fmt.Errorf("seq went %d -> %d", lastSeq, e.Seq)
-				return
-			}
-			lastSeq = e.Seq
-			streamed = append(streamed, e)
 		}
 	}()
 
-	if _, err := runWithin(root, makeTasks(60, 2048), 30*time.Second); err != nil {
+	_, err = runWithin(root, makeTasks(60, 2048), 30*time.Second)
+	close(stop)
+	root.Close() // ends the follow streams
+	wg.Wait()
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	root.Close() // ends the follow stream
-	wg.Wait()
-	if streamErr != nil {
-		t.Fatalf("follow stream: %v", streamErr)
+	close(errs)
+	for err := range errs {
+		t.Errorf("follow stream: %v", err)
 	}
-	if len(streamed) == 0 {
-		t.Fatal("follow stream saw no events")
+	if streamed == 0 || rows == 0 {
+		t.Fatalf("follow streams saw %d events and %d timeline rows", streamed, rows)
 	}
 
 	// The tiny ring must have wrapped, and the counter must be exact:

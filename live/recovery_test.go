@@ -337,7 +337,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if got := settings(n.cfg); got != settings(want) {
 		t.Fatalf("defaults:\n got %s\nwant %s", got, settings(want))
 	}
-	if n.rec == nil || n.sampler == nil {
+	if n.TraceDump().Events == nil || n.TimelineDump().Series == nil {
 		t.Errorf("the node runs without a flight recorder or a timeline sampler")
 	}
 

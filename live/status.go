@@ -40,10 +40,12 @@ type statusServer struct {
 //	               children, stats, measuredLinkSeconds, uptime, connected)
 //	/timeline      the node's sampled telemetry as JSON (TimelineDump);
 //	               ?follow=1 streams each sampling pass as NDJSON until
-//	               the client disconnects or the node closes
+//	               the client disconnects or the node closes; 404 when
+//	               sampling is disabled
 //	/debug/events  the flight recorder's event dump as JSON (TraceDump);
 //	               ?follow=1 streams new events as NDJSON until the
-//	               client disconnects or the node closes
+//	               client disconnects or the node closes; 404 when the
+//	               recorder is disabled
 //	/debug/pprof/  the standard net/http/pprof profiling handlers
 //
 // The endpoints are read-only introspection for operating a deployed
@@ -57,8 +59,12 @@ func (n *Node) ServeStatus(addr string) (string, error) {
 	ss.serve = func() { _ = ss.srv.Serve(ln) } // returns on Close
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, n.snapshot()) })
-	mux.HandleFunc("/timeline", n.handleTimeline)
-	mux.HandleFunc("/debug/events", n.handleEvents)
+	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
+		serveRing(n, w, r, "timeline sampling", n.samples != nil, func() any { return n.TimelineDump() }, n.samples.latest)
+	})
+	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
+		serveRing(n, w, r, "flight recorder", n.rec != nil, func() any { return n.TraceDump() }, n.rec.since)
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -93,53 +99,42 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleEvents serves the flight recorder. A plain GET returns the full
-// TraceDump as JSON — the document cmd/bwtrace merges. With ?follow=1 the
-// response is an NDJSON stream of events (one Event per line), starting
-// from the oldest retained and polling for new ones until the client
-// disconnects or the node closes; events evicted between polls appear as
-// gaps in seq.
-func (n *Node) handleEvents(w http.ResponseWriter, r *http.Request) {
+// serveRing serves one of the node's rings, or 404 when it is disabled
+// (on false). A plain GET returns dump as one JSON document. With
+// ?follow=1 the response is an NDJSON stream: every 50 ms poll hands over,
+// while the owner is paused, what is new since its cursor, written one
+// value per line. Each line is flushed as it is encoded, not per batch, so
+// a follower sees it at once even mid-batch on a slow or long-polling
+// connection. The stream ends when a write fails, the client disconnects
+// or the node closes.
+func serveRing[T any](n *Node, w http.ResponseWriter, r *http.Request, what string, on bool,
+	dump func() any, poll func(after uint64) ([]T, uint64)) {
+	if !on {
+		http.Error(w, "live: "+what+" disabled", http.StatusNotFound)
+		return
+	}
 	if r.URL.Query().Get("follow") == "" {
-		writeJSON(w, n.TraceDump())
+		writeJSON(w, dump())
 		return
 	}
-	if n.rec == nil {
-		http.Error(w, "live: flight recorder disabled", http.StatusNotFound)
-		return
-	}
-	var cursor uint64
-	n.follow(w, r, func(line func(any) error) error {
-		evs, next := n.rec.since(cursor)
-		cursor = next
-		for i := range evs {
-			if err := line(&evs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// follow streams an NDJSON response: every 50 ms it polls, and poll hands
-// whatever is new to line, one value per line. Each line is flushed as it
-// is encoded, not per batch, so a follower sees it at once even mid-batch
-// on a slow or long-polling connection. The stream ends when a write
-// fails, the client disconnects or the node closes.
-func (n *Node) follow(w http.ResponseWriter, r *http.Request, poll func(line func(any) error) error) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	line := func(v any) error {
-		err := enc.Encode(v)
-		if err == nil && flusher != nil {
-			flusher.Flush()
-		}
-		return err
-	}
 	t := time.NewTicker(50 * time.Millisecond)
 	defer t.Stop()
-	for poll(line) == nil {
+	var lines []T
+	for cursor := uint64(0); ; {
+		resume, _ := n.pause()
+		lines, cursor = poll(cursor)
+		resume()
+		for i := range lines {
+			if enc.Encode(&lines[i]) != nil {
+				return
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
 		select {
 		case <-t.C:
 		case <-r.Context().Done():

@@ -2,9 +2,12 @@ package live
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -89,27 +92,36 @@ func TestTimelineEndpointDump(t *testing.T) {
 	}
 }
 
-// TestTimelineDisabled: a negative interval turns sampling off and
-// /timeline answers 404 instead of an empty document.
+// TestTimelineDisabled: a negative interval turns sampling off, the dump's
+// series are null, and /timeline answers 404 in both forms instead of an
+// empty document.
 func TestTimelineDisabled(t *testing.T) {
 	root := startNode(t, "root",
 		WithBuffers(1),
 		WithCompute(echoCompute(0)), WithTimelineInterval(-1),
 	)
-	if root.sampler != nil {
-		t.Fatalf("sampler running with sampling disabled")
+	if b, err := json.Marshal(root.TimelineDump()); err != nil || !strings.Contains(string(b), `"series":null`) {
+		t.Fatalf("dump with sampling disabled: %s, %v", b, err)
 	}
-	addr, err := root.ServeStatus("127.0.0.1:0")
+	want404(t, root, "/timeline", "/timeline?follow=1")
+}
+
+// want404 serves n's status endpoints and requires each path to answer 404.
+func want404(t *testing.T, n *Node, paths ...string) {
+	t.Helper()
+	addr, err := n.ServeStatus("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("status: %v", err)
 	}
-	resp, err := http.Get("http://" + addr + "/timeline")
-	if err != nil {
-		t.Fatalf("GET /timeline: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", resp.StatusCode)
+	for _, path := range paths {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -215,5 +227,99 @@ func TestStatsUptime(t *testing.T) {
 	if up < late || up < time.Duration(snap.Stats.UptimeSeconds)*time.Second {
 		t.Fatalf("uptime %v with UptimeSeconds %d; want at least the %v the node ran before its endpoint opened, and the counter's whole seconds",
 			up, snap.Stats.UptimeSeconds, late)
+	}
+}
+
+// TestTimelineGolden pins the timeline's format and its merge and halving
+// rules: 1,100 scripted passes, fed to a 512-row ring, merge below the
+// resolution at 1, 2 and 4 ms and cross two halvings; the dump's JSON and
+// the newest pass's follow lines must equal testdata/timeline.golden,
+// written by the six-series sampler this ring replaced.
+func TestTimelineGolden(t *testing.T) {
+	r := newSampleRing(timelineCapacity)
+	var ms int64
+	for i := 0; i < 1100; i++ {
+		ms += int64(i%4) * 2
+		var v [len(timelineSeries)]float64
+		for c := range v {
+			v[c] = float64((i*(c+2))%13) / 4
+		}
+		r.add(ms, v)
+	}
+	var got bytes.Buffer
+	enc := json.NewEncoder(&got)
+	if err := enc.Encode(TimelineDump{Schema: TimelineSchema, Node: "golden", IntervalMS: 1, Series: r.series()}); err != nil {
+		t.Fatal(err)
+	}
+	rows, _ := r.latest(0)
+	for _, row := range rows {
+		if err := enc.Encode(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("testdata/timeline.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("timeline differs from testdata/timeline.golden (res %d, %d rows):\n%s", r.res, len(r.rows), got.Bytes())
+	}
+}
+
+// TestTimelineBoundedOverLongRun: a million passes at unit spacing stay
+// within capacity, with ascending times, an ever coarser resolution, and a
+// constant input kept exact through means of means.
+func TestTimelineBoundedOverLongRun(t *testing.T) {
+	r := newSampleRing(64)
+	for i := int64(0); i < 1_000_000; i++ {
+		r.add(i, [len(timelineSeries)]float64{1})
+	}
+	if len(r.rows) > 64 || r.res <= 1 {
+		t.Fatalf("%d rows at resolution %d", len(r.rows), r.res)
+	}
+	for i, row := range r.rows {
+		if row.V[0] != 1 || i > 0 && row.T <= r.rows[i-1].T {
+			t.Fatalf("row %d = %+v after %+v", i, row, r.rows[max(i-1, 0)])
+		}
+	}
+}
+
+// TestTimelineHalvesOddCount: halving an odd count of rows keeps the last
+// one as it is.
+func TestTimelineHalvesOddCount(t *testing.T) {
+	r := newSampleRing(5)
+	for i := int64(0); i <= 5; i++ {
+		r.add(i, [len(timelineSeries)]float64{float64(i * 10)})
+	}
+	// Pairs (0,10)@1, (20,30)@3, the odd 40@4 kept, then 50@5 appended.
+	want := []sampleRow{{T: 1, V: [6]float64{5}}, {T: 3, V: [6]float64{25}}, {T: 4, V: [6]float64{40}}, {T: 5, V: [6]float64{50}}}
+	if fmt.Sprint(r.rows) != fmt.Sprint(want) || r.res != 2 {
+		t.Fatalf("rows %v at resolution %d, want %v at 2", r.rows, r.res, want)
+	}
+}
+
+// TestTimelineBackwardsTimePanics: a pass may not precede the newest row.
+func TestTimelineBackwardsTimePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("backwards time did not panic")
+		}
+	}()
+	r := newSampleRing(4)
+	r.add(10, [len(timelineSeries)]float64{})
+	r.add(9, [len(timelineSeries)]float64{})
+}
+
+// TestTimelineAppendZeroAllocs pins a pass, halvings included, to zero
+// allocations: the owner samples for the node's whole lifetime.
+func TestTimelineAppendZeroAllocs(t *testing.T) {
+	r := newSampleRing(64)
+	var i int64
+	allocs := testing.AllocsPerRun(10_000, func() {
+		r.add(i, [len(timelineSeries)]float64{float64(i)})
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a pass allocates %.1f times on the warm path", allocs)
 	}
 }
