@@ -323,3 +323,97 @@ func TestTimelineAppendZeroAllocs(t *testing.T) {
 		t.Fatalf("a pass allocates %.1f times on the warm path", allocs)
 	}
 }
+
+// TestTimelineAppendAndSnapshot: passes a resolution apart each keep a
+// row, and the dump's series own their points.
+func TestTimelineAppendAndSnapshot(t *testing.T) {
+	r := newSampleRing(8)
+	r.res = 10
+	for i := int64(0); i < 5; i++ {
+		r.add(i*10, [len(timelineSeries)]float64{float64(i)})
+	}
+	if len(r.rows) != 5 || r.res != 10 {
+		t.Fatalf("%d rows at resolution %d, want 5 at 10", len(r.rows), r.res)
+	}
+	s := r.series()
+	if len(s) != len(timelineSeries) || s[0].Name != timelineSeries[0] || s[0].Resolution != 10 || len(s[0].Points) != 5 {
+		t.Fatalf("series = %+v", s)
+	}
+	for i, p := range s[0].Points {
+		if p != (TimelinePoint{T: int64(i) * 10, V: float64(i)}) {
+			t.Fatalf("point %d = %+v", i, p)
+		}
+	}
+	s[0].Points[0].V = 99
+	if got := r.rows[0].V[0]; got != 0 {
+		t.Fatalf("series aliases the ring: rows[0].V[0] = %v", got)
+	}
+}
+
+// TestTimelineSubResolutionMerge: passes closer than the resolution to
+// the newest row fold into it as a running mean, the row taking the newest
+// time; a pass a full resolution past that time starts a fresh mean.
+func TestTimelineSubResolutionMerge(t *testing.T) {
+	r := newSampleRing(8)
+	r.res = 10
+	for i, v := range []float64{2, 4, 6, 8} {
+		r.add(int64(i)*3, [len(timelineSeries)]float64{v})
+	}
+	if len(r.rows) != 1 || r.rows[0].T != 9 || r.rows[0].V[0] != 5 {
+		t.Fatalf("rows %v, want one row {9 5}", r.rows)
+	}
+	r.add(19, [len(timelineSeries)]float64{100})
+	r.add(20, [len(timelineSeries)]float64{200})
+	if last := r.rows[len(r.rows)-1]; len(r.rows) != 2 || last.T != 20 || last.V[0] != 150 {
+		t.Fatalf("after a new row: rows %v", r.rows)
+	}
+}
+
+// TestTimelineHalvesOnOverflow: the pass that finds the ring full first
+// averages adjacent rows into one at the later time and doubles the
+// resolution, then lands.
+func TestTimelineHalvesOnOverflow(t *testing.T) {
+	r := newSampleRing(4)
+	for i := int64(0); i < 4; i++ {
+		r.add(i, [len(timelineSeries)]float64{float64(i)})
+	}
+	if len(r.rows) != 4 || r.res != 1 {
+		t.Fatalf("before overflow: %d rows at resolution %d", len(r.rows), r.res)
+	}
+	r.add(4, [len(timelineSeries)]float64{4})
+	want := []sampleRow{{T: 1, V: [6]float64{0.5}}, {T: 3, V: [6]float64{2.5}}, {T: 4, V: [6]float64{4}}}
+	if fmt.Sprint(r.rows) != fmt.Sprint(want) || r.res != 2 {
+		t.Fatalf("rows %v at resolution %d, want %v at 2", r.rows, r.res, want)
+	}
+}
+
+// TestTimelineSeriesAndLatest: a dump lists the series in timelineSeries
+// order, and a follower gets the newest pass's row once, tagged with its
+// pass number.
+func TestTimelineSeriesAndLatest(t *testing.T) {
+	r := newSampleRing(8)
+	if rows, next := r.latest(0); rows != nil || next != 0 {
+		t.Fatalf("latest before any pass = %v, %d", rows, next)
+	}
+	r.add(1, [len(timelineSeries)]float64{10, 20})
+	r.add(2, [len(timelineSeries)]float64{11, 21})
+	s := r.series()
+	for c, name := range timelineSeries {
+		if s[c].Name != name {
+			t.Fatalf("series %d is %q, want %q", c, s[c].Name, name)
+		}
+	}
+	if len(s[0].Points) != 2 || s[0].Points[1] != (TimelinePoint{T: 2, V: 11}) {
+		t.Fatalf("series %s: %+v", s[0].Name, s[0])
+	}
+	rows, next := r.latest(0)
+	if next != 2 || len(rows) != len(timelineSeries) {
+		t.Fatalf("latest = %d rows resuming at %d", len(rows), next)
+	}
+	if rows[1] != (timelineRow{Tick: 2, Series: timelineSeries[1], T: 2, V: 21}) {
+		t.Fatalf("latest %s = %+v", timelineSeries[1], rows[1])
+	}
+	if rows, _ := r.latest(next); rows != nil {
+		t.Fatalf("latest after the newest pass = %v", rows)
+	}
+}
